@@ -708,35 +708,17 @@ impl<P: ArtifactPoint + Clone> IncrementalRockState<P> {
         // once by the exact amounts, never via snapshot deltas (other
         // threads' kernels would pollute a delta).
         let set_points: u64 = self.reps.iter().map(|s| s.len() as u64).sum();
+        let norms = crate::labeling::cluster_norms(&self.reps, self.ftheta);
         let mut scored: Vec<Option<(usize, u64)>> = Vec::with_capacity(arrivals.len());
         // tidy:kernel-hot-loop — per-arrival §4.6 scoring
         for point in arrivals {
-            let mut best: Option<(usize, u64, f64)> = None;
-            for (i, set) in self.reps.iter().enumerate() {
-                let mut neighbors = 0u64;
-                for l in set {
-                    let s = measure.similarity(point, l);
-                    if !s.is_finite() {
-                        return Err(RockError::NonFiniteSimilarity { value: s });
-                    }
-                    if s >= self.theta {
-                        neighbors += 1;
-                    }
-                }
-                if neighbors == 0 {
-                    continue;
-                }
-                let norm = ((set.len() + 1) as f64).powf(self.ftheta);
-                let score = neighbors as f64 / norm;
-                let better = match best {
-                    None => true,
-                    Some((_, _, b)) => score > b,
-                };
-                if better {
-                    best = Some((i, neighbors, score));
-                }
-            }
-            scored.push(best.map(|(i, n, _)| (i, n)));
+            scored.push(crate::labeling::score_checked(
+                point,
+                &self.reps,
+                &norms,
+                self.theta,
+                measure,
+            )?);
         }
         // tidy:end-kernel-hot-loop
         let mut sims = arrivals.len() as u64 * set_points;

@@ -56,6 +56,7 @@ impl NeighborGraph {
                 }
             }
         }
+        crate::perf::count_sim_evals(n as u64 * (n as u64).saturating_sub(1) / 2);
         // The upper-triangle scan happens to emit each list in ascending
         // order, but the "lists sorted" invariant every consumer relies on
         // (binary_search in are_neighbors, merge joins in the link

@@ -6,4 +6,4 @@ pub mod categorical;
 pub mod transaction;
 
 pub use categorical::{AttributeDef, CategoricalRecord, CategoricalSchema};
-pub use transaction::{ItemCatalog, Transaction};
+pub use transaction::{jaccard_from_counts, ItemCatalog, Transaction};

@@ -90,12 +90,20 @@ impl Transaction {
     /// that empty records never become neighbors of anything.
     pub fn jaccard(&self, other: &Transaction) -> f64 {
         let inter = self.intersection_size(other);
-        let union = self.len() + other.len() - inter;
-        if union == 0 {
-            0.0
-        } else {
-            inter as f64 / union as f64
-        }
+        jaccard_from_counts(inter, self.len() + other.len() - inter)
+    }
+}
+
+/// The Jaccard coefficient from set sizes: `inter / union`, and 0 for
+/// two empty sets. The one float expression behind both
+/// [`Transaction::jaccard`] and the item-indexed labeling path, so the
+/// two cannot drift apart.
+#[inline]
+pub fn jaccard_from_counts(inter: usize, union: usize) -> f64 {
+    if union == 0 {
+        0.0
+    } else {
+        inter as f64 / union as f64
     }
 }
 

@@ -84,6 +84,12 @@ impl<P, S: Similarity<P>> Similarity<P> for CheckedSimilarity<S> {
     fn similarity(&self, a: &P, b: &P) -> f64 {
         self.observe(self.inner.similarity(a, b))
     }
+
+    /// Forwarded: the capability's contract makes every value the item
+    /// path skips finite, so nothing the latch could see is lost.
+    fn item_set<'p>(&self, p: &'p P) -> Option<&'p [u32]> {
+        self.inner.item_set(p)
+    }
 }
 
 impl<S: PairwiseSimilarity> PairwiseSimilarity for CheckedSimilarity<S> {
@@ -147,6 +153,16 @@ mod tests {
         assert!(c.take_error().is_some());
         assert_eq!(c.take_error(), None);
         assert_eq!(c.error(), None);
+    }
+
+    #[test]
+    fn forwards_the_item_set_capability() {
+        let t = Transaction::from([3, 1, 2]);
+        let c = CheckedSimilarity::new(&Jaccard);
+        assert_eq!(c.item_set(&t), Some(&[1, 2, 3][..]));
+        // A measure without the capability stays without it.
+        let opaque = CheckedSimilarity::new(NanAt(usize::MAX, Default::default()));
+        assert_eq!(opaque.item_set(&t), None);
     }
 
     /// A pairwise source with one non-finite entry (an expert table built

@@ -125,6 +125,24 @@ mod tests {
     }
 
     #[test]
+    fn hides_the_item_set_so_labeling_still_latches_nan() {
+        use crate::labeling::Labeler;
+        use crate::similarity::CheckedSimilarity;
+        let faulty = FaultySimilarity::new(Jaccard, 7, 1.0);
+        let a = Transaction::from([1, 2]);
+        assert_eq!(faulty.item_set(&a), None);
+        // Every evaluation faults, so the brute-force pass the labeler
+        // must fall back to hands the checked wrapper a NaN.
+        let sample = vec![a.clone(), Transaction::from([2, 3])];
+        let labeler = Labeler::full(&sample, &[vec![0, 1]], 0.4, 1.0 / 3.0);
+        let checked = CheckedSimilarity::new(faulty);
+        let labeling = labeler.label_all(&[a], &checked);
+        assert_eq!(labeling.num_outliers, 1);
+        assert!(checked.error().is_some());
+        assert_eq!(checked.into_inner().calls(), 2);
+    }
+
+    #[test]
     fn schedule_is_reproducible_per_seed() {
         let a = Transaction::from([1, 2]);
         let pattern = |seed: u64| -> Vec<bool> {

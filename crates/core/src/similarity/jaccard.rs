@@ -28,6 +28,13 @@ impl Similarity<Transaction> for Jaccard {
     fn similarity(&self, a: &Transaction, b: &Transaction) -> f64 {
         a.jaccard(b)
     }
+
+    /// A transaction's items are already sorted and unique, and
+    /// [`Transaction::jaccard`] is `jaccard_from_counts` over them.
+    #[inline]
+    fn item_set<'p>(&self, p: &'p Transaction) -> Option<&'p [u32]> {
+        Some(p.items())
+    }
 }
 
 #[cfg(test)]

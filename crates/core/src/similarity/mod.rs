@@ -38,12 +38,36 @@ pub use table::SimilarityMatrix;
 pub trait Similarity<P: ?Sized> {
     /// The similarity of `a` and `b`, in `[0, 1]`.
     fn similarity(&self, a: &P, b: &P) -> f64;
+
+    /// Opt-in capability: `p` as a sorted, duplicate-free set of item ids
+    /// such that the measure *is* Jaccard over those sets.
+    ///
+    /// **Contract:** whenever this returns `Some` for both `a` and `b`,
+    /// `similarity(a, b)` equals
+    /// [`jaccard_from_counts`](crate::points::jaccard_from_counts)`(|A ∩ B|, |A ∪ B|)`
+    /// over the two item sets, bit for bit — in particular it is finite
+    /// and 0 for sets that share no item. The §4.6 labeler relies on this
+    /// to score a point only against the representatives it shares an
+    /// item with, and to derive their similarity from postings counts
+    /// without calling [`Similarity::similarity`] at all.
+    ///
+    /// The default (`None`) keeps every caller on the plain pairwise
+    /// path; wrappers that must observe each evaluation (fault injection,
+    /// counting) simply do not forward it.
+    fn item_set<'p>(&self, p: &'p P) -> Option<&'p [u32]> {
+        let _ = p;
+        None
+    }
 }
 
 // Allow passing `&measure` wherever a measure is expected.
 impl<P: ?Sized, S: Similarity<P> + ?Sized> Similarity<P> for &S {
     fn similarity(&self, a: &P, b: &P) -> f64 {
         (**self).similarity(a, b)
+    }
+
+    fn item_set<'p>(&self, p: &'p P) -> Option<&'p [u32]> {
+        (**self).item_set(p)
     }
 }
 

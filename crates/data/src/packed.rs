@@ -22,7 +22,7 @@
 //! neighbor graph built over [`PackedBaskets`] equals one built over
 //! `PointsWith<Transaction, Jaccard>`.
 
-use rock_core::points::Transaction;
+use rock_core::points::{jaccard_from_counts, Transaction};
 use rock_core::similarity::PairwiseSimilarity;
 
 /// Transactions packed for the O(n²) neighbor scan: bitmap rows when the
@@ -195,15 +195,11 @@ impl PairwiseSimilarity for PackedBaskets {
     }
 
     /// Jaccard coefficient, matching [`Transaction::jaccard`] bit for bit
-    /// (both compute `inter as f64 / union as f64` from the same integer
-    /// sizes, with two empty transactions defined as similarity 0).
+    /// (both call [`jaccard_from_counts`] on the same integer sizes).
     fn sim(&self, i: usize, j: usize) -> f64 {
         let inter = self.intersection_size(i, j);
         let union = self.items_of(i).len() + self.items_of(j).len() - inter;
-        if union == 0 {
-            return 0.0;
-        }
-        inter as f64 / union as f64
+        jaccard_from_counts(inter, union)
     }
 }
 
