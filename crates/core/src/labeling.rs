@@ -26,6 +26,7 @@ use crate::error::RockError;
 use crate::governor::{Phase, RunGovernor};
 use crate::points::jaccard_from_counts;
 use crate::similarity::Similarity;
+use crate::util::postings::Postings;
 use rand::Rng;
 use std::convert::Infallible;
 
@@ -472,28 +473,15 @@ fn infallible<T>(r: Result<T, Infallible>) -> T {
     }
 }
 
-/// The slot table may spend this many slots per posting, on top of
-/// [`DENSE_SLOTS_MIN`], before the item ids count as too spread out for
-/// it and labeling stays brute force.
-const DENSE_SLOTS_PER_POSTING: u64 = 4;
-/// Slots the table may always use, however few postings there are.
-const DENSE_SLOTS_MIN: u64 = 1 << 16;
-
-/// Item → representative postings over every labeling set, in CSR form.
-/// Built once per labeling pass and shared read-only by the workers.
+/// Item → representative postings over every labeling set. Built once
+/// per labeling pass and shared read-only by the workers.
 ///
 /// Representatives ("reps") are numbered by their position in the
 /// concatenation `L₀ ‖ L₁ ‖ …`.
 #[derive(Debug)]
 struct RepIndex {
-    /// The smallest rep item id: item `x` has slot `x − base`.
-    base: u32,
-    /// The postings of slot `s` are `postings[offsets[s]..offsets[s + 1]]`.
-    offsets: Vec<u32>,
-    /// Rep ids, grouped by item slot.
-    postings: Vec<u32>,
-    /// Item count of each rep.
-    rep_len: Vec<u32>,
+    /// Postings and item count of each rep.
+    items: Postings,
     /// Cluster of each rep.
     rep_cluster: Vec<u32>,
 }
@@ -505,9 +493,8 @@ impl RepIndex {
     /// * θ ≤ 0 — pairs sharing no item are neighbors too;
     /// * a representative the measure exposes no item set for (measures
     ///   without the capability, fault-injecting wrappers);
-    /// * more reps, clusters or postings than `u32` ids address;
-    /// * rep item ids spread too far for a dense slot table (e.g. both
-    ///   small ids and ids near `u32::MAX`).
+    /// * more clusters than `u32` ids address, or reps the shared
+    ///   [`Postings`] cannot table (see [`Postings::build`]).
     fn build<P, S: Similarity<P>>(labeler: &Labeler<P>, sim: &S) -> Option<RepIndex> {
         // A NaN θ (possible through `Labeler::full`) fails every
         // comparison on both paths alike, so it may take the index.
@@ -523,60 +510,10 @@ impl RepIndex {
                 rep_cluster.push(c);
             }
         }
-        u32::try_from(reps.len()).ok()?;
-        let rep_len = reps
-            .iter()
-            .map(|items| u32::try_from(items.len()).ok())
-            .collect::<Option<Vec<u32>>>()?;
-        let total: usize = reps.iter().map(|items| items.len()).sum();
-        u32::try_from(total).ok()?;
-
-        let all_items = || reps.iter().flat_map(|items| items.iter().copied());
-        let lo = all_items().min().unwrap_or(0);
-        let hi = all_items().max().unwrap_or(0);
-        let span = u64::from(hi - lo) + 1;
-        if span > DENSE_SLOTS_PER_POSTING * total as u64 + DENSE_SLOTS_MIN {
-            return None;
-        }
-        let num_slots = span as usize;
-
-        // Counting sort of the (item, rep) pairs by slot: every item lies
-        // in [lo, hi], so every slot is in range.
-        let mut offsets = vec![0u32; num_slots + 1];
-        for item in all_items() {
-            offsets[(item - lo) as usize + 1] += 1;
-        }
-        for s in 0..num_slots {
-            offsets[s + 1] += offsets[s];
-        }
-        let mut next: Vec<u32> = offsets[..num_slots].to_vec();
-        let mut postings = vec![0u32; total];
-        for (r, items) in reps.iter().enumerate() {
-            for &item in *items {
-                let s = (item - lo) as usize;
-                postings[next[s] as usize] = r as u32;
-                next[s] += 1;
-            }
-        }
         Some(RepIndex {
-            base: lo,
-            offsets,
-            postings,
-            rep_len,
+            items: Postings::build(&reps)?,
             rep_cluster,
         })
-    }
-
-    /// The reps containing `item` (empty for items no rep has).
-    #[inline]
-    fn postings(&self, item: u32) -> &[u32] {
-        let Some(s) = item.checked_sub(self.base).map(|s| s as usize) else {
-            return &[];
-        };
-        match (self.offsets.get(s), self.offsets.get(s + 1)) {
-            (Some(&lo), Some(&hi)) => self.postings.get(lo as usize..hi as usize).unwrap_or(&[]),
-            _ => &[],
-        }
     }
 }
 
@@ -602,7 +539,7 @@ struct Scorer<'a, P> {
 
 impl<'a, P: Clone> Scorer<'a, P> {
     fn new(labeler: &'a Labeler<P>, index: Option<&'a RepIndex>) -> Self {
-        let reps = index.map_or(0, |ix| ix.rep_len.len());
+        let reps = index.map_or(0, |ix| ix.items.num_sets());
         let clusters = index.map_or(0, |_| labeler.sets.len());
         Scorer {
             labeler,
@@ -630,7 +567,7 @@ impl<'a, P: Clone> Scorer<'a, P> {
     /// no item with the point, so their similarity is 0 < θ.
     fn label_items(&mut self, index: &RepIndex, items: &[u32]) -> Option<usize> {
         for &item in items {
-            for &r in index.postings(item) {
+            for &r in index.items.of(item) {
                 let count = &mut self.inter[r as usize];
                 if *count == 0 {
                     self.touched.push(r);
@@ -642,7 +579,7 @@ impl<'a, P: Clone> Scorer<'a, P> {
         for &r in &self.touched {
             let r = r as usize;
             let inter = std::mem::take(&mut self.inter[r]) as usize;
-            let union = items.len() + index.rep_len[r] as usize - inter;
+            let union = items.len() + index.items.set_len(r) - inter;
             if jaccard_from_counts(inter, union) >= self.labeler.theta {
                 self.neighbors[index.rep_cluster[r] as usize] += 1;
             }
@@ -896,17 +833,6 @@ mod tests {
         ];
         let labeler = Labeler::full(&sample, &[vec![0, 1], vec![2]], 0.3, 0.5);
         assert!(RepIndex::build(&labeler, &Jaccard).is_none());
-
-        // A compact range far from zero keeps the table.
-        let high = vec![
-            Transaction::from([top - 2, top]),
-            Transaction::from([top - 1]),
-        ];
-        let labeler = Labeler::full(&high, &[vec![0], vec![1]], 0.3, 0.5);
-        let index = RepIndex::build(&labeler, &Jaccard).expect("indexable");
-        assert_eq!(index.base, top - 2);
-        assert_eq!(index.postings(top), &[0]);
-        assert!(index.postings(3).is_empty());
     }
 
     #[test]

@@ -6,18 +6,34 @@
 //! worked examples (§3.2, where `{1,2,6}` has exactly 5 links with
 //! `{1,2,7}`), a point is **not** its own neighbor.
 //!
-//! Building the graph is the O(n²) pairwise scan the paper assumes (§4.4:
-//! "the list of neighbors for every point can be computed in O(n²) time").
-//! [`NeighborGraph::build_parallel`] shards the *upper triangle* across
-//! rayon scoped workers — each unordered pair is evaluated exactly once,
-//! by the worker owning its smaller endpoint — and the hit edges are
-//! assembled into exact-capacity adjacency lists afterwards. The shard
-//! concatenation reproduces the serial scan's ascending edge order, so
-//! the result is bit-identical to the sequential scan for every thread
-//! count (see DESIGN.md §"Performance model").
+//! The paper builds the graph with an O(n²) pairwise scan (§4.4: "the
+//! list of neighbors for every point can be computed in O(n²) time").
+//! Both builders here run one row kernel over contiguous row ranges: row
+//! `i` tests only partners `j > i`, so each unordered pair is evaluated
+//! at most once, and emits its hit edges in ascending `j`. The kernel
+//! finds a row's candidates in one of two ways:
+//!
+//! * **Item index.** When the measure exposes every point's item set
+//!   ([`PairwiseSimilarity::item_set`], e.g. [`crate::similarity::Jaccard`]
+//!   through [`crate::similarity::PointsWith`]) and θ > 0, a pair sharing
+//!   no item has similarity 0 < θ. The kernel then scatters intersection
+//!   counts over the item → point postings of row `i`'s items and tests
+//!   only the touched partners, with the same float expression
+//!   [`crate::points::Transaction::jaccard`] uses.
+//! * **Brute force** otherwise: every `j > i`.
+//!
+//! [`NeighborGraph::build`] is the single-shard case;
+//! [`NeighborGraph::build_parallel`] shards the rows across rayon scoped
+//! workers. The hit edges are assembled into exact-capacity adjacency
+//! lists afterwards; the shard concatenation is the ascending `(i, j)`
+//! edge order, so the graph is bit-identical for every thread count and
+//! for both candidate sources (see DESIGN.md §"Performance model").
 
+use crate::points::jaccard_from_counts;
 use crate::similarity::PairwiseSimilarity;
 use crate::util::balanced_ranges;
+use crate::util::postings::Postings;
+use std::ops::Range;
 
 /// Below this many pair evaluations the upper-triangle scan completes in
 /// tens of microseconds and thread spawn/join dominates, so
@@ -33,60 +49,39 @@ pub struct NeighborGraph {
 }
 
 impl NeighborGraph {
-    /// Builds the neighbor graph with a single-threaded pairwise scan.
+    /// Builds the neighbor graph on the calling thread.
     ///
-    /// Each unordered pair is evaluated exactly once.
+    /// Each unordered pair is evaluated at most once: every pair by
+    /// brute force, only the pairs sharing an item on the item-indexed
+    /// path (see the module docs).
     ///
     /// # Panics
     /// Panics if `theta` is not in `[0, 1]` or the point set has more than
     /// `u32::MAX` points.
     pub fn build<S: PairwiseSimilarity>(sim: &S, theta: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&theta),
-            "theta must be in [0, 1], got {theta}"
-        );
-        let n = sim.len();
-        assert!(u32::try_from(n).is_ok(), "too many points");
-        let mut lists: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if sim.sim(i, j) >= theta {
-                    lists[i].push(j as u32);
-                    lists[j].push(i as u32);
-                }
-            }
-        }
-        crate::perf::count_sim_evals(n as u64 * (n as u64).saturating_sub(1) / 2);
-        // The upper-triangle scan happens to emit each list in ascending
-        // order, but the "lists sorted" invariant every consumer relies on
-        // (binary_search in are_neighbors, merge joins in the link
-        // kernels) is enforced here, in one place, rather than implied by
-        // push order. Sorting an already-sorted run is a linear-time scan
-        // for the pattern-defeating quicksort behind sort_unstable.
-        for l in &mut lists {
-            l.sort_unstable();
-        }
-        NeighborGraph { lists, theta }
+        let n = checked_len(sim, theta);
+        let index = ItemIndex::build(sim, theta);
+        let mut hits = Vec::new();
+        RowScan::new(sim, theta, index.as_ref()).scan(0..n, &mut hits);
+        Self::assemble(n, std::slice::from_ref(&hits), theta)
     }
 
     /// Builds the neighbor graph using `threads` rayon workers.
     ///
     /// The upper triangle is sharded into contiguous row ranges balanced
     /// by row length (row `i` holds `n−1−i` pairs), one rayon task per
-    /// range; each unordered pair is evaluated **exactly once**, by the
-    /// worker owning its smaller endpoint. Workers append hit edges to a
-    /// single per-worker buffer reused across all their rows; the final
+    /// range, each running the same row kernel as
+    /// [`NeighborGraph::build`] over a shared, read-only item index; each
+    /// unordered pair is evaluated **at most once**, by the worker owning
+    /// its smaller endpoint. Workers append hit edges to a single
+    /// per-worker buffer reused across all their rows; the final
     /// adjacency lists are then assembled in one degree-count +
-    /// exact-capacity scatter pass with no per-row reallocation. (The
-    /// previous design evaluated every pair twice to avoid
-    /// synchronisation, which could never beat the serial scan by more
-    /// than ~2× and lost to it outright on few cores.)
+    /// exact-capacity scatter pass with no per-row reallocation.
     ///
-    /// **Determinism:** the shard buffers concatenate to the serial
-    /// scan's ascending `(i, j)` edge order — for any shard split — so
-    /// every list fills ascending (smaller partners first) and the
-    /// result is bit-identical to [`NeighborGraph::build`] for every
-    /// `threads`.
+    /// **Determinism:** every row emits its edges in ascending partner
+    /// order, so the shard buffers concatenate to the ascending `(i, j)`
+    /// edge order — for any shard split — and the result is bit-identical
+    /// to [`NeighborGraph::build`] for every `threads`.
     ///
     /// # Panics
     /// Panics if `theta ∉ [0, 1]` or `threads == 0`.
@@ -95,58 +90,43 @@ impl NeighborGraph {
         theta: f64,
         threads: usize,
     ) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&theta),
-            "theta must be in [0, 1], got {theta}"
-        );
         assert!(threads > 0, "need at least one thread");
-        let n = sim.len();
-        assert!(u32::try_from(n).is_ok(), "too many points");
+        let n = checked_len(sim, theta);
         let pairs = n as u64 * (n as u64).saturating_sub(1) / 2;
         if threads == 1 || pairs < PARALLEL_CUTOFF_PAIRS {
             return Self::build(sim, theta);
         }
+        let index = ItemIndex::build(sim, theta);
+        let index = index.as_ref();
         let shards = balanced_ranges(n, threads, |i| (n - 1 - i) as u64);
         let mut edges: Vec<Vec<(u32, u32)>> = Vec::with_capacity(shards.len());
         edges.resize_with(shards.len(), Vec::new);
         rayon::scope(|scope| {
-            for (range, out) in shards.iter().zip(edges.iter_mut()) {
+            for (range, hits) in shards.iter().zip(edges.iter_mut()) {
                 let range = range.clone();
-                scope.spawn(move |_| {
-                    // One hit buffer per worker, reused across its rows.
-                    let mut hits: Vec<(u32, u32)> = Vec::new();
-                    // tidy:kernel-hot-loop — upper-triangle similarity scan
-                    for i in range {
-                        for j in (i + 1)..n {
-                            if sim.sim(i, j) >= theta {
-                                hits.push((i as u32, j as u32));
-                            }
-                        }
-                    }
-                    // tidy:end-kernel-hot-loop
-                    *out = hits;
-                });
+                scope.spawn(move |_| RowScan::new(sim, theta, index).scan(range, hits));
             }
         });
-        crate::perf::count_sim_evals(pairs);
-        // Exact-capacity assembly. Scanning edges in ascending (i, j)
-        // order fills each list ascending: row r first receives its
-        // smaller partners h (from edges (h, r), ascending h), then its
-        // larger partners j (from edges (r, j), ascending j).
+        Self::assemble(n, &edges, theta)
+    }
+
+    /// Exact-capacity assembly of the shards' hit edges, given in
+    /// ascending `(i, j)` order with `i < j`. Scanning them in that order
+    /// fills each list ascending: row r first receives its smaller
+    /// partners h (from edges (h, r), ascending h), then its larger
+    /// partners j (from edges (r, j), ascending j).
+    fn assemble(n: usize, shards: &[Vec<(u32, u32)>], theta: f64) -> Self {
         let mut degree = vec![0usize; n];
-        for &(i, j) in edges.iter().flatten() {
+        for &(i, j) in shards.iter().flatten() {
             degree[i as usize] += 1;
             degree[j as usize] += 1;
         }
-        let mut lists: Vec<Vec<u32>> =
-            degree.iter().map(|&d| Vec::with_capacity(d)).collect();
-        for &(i, j) in edges.iter().flatten() {
+        let mut lists: Vec<Vec<u32>> = degree.iter().map(|&d| Vec::with_capacity(d)).collect();
+        for &(i, j) in shards.iter().flatten() {
             lists[i as usize].push(j);
             lists[j as usize].push(i);
         }
-        debug_assert!(lists
-            .iter()
-            .all(|l| l.windows(2).all(|w| w[0] < w[1])));
+        debug_assert!(lists.iter().all(|l| l.windows(2).all(|w| w[0] < w[1])));
         NeighborGraph { lists, theta }
     }
 
@@ -246,6 +226,148 @@ impl NeighborGraph {
     }
 }
 
+/// Validates the builders' preconditions and returns the point count.
+fn checked_len<S: PairwiseSimilarity>(sim: &S, theta: f64) -> usize {
+    assert!(
+        (0.0..=1.0).contains(&theta),
+        "theta must be in [0, 1], got {theta}"
+    );
+    let n = sim.len();
+    assert!(u32::try_from(n).is_ok(), "too many points");
+    n
+}
+
+/// Item → point postings over the whole point set, with each point's
+/// item set. Built once per graph and shared read-only by the workers.
+struct ItemIndex<'a> {
+    /// The items of each point.
+    sets: Vec<&'a [u32]>,
+    /// Postings and item count of each point.
+    postings: Postings,
+}
+
+impl<'a> ItemIndex<'a> {
+    /// Indexes the points, or returns `None` when the scan must stay
+    /// brute force:
+    ///
+    /// * θ ≤ 0 — pairs sharing no item are neighbors too;
+    /// * a point the measure exposes no item set for (measures without
+    ///   the capability, fault-injecting or counting wrappers);
+    /// * points the shared [`Postings`] cannot table (`u32` overflow,
+    ///   item ids too spread out; see [`Postings::build`]).
+    fn build<S: PairwiseSimilarity>(sim: &'a S, theta: f64) -> Option<Self> {
+        if theta <= 0.0 {
+            return None;
+        }
+        let sets = (0..sim.len())
+            .map(|i| sim.item_set(i))
+            .collect::<Option<Vec<&[u32]>>>()?;
+        let postings = Postings::build(&sets)?;
+        Some(ItemIndex { sets, postings })
+    }
+}
+
+/// One worker's row kernel: for each of its rows `i`, appends `(i, j)`
+/// for every partner `j > i` with `sim(i, j) ≥ θ`, in ascending `j`. It
+/// owns the scratch the item-indexed path reuses from row to row.
+///
+/// Each scan adds its similarity evaluations to `perf::sim_evals` once,
+/// after its rows: every pair by brute force, the touched pairs on the
+/// item-indexed path.
+struct RowScan<'a, S> {
+    sim: &'a S,
+    theta: f64,
+    index: Option<&'a ItemIndex<'a>>,
+    /// `|i ∩ j|` per partner `j`; all zero between rows.
+    inter: Vec<u32>,
+    /// The partners with a non-zero `inter`, in first-touch order.
+    touched: Vec<u32>,
+}
+
+impl<'a, S: PairwiseSimilarity> RowScan<'a, S> {
+    fn new(sim: &'a S, theta: f64, index: Option<&'a ItemIndex<'a>>) -> Self {
+        let n = index.map_or(0, |ix| ix.sets.len());
+        RowScan {
+            sim,
+            theta,
+            index,
+            inter: vec![0; n],
+            touched: Vec::with_capacity(n),
+        }
+    }
+
+    /// Scans `rows`, appending their hit edges to `hits`.
+    fn scan(&mut self, rows: Range<usize>, hits: &mut Vec<(u32, u32)>) {
+        match self.index {
+            Some(index) => self.scan_indexed(index, rows, hits),
+            None => self.scan_all(rows, hits),
+        }
+    }
+
+    /// Brute force: tests every partner `j > i`.
+    fn scan_all(&mut self, rows: Range<usize>, hits: &mut Vec<(u32, u32)>) {
+        let n = self.sim.len();
+        let mut evals = 0u64;
+        // tidy:kernel-hot-loop — upper-triangle similarity scan
+        for i in rows {
+            for j in (i + 1)..n {
+                if self.sim.sim(i, j) >= self.theta {
+                    hits.push((i as u32, j as u32));
+                }
+            }
+            evals += (n - 1 - i) as u64;
+        }
+        // tidy:end-kernel-hot-loop
+        crate::perf::count_sim_evals(evals);
+    }
+
+    /// Item index: scatters `|i ∩ j|` over the postings of row `i`'s
+    /// items, then tests only the touched partners. An untouched partner
+    /// shares no item with `i`, so its similarity is 0 < θ; a touched one
+    /// gets the value the measure would compute, because both go through
+    /// `jaccard_from_counts` on the same integers.
+    fn scan_indexed(
+        &mut self,
+        index: &ItemIndex<'_>,
+        rows: Range<usize>,
+        hits: &mut Vec<(u32, u32)>,
+    ) {
+        let mut evals = 0u64;
+        // tidy:kernel-hot-loop — item-indexed row scan
+        for i in rows {
+            let items = index.sets[i];
+            for &item in items {
+                let ids = index.postings.of(item);
+                // Postings are ascending: skip the partners j ≤ i, whose
+                // pairs belong to earlier rows.
+                let larger = ids.partition_point(|&j| j as usize <= i);
+                for &j in &ids[larger..] {
+                    let count = &mut self.inter[j as usize];
+                    if *count == 0 {
+                        self.touched.push(j);
+                    }
+                    *count += 1;
+                }
+            }
+            evals += self.touched.len() as u64;
+            let row_start = hits.len();
+            for &j in &self.touched {
+                let inter = std::mem::take(&mut self.inter[j as usize]) as usize;
+                let union = items.len() + index.postings.set_len(j as usize) - inter;
+                if jaccard_from_counts(inter, union) >= self.theta {
+                    hits.push((i as u32, j));
+                }
+            }
+            self.touched.clear();
+            // First-touch order is not partner order; the row's hits are
+            // few, so sorting them is cheap.
+            hits[row_start..].sort_unstable();
+        }
+        // tidy:end-kernel-hot-loop
+        crate::perf::count_sim_evals(evals);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,9 +437,9 @@ mod tests {
 
     #[test]
     fn sorted_invariant_holds_for_both_builders() {
-        // The "lists sorted" invariant is enforced by the post-pass sort in
-        // `build` and by per-row ascending scans in `build_parallel`; both
-        // must yield strictly ascending (no duplicate), symmetric,
+        // The "lists sorted" invariant follows from the ascending edge
+        // order both builders hand to the shared assembly; both must
+        // yield strictly ascending (no duplicate), symmetric,
         // self-loop-free lists.
         let m = SimilarityMatrix::from_fn(301, |i, j| {
             ((i * j).wrapping_mul(2654435761) % 1000) as f64 / 1000.0
@@ -381,6 +503,18 @@ mod tests {
             (n as u64) * (n as u64 - 1) / 2,
             "each unordered pair must be evaluated exactly once"
         );
+    }
+
+    #[test]
+    fn index_is_built_only_where_it_is_exact() {
+        let pts = example_1_1();
+        let jaccard = PointsWith::new(&pts, Jaccard);
+        assert!(ItemIndex::build(&jaccard, 0.1).is_some());
+        assert!(ItemIndex::build(&&jaccard, 0.1).is_some());
+        assert!(ItemIndex::build(&jaccard, 0.0).is_none());
+        assert!(ItemIndex::build(&SimilarityMatrix::new(4), 0.1).is_none());
+        let spread = vec![Transaction::from([0, u32::MAX]), Transaction::from([1])];
+        assert!(ItemIndex::build(&PointsWith::new(&spread, Jaccard), 0.1).is_none());
     }
 
     #[test]

@@ -101,13 +101,18 @@ impl<S: PairwiseSimilarity> PairwiseSimilarity for CheckedSimilarity<S> {
     fn sim(&self, i: usize, j: usize) -> f64 {
         self.observe(self.inner.sim(i, j))
     }
+
+    /// Forwarded, as for [`Similarity::item_set`].
+    fn item_set(&self, i: usize) -> Option<&[u32]> {
+        self.inner.item_set(i)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::points::Transaction;
-    use crate::similarity::Jaccard;
+    use crate::similarity::{Jaccard, PointsWith};
 
     struct NanAt(usize, std::sync::atomic::AtomicUsize);
 
@@ -163,6 +168,12 @@ mod tests {
         // A measure without the capability stays without it.
         let opaque = CheckedSimilarity::new(NanAt(usize::MAX, Default::default()));
         assert_eq!(opaque.item_set(&t), None);
+
+        // The index-addressed trait forwards it too.
+        let points = [t];
+        let pairwise = CheckedSimilarity::new(PointsWith::new(&points, Jaccard));
+        assert_eq!(PairwiseSimilarity::item_set(&pairwise, 0), Some(&[1, 2, 3][..]));
+        assert_eq!(PairwiseSimilarity::item_set(&InfAt01, 0), None);
     }
 
     /// A pairwise source with one non-finite entry (an expert table built

@@ -88,6 +88,23 @@ pub trait PairwiseSimilarity {
 
     /// Similarity of points `i` and `j`, in `[0, 1]`.
     fn sim(&self, i: usize, j: usize) -> f64;
+
+    /// Opt-in capability: point `i` as a sorted, duplicate-free set of
+    /// item ids such that [`PairwiseSimilarity::sim`] *is* Jaccard over
+    /// those sets — the index-addressed twin of [`Similarity::item_set`],
+    /// under the same contract: whenever this returns `Some` for both `i`
+    /// and `j`, `sim(i, j)` equals
+    /// [`jaccard_from_counts`](crate::points::jaccard_from_counts)`(|A ∩ B|, |A ∪ B|)`
+    /// bit for bit. The neighbor scan relies on this to test only the
+    /// pairs that share an item.
+    ///
+    /// The default (`None`) keeps the neighbor scan brute force; expert
+    /// tables and wrappers that must observe each evaluation (fault
+    /// injection, counting) simply do not provide it.
+    fn item_set(&self, i: usize) -> Option<&[u32]> {
+        let _ = i;
+        None
+    }
 }
 
 impl<T: PairwiseSimilarity + ?Sized> PairwiseSimilarity for &T {
@@ -97,6 +114,10 @@ impl<T: PairwiseSimilarity + ?Sized> PairwiseSimilarity for &T {
 
     fn sim(&self, i: usize, j: usize) -> f64 {
         (**self).sim(i, j)
+    }
+
+    fn item_set(&self, i: usize) -> Option<&[u32]> {
+        (**self).item_set(i)
     }
 }
 
@@ -129,6 +150,10 @@ impl<P, S: Similarity<P>> PairwiseSimilarity for PointsWith<'_, P, S> {
     fn sim(&self, i: usize, j: usize) -> f64 {
         self.measure.similarity(&self.points[i], &self.points[j])
     }
+
+    fn item_set(&self, i: usize) -> Option<&[u32]> {
+        self.measure.item_set(&self.points[i])
+    }
 }
 
 #[cfg(test)]
@@ -149,6 +174,10 @@ mod tests {
         assert_eq!(pw.sim(0, 2), 0.0);
         // symmetry
         assert_eq!(pw.sim(1, 0), pw.sim(0, 1));
+        // The measure's item-set capability reaches the index-addressed
+        // trait, also through a reference.
+        assert_eq!(pw.item_set(2), Some(&[7, 8][..]));
+        assert_eq!((&pw).item_set(0), Some(&[1, 2, 3][..]));
     }
 
     #[test]

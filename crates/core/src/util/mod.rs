@@ -1,10 +1,11 @@
 //! Internal utilities: fast hashing, bitsets, checksums, CRC framing,
-//! stateless mixing and retry backoff.
+//! stateless mixing, retry backoff and the item postings index.
 
 pub mod bitset;
 pub mod crc32;
 pub mod frame;
 pub mod fxhash;
+pub(crate) mod postings;
 pub mod ranges;
 pub mod retry;
 pub mod splitmix;

@@ -21,6 +21,10 @@
 //!   batch labelers use for item-set measures must reproduce the
 //!   brute-force scan (the same measure with its item capability
 //!   hidden) label for label, across θ, id layouts and thread counts.
+//! * **Item-indexed neighbors are exact** — the neighbor scan that
+//!   tests only the sample pairs sharing an item must reproduce the
+//!   brute-force graph (the same reference measure) edge for edge, on
+//!   the serial and the sharded builder alike.
 //!
 //! CI runs this file in release mode (`kernel-equivalence` job) so the
 //! optimizer cannot hide a divergence that debug builds mask.
@@ -128,6 +132,11 @@ fn pick_theta(pick: usize, random: f64) -> f64 {
     [0.0, 1e-9, random, 1.0][pick % 4]
 }
 
+/// Baskets whose pairwise Jaccard values land exactly on 2/3
+/// (`{0,1}` vs `{0,1,2}`), 3/4 and 0.8 (`{0,1,2,3}` vs `{0,1,2,3,4}`):
+/// a θ equal to one of them separates the paper's `≥ θ` rule from `> θ`.
+const BOUNDARY_BASKETS: [&[u32]; 4] = [&[0, 1], &[0, 1, 2], &[0, 1, 2, 3], &[0, 1, 2, 3, 4]];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -174,6 +183,43 @@ proptest! {
                 &labeler.label_all_governed(&data, &Jaccard, threads, &governor).unwrap(),
                 &brute,
                 "governed, threads = {}", threads
+            );
+        }
+    }
+
+    // The item-indexed neighbor graph equals brute force on both
+    // builders and every thread count: random (possibly empty or
+    // duplicated) baskets, samples on both sides of the parallel cutoff,
+    // the three id layouts (the mixed one is too spread out for the
+    // slot table and takes the brute-force fallback), the θ grid, and θ
+    // sitting exactly on a pair's Jaccard value.
+    #[test]
+    fn indexed_neighbors_match_brute_force(
+        sample_raw in collection::vec(collection::vec(0u32..40, 0..6), 0..400),
+        dups in 0usize..20,
+        layout in 0usize..3,
+        theta_pick in 0usize..6,
+        theta_random in 0.05f64..0.95,
+    ) {
+        let mut raw: Vec<Vec<u32>> = BOUNDARY_BASKETS.iter().map(|b| b.to_vec()).collect();
+        raw.extend(sample_raw.iter().cloned());
+        let copies: Vec<Vec<u32>> = raw.iter().take(dups).cloned().collect();
+        raw.extend(copies);
+        let sample: Vec<Transaction> = raw.iter().map(|t| place_items(t, layout)).collect();
+        let theta = match theta_pick {
+            4 => 2.0 / 3.0,
+            5 => 0.8,
+            pick => pick_theta(pick, theta_random),
+        };
+
+        let brute = NeighborGraph::build(&PointsWith::new(&sample, BruteJaccard), theta);
+        let indexed = PointsWith::new(&sample, Jaccard);
+        prop_assert_eq!(&NeighborGraph::build(&indexed, theta), &brute);
+        for threads in THREAD_GRID {
+            prop_assert_eq!(
+                &NeighborGraph::build_parallel(&indexed, theta, threads),
+                &brute,
+                "threads = {}", threads
             );
         }
     }

@@ -1,15 +1,17 @@
-//! The label phase's `sim_evals` work counter, read from
-//! `RunReport::phase_perf`.
+//! The `sim_evals` work counter of the label and cluster phases, read
+//! from `RunReport::phase_perf`.
 //!
 //! `rock_core::perf` counters are process-global, so this binary holds a
 //! single `#[test]`: no other test in the process can add to the
-//! counters while a phase is differenced. The counter must be
+//! counters while a phase is differenced. In both phases the counter
+//! must be
 //!
-//! * non-zero — the serial labeler counts too, not only the parallel one;
+//! * non-zero — the serial kernels count too, not only the parallel ones;
 //! * thread-count invariant — it counts evaluations, and both paths
 //!   evaluate the same pairs;
 //! * lower on the item-indexed path than on brute force, which evaluates
-//!   every point against every representative.
+//!   every point against every representative (label) and every sample
+//!   pair once (the neighbor scan inside cluster).
 
 use rand::{rngs::StdRng, SeedableRng};
 use rock::points::Transaction;
@@ -28,11 +30,13 @@ impl Similarity<Transaction> for BruteJaccard {
     }
 }
 
-fn label_sim_evals(report: &RunReport) -> u64 {
+const SAMPLE: usize = 300;
+
+fn sim_evals(report: &RunReport, phase: &str) -> u64 {
     report
         .phase_perf
         .iter()
-        .find(|p| p.name == "label")
+        .find(|p| p.name == phase)
         .map_or(0, |p| p.counters.sim_evals)
 }
 
@@ -47,7 +51,7 @@ fn label_phase_sim_evals_are_counted_exactly() {
         let rock = Rock::builder()
             .theta(0.5)
             .clusters(10)
-            .sample_size(300)
+            .sample_size(SAMPLE)
             .labeling_fraction(0.3)
             .seed(42)
             .threads(threads)
@@ -76,12 +80,28 @@ fn label_phase_sim_evals_are_counted_exactly() {
     assert_eq!(labels_1, brute_labels_1);
     assert_eq!(brute_labels_1, brute_labels_2);
 
-    let indexed_evals = label_sim_evals(&report_1);
-    let brute_evals = label_sim_evals(&brute_report_1);
+    let indexed_evals = sim_evals(&report_1, "label");
+    let brute_evals = sim_evals(&brute_report_1, "label");
     assert!(indexed_evals > 0, "indexed label phase counted nothing");
-    assert_eq!(indexed_evals, label_sim_evals(&report_2));
-    assert_eq!(brute_evals, label_sim_evals(&brute_report_2));
+    assert_eq!(indexed_evals, sim_evals(&report_2, "label"));
+    assert_eq!(brute_evals, sim_evals(&brute_report_2, "label"));
     assert_eq!(brute_evals, data.transactions.len() as u64 * reps);
+    assert!(
+        indexed_evals < brute_evals,
+        "indexed {indexed_evals} vs brute force {brute_evals}"
+    );
+
+    // The cluster phase's evaluations all come from the neighbor scan:
+    // every sample pair once by brute force, the pairs sharing an item
+    // on the indexed path. At two threads the 300-point sample is above
+    // the parallel cutoff, so both builders are compared.
+    let indexed_evals = sim_evals(&report_1, "cluster");
+    let brute_evals = sim_evals(&brute_report_1, "cluster");
+    assert!(indexed_evals > 0, "indexed cluster phase counted nothing");
+    assert_eq!(indexed_evals, sim_evals(&report_2, "cluster"));
+    assert_eq!(brute_evals, sim_evals(&brute_report_2, "cluster"));
+    let n = SAMPLE as u64;
+    assert_eq!(brute_evals, n * (n - 1) / 2);
     assert!(
         indexed_evals < brute_evals,
         "indexed {indexed_evals} vs brute force {brute_evals}"
