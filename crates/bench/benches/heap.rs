@@ -1,9 +1,11 @@
 //! Addressable-heap benchmarks (§4.3): the price of addressability.
 //!
 //! Compares `rock_core::heap::AddressableHeap` push/pop against
-//! `std::collections::BinaryHeap` (which cannot delete or update
-//! arbitrary entries and therefore cannot drive the Fig.-3 merge loop),
-//! plus the mixed workload the clustering loop actually generates.
+//! `std::collections::BinaryHeap`. The Fig.-3 merge loop uses both: its
+//! per-cluster local heaps are `BinaryHeap`s with lazy deletion (entries
+//! for dead partners are skipped when they surface), while the global
+//! heap `Q` must update and delete arbitrary clusters and stays
+//! addressable. The mixed workload below is `Q`'s access pattern.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rock_core::heap::AddressableHeap;
@@ -51,8 +53,8 @@ fn bench_push_pop(c: &mut Criterion) {
 }
 
 fn bench_merge_loop_workload(c: &mut Criterion) {
-    // The Fig.-3 access pattern: interleaved inserts, updates, removals
-    // and pops over a shrinking key universe.
+    // The global heap's Fig.-3 access pattern: interleaved inserts,
+    // updates, removals and pops over a shrinking key universe.
     c.bench_function("heap_merge_workload", |b| {
         b.iter(|| {
             let mut h = AddressableHeap::with_capacity(4096);

@@ -6,7 +6,7 @@
 //! `Q` ordering clusters by the goodness of their best candidate. Every
 //! iteration merges the globally best pair and patches the heaps of all
 //! clusters linked to either side — O(n² log n) worst case (§4.5). That
-//! mutable heap + link-map state lives in
+//! mutable heap + link-list state lives in
 //! [`crate::incremental::IncrementalState`], shared bit-for-bit with the
 //! online update path; this module owns the batch driver around it.
 //!
@@ -29,7 +29,6 @@ use crate::incremental::IncrementalState;
 use crate::links::LinkTable;
 use crate::links_matrix::LinkMatrix;
 use crate::neighbors::NeighborGraph;
-use crate::util::FxBuildHasher;
 use crate::wal::{parse_wal, MergeWal, WalBegin, WalSnapshot};
 
 /// §4.6 outlier handling knobs.
@@ -82,7 +81,6 @@ pub struct RockAlgorithm {
     goodness: Goodness,
     k: usize,
     outliers: OutlierPolicy,
-    hasher: FxBuildHasher,
 }
 
 /// Full output of a clustering run, including the merge trace.
@@ -112,21 +110,18 @@ impl RockAlgorithm {
             goodness,
             k,
             outliers,
-            hasher: FxBuildHasher::default(),
         }
     }
 
-    /// Perturbs the engine's internal hash maps with `seed`.
-    ///
-    /// The clustering result is bit-identical for every seed — the merge
-    /// loop's ordering decisions all go through sorted structures or
-    /// key-tie-broken heaps, never raw map iteration order. That claim is
-    /// enforced two ways: statically by rock-tidy's `nondeterministic-iter`
-    /// rule, and dynamically by the hasher-independence property test,
-    /// which runs this engine under several seeds and diffs the outputs.
+    /// Accepts a hash seed and ignores it: the merge loop keeps its links
+    /// in flat per-cluster lists and holds no hash maps, so no seed can
+    /// reach it. Kept so configurations that carry a seed (persisted in
+    /// artifacts and update-log fingerprints) still build an engine; the
+    /// hasher-independence property test still runs this engine under
+    /// several seeds and diffs the outputs.
     #[must_use]
-    pub fn with_hash_seed(mut self, seed: u64) -> Self {
-        self.hasher = FxBuildHasher::with_seed(seed);
+    pub fn with_hash_seed(self, seed: u64) -> Self {
+        let _ = seed;
         self
     }
 
@@ -184,7 +179,7 @@ impl RockAlgorithm {
             graph.len(),
             "link table and neighbor graph disagree on point count"
         );
-        // tidy-allow(nondeterministic-iter): pair order folds into keyed maps and heaps; AddressableHeap breaks goodness ties by the larger key, so iteration order cannot reach the merge sequence
+        // tidy-allow(nondeterministic-iter): pair order only orders the link lists; both heaps break goodness ties by the larger key, so list order cannot reach the merge sequence
         self.run_from_pairs(graph, links.iter())
     }
 
@@ -337,7 +332,8 @@ impl RockAlgorithm {
     }
 
     /// Builds the initial engine state: §4.6 first pruning, singleton
-    /// clusters, cross-link maps and the two-level heaps.
+    /// clusters and their link lists; [`IncrementalState::seed`] derives
+    /// the two-level heaps.
     fn init_from_pairs(
         &self,
         graph: &NeighborGraph,
@@ -359,10 +355,7 @@ impl RockAlgorithm {
                 initial_points.push(p as u32);
             }
         }
-        let initial = members.len();
-        let mut state = IncrementalState::new(members, self.goodness, self.hasher);
-
-        // Initial cross-link maps and local heaps from the linked pairs.
+        let mut state = IncrementalState::new(members, self.goodness);
         for ((i, j), c) in pairs {
             let (Some(ci), Some(cj)) = (
                 cluster_of_point[i as usize],
@@ -370,15 +363,10 @@ impl RockAlgorithm {
             ) else {
                 continue; // link to a pruned outlier
             };
-            state.links[ci as usize].insert(cj, u64::from(c));
-            state.links[cj as usize].insert(ci, u64::from(c));
-            let g = self.goodness.merge_goodness(u64::from(c), 1, 1);
-            state.local[ci as usize].insert(cj, g);
-            state.local[cj as usize].insert(ci, g);
+            state.links[ci as usize].push((cj, u64::from(c)));
+            state.links[cj as usize].push((ci, u64::from(c)));
         }
-        for id in 0..initial {
-            state.refresh_global(id as u32);
-        }
+        state.seed();
 
         Engine {
             state,
@@ -588,8 +576,8 @@ impl RockAlgorithm {
             }
             *slot = Some(m.clone());
         }
-        let mut state = IncrementalState::new(members, self.goodness, self.hasher);
-        state.live = snap.clusters.len();
+        let mut state = IncrementalState::new(members, self.goodness);
+        let mut prev: Option<(u32, u32)> = None;
         // tidy-allow(nondeterministic-iter): snap.links is a Vec canonically sorted by Engine::snapshot, not a hash map; the name merely shadows the links field
         for &(i, j, c) in &snap.links {
             let live = |x: u32| {
@@ -598,23 +586,19 @@ impl RockAlgorithm {
                     .get(x as usize)
                     .is_some_and(|m| m.is_some())
             };
-            if i >= j || !live(i) || !live(j) || c == 0 {
+            // Snapshots list each pair once, ascending: anything else
+            // (including a repeated pair) is malformed.
+            if i >= j || !live(i) || !live(j) || c == 0 || prev >= Some((i, j)) {
                 return Err(mismatch(format!(
-                    "snapshot link ({i}, {j}, {c}) is malformed or references a dead \
-                     cluster"
+                    "snapshot link ({i}, {j}, {c}) is malformed, out of order or \
+                     references a dead cluster"
                 )));
             }
-            state.links[i as usize].insert(j, c);
-            state.links[j as usize].insert(i, c);
-            let g = self
-                .goodness
-                .merge_goodness(c, state.size(i), state.size(j));
-            state.local[i as usize].insert(j, g);
-            state.local[j as usize].insert(i, g);
+            prev = Some((i, j));
+            state.links[i as usize].push((j, c));
+            state.links[j as usize].push((i, c));
         }
-        for (id, _) in &snap.clusters {
-            state.refresh_global(*id);
-        }
+        state.seed();
         Ok(Engine {
             state,
             outliers: snap.outliers.clone(),
@@ -877,6 +861,41 @@ mod tests {
         let a = basket_engine(0.5, 2).run(&g).clustering;
         let b = basket_engine(0.5, 2).run(&g).clustering;
         assert_eq!(a, b);
+    }
+
+    /// Every link pair must appear once in a snapshot: a forged repeat
+    /// would double the pair's entries in the link lists, so resume
+    /// rejects it instead of rebuilding from it.
+    #[test]
+    fn snapshot_with_a_repeated_link_pair_is_a_mismatch() {
+        use crate::governor::Phase;
+        let ts = crate::testdata::figure1_transactions();
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        let engine = basket_engine(0.5, 2);
+        let mut wal = MergeWal::new().with_snapshot_every(2);
+        let killed = RunGovernor::unlimited().with_kill_at(Phase::Merge, 3);
+        let links = LinkMatrix::compute_auto(&g, 1);
+        assert!(engine
+            .run_with_matrix_governed(&g, &links, &killed, Some(&mut wal))
+            .is_err());
+        let replay = parse_wal(wal.as_bytes()).unwrap();
+        let mut snap = replay.snapshot.clone().unwrap();
+        assert!(!snap.links.is_empty());
+
+        let forge = |snap: &WalSnapshot| {
+            let mut forged = MergeWal::new();
+            forged.append_begin(&replay.begin);
+            for rec in &replay.merges[..snap.merges_done as usize] {
+                forged.append_merge(rec);
+            }
+            forged.append_snapshot(snap);
+            engine.resume(forged.as_bytes(), None, 1, &RunGovernor::unlimited(), None)
+        };
+        // The untouched snapshot resumes; the forged one is refused.
+        assert!(forge(&snap).is_ok());
+        snap.links.insert(1, snap.links[0]);
+        let err = forge(&snap).unwrap_err();
+        assert!(matches!(err, RockError::WalMismatch { .. }), "{err}");
     }
 
     #[test]

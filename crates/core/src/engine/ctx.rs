@@ -18,7 +18,7 @@ use rand::{rngs::StdRng, SeedableRng};
 /// | `governor` | budgets, cancellation, kill injection | every stage entry + in-loop checkpoints |
 /// | `wal` | merge journal / continuation log | merge + resume stages |
 /// | `rng` | the seeded sampling/labeling stream | sample + label stages |
-/// | `hash_seed` | hasher perturbation for the merge engine | merge + resume stages |
+/// | `hash_seed` | configured hash seed (reaches no hash map in a fit) | merge + resume stages |
 /// | `degradation` | what to do on a budget trip | links (downshift), pipeline (subsample/components) |
 /// | `report` | per-phase timings, outcome counters | the pipeline runner |
 /// | `note` | provenance of an applied degradation | links stage + pipeline runner |
@@ -37,9 +37,10 @@ pub struct RunCtx<'w> {
     /// stream in stage order, which is what makes a seeded governed run
     /// reproduce the plain driver's draws exactly.
     pub rng: StdRng,
-    /// Optional seed perturbing the merge engine's internal hash maps
-    /// (see [`crate::algorithm::RockAlgorithm::with_hash_seed`]).
-    /// `None` keeps the default hasher.
+    /// Optional hash seed, handed to
+    /// [`crate::algorithm::RockAlgorithm::with_hash_seed`]. The merge
+    /// engine holds no hash maps, so the seed no longer changes any
+    /// work; it stays part of the configuration fingerprint.
     pub hash_seed: Option<u64>,
     /// What to do when a governor budget trips mid-run.
     pub degradation: DegradationPolicy,

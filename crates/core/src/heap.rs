@@ -1,50 +1,60 @@
-//! Addressable max-heaps for the clustering loop (§4.3, Fig. 3).
+//! Heaps for the clustering loop (§4.3, Fig. 3).
 //!
 //! ROCK maintains a *local heap* `q[i]` per cluster (candidate merge
 //! partners ordered by goodness) and a *global heap* `Q` of clusters
-//! ordered by their best goodness. Merging requires deleting and updating
-//! arbitrary entries (`delete(q[x], u)`, `update(Q, x, q[x])`), so a plain
-//! `std::collections::BinaryHeap` does not suffice. [`AddressableHeap`] is
-//! a binary max-heap with a key → slot index, giving O(log n)
-//! push/pop/remove/update — the ingredients of the paper's O(n² log n)
-//! clustering bound (§4.5).
+//! ordered by their best goodness.
 //!
-//! Priorities are `f64` goodness values; ties are broken by the (totally
-//! ordered) key so that runs are deterministic regardless of hash-map
-//! iteration order.
+//! * The local heaps are plain `std::collections::BinaryHeap`s of
+//!   [`Cand`] with lazy deletion: an entry whose partner has died stays
+//!   in the heap and is skipped when it surfaces (see
+//!   [`crate::incremental::IncrementalState`] for why that is exact).
+//! * `Q` must update and delete arbitrary clusters
+//!   (`update(Q, x, q[x])`, `delete(Q, v)`), so it is an
+//!   [`AddressableHeap`]: a binary max-heap with a dense key → slot
+//!   index, giving O(log n) push/pop/remove/update — the ingredients of
+//!   the paper's O(n² log n) clustering bound (§4.5).
+//!
+//! Priorities are `f64` goodness values; ties are broken by the larger
+//! key in both heaps, so runs are deterministic.
 
-use crate::util::FxHashMap;
-use std::hash::Hash;
+use std::cmp::Ordering;
+
+/// Slot-index marker for a key that is not in the heap.
+const ABSENT: u32 = u32::MAX;
 
 /// A binary max-heap over `(key, f64 priority)` pairs supporting O(log n)
 /// removal and priority update by key.
+///
+/// Keys are dense small integers (cluster arena ids): the key → slot
+/// index is a `Vec<u32>` indexed by key, grown to the largest key
+/// inserted so far.
 ///
 /// Priorities are ordered by [`f64::total_cmp`], so even a NaN that
 /// slips past the similarity guards cannot panic the merge loop: NaN
 /// sorts above `+∞`, deterministically. Goodness measures are finite in
 /// any correct run (debug builds assert it).
 #[derive(Clone, Debug, Default)]
-pub struct AddressableHeap<K> {
+pub struct AddressableHeap {
     /// Heap-ordered array.
-    data: Vec<(K, f64)>,
-    /// Key → index into `data`.
-    pos: FxHashMap<K, usize>,
+    data: Vec<(u32, f64)>,
+    /// Key → index into `data`, [`ABSENT`] for keys not in the heap.
+    pos: Vec<u32>,
 }
 
-impl<K: Copy + Eq + Hash + Ord> AddressableHeap<K> {
+impl AddressableHeap {
     /// Creates an empty heap.
     pub fn new() -> Self {
         AddressableHeap {
             data: Vec::new(),
-            pos: FxHashMap::default(),
+            pos: Vec::new(),
         }
     }
 
-    /// Creates an empty heap with room for `cap` entries.
+    /// Creates an empty heap with room for `cap` entries keyed `0..cap`.
     pub fn with_capacity(cap: usize) -> Self {
         AddressableHeap {
             data: Vec::with_capacity(cap),
-            pos: FxHashMap::with_capacity_and_hasher(cap, Default::default()),
+            pos: vec![ABSENT; cap],
         }
     }
 
@@ -59,24 +69,24 @@ impl<K: Copy + Eq + Hash + Ord> AddressableHeap<K> {
     }
 
     /// Whether `key` is present.
-    pub fn contains(&self, key: &K) -> bool {
-        self.pos.contains_key(key)
+    pub fn contains(&self, key: &u32) -> bool {
+        self.slot(*key).is_some()
     }
 
     /// The priority of `key`, if present.
-    pub fn priority(&self, key: &K) -> Option<f64> {
-        self.pos.get(key).map(|&i| self.data[i].1)
+    pub fn priority(&self, key: &u32) -> Option<f64> {
+        self.slot(*key).map(|i| self.data[i].1)
     }
 
     /// The maximum entry, if any.
-    pub fn peek(&self) -> Option<(K, f64)> {
+    pub fn peek(&self) -> Option<(u32, f64)> {
         self.data.first().copied()
     }
 
     /// Inserts `key` with `priority`, or updates its priority if present.
-    pub fn insert(&mut self, key: K, priority: f64) {
+    pub fn insert(&mut self, key: u32, priority: f64) {
         debug_assert!(!priority.is_nan(), "NaN priority");
-        if let Some(&i) = self.pos.get(&key) {
+        if let Some(i) = self.slot(key) {
             let old = self.data[i].1;
             self.data[i].1 = priority;
             if Self::beats((key, priority), (key, old)) {
@@ -85,15 +95,19 @@ impl<K: Copy + Eq + Hash + Ord> AddressableHeap<K> {
                 self.sift_down(i);
             }
         } else {
+            let k = key as usize;
+            if k >= self.pos.len() {
+                self.pos.resize(k + 1, ABSENT);
+            }
             let i = self.data.len();
             self.data.push((key, priority));
-            self.pos.insert(key, i);
+            self.pos[k] = i as u32;
             self.sift_up(i);
         }
     }
 
     /// Removes and returns the maximum entry.
-    pub fn pop(&mut self) -> Option<(K, f64)> {
+    pub fn pop(&mut self) -> Option<(u32, f64)> {
         if self.data.is_empty() {
             return None;
         }
@@ -101,47 +115,64 @@ impl<K: Copy + Eq + Hash + Ord> AddressableHeap<K> {
     }
 
     /// Removes `key`, returning its priority if it was present.
-    pub fn remove(&mut self, key: &K) -> Option<f64> {
-        let &i = self.pos.get(key)?;
+    pub fn remove(&mut self, key: &u32) -> Option<f64> {
+        let i = self.slot(*key)?;
         Some(self.remove_at(i).1)
     }
 
     /// Iterates over entries in arbitrary (heap) order.
-    pub fn iter(&self) -> impl Iterator<Item = (K, f64)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (u32, f64)> + '_ {
         self.data.iter().copied()
     }
 
     /// Iterates over keys in arbitrary (heap) order.
-    pub fn keys(&self) -> impl Iterator<Item = K> + '_ {
+    pub fn keys(&self) -> impl Iterator<Item = u32> + '_ {
         self.data.iter().map(|&(k, _)| k)
     }
 
-    /// Drains the heap, returning entries in arbitrary order.
+    /// Removes every entry, keeping the allocated buffers.
     pub fn clear(&mut self) {
+        for &(k, _) in &self.data {
+            self.pos[k as usize] = ABSENT;
+        }
         self.data.clear();
-        self.pos.clear();
+    }
+
+    /// The data slot holding `key`, if present.
+    #[inline]
+    fn slot(&self, key: u32) -> Option<usize> {
+        match self.pos.get(key as usize) {
+            Some(&i) if i != ABSENT => Some(i as usize),
+            _ => None,
+        }
     }
 
     /// Total order: higher priority wins ([`f64::total_cmp`], so NaN is
     /// ordered instead of panicking); ties broken by larger key so the
     /// order is deterministic.
     #[inline]
-    fn beats(a: (K, f64), b: (K, f64)) -> bool {
+    fn beats(a: (u32, f64), b: (u32, f64)) -> bool {
         match a.1.total_cmp(&b.1) {
-            std::cmp::Ordering::Greater => true,
-            std::cmp::Ordering::Less => false,
-            std::cmp::Ordering::Equal => a.0 > b.0,
+            Ordering::Greater => true,
+            Ordering::Less => false,
+            Ordering::Equal => a.0 > b.0,
         }
     }
 
-    fn remove_at(&mut self, i: usize) -> (K, f64) {
+    /// Records slot `i` as the position of the key stored there.
+    #[inline]
+    fn place(&mut self, i: usize) {
+        self.pos[self.data[i].0 as usize] = i as u32;
+    }
+
+    fn remove_at(&mut self, i: usize) -> (u32, f64) {
         let last = self.data.len() - 1;
         self.data.swap(i, last);
         // tidy-allow(panic): callers pass an in-bounds index, so data is non-empty after the swap
         let removed = self.data.pop().expect("non-empty");
-        self.pos.remove(&removed.0);
+        self.pos[removed.0 as usize] = ABSENT;
         if i < self.data.len() {
-            self.pos.insert(self.data[i].0, i);
+            self.place(i);
             // The swapped-in element may need to move either way.
             self.sift_up(i);
             self.sift_down(i);
@@ -154,8 +185,8 @@ impl<K: Copy + Eq + Hash + Ord> AddressableHeap<K> {
             let parent = (i - 1) / 2;
             if Self::beats(self.data[i], self.data[parent]) {
                 self.data.swap(i, parent);
-                self.pos.insert(self.data[i].0, i);
-                self.pos.insert(self.data[parent].0, parent);
+                self.place(i);
+                self.place(parent);
                 i = parent;
             } else {
                 break;
@@ -177,23 +208,18 @@ impl<K: Copy + Eq + Hash + Ord> AddressableHeap<K> {
                 break;
             }
             self.data.swap(i, best);
-            self.pos.insert(self.data[i].0, i);
-            self.pos.insert(self.data[best].0, best);
+            self.place(i);
+            self.place(best);
             i = best;
         }
     }
 
-    /// Clears this heap and hands it to `pool` for reuse.
-    pub fn recycle_into(mut self, pool: &mut HeapPool<K>) {
-        self.clear();
-        pool.free.push(self);
-    }
-
     #[cfg(test)]
     fn check_invariants(&self) {
-        assert_eq!(self.data.len(), self.pos.len());
+        let indexed = self.pos.iter().filter(|&&i| i != ABSENT).count();
+        assert_eq!(self.data.len(), indexed);
         for (i, &(k, _)) in self.data.iter().enumerate() {
-            assert_eq!(self.pos[&k], i, "position map out of sync for slot {i}");
+            assert_eq!(self.pos[k as usize] as usize, i, "slot index out of sync for slot {i}");
             if i > 0 {
                 let parent = (i - 1) / 2;
                 assert!(
@@ -205,88 +231,41 @@ impl<K: Copy + Eq + Hash + Ord> AddressableHeap<K> {
     }
 }
 
-/// A free pool of cleared [`AddressableHeap`]s for allocation-heavy
-/// loops: the Fig.-3 merge loop builds one candidate heap per merge and
-/// discards two, so recycling turns O(merges) heap+map allocations into
-/// a handful that are grown once and reused.
+/// A local-heap entry: merge partner `key` at goodness `g`.
 ///
-/// Recycling cannot change results: a cleared heap holds no entries, pop
-/// order is the total order on `(priority, key)` regardless of capacity,
-/// and the key→slot map is only ever *looked up*, never iterated.
-#[derive(Clone, Debug, Default)]
-pub struct HeapPool<K> {
-    free: Vec<AddressableHeap<K>>,
+/// Ordered by `g` under [`f64::total_cmp`], then by the larger key — the
+/// same total order as [`AddressableHeap`], so a `BinaryHeap<Cand>` pops
+/// the partner the paper's `max(q[u])` names, deterministically.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Cand {
+    pub(crate) g: f64,
+    pub(crate) key: u32,
 }
 
-impl<K: Copy + Eq + Hash + Ord> HeapPool<K> {
-    /// Creates an empty pool.
-    pub fn new() -> Self {
-        HeapPool { free: Vec::new() }
-    }
-
-    /// Hands out a cleared heap, reusing a pooled one (and its grown
-    /// buffers) when available.
-    pub fn acquire(&mut self) -> AddressableHeap<K> {
-        match self.free.pop() {
-            Some(heap) => {
-                crate::perf::count_scratch_reused(1);
-                heap
-            }
-            None => AddressableHeap::new(),
-        }
-    }
-
-    /// Number of heaps waiting in the pool.
-    pub fn len(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Whether the pool has no heaps available.
-    pub fn is_empty(&self) -> bool {
-        self.free.is_empty()
+impl Ord for Cand {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.g.total_cmp(&other.g).then(self.key.cmp(&other.key))
     }
 }
+
+impl PartialOrd for Cand {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Cand {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Cand {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pool_recycles_cleared_heaps() {
-        let mut pool: HeapPool<u32> = HeapPool::new();
-        assert!(pool.is_empty());
-        let mut h = pool.acquire(); // empty pool → fresh heap
-        h.insert(1, 0.5);
-        h.insert(2, 0.25);
-        h.recycle_into(&mut pool);
-        assert_eq!(pool.len(), 1);
-        let recycled = pool.acquire();
-        assert!(recycled.is_empty(), "recycled heap must arrive cleared");
-        assert!(!recycled.contains(&1));
-        assert!(pool.is_empty());
-    }
-
-    #[test]
-    fn recycled_heap_behaves_like_fresh() {
-        let mut pool: HeapPool<u32> = HeapPool::new();
-        let mut seed = pool.acquire();
-        for k in 0u32..100 {
-            seed.insert(k, f64::from(k % 10) / 10.0);
-        }
-        seed.recycle_into(&mut pool);
-        let mut recycled = pool.acquire();
-        let mut fresh = AddressableHeap::new();
-        for (k, p) in [(7u32, 0.9), (3, 0.9), (11, 0.2), (5, 0.4)] {
-            recycled.insert(k, p);
-            fresh.insert(k, p);
-        }
-        // Identical pop order: capacity left over from the previous life
-        // cannot leak into results.
-        while let Some(want) = fresh.pop() {
-            assert_eq!(recycled.pop(), Some(want));
-        }
-        assert!(recycled.is_empty());
-    }
+    use std::collections::BinaryHeap;
 
     #[test]
     fn push_pop_in_priority_order() {
@@ -305,9 +284,9 @@ mod tests {
         // total_cmp places NaN above +inf: a NaN that slipped past the
         // similarity guards degrades to a deterministic (wrong-ish)
         // ordering rather than a panic mid-merge.
-        assert!(AddressableHeap::<u32>::beats((0, f64::NAN), (1, f64::INFINITY)));
-        assert!(!AddressableHeap::<u32>::beats((0, f64::INFINITY), (1, f64::NAN)));
-        assert!(AddressableHeap::<u32>::beats((1, f64::NAN), (0, f64::NAN)));
+        assert!(AddressableHeap::beats((0, f64::NAN), (1, f64::INFINITY)));
+        assert!(!AddressableHeap::beats((0, f64::INFINITY), (1, f64::NAN)));
+        assert!(AddressableHeap::beats((1, f64::NAN), (0, f64::NAN)));
     }
 
     #[test]
@@ -318,6 +297,24 @@ mod tests {
         }
         let order: Vec<u32> = std::iter::from_fn(|| h.pop().map(|(k, _)| k)).collect();
         assert_eq!(order, vec![9, 5, 3, 1]);
+    }
+
+    #[test]
+    fn cand_order_matches_the_addressable_heap() {
+        // Same priorities, same tie-break: a BinaryHeap<Cand> pops in the
+        // order the addressable heap does.
+        let entries = [(5u32, 0.5), (1, 0.5), (9, 0.25), (3, 0.5), (7, f64::NEG_INFINITY)];
+        let mut h = AddressableHeap::new();
+        let mut b = BinaryHeap::new();
+        for (k, g) in entries {
+            h.insert(k, g);
+            b.push(Cand { g, key: k });
+        }
+        while let Some((k, g)) = h.pop() {
+            let c = b.pop().unwrap();
+            assert_eq!((c.key, c.g.to_bits()), (k, g.to_bits()));
+        }
+        assert!(b.is_empty());
     }
 
     #[test]
@@ -363,12 +360,30 @@ mod tests {
 
     #[test]
     fn empty_heap_behaviour() {
-        let mut h: AddressableHeap<u32> = AddressableHeap::new();
+        let mut h = AddressableHeap::new();
         assert!(h.is_empty());
         assert_eq!(h.pop(), None);
         assert_eq!(h.peek(), None);
         assert_eq!(h.remove(&1), None);
         assert_eq!(h.priority(&1), None);
+        // Keys beyond the slot index are simply absent.
+        assert!(!h.contains(&1_000_000));
+    }
+
+    #[test]
+    fn clear_keeps_the_heap_usable() {
+        let mut h = AddressableHeap::with_capacity(8);
+        for k in 0u32..8 {
+            h.insert(k, f64::from(k));
+        }
+        h.clear();
+        assert!(h.is_empty());
+        assert!(!h.contains(&3));
+        h.check_invariants();
+        h.insert(3, 1.0);
+        h.insert(20, 2.0);
+        assert_eq!(h.pop(), Some((20, 2.0)));
+        assert_eq!(h.pop(), Some((3, 1.0)));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The reusable incremental clustering core.
 //!
-//! [`IncrementalState`] is the goodness-heap + link-map state of the
+//! [`IncrementalState`] is the goodness-heap + link-list state of the
 //! Fig.-3 merge loop, extracted from [`crate::algorithm`] so that two
 //! drivers can share it bit-for-bit:
 //!
@@ -31,43 +31,106 @@ use crate::engine::model::ModelFit;
 use crate::error::RockError;
 use crate::goodness::{ConstantF, Goodness, GoodnessKind};
 use crate::governor::{Phase, RunGovernor};
-use crate::heap::{AddressableHeap, HeapPool};
+use crate::heap::{AddressableHeap, Cand};
 use crate::labeling::Labeler;
 use crate::perf::PerfCounters;
 use crate::report::RunReport;
 use crate::similarity::Similarity;
 use crate::util::frame::{put_f64, put_u32, put_u32_slice, put_u64, Cursor};
-use crate::util::{crc32, FxBuildHasher, FxHashMap};
+use crate::util::{crc32, FxBuildHasher};
 use crate::wal::{parse_update_wal, UpdateBase, UpdateRecord, UpdateWal};
+use std::collections::BinaryHeap;
 
 /// Mutable clustering state: an arena of clusters plus the two-level heap
 /// structure of Fig. 3.
 ///
 /// Constructed either by the batch driver (from a link matrix, via
 /// `RockAlgorithm`) or from explicit cluster member lists and cross-link
-/// counts ([`IncrementalState::from_clusters`]). Heaps are derived state:
-/// identical `(members, links)` always rebuild identical heaps, which is
-/// what makes WAL snapshots and incremental checkpoints replayable to
-/// bit-identity.
+/// counts ([`IncrementalState::from_clusters`]). Either way the caller
+/// only fills the link lists and `IncrementalState::seed` derives the
+/// heaps: identical `(members, links)` always rebuild identical heaps,
+/// which is what makes WAL snapshots and incremental checkpoints
+/// replayable to bit-identity.
+///
+/// ## Lazy deletion
+///
+/// Arena ids are never reused and every merge mints a fresh id, so
+/// `link(x, y)`, `|x|`, `|y|` — and therefore `g(x, y)` — never change
+/// while both `x` and `y` are live. A link-list or local-heap entry naming
+/// partner `y` is thus current exactly when `y` is live: entries for dead
+/// partners stay where they are and are skipped when read, which loses
+/// nothing. A merge touches each partner with two pushes and one global
+/// heap update, and no hashing. A list that grows past twice its length
+/// at its last compaction plus `COMPACT_SLACK` (16) drops its dead entries
+/// (and its heap's). A cluster's live partner count never grows, so
+/// memory stays within about twice the seeded state plus O(clusters).
 pub struct IncrementalState {
     /// Arena: `None` once a cluster has been merged away or weeded.
     pub(crate) members: Vec<Option<Vec<u32>>>,
-    /// `links[i][j]` = cross links between live clusters `i` and `j`.
-    pub(crate) links: Vec<FxHashMap<u32, u64>>,
-    /// Local heaps `q[i]`: candidates ordered by goodness.
-    pub(crate) local: Vec<AddressableHeap<u32>>,
+    /// `links[i]`: `(partner, cross links)` per linked partner of `i`;
+    /// entries naming dead partners are stale.
+    pub(crate) links: Vec<Vec<(u32, u64)>>,
+    /// `links[i].len()` right after its last compaction (or seeding).
+    compacted: Vec<usize>,
+    /// Local heaps `q[i]`: candidates ordered by goodness, with stale
+    /// entries for dead partners. The top of a live cluster's heap is
+    /// always live (every partner death refreshes it).
+    pub(crate) local: Vec<BinaryHeap<Cand>>,
     /// Global heap `Q`: cluster → goodness of its best candidate
     /// (−∞ for clusters with no linked partner).
-    pub(crate) global: AddressableHeap<u32>,
+    pub(crate) global: AddressableHeap,
     /// Number of live clusters.
     pub(crate) live: usize,
-    pub(crate) goodness: Goodness,
-    /// Recycled candidate-heap buffers: every merge retires `q[u]` and
-    /// `q[v]` and builds one `q[w]`, so the pool keeps the agglomeration
-    /// phase at a handful of heap/map allocations total instead of
-    /// O(merges). Pool state never affects results (see
-    /// [`HeapPool`]).
-    pub(crate) heap_pool: HeapPool<u32>,
+    goodness: PairGoodness,
+    /// Dense per-arena-id scatter accumulator for `link[x, w]`; all zero
+    /// between merges.
+    acc: Vec<u64>,
+}
+
+/// A list is compacted once it exceeds `2 × (length at its last
+/// compaction) + COMPACT_SLACK` entries.
+const COMPACT_SLACK: usize = 16;
+
+/// The goodness measure plus a lazily filled per-size table of
+/// `expected_within(s)`, so a pair costs one division instead of three
+/// `powf`s.
+struct PairGoodness {
+    goodness: Goodness,
+    /// `expected_within(s)` at index `s`; NaN until first needed.
+    within: Vec<f64>,
+}
+
+impl PairGoodness {
+    fn within(&mut self, s: usize) -> f64 {
+        if s >= self.within.len() {
+            self.within.resize(s + 1, f64::NAN);
+        }
+        // tidy-allow(panic-reach): the table was grown to cover s just above
+        let t = &mut self.within[s];
+        if t.is_nan() {
+            *t = self.goodness.expected_within(s);
+        }
+        *t
+    }
+
+    /// `g` of a pair with `links` cross links whose smaller arena id has
+    /// size `a` and larger `b` — bit-identical to
+    /// [`Goodness::merge_goodness`]`(links, a, b)`.
+    fn pair(&mut self, links: u64, a: usize, b: usize) -> f64 {
+        let g = match self.goodness.kind() {
+            GoodnessKind::Normalized if links == 0 => 0.0,
+            GoodnessKind::Normalized => {
+                links as f64 / (self.within(a + b) - self.within(a) - self.within(b))
+            }
+            GoodnessKind::RawLinks => links as f64,
+        };
+        debug_assert_eq!(
+            g.to_bits(),
+            self.goodness.merge_goodness(links, a, b).to_bits(),
+            "goodness table diverges from Goodness::merge_goodness"
+        );
+        g
+    }
 }
 
 /// Caps for one [`IncrementalState::bounded_merge`] pass.
@@ -199,20 +262,63 @@ pub struct UpdateProvenance {
 }
 
 impl IncrementalState {
-    pub(crate) fn new(
-        members: Vec<Option<Vec<u32>>>,
-        goodness: Goodness,
-        hasher: FxBuildHasher,
-    ) -> Self {
+    /// An unseeded state over `members` (dead slots allowed) with empty
+    /// link lists: the caller pushes both directions of every linked pair
+    /// into `links` and then calls [`seed`](Self::seed).
+    pub(crate) fn new(members: Vec<Option<Vec<u32>>>, goodness: Goodness) -> Self {
         let n = members.len();
         IncrementalState {
-            live: n,
-            links: vec![FxHashMap::with_hasher(hasher); n],
-            local: (0..n).map(|_| AddressableHeap::new()).collect(),
+            live: members.iter().filter(|m| m.is_some()).count(),
+            links: vec![Vec::new(); n],
+            compacted: Vec::new(),
+            local: Vec::new(),
             global: AddressableHeap::with_capacity(n),
             members,
-            goodness,
-            heap_pool: HeapPool::new(),
+            goodness: PairGoodness {
+                goodness,
+                within: Vec::new(),
+            },
+            acc: vec![0; n],
+        }
+    }
+
+    /// Derives the Fig.-3 heaps from the filled link lists: the goodness
+    /// of every linked pair (computed once, with the smaller arena id
+    /// first, and stored in both local heaps), every `q[i]` heapified,
+    /// and `Q` refreshed for every live cluster. The one seeding path of
+    /// the batch driver, WAL snapshot resume and
+    /// [`from_clusters`](Self::from_clusters).
+    pub(crate) fn seed(&mut self) {
+        let mut cands: Vec<Vec<Cand>> = self
+            .links
+            .iter()
+            .map(|l| Vec::with_capacity(l.len()))
+            .collect();
+        for (i, list) in self.links.iter().enumerate() {
+            // tidy-allow(panic-reach): links and members are parallel arenas; i enumerates links
+            let Some(mi) = &self.members[i] else {
+                continue;
+            };
+            for &(j, c) in list {
+                if (j as usize) < i {
+                    continue; // each pair once, from its smaller id
+                }
+                // tidy-allow(panic-reach): callers link only live arena ids, so j indexes members in range
+                let sj = self.members[j as usize].as_ref().map_or(0, Vec::len);
+                let g = self.goodness.pair(c, mi.len(), sj);
+                // tidy-allow(panic-reach): i and j index the links arena, which cands parallels
+                cands[i].push(Cand { g, key: j });
+                // tidy-allow(panic-reach): i and j index the links arena, which cands parallels
+                cands[j as usize].push(Cand { g, key: i as u32 });
+            }
+        }
+        self.local = cands.into_iter().map(BinaryHeap::from).collect();
+        self.compacted = self.links.iter().map(Vec::len).collect();
+        for id in 0..self.members.len() {
+            // tidy-allow(panic-reach): id enumerates the members arena
+            if self.members[id].is_some() {
+                self.refresh_global(id as u32);
+            }
         }
     }
 
@@ -224,6 +330,8 @@ impl IncrementalState {
     ///
     /// `links` entries are `(i, j, count)` with `i < j` indexing
     /// `clusters`, each unordered pair at most once and `count > 0`.
+    /// `hasher` is unused: the state holds no hash maps (the argument is
+    /// kept so existing callers compile unchanged).
     ///
     /// # Panics
     /// Panics if a cluster is empty or a link entry is malformed (out of
@@ -234,33 +342,34 @@ impl IncrementalState {
         goodness: Goodness,
         hasher: FxBuildHasher,
     ) -> Self {
+        let _ = hasher;
         assert!(
             clusters.iter().all(|c| !c.is_empty()),
             "clusters must be non-empty"
         );
         let n = clusters.len();
-        let members: Vec<Option<Vec<u32>>> = clusters.into_iter().map(Some).collect();
-        let mut state = IncrementalState::new(members, goodness, hasher);
-        // tidy-allow(nondeterministic-iter): `links` is the caller's slice, not a hash map; its order only keys deterministic per-pair inserts
         for &(i, j, c) in links {
             assert!(
                 i < j && (j as usize) < n && c > 0,
                 "malformed link ({i}, {j}, {c}) over {n} clusters"
             );
-            // tidy-allow(panic-reach): i < j < n was asserted just above, and both arena slots are occupied by construction
-            let fresh = state.links[i as usize].insert(j, c).is_none();
-            assert!(fresh, "link pair ({i}, {j}) repeated");
-            let g = state.goodness.merge_goodness(c, state.size(i), state.size(j));
-            // tidy-allow(panic-reach): i < j < n was asserted just above the first insert
-            state.links[j as usize].insert(i, c);
-            // tidy-allow(panic-reach): i < j < n was asserted just above the first insert
-            state.local[i as usize].insert(j, g);
-            // tidy-allow(panic-reach): i < j < n was asserted just above the first insert
-            state.local[j as usize].insert(i, g);
         }
-        for id in 0..n {
-            state.refresh_global(id as u32);
+        let mut sorted = links.to_vec();
+        sorted.sort_unstable();
+        for pair in sorted.windows(2) {
+            // tidy-allow(panic-reach): windows(2) yields exactly two entries
+            let (a, b) = (pair[0], pair[1]);
+            assert!((a.0, a.1) != (b.0, b.1), "link pair ({}, {}) repeated", a.0, a.1);
         }
+        let members: Vec<Option<Vec<u32>>> = clusters.into_iter().map(Some).collect();
+        let mut state = IncrementalState::new(members, goodness);
+        for &(i, j, c) in &sorted {
+            // tidy-allow(panic-reach): i < j < n was asserted above for every entry
+            state.links[i as usize].push((j, c));
+            // tidy-allow(panic-reach): i < j < n was asserted above for every entry
+            state.links[j as usize].push((i, c));
+        }
+        state.seed();
         state
     }
 
@@ -286,16 +395,16 @@ impl IncrementalState {
     /// The live cross-link counts as upper-triangle `(i, j, count)`
     /// entries (`i < j`), sorted ascending — the canonical link image
     /// consumed by [`from_clusters`](Self::from_clusters) (after arena
-    /// ids are compacted) and by WAL snapshots.
+    /// ids are compacted) and by WAL snapshots. Stale entries (a dead
+    /// partner) are skipped; a live pair has exactly one entry per side.
     pub fn canonical_links(&self) -> Vec<(u32, u32, u64)> {
         let mut links = Vec::new();
-        // tidy-allow(nondeterministic-iter): every surviving entry lands in `links`, which is sorted before returning
         for (i, l) in self.links.iter().enumerate() {
             // tidy-allow(panic-reach): links and members are parallel arenas; i enumerates links
             if self.members[i].is_none() {
                 continue;
             }
-            for (&j, &c) in l {
+            for &(j, c) in l {
                 // tidy-allow(panic-reach): j is a cluster id minted into the arena, so it indexes members in range
                 if (j as usize) > i && self.members[j as usize].is_some() {
                     links.push((i as u32, j, c));
@@ -325,8 +434,8 @@ impl IncrementalState {
             if best.total_cmp(&bound.min_goodness).is_lt() {
                 break;
             }
-            // tidy-allow(panic-reach): u came off the global heap with finite goodness, so its local heap exists and is non-empty
-            let Some((v, _)) = self.local[u as usize].peek() else {
+            // tidy-allow(panic-reach): u came off the global heap, so it is a live arena id with a local heap
+            let Some(&Cand { key: v, .. }) = self.local[u as usize].peek() else {
                 break;
             };
             if self.size(u) + self.size(v) > bound.max_cluster_size {
@@ -347,38 +456,55 @@ impl IncrementalState {
     }
 
     /// Re-derives cluster `id`'s entry in the global heap from its local
-    /// heap (Fig. 3 steps 14 and 16).
+    /// heap (Fig. 3 steps 14 and 16), first popping entries for dead
+    /// partners off the top of `q[id]`.
     pub(crate) fn refresh_global(&mut self, id: u32) {
         // tidy-allow(panic-reach): refresh_global is only called with arena ids minted in range
-        let best = self.local[id as usize]
-            .peek()
-            .map_or(f64::NEG_INFINITY, |(_, g)| g);
+        let q = &mut self.local[id as usize];
+        let mut best = f64::NEG_INFINITY;
+        while let Some(&top) = q.peek() {
+            // tidy-allow(panic-reach): heap keys are arena ids minted in range
+            if self.members[top.key as usize].is_some() {
+                best = top.g;
+                break;
+            }
+            q.pop();
+        }
         self.global.insert(id, best);
+    }
+
+    /// Drops the dead entries of `links[x]` and `q[x]` once the list has
+    /// grown past twice its length at its last compaction plus
+    /// [`COMPACT_SLACK`].
+    fn maybe_compact(&mut self, x: u32) {
+        let x = x as usize;
+        // tidy-allow(panic-reach): x is a live partner id; links, local and compacted parallel members
+        let (list, q) = (&mut self.links[x], &mut self.local[x]);
+        // tidy-allow(panic-reach): x is a live partner id; links, local and compacted parallel members
+        if list.len() <= 2 * self.compacted[x] + COMPACT_SLACK {
+            return;
+        }
+        let members = &self.members;
+        // tidy-allow(panic-reach): list and heap keys are arena ids minted in range
+        list.retain(|&(y, _)| members[y as usize].is_some());
+        // tidy-allow(panic-reach): list and heap keys are arena ids minted in range
+        q.retain(|c| members[c.key as usize].is_some());
+        // tidy-allow(panic-reach): x is a live partner id; compacted parallels members
+        self.compacted[x] = list.len();
     }
 
     /// Merges the globally best cluster `u` with its best partner
     /// (Fig. 3 steps 6–17); returns the merge record.
     pub(crate) fn merge(&mut self, u: u32) -> MergeRecord {
         // tidy-allow(panic-reach): u is a live arena id from the global heap, in range by construction
-        let (v, guv) = self.local[u as usize]
+        let &Cand { g: guv, key: v } = self.local[u as usize]
             .peek()
             // tidy-allow(panic): drive() only merges ids whose global goodness is finite, which requires a non-empty local heap
             .expect("merge called on cluster with candidates");
-        // tidy-allow(panic-reach): v came from u's local heap, so links[u] has an entry for v
-        let cross = self.links[u as usize][&v];
-        let record = MergeRecord {
-            left: u,
-            right: v,
-            merged: self.members.len() as u32,
-            sizes: (self.size(u), self.size(v)),
-            cross_links: cross,
-            goodness: guv,
-        };
+        let sizes = (self.size(u), self.size(v));
 
-        self.global.remove(&u);
-        self.global.remove(&v);
-
-        // Step 9: w := merge(u, v).
+        // Step 9: w := merge(u, v). From here on u and v are dead, so
+        // every liveness test below also skips them.
         // tidy-allow(panic): u and v come from live heap entries; each slot is taken here exactly once
         // tidy-allow(panic-reach): u and v are live heap entries indexing occupied arena slots
         let mut merged = self.members[u as usize].take().expect("live");
@@ -388,53 +514,86 @@ impl IncrementalState {
         let w = self.members.len() as u32;
         let w_size = merged.len();
         self.members.push(Some(merged));
+        self.global.remove(&u);
+        self.global.remove(&v);
 
-        // link[x, w] := link[x, u] + link[x, v] for all linked x.
+        // link[x, w] := link[x, u] + link[x, v]: scatter both lists into
+        // the dense accumulator, then gather in list order (u's partners,
+        // then v's others) into u's buffer, which becomes w's list.
         // tidy-allow(panic-reach): u indexes the links arena, which parallels members
         let mut lw = std::mem::take(&mut self.links[u as usize]);
         // tidy-allow(panic-reach): v indexes the links arena, which parallels members
-        // tidy-allow(nondeterministic-iter): counts accumulate with commutative `+=`; visit order cannot affect the sums
-        for (x, c) in std::mem::take(&mut self.links[v as usize]) {
-            *lw.entry(x).or_insert(0) += c;
+        let lv = std::mem::take(&mut self.links[v as usize]);
+        let mut cross = 0;
+        for &(x, c) in lw.iter().chain(&lv) {
+            if x == u || x == v {
+                cross = c;
+            // tidy-allow(panic-reach): list entries are arena ids minted in range; acc parallels members
+            } else if self.members[x as usize].is_some() {
+                // tidy-allow(panic-reach): list entries are arena ids minted in range; acc parallels members
+                self.acc[x as usize] += c;
+            }
         }
-        lw.remove(&u);
-        lw.remove(&v);
+        let mut kept = 0;
+        for r in 0..lw.len() {
+            // tidy-allow(panic-reach): r < lw.len() and kept <= r
+            let x = lw[r].0;
+            // tidy-allow(panic-reach): list entries are arena ids minted in range; acc parallels members
+            let c = std::mem::take(&mut self.acc[x as usize]);
+            if c != 0 {
+                // tidy-allow(panic-reach): r < lw.len() and kept <= r
+                lw[kept] = (x, c);
+                kept += 1;
+            }
+        }
+        lw.truncate(kept);
+        for &(x, _) in &lv {
+            // tidy-allow(panic-reach): list entries are arena ids minted in range; acc parallels members
+            let c = std::mem::take(&mut self.acc[x as usize]);
+            if c != 0 {
+                lw.push((x, c));
+            }
+        }
 
-        let mut qw = self.heap_pool.acquire();
-        // tidy-allow(nondeterministic-iter): each iteration updates only x-keyed state, and heap orderings break goodness ties by key, so visit order cannot affect any outcome
-        for (&x, &cxw) in &lw {
-            // Steps 11–14: replace u, v by w in x's bookkeeping.
+        // Steps 11–14: each partner x gains w (x < w, so x's size goes
+        // first). Step 17: q[u] is deallocated and q[v]'s buffer becomes
+        // q[w], heapified once at the end.
+        // tidy-allow(panic-reach): v indexes the local arena, which parallels members
+        let mut qw = std::mem::take(&mut self.local[v as usize]).into_vec();
+        qw.clear();
+        // tidy-allow(panic-reach): u indexes the local arena, which parallels members
+        self.local[u as usize] = BinaryHeap::new();
+        crate::perf::count_scratch_reused(2);
+        for &(x, c) in &lw {
+            let g = self.goodness.pair(c, self.size(x), w_size);
             // tidy-allow(panic-reach): x is a live partner id recorded in the links arena, in range by construction
-            let xl = &mut self.links[x as usize];
-            xl.remove(&u);
-            xl.remove(&v);
-            xl.insert(w, cxw);
-            let g = self
-                .goodness
-                .merge_goodness(cxw, self.size(x), w_size);
+            self.links[x as usize].push((w, c));
             // tidy-allow(panic-reach): x is a live partner id recorded in the links arena, in range by construction
-            let xq = &mut self.local[x as usize];
-            xq.remove(&u);
-            xq.remove(&v);
-            xq.insert(w, g);
+            self.local[x as usize].push(Cand { g, key: w });
+            self.maybe_compact(x);
             self.refresh_global(x);
-            qw.insert(x, g);
+            qw.push(Cand { g, key: x });
         }
-
-        // Step 17: deallocate q[u], q[v] — their buffers return to the
-        // pool and come back as future merges' candidate heaps.
-        // tidy-allow(panic-reach): u and v index the local arena, which parallels members
-        std::mem::take(&mut self.local[u as usize]).recycle_into(&mut self.heap_pool);
-        std::mem::take(&mut self.local[v as usize]).recycle_into(&mut self.heap_pool);
+        self.compacted.push(lw.len());
         self.links.push(lw);
-        self.local.push(qw);
+        self.local.push(BinaryHeap::from(qw));
+        self.acc.push(0);
         self.refresh_global(w);
         self.live -= 1;
-        record
+        debug_assert!(cross > 0, "merged clusters must share links");
+        MergeRecord {
+            left: u,
+            right: v,
+            merged: w,
+            sizes,
+            cross_links: cross,
+            goodness: guv,
+        }
     }
 
     /// §4.6 weeding: kills every live cluster smaller than `min_size`,
-    /// appending its members to `outliers`.
+    /// appending its members to `outliers`. Partners keep their stale
+    /// entries for the victim; each one's `Q` entry is refreshed.
     pub(crate) fn weed(&mut self, min_size: usize, outliers: &mut Vec<u32>) {
         let victims: Vec<u32> = self
             .members
@@ -451,23 +610,18 @@ impl IncrementalState {
             // tidy-allow(panic-reach): victims index the arena in range by construction
             let m = self.members[o as usize].take().expect("live");
             outliers.extend(m);
+            // tidy-allow(panic-reach): o indexes the local arena, which parallels members
+            self.local[o as usize] = BinaryHeap::new();
+            self.global.remove(&o);
+            self.live -= 1;
             // tidy-allow(panic-reach): o indexes the links arena, which parallels members
-            // tidy-allow(nondeterministic-iter): the loop performs keyed removals on partners' maps and heaps; per-partner updates are independent of visit order
             for (x, _) in std::mem::take(&mut self.links[o as usize]) {
                 // A partner may itself have just been weeded.
                 // tidy-allow(panic-reach): x is a partner id recorded in the links arena, in range by construction
-                if self.members[x as usize].is_none() {
-                    continue;
+                if self.members[x as usize].is_some() {
+                    self.refresh_global(x);
                 }
-                // tidy-allow(panic-reach): x was bounds-checked by the members access just above; links and local parallel members
-                self.links[x as usize].remove(&o);
-                self.local[x as usize].remove(&o);
-                self.refresh_global(x);
             }
-            // tidy-allow(panic-reach): o indexes the local arena, which parallels members
-            self.local[o as usize].clear();
-            self.global.remove(&o);
-            self.live -= 1;
         }
     }
 }
@@ -852,14 +1006,11 @@ impl<P: ArtifactPoint + Clone> IncrementalRockState<P> {
         // run the paper's §3.3 normalised criterion, matching the batch
         // engine's default.
         let goodness = Goodness::new(self.theta, ConstantF(self.ftheta), GoodnessKind::Normalized);
-        let hasher = self
-            .hash_seed
-            .map_or_else(FxBuildHasher::default, FxBuildHasher::with_seed);
         let mut st = IncrementalState::from_clusters(
             std::mem::take(&mut self.clusters),
             &fresh_links,
             goodness,
-            hasher,
+            FxBuildHasher::default(),
         );
         let records = st.bounded_merge(&self.policy.merge_bound(clustered_points));
 
@@ -1207,6 +1358,123 @@ mod tests {
     #[should_panic(expected = "malformed link")]
     fn malformed_link_panics() {
         let _ = singleton_state(2, &[(1, 1, 3)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "repeated")]
+    fn repeated_link_pair_panics() {
+        let _ = singleton_state(3, &[(0, 2, 1), (0, 1, 3), (0, 2, 5)]);
+    }
+
+    /// A plain Fig.-3 loop over a `BTreeMap` link image (the small twin of
+    /// the integration suite's reference): `merges` steps of "best
+    /// goodness, then the larger ids", returning the live links.
+    fn reference_links(
+        mut size: Vec<usize>,
+        links: &[(u32, u32, u64)],
+        goodness: Goodness,
+        merges: usize,
+    ) -> Vec<(u32, u32, u64)> {
+        use std::collections::BTreeMap;
+        let mut map: BTreeMap<(u32, u32), u64> =
+            links.iter().map(|&(i, j, c)| ((i, j), c)).collect();
+        for _ in 0..merges {
+            let g = |(&(i, j), &c): (&(u32, u32), &u64)| {
+                goodness.merge_goodness(c, size[i as usize], size[j as usize])
+            };
+            let Some((&(v, u), _)) = map.iter().max_by(|&a, &b| {
+                g(a).total_cmp(&g(b)).then(a.0 .1.cmp(&b.0 .1)).then(a.0 .0.cmp(&b.0 .0))
+            }) else {
+                break;
+            };
+            let w = size.len() as u32;
+            size.push(size[u as usize] + size[v as usize]);
+            size[u as usize] = 0;
+            size[v as usize] = 0;
+            let mut to_w: BTreeMap<u32, u64> = BTreeMap::new();
+            map.retain(|&(i, j), &mut c| {
+                let dead = |x: u32| x == u || x == v;
+                match (dead(i), dead(j)) {
+                    (false, false) => return true,
+                    (true, false) => *to_w.entry(j).or_insert(0) += c,
+                    (false, true) => *to_w.entry(i).or_insert(0) += c,
+                    (true, true) => {}
+                }
+                false
+            });
+            map.extend(to_w.into_iter().map(|(x, c)| ((x, w), c)));
+        }
+        map.into_iter().map(|((i, j), c)| (i, j, c)).collect()
+    }
+
+    /// A hub absorbing a chain of singletons one at a time leaves one
+    /// stale entry per merge in every remaining partner's list (the dead
+    /// previous hub); compaction keeps each live list and heap within
+    /// 2 × (its length at the last compaction) + 16 entries.
+    #[test]
+    fn stale_entries_stay_within_the_compaction_bound() {
+        // Point 0 is the hub, 1..=chain its strongly linked chain, and
+        // the last `partners` points link weakly to the hub only.
+        let (chain, partners) = (150u32, 5u32);
+        let n = 1 + chain + partners;
+        let mut links = Vec::new();
+        for s in 1..=chain {
+            links.push((0, s, 1_000_000));
+        }
+        for p in (chain + 1)..n {
+            links.push((0, p, 1));
+        }
+        let good = Goodness::new(0.5, ConstantF(0.5), GoodnessKind::Normalized);
+        let clusters: Vec<Vec<u32>> = (0..n).map(|p| vec![p]).collect();
+        let mut st =
+            IncrementalState::from_clusters(clusters, &links, good, FxBuildHasher::default());
+        let step = MergeBound {
+            min_goodness: f64::NEG_INFINITY,
+            min_clusters: 1,
+            max_merges: 1,
+            max_cluster_size: usize::MAX,
+        };
+        let mut merges = 0;
+        let mut compactions = 0;
+        loop {
+            let before: Vec<usize> = st.links.iter().map(Vec::len).collect();
+            let recs = st.bounded_merge(&step);
+            let Some(rec) = recs.first() else { break };
+            merges += 1;
+            if merges <= chain as usize {
+                // The hub side grows by one singleton per merge.
+                assert_eq!(rec.sizes.0.min(rec.sizes.1), 1, "merge {merges}: {rec:?}");
+                assert_eq!(rec.sizes.0.max(rec.sizes.1), merges, "merge {merges}: {rec:?}");
+            }
+            for (id, m) in st.members.iter().enumerate() {
+                if m.is_none() {
+                    continue;
+                }
+                let cap = 2 * st.compacted[id] + COMPACT_SLACK;
+                assert!(st.links[id].len() <= cap, "links[{id}] over the bound");
+                assert!(st.local[id].len() <= cap, "q[{id}] over the bound");
+                // Outside compaction a live list only grows.
+                if before.get(id).is_some_and(|&b| st.links[id].len() < b) {
+                    compactions += 1;
+                }
+            }
+        }
+        assert_eq!(merges, n as usize - 1);
+        assert!(compactions > 0, "the chain must trigger compaction");
+        assert!(st.canonical_links().is_empty());
+
+        // The same holds mid-run, and the link image there agrees with
+        // the plain loop's.
+        let clusters: Vec<Vec<u32>> = (0..n).map(|p| vec![p]).collect();
+        let mut st =
+            IncrementalState::from_clusters(clusters, &links, good, FxBuildHasher::default());
+        let half = chain as usize / 2 + 7;
+        st.bounded_merge(&MergeBound {
+            max_merges: half,
+            ..step
+        });
+        let want = reference_links(vec![1; n as usize], &links, good, half);
+        assert_eq!(st.canonical_links(), want);
     }
 
     use crate::points::Transaction;

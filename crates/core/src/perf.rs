@@ -50,8 +50,9 @@ pub fn count_sim_evals(n: u64) {
     SIM_EVALS.fetch_add(n, Ordering::Relaxed);
 }
 
-/// Records `n` scratch structures reused from a pool instead of
-/// freshly allocated (merge-loop heap/map recycling).
+/// Records `n` scratch structures reused instead of
+/// freshly allocated (e.g. the merge loop handing a retired link list
+/// and candidate heap to the merged cluster).
 #[inline]
 pub fn count_scratch_reused(n: u64) {
     SCRATCH_REUSED.fetch_add(n, Ordering::Relaxed);

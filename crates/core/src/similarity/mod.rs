@@ -177,7 +177,8 @@ mod tests {
         // The measure's item-set capability reaches the index-addressed
         // trait, also through a reference.
         assert_eq!(pw.item_set(2), Some(&[7, 8][..]));
-        assert_eq!((&pw).item_set(0), Some(&[1, 2, 3][..]));
+        let by_ref = &pw;
+        assert_eq!(PairwiseSimilarity::item_set(&by_ref, 0), Some(&[1, 2, 3][..]));
     }
 
     #[test]

@@ -1,0 +1,367 @@
+//! Differential test of every merge-loop driver against a plain reading
+//! of Fig. 3 (§4.3).
+//!
+//! [`Reference`] is the paper's agglomeration with nothing optimised:
+//! cross links in a `BTreeMap` keyed by cluster pair, and every step a
+//! linear scan for the best goodness. Each step takes `g* = max g` over
+//! the linked pairs (`f64::total_cmp`, `g` computed with the smaller
+//! arena id's size first), merges `u` = the largest id with a partner at
+//! `g*` with `v` = `u`'s largest partner at `g*`, and mints the next
+//! arena id for the union. The loop stops at `k` clusters or when no
+//! links are left.
+//!
+//! The batch engine (with and without §4.6 pruning and weeding), a run
+//! interrupted mid-merge and resumed from its WAL, and
+//! `IncrementalState::bounded_merge` under random caps must all produce
+//! the identical merge trace — goodness compared bit for bit — on random
+//! graphs of 2–200 points, including tie-heavy graphs in which every
+//! link count is equal.
+
+use proptest::prelude::*;
+use rock::governor::{Phase, RunGovernor};
+use rock::util::FxBuildHasher;
+use rock::wal::MergeWal;
+use rock::{
+    Clustering, ConstantF, Goodness, GoodnessKind, IncrementalState, LinkMatrix, MergeBound,
+    MergeRecord, NeighborGraph, OutlierPolicy, RockAlgorithm, RockError, WeedPolicy,
+};
+use std::collections::BTreeMap;
+
+/// The plain Fig.-3 loop over an arena of clusters.
+struct Reference {
+    members: Vec<Option<Vec<u32>>>,
+    /// `(i, j) → link[i, j]` for live `i < j` with at least one link.
+    links: BTreeMap<(u32, u32), u64>,
+    goodness: Goodness,
+    outliers: Vec<u32>,
+}
+
+impl Reference {
+    fn new(clusters: Vec<Vec<u32>>, links: &[(u32, u32, u64)], goodness: Goodness) -> Self {
+        Reference {
+            members: clusters.into_iter().map(Some).collect(),
+            links: links.iter().map(|&(i, j, c)| ((i, j), c)).collect(),
+            goodness,
+            outliers: Vec::new(),
+        }
+    }
+
+    fn live(&self) -> usize {
+        self.members.iter().flatten().count()
+    }
+
+    fn size(&self, id: u32) -> usize {
+        self.members[id as usize].as_ref().map_or(0, Vec::len)
+    }
+
+    fn g(&self, (i, j): (u32, u32), c: u64) -> f64 {
+        self.goodness.merge_goodness(c, self.size(i), self.size(j))
+    }
+
+    /// `(u, v, g*)` of the next merge, or `None` when no links are left.
+    fn best(&self) -> Option<(u32, u32, f64)> {
+        let gstar = self
+            .links
+            .iter()
+            .map(|(&p, &c)| self.g(p, c))
+            .max_by(f64::total_cmp)?;
+        let at_best: Vec<(u32, u32)> = self
+            .links
+            .iter()
+            .filter(|&(&p, &c)| self.g(p, c).total_cmp(&gstar).is_eq())
+            .map(|(&p, _)| p)
+            .collect();
+        let u = at_best.iter().map(|&(i, j)| i.max(j)).max()?;
+        let v = at_best
+            .iter()
+            .filter_map(|&(i, j)| match (i == u, j == u) {
+                (true, _) => Some(j),
+                (_, true) => Some(i),
+                _ => None,
+            })
+            .max()?;
+        Some((u, v, gstar))
+    }
+
+    fn merge(&mut self, u: u32, v: u32, goodness: f64) -> MergeRecord {
+        let w = self.members.len() as u32;
+        let cross = self.links[&(u.min(v), u.max(v))];
+        let mu = self.members[u as usize].take().unwrap();
+        let mv = self.members[v as usize].take().unwrap();
+        let sizes = (mu.len(), mv.len());
+        self.members.push(Some(mu.into_iter().chain(mv).collect()));
+        // link[x, w] = link[x, u] + link[x, v]; every pair naming u or v goes.
+        let mut to_w: BTreeMap<u32, u64> = BTreeMap::new();
+        self.links.retain(|&(i, j), &mut c| {
+            let other = match (i == u || i == v, j == u || j == v) {
+                (false, false) => return true,
+                (true, true) => return false,
+                (true, false) => j,
+                (false, true) => i,
+            };
+            *to_w.entry(other).or_insert(0) += c;
+            false
+        });
+        for (x, c) in to_w {
+            self.links.insert((x, w), c);
+        }
+        MergeRecord {
+            left: u,
+            right: v,
+            merged: w,
+            sizes,
+            cross_links: cross,
+            goodness,
+        }
+    }
+
+    /// §4.6 weeding: every live cluster smaller than `min_size` becomes
+    /// outliers, its links gone.
+    fn weed(&mut self, min_size: usize) {
+        for id in 0..self.members.len() as u32 {
+            if self.members[id as usize].as_ref().is_some_and(|m| m.len() < min_size) {
+                self.outliers.extend(self.members[id as usize].take().unwrap());
+                self.links.retain(|&(i, j), _| i != id && j != id);
+            }
+        }
+    }
+
+    /// The batch loop: merge to `k`, weeding once at `weed.0` live
+    /// clusters (or at the end, if the loop never got there).
+    fn run_to(&mut self, k: usize, weed: Option<(usize, usize)>) -> Vec<MergeRecord> {
+        let mut merges = Vec::new();
+        let mut weeded = false;
+        while self.live() > k {
+            if let Some((at, min_size)) = weed {
+                if !weeded && self.live() <= at {
+                    self.weed(min_size);
+                    weeded = true;
+                    continue;
+                }
+            }
+            let Some((u, v, g)) = self.best() else { break };
+            merges.push(self.merge(u, v, g));
+        }
+        if let (Some((_, min_size)), false) = (weed, weeded) {
+            self.weed(min_size);
+        }
+        merges
+    }
+
+    /// The bounded re-merge: stop at the first violated cap.
+    fn run_bounded(&mut self, bound: &MergeBound) -> Vec<MergeRecord> {
+        let mut merges = Vec::new();
+        while self.live() > bound.min_clusters && merges.len() < bound.max_merges {
+            let Some((u, v, g)) = self.best() else { break };
+            if g.total_cmp(&bound.min_goodness).is_lt()
+                || self.size(u) + self.size(v) > bound.max_cluster_size
+            {
+                break;
+            }
+            merges.push(self.merge(u, v, g));
+        }
+        merges
+    }
+
+    fn clustering(&self) -> Clustering {
+        Clustering::new(self.members.iter().flatten().cloned().collect(), self.outliers.clone())
+    }
+}
+
+/// A merge record with goodness as raw bits, so equality is bit equality.
+type RecordBits = (u32, u32, u32, (usize, usize), u64, u64);
+
+fn bits(records: &[MergeRecord]) -> Vec<RecordBits> {
+    records
+        .iter()
+        .map(|r| (r.left, r.right, r.merged, r.sizes, r.cross_links, r.goodness.to_bits()))
+        .collect()
+}
+
+/// SplitMix64: the test's own deterministic stream.
+fn next(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A neighbor graph over `n` points of one of four shapes: random
+/// (density from the seed), complete (every link count equal), disjoint
+/// equal cliques, or complete bipartite (two tie classes).
+fn graph(n: usize, shape: u8, seed: u64) -> NeighborGraph {
+    let mut s = seed;
+    let mut lists: Vec<Vec<u32>> = vec![Vec::new(); n];
+    let clique = 3 + (seed % 6) as usize;
+    let density = 2 + next(&mut s) % 40; // percent
+    for (i, list) in lists.iter_mut().enumerate() {
+        for j in (i + 1)..n {
+            let edge = match shape {
+                0 => next(&mut s) % 100 < density,
+                1 => true,
+                2 => i / clique == j / clique,
+                _ => (i % 2) != (j % 2),
+            };
+            if edge {
+                list.push(j as u32);
+            }
+        }
+    }
+    NeighborGraph::from_lists(lists, 0.5)
+}
+
+/// `|N(p) ∩ N(q)|` for every pair, counted the slow way.
+fn naive_links(g: &NeighborGraph) -> BTreeMap<(u32, u32), u64> {
+    let mut links = BTreeMap::new();
+    for p in 0..g.len() {
+        for q in (p + 1)..g.len() {
+            let c = g.neighbors(p).iter().filter(|x| g.neighbors(q).contains(x)).count();
+            if c > 0 {
+                links.insert((p as u32, q as u32), c as u64);
+            }
+        }
+    }
+    links
+}
+
+fn goodness(kind: u8, f: f64) -> Goodness {
+    let kind = if kind == 0 {
+        GoodnessKind::RawLinks
+    } else {
+        GoodnessKind::Normalized
+    };
+    Goodness::new(0.5, ConstantF(f), kind)
+}
+
+/// The reference over the points that survive `min_neighbors` pruning,
+/// renumbered in point order — the batch engine's initial arena.
+fn point_reference(g: &NeighborGraph, min_neighbors: usize, good: Goodness) -> Reference {
+    let kept: Vec<u32> = (0..g.len())
+        .filter(|&p| g.degree(p) >= min_neighbors)
+        .map(|p| p as u32)
+        .collect();
+    let arena: BTreeMap<u32, u32> = kept.iter().enumerate().map(|(a, &p)| (p, a as u32)).collect();
+    let links: Vec<(u32, u32, u64)> = naive_links(g)
+        .into_iter()
+        .filter_map(|((p, q), c)| Some((*arena.get(&p)?, *arena.get(&q)?, c)))
+        .collect();
+    let mut r = Reference::new(kept.iter().map(|&p| vec![p]).collect(), &links, good);
+    r.outliers = (0..g.len() as u32).filter(|p| !arena.contains_key(p)).collect();
+    r
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn batch_and_resumed_runs_match_the_reference(
+        n in 2usize..=200,
+        shape in 0u8..4,
+        seed in any::<u64>(),
+        k_frac in 0.0f64..0.5,
+        min_neighbors in 0usize..4,
+        weed in (0u8..3, 1usize..5),
+        kind in 0u8..3,
+        f in 0.05f64..1.0,
+        kill_frac in 0.0f64..1.2,
+        snapshot_every in 0u64..6,
+    ) {
+        let g = graph(n, shape, seed);
+        let k = 1 + (k_frac * n as f64) as usize;
+        let weed = match weed.0 {
+            0 => None,
+            m => Some(WeedPolicy { stop_multiple: [1.0, 1.5, 3.0][m as usize], min_cluster_size: weed.1 }),
+        };
+        let good = goodness(kind, f);
+        let engine = RockAlgorithm::new(good, k, OutlierPolicy { min_neighbors, weed });
+
+        let mut reference = point_reference(&g, min_neighbors, good);
+        let at = weed.map(|w| (((w.stop_multiple * k as f64).ceil() as usize).max(k), w.min_cluster_size));
+        let want = reference.run_to(k, at);
+
+        let links = LinkMatrix::compute_auto(&g, 1);
+        let run = engine.run_with_matrix(&g, &links);
+        prop_assert_eq!(bits(&run.merges), bits(&want));
+        prop_assert_eq!(&run.clustering, &reference.clustering());
+
+        // Kill at some merge, then resume from the WAL (through a
+        // snapshot when the cadence wrote one before the kill).
+        let kill = (kill_frac * want.len() as f64) as u64;
+        let mut wal = MergeWal::new().with_snapshot_every(snapshot_every);
+        let governor = RunGovernor::unlimited().with_kill_at(Phase::Merge, kill);
+        let resumed = match engine.run_with_matrix_governed(&g, &links, &governor, Some(&mut wal)) {
+            Ok(done) => done,
+            Err(RockError::Interrupted { resumable: true, .. }) => engine
+                .resume(wal.as_bytes(), Some(&g), 1, &RunGovernor::unlimited(), None)
+                .unwrap(),
+            Err(e) => return Err(TestCaseError::fail(format!("unexpected error: {e}"))),
+        };
+        prop_assert_eq!(bits(&resumed.merges), bits(&want));
+        prop_assert_eq!(&resumed.clustering, &reference.clustering());
+    }
+
+    #[test]
+    fn bounded_merge_matches_the_reference(
+        n in 2usize..=200,
+        seed in any::<u64>(),
+        density in 1u64..60,
+        equal_counts in any::<bool>(),
+        kind in 0u8..3,
+        f in 0.05f64..1.0,
+        caps in (0usize..8, 0usize..250, 0usize..60, 0u8..3),
+    ) {
+        // Clusters of 1–4 points over consecutive point ids.
+        let mut s = seed;
+        let mut next_point = 0u32;
+        let clusters: Vec<Vec<u32>> = (0..n)
+            .map(|_| {
+                let size = 1 + (next(&mut s) % 4) as u32;
+                next_point += size;
+                (next_point - size..next_point).collect()
+            })
+            .collect();
+        let mut links = Vec::new();
+        for i in 0..n as u32 {
+            for j in (i + 1)..n as u32 {
+                if next(&mut s) % 100 < density {
+                    let c = if equal_counts { 3 } else { 1 + next(&mut s) % 6 };
+                    links.push((i, j, c));
+                }
+            }
+        }
+        let good = goodness(kind, f);
+        let min_goodness = match caps.3 {
+            0 => f64::NEG_INFINITY,
+            1 => 0.0,
+            _ => {
+                // A floor somewhere inside the run's goodness range.
+                let mut all = Reference::new(clusters.clone(), &links, good);
+                let g: Vec<f64> = all.run_bounded(&MergeBound {
+                    min_goodness: f64::NEG_INFINITY,
+                    min_clusters: 1,
+                    max_merges: usize::MAX,
+                    max_cluster_size: usize::MAX,
+                }).iter().map(|r| r.goodness).collect();
+                g.get(g.len() / 2).copied().unwrap_or(0.0)
+            }
+        };
+        let bound = MergeBound {
+            min_goodness,
+            min_clusters: caps.0,
+            max_merges: if caps.1 >= 200 { usize::MAX } else { caps.1 },
+            max_cluster_size: if caps.2 == 0 { usize::MAX } else { caps.2 },
+        };
+
+        let mut reference = Reference::new(clusters.clone(), &links, good);
+        let want = reference.run_bounded(&bound);
+        let mut state = IncrementalState::from_clusters(clusters, &links, good, FxBuildHasher::default());
+        let got = state.bounded_merge(&bound);
+        prop_assert_eq!(bits(&got), bits(&want));
+        let live: Vec<Vec<u32>> = state.live_clusters().into_iter().map(|(_, m)| m).collect();
+        prop_assert_eq!(Clustering::new(live, vec![]), reference.clustering());
+        let reference_links: Vec<(u32, u32, u64)> =
+            reference.links.iter().map(|(&(i, j), &c)| (i, j, c)).collect();
+        prop_assert_eq!(state.canonical_links(), reference_links);
+    }
+}
