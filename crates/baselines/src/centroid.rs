@@ -76,25 +76,17 @@ fn centroid_sq_dist(a: &ClusterSlot, b: &ClusterSlot) -> f64 {
 /// Returns the clustering (point ids index `points`); outliers are the
 /// singletons eliminated by the §5 rule, if enabled.
 ///
-/// # Panics
-/// Panics if `points` is empty, dimensions are inconsistent, or
-/// `config.k == 0`.
-pub fn centroid_hierarchical(points: &[Vec<f64>], config: CentroidConfig) -> Clustering {
-    // tidy-allow(panic): an unlimited governor never trips
-    centroid_hierarchical_governed(points, config, &RunGovernor::unlimited())
-        .expect("an unlimited governor never trips")
-}
-
-/// As [`centroid_hierarchical`], under a [`RunGovernor`]: the budgets
-/// and cancellation token are checked at every merge, surfacing
-/// [`RockError::Interrupted`] instead of running open-loop.
+/// The budgets and cancellation token of `governor` are checked at every
+/// merge, surfacing [`RockError::Interrupted`] instead of running
+/// open-loop; pass [`RunGovernor::unlimited`] for an ungoverned run.
 ///
 /// # Errors
 /// [`RockError::Interrupted`] when the governor trips.
 ///
 /// # Panics
-/// As [`centroid_hierarchical`] on invalid input.
-pub fn centroid_hierarchical_governed(
+/// Panics if `points` is empty, dimensions are inconsistent, or
+/// `config.k == 0`.
+pub fn centroid_hierarchical(
     points: &[Vec<f64>],
     config: CentroidConfig,
     governor: &RunGovernor,
@@ -232,13 +224,17 @@ pub fn centroid_hierarchical_governed(
     Ok(Clustering::new(clusters, outliers))
 }
 
-/// Convenience: cluster and also return the final centroids
-/// (in cluster order of the returned [`Clustering`]).
+/// Convenience: [`centroid_hierarchical`], also returning the final
+/// centroids (in cluster order of the returned [`Clustering`]).
+///
+/// # Errors
+/// [`RockError::Interrupted`] when the governor trips.
 pub fn centroid_hierarchical_with_centroids(
     points: &[Vec<f64>],
     config: CentroidConfig,
-) -> (Clustering, Vec<Vec<f64>>) {
-    let clustering = centroid_hierarchical(points, config);
+    governor: &RunGovernor,
+) -> Result<(Clustering, Vec<Vec<f64>>), RockError> {
+    let clustering = centroid_hierarchical(points, config, governor)?;
     let dim = points[0].len();
     let centroids = clustering
         .clusters
@@ -255,7 +251,7 @@ pub fn centroid_hierarchical_with_centroids(
             sum
         })
         .collect();
-    (clustering, centroids)
+    Ok((clustering, centroids))
 }
 
 #[cfg(test)]
@@ -277,7 +273,8 @@ mod tests {
             Transaction::from([5]),
         ];
         let vs = transactions_to_vectors(&ts, 6);
-        let c = centroid_hierarchical(&vs, CentroidConfig::plain(2));
+        let c = centroid_hierarchical(&vs, CentroidConfig::plain(2), &RunGovernor::unlimited())
+            .unwrap();
         // After merging 0 and 1 (distance √2), points 2 and 3 merge
         // (distance √3 < 3.5 and 4.5 to the merged centroid).
         assert_eq!(c.num_clusters(), 2);
@@ -292,7 +289,8 @@ mod tests {
             pts.push(vec![0.0 + 0.01 * i as f64, 0.0]);
             pts.push(vec![10.0 + 0.01 * i as f64, 10.0]);
         }
-        let c = centroid_hierarchical(&pts, CentroidConfig::plain(2));
+        let c = centroid_hierarchical(&pts, CentroidConfig::plain(2), &RunGovernor::unlimited())
+            .unwrap();
         assert_eq!(c.num_clusters(), 2);
         assert_eq!(c.sizes(), vec![10, 10]);
         for cl in &c.clusters {
@@ -315,7 +313,8 @@ mod tests {
             pts.push(vec![100.0, i as f64 * 0.1]);
         }
         pts.push(vec![5000.0, 5000.0]);
-        let c = centroid_hierarchical(&pts, CentroidConfig::paper(2));
+        let c = centroid_hierarchical(&pts, CentroidConfig::paper(2), &RunGovernor::unlimited())
+            .unwrap();
         assert_eq!(c.num_clusters(), 2);
         assert_eq!(c.outliers, vec![8]);
     }
@@ -323,7 +322,8 @@ mod tests {
     #[test]
     fn k_equals_n_is_identity() {
         let pts = vec![vec![0.0], vec![1.0], vec![2.0]];
-        let c = centroid_hierarchical(&pts, CentroidConfig::plain(3));
+        let c = centroid_hierarchical(&pts, CentroidConfig::plain(3), &RunGovernor::unlimited())
+            .unwrap();
         assert_eq!(c.num_clusters(), 3);
         assert!(c.outliers.is_empty());
     }
@@ -331,7 +331,12 @@ mod tests {
     #[test]
     fn centroids_returned_match_members() {
         let pts = vec![vec![0.0, 0.0], vec![0.0, 2.0], vec![10.0, 0.0], vec![10.0, 2.0]];
-        let (c, cents) = centroid_hierarchical_with_centroids(&pts, CentroidConfig::plain(2));
+        let (c, cents) = centroid_hierarchical_with_centroids(
+            &pts,
+            CentroidConfig::plain(2),
+            &RunGovernor::unlimited(),
+        )
+        .unwrap();
         assert_eq!(c.num_clusters(), 2);
         for (cl, cent) in c.clusters.iter().zip(&cents) {
             let x0: f64 = cl.iter().map(|&p| pts[p as usize][0]).sum::<f64>() / cl.len() as f64;
@@ -353,7 +358,8 @@ mod tests {
             vec![1.0, 5.0],   // x
             vec![1.0, 10.1],  // j: x's initial nearest is NOT j (5.1)… keep j far
         ];
-        let c = centroid_hierarchical(&pts, CentroidConfig::plain(2));
+        let c = centroid_hierarchical(&pts, CentroidConfig::plain(2), &RunGovernor::unlimited())
+            .unwrap();
         // u and v merge first (distance 2); then x (distance 5 to the
         // merged centroid) joins them rather than pairing with far-away j.
         assert_eq!(c.clusters, vec![vec![0, 1, 2], vec![3]]);
@@ -364,26 +370,22 @@ mod tests {
         let pts: Vec<Vec<f64>> = (0..30)
             .map(|i| vec![(i % 7) as f64, (i % 5) as f64, (i % 3) as f64])
             .collect();
-        let a = centroid_hierarchical(&pts, CentroidConfig::plain(4));
-        let b = centroid_hierarchical(&pts, CentroidConfig::plain(4));
+        let a = centroid_hierarchical(&pts, CentroidConfig::plain(4), &RunGovernor::unlimited())
+            .unwrap();
+        let b = centroid_hierarchical(&pts, CentroidConfig::plain(4), &RunGovernor::unlimited())
+            .unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
-    fn governed_matches_plain_and_cancels() {
+    fn cancelled_governor_interrupts() {
         let pts: Vec<Vec<f64>> = (0..30)
             .map(|i| vec![(i % 7) as f64, (i % 5) as f64, (i % 3) as f64])
             .collect();
-        let plain = centroid_hierarchical(&pts, CentroidConfig::plain(4));
-        let governed =
-            centroid_hierarchical_governed(&pts, CentroidConfig::plain(4), &RunGovernor::unlimited())
-                .unwrap();
-        assert_eq!(plain, governed);
-
         let token = CancellationToken::new();
         token.cancel();
         let g = RunGovernor::unlimited().with_cancel_token(token);
-        let err = centroid_hierarchical_governed(&pts, CentroidConfig::plain(4), &g).unwrap_err();
+        let err = centroid_hierarchical(&pts, CentroidConfig::plain(4), &g).unwrap_err();
         assert!(matches!(
             err,
             RockError::Interrupted {
@@ -397,6 +399,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "zero points")]
     fn empty_input_panics() {
-        let _ = centroid_hierarchical(&[], CentroidConfig::plain(1));
+        let _ = centroid_hierarchical(&[], CentroidConfig::plain(1), &RunGovernor::unlimited())
+            .unwrap();
     }
 }

@@ -114,27 +114,15 @@ fn local_optimum<S: PairwiseSimilarity, R: Rng + ?Sized>(
 
 /// Runs CLARANS over an index-pairwise similarity.
 ///
-/// # Panics
-/// Panics if `k == 0` or `k > n`.
-pub fn clarans<S: PairwiseSimilarity, R: Rng + ?Sized>(
-    sim: &S,
-    config: ClaransConfig,
-    rng: &mut R,
-) -> ClaransResult {
-    // tidy-allow(panic): an unlimited governor never trips
-    clarans_governed(sim, config, rng, &RunGovernor::unlimited())
-        .expect("an unlimited governor never trips")
-}
-
-/// As [`clarans`], under a [`RunGovernor`]: the budgets and cancellation
-/// token are checked at every swap attempt.
+/// The budgets and cancellation token of `governor` are checked at every
+/// swap attempt; pass [`RunGovernor::unlimited`] for an ungoverned run.
 ///
 /// # Errors
 /// [`RockError::Interrupted`] when the governor trips.
 ///
 /// # Panics
-/// As [`clarans`] on invalid input.
-pub fn clarans_governed<S: PairwiseSimilarity, R: Rng + ?Sized>(
+/// Panics if `k == 0` or `k > n`.
+pub fn clarans<S: PairwiseSimilarity, R: Rng + ?Sized>(
     sim: &S,
     config: ClaransConfig,
     rng: &mut R,
@@ -207,7 +195,7 @@ mod tests {
             }
         });
         let mut rng = StdRng::seed_from_u64(94);
-        let r = clarans(&m, ClaransConfig::new(2), &mut rng);
+        let r = clarans(&m, ClaransConfig::new(2), &mut rng, &RunGovernor::unlimited()).unwrap();
         assert_eq!(r.clustering.sizes(), vec![6, 6]);
         assert!(r.cost < 12.0 * 0.2);
         for cl in &r.clustering.clusters {
@@ -230,7 +218,7 @@ mod tests {
             .collect();
         let pw = PointsWith::new(&ts, Jaccard);
         let mut rng = StdRng::seed_from_u64(5);
-        let r = clarans(&pw, ClaransConfig::new(2), &mut rng);
+        let r = clarans(&pw, ClaransConfig::new(2), &mut rng, &RunGovernor::unlimited()).unwrap();
         for (cl, &m) in r.clustering.clusters.iter().zip(&r.medoids) {
             assert!(cl.binary_search(&m).is_ok());
         }
@@ -240,7 +228,7 @@ mod tests {
     fn k_equals_n_zero_cost() {
         let m = SimilarityMatrix::from_fn(4, |_, _| 0.3);
         let mut rng = StdRng::seed_from_u64(1);
-        let r = clarans(&m, ClaransConfig::new(4), &mut rng);
+        let r = clarans(&m, ClaransConfig::new(4), &mut rng, &RunGovernor::unlimited()).unwrap();
         assert!(r.cost < 1e-9, "every point is its own medoid");
     }
 
@@ -263,7 +251,9 @@ mod tests {
                     max_neighbor: 100,
                 },
                 &mut rng,
+                &RunGovernor::unlimited(),
             )
+            .unwrap()
             .cost
         };
         // More restarts explore at least as much (same seed stream, so
@@ -276,6 +266,6 @@ mod tests {
     fn k_zero_panics() {
         let m = SimilarityMatrix::new(3);
         let mut rng = StdRng::seed_from_u64(0);
-        let _ = clarans(&m, ClaransConfig::new(0), &mut rng);
+        let _ = clarans(&m, ClaransConfig::new(0), &mut rng, &RunGovernor::unlimited()).unwrap();
     }
 }

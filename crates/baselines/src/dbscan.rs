@@ -33,18 +33,14 @@ impl DbscanConfig {
 /// Clusters are maximal sets of density-connected points; border points
 /// (non-core neighbors of a core point) join the first cluster that
 /// reaches them; everything else is noise (reported as outliers).
-pub fn dbscan(graph: &NeighborGraph, config: DbscanConfig) -> Clustering {
-    // tidy-allow(panic): an unlimited governor never trips
-    dbscan_governed(graph, config, &RunGovernor::unlimited())
-        .expect("an unlimited governor never trips")
-}
-
-/// As [`dbscan`], under a [`RunGovernor`]: the budgets and cancellation
-/// token are checked at every seed-point expansion.
+///
+/// The budgets and cancellation token of `governor` are checked at every
+/// seed-point expansion; pass [`RunGovernor::unlimited`] for an
+/// ungoverned run.
 ///
 /// # Errors
 /// [`RockError::Interrupted`] when the governor trips.
-pub fn dbscan_governed(
+pub fn dbscan(
     graph: &NeighborGraph,
     config: DbscanConfig,
     governor: &RunGovernor,
@@ -114,7 +110,7 @@ mod tests {
             Transaction::from([99]),
         ];
         let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
-        let c = dbscan(&g, DbscanConfig::new(3));
+        let c = dbscan(&g, DbscanConfig::new(3), &RunGovernor::unlimited()).unwrap();
         assert_eq!(c.sizes(), vec![4, 4]);
         assert_eq!(c.outliers, vec![8]);
     }
@@ -134,7 +130,7 @@ mod tests {
         m.set(3, 4, 0.9); // border point 4
         m.set(4, 5, 0.9); // 5 hangs off the border point — NOT reachable
         let g = NeighborGraph::build(&m, 0.5);
-        let c = dbscan(&g, DbscanConfig::new(4));
+        let c = dbscan(&g, DbscanConfig::new(4), &RunGovernor::unlimited()).unwrap();
         assert_eq!(c.num_clusters(), 1);
         assert_eq!(c.clusters[0], vec![0, 1, 2, 3, 4]);
         assert_eq!(c.outliers, vec![5]);
@@ -167,7 +163,7 @@ mod tests {
             ts
         };
         let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
-        let c = dbscan(&g, DbscanConfig::new(3));
+        let c = dbscan(&g, DbscanConfig::new(3), &RunGovernor::unlimited()).unwrap();
         assert_eq!(c.num_clusters(), 1, "DBSCAN merges Fig. 1's clusters");
     }
 
@@ -175,7 +171,7 @@ mod tests {
     fn all_noise_when_min_pts_too_high() {
         let m = SimilarityMatrix::new(4);
         let g = NeighborGraph::build(&m, 0.5);
-        let c = dbscan(&g, DbscanConfig::new(2));
+        let c = dbscan(&g, DbscanConfig::new(2), &RunGovernor::unlimited()).unwrap();
         assert_eq!(c.num_clusters(), 0);
         assert_eq!(c.outliers.len(), 4);
     }

@@ -50,27 +50,15 @@ pub struct KMeansResult {
 
 /// Runs k-means++ seeding followed by Lloyd iterations.
 ///
-/// # Panics
-/// Panics if `points` is empty, `k == 0`, or `k > points.len()`.
-pub fn kmeans<R: Rng + ?Sized>(
-    points: &[Vec<f64>],
-    config: KMeansConfig,
-    rng: &mut R,
-) -> KMeansResult {
-    // tidy-allow(panic): an unlimited governor never trips
-    kmeans_governed(points, config, rng, &RunGovernor::unlimited())
-        .expect("an unlimited governor never trips")
-}
-
-/// As [`kmeans`], under a [`RunGovernor`]: the budgets and cancellation
-/// token are checked at every Lloyd sweep.
+/// The budgets and cancellation token of `governor` are checked at every
+/// Lloyd sweep; pass [`RunGovernor::unlimited`] for an ungoverned run.
 ///
 /// # Errors
 /// [`RockError::Interrupted`] when the governor trips.
 ///
 /// # Panics
-/// As [`kmeans`] on invalid input.
-pub fn kmeans_governed<R: Rng + ?Sized>(
+/// Panics if `points` is empty, `k == 0`, or `k > points.len()`.
+pub fn kmeans<R: Rng + ?Sized>(
     points: &[Vec<f64>],
     config: KMeansConfig,
     rng: &mut R,
@@ -218,7 +206,7 @@ mod tests {
     fn separates_blobs() {
         let pts = two_blobs();
         let mut rng = StdRng::seed_from_u64(1);
-        let r = kmeans(&pts, KMeansConfig::new(2), &mut rng);
+        let r = kmeans(&pts, KMeansConfig::new(2), &mut rng, &RunGovernor::unlimited()).unwrap();
         assert_eq!(r.clustering.sizes(), vec![20, 20]);
         for cl in &r.clustering.clusters {
             let even: std::collections::HashSet<bool> =
@@ -231,8 +219,8 @@ mod tests {
     fn criterion_decreases_with_better_k() {
         let pts = two_blobs();
         let mut rng = StdRng::seed_from_u64(2);
-        let r1 = kmeans(&pts, KMeansConfig::new(1), &mut rng);
-        let r2 = kmeans(&pts, KMeansConfig::new(2), &mut rng);
+        let r1 = kmeans(&pts, KMeansConfig::new(1), &mut rng, &RunGovernor::unlimited()).unwrap();
+        let r2 = kmeans(&pts, KMeansConfig::new(2), &mut rng, &RunGovernor::unlimited()).unwrap();
         assert!(r2.criterion < r1.criterion);
     }
 
@@ -240,7 +228,7 @@ mod tests {
     fn k_equals_n_gives_zero_criterion() {
         let pts: Vec<Vec<f64>> = (0..5).map(|i| vec![i as f64 * 100.0]).collect();
         let mut rng = StdRng::seed_from_u64(3);
-        let r = kmeans(&pts, KMeansConfig::new(5), &mut rng);
+        let r = kmeans(&pts, KMeansConfig::new(5), &mut rng, &RunGovernor::unlimited()).unwrap();
         assert!(r.criterion < 1e-9);
     }
 
@@ -248,7 +236,7 @@ mod tests {
     fn converges_and_reports_iterations() {
         let pts = two_blobs();
         let mut rng = StdRng::seed_from_u64(4);
-        let r = kmeans(&pts, KMeansConfig::new(2), &mut rng);
+        let r = kmeans(&pts, KMeansConfig::new(2), &mut rng, &RunGovernor::unlimited()).unwrap();
         assert!(r.iterations <= 100);
         assert!(r.iterations >= 1);
     }
@@ -257,6 +245,7 @@ mod tests {
     #[should_panic(expected = "k must be in 1..=n")]
     fn k_zero_panics() {
         let mut rng = StdRng::seed_from_u64(0);
-        let _ = kmeans(&[vec![0.0]], KMeansConfig::new(0), &mut rng);
+        let _ = kmeans(&[vec![0.0]], KMeansConfig::new(0), &mut rng, &RunGovernor::unlimited())
+            .unwrap();
     }
 }

@@ -84,28 +84,17 @@ fn mode_of(records: &[CategoricalRecord], members: &[u32], arity: usize) -> Cate
 
 /// Runs k-modes with random distinct seeding and Lloyd-style sweeps.
 ///
-/// # Panics
-/// Panics if `records` is empty, arities differ, `k == 0`, or
-/// `k > records.len()`.
-pub fn kmodes<R: Rng + ?Sized>(
-    records: &[CategoricalRecord],
-    config: KModesConfig,
-    rng: &mut R,
-) -> KModesResult {
-    // tidy-allow(panic): an unlimited governor never trips
-    kmodes_governed(records, config, rng, &RunGovernor::unlimited())
-        .expect("an unlimited governor never trips")
-}
-
-/// As [`kmodes`], under a [`RunGovernor`]: the budgets and cancellation
-/// token are checked at every reassignment sweep.
+/// The budgets and cancellation token of `governor` are checked at every
+/// reassignment sweep; pass [`RunGovernor::unlimited`] for an ungoverned
+/// run.
 ///
 /// # Errors
 /// [`RockError::Interrupted`] when the governor trips.
 ///
 /// # Panics
-/// As [`kmodes`] on invalid input.
-pub fn kmodes_governed<R: Rng + ?Sized>(
+/// Panics if `records` is empty, arities differ, `k == 0`, or
+/// `k > records.len()`.
+pub fn kmodes<R: Rng + ?Sized>(
     records: &[CategoricalRecord],
     config: KModesConfig,
     rng: &mut R,
@@ -226,7 +215,7 @@ mod tests {
     fn separates_patterns() {
         let rs = two_pattern_records();
         let mut rng = StdRng::seed_from_u64(11);
-        let r = kmodes(&rs, KModesConfig::new(2), &mut rng);
+        let r = kmodes(&rs, KModesConfig::new(2), &mut rng, &RunGovernor::unlimited()).unwrap();
         assert_eq!(r.clustering.sizes(), vec![10, 10]);
         for cl in &r.clustering.clusters {
             let even: std::collections::HashSet<bool> =
@@ -239,7 +228,7 @@ mod tests {
     fn modes_reflect_majority() {
         let rs = two_pattern_records();
         let mut rng = StdRng::seed_from_u64(11);
-        let r = kmodes(&rs, KModesConfig::new(2), &mut rng);
+        let r = kmodes(&rs, KModesConfig::new(2), &mut rng, &RunGovernor::unlimited()).unwrap();
         for m in &r.modes {
             let first = m.value(0).unwrap();
             assert!(first == 0 || first == 5);
@@ -263,7 +252,7 @@ mod tests {
         let best = (0..8)
             .map(|seed| {
                 let mut rng = StdRng::seed_from_u64(seed);
-                kmodes(&rs, KModesConfig::new(2), &mut rng).cost
+                kmodes(&rs, KModesConfig::new(2), &mut rng, &RunGovernor::unlimited()).unwrap().cost
             })
             .min()
             .unwrap();
@@ -275,6 +264,6 @@ mod tests {
     fn arity_mismatch_panics() {
         let rs = vec![rec(&[1]), rec(&[1, 2])];
         let mut rng = StdRng::seed_from_u64(5);
-        let _ = kmodes(&rs, KModesConfig::new(1), &mut rng);
+        let _ = kmodes(&rs, KModesConfig::new(1), &mut rng, &RunGovernor::unlimited()).unwrap();
     }
 }

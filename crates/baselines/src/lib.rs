@@ -16,9 +16,11 @@
 //!   the same θ-neighbor graph as ROCK;
 //! * [`vectorize`] — the §5 categorical → boolean 0/1 encoding;
 //! * [`models`] — [`rock_core::ClusterModel`] adapters putting every
-//!   baseline behind the same fit-and-report trait as ROCK, each with a
-//!   governed core (`*_governed`) accepting a
-//!   [`rock_core::governor::RunGovernor`] for cancellation and budgets.
+//!   baseline behind the same fit-and-report trait as ROCK.
+//!
+//! Every algorithm is one function taking a
+//! [`rock_core::governor::RunGovernor`] for cancellation and budgets;
+//! pass `RunGovernor::unlimited()` for an ungoverned run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,15 +34,12 @@ pub mod linkage;
 pub mod models;
 pub mod vectorize;
 
-pub use centroid::{
-    centroid_hierarchical, centroid_hierarchical_governed, centroid_hierarchical_with_centroids,
-    CentroidConfig,
-};
-pub use clarans::{clarans, clarans_governed, ClaransConfig, ClaransResult};
-pub use dbscan::{dbscan, dbscan_governed, DbscanConfig};
-pub use kmeans::{criterion_e, kmeans, kmeans_governed, KMeansConfig, KMeansResult};
-pub use kmodes::{kmodes, kmodes_governed, KModesConfig, KModesResult};
-pub use linkage::{similarity_linkage, similarity_linkage_governed, Linkage, LinkageConfig};
+pub use centroid::{centroid_hierarchical, centroid_hierarchical_with_centroids, CentroidConfig};
+pub use clarans::{clarans, ClaransConfig, ClaransResult};
+pub use dbscan::{dbscan, DbscanConfig};
+pub use kmeans::{criterion_e, kmeans, KMeansConfig, KMeansResult};
+pub use kmodes::{kmodes, KModesConfig, KModesResult};
+pub use linkage::{similarity_linkage, Linkage, LinkageConfig};
 pub use models::{
     CentroidModel, ClaransModel, DbscanModel, KMeansModel, KModesModel, LinkageModel,
 };

@@ -62,23 +62,15 @@ impl LinkageConfig {
 /// Runs agglomerative clustering under the configured linkage over a
 /// pairwise similarity.
 ///
-/// # Panics
-/// Panics if the point set is empty or `config.k == 0`.
-pub fn similarity_linkage<S: PairwiseSimilarity>(sim: &S, config: LinkageConfig) -> Clustering {
-    // tidy-allow(panic): an unlimited governor never trips
-    similarity_linkage_governed(sim, config, &RunGovernor::unlimited())
-        .expect("an unlimited governor never trips")
-}
-
-/// As [`similarity_linkage`], under a [`RunGovernor`]: the budgets and
-/// cancellation token are checked at every merge.
+/// The budgets and cancellation token of `governor` are checked at every
+/// merge; pass [`RunGovernor::unlimited`] for an ungoverned run.
 ///
 /// # Errors
 /// [`RockError::Interrupted`] when the governor trips.
 ///
 /// # Panics
-/// As [`similarity_linkage`] on invalid input.
-pub fn similarity_linkage_governed<S: PairwiseSimilarity>(
+/// Panics if the point set is empty or `config.k == 0`.
+pub fn similarity_linkage<S: PairwiseSimilarity>(
     sim: &S,
     config: LinkageConfig,
     governor: &RunGovernor,
@@ -208,7 +200,12 @@ mod tests {
     fn single_link_chains() {
         // Single link follows the chain: the 6 points collapse pairwise by
         // the strongest edges regardless of cluster diameter.
-        let c = similarity_linkage(&chain_matrix(), LinkageConfig::new(2, Linkage::Single));
+        let c = similarity_linkage(
+            &chain_matrix(),
+            LinkageConfig::new(2, Linkage::Single),
+            &RunGovernor::unlimited(),
+        )
+        .unwrap();
         assert_eq!(c.num_clusters(), 2);
         // Chaining keeps contiguous runs together.
         for cl in &c.clusters {
@@ -229,7 +226,12 @@ mod tests {
                 _ => 0.05,
             }
         });
-        let c = similarity_linkage(&m, LinkageConfig::new(2, Linkage::Complete));
+        let c = similarity_linkage(
+            &m,
+            LinkageConfig::new(2, Linkage::Complete),
+            &RunGovernor::unlimited(),
+        )
+        .unwrap();
         assert_eq!(c.clusters, vec![vec![0, 1], vec![2, 3]]);
     }
 
@@ -242,7 +244,12 @@ mod tests {
         // cluster.
         let ts = crate::testdata::figure1_transactions();
         let pw = PointsWith::new(&ts, Jaccard);
-        let c = similarity_linkage(&pw, LinkageConfig::new(2, Linkage::Average));
+        let c = similarity_linkage(
+            &pw,
+            LinkageConfig::new(2, Linkage::Average),
+            &RunGovernor::unlimited(),
+        )
+        .unwrap();
         let t123 = ts.iter().position(|t| *t == Transaction::from([1, 2, 3])).unwrap();
         let t127 = ts.iter().position(|t| *t == Transaction::from([1, 2, 7])).unwrap();
         assert_eq!(
@@ -258,7 +265,12 @@ mod tests {
         // through the {1,2,x} transactions (Jaccard 0.5 across clusters).
         let ts = crate::testdata::figure1_transactions();
         let pw = PointsWith::new(&ts, Jaccard);
-        let c = similarity_linkage(&pw, LinkageConfig::new(2, Linkage::Single));
+        let c = similarity_linkage(
+            &pw,
+            LinkageConfig::new(2, Linkage::Single),
+            &RunGovernor::unlimited(),
+        )
+        .unwrap();
         // The resulting split cannot be the correct (10, 4): the best
         // cross edge ties the best intra edges at 0.5.
         assert_ne!(c.sizes(), vec![10, 4], "single link bridges the clusters");
@@ -269,30 +281,31 @@ mod tests {
         let m = SimilarityMatrix::from_fn(4, |i, j| if i / 2 == j / 2 { 0.9 } else { 0.0 });
         let mut cfg = LinkageConfig::new(1, Linkage::Single);
         cfg.min_similarity = 0.5;
-        let c = similarity_linkage(&m, cfg);
+        let c = similarity_linkage(&m, cfg, &RunGovernor::unlimited()).unwrap();
         assert_eq!(c.num_clusters(), 2, "zero-similarity merge refused");
     }
 
     #[test]
     fn k_one_merges_everything_without_threshold() {
         let m = SimilarityMatrix::from_fn(5, |_, _| 0.5);
-        let c = similarity_linkage(&m, LinkageConfig::new(1, Linkage::Average));
+        let c = similarity_linkage(
+            &m,
+            LinkageConfig::new(1, Linkage::Average),
+            &RunGovernor::unlimited(),
+        )
+        .unwrap();
         assert_eq!(c.num_clusters(), 1);
         assert_eq!(c.clusters[0].len(), 5);
     }
 
     #[test]
-    fn governed_matches_plain_and_cancels() {
+    fn cancelled_governor_interrupts() {
         let m = chain_matrix();
         let cfg = LinkageConfig::new(2, Linkage::Average);
-        let plain = similarity_linkage(&m, cfg);
-        let governed = similarity_linkage_governed(&m, cfg, &RunGovernor::unlimited()).unwrap();
-        assert_eq!(plain, governed);
-
         let token = CancellationToken::new();
         token.cancel();
         let g = RunGovernor::unlimited().with_cancel_token(token);
-        let err = similarity_linkage_governed(&m, cfg, &g).unwrap_err();
+        let err = similarity_linkage(&m, cfg, &g).unwrap_err();
         assert!(matches!(
             err,
             RockError::Interrupted {

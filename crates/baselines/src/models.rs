@@ -10,12 +10,12 @@
 //!
 //! | Model | Data type `D` | Core driver |
 //! |---|---|---|
-//! | [`CentroidModel`] | `[Vec<f64>]` | [`centroid_hierarchical_governed`] |
-//! | [`KMeansModel`] | `[Vec<f64>]` | [`kmeans_governed`] |
-//! | [`KModesModel`] | `[CategoricalRecord]` | [`kmodes_governed`] |
-//! | [`LinkageModel`] | any [`PairwiseSimilarity`] | [`similarity_linkage_governed`] |
-//! | [`ClaransModel`] | any [`PairwiseSimilarity`] | [`clarans_governed`] |
-//! | [`DbscanModel`] | any [`PairwiseSimilarity`] `+ Sync` | [`dbscan_governed`] |
+//! | [`CentroidModel`] | `[Vec<f64>]` | [`centroid_hierarchical`] |
+//! | [`KMeansModel`] | `[Vec<f64>]` | [`kmeans`] |
+//! | [`KModesModel`] | `[CategoricalRecord]` | [`kmodes`] |
+//! | [`LinkageModel`] | any [`PairwiseSimilarity`] | [`similarity_linkage`] |
+//! | [`ClaransModel`] | any [`PairwiseSimilarity`] | [`clarans`] |
+//! | [`DbscanModel`] | any [`PairwiseSimilarity`] `+ Sync` | [`dbscan`] |
 //!
 //! (`rock_core::RockModel` completes the set — ROCK over point slices.)
 //!
@@ -34,12 +34,12 @@ use rock_core::points::CategoricalRecord;
 use rock_core::report::{PhaseTimer, RunReport};
 use rock_core::similarity::PairwiseSimilarity;
 
-use crate::centroid::{centroid_hierarchical_governed, CentroidConfig};
-use crate::clarans::{clarans_governed, ClaransConfig};
-use crate::dbscan::{dbscan_governed, DbscanConfig};
-use crate::kmeans::{kmeans_governed, KMeansConfig};
-use crate::kmodes::{kmodes_governed, KModesConfig};
-use crate::linkage::{similarity_linkage_governed, Linkage, LinkageConfig};
+use crate::centroid::{centroid_hierarchical, CentroidConfig};
+use crate::clarans::{clarans, ClaransConfig};
+use crate::dbscan::{dbscan, DbscanConfig};
+use crate::kmeans::{kmeans, KMeansConfig};
+use crate::kmodes::{kmodes, KModesConfig};
+use crate::linkage::{similarity_linkage, Linkage, LinkageConfig};
 
 /// Wraps a finished clustering into a [`ModelFit`], accounting for the
 /// timed "cluster" phase and the outlier count.
@@ -87,7 +87,7 @@ impl ClusterModel<[Vec<f64>]> for CentroidModel {
         let mut report = RunReport::new();
         report.records_read = data.len() as u64;
         let timer = PhaseTimer::start();
-        let clustering = centroid_hierarchical_governed(data, self.config, &self.governor)?;
+        let clustering = centroid_hierarchical(data, self.config, &self.governor)?;
         Ok(finish(clustering, timer, report))
     }
 }
@@ -128,7 +128,7 @@ impl ClusterModel<[Vec<f64>]> for KMeansModel {
         report.records_read = data.len() as u64;
         let mut rng = StdRng::seed_from_u64(self.seed);
         let timer = PhaseTimer::start();
-        let result = kmeans_governed(data, self.config, &mut rng, &self.governor)?;
+        let result = kmeans(data, self.config, &mut rng, &self.governor)?;
         Ok(finish(result.clustering, timer, report))
     }
 }
@@ -169,7 +169,7 @@ impl ClusterModel<[CategoricalRecord]> for KModesModel {
         report.records_read = data.len() as u64;
         let mut rng = StdRng::seed_from_u64(self.seed);
         let timer = PhaseTimer::start();
-        let result = kmodes_governed(data, self.config, &mut rng, &self.governor)?;
+        let result = kmodes(data, self.config, &mut rng, &self.governor)?;
         Ok(finish(result.clustering, timer, report))
     }
 }
@@ -212,7 +212,7 @@ impl<PS: PairwiseSimilarity> ClusterModel<PS> for LinkageModel {
         let mut report = RunReport::new();
         report.records_read = data.len() as u64;
         let timer = PhaseTimer::start();
-        let clustering = similarity_linkage_governed(data, self.config, &self.governor)?;
+        let clustering = similarity_linkage(data, self.config, &self.governor)?;
         Ok(finish(clustering, timer, report))
     }
 }
@@ -254,7 +254,7 @@ impl<PS: PairwiseSimilarity> ClusterModel<PS> for ClaransModel {
         report.records_read = data.len() as u64;
         let mut rng = StdRng::seed_from_u64(self.seed);
         let timer = PhaseTimer::start();
-        let result = clarans_governed(data, self.config, &mut rng, &self.governor)?;
+        let result = clarans(data, self.config, &mut rng, &self.governor)?;
         Ok(finish(result.clustering, timer, report))
     }
 }
@@ -313,7 +313,7 @@ impl<PS: PairwiseSimilarity + Sync> ClusterModel<PS> for DbscanModel {
         };
         timer.record(&mut report, "neighbors");
         let timer = PhaseTimer::start();
-        let clustering = dbscan_governed(&graph, self.config, &self.governor)?;
+        let clustering = dbscan(&graph, self.config, &self.governor)?;
         Ok(finish(clustering, timer, report))
     }
 }
@@ -353,7 +353,12 @@ mod tests {
         let fit = model.fit(&vs).unwrap();
         assert_eq!(
             fit.clustering,
-            crate::centroid::centroid_hierarchical(&vs, CentroidConfig::plain(2))
+            crate::centroid::centroid_hierarchical(
+                &vs,
+                CentroidConfig::plain(2),
+                &RunGovernor::unlimited()
+            )
+            .unwrap()
         );
         assert_eq!(fit.report.records_read, 12);
         assert!(fit.report.phase_duration("cluster").is_some());
@@ -384,7 +389,8 @@ mod tests {
         let model = KModesModel::new(KModesConfig::new(2), 11);
         let fit = model.fit(&rs).unwrap();
         let mut rng = StdRng::seed_from_u64(11);
-        assert_eq!(fit.clustering, kmodes(&rs, KModesConfig::new(2), &mut rng).clustering);
+        let direct = kmodes(&rs, KModesConfig::new(2), &mut rng, &RunGovernor::unlimited());
+        assert_eq!(fit.clustering, direct.unwrap().clustering);
     }
 
     #[test]

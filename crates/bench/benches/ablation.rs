@@ -19,7 +19,13 @@ fn bench_goodness_kinds(c: &mut Criterion) {
     let spec = SyntheticBasketSpec::paper_scaled(0.01);
     let data = generate_baskets(&spec, &mut StdRng::seed_from_u64(3));
     let graph = NeighborGraph::build(&PointsWith::new(&data.transactions, Jaccard), 0.5);
-    let links = rock_core::links::compute_links_auto(&graph);
+    let links =
+        rock_core::LinkMatrix::from_table(&rock_core::links::compute_links_auto(&graph));
+    let unlimited = rock_core::RunGovernor::unlimited();
+    let merge = |algo: &RockAlgorithm| {
+        algo.run_governed(&graph, &links, &unlimited, None)
+            .expect("an unlimited governor never trips")
+    };
 
     // Quality side of the ablation, printed once: the raw-link criterion
     // lets large clusters swallow small ones (§4.2).
@@ -29,7 +35,7 @@ fn bench_goodness_kinds(c: &mut Criterion) {
     ] {
         let goodness = Goodness::new(0.5, BasketF, kind);
         let algo = RockAlgorithm::new(goodness, 10, OutlierPolicy::default());
-        let run = algo.run_with_links(&graph, &links);
+        let run = merge(&algo);
         let pred = run.clustering.assignments(data.transactions.len());
         let truth: Vec<usize> = data.labels.iter().map(|l| l.map_or(10, |c| c)).collect();
         let pred_flat: Vec<usize> = pred.iter().map(|p| p.map_or(99, |c| c)).collect();
@@ -48,7 +54,7 @@ fn bench_goodness_kinds(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(name), &kind, |b, &kind| {
             let goodness = Goodness::new(0.5, BasketF, kind);
             let algo = RockAlgorithm::new(goodness, 10, OutlierPolicy::default());
-            b.iter(|| black_box(algo.run_with_links(&graph, &links)))
+            b.iter(|| black_box(merge(&algo)))
         });
     }
     group.finish();
@@ -93,7 +99,7 @@ fn bench_labeling_fraction(c: &mut Criterion) {
                     .seed(99)
                     .build()
                     .expect("valid");
-                b.iter(|| black_box(rock.run(&data.transactions, &Jaccard)))
+                b.iter(|| black_box(rock.run(&data.transactions, &Jaccard).expect("no budget")))
             },
         );
     }

@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{rngs::StdRng, SeedableRng};
+use rock_core::governor::RunGovernor;
 use rock_core::labeling::Labeler;
 use rock_core::similarity::Jaccard;
 use rock_core::Rock;
@@ -25,7 +26,7 @@ fn setup() -> (rock_data::SyntheticBasketData, Labeler<rock_core::points::Transa
         &mut StdRng::seed_from_u64(13),
     );
     let sample: Vec<_> = idx.iter().map(|&i| data.transactions[i].clone()).collect();
-    let run = rock.cluster(&sample, &Jaccard);
+    let run = rock.cluster(&sample, &Jaccard).expect("no budget");
     let labeler = Labeler::new(
         &sample,
         &run.clustering.clusters,
@@ -47,7 +48,12 @@ fn bench_threads(c: &mut Criterion) {
             &threads,
             |b, &threads| {
                 b.iter(|| {
-                    black_box(labeler.label_all_parallel(&data.transactions, &Jaccard, threads))
+                    black_box(labeler.label_all(
+                        &data.transactions,
+                        &Jaccard,
+                        threads,
+                        &RunGovernor::unlimited(),
+                    ))
                 })
             },
         );

@@ -30,6 +30,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::alloc::{GlobalAlloc, Layout, System};
 use rand::{rngs::StdRng, SeedableRng};
+use rock_core::governor::RunGovernor;
 use rock_core::labeling::Labeler;
 use rock_core::links::compute_links_sparse;
 use rock_core::links_matrix::LinkMatrix;
@@ -148,14 +149,15 @@ fn bench_labeling(c: &mut Criterion) {
     let labeler = Labeler::full(sample, &clusters, THETA, 1.0 / 3.0);
     let mut group = c.benchmark_group("labeling");
     group.bench_function(BenchmarkId::from("seq").threads(1), |b| {
-        b.iter(|| black_box(labeler.label_all(&pool, &Jaccard)))
+        b.iter(|| black_box(labeler.label_all(&pool, &Jaccard, 1, &RunGovernor::unlimited())))
     });
     for threads in THREAD_COUNTS {
         group.bench_with_input(
             BenchmarkId::new("par", threads).threads(threads),
             &threads,
             |b, &threads| {
-                b.iter(|| black_box(labeler.label_all_parallel(&pool, &Jaccard, threads)))
+                let unlimited = RunGovernor::unlimited();
+                b.iter(|| black_box(labeler.label_all(&pool, &Jaccard, threads, &unlimited)))
             },
         );
     }

@@ -10,6 +10,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{rngs::StdRng, SeedableRng};
 use rock_core::algorithm::{OutlierPolicy, RockAlgorithm};
 use rock_core::goodness::{BasketF, Goodness, GoodnessKind};
+use rock_core::governor::RunGovernor;
+use rock_core::links_matrix::LinkMatrix;
 use rock_core::neighbors::NeighborGraph;
 use rock_core::points::Transaction;
 use rock_core::similarity::{Jaccard, PointsWith};
@@ -63,8 +65,8 @@ fn bench_thetas(c: &mut Criterion) {
 
 fn bench_threads(c: &mut Criterion) {
     // End-to-end run at a fixed size across worker counts: neighbors,
-    // links and the merge loop all behind `run_parallel` — bit-identical
-    // output for every thread count, so this group measures speed only.
+    // links and the merge loop — bit-identical output for every thread
+    // count, so this group measures speed only.
     let pool = pool();
     let sample = &pool[..800.min(pool.len())];
     let mut group = c.benchmark_group("rock_threads");
@@ -81,7 +83,8 @@ fn bench_threads(c: &mut Criterion) {
                         0.5,
                         threads,
                     );
-                    black_box(algo.run_parallel(&graph, threads))
+                    let links = LinkMatrix::compute_auto(&graph, threads);
+                    black_box(algo.run_governed(&graph, &links, &RunGovernor::unlimited(), None))
                 })
             },
         );

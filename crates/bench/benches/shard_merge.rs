@@ -39,13 +39,14 @@ fn bench_shard_merge(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("shard_merge");
     group.bench_function("unsharded_baseline", |b| {
-        b.iter(|| black_box(rock.cluster(points, &Jaccard)))
+        b.iter(|| black_box(rock.cluster(points, &Jaccard).expect("unsharded run")))
     });
     for shards in [2usize, 4, 8] {
         group.bench_function(format!("shards_{shards}"), |b| {
             b.iter(|| {
                 black_box(
-                    rock.cluster_sharded(points, &Jaccard, shard_config(shards))
+                    rock.shard_supervisor(shard_config(shards))
+                        .and_then(|supervisor| supervisor.run(points, &Jaccard))
                         .expect("sharded run"),
                 )
             })

@@ -112,7 +112,7 @@ fn main() {
             .build()
             .expect("valid");
         let sim = CategoricalJaccard::new(MissingPolicy::CommonAttributes);
-        let (run, secs) = timed(|| rock.cluster(&data.records, &sim));
+        let (run, secs) = timed(|| rock.cluster(&data.records, &sim).expect("no budget is set"));
         let families = run
             .clustering
             .clusters
@@ -149,7 +149,8 @@ fn main() {
             .seed(seed)
             .build()
             .expect("valid");
-        let (result, secs) = timed(|| rock.run(&data.transactions, &Jaccard));
+        let (result, secs) =
+            timed(|| rock.run(&data.transactions, &Jaccard).expect("no budget is set").0);
         let m = count_misclassified(&result.labeling.assignments, &data.labels);
         rows.push(vec![
             format!("Table 6 (synthetic ×{scale}, sample {sample})"),

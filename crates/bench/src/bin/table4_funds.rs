@@ -49,7 +49,7 @@ fn main() {
         .build()
         .expect("valid config");
     let sim = CategoricalJaccard::new(MissingPolicy::CommonAttributes);
-    let (run, secs) = timed(|| rock.cluster(&data.records, &sim));
+    let (run, secs) = timed(|| rock.cluster(&data.records, &sim).expect("no budget is set"));
     println!("ROCK finished in {secs:.1}s");
 
     // Name each found cluster by its majority true group.

@@ -62,7 +62,8 @@ fn main() {
                 .seed(seed ^ sample as u64 ^ (theta * 10.0) as u64)
                 .build()
                 .expect("valid config");
-            let (result, secs) = timed(|| rock.run(&data.transactions, &Jaccard));
+            let (result, secs) =
+                timed(|| rock.run(&data.transactions, &Jaccard).expect("no budget is set").0);
             let m = count_misclassified(&result.labeling.assignments, &data.labels);
             row.push(format!("{} ({secs:.1}s)", m.misclassified));
         }

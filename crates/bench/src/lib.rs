@@ -175,6 +175,7 @@ pub fn rock_on_records(
     }
     let rock = builder.build().expect("valid config");
     rock.cluster(records, &CategoricalJaccard::new(policy))
+        .expect("an unlimited governor never trips and categorical Jaccard is finite")
 }
 
 /// Formats a contingency comparison the way the paper's Tables 2/3 read:

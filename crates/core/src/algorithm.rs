@@ -26,7 +26,6 @@ use crate::error::RockError;
 use crate::goodness::{Goodness, GoodnessKind};
 use crate::governor::{Phase, RunGovernor};
 use crate::incremental::IncrementalState;
-use crate::links::LinkTable;
 use crate::links_matrix::LinkMatrix;
 use crate::neighbors::NeighborGraph;
 use crate::wal::{parse_wal, MergeWal, WalBegin, WalSnapshot};
@@ -135,93 +134,38 @@ impl RockAlgorithm {
         self.k
     }
 
-    /// Clusters the points of `graph`: computes links (auto-selected CSR
-    /// kernel, see [`LinkMatrix::compute_auto`]) and runs the merge loop
-    /// (Fig. 3), single-threaded.
+    /// Clusters the points of `graph`, ungoverned and on one thread:
+    /// computes links (auto-selected CSR kernel, see
+    /// [`LinkMatrix::compute_auto`]) and runs the merge loop (Fig. 3)
+    /// through [`run_governed`](Self::run_governed) with an unlimited
+    /// governor and no WAL. The convenience for a prebuilt graph;
+    /// [`crate::rock::Rock::cluster`] is the governed, multi-threaded
+    /// entry point from points.
     pub fn run(&self, graph: &NeighborGraph) -> RockRun {
-        self.run_parallel(graph, 1)
+        let links = LinkMatrix::compute_auto(graph, 1);
+        self.run_governed(graph, &links, &RunGovernor::unlimited(), None)
+            // tidy-allow(panic): an unlimited governor has no budgets, no deadline and no cancel token, so drive() cannot trip
+            .expect("an unlimited governor never trips")
     }
 
-    /// As [`run`](Self::run) with the link computation spread over
-    /// `threads` workers. The clustering result is bit-identical to the
-    /// single-threaded run for every thread count (the link kernels are
-    /// deterministic; the merge loop is sequential either way).
+    /// Runs the merge loop (Fig. 3) over precomputed `links` (e.g.
+    /// [`LinkMatrix::compute_auto`], or [`LinkMatrix::from_table`] for a
+    /// hashmap [`crate::links::LinkTable`]), governed: budgets and
+    /// cancellation are checked every `check_every` merges, and every
+    /// merge decision is appended to `wal` (if given) *before* it is
+    /// counted as done, so an interrupted run can be continued by
+    /// [`resume`](Self::resume).
     ///
-    /// # Panics
-    /// Panics if `threads == 0`.
-    pub fn run_parallel(&self, graph: &NeighborGraph, threads: usize) -> RockRun {
-        let links = LinkMatrix::compute_auto(graph, threads);
-        self.run_with_matrix(graph, &links)
-    }
-
-    /// As [`run`](Self::run), with a precomputed CSR link matrix.
-    ///
-    /// # Panics
-    /// Panics if `links` is not defined over exactly `graph.len()` points.
-    pub fn run_with_matrix(&self, graph: &NeighborGraph, links: &LinkMatrix) -> RockRun {
-        assert_eq!(
-            links.num_points(),
-            graph.len(),
-            "link matrix and neighbor graph disagree on point count"
-        );
-        self.run_from_pairs(graph, links.iter_upper())
-    }
-
-    /// As [`run`](Self::run), with a precomputed link table (e.g. from
-    /// [`crate::links::compute_links_dense`] or
-    /// [`crate::links_l3::combine_links`]).
-    ///
-    /// # Panics
-    /// Panics if `links` is not defined over exactly `graph.len()` points.
-    pub fn run_with_links(&self, graph: &NeighborGraph, links: &LinkTable) -> RockRun {
-        assert_eq!(
-            links.num_points(),
-            graph.len(),
-            "link table and neighbor graph disagree on point count"
-        );
-        // tidy-allow(nondeterministic-iter): pair order only orders the link lists; both heaps break goodness ties by the larger key, so list order cannot reach the merge sequence
-        self.run_from_pairs(graph, links.iter())
-    }
-
-    /// As [`run_parallel`](Self::run_parallel), but governed: budgets and
-    /// cancellation are checked at phase boundaries and every
-    /// `check_every` merges, and every merge decision is appended to
-    /// `wal` (if given) *before* it is counted as done, so an
-    /// interrupted run can be continued by [`resume`](Self::resume).
-    ///
-    /// With an unlimited governor the result is bit-identical to
-    /// [`run_parallel`](Self::run_parallel).
+    /// The result does not depend on the governor when it lets the run
+    /// finish, nor on the thread count the links were computed with.
     ///
     /// # Errors
     /// [`RockError::Interrupted`] when the governor trips; `resumable`
     /// is `true` iff a WAL was being written.
-    pub fn run_governed(
-        &self,
-        graph: &NeighborGraph,
-        threads: usize,
-        governor: &RunGovernor,
-        wal: Option<&mut MergeWal>,
-    ) -> Result<RockRun, RockError> {
-        governor.check(Phase::Links)?;
-        let links = LinkMatrix::compute_auto(graph, threads);
-        let link_bytes = links.memory_bytes() as u64;
-        governor.charge(link_bytes);
-        let result = governor
-            .check(Phase::Links)
-            .and_then(|()| self.run_with_matrix_governed(graph, &links, governor, wal));
-        governor.release(link_bytes);
-        result
-    }
-
-    /// As [`run_with_matrix`](Self::run_with_matrix), governed and
-    /// optionally WAL-logged (see [`run_governed`](Self::run_governed)).
-    ///
-    /// # Errors
-    /// [`RockError::Interrupted`] when the governor trips.
     ///
     /// # Panics
     /// Panics if `links` is not defined over exactly `graph.len()` points.
-    pub fn run_with_matrix_governed(
+    pub fn run_governed(
         &self,
         graph: &NeighborGraph,
         links: &LinkMatrix,
@@ -314,21 +258,6 @@ impl RockAlgorithm {
         }
         self.drive(&mut engine, governor, wal_out.as_deref_mut())?;
         Ok(self.finish(engine, wal_out))
-    }
-
-    /// The Fig.-3 merge loop seeded from a stream of `((i, j), count)`
-    /// linked pairs (`i < j`, each pair at most once, any order).
-    fn run_from_pairs(
-        &self,
-        graph: &NeighborGraph,
-        pairs: impl Iterator<Item = ((u32, u32), u32)>,
-    ) -> RockRun {
-        let mut engine = self.init_from_pairs(graph, pairs);
-        let governor = RunGovernor::unlimited();
-        self.drive(&mut engine, &governor, None)
-            // tidy-allow(panic): an unlimited governor has no budgets, no deadline and no cancel token, so drive() cannot trip
-            .expect("an unlimited governor never trips");
-        self.finish(engine, None)
     }
 
     /// Builds the initial engine state: §4.6 first pruning, singleton
@@ -876,7 +805,7 @@ mod tests {
         let killed = RunGovernor::unlimited().with_kill_at(Phase::Merge, 3);
         let links = LinkMatrix::compute_auto(&g, 1);
         assert!(engine
-            .run_with_matrix_governed(&g, &links, &killed, Some(&mut wal))
+            .run_governed(&g, &links, &killed, Some(&mut wal))
             .is_err());
         let replay = parse_wal(wal.as_bytes()).unwrap();
         let mut snap = replay.snapshot.clone().unwrap();

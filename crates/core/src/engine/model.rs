@@ -168,7 +168,7 @@ pub trait IncrementalModel<D: ?Sized>: ClusterModel<D> {
 }
 
 /// ROCK as a [`ClusterModel`]: the full governed Fig.-2 pipeline
-/// ([`crate::rock::Rock::try_run`]) with a user-chosen similarity
+/// ([`crate::rock::Rock::run`]) with a user-chosen similarity
 /// measure baked in.
 #[derive(Clone, Debug)]
 pub struct RockModel<S> {
@@ -202,7 +202,7 @@ impl<S> RockModel<S> {
         P: ArtifactPoint + Clone + Sync,
         S: Similarity<P> + Sync,
     {
-        let (result, report, labeler) = self.rock.try_run_labeled(data, &self.measure)?;
+        let (result, report, labeler) = self.rock.session().fit_with_labeler(data, &self.measure)?;
         let dendrogram = Dendrogram::from_run(&result.sample_run);
         let fit = ModelFit {
             clustering: result.full_clustering(),
@@ -231,7 +231,7 @@ where
     }
 
     fn fit(&self, data: &[P]) -> Result<ModelFit, RockError> {
-        let (result, report) = self.rock.try_run(data, &self.measure)?;
+        let (result, report) = self.rock.run(data, &self.measure)?;
         let dendrogram = Dendrogram::from_run(&result.sample_run);
         Ok(ModelFit {
             clustering: result.full_clustering(),

@@ -349,24 +349,30 @@ impl<'w> Pipeline<'w> {
         ))
     }
 
-    /// The journaled whole-data composition: neighbors → merge, with
-    /// every merge decision appended to the attached WAL and the graph
-    /// bytes charged for the duration. The degradation policy
-    /// deliberately does *not* apply — a WAL-journaled run prefers an
-    /// exact resume over an approximate finish.
+    /// The whole-data composition: neighbors → links → merge, with the
+    /// non-finite similarity guard, the graph bytes charged for the
+    /// duration, and every merge decision appended to the attached WAL
+    /// (if any). The degradation policy deliberately does *not* apply —
+    /// a WAL-journaled run prefers an exact resume over an approximate
+    /// finish, and an unjournaled one behaves the same way.
     ///
     /// # Errors
-    /// [`RockError::Interrupted`] (with `resumable: true`) when the
-    /// governor trips mid-merge.
+    /// [`RockError::NonFiniteSimilarity`] if `sim` returned a NaN/±∞
+    /// for any pair, [`RockError::Interrupted`] when the governor trips
+    /// (`resumable: true` once a WAL is being written).
     pub fn fit_wal<PS: PairwiseSimilarity + Sync>(
         mut self,
         sim: &PS,
     ) -> Result<RockRun, RockError> {
+        let checked = CheckedSimilarity::new(sim);
         let graph = self.stage(NeighborsStage {
-            sim,
+            sim: &checked,
             theta: self.config.theta,
             threads: self.config.threads,
         })?;
+        if let Some(e) = checked.error() {
+            return Err(e);
+        }
         let graph_bytes = graph.memory_bytes() as u64;
         self.ctx.governor.charge(graph_bytes);
         let algorithm = self.algorithm();

@@ -164,7 +164,7 @@ impl Stage for LinksStage<'_> {
 /// one is attached.
 ///
 /// With precomputed `links` the merge loop runs directly over them;
-/// without, the algorithm computes links itself (the journaled
+/// without, the stage computes and charges them itself (the journaled
 /// whole-data path). The entry checkpoint reports under the phase whose
 /// memory charge it observes — [`Phase::Links`] when links were just
 /// charged by the pipeline, [`Phase::Neighbors`] when only the graph
@@ -199,20 +199,24 @@ impl Stage for MergeStage<'_> {
     }
 
     fn run(self, ctx: &mut RunCtx<'_>) -> Result<RockRun, RockError> {
-        match self.links {
-            Some(links) => self.algorithm.run_with_matrix_governed(
-                self.graph,
-                links,
-                &ctx.governor,
-                ctx.wal.as_deref_mut(),
-            ),
-            None => self.algorithm.run_governed(
-                self.graph,
-                self.threads,
-                &ctx.governor,
-                ctx.wal.as_deref_mut(),
-            ),
+        if let Some(links) = self.links {
+            return self
+                .algorithm
+                .run_governed(self.graph, links, &ctx.governor, ctx.wal.as_deref_mut());
         }
+        // Self-computed links: checkpoint before computing them, charge
+        // their bytes, and checkpoint again so the merge observes the
+        // charge.
+        ctx.governor.check(Phase::Links)?;
+        let links = LinkMatrix::compute_auto(self.graph, self.threads);
+        let link_bytes = links.memory_bytes() as u64;
+        ctx.governor.charge(link_bytes);
+        let result = ctx.governor.check(Phase::Links).and_then(|()| {
+            self.algorithm
+                .run_governed(self.graph, &links, &ctx.governor, ctx.wal.as_deref_mut())
+        });
+        ctx.governor.release(link_bytes);
+        result
     }
 }
 
@@ -266,8 +270,7 @@ where
             self.ftheta,
             &mut ctx.rng,
         )?;
-        let labeling =
-            labeler.label_all_governed(self.data, self.measure, self.threads, &ctx.governor)?;
+        let labeling = labeler.label_all(self.data, self.measure, self.threads, &ctx.governor)?;
         Ok((labeler, labeling))
     }
 }

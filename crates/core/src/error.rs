@@ -40,8 +40,8 @@ pub enum RockError {
     InvalidSubsampleFraction(f64),
     /// A user-supplied similarity measure returned NaN or ±∞.
     ///
-    /// Surfaced by the checked entry points ([`crate::rock::Rock::try_cluster`],
-    /// [`crate::rock::Rock::try_cluster_pairwise`], [`crate::rock::Rock::try_run`]
+    /// Surfaced by the driver entry points ([`crate::rock::Rock::cluster`],
+    /// [`crate::rock::Rock::run`], [`crate::engine::Pipeline::fit_wal`]
     /// and [`crate::labeling::Labeler::label_point_checked`]) instead of
     /// letting the value poison neighbor decisions or trip heap asserts
     /// mid-merge.

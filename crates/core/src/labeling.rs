@@ -31,7 +31,7 @@ use rand::Rng;
 use std::convert::Infallible;
 
 /// Minimum labeling cost (points × total labeling-set size — i.e.
-/// similarity evaluations) before [`Labeler::label_all_parallel`] spawns
+/// similarity evaluations) before [`Labeler::label_all`] spawns
 /// workers. Below this the whole pass is faster than thread spawn/join.
 /// Replaces the old `data.len() < 1024` bailout, which misjudged both
 /// huge labeling sets over few points and tiny sets over many.
@@ -210,63 +210,32 @@ impl<P: Clone> Labeler<P> {
         Ok(score_checked(point, &self.sets, &self.norms, self.theta, sim)?.map(|(c, _)| c))
     }
 
-    /// Labels every point of `data` — through the item index when the
-    /// measure exposes item sets and θ > 0 (see the module docs), by
+    /// Labels every point of `data` (§4.6) — through the item index when
+    /// the measure exposes item sets and θ > 0 (see the module docs), by
     /// brute force otherwise; the labels are the same either way.
-    pub fn label_all<S: Similarity<P>>(&self, data: &[P], sim: &S) -> Labeling {
-        self.label_serial(data, sim, RepIndex::build(self, sim).as_ref())
-    }
-
-    /// Labels every point of `data` using `threads` rayon workers.
     ///
-    /// The labeling phase is embarrassingly parallel (each point is
-    /// scored against the fixed Lᵢ sets independently); this is the path
-    /// for paper-scale data (114,586 transactions in §5.4). Each worker
-    /// accumulates its chunk's cluster counts and outlier tally into a
-    /// thread-local outcome buffer while writing assignment slots; the
-    /// buffers are merged once after the join, so no sequential pass
-    /// over the full assignment vector remains.
+    /// The pass is governed: `data` is labeled in batches of
+    /// [`Labeler::GOVERNED_BATCH`] points and `governor` is consulted
+    /// between batches, so cancellation, deadlines and injected kills
+    /// (`with_kill_at(Phase::Labeling, batch)`) are observed within one
+    /// batch. Pass [`RunGovernor::unlimited`] for an ungoverned pass.
     ///
-    /// **Determinism:** worker `t` writes the slots of its own chunk of
-    /// points in place, and the merged counts are sums of per-chunk
-    /// counts in which every point contributes exactly once — the result
-    /// is bit-identical to [`Labeler::label_all`] for every thread count
-    /// (pinned against the fault-injection matrix in
-    /// `tests/kernel_invariance.rs`).
-    ///
-    /// The parallel path engages on a cost basis (points × total
-    /// labeling-set size, [`PARALLEL_CUTOFF_SCORES`]) rather than a
-    /// point-count floor: few points against huge labeling sets
-    /// parallelise just as profitably as many points against small ones.
-    ///
-    /// # Panics
-    /// Panics if `threads == 0`.
-    pub fn label_all_parallel<S>(&self, data: &[P], sim: &S, threads: usize) -> Labeling
-    where
-        S: Similarity<P> + Sync,
-        P: Sync,
-    {
-        assert!(threads > 0, "need at least one thread");
-        self.label_chunked(data, sim, threads, RepIndex::build(self, sim).as_ref())
-    }
-
-    /// Like [`Labeler::label_all_parallel`], but governed: labels `data`
-    /// in batches of [`Labeler::GOVERNED_BATCH`] points and consults
-    /// `governor` between batches, so cancellation, deadlines and
-    /// injected kills (`with_kill_at(Phase::Labeling, batch)`) are
-    /// observed within one batch. The item index is built once and
-    /// shared by every batch.
-    ///
-    /// Labeling is point-independent, so the result is bit-identical to
-    /// [`Labeler::label_all`] whenever the governor lets the run finish,
-    /// for every thread count and batch boundary.
+    /// Each batch is scored on up to `threads` rayon workers, each
+    /// writing the assignment slots of its own contiguous chunk and
+    /// tallying its chunk's counts into a thread-local buffer; the
+    /// buffers are summed once after the join. Every point is scored
+    /// independently against the fixed Lᵢ sets, so the result is
+    /// bit-identical for every thread count and batch boundary (pinned
+    /// in `tests/kernel_invariance.rs`). Workers are spawned only when a
+    /// batch's cost (points × total labeling-set size) reaches
+    /// [`PARALLEL_CUTOFF_SCORES`].
     ///
     /// # Errors
     /// Returns [`RockError::Interrupted`] when the governor trips.
     ///
     /// # Panics
     /// Panics if `threads == 0`.
-    pub fn label_all_governed<S>(
+    pub fn label_all<S>(
         &self,
         data: &[P],
         sim: &S,
@@ -294,23 +263,11 @@ impl<P: Clone> Labeler<P> {
     }
 
     /// Points labeled between two governor checkpoints in
-    /// [`Labeler::label_all_governed`].
+    /// [`Labeler::label_all`].
     pub const GOVERNED_BATCH: usize = 4096;
 
-    /// Labels `data` on the calling thread.
-    fn label_serial<S: Similarity<P>>(
-        &self,
-        data: &[P],
-        sim: &S,
-        index: Option<&RepIndex>,
-    ) -> Labeling {
-        let mut scorer = Scorer::new(self, index);
-        let labeling = self.collect(data.iter().map(|p| scorer.label(p, sim)));
-        crate::perf::count_sim_evals(scorer.evals);
-        labeling
-    }
-
-    /// The body of [`Labeler::label_all_parallel`] over a prebuilt index.
+    /// Labels one batch over a prebuilt index, on the calling thread
+    /// below the cost cutoff and on `threads` workers above it.
     fn label_chunked<S>(
         &self,
         data: &[P],
@@ -324,39 +281,46 @@ impl<P: Clone> Labeler<P> {
     {
         let set_points: usize = self.sets.iter().map(Vec::len).sum();
         let cost = data.len() as u64 * set_points.max(1) as u64;
-        if threads <= 1 || cost < PARALLEL_CUTOFF_SCORES {
-            return self.label_serial(data, sim, index);
-        }
-        let chunk = data.len().div_ceil(threads);
-        let num_chunks = data.len().div_ceil(chunk);
+        let workers = if cost < PARALLEL_CUTOFF_SCORES { 1 } else { threads };
+        let chunk = data.len().div_ceil(workers).max(1);
         let mut assignments: Vec<Option<usize>> = vec![None; data.len()];
         // Thread-local outcome buffers: (per-cluster counts, outliers,
         // similarity evaluations).
-        let mut outcomes: Vec<(Vec<usize>, usize, u64)> = Vec::with_capacity(num_chunks);
-        outcomes.resize_with(num_chunks, || (vec![0usize; self.sets.len()], 0, 0));
-        rayon::scope(|scope| {
-            for ((part, slots), outcome) in data
-                .chunks(chunk)
-                .zip(assignments.chunks_mut(chunk))
-                .zip(outcomes.iter_mut())
-            {
-                scope.spawn(move |_| {
-                    let (counts, outliers, evals) = outcome;
-                    let mut scorer = Scorer::new(self, index);
-                    // tidy:kernel-hot-loop — per-point scoring
-                    for (p, slot) in part.iter().zip(slots.iter_mut()) {
-                        let label = scorer.label(p, sim);
-                        match label {
-                            Some(c) => counts[c] += 1,
-                            None => *outliers += 1,
-                        }
-                        *slot = label;
-                    }
-                    // tidy:end-kernel-hot-loop
-                    *evals = scorer.evals;
-                });
-            }
+        type Outcome = (Vec<usize>, usize, u64);
+        let mut outcomes: Vec<Outcome> = Vec::new();
+        outcomes.resize_with(data.len().div_ceil(chunk), || {
+            (vec![0usize; self.sets.len()], 0, 0)
         });
+        let score = |part: &[P], slots: &mut [Option<usize>], outcome: &mut Outcome| {
+            let (counts, outliers, evals) = outcome;
+            let mut scorer = Scorer::new(self, index);
+            // tidy:kernel-hot-loop — per-point scoring
+            for (p, slot) in part.iter().zip(slots.iter_mut()) {
+                let label = scorer.label(p, sim);
+                match label {
+                    Some(c) => counts[c] += 1,
+                    None => *outliers += 1,
+                }
+                *slot = label;
+            }
+            // tidy:end-kernel-hot-loop
+            *evals = scorer.evals;
+        };
+        let chunks = data
+            .chunks(chunk)
+            .zip(assignments.chunks_mut(chunk))
+            .zip(outcomes.iter_mut());
+        if workers == 1 {
+            for ((part, slots), outcome) in chunks {
+                score(part, slots, outcome);
+            }
+        } else {
+            rayon::scope(|scope| {
+                for ((part, slots), outcome) in chunks {
+                    scope.spawn(move |_| score(part, slots, outcome));
+                }
+            });
+        }
         // Single merge of the thread-local buffers: addition is
         // commutative and each point lands in exactly one chunk, so the
         // totals equal the sequential tally.
@@ -637,7 +601,7 @@ mod tests {
             Transaction::from([10, 11, 12]),
             Transaction::from([55, 66, 77]),
         ];
-        let l = labeler.label_all(&data, &Jaccard);
+        let l = label_all(&labeler, &data, 1);
         assert_eq!(l.assignments, vec![Some(0), Some(0), Some(1), None]);
         assert_eq!(l.cluster_counts, vec![2, 1]);
         assert_eq!(l.num_outliers, 1);
@@ -688,8 +652,23 @@ mod tests {
         );
     }
 
+    /// Thread counts every batch-labeling test sweeps.
+    const THREADS: [usize; 3] = [1, 2, 8];
+
+    /// An ungoverned [`Labeler::label_all`] pass.
+    fn label_all(labeler: &Labeler<Transaction>, data: &[Transaction], threads: usize) -> Labeling {
+        labeler
+            .label_all(data, &Jaccard, threads, &RunGovernor::unlimited())
+            .unwrap()
+    }
+
+    /// The per-point brute-force reference for `data`.
+    fn label_each(labeler: &Labeler<Transaction>, data: &[Transaction]) -> Vec<Option<usize>> {
+        data.iter().map(|p| labeler.label_point(p, &Jaccard)).collect()
+    }
+
     #[test]
-    fn parallel_labeling_matches_serial() {
+    fn labeling_is_thread_count_invariant() {
         let (sample, clusters) = two_cluster_sample();
         let labeler = Labeler::full(&sample, &clusters, 0.4, 1.0 / 3.0);
         let data: Vec<Transaction> = (0..3000u32)
@@ -699,10 +678,11 @@ mod tests {
                 _ => Transaction::from([70 + i % 5, 90 + i % 7]),
             })
             .collect();
-        let serial = labeler.label_all(&data, &Jaccard);
-        for threads in [1, 2, 5] {
-            let par = labeler.label_all_parallel(&data, &Jaccard, threads);
-            assert_eq!(par, serial, "threads={threads}");
+        let reference = label_each(&labeler, &data);
+        for threads in THREADS {
+            let labeling = label_all(&labeler, &data, threads);
+            assert_eq!(labeling.assignments, reference, "threads={threads}");
+            assert_eq!(labeling, label_all(&labeler, &data, 1), "threads={threads}");
         }
     }
 
@@ -725,19 +705,18 @@ mod tests {
                 Transaction::from([base + i % 7, base + i % 11 + 20])
             })
             .collect();
-        let serial = labeler.label_all(&data, &Jaccard);
-        for threads in [2, 3, 8] {
+        let reference = label_each(&labeler, &data);
+        for threads in THREADS {
             assert_eq!(
-                labeler.label_all_parallel(&data, &Jaccard, threads),
-                serial,
+                label_all(&labeler, &data, threads).assignments,
+                reference,
                 "threads={threads}"
             );
         }
     }
 
     #[test]
-    fn governed_labeling_matches_parallel_and_observes_kills() {
-        use crate::governor::{Phase, RunGovernor};
+    fn labeling_spans_batches_and_observes_kills() {
         let (sample, clusters) = two_cluster_sample();
         let labeler = Labeler::full(&sample, &clusters, 0.4, 1.0 / 3.0);
         let data: Vec<Transaction> = (0..Labeler::<Transaction>::GOVERNED_BATCH as u32 + 500)
@@ -747,22 +726,23 @@ mod tests {
                 _ => Transaction::from([70 + i % 5, 90 + i % 7]),
             })
             .collect();
-        let serial = labeler.label_all(&data, &Jaccard);
-        for threads in [1, 2, 8] {
-            let governed = labeler
-                .label_all_governed(&data, &Jaccard, threads, &RunGovernor::unlimited())
-                .unwrap();
-            assert_eq!(governed, serial, "threads={threads}");
+        let reference = label_each(&labeler, &data);
+        for threads in THREADS {
+            assert_eq!(
+                label_all(&labeler, &data, threads).assignments,
+                reference,
+                "threads={threads}"
+            );
+            // An injected kill at batch 1 stops after the first batch.
+            let killer = RunGovernor::unlimited().with_kill_at(Phase::Labeling, 1);
+            assert!(matches!(
+                labeler.label_all(&data, &Jaccard, threads, &killer),
+                Err(RockError::Interrupted {
+                    phase: Phase::Labeling,
+                    ..
+                })
+            ));
         }
-        // An injected kill at batch 1 stops after the first batch.
-        let killer = RunGovernor::unlimited().with_kill_at(Phase::Labeling, 1);
-        assert!(matches!(
-            labeler.label_all_governed(&data, &Jaccard, 2, &killer),
-            Err(RockError::Interrupted {
-                phase: Phase::Labeling,
-                ..
-            })
-        ));
     }
 
     #[test]

@@ -39,9 +39,10 @@
 //!     Transaction::from([10, 12, 13]),
 //! ];
 //!
-//! let rock = Rock::builder().theta(0.5).clusters(2).build().unwrap();
-//! let run = rock.cluster(&baskets, &Jaccard);
+//! let rock = Rock::builder().theta(0.5).clusters(2).build()?;
+//! let run = rock.cluster(&baskets, &Jaccard)?;
 //! assert_eq!(run.clustering.num_clusters(), 2);
+//! # Ok::<(), rock_core::RockError>(())
 //! ```
 //!
 //! ## Module map
@@ -71,8 +72,8 @@
 //! ## Robustness
 //!
 //! User-supplied inputs are guarded at the API boundary: configuration
-//! errors are typed [`RockError`]s, and the checked entry points
-//! ([`rock::Rock::try_cluster`], [`rock::Rock::try_run`],
+//! errors are typed [`RockError`]s, and the entry points
+//! ([`rock::Rock::cluster`], [`rock::Rock::run`],
 //! [`labeling::Labeler::label_point_checked`]) surface non-finite
 //! similarities instead of mis-clustering or panicking. The companion
 //! `rock-data` crate adds a resilient streaming ingest/labeling driver

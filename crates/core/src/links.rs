@@ -84,7 +84,7 @@ impl LinkTable {
 
     /// Iterates over `((i, j), count)` with `i < j`, arbitrary order.
     pub fn iter(&self) -> impl Iterator<Item = ((u32, u32), u32)> + '_ {
-        // tidy-allow(nondeterministic-iter): documented arbitrary-order accessor; the clustering consumer folds pairs into keyed maps and key-tie-broken heaps (run_with_links)
+        // tidy-allow(nondeterministic-iter): documented arbitrary-order accessor; LinkMatrix::from_table sorts the pairs before the merge loop sees them
         self.counts.iter().map(|(&k, &v)| (k, v))
     }
 

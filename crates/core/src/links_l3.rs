@@ -310,10 +310,15 @@ mod tests {
             2,
             crate::algorithm::OutlierPolicy::default(),
         );
-        let plain = algo.run_with_links(&g, &l2);
+        let run = |links: &LinkTable| {
+            let links = crate::links_matrix::LinkMatrix::from_table(links);
+            let governor = crate::governor::RunGovernor::unlimited();
+            algo.run_governed(&g, &links, &governor, None).unwrap()
+        };
+        let plain = run(&l2);
         assert_eq!(plain.clustering.sizes(), vec![10, 4]);
         let combined = combine_links(&l2, &l3, 0.5);
-        let mixed = algo.run_with_links(&g, &combined);
+        let mixed = run(&combined);
         assert_eq!(mixed.clustering.sizes(), vec![12, 2]);
     }
 }

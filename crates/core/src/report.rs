@@ -6,7 +6,7 @@
 //! retry a transient read or drop a point as an outlier, that decision
 //! must be *visible*, not silent. [`RunReport`] is the single structured
 //! account of everything a run tolerated, returned alongside the results
-//! by [`crate::rock::Rock::try_run`] and by
+//! by [`crate::rock::Rock::run`] and by
 //! `rock_data::resilient::label_stream_resilient`.
 
 use crate::governor::{DegradationNote, Phase, TripReason};

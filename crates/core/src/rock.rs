@@ -2,23 +2,23 @@
 //! with links, label the remaining data.
 //!
 //! [`Rock`] is configured through [`RockBuilder`]; see the crate docs for
-//! a worked example. The governed entry points ([`Rock::try_run`],
-//! [`Rock::cluster_wal`], [`Rock::resume_cluster`]) are thin wrappers
-//! over the staged [`crate::engine::Pipeline`]; [`Rock::session`] hands
-//! out the pipeline directly for custom stage compositions.
+//! a worked example. Every entry point ([`Rock::cluster`], [`Rock::run`],
+//! [`Rock::cluster_wal`], the resume calls) is a governed, checked
+//! one-liner over the staged [`crate::engine::Pipeline`], with the
+//! thread count and governor taken from the driver's configuration;
+//! [`Rock::session`] hands out the pipeline directly for custom stage
+//! compositions.
 
-use crate::algorithm::{OutlierPolicy, RockAlgorithm, RockRun, WeedPolicy};
+use crate::algorithm::{OutlierPolicy, RockRun, WeedPolicy};
 use crate::cluster::Clustering;
 use crate::engine::Pipeline;
 use crate::error::RockError;
-use crate::goodness::{BasketF, FTheta, Goodness, GoodnessKind};
+use crate::goodness::{BasketF, FTheta, GoodnessKind};
 use crate::governor::{CancellationToken, DegradationPolicy, RunGovernor};
-use crate::labeling::{Labeler, Labeling};
-use crate::neighbors::NeighborGraph;
+use crate::labeling::Labeling;
 use crate::report::RunReport;
-use crate::similarity::{CheckedSimilarity, PairwiseSimilarity, PointsWith, Similarity};
+use crate::similarity::{PointsWith, Similarity};
 use crate::wal::MergeWal;
-use rand::{rngs::StdRng, SeedableRng};
 use std::time::Duration;
 
 /// Validated configuration of a ROCK run.
@@ -42,7 +42,7 @@ pub struct RockConfig {
     /// RNG seed for sampling/labeling; `None` seeds from the OS.
     pub seed: Option<u64>,
     /// Optional seed perturbing the merge engine's internal hash maps
-    /// ([`RockAlgorithm::with_hash_seed`]); `None` keeps the default
+    /// ([`crate::algorithm::RockAlgorithm::with_hash_seed`]); `None` keeps the default
     /// hasher. Results are bit-identical for every value.
     pub hash_seed: Option<u64>,
     /// Worker threads for the neighbor, link and labeling kernels
@@ -164,7 +164,7 @@ impl RockBuilder {
     }
 
     /// Perturbs the merge engine's internal hash maps with `seed`
-    /// ([`RockAlgorithm::with_hash_seed`]). The clustering result does
+    /// ([`crate::algorithm::RockAlgorithm::with_hash_seed`]). The clustering result does
     /// not depend on it — the equivalence proptests sweep this knob to
     /// prove hasher independence.
     pub fn hash_seed(mut self, seed: u64) -> Self {
@@ -288,7 +288,7 @@ impl RockBuilder {
 ///     Transaction::from([7, 9, 10]),
 /// ];
 /// let rock = Rock::builder().theta(0.5).clusters(2).build().unwrap();
-/// let run = rock.cluster(&baskets, &Jaccard);
+/// let run = rock.cluster(&baskets, &Jaccard).unwrap();
 /// assert_eq!(run.clustering.num_clusters(), 2);
 /// ```
 #[derive(Clone, Debug)]
@@ -344,35 +344,11 @@ impl Rock {
         &self.governor
     }
 
-    fn build_graph<PS: PairwiseSimilarity + Sync>(&self, sim: &PS) -> NeighborGraph {
-        if self.config.threads > 1 {
-            NeighborGraph::build_parallel(sim, self.config.theta, self.config.threads)
-        } else {
-            NeighborGraph::build(sim, self.config.theta)
-        }
-    }
-
-    fn goodness(&self) -> Goodness {
-        Goodness::new(
-            self.config.theta,
-            crate::goodness::ConstantF(self.config.ftheta),
-            self.config.goodness_kind,
-        )
-    }
-
-    fn algorithm(&self) -> RockAlgorithm {
-        let algorithm = RockAlgorithm::new(self.goodness(), self.config.k, self.config.outliers);
-        match self.config.hash_seed {
-            Some(seed) => algorithm.with_hash_seed(seed),
-            None => algorithm,
-        }
-    }
-
     /// A staged [`Pipeline`] over this driver's configuration and
-    /// governor — the engine behind [`Rock::try_run`],
-    /// [`Rock::cluster_wal`] and the resume entry points, exposed for
+    /// governor — the engine behind every entry point, exposed for
     /// custom stage compositions (attach a WAL, run individual stages,
-    /// inspect the run context).
+    /// inspect the run context) and for pairwise similarity sources
+    /// without points (`session().fit_wal(&matrix)`).
     ///
     /// The pipeline's governor shares this driver's token, clock and
     /// memory meter.
@@ -380,119 +356,59 @@ impl Rock {
         Pipeline::new(self.config, self.governor.clone())
     }
 
-    fn rng(&self) -> StdRng {
-        match self.config.seed {
-            Some(s) => StdRng::seed_from_u64(s),
-            None => StdRng::from_os_rng(),
-        }
-    }
-
-    /// Clusters `points` in memory (no sampling/labeling).
-    pub fn cluster<P, S>(&self, points: &[P], measure: &S) -> RockRun
+    /// Clusters `points` in memory (no sampling/labeling): the
+    /// θ-neighbor graph, links and the Fig.-3 merge loop
+    /// ([`Pipeline::fit_wal`] with no WAL attached).
+    ///
+    /// The run uses the configured threads (the result does not depend
+    /// on them) and is checked against the configured governor at every
+    /// phase boundary and merge batch. The degradation policy does not
+    /// apply, as for [`Rock::cluster_wal`].
+    ///
+    /// # Errors
+    /// [`RockError::NonFiniteSimilarity`] if `measure` returned a
+    /// NaN/±∞ for any pair (instead of silently dropping the pair from
+    /// the neighbor graph), [`RockError::Interrupted`] when the governor
+    /// trips.
+    pub fn cluster<P, S>(&self, points: &[P], measure: &S) -> Result<RockRun, RockError>
     where
         S: Similarity<P> + Sync,
         P: Sync,
     {
-        let pw = PointsWith::new(points, measure);
-        self.cluster_pairwise(&pw)
-    }
-
-    /// Clusters a point set given only index-pairwise similarities —
-    /// e.g. an expert [`crate::similarity::SimilarityMatrix`] (§1.2).
-    pub fn cluster_pairwise<PS: PairwiseSimilarity + Sync>(&self, sim: &PS) -> RockRun {
-        let graph = self.build_graph(sim);
-        self.algorithm().run_parallel(&graph, self.config.threads)
-    }
-
-    /// Clusters a prebuilt neighbor graph.
-    ///
-    /// The graph's θ should match the configured θ for the goodness
-    /// normalisation to be meaningful.
-    pub fn cluster_graph(&self, graph: &NeighborGraph) -> RockRun {
-        self.algorithm().run_parallel(graph, self.config.threads)
-    }
-
-    /// Like [`Rock::cluster`], but guards the API boundary against a
-    /// misbehaving measure: any NaN/±∞ similarity is surfaced as
-    /// [`RockError::NonFiniteSimilarity`] instead of silently skewing the
-    /// neighbor graph (NaN compares below every θ) or panicking later in
-    /// the merge heap.
-    ///
-    /// # Errors
-    /// Returns [`RockError::NonFiniteSimilarity`] if `measure` returned a
-    /// non-finite value for any pair.
-    pub fn try_cluster<P, S>(&self, points: &[P], measure: &S) -> Result<RockRun, RockError>
-    where
-        S: Similarity<P> + Sync,
-        P: Sync,
-    {
-        let checked = CheckedSimilarity::new(measure);
-        let pw = PointsWith::new(points, &checked);
-        let graph = self.build_graph(&pw);
-        if let Some(e) = checked.error() {
-            return Err(e);
-        }
-        Ok(self.algorithm().run_parallel(&graph, self.config.threads))
-    }
-
-    /// Like [`Rock::cluster_pairwise`], but with the non-finite guard of
-    /// [`Rock::try_cluster`].
-    ///
-    /// # Errors
-    /// Returns [`RockError::NonFiniteSimilarity`] if `sim` returned a
-    /// non-finite value for any pair.
-    pub fn try_cluster_pairwise<PS: PairwiseSimilarity + Sync>(
-        &self,
-        sim: &PS,
-    ) -> Result<RockRun, RockError> {
-        let checked = CheckedSimilarity::new(sim);
-        let graph = self.build_graph(&checked);
-        if let Some(e) = checked.error() {
-            return Err(e);
-        }
-        Ok(self.algorithm().run_parallel(&graph, self.config.threads))
+        self.session().fit_wal(&PointsWith::new(points, measure))
     }
 
     /// The full Fig.-2 pipeline: draw a random sample (if configured),
-    /// cluster it, then label all of `data`.
+    /// cluster it, then label all of `data`, returning the results with a
+    /// structured [`RunReport`] (per-phase wall-clock timings and
+    /// [`crate::perf`] work counters, degradation/interruption outcome,
+    /// outlier count).
     ///
     /// Without a configured sample size the whole data set is clustered
     /// and the labeling phase still runs (useful for assigning outliers
     /// and for uniform reporting).
-    pub fn run<P, S>(&self, data: &[P], measure: &S) -> RockResult
+    ///
+    /// The run is governed: the builder's deadline, memory budget and
+    /// cancellation token are checked at every phase boundary, every
+    /// merge batch and every labeling batch, and the configured
+    /// [`DegradationPolicy`] is applied on a budget trip (recorded in the
+    /// report's `degraded` note). Results do not depend on the thread
+    /// count.
+    ///
+    /// # Errors
+    /// Returns [`RockError::NonFiniteSimilarity`] if `measure` returned a
+    /// non-finite value during clustering or labeling, and
+    /// [`RockError::Interrupted`] if the governor tripped with no
+    /// degradation policy able to absorb it.
+    pub fn run<P, S>(&self, data: &[P], measure: &S) -> Result<(RockResult, RunReport), RockError>
     where
         P: Clone + Sync,
         S: Similarity<P> + Sync,
     {
-        let mut rng = self.rng();
-        let sample_indices = match self.config.sample_size {
-            Some(size) if size < data.len() => {
-                crate::sampling::sample_indices(data.len(), size, &mut rng)
-            }
-            _ => (0..data.len()).collect(),
-        };
-        let sample: Vec<P> = sample_indices.iter().map(|&i| data[i].clone()).collect();
-        let sample_run = self.cluster(&sample, measure);
-        let labeler = Labeler::new(
-            &sample,
-            &sample_run.clustering.clusters,
-            self.config.labeling_fraction,
-            self.config.theta,
-            self.config.ftheta,
-            &mut rng,
-        )
-        // tidy-allow(panic): Labeler::new revalidates parameters already validated by RockBuilder::build, so it cannot fail here
-        .expect("labeling parameters validated by RockBuilder::build");
-        let labeling = labeler.label_all_parallel(data, measure, self.config.threads);
-        RockResult {
-            sample_indices,
-            sample_run,
-            labeling,
-        }
+        self.session().fit(data, measure)
     }
 
-    /// Clusters `points` under the configured governor while journaling
-    /// every merge decision to `wal`.
+    /// [`Rock::cluster`] while journaling every merge decision to `wal`.
     ///
     /// On interruption the error is [`RockError::Interrupted`] with
     /// `resumable: true` and `wal` holds a replayable prefix — persist it
@@ -502,7 +418,7 @@ impl Rock {
     /// an approximate finish.
     ///
     /// # Errors
-    /// [`RockError::Interrupted`] when the governor trips.
+    /// As [`Rock::cluster`].
     pub fn cluster_wal<P, S>(
         &self,
         points: &[P],
@@ -513,8 +429,7 @@ impl Rock {
         S: Similarity<P> + Sync,
         P: Sync,
     {
-        let pw = PointsWith::new(points, measure);
-        self.session().attach_wal(wal).fit_wal(&pw)
+        self.session().attach_wal(wal).fit_wal(&PointsWith::new(points, measure))
     }
 
     /// Resumes an interrupted [`Rock::cluster_wal`] run from the bytes of
@@ -565,30 +480,6 @@ impl Rock {
         crate::engine::ShardSupervisor::new(self.config, shard, self.governor.clone())
     }
 
-    /// Runs the supervised shard-and-merge pipeline over `points`: the
-    /// one-call form of [`Rock::shard_supervisor`] +
-    /// [`run`](crate::engine::supervisor::ShardSupervisor::run). With
-    /// `shard.shards == 1` the clustering is bit-identical to
-    /// [`Rock::cluster_wal`]; quarantined shards degrade the result with
-    /// provenance in the report instead of failing the run.
-    ///
-    /// # Errors
-    /// Invalid shard configuration, or [`RockError::Interrupted`] when
-    /// this driver's own (parent) governor is cancelled or out of
-    /// budget — per-shard faults quarantine instead of erroring.
-    pub fn cluster_sharded<P, S>(
-        &self,
-        points: &[P],
-        measure: &S,
-        shard: crate::engine::ShardConfig,
-    ) -> Result<crate::engine::ShardedRun, RockError>
-    where
-        P: Clone + Sync,
-        S: Similarity<P> + Sync,
-    {
-        self.shard_supervisor(shard)?.run(points, measure)
-    }
-
     /// Resumes from a snapshot-bearing WAL **without** the original data:
     /// the merge state is restored from the latest snapshot and links are
     /// not recomputed. Fails with [`RockError::WalMismatch`] if the log
@@ -606,53 +497,6 @@ impl Rock {
             None => self.session().resume_snapshot(wal_bytes),
         }
     }
-
-    /// The full Fig.-2 pipeline with the robustness guarantees of the
-    /// checked entry points, plus a structured [`RunReport`] (per-phase
-    /// wall-clock timings and [`crate::perf`] work counters,
-    /// degradation/interruption outcome, outlier count) alongside the
-    /// results.
-    ///
-    /// The run is *governed*: the builder's deadline, memory budget and
-    /// cancellation token are checked at every phase boundary, every
-    /// merge batch and every labeling batch, and the configured
-    /// [`DegradationPolicy`] is applied on a budget trip (recorded in
-    /// the report's `degraded` note). With the default unlimited
-    /// governor, produces results identical to [`Rock::run`] under the
-    /// same seed: the two share the sampling and labeling RNG stream.
-    ///
-    /// # Errors
-    /// Returns [`RockError::NonFiniteSimilarity`] if `measure` returned a
-    /// non-finite value during clustering or labeling, and
-    /// [`RockError::Interrupted`] if the governor tripped with no
-    /// degradation policy able to absorb it.
-    pub fn try_run<P, S>(&self, data: &[P], measure: &S) -> Result<(RockResult, RunReport), RockError>
-    where
-        P: Clone + Sync,
-        S: Similarity<P> + Sync,
-    {
-        self.session().fit(data, measure)
-    }
-
-    /// [`Rock::try_run`], additionally returning the
-    /// [`crate::labeling::Labeler`] whose Lᵢ sets produced the labeling —
-    /// hand it to [`crate::artifact::ModelArtifact::from_labeled`] to
-    /// persist a fitted model whose reloaded labeling is bit-identical
-    /// to this run's.
-    ///
-    /// # Errors
-    /// As [`Rock::try_run`].
-    pub fn try_run_labeled<P, S>(
-        &self,
-        data: &[P],
-        measure: &S,
-    ) -> Result<(RockResult, RunReport, crate::labeling::Labeler<P>), RockError>
-    where
-        P: Clone + Sync,
-        S: Similarity<P> + Sync,
-    {
-        self.session().fit_with_labeler(data, measure)
-    }
 }
 
 #[cfg(test)]
@@ -660,7 +504,7 @@ mod tests {
     use super::*;
     use crate::governor::{Phase, TripReason};
     use crate::points::Transaction;
-    use crate::similarity::Jaccard;
+    use crate::similarity::{Jaccard, PairwiseSimilarity};
 
     fn two_basket_clusters(n_each: usize) -> Vec<Transaction> {
         // Cluster A over items 0..6, cluster B over items 100..106;
@@ -724,7 +568,7 @@ mod tests {
     fn cluster_separates_baskets() {
         let data = two_basket_clusters(20);
         let rock = Rock::builder().theta(0.5).clusters(2).build().unwrap();
-        let run = rock.cluster(&data, &Jaccard);
+        let run = rock.cluster(&data, &Jaccard).unwrap();
         assert_eq!(run.clustering.num_clusters(), 2);
         assert_eq!(run.clustering.sizes(), vec![20, 20]);
     }
@@ -740,7 +584,7 @@ mod tests {
             .seed(42)
             .build()
             .unwrap();
-        let result = rock.run(&data, &Jaccard);
+        let (result, _) = rock.run(&data, &Jaccard).unwrap();
         assert_eq!(result.sample_indices.len(), 16);
         let full = result.full_clustering();
         assert_eq!(full.num_clusters(), 2);
@@ -763,26 +607,35 @@ mod tests {
             .labeling_fraction(1.0)
             .build()
             .unwrap();
-        let result = rock.run(&data, &Jaccard);
+        let (result, _) = rock.run(&data, &Jaccard).unwrap();
         assert_eq!(result.sample_indices.len(), data.len());
         assert_eq!(result.labeling.assignments.len(), data.len());
     }
 
     #[test]
-    fn try_run_matches_run_and_reports() {
+    fn run_is_thread_count_invariant_and_reports() {
         let data = two_basket_clusters(20);
-        let rock = Rock::builder()
-            .theta(0.5)
-            .clusters(2)
-            .sample_size(16)
-            .labeling_fraction(1.0)
-            .seed(7)
-            .build()
-            .unwrap();
-        let plain = rock.run(&data, &Jaccard);
-        let (checked, report) = rock.try_run(&data, &Jaccard).unwrap();
-        assert_eq!(plain.sample_indices, checked.sample_indices);
-        assert_eq!(plain.labeling, checked.labeling);
+        let rock = |threads| {
+            Rock::builder()
+                .theta(0.5)
+                .clusters(2)
+                .sample_size(16)
+                .labeling_fraction(1.0)
+                .seed(7)
+                .threads(threads)
+                .build()
+                .unwrap()
+        };
+        let (checked, report) = rock(1).run(&data, &Jaccard).unwrap();
+        for threads in [2, 8] {
+            let (result, _) = rock(threads).run(&data, &Jaccard).unwrap();
+            assert_eq!(result.sample_indices, checked.sample_indices, "threads={threads}");
+            assert_eq!(result.labeling, checked.labeling, "threads={threads}");
+            assert_eq!(
+                result.sample_run.merges, checked.sample_run.merges,
+                "threads={threads}"
+            );
+        }
         assert_eq!(report.records_read, data.len() as u64);
         assert_eq!(report.outliers, checked.labeling.num_outliers as u64);
         let phases: Vec<&str> = report.phases.iter().map(|p| p.name.as_str()).collect();
@@ -809,11 +662,11 @@ mod tests {
         let data = two_basket_clusters(5);
         let rock = Rock::builder().theta(0.5).clusters(2).seed(1).build().unwrap();
         assert!(matches!(
-            rock.try_cluster(&data, &NanSim),
+            rock.cluster(&data, &NanSim),
             Err(RockError::NonFiniteSimilarity { .. })
         ));
         assert!(matches!(
-            rock.try_run(&data, &NanSim),
+            rock.run(&data, &NanSim),
             Err(RockError::NonFiniteSimilarity { .. })
         ));
     }
@@ -824,7 +677,7 @@ mod tests {
         let data = two_basket_clusters(10);
         let rock = Rock::builder().theta(0.5).clusters(2).build().unwrap();
         let faulty = FaultySimilarity::new(Jaccard, 3, 0.2);
-        let outcome = rock.try_cluster(&data, &faulty);
+        let outcome = rock.cluster(&data, &faulty);
         if faulty.injected() > 0 {
             assert!(matches!(
                 outcome,
@@ -855,7 +708,7 @@ mod tests {
         }
         let rock = Rock::builder().theta(0.5).clusters(2).build().unwrap();
         assert!(matches!(
-            rock.try_cluster_pairwise(&NanPairs),
+            rock.session().fit_wal(&NanPairs),
             Err(RockError::NonFiniteSimilarity { .. })
         ));
     }
@@ -877,7 +730,7 @@ mod tests {
     }
 
     #[test]
-    fn zero_deadline_interrupts_try_run() {
+    fn zero_deadline_interrupts_run() {
         let data = two_basket_clusters(10);
         let rock = Rock::builder()
             .seed(1)
@@ -885,7 +738,7 @@ mod tests {
             .build()
             .unwrap();
         assert!(matches!(
-            rock.try_run(&data, &Jaccard),
+            rock.run(&data, &Jaccard),
             Err(RockError::Interrupted {
                 reason: TripReason::DeadlineExceeded,
                 ..
@@ -894,7 +747,7 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_interrupts_try_run() {
+    fn cancellation_interrupts_run() {
         let data = two_basket_clusters(10);
         let token = CancellationToken::new();
         let rock = Rock::builder()
@@ -904,7 +757,7 @@ mod tests {
             .unwrap();
         token.cancel();
         assert!(matches!(
-            rock.try_run(&data, &Jaccard),
+            rock.run(&data, &Jaccard),
             Err(RockError::Interrupted {
                 reason: TripReason::Cancelled,
                 ..
@@ -921,7 +774,7 @@ mod tests {
             .build()
             .unwrap();
         assert!(matches!(
-            rock.try_run(&data, &Jaccard),
+            rock.run(&data, &Jaccard),
             Err(RockError::Interrupted {
                 reason: TripReason::MemoryBudgetExceeded,
                 ..
@@ -941,7 +794,7 @@ mod tests {
             })
             .build()
             .unwrap();
-        let (result, report) = rock.try_run(&data, &Jaccard).unwrap();
+        let (result, report) = rock.run(&data, &Jaccard).unwrap();
         let note = report.degraded.as_ref().expect("degradation note recorded");
         assert!(matches!(
             note.policy,
@@ -970,7 +823,7 @@ mod tests {
             .degradation(DegradationPolicy::Subsample { fraction: 0.5 })
             .build()
             .unwrap();
-        let (result, report) = rock.try_run(&data, &Jaccard).unwrap();
+        let (result, report) = rock.run(&data, &Jaccard).unwrap();
         // ceil(40 * 0.5) = 20 of the 40-point (unsampled) "sample".
         assert_eq!(result.sample_indices.len(), 20);
         let note = report.degraded.as_ref().expect("degradation note recorded");
@@ -987,7 +840,7 @@ mod tests {
     fn cluster_wal_kill_and_resume_is_bit_identical() {
         let data = two_basket_clusters(20);
         let plain = Rock::builder().seed(1).build().unwrap();
-        let baseline = plain.cluster(&data, &Jaccard);
+        let baseline = plain.cluster(&data, &Jaccard).unwrap();
 
         let killed = Rock::builder()
             .seed(1)
@@ -1025,6 +878,8 @@ mod tests {
                 .build()
                 .unwrap()
                 .run(&data, &Jaccard)
+                .unwrap()
+                .0
         };
         let (a, b) = (make(), make());
         assert_eq!(a.sample_indices, b.sample_indices);

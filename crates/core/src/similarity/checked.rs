@@ -6,7 +6,7 @@
 //! through a custom goodness) trips the `assert!(!priority.is_nan())` in
 //! the merge heap mid-run. [`CheckedSimilarity`] wraps any measure and
 //! latches the first non-finite value it observes, so driver entry points
-//! ([`crate::rock::Rock::try_cluster`] and friends) can surface a typed
+//! ([`crate::rock::Rock::cluster`] and friends) can surface a typed
 //! [`RockError::NonFiniteSimilarity`] instead of mis-clustering or
 //! panicking.
 

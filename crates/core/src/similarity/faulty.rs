@@ -136,7 +136,9 @@ mod tests {
         let sample = vec![a.clone(), Transaction::from([2, 3])];
         let labeler = Labeler::full(&sample, &[vec![0, 1]], 0.4, 1.0 / 3.0);
         let checked = CheckedSimilarity::new(faulty);
-        let labeling = labeler.label_all(&[a], &checked);
+        let labeling = labeler
+            .label_all(&[a], &checked, 1, &crate::governor::RunGovernor::unlimited())
+            .unwrap();
         assert_eq!(labeling.num_outliers, 1);
         assert!(checked.error().is_some());
         assert_eq!(checked.into_inner().calls(), 2);

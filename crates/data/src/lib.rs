@@ -54,9 +54,8 @@ pub use faults::{
 };
 pub use packed::PackedBaskets;
 pub use resilient::{
-    label_stream_resilient, label_stream_resilient_governed, label_stream_resilient_parallel,
-    label_stream_resilient_parallel_governed, read_baskets_resilient, Checkpoint, IngestError,
-    IngestErrorKind, ResilientConfig, ResilientLabelRun, RetryPolicy,
+    label_stream_resilient, read_baskets_resilient, Checkpoint, IngestError, IngestErrorKind,
+    ResilientConfig, ResilientLabelRun, RetryPolicy,
 };
 pub use mushroom::{generate_mushrooms, parse_mushrooms, Edibility, MushroomData, MushroomSpec};
 pub use mutualfund::{generate_funds, prices_to_record, Fund, FundData, FundSpec};

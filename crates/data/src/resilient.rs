@@ -311,7 +311,7 @@ pub struct ResilientLabelRun {
     pub checkpoint: Checkpoint,
 }
 
-/// What the per-record handler did with a parsed record.
+/// What scoring did with a parsed record.
 enum Handled {
     /// Plain ingest: record accepted.
     Stored,
@@ -322,78 +322,74 @@ enum Handled {
     Quarantine(String),
 }
 
-/// What one consumed input line turned out to be.
-enum LineOutcome {
+/// A line read ahead of the fold.
+enum Pending {
     /// Blank or comment line.
     Skip,
-    /// A record the handler processed (or rejected).
-    Record(Handled),
+    /// A parsed record, scored with the rest of its batch.
+    Record,
+    /// Parse failure to quarantine.
+    Bad(String),
 }
 
-/// Shared mutable state of one ingest loop.
+/// Transient errors met while reading one line and the retries they
+/// cost. They are added to the report when that line is folded, so a
+/// pass that stops at line k reports the reads of lines 1..=k only.
+#[derive(Clone, Copy, Debug, Default)]
+struct ReadRetries {
+    transient: u64,
+    retries: u64,
+}
+
+/// Mutable state of one pass: the cumulative checkpoint, this
+/// invocation's report and what it produced.
 struct LoopState {
     checkpoint: Checkpoint,
     report: RunReport,
+    /// Labels of the labeled records, in input order.
+    assignments: Vec<Option<usize>>,
+    /// The stored records (plain ingest), in input order.
+    records: Vec<Transaction>,
 }
 
-/// Folds one consumed line's outcome into the loop state — quarantine
-/// accounting, cluster counters and the periodic-checkpoint cadence.
-///
-/// Both the sequential [`ingest_loop`] and the batched parallel driver
-/// ([`label_stream_resilient_parallel`]) route every line through this
-/// single function, which is what makes their checkpoints and reports
-/// bit-identical. The caller has already advanced `byte_offset` and
-/// `lines_seen` for this line.
-fn fold_outcome<F: FnMut(&Checkpoint)>(
-    state: &mut LoopState,
-    config: &ResilientConfig,
-    lineno: u64,
-    outcome: LineOutcome,
-    since_checkpoint: &mut u64,
-    on_checkpoint: &mut F,
-) -> Result<(), (IngestErrorKind, u64)> {
-    match outcome {
-        LineOutcome::Skip => {
-            state.checkpoint.records_skipped += 1;
-            state.report.records_skipped += 1;
+impl LoopState {
+    /// The per-line governor checkpoint, at index `lines_seen`
+    /// (cumulative across resumptions), then the line's read retries.
+    fn admit(
+        &mut self,
+        governor: &RunGovernor,
+        read: ReadRetries,
+    ) -> Result<(), (IngestErrorKind, u64)> {
+        if let Err(e) = governor.check_at(Phase::Labeling, self.checkpoint.lines_seen) {
+            let line = self.checkpoint.lines_seen + 1;
+            return Err(interrupt_stop(e, &mut self.report, line));
         }
-        LineOutcome::Record(Handled::Stored) => {
-            state.checkpoint.records_read += 1;
-            state.report.records_read += 1;
-        }
-        LineOutcome::Record(Handled::Labeled(assignment)) => {
-            state.checkpoint.records_read += 1;
-            state.report.records_read += 1;
-            match assignment {
-                Some(c) => state.checkpoint.cluster_counts[c] += 1,
-                None => {
-                    state.checkpoint.outliers += 1;
-                    state.report.outliers += 1;
-                }
-            }
-        }
-        LineOutcome::Record(Handled::Quarantine(reason)) => {
-            state.checkpoint.records_quarantined += 1;
-            state
-                .report
-                .quarantine(lineno, reason, config.quarantine_detail);
-            if state.checkpoint.records_quarantined > config.max_quarantine as u64 {
-                return Err((
-                    IngestErrorKind::QuarantineOverflow {
-                        cap: config.max_quarantine,
-                    },
-                    lineno,
-                ));
-            }
-        }
+        self.report.transient_io_errors += read.transient;
+        self.report.io_retries += read.retries;
+        Ok(())
     }
-    *since_checkpoint += 1;
-    if config.checkpoint_every > 0 && *since_checkpoint >= config.checkpoint_every {
-        *since_checkpoint = 0;
-        on_checkpoint(&state.checkpoint);
-        state.report.checkpoints_written += 1;
+
+    /// Quarantines the record at `lineno`, failing once the cumulative
+    /// count exceeds the cap.
+    fn quarantine(
+        &mut self,
+        config: &ResilientConfig,
+        lineno: u64,
+        reason: String,
+    ) -> Result<(), (IngestErrorKind, u64)> {
+        self.checkpoint.records_quarantined += 1;
+        self.report
+            .quarantine(lineno, reason, config.quarantine_detail);
+        if self.checkpoint.records_quarantined > config.max_quarantine as u64 {
+            return Err((
+                IngestErrorKind::QuarantineOverflow {
+                    cap: config.max_quarantine,
+                },
+                lineno,
+            ));
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 /// Reads one line (through `\n` or EOF) with retries, returning the bytes
@@ -404,7 +400,7 @@ fn read_record_retry<R: BufRead>(
     reader: &mut R,
     buf: &mut Vec<u8>,
     retry: &RetryPolicy,
-    report: &mut RunReport,
+    read: &mut ReadRetries,
 ) -> io::Result<usize> {
     let start = buf.len();
     let mut attempts = 0u32;
@@ -414,13 +410,13 @@ fn read_record_retry<R: BufRead>(
             // the total consumed is the length delta, not this call's n.
             Ok(_) => return Ok(buf.len() - start),
             Err(e) if RetryPolicy::is_transient(&e) => {
-                report.transient_io_errors += 1;
+                read.transient += 1;
                 if attempts >= retry.max_retries {
                     return Err(e);
                 }
                 let delay = retry.backoff(attempts);
                 attempts += 1;
-                report.io_retries += 1;
+                read.retries += 1;
                 if !delay.is_zero() {
                     std::thread::sleep(delay);
                 }
@@ -435,20 +431,20 @@ fn skip_bytes<R: BufRead>(
     reader: &mut R,
     mut n: u64,
     retry: &RetryPolicy,
-    report: &mut RunReport,
+    read: &mut ReadRetries,
 ) -> io::Result<()> {
     let mut attempts = 0u32;
     while n > 0 {
         let available = match reader.fill_buf() {
             Ok(buf) => buf.len(),
             Err(e) if RetryPolicy::is_transient(&e) => {
-                report.transient_io_errors += 1;
+                read.transient += 1;
                 if attempts >= retry.max_retries {
                     return Err(e);
                 }
                 let delay = retry.backoff(attempts);
                 attempts += 1;
-                report.io_retries += 1;
+                read.retries += 1;
                 if !delay.is_zero() {
                     std::thread::sleep(delay);
                 }
@@ -493,63 +489,156 @@ fn interrupt_stop(e: RockError, report: &mut RunReport, line: u64) -> (IngestErr
     (IngestErrorKind::Interrupted { phase, reason }, line)
 }
 
-/// The shared record loop: reads lines with retries, parses, hands each
-/// record to `handle`, quarantines rejects, maintains the checkpoint and
-/// emits periodic checkpoints. Returns `(kind, line)` on a hard stop; the
-/// caller owns the salvage.
+/// Lines per read-score-fold round. Large enough to amortise the
+/// scoring fan-out, small enough that a stop wastes at most one batch of
+/// read-ahead.
+const READ_BATCH: usize = 4096;
+
+/// Scores `records` on up to `threads` rayon workers, each filling the
+/// slots of one contiguous chunk. Scoring is pure, so the result is the
+/// same for every thread count.
+fn score_batch<H>(records: &[Transaction], score: &H, threads: usize) -> Vec<Handled>
+where
+    H: Fn(&Transaction) -> Handled + Sync,
+{
+    let mut scored: Vec<Handled> = records.iter().map(|_| Handled::Stored).collect();
+    let chunk = records.len().div_ceil(threads).max(1);
+    let work = |part: &[Transaction], slots: &mut [Handled]| {
+        for (txn, slot) in part.iter().zip(slots) {
+            *slot = score(txn);
+        }
+    };
+    if threads == 1 {
+        work(records, &mut scored);
+    } else {
+        rayon::scope(|scope| {
+            for (part, slots) in records.chunks(chunk).zip(scored.chunks_mut(chunk)) {
+                scope.spawn(move |_| work(part, slots));
+            }
+        });
+    }
+    scored
+}
+
+/// The read-score-fold loop every resilient pass runs.
 ///
-/// The governor is consulted before each line at checkpoint index
-/// `lines_seen` (cumulative across resumptions), so an injected
-/// `with_kill_at(Phase::Labeling, k)` stops with exactly `k` lines
-/// consumed regardless of where the run was last resumed.
+/// Each round reads up to [`READ_BATCH`] lines sequentially (with
+/// retries), parses them, scores the parsed records with `score` (the
+/// only step that fans out, over `threads` workers), then folds the lines
+/// in input order: the governor checkpoint, the line's read retries,
+/// the checkpoint and report counters, quarantine and the periodic
+/// checkpoint cadence. The fold visits exactly the lines a one-line-at-a-
+/// time loop would, so results, reports, checkpoints and every stop are
+/// the same for any thread count; lines read past a stop are neither
+/// folded nor counted.
+///
+/// Returns `(kind, line)` on a hard stop; the caller owns the salvage.
 fn ingest_loop<R, F, H>(
     reader: &mut R,
     config: &ResilientConfig,
     governor: &RunGovernor,
+    threads: usize,
     state: &mut LoopState,
     on_checkpoint: &mut F,
-    handle: &mut H,
+    score: &H,
 ) -> Result<(), (IngestErrorKind, u64)>
 where
     R: BufRead,
     F: FnMut(&Checkpoint),
-    H: FnMut(u64, Transaction) -> Handled,
+    H: Fn(&Transaction) -> Handled + Sync,
 {
     let mut buf = Vec::new();
     let mut since_checkpoint = 0u64;
     loop {
-        if let Err(e) = governor.check_at(Phase::Labeling, state.checkpoint.lines_seen) {
-            let line = state.checkpoint.lines_seen + 1;
-            return Err(interrupt_stop(e, &mut state.report, line));
+        let mut lines: Vec<(u64, ReadRetries, Pending)> = Vec::with_capacity(READ_BATCH);
+        let mut records: Vec<Transaction> = Vec::new();
+        // The read that ended the batch early: end of stream (`None`) or
+        // a hard failure.
+        let mut end: Option<(ReadRetries, Option<io::Error>)> = None;
+        while lines.len() < READ_BATCH {
+            buf.clear();
+            let mut read = ReadRetries::default();
+            match read_record_retry(reader, &mut buf, &config.retry, &mut read) {
+                Ok(0) => {
+                    end = Some((read, None));
+                    break;
+                }
+                Ok(consumed) => {
+                    let text = String::from_utf8_lossy(&buf);
+                    let line = text.trim();
+                    let pending = if line.is_empty() || line.starts_with('#') {
+                        Pending::Skip
+                    } else {
+                        match parse_record(line) {
+                            Ok(txn) => {
+                                records.push(txn);
+                                Pending::Record
+                            }
+                            Err(reason) => Pending::Bad(reason),
+                        }
+                    };
+                    lines.push((consumed as u64, read, pending));
+                }
+                Err(e) => {
+                    end = Some((read, Some(e)));
+                    break;
+                }
+            }
         }
-        buf.clear();
-        let consumed = read_record_retry(reader, &mut buf, &config.retry, &mut state.report)
-            .map_err(|e| (IngestErrorKind::Io(e), state.checkpoint.lines_seen + 1))?;
-        if consumed == 0 {
-            return Ok(());
-        }
-        state.checkpoint.byte_offset += consumed as u64;
-        state.checkpoint.lines_seen += 1;
-        let lineno = state.checkpoint.lines_seen;
 
-        let text = String::from_utf8_lossy(&buf);
-        let line = text.trim();
-        let outcome = if line.is_empty() || line.starts_with('#') {
-            LineOutcome::Skip
-        } else {
-            LineOutcome::Record(match parse_record(line) {
-                Ok(txn) => handle(lineno, txn),
-                Err(reason) => Handled::Quarantine(reason),
-            })
-        };
-        fold_outcome(
-            state,
-            config,
-            lineno,
-            outcome,
-            &mut since_checkpoint,
-            on_checkpoint,
-        )?;
+        let handled = score_batch(&records, score, threads);
+        let mut scored = records.into_iter().zip(handled);
+        for (consumed, read, pending) in lines {
+            state.admit(governor, read)?;
+            state.checkpoint.byte_offset += consumed;
+            state.checkpoint.lines_seen += 1;
+            let lineno = state.checkpoint.lines_seen;
+            match pending {
+                Pending::Skip => {
+                    state.checkpoint.records_skipped += 1;
+                    state.report.records_skipped += 1;
+                }
+                Pending::Bad(reason) => state.quarantine(config, lineno, reason)?,
+                Pending::Record => {
+                    // tidy-allow(panic): score_batch returns one result per parsed record, and each is taken exactly once in line order
+                    let (txn, handled) = scored.next().expect("every parsed record is scored");
+                    match handled {
+                        Handled::Quarantine(reason) => state.quarantine(config, lineno, reason)?,
+                        Handled::Stored => {
+                            state.checkpoint.records_read += 1;
+                            state.report.records_read += 1;
+                            state.records.push(txn);
+                        }
+                        Handled::Labeled(assignment) => {
+                            state.checkpoint.records_read += 1;
+                            state.report.records_read += 1;
+                            match assignment {
+                                Some(c) => state.checkpoint.cluster_counts[c] += 1,
+                                None => {
+                                    state.checkpoint.outliers += 1;
+                                    state.report.outliers += 1;
+                                }
+                            }
+                            state.assignments.push(assignment);
+                        }
+                    }
+                }
+            }
+            since_checkpoint += 1;
+            if config.checkpoint_every > 0 && since_checkpoint >= config.checkpoint_every {
+                since_checkpoint = 0;
+                on_checkpoint(&state.checkpoint);
+                state.report.checkpoints_written += 1;
+            }
+        }
+
+        if let Some((read, failure)) = end {
+            state.admit(governor, read)?;
+            return match failure {
+                None => Ok(()),
+                Some(e) => Err((IngestErrorKind::Io(e), state.checkpoint.lines_seen + 1)),
+            };
+        }
     }
 }
 
@@ -579,7 +668,63 @@ fn start_state(
         }
         None => Checkpoint::new(num_clusters),
     };
-    Ok(LoopState { report, checkpoint })
+    Ok(LoopState {
+        checkpoint,
+        report,
+        assignments: Vec::new(),
+        records: Vec::new(),
+    })
+}
+
+/// One resilient pass: validates the resume checkpoint, skips to its
+/// byte offset, runs [`ingest_loop`] and records `phase` in the report.
+/// A hard stop becomes an [`IngestError`] carrying the salvage.
+#[allow(clippy::too_many_arguments)]
+fn run_pass<R, F, H>(
+    mut reader: R,
+    config: &ResilientConfig,
+    resume: Option<&Checkpoint>,
+    num_clusters: usize,
+    governor: &RunGovernor,
+    threads: usize,
+    on_checkpoint: &mut F,
+    score: &H,
+    phase: &str,
+) -> Result<LoopState, IngestError>
+where
+    R: BufRead,
+    F: FnMut(&Checkpoint),
+    H: Fn(&Transaction) -> Handled + Sync,
+{
+    let started = Instant::now();
+    let mut state = start_state(resume, num_clusters)?;
+    let mut read = ReadRetries::default();
+    let skipped = skip_bytes(&mut reader, state.checkpoint.byte_offset, &config.retry, &mut read);
+    state.report.transient_io_errors += read.transient;
+    state.report.io_retries += read.retries;
+    let outcome = match skipped {
+        Err(e) => Err((IngestErrorKind::Io(e), state.checkpoint.lines_seen)),
+        Ok(()) => ingest_loop(
+            &mut reader,
+            config,
+            governor,
+            threads,
+            &mut state,
+            on_checkpoint,
+            score,
+        ),
+    };
+    state.report.record_phase(phase, started.elapsed());
+    match outcome {
+        Ok(()) => Ok(state),
+        Err((kind, line)) => Err(IngestError {
+            kind,
+            line,
+            report: state.report,
+            checkpoint: state.checkpoint,
+            partial_assignments: state.assignments,
+        }),
+    }
 }
 
 /// Streams numeric basket lines from `reader`, labeling each record
@@ -591,202 +736,45 @@ fn start_state(
 /// * `on_checkpoint` — invoked with the cumulative state every
 ///   [`ResilientConfig::checkpoint_every`] input lines; persist it (e.g.
 ///   [`Checkpoint::encode`]) to make the pass resumable.
+/// * `governor` — consulted before every input line (at checkpoint index
+///   `lines_seen`, cumulative across resumptions), so cancellation,
+///   deadlines, memory trips and injected kills
+///   (`with_kill_at(Phase::Labeling, k)`) stop the pass with a
+///   consistent, resumable [`Checkpoint`] —
+///   [`IngestErrorKind::Interrupted`], mirrored in the report's
+///   `interrupted` field. Pass [`RunGovernor::unlimited`] for an
+///   ungoverned pass.
+/// * `threads` — rayon workers for scoring. The stream is processed in
+///   rounds of up to 4096 lines: reads (with retries) and parsing stay
+///   sequential, the per-record [`Labeler::label_point_checked`] calls
+///   fan out over contiguous chunks, and the lines are folded back in
+///   input order. Assignments, reports, checkpoint cadence and every
+///   salvaged [`IngestError`] are bit-identical for every thread count,
+///   and a run may resume from a checkpoint taken at any other thread
+///   count.
 ///
 /// Records whose tokens fail to parse, or whose similarity to any
 /// labeling point is non-finite
-/// ([`rock_core::RockError::NonFiniteSimilarity`], detected via
-/// [`Labeler::label_point_checked`]), are quarantined rather than
-/// mislabeled. The returned [`ResilientLabelRun`] holds this invocation's
-/// [`Labeling`], its [`RunReport`] and the final cumulative
+/// ([`rock_core::RockError::NonFiniteSimilarity`]), are quarantined
+/// rather than mislabeled. The returned [`ResilientLabelRun`] holds this
+/// invocation's [`Labeling`], its [`RunReport`] and the final cumulative
 /// [`Checkpoint`].
 ///
-/// # Errors
-/// [`IngestError`] on a hard I/O failure, quarantine overflow or an
-/// inconsistent resume checkpoint — always carrying the partial results
-/// and a resumable checkpoint.
-pub fn label_stream_resilient<R, S, F>(
-    reader: R,
-    labeler: &Labeler<Transaction>,
-    sim: &S,
-    config: &ResilientConfig,
-    resume: Option<&Checkpoint>,
-    on_checkpoint: F,
-) -> Result<ResilientLabelRun, IngestError>
-where
-    R: BufRead,
-    S: Similarity<Transaction>,
-    F: FnMut(&Checkpoint),
-{
-    label_stream_resilient_governed(
-        reader,
-        labeler,
-        sim,
-        config,
-        resume,
-        on_checkpoint,
-        &RunGovernor::unlimited(),
-    )
-}
-
-/// As [`label_stream_resilient`], governed: `governor` is consulted
-/// before every input line (at checkpoint index `lines_seen`, cumulative
-/// across resumptions), so cancellation, deadlines, memory trips and
-/// injected kills (`with_kill_at(Phase::Labeling, k)`) stop the pass with
-/// a consistent, resumable [`Checkpoint`] —
-/// [`IngestErrorKind::Interrupted`], with the trip mirrored in the
-/// report's `interrupted` field. With an unlimited governor, behaviour is
-/// exactly that of [`label_stream_resilient`].
+/// On a stop mid-round, lines read beyond the stopping line are
+/// discarded: the checkpoint's byte offset still points at the first
+/// unprocessed line, and the report counts only the read retries of the
+/// lines up to the stop.
 ///
 /// # Errors
-/// The errors of [`label_stream_resilient`], plus
-/// [`IngestErrorKind::Interrupted`] on a governor trip.
-pub fn label_stream_resilient_governed<R, S, F>(
-    mut reader: R,
-    labeler: &Labeler<Transaction>,
-    sim: &S,
-    config: &ResilientConfig,
-    resume: Option<&Checkpoint>,
-    mut on_checkpoint: F,
-    governor: &RunGovernor,
-) -> Result<ResilientLabelRun, IngestError>
-where
-    R: BufRead,
-    S: Similarity<Transaction>,
-    F: FnMut(&Checkpoint),
-{
-    let started = Instant::now();
-    let num_clusters = labeler.num_clusters();
-    let mut state = start_state(resume, num_clusters)?;
-    let mut assignments: Vec<Option<usize>> = Vec::new();
-
-    let outcome = match skip_bytes(
-        &mut reader,
-        state.checkpoint.byte_offset,
-        &config.retry,
-        &mut state.report,
-    ) {
-        Err(e) => Err((IngestErrorKind::Io(e), state.checkpoint.lines_seen)),
-        Ok(()) => ingest_loop(
-            &mut reader,
-            config,
-            governor,
-            &mut state,
-            &mut on_checkpoint,
-            &mut |_lineno, txn| match labeler.label_point_checked(&txn, sim) {
-                Ok(assignment) => {
-                    assignments.push(assignment);
-                    Handled::Labeled(assignment)
-                }
-                Err(RockError::NonFiniteSimilarity { value }) => {
-                    Handled::Quarantine(format!("non-finite similarity {value}"))
-                }
-                Err(e) => Handled::Quarantine(e.to_string()),
-            },
-        ),
-    };
-
-    state.report.record_phase("label-stream", started.elapsed());
-    let labeling = collect_labeling(&assignments, num_clusters);
-    match outcome {
-        Ok(()) => Ok(ResilientLabelRun {
-            labeling,
-            report: state.report,
-            checkpoint: state.checkpoint,
-        }),
-        Err((kind, line)) => Err(IngestError {
-            kind,
-            line,
-            report: state.report,
-            checkpoint: state.checkpoint,
-            partial_assignments: assignments,
-        }),
-    }
-}
-
-/// Lines per read-score-fold round of the parallel labeling driver.
-/// Large enough to amortise the scatter/gather, small enough that a hard
-/// failure wastes at most one batch of speculative scoring.
-const PARALLEL_LABEL_BATCH: usize = 4096;
-
-/// A read-ahead line awaiting the sequential fold.
-enum PreLine {
-    /// Blank or comment line.
-    Skip,
-    /// Parsed record; index into this batch's scoring slots.
-    Txn(usize),
-    /// Parse failure to quarantine.
-    Bad(String),
-}
-
-/// As [`label_stream_resilient`], with similarity scoring fanned out
-/// across `threads` rayon workers.
-///
-/// The stream is processed in rounds of [`PARALLEL_LABEL_BATCH`] lines:
-/// reads (with retries) and parsing stay sequential, the per-record
-/// [`Labeler::label_point_checked`] calls — the O(sample)·O(stream) hot
-/// loop — run in parallel over contiguous chunks of the batch, and the
-/// results are folded back through the *same* per-line state machine as
-/// the sequential driver ([`fold_outcome`]). Scoring is pure, chunk
-/// results land in pre-assigned slots, and the fold walks lines in input
-/// order, so assignments, [`RunReport`], periodic checkpoint cadence and
-/// every salvaged [`IngestError`] are bit-identical to
-/// [`label_stream_resilient`] for any thread count — including resuming
-/// a sequential run from a parallel run's checkpoint and vice versa.
-///
-/// On a mid-batch hard stop (quarantine overflow), lines read beyond the
-/// stopping line were speculatively scored but are *not* folded: the
-/// returned checkpoint's byte offset still points at the first
-/// unprocessed line.
-///
-/// # Errors
-/// Exactly the errors of [`label_stream_resilient`].
-///
-/// # Panics
-/// Panics if `threads == 0`.
-pub fn label_stream_resilient_parallel<R, S, F>(
-    reader: R,
-    labeler: &Labeler<Transaction>,
-    sim: &S,
-    config: &ResilientConfig,
-    resume: Option<&Checkpoint>,
-    on_checkpoint: F,
-    threads: usize,
-) -> Result<ResilientLabelRun, IngestError>
-where
-    R: BufRead,
-    S: Similarity<Transaction> + Sync,
-    F: FnMut(&Checkpoint),
-{
-    label_stream_resilient_parallel_governed(
-        reader,
-        labeler,
-        sim,
-        config,
-        resume,
-        on_checkpoint,
-        &RunGovernor::unlimited(),
-        threads,
-    )
-}
-
-/// As [`label_stream_resilient_parallel`], governed.
-///
-/// The governor is consulted in the sequential fold at the same per-line
-/// checkpoint indices as [`label_stream_resilient_governed`], so a trip
-/// stops at the *same line* with the same checkpoint for every thread
-/// count; speculatively read/scored lines beyond the stop are discarded
-/// (the checkpoint's byte offset still points at the first unprocessed
-/// line, exactly as in the mid-batch quarantine-overflow case).
-///
-/// # Errors
-/// The errors of [`label_stream_resilient_parallel`], plus
-/// [`IngestErrorKind::Interrupted`] on a governor trip.
+/// [`IngestError`] on a hard I/O failure, quarantine overflow, governor
+/// trip or an inconsistent resume checkpoint — always carrying the
+/// partial results and a resumable checkpoint.
 ///
 /// # Panics
 /// Panics if `threads == 0`.
 #[allow(clippy::too_many_arguments)]
-pub fn label_stream_resilient_parallel_governed<R, S, F>(
-    mut reader: R,
+pub fn label_stream_resilient<R, S, F>(
+    reader: R,
     labeler: &Labeler<Transaction>,
     sim: &S,
     config: &ResilientConfig,
@@ -801,159 +789,27 @@ where
     F: FnMut(&Checkpoint),
 {
     assert!(threads > 0, "need at least one thread");
-    if threads == 1 {
-        return label_stream_resilient_governed(
-            reader,
-            labeler,
-            sim,
-            config,
-            resume,
-            on_checkpoint,
-            governor,
-        );
-    }
-    let started = Instant::now();
-    let num_clusters = labeler.num_clusters();
-    let mut state = start_state(resume, num_clusters)?;
-    let mut assignments: Vec<Option<usize>> = Vec::new();
-    let mut since_checkpoint = 0u64;
-
-    let finish_err = |state: LoopState,
-                      assignments: Vec<Option<usize>>,
-                      kind: IngestErrorKind,
-                      line: u64| {
-        let mut report = state.report;
-        report.record_phase("label-stream", started.elapsed());
-        Err(IngestError {
-            kind,
-            line,
-            report,
-            checkpoint: state.checkpoint,
-            partial_assignments: assignments,
-        })
+    let score = |txn: &Transaction| match labeler.label_point_checked(txn, sim) {
+        Ok(assignment) => Handled::Labeled(assignment),
+        Err(RockError::NonFiniteSimilarity { value }) => {
+            Handled::Quarantine(format!("non-finite similarity {value}"))
+        }
+        Err(e) => Handled::Quarantine(e.to_string()),
     };
-
-    if let Err(e) = skip_bytes(
-        &mut reader,
-        state.checkpoint.byte_offset,
-        &config.retry,
-        &mut state.report,
-    ) {
-        let line = state.checkpoint.lines_seen;
-        return finish_err(state, assignments, IngestErrorKind::Io(e), line);
-    }
-
-    let mut buf = Vec::new();
-    'rounds: loop {
-        // Phase 1 — sequential read-ahead of one batch.
-        let mut lines: Vec<(u64, PreLine)> = Vec::with_capacity(PARALLEL_LABEL_BATCH);
-        let mut batch_txns: Vec<Transaction> = Vec::new();
-        let mut read_error: Option<io::Error> = None;
-        let mut eof = false;
-        while lines.len() < PARALLEL_LABEL_BATCH {
-            buf.clear();
-            match read_record_retry(&mut reader, &mut buf, &config.retry, &mut state.report) {
-                Ok(0) => {
-                    eof = true;
-                    break;
-                }
-                Ok(consumed) => {
-                    let text = String::from_utf8_lossy(&buf);
-                    let line = text.trim();
-                    let pre = if line.is_empty() || line.starts_with('#') {
-                        PreLine::Skip
-                    } else {
-                        match parse_record(line) {
-                            Ok(txn) => {
-                                batch_txns.push(txn);
-                                PreLine::Txn(batch_txns.len() - 1)
-                            }
-                            Err(reason) => PreLine::Bad(reason),
-                        }
-                    };
-                    lines.push((consumed as u64, pre));
-                }
-                Err(e) => {
-                    // Fold what we have, then surface the error at the
-                    // line after the last consumed one — as the
-                    // sequential driver would.
-                    read_error = Some(e);
-                    break;
-                }
-            }
-        }
-
-        // Phase 2 — parallel scoring of this batch's parsed records.
-        let mut scored: Vec<Option<Result<Option<usize>, RockError>>> =
-            vec![None; batch_txns.len()];
-        if !batch_txns.is_empty() {
-            let chunk = batch_txns.len().div_ceil(threads);
-            rayon::scope(|scope| {
-                for (part, slots) in batch_txns.chunks(chunk).zip(scored.chunks_mut(chunk)) {
-                    scope.spawn(move |_| {
-                        for (txn, slot) in part.iter().zip(slots.iter_mut()) {
-                            *slot = Some(labeler.label_point_checked(txn, sim));
-                        }
-                    });
-                }
-            });
-        }
-
-        // Phase 3 — sequential fold through the shared state machine.
-        for (consumed, pre) in lines {
-            // Same per-line checkpoint index as the sequential driver, so
-            // a trip stops at an identical line for every thread count.
-            if let Err(e) = governor.check_at(Phase::Labeling, state.checkpoint.lines_seen) {
-                let line = state.checkpoint.lines_seen + 1;
-                let (kind, line) = interrupt_stop(e, &mut state.report, line);
-                return finish_err(state, assignments, kind, line);
-            }
-            state.checkpoint.byte_offset += consumed;
-            state.checkpoint.lines_seen += 1;
-            let lineno = state.checkpoint.lines_seen;
-            let outcome = match pre {
-                PreLine::Skip => LineOutcome::Skip,
-                PreLine::Bad(reason) => LineOutcome::Record(Handled::Quarantine(reason)),
-                PreLine::Txn(slot) => {
-                    // tidy-allow(panic): the scored batch holds one entry per parsed record, each taken exactly once in line order
-                    let result = scored[slot].take().expect("every parsed record is scored");
-                    LineOutcome::Record(match result {
-                        Ok(assignment) => {
-                            assignments.push(assignment);
-                            Handled::Labeled(assignment)
-                        }
-                        Err(RockError::NonFiniteSimilarity { value }) => {
-                            Handled::Quarantine(format!("non-finite similarity {value}"))
-                        }
-                        Err(e) => Handled::Quarantine(e.to_string()),
-                    })
-                }
-            };
-            if let Err((kind, line)) = fold_outcome(
-                &mut state,
-                config,
-                lineno,
-                outcome,
-                &mut since_checkpoint,
-                &mut on_checkpoint,
-            ) {
-                return finish_err(state, assignments, kind, line);
-            }
-        }
-
-        if let Some(e) = read_error {
-            let line = state.checkpoint.lines_seen + 1;
-            return finish_err(state, assignments, IngestErrorKind::Io(e), line);
-        }
-        if eof {
-            break 'rounds;
-        }
-    }
-
-    state.report.record_phase("label-stream", started.elapsed());
-    let labeling = collect_labeling(&assignments, num_clusters);
+    let num_clusters = labeler.num_clusters();
+    let state = run_pass(
+        reader,
+        config,
+        resume,
+        num_clusters,
+        governor,
+        threads,
+        &mut on_checkpoint,
+        &score,
+        "label-stream",
+    )?;
     Ok(ResilientLabelRun {
-        labeling,
+        labeling: collect_labeling(state.assignments, num_clusters),
         report: state.report,
         checkpoint: state.checkpoint,
     })
@@ -961,65 +817,43 @@ where
 
 /// Reads numeric basket records with retries, quarantine and checkpoints
 /// but no labeling — the resilient counterpart of
-/// [`crate::basketio::read_baskets_numeric`].
+/// [`crate::basketio::read_baskets_numeric`]. It runs the same loop as
+/// [`label_stream_resilient`], ungoverned and on one thread.
 ///
 /// # Errors
 /// [`IngestError`] on a hard I/O failure or quarantine overflow (its
 /// `partial_assignments` is always empty for this driver).
 pub fn read_baskets_resilient<R: BufRead>(
-    mut reader: R,
+    reader: R,
     config: &ResilientConfig,
     resume: Option<&Checkpoint>,
 ) -> Result<(Vec<Transaction>, RunReport, Checkpoint), IngestError> {
-    let started = Instant::now();
-    let mut state = start_state(resume, resume.map_or(0, |cp| cp.cluster_counts.len()))?;
-    let mut out = Vec::new();
-
-    let outcome = match skip_bytes(
-        &mut reader,
-        state.checkpoint.byte_offset,
-        &config.retry,
-        &mut state.report,
-    ) {
-        Err(e) => Err((IngestErrorKind::Io(e), state.checkpoint.lines_seen)),
-        Ok(()) => ingest_loop(
-            &mut reader,
-            config,
-            &RunGovernor::unlimited(),
-            &mut state,
-            &mut |_cp| {},
-            &mut |_lineno, txn| {
-                out.push(txn);
-                Handled::Stored
-            },
-        ),
-    };
-
-    state.report.record_phase("ingest", started.elapsed());
-    match outcome {
-        Ok(()) => Ok((out, state.report, state.checkpoint)),
-        Err((kind, line)) => Err(IngestError {
-            kind,
-            line,
-            report: state.report,
-            checkpoint: state.checkpoint,
-            partial_assignments: Vec::new(),
-        }),
-    }
+    let state = run_pass(
+        reader,
+        config,
+        resume,
+        resume.map_or(0, |cp| cp.cluster_counts.len()),
+        &RunGovernor::unlimited(),
+        1,
+        &mut |_: &Checkpoint| {},
+        &|_: &Transaction| Handled::Stored,
+        "ingest",
+    )?;
+    Ok((state.records, state.report, state.checkpoint))
 }
 
 /// Folds per-invocation assignments into a [`Labeling`].
-fn collect_labeling(assignments: &[Option<usize>], num_clusters: usize) -> Labeling {
+fn collect_labeling(assignments: Vec<Option<usize>>, num_clusters: usize) -> Labeling {
     let mut cluster_counts = vec![0usize; num_clusters];
     let mut num_outliers = 0usize;
-    for a in assignments {
+    for a in &assignments {
         match a {
             Some(c) => cluster_counts[*c] += 1,
             None => num_outliers += 1,
         }
     }
     Labeling {
-        assignments: assignments.to_vec(),
+        assignments,
         cluster_counts,
         num_outliers,
     }
@@ -1063,6 +897,8 @@ mod tests {
             &no_sleep_config(),
             None,
             |_| {},
+            &RunGovernor::unlimited(),
+            1,
         )
         .unwrap();
         assert_eq!(
@@ -1091,6 +927,8 @@ mod tests {
             &no_sleep_config(),
             None,
             |_| {},
+            &RunGovernor::unlimited(),
+            1,
         )
         .unwrap();
         assert_eq!(run.labeling.assignments, vec![Some(0), Some(1)]);
@@ -1116,6 +954,8 @@ mod tests {
             &config,
             None,
             |_| {},
+            &RunGovernor::unlimited(),
+            1,
         )
         .unwrap_err();
         assert!(matches!(
@@ -1150,6 +990,8 @@ mod tests {
             &no_sleep_config(),
             None,
             |_| {},
+            &RunGovernor::unlimited(),
+            1,
         )
         .unwrap();
         assert_eq!(run.checkpoint.records_read, 100);
@@ -1164,6 +1006,8 @@ mod tests {
             &no_sleep_config(),
             None,
             |_| {},
+            &RunGovernor::unlimited(),
+            1,
         )
         .unwrap();
         assert_eq!(run.labeling, clean.labeling);
@@ -1188,6 +1032,8 @@ mod tests {
             &config,
             None,
             |_| {},
+            &RunGovernor::unlimited(),
+            1,
         )
         .unwrap_err();
         let IngestErrorKind::Io(e) = &err.kind else {
@@ -1202,6 +1048,8 @@ mod tests {
             &config,
             Some(&err.checkpoint),
             |_| {},
+            &RunGovernor::unlimited(),
+            1,
         )
         .unwrap();
         assert_eq!(resumed.report.resumed_from_offset, Some(err.checkpoint.byte_offset));
@@ -1230,6 +1078,8 @@ mod tests {
             &config,
             None,
             |cp| checkpoints.push(cp.clone()),
+            &RunGovernor::unlimited(),
+            1,
         )
         .unwrap();
         assert_eq!(checkpoints.len(), 2); // lines 7 and 14 of 20
@@ -1244,6 +1094,8 @@ mod tests {
                 &config,
                 Some(cp),
                 |_| {},
+                &RunGovernor::unlimited(),
+                1,
             )
             .unwrap();
             assert_eq!(resumed.checkpoint, full.checkpoint, "resume from {cp:?}");
@@ -1298,6 +1150,8 @@ mod tests {
             &no_sleep_config(),
             Some(&cp),
             |_| {},
+            &RunGovernor::unlimited(),
+            1,
         )
         .unwrap_err();
         assert!(matches!(err.kind, IngestErrorKind::BadCheckpoint(_)));
@@ -1316,6 +1170,8 @@ mod tests {
             &no_sleep_config(),
             Some(&cp),
             |_| {},
+            &RunGovernor::unlimited(),
+            1,
         )
         .unwrap_err();
         let IngestErrorKind::Io(e) = &err.kind else {
@@ -1345,6 +1201,8 @@ mod tests {
             &no_sleep_config(),
             None,
             |_| {},
+            &RunGovernor::unlimited(),
+            1,
         )
         .unwrap();
         assert_eq!(run.labeling.assignments, vec![Some(0), Some(1)]);
@@ -1367,6 +1225,8 @@ mod tests {
             &no_sleep_config(),
             None,
             |_| {},
+            &RunGovernor::unlimited(),
+            1,
         )
         .unwrap();
         assert_eq!(run.labeling.assignments, vec![Some(0), Some(1)]);
@@ -1412,9 +1272,33 @@ mod tests {
         assert_eq!(cp2.byte_offset, cp.byte_offset);
     }
 
+    /// Thread counts every stream-labeling sweep covers.
+    const THREADS: [usize; 3] = [1, 2, 8];
+
+    /// A pass over `input` with [`test_labeler`] and Jaccard.
+    fn label_with(
+        input: &str,
+        config: &ResilientConfig,
+        resume: Option<&Checkpoint>,
+        governor: &RunGovernor,
+        threads: usize,
+    ) -> (Result<ResilientLabelRun, IngestError>, Vec<Checkpoint>) {
+        let mut checkpoints = Vec::new();
+        let run = label_stream_resilient(
+            BufReader::new(input.as_bytes()),
+            &test_labeler(),
+            &Jaccard,
+            config,
+            resume,
+            |cp| checkpoints.push(cp.clone()),
+            governor,
+            threads,
+        );
+        (run, checkpoints)
+    }
+
     #[test]
-    fn parallel_labeling_is_bit_identical_to_sequential() {
-        let labeler = test_labeler();
+    fn labeling_is_bit_identical_for_every_thread_count() {
         // Mix of labels, outliers, comments, blanks and garbage.
         let input: String = (0..500)
             .map(|i| match i % 7 {
@@ -1431,28 +1315,13 @@ mod tests {
             checkpoint_every: 37,
             ..no_sleep_config()
         };
-        let mut seq_cps = Vec::new();
-        let seq = label_stream_resilient(
-            BufReader::new(input.as_bytes()),
-            &labeler,
-            &Jaccard,
-            &config,
-            None,
-            |cp| seq_cps.push(cp.clone()),
-        )
-        .unwrap();
-        for threads in [2, 3, 8] {
-            let mut par_cps = Vec::new();
-            let par = label_stream_resilient_parallel(
-                BufReader::new(input.as_bytes()),
-                &labeler,
-                &Jaccard,
-                &config,
-                None,
-                |cp| par_cps.push(cp.clone()),
-                threads,
-            )
-            .unwrap();
+        let unlimited = RunGovernor::unlimited();
+        let (seq, seq_cps) = label_with(&input, &config, None, &unlimited, 1);
+        let seq = seq.unwrap();
+        assert_eq!(seq_cps.len(), 500 / 37);
+        for threads in THREADS {
+            let (par, par_cps) = label_with(&input, &config, None, &unlimited, threads);
+            let par = par.unwrap();
             assert_eq!(par.labeling, seq.labeling, "threads={threads}");
             assert_eq!(par.checkpoint, seq.checkpoint, "threads={threads}");
             assert_eq!(par_cps, seq_cps, "threads={threads}");
@@ -1464,44 +1333,28 @@ mod tests {
     }
 
     #[test]
-    fn parallel_quarantine_overflow_salvage_matches_sequential() {
-        let labeler = test_labeler();
+    fn quarantine_overflow_salvage_is_the_same_for_every_thread_count() {
         let input = "1 2 3\nbad\n10 11 12\nworse\nworst\n1 2 3\n";
         let config = ResilientConfig {
             max_quarantine: 2,
             ..no_sleep_config()
         };
-        let seq = label_stream_resilient(
-            BufReader::new(input.as_bytes()),
-            &labeler,
-            &Jaccard,
-            &config,
-            None,
-            |_| {},
-        )
-        .unwrap_err();
-        let par = label_stream_resilient_parallel(
-            BufReader::new(input.as_bytes()),
-            &labeler,
-            &Jaccard,
-            &config,
-            None,
-            |_| {},
-            4,
-        )
-        .unwrap_err();
-        assert!(matches!(
-            par.kind,
-            IngestErrorKind::QuarantineOverflow { cap: 2 }
-        ));
-        assert_eq!(par.line, seq.line);
-        assert_eq!(par.checkpoint, seq.checkpoint);
-        assert_eq!(par.partial_assignments, seq.partial_assignments);
+        for threads in THREADS {
+            let err = label_with(input, &config, None, &RunGovernor::unlimited(), threads)
+                .0
+                .unwrap_err();
+            assert!(matches!(
+                err.kind,
+                IngestErrorKind::QuarantineOverflow { cap: 2 }
+            ));
+            assert_eq!(err.line, 5, "threads={threads}");
+            assert_eq!(err.checkpoint.lines_seen, 5, "threads={threads}");
+            assert_eq!(err.partial_assignments, vec![Some(0), Some(1)], "threads={threads}");
+        }
     }
 
     #[test]
-    fn parallel_run_resumes_from_sequential_checkpoint_and_back() {
-        let labeler = test_labeler();
+    fn runs_resume_from_checkpoints_taken_at_any_thread_count() {
         let input: String = (0..60)
             .map(|i| if i % 2 == 0 { "1 2 3\n" } else { "10 11 12\n" })
             .collect();
@@ -1509,37 +1362,26 @@ mod tests {
             checkpoint_every: 13,
             ..no_sleep_config()
         };
-        let mut cps = Vec::new();
-        let full = label_stream_resilient(
-            BufReader::new(input.as_bytes()),
-            &labeler,
-            &Jaccard,
-            &config,
-            None,
-            |cp| cps.push(cp.clone()),
-        )
-        .unwrap();
-        assert!(!cps.is_empty());
-        // Resume a parallel run from a sequential periodic checkpoint.
-        let resumed = label_stream_resilient_parallel(
-            BufReader::new(input.as_bytes()),
-            &labeler,
-            &Jaccard,
-            &config,
-            Some(&cps[0]),
-            |_| {},
-            3,
-        )
-        .unwrap();
-        assert_eq!(resumed.checkpoint, full.checkpoint);
-        assert_eq!(
-            resumed.labeling.assignments,
-            full.labeling.assignments[cps[0].records_read as usize..].to_vec()
-        );
+        let unlimited = RunGovernor::unlimited();
+        for taken_at in THREADS {
+            let (full, cps) = label_with(&input, &config, None, &unlimited, taken_at);
+            let full = full.unwrap();
+            assert!(!cps.is_empty());
+            for threads in THREADS {
+                let resumed = label_with(&input, &config, Some(&cps[0]), &unlimited, threads)
+                    .0
+                    .unwrap();
+                assert_eq!(resumed.checkpoint, full.checkpoint);
+                assert_eq!(
+                    resumed.labeling.assignments,
+                    full.labeling.assignments[cps[0].records_read as usize..].to_vec()
+                );
+            }
+        }
     }
 
     #[test]
-    fn parallel_labeling_with_transient_faults_matches_clean_run() {
+    fn labeling_with_transient_faults_matches_clean_run() {
         let labeler = test_labeler();
         let input: String = (0..120)
             .map(|i| {
@@ -1550,34 +1392,31 @@ mod tests {
                 }
             })
             .collect();
-        let spec = FaultSpec::none(23).transient(0.1, 1).chunk(8);
-        let faulty = FaultyReader::new(input.as_bytes(), spec);
-        let run = label_stream_resilient_parallel(
-            BufReader::new(faulty),
-            &labeler,
-            &Jaccard,
-            &no_sleep_config(),
-            None,
-            |_| {},
-            4,
-        )
-        .unwrap();
-        let clean = label_stream_resilient(
-            BufReader::new(input.as_bytes()),
-            &labeler,
-            &Jaccard,
-            &no_sleep_config(),
-            None,
-            |_| {},
-        )
-        .unwrap();
-        assert_eq!(run.labeling, clean.labeling);
-        assert_eq!(run.checkpoint, clean.checkpoint);
+        let clean = label_with(&input, &no_sleep_config(), None, &RunGovernor::unlimited(), 1)
+            .0
+            .unwrap();
+        for threads in THREADS {
+            let spec = FaultSpec::none(23).transient(0.1, 1).chunk(8);
+            let faulty = FaultyReader::new(input.as_bytes(), spec);
+            let run = label_stream_resilient(
+                BufReader::new(faulty),
+                &labeler,
+                &Jaccard,
+                &no_sleep_config(),
+                None,
+                |_| {},
+                &RunGovernor::unlimited(),
+                threads,
+            )
+            .unwrap();
+            assert!(run.report.transient_io_errors > 0, "no faults fired");
+            assert_eq!(run.labeling, clean.labeling, "threads={threads}");
+            assert_eq!(run.checkpoint, clean.checkpoint, "threads={threads}");
+        }
     }
 
     #[test]
     fn governed_kill_interrupts_then_resume_is_bit_identical() {
-        let labeler = test_labeler();
         let input: String = (0..60)
             .map(|i| match i % 3 {
                 0 => "1 2 3\n",
@@ -1589,61 +1428,43 @@ mod tests {
             checkpoint_every: 7,
             ..no_sleep_config()
         };
-        let baseline = label_stream_resilient(
-            BufReader::new(input.as_bytes()),
-            &labeler,
-            &Jaccard,
-            &config,
-            None,
-            |_| {},
-        )
-        .unwrap();
+        let unlimited = RunGovernor::unlimited();
+        let baseline = label_with(&input, &config, None, &unlimited, 1).0.unwrap();
 
-        // Kill at absolute line 20 (check_at uses cumulative lines_seen).
-        let governor = RunGovernor::unlimited().with_kill_at(Phase::Labeling, 20);
-        let err = label_stream_resilient_governed(
-            BufReader::new(input.as_bytes()),
-            &labeler,
-            &Jaccard,
-            &config,
-            None,
-            |_| {},
-            &governor,
-        )
-        .unwrap_err();
-        assert!(matches!(
-            err.kind,
-            IngestErrorKind::Interrupted {
-                phase: Phase::Labeling,
-                reason: TripReason::Cancelled,
-            }
-        ));
-        assert_eq!(err.line, 21);
-        assert_eq!(err.checkpoint.lines_seen, 20);
-        assert_eq!(err.report.interrupted, Some((Phase::Labeling, TripReason::Cancelled)));
-        assert!(err.report.degraded());
-        assert!(err.to_string().contains("resume from byte"));
+        for threads in THREADS {
+            // Kill at absolute line 20 (check_at uses cumulative lines_seen).
+            let governor = RunGovernor::unlimited().with_kill_at(Phase::Labeling, 20);
+            let err = label_with(&input, &config, None, &governor, threads)
+                .0
+                .unwrap_err();
+            assert!(matches!(
+                err.kind,
+                IngestErrorKind::Interrupted {
+                    phase: Phase::Labeling,
+                    reason: TripReason::Cancelled,
+                }
+            ));
+            assert_eq!(err.line, 21);
+            assert_eq!(err.checkpoint.lines_seen, 20);
+            assert_eq!(err.report.interrupted, Some((Phase::Labeling, TripReason::Cancelled)));
+            assert!(err.report.degraded());
+            assert!(err.to_string().contains("resume from byte"));
 
-        // Resume from the interruption checkpoint with no governor limits:
-        // the tail concatenated onto the salvage is bit-identical.
-        let resumed = label_stream_resilient(
-            BufReader::new(input.as_bytes()),
-            &labeler,
-            &Jaccard,
-            &config,
-            Some(&err.checkpoint),
-            |_| {},
-        )
-        .unwrap();
-        assert_eq!(resumed.checkpoint, baseline.checkpoint);
-        let mut stitched = err.partial_assignments.clone();
-        stitched.extend(resumed.labeling.assignments.iter().cloned());
-        assert_eq!(stitched, baseline.labeling.assignments);
+            // Resume from the interruption checkpoint with no governor
+            // limits: the tail concatenated onto the salvage is
+            // bit-identical.
+            let resumed = label_with(&input, &config, Some(&err.checkpoint), &unlimited, threads)
+                .0
+                .unwrap();
+            assert_eq!(resumed.checkpoint, baseline.checkpoint);
+            let mut stitched = err.partial_assignments.clone();
+            stitched.extend(resumed.labeling.assignments.iter().cloned());
+            assert_eq!(stitched, baseline.labeling.assignments);
+        }
     }
 
     #[test]
-    fn governed_parallel_stops_at_the_same_line_for_any_thread_count() {
-        let labeler = test_labeler();
+    fn governed_pass_stops_at_the_same_line_for_any_thread_count() {
         let input: String = (0..90)
             .map(|i| {
                 if i % 2 == 0 {
@@ -1657,25 +1478,14 @@ mod tests {
             checkpoint_every: 11,
             ..no_sleep_config()
         };
-        let kill = |governor: &RunGovernor, threads: usize| {
-            label_stream_resilient_parallel_governed(
-                BufReader::new(input.as_bytes()),
-                &labeler,
-                &Jaccard,
-                &config,
-                None,
-                |_| {},
-                governor,
-                threads,
-            )
-            .unwrap_err()
+        let kill = |threads: usize| {
+            let governor = RunGovernor::unlimited().with_kill_at(Phase::Labeling, 40);
+            label_with(&input, &config, None, &governor, threads).0.unwrap_err()
         };
-        let seq = kill(&RunGovernor::unlimited().with_kill_at(Phase::Labeling, 40), 1);
-        for threads in [2, 8] {
-            let par = kill(
-                &RunGovernor::unlimited().with_kill_at(Phase::Labeling, 40),
-                threads,
-            );
+        let seq = kill(1);
+        assert_eq!(seq.checkpoint.lines_seen, 40);
+        for threads in THREADS {
+            let par = kill(threads);
             assert_eq!(par.line, seq.line, "threads={threads}");
             assert_eq!(par.checkpoint, seq.checkpoint, "threads={threads}");
             assert_eq!(
@@ -1683,8 +1493,8 @@ mod tests {
                 "threads={threads}"
             );
         }
-        // Speculative read-ahead past the stop line is discarded: the
-        // checkpoint byte offset points at the first unprocessed line.
+        // Read-ahead past the stop line is discarded: the checkpoint byte
+        // offset points at the first unprocessed line.
         let prefix: usize = input
             .lines()
             .take(seq.checkpoint.lines_seen as usize)

@@ -42,7 +42,9 @@ fn main() {
     };
 
     // --- the reference: an uninterrupted run.
-    let baseline = build(RunGovernor::unlimited()).cluster(&data, &Jaccard);
+    let baseline = build(RunGovernor::unlimited())
+        .cluster(&data, &Jaccard)
+        .expect("an unlimited governor never trips");
     println!(
         "baseline: {} clusters after {} merges",
         baseline.clustering.num_clusters(),

@@ -122,7 +122,9 @@ fn main() {
 
     // 3. The packaged driver runs the same stages internally — the two
     //    paths must agree bit for bit, merge trace included.
-    let packaged = engine().cluster(&data, &Jaccard);
+    let packaged = engine()
+        .cluster(&data, &Jaccard)
+        .expect("an unlimited governor never trips");
     assert_eq!(staged.clustering, packaged.clustering);
     assert_eq!(staged.merges, packaged.merges);
     println!(

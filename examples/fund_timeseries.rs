@@ -35,7 +35,8 @@ fn main() {
         .clusters(20)
         .build()
         .expect("valid configuration");
-    let run = rock.cluster(&data.records, &sim);
+    let run = rock.cluster(&data.records, &sim)
+        .expect("categorical Jaccard is finite; no budget is set");
 
     let mut described = 0;
     for cluster in &run.clustering.clusters {

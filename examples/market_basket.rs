@@ -34,7 +34,9 @@ fn main() {
         .seed(7)
         .build()
         .expect("valid configuration");
-    let result = rock.run(&data.transactions, &Jaccard);
+    let (result, _report) = rock
+        .run(&data.transactions, &Jaccard)
+        .expect("Jaccard is finite; no budget is set");
 
     println!(
         "sample of {} clustered into {} clusters; {} sample points weeded as outliers",

@@ -25,7 +25,8 @@ fn main() {
         .clusters(20)
         .build()
         .expect("valid configuration");
-    let run = rock.cluster(&data.records, &CategoricalJaccard::default());
+    let run = rock.cluster(&data.records, &CategoricalJaccard::default())
+        .expect("categorical Jaccard is finite; no budget is set");
 
     let truth: Vec<usize> = data
         .labels

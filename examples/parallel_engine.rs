@@ -16,9 +16,7 @@ use rock::neighbors::NeighborGraph;
 use rock::rock::Rock;
 use rock::similarity::{Jaccard, PointsWith};
 use rock::governor::RunGovernor;
-use rock_data::resilient::{
-    label_stream_resilient, label_stream_resilient_parallel_governed, ResilientConfig, RetryPolicy,
-};
+use rock_data::resilient::{label_stream_resilient, ResilientConfig, RetryPolicy};
 use rock_data::{generate_baskets, write_baskets, PackedBaskets, SyntheticBasketSpec};
 use std::io::BufReader;
 use std::time::Duration;
@@ -71,9 +69,8 @@ fn main() {
 
     // --- stage 3: the full pipeline with the threads knob. Same seed +
     // same data ⇒ the parallel run reproduces the sequential run exactly.
-    // The parallel side runs *governed* (a generous wall-clock deadline):
-    // with no budget tripped the governed pipeline is bit-identical to
-    // the plain one, and the report carries per-phase timings.
+    // Both runs are governed by a generous wall-clock deadline that never
+    // trips, and the report carries per-phase timings.
     let build = |threads: usize| {
         Rock::builder()
             .theta(theta)
@@ -88,9 +85,11 @@ fn main() {
             .expect("valid configuration")
     };
     let (par, report) = build(threads)
-        .try_run(txns, &Jaccard)
+        .run(txns, &Jaccard)
         .expect("a 600 s deadline never trips here");
-    let seq = build(1).run(txns, &Jaccard);
+    let (seq, _) = build(1)
+        .run(txns, &Jaccard)
+        .expect("a 600 s deadline never trips here");
     assert_eq!(par.labeling.assignments, seq.labeling.assignments);
     assert!(!report.degraded(), "no budget tripped, nothing degraded");
     println!(
@@ -102,7 +101,7 @@ fn main() {
 
     // --- stage 4: parallel resilient labeling of a disk-resident stream.
     // Workers score batches in parallel while checkpoints, quarantine and
-    // salvage accounting stay byte-identical with the sequential driver.
+    // salvage accounting stay byte-identical with a one-thread pass.
     let sample: Vec<_> = par.sample_indices.iter().map(|&i| txns[i].clone()).collect();
     let ftheta = (1.0 - theta) / (1.0 + theta);
     let labeler = Labeler::full(&sample, &par.sample_run.clustering.clusters, theta, ftheta);
@@ -115,30 +114,25 @@ fn main() {
         quarantine_detail: 4,
         checkpoint_every: 500,
     };
-    let par_run = label_stream_resilient_parallel_governed(
-        BufReader::new(image.as_bytes()),
-        &labeler,
-        &Jaccard,
-        &config,
-        None,
-        |_| {},
-        &RunGovernor::unlimited(),
-        threads,
-    )
-    .expect("clean stream labels without interruption");
-    let seq_run = label_stream_resilient(
-        BufReader::new(image.as_bytes()),
-        &labeler,
-        &Jaccard,
-        &config,
-        None,
-        |_| {},
-    )
-    .expect("sequential reference pass");
+    let label = |threads| {
+        label_stream_resilient(
+            BufReader::new(image.as_bytes()),
+            &labeler,
+            &Jaccard,
+            &config,
+            None,
+            |_| {},
+            &RunGovernor::unlimited(),
+            threads,
+        )
+        .expect("clean stream labels without interruption")
+    };
+    let par_run = label(threads);
+    let seq_run = label(1);
     assert_eq!(par_run.labeling.assignments, seq_run.labeling.assignments);
     assert_eq!(par_run.checkpoint, seq_run.checkpoint);
     println!(
-        "resilient labeling: {} records, {} outliers (parallel == sequential ✓)",
+        "resilient labeling: {} records, {} outliers (threads={threads} == threads=1 ✓)",
         par_run.checkpoint.records_read, par_run.checkpoint.outliers
     );
 

@@ -36,7 +36,9 @@ fn main() {
         .clusters(2)
         .build()
         .expect("valid configuration");
-    let run = rock.cluster(&baskets, &Jaccard);
+    let run = rock
+        .cluster(&baskets, &Jaccard)
+        .expect("Jaccard is finite; no budget is set");
 
     println!("found {} clusters:", run.clustering.num_clusters());
     for (c, members) in run.clustering.clusters.iter().enumerate() {

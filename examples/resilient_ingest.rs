@@ -20,8 +20,7 @@ use rock::rock::Rock;
 use rock::similarity::Jaccard;
 use rock_data::faults::{corrupt_baskets, FaultSpec, FaultyReader};
 use rock_data::resilient::{
-    label_stream_resilient, label_stream_resilient_governed, Checkpoint, ResilientConfig,
-    RetryPolicy,
+    label_stream_resilient, Checkpoint, ResilientConfig, RetryPolicy,
 };
 use rock_data::write_baskets;
 use std::io::BufReader;
@@ -57,7 +56,7 @@ fn main() {
         .cloned()
         .collect();
     let rock = Rock::builder().theta(theta).clusters(2).build().expect("valid config");
-    let run = rock.cluster(&sample, &Jaccard);
+    let run = rock.cluster(&sample, &Jaccard).expect("finite similarities, no budget");
     let ftheta = (1.0 - theta) / (1.0 + theta);
     let labeler = Labeler::full(&sample, &run.clustering.clusters, theta, ftheta);
     println!("sample clustered into {} clusters", labeler.num_clusters());
@@ -76,6 +75,8 @@ fn main() {
         &config,
         None,
         |_| {},
+        &RunGovernor::unlimited(),
+        1,
     )
     .expect("quarantine absorbs the data damage");
     assert!(
@@ -93,6 +94,8 @@ fn main() {
         &config,
         None,
         |cp| println!("  checkpoint at byte {} ({} records)", cp.byte_offset, cp.records_read),
+        &RunGovernor::unlimited(),
+        1,
     )
     .expect_err("burst of 10 against a budget of 3 must interrupt");
     println!("\ninterrupted: {err}");
@@ -103,10 +106,11 @@ fn main() {
     //     resume over a healthy reader.
     let persisted = err.checkpoint.encode();
     let resume = Checkpoint::decode(&persisted).expect("checkpoint round-trips");
-    // The resume goes through the governor-aware driver: a real pipeline
-    // would hand the governor a cancellation token wired to its signal
-    // handler, so an operator can stop the pass at a checkpointed line.
-    let resumed = label_stream_resilient_governed(
+    // A real pipeline would hand the governor a cancellation token wired
+    // to its signal handler, so an operator can stop the pass at a
+    // checkpointed line. The resume scores on two threads: checkpoints
+    // carry over between thread counts.
+    let resumed = label_stream_resilient(
         BufReader::new(image.as_bytes()),
         &labeler,
         &Jaccard,
@@ -114,6 +118,7 @@ fn main() {
         Some(&resume),
         |_| {},
         &RunGovernor::unlimited(),
+        2,
     )
     .expect("resume over a healthy reader completes");
     println!("resumed from byte {} and finished; final report:", resume.byte_offset);

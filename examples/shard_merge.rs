@@ -51,7 +51,8 @@ fn main() {
 
     // --- act 1: a clean supervised run.
     let clean = rock
-        .cluster_sharded(&data, &Jaccard, shard.clone())
+        .shard_supervisor(shard.clone())
+        .and_then(|supervisor| supervisor.run(&data, &Jaccard))
         .expect("clean sharded run");
     println!("\n[clean] {}", clean.report);
     println!(

@@ -28,7 +28,7 @@
 //!     Transaction::from([7, 9, 10]),
 //! ];
 //! let rock = Rock::builder().theta(0.5).clusters(2).build()?;
-//! let run = rock.cluster(&baskets, &Jaccard);
+//! let run = rock.cluster(&baskets, &Jaccard)?;
 //! assert_eq!(run.clustering.num_clusters(), 2);
 //! # Ok::<(), rock::RockError>(())
 //! ```

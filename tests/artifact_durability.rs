@@ -19,6 +19,7 @@ use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use rock::artifact::ModelArtifact;
 use rock::engine::model::ModelFit;
+use rock::governor::RunGovernor;
 use rock::labeling::Labeler;
 use rock::points::Transaction;
 use rock::rock::Rock;
@@ -81,7 +82,7 @@ fn fit_save_load_assign_is_bit_identical_across_threads_and_seeds() {
             }
             let rock = builder.build().unwrap();
             let (result, report, labeler) =
-                rock.try_run_labeled(&data.transactions, &Jaccard).unwrap();
+                rock.session().fit_with_labeler(&data.transactions, &Jaccard).unwrap();
             let fit = ModelFit {
                 clustering: result.full_clustering(),
                 dendrogram: None,
@@ -99,7 +100,9 @@ fn fit_save_load_assign_is_bit_identical_across_threads_and_seeds() {
             // Labels through the reloaded artifact, at this thread
             // count, are bit-identical to the live run's labeling.
             let served: Labeler<Transaction> = loaded.labeler().unwrap();
-            let relabeled = served.label_all_parallel(&data.transactions, &Jaccard, threads);
+            let relabeled = served
+                .label_all(&data.transactions, &Jaccard, threads, &RunGovernor::unlimited())
+                .unwrap();
             assert_eq!(relabeled.assignments, result.labeling.assignments);
             assert_eq!(relabeled.cluster_counts, result.labeling.cluster_counts);
             assert_eq!(relabeled.num_outliers, result.labeling.num_outliers);

@@ -2,6 +2,7 @@
 //! against ROCK on shared data.
 
 use rand::{rngs::StdRng, SeedableRng};
+use rock::governor::RunGovernor;
 use rock::neighbors::NeighborGraph;
 use rock::rock::Rock;
 use rock::similarity::{Jaccard, PointsWith};
@@ -30,7 +31,7 @@ fn dbscan_close_but_below_rock_on_overlapping_baskets() {
     let graph = NeighborGraph::build(&PointsWith::new(&data.transactions, Jaccard), 0.5);
     let truth = dense_truth(&data.labels, 10);
 
-    let db = dbscan(&graph, DbscanConfig::new(4));
+    let db = dbscan(&graph, DbscanConfig::new(4), &RunGovernor::unlimited()).unwrap();
     let db_pred = dense_truth(&db.assignments(truth.len()), db.num_clusters());
     let db_ari = adjusted_rand_index(&db_pred, &truth);
 
@@ -40,7 +41,7 @@ fn dbscan_close_but_below_rock_on_overlapping_baskets() {
         .weed_outliers(3.0, 5)
         .build()
         .unwrap();
-    let run = rock.cluster(&data.transactions, &Jaccard);
+    let run = rock.cluster(&data.transactions, &Jaccard).unwrap();
     let rock_pred = dense_truth(
         &run.clustering.assignments(truth.len()),
         run.clustering.num_clusters(),
@@ -72,7 +73,9 @@ fn clarans_recovers_basket_clusters_roughly() {
             max_neighbor: 150,
         },
         &mut rng,
-    );
+        &RunGovernor::unlimited(),
+    )
+    .unwrap();
     let pred = dense_truth(&r.clustering.assignments(truth.len()), 10);
     let ari = adjusted_rand_index(&pred, &truth);
     assert!(ari > 0.5, "CLARANS ARI {ari}");

@@ -83,7 +83,7 @@ proptest! {
     ) {
         let threads = [1usize, 2, 8][threads_idx];
         let data = three_clusters(18);
-        let baseline = engine(threads, RunGovernor::unlimited()).cluster(&data, &Jaccard);
+        let baseline = engine(threads, RunGovernor::unlimited()).cluster(&data, &Jaccard).unwrap();
         let killer = engine(threads, RunGovernor::unlimited().with_kill_at(Phase::Merge, k));
         let mut wal = MergeWal::new();
         match killer.cluster_wal(&data, &Jaccard, &mut wal) {
@@ -133,7 +133,7 @@ proptest! {
 #[test]
 fn chained_interruptions_resume_through_continuation_logs() {
     let data = three_clusters(18);
-    let baseline = engine(2, RunGovernor::unlimited()).cluster(&data, &Jaccard);
+    let baseline = engine(2, RunGovernor::unlimited()).cluster(&data, &Jaccard).unwrap();
 
     let mut wal1 = MergeWal::new();
     let err = engine(2, RunGovernor::unlimited().with_kill_at(Phase::Merge, 5))
@@ -171,7 +171,7 @@ fn chained_interruptions_resume_through_continuation_logs() {
 #[test]
 fn snapshot_wal_resumes_without_the_original_data() {
     let data = three_clusters(18);
-    let baseline = engine(2, RunGovernor::unlimited()).cluster(&data, &Jaccard);
+    let baseline = engine(2, RunGovernor::unlimited()).cluster(&data, &Jaccard).unwrap();
 
     let mut wal = MergeWal::new().with_snapshot_every(4);
     let err = engine(2, RunGovernor::unlimited().with_kill_at(Phase::Merge, 13))
@@ -255,7 +255,7 @@ fn memory_trip_degrades_per_policy() {
         .memory_budget(1)
         .build()
         .unwrap();
-    let err = fail.try_run(&data, &Jaccard).unwrap_err();
+    let err = fail.run(&data, &Jaccard).unwrap_err();
     assert!(matches!(
         err,
         RockError::Interrupted {
@@ -274,7 +274,7 @@ fn memory_trip_degrades_per_policy() {
         .degradation(DegradationPolicy::Components { min_cluster_size: 2 })
         .build()
         .unwrap();
-    let (result, report) = degrade.try_run(&data, &Jaccard).unwrap();
+    let (result, report) = degrade.run(&data, &Jaccard).unwrap();
     let note = report.degraded.as_ref().expect("degradation note recorded");
     assert_eq!(note.reason, TripReason::MemoryBudgetExceeded);
     assert!(report.degraded());

@@ -2,6 +2,7 @@
 //! asserting the paper's qualitative findings.
 
 use rand::{rngs::StdRng, SeedableRng};
+use rock::governor::RunGovernor;
 use rock::rock::Rock;
 use rock::similarity::{CategoricalJaccard, MissingPolicy};
 use rock_baselines::{centroid_hierarchical, records_to_vectors, CentroidConfig};
@@ -25,7 +26,7 @@ fn votes_rock_finds_two_party_clusters() {
         .weed_outliers(3.0, 5)
         .build()
         .unwrap();
-    let run = rock.cluster(&data.records, &CategoricalJaccard::default());
+    let run = rock.cluster(&data.records, &CategoricalJaccard::default()).unwrap();
     assert_eq!(run.clustering.num_clusters(), 2, "two party clusters");
     let table = ContingencyTable::new(&run.clustering.assignments(truth.len()), &truth);
     // Table-2 shape: each cluster dominated by one party (≥ 85%).
@@ -60,11 +61,12 @@ fn votes_rock_beats_traditional_on_ari() {
         .weed_outliers(3.0, 5)
         .build()
         .unwrap();
-    let rock_run = rock.cluster(&data.records, &CategoricalJaccard::default());
+    let rock_run = rock.cluster(&data.records, &CategoricalJaccard::default()).unwrap();
     let rock_ari =
         adjusted_rand_index(&flatten(rock_run.clustering.assignments(truth.len())), &truth);
     let vectors = records_to_vectors(&data.records, &data.schema);
-    let trad = centroid_hierarchical(&vectors, CentroidConfig::paper(2));
+    let trad = centroid_hierarchical(&vectors, CentroidConfig::paper(2), &RunGovernor::unlimited())
+        .unwrap();
     let trad_ari = adjusted_rand_index(&flatten(trad.assignments(truth.len())), &truth);
     assert!(
         rock_ari > trad_ari,
@@ -84,7 +86,7 @@ fn mushroom_rock_clusters_are_pure_and_skewed() {
         .map(|e| usize::from(*e == Edibility::Poisonous))
         .collect();
     let rock = Rock::builder().theta(0.8).clusters(20).build().unwrap();
-    let run = rock.cluster(&data.records, &CategoricalJaccard::default());
+    let run = rock.cluster(&data.records, &CategoricalJaccard::default()).unwrap();
     let table = ContingencyTable::new(&run.clustering.assignments(truth.len()), &truth);
     // Table-3 shape: nearly all clusters pure…
     assert!(
@@ -113,13 +115,14 @@ fn mushroom_rock_tracks_species_better_than_traditional() {
         assignments.iter().map(|a| a.map_or(999, |c| c)).collect()
     };
     let rock = Rock::builder().theta(0.8).clusters(20).build().unwrap();
-    let run = rock.cluster(&data.records, &CategoricalJaccard::default());
+    let run = rock.cluster(&data.records, &CategoricalJaccard::default()).unwrap();
     let rock_ari = adjusted_rand_index(
         &flatten(run.clustering.assignments(data.records.len())),
         &data.species,
     );
     let vectors = records_to_vectors(&data.records, &data.schema);
-    let trad = centroid_hierarchical(&vectors, CentroidConfig::paper(20));
+    let trad = centroid_hierarchical(&vectors, CentroidConfig::paper(20), &RunGovernor::unlimited())
+        .unwrap();
     let trad_ari = adjusted_rand_index(
         &flatten(trad.assignments(data.records.len())),
         &data.species,
@@ -137,7 +140,7 @@ fn funds_families_recovered_with_missing_values() {
     let data = generate_funds(&spec, &mut StdRng::seed_from_u64(1993));
     let sim = CategoricalJaccard::new(MissingPolicy::CommonAttributes);
     let rock = Rock::builder().theta(0.8).clusters(20).build().unwrap();
-    let run = rock.cluster(&data.records, &sim);
+    let run = rock.cluster(&data.records, &sim).unwrap();
     // Clusters of size ≥ 4 must be pure fund families.
     let mut families = 0;
     for cluster in &run.clustering.clusters {
@@ -164,7 +167,7 @@ fn funds_young_and_old_members_cluster_together() {
     let data = generate_funds(&spec, &mut StdRng::seed_from_u64(77));
     let sim = CategoricalJaccard::new(MissingPolicy::CommonAttributes);
     let rock = Rock::builder().theta(0.8).clusters(20).build().unwrap();
-    let run = rock.cluster(&data.records, &sim);
+    let run = rock.cluster(&data.records, &sim).unwrap();
     let mut young_clustered = 0usize;
     for cluster in &run.clustering.clusters {
         if cluster.len() < 4 {

@@ -10,7 +10,7 @@
 //! values echoed back.
 
 use rock::goodness::ConstantF;
-use rock::governor::DegradationPolicy;
+use rock::governor::{CancellationToken, DegradationPolicy, TripReason};
 use rock::points::Transaction;
 use rock::rock::Rock;
 use rock::similarity::{Jaccard, Similarity};
@@ -110,11 +110,36 @@ impl Similarity<Transaction> for NanOn13 {
 #[test]
 fn checked_clustering_surfaces_non_finite_similarity() {
     let rock = Rock::builder().theta(0.5).clusters(2).build().unwrap();
-    let err = rock.try_cluster(&baskets(), &NanOn13).unwrap_err();
+    let err = rock.cluster(&baskets(), &NanOn13).unwrap_err();
     match err {
         RockError::NonFiniteSimilarity { value } => assert!(value.is_nan()),
         other => panic!("expected NonFiniteSimilarity, got {other:?}"),
     }
+}
+
+#[test]
+fn cluster_and_run_obey_the_configured_governor() {
+    let token = CancellationToken::new();
+    token.cancel();
+    let rock = Rock::builder()
+        .theta(0.5)
+        .clusters(2)
+        .cancel_token(token)
+        .build()
+        .unwrap();
+    let cancelled = |err: &RockError| {
+        matches!(
+            err,
+            RockError::Interrupted {
+                reason: TripReason::Cancelled,
+                ..
+            }
+        )
+    };
+    let err = rock.cluster(&baskets(), &Jaccard).unwrap_err();
+    assert!(cancelled(&err), "cluster: expected Interrupted, got {err:?}");
+    let err = rock.run(&baskets(), &Jaccard).unwrap_err();
+    assert!(cancelled(&err), "run: expected Interrupted, got {err:?}");
 }
 
 #[test]

@@ -19,7 +19,7 @@ use rock::points::Transaction;
 use rock::similarity::{Jaccard, PointsWith};
 use rock::util::FxBuildHasher;
 use rock::wal::MergeWal;
-use rock::{compute_links_sparse, compute_links_sparse_seeded};
+use rock::{compute_links_sparse, compute_links_sparse_seeded, LinkMatrix};
 
 /// Strategy: a set of transactions over a small item universe.
 fn transactions(max_points: usize) -> impl Strategy<Value = Vec<Transaction>> {
@@ -59,13 +59,19 @@ proptest! {
         };
         let algo = RockAlgorithm::new(goodness, k, outliers);
 
-        let baseline_links = compute_links_sparse(&g);
-        let baseline = algo.run_with_links(&g, &baseline_links);
+        let governor = RunGovernor::unlimited();
+        let baseline_links = LinkMatrix::from_table(&compute_links_sparse(&g));
+        let baseline = algo
+            .run_governed(&g, &baseline_links, &governor, None)
+            .expect("unlimited governor");
 
-        // Scramble both the link table's pair order and the engine's
-        // internal cross-link maps.
-        let seeded_links = compute_links_sparse_seeded(&g, FxBuildHasher::with_seed(seed));
-        let seeded = algo.with_hash_seed(seed).run_with_links(&g, &seeded_links);
+        // Scramble the link table's pair order and seed the engine.
+        let seeded_table = compute_links_sparse_seeded(&g, FxBuildHasher::with_seed(seed));
+        let seeded_links = LinkMatrix::from_table(&seeded_table);
+        let seeded = algo
+            .with_hash_seed(seed)
+            .run_governed(&g, &seeded_links, &governor, None)
+            .expect("unlimited governor");
 
         assert_same_run!(baseline, seeded);
     }
@@ -84,16 +90,17 @@ proptest! {
         let goodness = Goodness::new(theta, BasketF, GoodnessKind::Normalized);
         let algo = RockAlgorithm::new(goodness, 2, OutlierPolicy::default());
         let governor = RunGovernor::unlimited();
+        let links = LinkMatrix::compute_auto(&g, 1);
 
         let mut wal_a = MergeWal::new().with_snapshot_every(4);
         let run_a = algo
-            .run_governed(&g, 1, &governor, Some(&mut wal_a))
+            .run_governed(&g, &links, &governor, Some(&mut wal_a))
             .expect("unlimited governor");
 
         let mut wal_b = MergeWal::new().with_snapshot_every(4);
         let run_b = algo
             .with_hash_seed(seed)
-            .run_governed(&g, 1, &governor, Some(&mut wal_b))
+            .run_governed(&g, &links, &governor, Some(&mut wal_b))
             .expect("unlimited governor");
 
         assert_same_run!(run_a, run_b);
@@ -113,10 +120,11 @@ proptest! {
         let goodness = Goodness::new(theta, BasketF, GoodnessKind::Normalized);
         let algo = RockAlgorithm::new(goodness, 2, OutlierPolicy::default());
         let governor = RunGovernor::unlimited();
+        let links = LinkMatrix::compute_auto(&g, 1);
 
         let mut wal = MergeWal::new().with_snapshot_every(2);
         let complete = algo
-            .run_governed(&g, 1, &governor, Some(&mut wal))
+            .run_governed(&g, &links, &governor, Some(&mut wal))
             .expect("unlimited governor");
 
         // Replay the finished log under a scrambled hasher: the replayed

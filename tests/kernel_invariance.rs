@@ -11,14 +11,14 @@
 //!   {1, 2, 3, 8} pinned explicitly (the proptests draw thread counts
 //!   randomly, which in principle could miss a specific count).
 //! * **Labeling merge under adversarial similarities** — the
-//!   thread-local outcome merge in `label_all_parallel` must agree with
-//!   the sequential fold even when the similarity measure is engineered
+//!   thread-local outcome merge in `Labeler::label_all` must agree with
+//!   the single-threaded fold even when the similarity measure is engineered
 //!   to sit exactly on the θ decision boundary, to drive every point to
 //!   the outlier path, or to saturate at 1.0 — the regimes where a
 //!   merge-order bug would surface as a miscounted outlier or cluster
 //!   total.
 //! * **Item-indexed labeling is exact** — the postings-index scorer the
-//!   batch labelers use for item-set measures must reproduce the
+//!   batch labeler uses for item-set measures must reproduce the
 //!   brute-force scan (the same measure with its item capability
 //!   hidden) label for label, across θ, id layouts and thread counts.
 //! * **Item-indexed neighbors are exact** — the neighbor scan that
@@ -32,7 +32,7 @@
 use proptest::collection;
 use proptest::prelude::*;
 use rock::governor::RunGovernor;
-use rock::labeling::Labeler;
+use rock::labeling::{Labeler, Labeling};
 use rock::links_matrix::LinkMatrix;
 use rock::neighbors::NeighborGraph;
 use rock::points::Transaction;
@@ -42,6 +42,18 @@ use std::ops::Range;
 
 /// The pinned thread grid from the acceptance criteria.
 const THREAD_GRID: [usize; 4] = [1, 2, 3, 8];
+
+/// An ungoverned [`Labeler::label_all`] pass on `threads` workers.
+fn label_all<S: Similarity<Transaction> + Sync>(
+    labeler: &Labeler<Transaction>,
+    data: &[Transaction],
+    sim: &S,
+    threads: usize,
+) -> Labeling {
+    labeler
+        .label_all(data, sim, threads, &RunGovernor::unlimited())
+        .unwrap()
+}
 
 /// A random basket set over a small item universe so θ-neighborhoods
 /// are non-trivial (same shape as `tests/parallel_determinism.rs`).
@@ -140,8 +152,8 @@ const BOUNDARY_BASKETS: [&[u32]; 4] = [&[0, 1], &[0, 1, 2], &[0, 1, 2, 3], &[0, 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    // The item-indexed labeler equals brute force on every batch entry
-    // point and thread count: random (possibly empty) baskets, an empty
+    // The item-indexed labeler equals brute force at every thread
+    // count: random (possibly empty) baskets, an empty
     // Lᵢ, duplicated representatives, ids near u32::MAX, the θ grid, and
     // data both shorter and longer than one governed batch.
     #[test]
@@ -170,19 +182,12 @@ proptest! {
             .take(len)
             .collect();
 
-        let brute = labeler.label_all(&data, &BruteJaccard);
-        prop_assert_eq!(&labeler.label_all(&data, &Jaccard), &brute);
-        let governor = RunGovernor::unlimited();
+        let brute = label_all(&labeler, &data, &BruteJaccard, 1);
         for threads in THREAD_GRID {
             prop_assert_eq!(
-                &labeler.label_all_parallel(&data, &Jaccard, threads),
+                &label_all(&labeler, &data, &Jaccard, threads),
                 &brute,
-                "parallel, threads = {}", threads
-            );
-            prop_assert_eq!(
-                &labeler.label_all_governed(&data, &Jaccard, threads, &governor).unwrap(),
-                &brute,
-                "governed, threads = {}", threads
+                "threads = {}", threads
             );
         }
     }
@@ -264,10 +269,10 @@ proptest! {
             .take(ts.len() * repeat)
             .cloned()
             .collect();
-        let serial = labeler.label_all(&data, &sim);
+        let serial = label_all(&labeler, &data, &sim, 1);
         for threads in THREAD_GRID {
             prop_assert_eq!(
-                &labeler.label_all_parallel(&data, &sim, threads),
+                &label_all(&labeler, &data, &sim, threads),
                 &serial,
                 "threads = {}", threads
             );
@@ -299,7 +304,7 @@ fn pinned_thread_grid_is_bit_identical() {
         theta,
         1.0 / 3.0,
     );
-    let labels = labeler.label_all(&ts, &Jaccard);
+    let labels = label_all(&labeler, &ts, &Jaccard, 1);
 
     for threads in THREAD_GRID {
         assert_eq!(
@@ -323,7 +328,7 @@ fn pinned_thread_grid_is_bit_identical() {
             "dense links diverged at {threads} threads"
         );
         assert_eq!(
-            labeler.label_all_parallel(&ts, &Jaccard, threads),
+            label_all(&labeler, &ts, &Jaccard, threads),
             labels,
             "labeling diverged at {threads} threads"
         );

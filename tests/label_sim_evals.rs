@@ -60,13 +60,14 @@ fn label_phase_sim_evals_are_counted_exactly() {
         measure(&rock)
     };
     let indexed = |rock: &Rock| {
-        let (result, report, labeler) = rock.try_run_labeled(&data.transactions, &Jaccard).unwrap();
+        let (result, report, labeler) =
+            rock.session().fit_with_labeler(&data.transactions, &Jaccard).unwrap();
         let reps: usize = labeler.sets().iter().map(Vec::len).sum();
         (result.labeling.assignments, report, reps as u64)
     };
     let brute = |rock: &Rock| {
         let (result, report, labeler) = rock
-            .try_run_labeled(&data.transactions, &BruteJaccard)
+            .session().fit_with_labeler(&data.transactions, &BruteJaccard)
             .unwrap();
         let reps: usize = labeler.sets().iter().map(Vec::len).sum();
         (result.labeling.assignments, report, reps as u64)

@@ -280,8 +280,7 @@ proptest! {
         let at = weed.map(|w| (((w.stop_multiple * k as f64).ceil() as usize).max(k), w.min_cluster_size));
         let want = reference.run_to(k, at);
 
-        let links = LinkMatrix::compute_auto(&g, 1);
-        let run = engine.run_with_matrix(&g, &links);
+        let run = engine.run(&g);
         prop_assert_eq!(bits(&run.merges), bits(&want));
         prop_assert_eq!(&run.clustering, &reference.clustering());
 
@@ -290,7 +289,8 @@ proptest! {
         let kill = (kill_frac * want.len() as f64) as u64;
         let mut wal = MergeWal::new().with_snapshot_every(snapshot_every);
         let governor = RunGovernor::unlimited().with_kill_at(Phase::Merge, kill);
-        let resumed = match engine.run_with_matrix_governed(&g, &links, &governor, Some(&mut wal)) {
+        let links = LinkMatrix::compute_auto(&g, 1);
+        let resumed = match engine.run_governed(&g, &links, &governor, Some(&mut wal)) {
             Ok(done) => done,
             Err(RockError::Interrupted { resumable: true, .. }) => engine
                 .resume(wal.as_bytes(), Some(&g), 1, &RunGovernor::unlimited(), None)

@@ -4,6 +4,7 @@
 
 use rock::algorithm::{OutlierPolicy, RockAlgorithm};
 use rock::goodness::{ConstantF, Goodness, GoodnessKind};
+use rock::governor::RunGovernor;
 use rock::neighbors::NeighborGraph;
 use rock::points::Transaction;
 use rock::similarity::{Jaccard, PointsWith};
@@ -50,7 +51,8 @@ fn example_1_1_centroid_merges_disjoint_transactions() {
     // §1.1: the centroid algorithm merges {1,4} and {6} — transactions
     // with no item in common — because of centroid geometry.
     let vs = transactions_to_vectors(&example_1_1(), 6);
-    let c = centroid_hierarchical(&vs, CentroidConfig::plain(2));
+    let c = centroid_hierarchical(&vs, CentroidConfig::plain(2), &RunGovernor::unlimited())
+        .unwrap();
     assert_eq!(c.clusters, vec![vec![0, 1], vec![2, 3]]);
 }
 
@@ -80,7 +82,9 @@ fn example_1_2_group_average_and_mst_mix_the_clusters() {
         let c = similarity_linkage(
             &PointsWith::new(&ts, Jaccard),
             LinkageConfig::new(2, linkage),
-        );
+            &RunGovernor::unlimited(),
+        )
+        .unwrap();
         assert_eq!(
             c.cluster_of(t123),
             c.cluster_of(t127),

@@ -1,6 +1,6 @@
 //! Property tests for the parallel kernels' determinism contract: for any
-//! input and ANY thread count, the parallel neighbor, link and labeling
-//! paths return results bit-identical to their sequential counterparts.
+//! input and any thread count, the neighbor, link and labeling kernels
+//! return results bit-identical to a single-threaded run.
 //!
 //! This is the guarantee that lets `RockConfig::threads` be a pure
 //! performance knob — turning it up can never change a clustering, a
@@ -10,6 +10,7 @@
 
 use proptest::collection;
 use proptest::prelude::*;
+use rock::governor::RunGovernor;
 use rock::labeling::Labeler;
 use rock::links::compute_links_sparse;
 use rock::links_matrix::LinkMatrix;
@@ -17,9 +18,13 @@ use rock::neighbors::NeighborGraph;
 use rock::points::Transaction;
 use rock::similarity::{Jaccard, PointsWith};
 use rock_data::packed::PackedBaskets;
-use rock_data::resilient::{label_stream_resilient, label_stream_resilient_parallel};
+use rock_data::resilient::label_stream_resilient;
 use rock_data::ResilientConfig;
 use std::io::BufReader;
+
+/// Thread counts the single-function labeling sweeps compare; 1 is the
+/// serial reference.
+const THREADS: [usize; 3] = [1, 2, 8];
 
 /// A random basket set: up to `max_n` transactions over a small item
 /// universe so θ-neighborhoods are non-trivial.
@@ -70,7 +75,6 @@ proptest! {
     fn labeling_parallel_is_bit_identical(
         ts in baskets(60),
         repeat in 1usize..30,
-        threads in 2usize..9,
     ) {
         // The sample clusters: first half vs second half of the baskets.
         let mid = ts.len() / 2;
@@ -87,15 +91,21 @@ proptest! {
             .take(ts.len() * repeat)
             .cloned()
             .collect();
-        let serial = labeler.label_all(&data, &Jaccard);
-        let parallel = labeler.label_all_parallel(&data, &Jaccard, threads);
-        prop_assert_eq!(parallel, serial);
+        let label = |threads| {
+            labeler
+                .label_all(&data, &Jaccard, threads, &RunGovernor::unlimited())
+                .unwrap()
+        };
+        let serial = label(1);
+        for threads in THREADS {
+            let parallel = label(threads);
+            prop_assert_eq!(parallel, serial.clone());
+        }
     }
 
     #[test]
     fn resilient_labeling_parallel_is_bit_identical(
         lines in collection::vec(0u32..6, 1..120),
-        threads in 2usize..9,
         checkpoint_every in 1u64..40,
     ) {
         // Encode each draw as a stream line: labels, outliers, comments,
@@ -123,44 +133,43 @@ proptest! {
             checkpoint_every,
             ..ResilientConfig::default()
         };
-        let mut seq_cps = Vec::new();
-        let seq = label_stream_resilient(
-            BufReader::new(input.as_bytes()),
-            &labeler,
-            &Jaccard,
-            &config,
-            None,
-            |cp| seq_cps.push(cp.clone()),
-        );
-        let mut par_cps = Vec::new();
-        let par = label_stream_resilient_parallel(
-            BufReader::new(input.as_bytes()),
-            &labeler,
-            &Jaccard,
-            &config,
-            None,
-            |cp| par_cps.push(cp.clone()),
-            threads,
-        );
-        prop_assert_eq!(&par_cps, &seq_cps);
-        match (seq, par) {
-            (Ok(s), Ok(p)) => {
-                prop_assert_eq!(p.labeling, s.labeling);
-                prop_assert_eq!(p.checkpoint, s.checkpoint);
-            }
-            // Garbage-heavy streams overflow the default quarantine cap;
-            // the salvage state must still match exactly.
-            (Err(s), Err(p)) => {
-                prop_assert_eq!(p.line, s.line);
-                prop_assert_eq!(p.checkpoint, s.checkpoint);
-                prop_assert_eq!(p.partial_assignments, s.partial_assignments);
-            }
-            (s, p) => {
-                return Err(TestCaseError::fail(format!(
-                    "drivers disagree on success: seq ok={} par ok={}",
-                    s.is_ok(),
-                    p.is_ok()
-                )));
+        let label = |threads| {
+            let mut cps = Vec::new();
+            let run = label_stream_resilient(
+                BufReader::new(input.as_bytes()),
+                &labeler,
+                &Jaccard,
+                &config,
+                None,
+                |cp| cps.push(cp.clone()),
+                &RunGovernor::unlimited(),
+                threads,
+            );
+            (run, cps)
+        };
+        for threads in THREADS {
+            let (seq, seq_cps) = label(1);
+            let (par, par_cps) = label(threads);
+            prop_assert_eq!(&par_cps, &seq_cps);
+            match (seq, par) {
+                (Ok(s), Ok(p)) => {
+                    prop_assert_eq!(p.labeling, s.labeling);
+                    prop_assert_eq!(p.checkpoint, s.checkpoint);
+                }
+                // Garbage-heavy streams overflow the default quarantine cap;
+                // the salvage state must still match exactly.
+                (Err(s), Err(p)) => {
+                    prop_assert_eq!(p.line, s.line);
+                    prop_assert_eq!(p.checkpoint, s.checkpoint);
+                    prop_assert_eq!(p.partial_assignments, s.partial_assignments);
+                }
+                (s, p) => {
+                    return Err(TestCaseError::fail(format!(
+                        "thread counts disagree on success: 1 thread ok={} {threads} threads ok={}",
+                        s.is_ok(),
+                        p.is_ok()
+                    )));
+                }
             }
         }
     }

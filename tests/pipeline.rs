@@ -26,7 +26,7 @@ fn sampled_pipeline_recovers_ground_truth() {
         .seed(42)
         .build()
         .unwrap();
-    let result = rock.run(&data.transactions, &Jaccard);
+    let result = rock.run(&data.transactions, &Jaccard).unwrap().0;
     let m = count_misclassified(&result.labeling.assignments, &data.labels);
     assert!(
         m.rate() < 0.02,
@@ -57,7 +57,7 @@ fn quality_improves_with_sample_size() {
                     .seed(seed)
                     .build()
                     .unwrap();
-                let result = rock.run(&data.transactions, &Jaccard);
+                let result = rock.run(&data.transactions, &Jaccard).unwrap().0;
                 count_misclassified(&result.labeling.assignments, &data.labels).rate()
             })
             .sum::<f64>()
@@ -89,7 +89,7 @@ fn higher_theta_needs_larger_samples() {
                     .seed(100 + seed)
                     .build()
                     .unwrap();
-                let result = rock.run(&data.transactions, &Jaccard);
+                let result = rock.run(&data.transactions, &Jaccard).unwrap().0;
                 count_misclassified(&result.labeling.assignments, &data.labels).rate()
             })
             .sum::<f64>()
@@ -111,7 +111,7 @@ fn clustering_all_points_matches_truth_by_ari() {
         .weed_outliers(3.0, 10)
         .build()
         .unwrap();
-    let run = rock.cluster(&data.transactions, &Jaccard);
+    let run = rock.cluster(&data.transactions, &Jaccard).unwrap();
     let pred = run.clustering.assignments(data.transactions.len());
     let (mut a, mut b) = (Vec::new(), Vec::new());
     for (p, t) in pred.iter().zip(&data.labels) {
@@ -133,7 +133,7 @@ fn outlier_transactions_mostly_detected() {
         .weed_outliers(3.0, 10)
         .build()
         .unwrap();
-    let run = rock.cluster(&data.transactions, &Jaccard);
+    let run = rock.cluster(&data.transactions, &Jaccard).unwrap();
     let pred = run.clustering.assignments(data.transactions.len());
     // Of the true outliers, a majority should not be assigned to any
     // cluster (they were random item draws).
@@ -164,7 +164,7 @@ fn deterministic_with_seed_and_sensitive_to_seed() {
             .seed(seed)
             .build()
             .unwrap()
-            .run(&data.transactions, &Jaccard)
+            .run(&data.transactions, &Jaccard).unwrap().0
     };
     let a = run_with(1);
     let b = run_with(1);

@@ -1,10 +1,11 @@
 //! Equivalence gates for the staged pipeline engine.
 //!
-//! `Rock::try_run`, `Rock::cluster_wal` and the resume entry points are
+//! `Rock::run`, `Rock::cluster_wal` and the resume entry points are
 //! composed from `engine::Pipeline` stages. These tests pin the refactor
 //! to the pre-engine behaviour by rebuilding each driver from the
 //! unchanged primitives (`sample_indices` → `NeighborGraph` →
-//! `RockAlgorithm` → `Labeler`) and demanding **bit-identical** results:
+//! `LinkMatrix` → `RockAlgorithm` → `Labeler`) and demanding
+//! **bit-identical** results:
 //!
 //! 1. the full Fig.-2 fit (sample indices, merge trace, clustering and
 //!    labeling) matches the hand-composed reference across thread counts
@@ -25,8 +26,8 @@ use rock::similarity::{Jaccard, PointsWith};
 use rock::util::FxBuildHasher;
 use rock::wal::{parse_wal, MergeWal};
 use rock::{
-    compute_links_sparse, Clustering, ConstantF, Goodness, IncrementalState, MergeBound,
-    NeighborGraph, OutlierPolicy, RockAlgorithm, RockError, RockRun,
+    compute_links_sparse, Clustering, ConstantF, Goodness, IncrementalState, LinkMatrix,
+    MergeBound, NeighborGraph, OutlierPolicy, RockAlgorithm, RockError, RockRun,
 };
 
 /// Three well-separated basket clusters over disjoint item ranges (the
@@ -85,7 +86,11 @@ fn reference_fit(rock: &Rock, data: &[Transaction]) -> (Vec<usize>, RockRun, Lab
     if let Some(h) = cfg.hash_seed {
         algorithm = algorithm.with_hash_seed(h);
     }
-    let run = algorithm.run_parallel(&graph, cfg.threads);
+    let links = LinkMatrix::compute_auto(&graph, cfg.threads);
+    let unlimited = RunGovernor::unlimited();
+    let run = algorithm
+        .run_governed(&graph, &links, &unlimited, None)
+        .expect("an unlimited governor never trips");
     let labeler = Labeler::new(
         &sample,
         &run.clustering.clusters,
@@ -95,7 +100,9 @@ fn reference_fit(rock: &Rock, data: &[Transaction]) -> (Vec<usize>, RockRun, Lab
         &mut rng,
     )
     .expect("validated parameters");
-    let labeling = labeler.label_all_parallel(data, &Jaccard, cfg.threads);
+    let labeling = labeler
+        .label_all(data, &Jaccard, cfg.threads, &unlimited)
+        .expect("an unlimited governor never trips");
     (sample_indices, run, labeling)
 }
 
@@ -117,7 +124,7 @@ proptest! {
         let rock = engine(threads, hash_seed, sample_size);
 
         let (ref_indices, ref_run, ref_labeling) = reference_fit(&rock, &data);
-        let (result, report) = rock.try_run(&data, &Jaccard).unwrap();
+        let (result, report) = rock.run(&data, &Jaccard).unwrap();
 
         prop_assert_eq!(&result.sample_indices, &ref_indices);
         prop_assert_eq!(&result.sample_run.clustering, &ref_run.clustering);
@@ -130,10 +137,12 @@ proptest! {
         prop_assert_eq!(names, vec!["sample", "cluster", "label"]);
         prop_assert!(report.degraded.is_none());
 
-        // And the ungoverned driver (untouched by the refactor) agrees.
-        let plain = rock.run(&data, &Jaccard);
-        prop_assert_eq!(&plain.sample_run.clustering, &result.sample_run.clustering);
-        prop_assert_eq!(&plain.labeling.assignments, &result.labeling.assignments);
+        // And `Rock::cluster` over the drawn sample reproduces the
+        // fit's cluster phase.
+        let sample: Vec<Transaction> = ref_indices.iter().map(|&i| data[i].clone()).collect();
+        let clustered = rock.cluster(&sample, &Jaccard).unwrap();
+        prop_assert_eq!(&clustered.clustering, &result.sample_run.clustering);
+        prop_assert_eq!(&clustered.merges, &result.sample_run.merges);
     }
 
     // Gate 2: the journaled path writes byte-identical WAL content to
@@ -159,9 +168,10 @@ proptest! {
         if let Some(h) = cfg.hash_seed {
             algorithm = algorithm.with_hash_seed(h);
         }
+        let links = LinkMatrix::compute_auto(&graph, threads);
         let mut ref_wal = MergeWal::new();
         let ref_run = algorithm
-            .run_governed(&graph, threads, &RunGovernor::unlimited(), Some(&mut ref_wal))
+            .run_governed(&graph, &links, &RunGovernor::unlimited(), Some(&mut ref_wal))
             .unwrap();
 
         let mut wal = MergeWal::new();
@@ -182,7 +192,7 @@ proptest! {
     ) {
         let threads = [1usize, 2, 8][threads_idx];
         let data = three_clusters(18);
-        let baseline = engine(threads, Some(hash_seed), None).cluster(&data, &Jaccard);
+        let baseline = engine(threads, Some(hash_seed), None).cluster(&data, &Jaccard).unwrap();
 
         let killer = Rock::builder()
             .theta(0.4)
@@ -238,9 +248,11 @@ proptest! {
             NeighborGraph::build(&pw, cfg.theta)
         };
         let goodness = Goodness::new(cfg.theta, ConstantF(cfg.ftheta), cfg.goodness_kind);
+        let links = LinkMatrix::compute_auto(&graph, threads);
         let baseline = RockAlgorithm::new(goodness, cfg.k, OutlierPolicy::disabled())
             .with_hash_seed(hash_seed)
-            .run_parallel(&graph, threads);
+            .run_governed(&graph, &links, &RunGovernor::unlimited(), None)
+            .unwrap();
 
         let singletons: Vec<Vec<u32>> = (0..data.len() as u32).map(|p| vec![p]).collect();
         let mut pairs: Vec<(u32, u32, u64)> = compute_links_sparse(&graph)
@@ -295,7 +307,7 @@ proptest! {
 #[test]
 fn seeded_hasher_chained_continuation_resumes() {
     let data = three_clusters(18);
-    let baseline = engine(2, Some(77), None).cluster(&data, &Jaccard);
+    let baseline = engine(2, Some(77), None).cluster(&data, &Jaccard).unwrap();
 
     let kill_at = |k: u64| {
         Rock::builder()
@@ -332,7 +344,7 @@ fn seeded_hasher_chained_continuation_resumes() {
 #[test]
 fn snapshot_resume_through_pipeline_matches() {
     let data = three_clusters(18);
-    let baseline = engine(2, Some(5), None).cluster(&data, &Jaccard);
+    let baseline = engine(2, Some(5), None).cluster(&data, &Jaccard).unwrap();
 
     let mut wal = MergeWal::new().with_snapshot_every(4);
     let err = Rock::builder()

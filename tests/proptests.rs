@@ -292,6 +292,8 @@ proptest! {
             &config,
             None,
             |_| {},
+            &rock::governor::RunGovernor::unlimited(),
+            1,
         );
     }
 

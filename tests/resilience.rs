@@ -17,10 +17,10 @@ use rock::points::Transaction;
 use rock::similarity::Jaccard;
 use rock_data::faults::{corrupt_baskets, kill_at, FaultSpec, FaultyReader};
 use rock_data::resilient::{
-    label_stream_resilient, label_stream_resilient_governed, read_baskets_resilient, Checkpoint,
-    IngestErrorKind, ResilientConfig, ResilientLabelRun, RetryPolicy,
+    label_stream_resilient, read_baskets_resilient, Checkpoint, IngestErrorKind, ResilientConfig,
+    ResilientLabelRun, RetryPolicy,
 };
-use std::io::BufReader;
+use std::io::{BufRead, BufReader};
 
 /// A labeler over the canonical two-cluster sample used throughout the
 /// workspace tests.
@@ -68,11 +68,10 @@ fn config() -> ResilientConfig {
     }
 }
 
+/// The ungoverned single-threaded pass every acceptance test below
+/// compares against.
 fn run_clean(image: &str) -> ResilientLabelRun {
-    // Routed through the governor-aware entry point: with the default
-    // unlimited governor it is the same driver every acceptance test
-    // below compares against.
-    label_stream_resilient_governed(
+    label_stream_resilient(
         BufReader::new(image.as_bytes()),
         &labeler(),
         &Jaccard,
@@ -80,6 +79,7 @@ fn run_clean(image: &str) -> ResilientLabelRun {
         None,
         |_| {},
         &RunGovernor::unlimited(),
+        1,
     )
     .expect("clean run cannot fail")
 }
@@ -119,6 +119,8 @@ fn fault_matrix_recovers_and_matches_clean_pass() {
                 &config(),
                 None,
                 |_| {},
+                &RunGovernor::unlimited(),
+                1,
             )
             .unwrap_or_else(|e| {
                 panic!("seed {seed} g={garbage} t={truncate}: recoverable faults killed run: {e}")
@@ -157,6 +159,8 @@ fn interrupted_then_resumed_run_is_bit_identical() {
             &budget_config,
             None,
             |_| {},
+            &RunGovernor::unlimited(),
+            1,
         )
         .expect_err("burst 8 against budget 2 must interrupt the run");
         let IngestErrorKind::Io(io_err) = &err.kind else {
@@ -183,6 +187,8 @@ fn interrupted_then_resumed_run_is_bit_identical() {
             &budget_config,
             Some(&persisted),
             |_| {},
+            &RunGovernor::unlimited(),
+            1,
         )
         .expect("resume over a healthy reader completes");
         assert_eq!(resumed.report.resumed_from_offset, Some(persisted.byte_offset));
@@ -231,6 +237,8 @@ fn repeated_interruptions_still_reconstruct_the_full_pass() {
             &budget_config,
             resume.as_ref(),
             |_| {},
+            &RunGovernor::unlimited(),
+            1,
         ) {
             Ok(run) => {
                 stitched.extend(run.labeling.assignments.iter().copied());
@@ -291,6 +299,8 @@ fn quarantine_overflow_is_typed_and_resumable() {
         &tight,
         None,
         |_| {},
+        &RunGovernor::unlimited(),
+        1,
     )
     .expect_err("30% garbage must overflow a cap of 3");
     assert!(matches!(
@@ -305,6 +315,8 @@ fn quarantine_overflow_is_typed_and_resumable() {
         &config(), // generous cap
         Some(&err.checkpoint),
         |_| {},
+        &RunGovernor::unlimited(),
+        1,
     )
     .expect("raised cap finishes the pass");
 
@@ -328,7 +340,7 @@ fn governor_kill_composes_with_io_faults() {
     for kill_line in [1u64, 50, 150] {
         let spec = FaultSpec::none(17).transient(0.1, 1).chunk(16);
         let faulty = FaultyReader::new(image.as_bytes(), spec);
-        let err = label_stream_resilient_governed(
+        let err = label_stream_resilient(
             BufReader::new(faulty),
             &labeler(),
             &Jaccard,
@@ -336,6 +348,7 @@ fn governor_kill_composes_with_io_faults() {
             None,
             |_| {},
             &kill_at(Phase::Labeling, kill_line),
+            1,
         )
         .expect_err("injected kill must interrupt the run");
         assert!(matches!(
@@ -351,7 +364,7 @@ fn governor_kill_composes_with_io_faults() {
             Some((Phase::Labeling, TripReason::Cancelled))
         );
 
-        let resumed = label_stream_resilient_governed(
+        let resumed = label_stream_resilient(
             BufReader::new(image.as_bytes()),
             &labeler(),
             &Jaccard,
@@ -359,6 +372,7 @@ fn governor_kill_composes_with_io_faults() {
             Some(&err.checkpoint),
             |_| {},
             &RunGovernor::unlimited(),
+            1,
         )
         .expect("resume with an unlimited governor completes");
 
@@ -369,5 +383,68 @@ fn governor_kill_composes_with_io_faults() {
             "kill at {kill_line}: stitched assignments diverge"
         );
         assert_eq!(resumed.checkpoint, uninterrupted.checkpoint);
+    }
+}
+
+/// Transient read errors a plain line-at-a-time reader meets while
+/// reading the first `lines` lines of `image` through a faulty reader
+/// built from `spec` — the reads a pass stopped after line `lines` made.
+fn transient_errors_through_line(image: &str, spec: FaultSpec, lines: u64) -> u64 {
+    let mut reader = BufReader::new(FaultyReader::new(image.as_bytes(), spec));
+    let mut buf = Vec::new();
+    let mut errors = 0;
+    for _ in 0..lines {
+        loop {
+            match reader.read_until(b'\n', &mut buf) {
+                Ok(_) => break,
+                Err(e) if RetryPolicy::is_transient(&e) => errors += 1,
+                Err(e) => panic!("unexpected hard read error: {e}"),
+            }
+        }
+    }
+    errors
+}
+
+/// A pass stopped at line k — by a governor kill or by a quarantine
+/// overflow — reports the read retries of lines 1..=k only, for every
+/// thread count, although the driver reads whole batches ahead.
+#[test]
+fn stopped_pass_reports_only_the_retries_of_lines_it_folded() {
+    let stream: String = (0..200)
+        .map(|i| if i % 2 == 0 { "1 2 3\n" } else { "10 11 12\n" })
+        .collect();
+    let spec = || FaultSpec::none(3).transient(0.15, 1).chunk(16);
+    let garbled = corrupt_baskets(&stream, &FaultSpec::none(5).garbage(0.3));
+    let tight = ResilientConfig {
+        max_quarantine: 3,
+        ..config()
+    };
+    let cases = [
+        ("kill", &stream, config(), kill_at(Phase::Labeling, 20)),
+        ("overflow", &garbled, tight, RunGovernor::unlimited()),
+    ];
+    for (case, image, config, governor) in cases {
+        for threads in [1, 2, 8] {
+            let err = label_stream_resilient(
+                BufReader::new(FaultyReader::new(image.as_bytes(), spec())),
+                &labeler(),
+                &Jaccard,
+                &config,
+                None,
+                |_| {},
+                &governor,
+                threads,
+            )
+            .expect_err("the pass must stop early");
+            let stop = err.checkpoint.lines_seen;
+            assert!(stop < 200, "{case}: stopped at line {stop}");
+            let expected = transient_errors_through_line(image, spec(), stop);
+            assert!(expected > 0, "{case}: no fault fired before line {stop}");
+            assert_eq!(
+                err.report.transient_io_errors, expected,
+                "{case}, threads={threads}"
+            );
+            assert_eq!(err.report.io_retries, expected, "{case}, threads={threads}");
+        }
     }
 }

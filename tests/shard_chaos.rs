@@ -98,7 +98,8 @@ fn one_shard_is_bit_identical_to_unsharded_wal_run_across_threads() {
         let mut wal = MergeWal::new();
         let baseline = rock.cluster_wal(&data, &Jaccard, &mut wal).unwrap();
         let sharded = rock
-            .cluster_sharded(&data, &Jaccard, shard_config(1))
+            .shard_supervisor(shard_config(1))
+            .and_then(|s| s.run(&data, &Jaccard))
             .unwrap();
         assert_eq!(sharded.clustering, baseline.clustering, "threads={threads}");
         assert_eq!(sharded.shard_runs.len(), 1);
@@ -118,7 +119,8 @@ fn clean_multi_shard_run_reassembles_split_clusters() {
     let data = three_clusters(18);
     let rock = engine(2, RunGovernor::unlimited());
     let run = rock
-        .cluster_sharded(&data, &Jaccard, shard_config(2))
+        .shard_supervisor(shard_config(2))
+        .and_then(|s| s.run(&data, &Jaccard))
         .unwrap();
     assert!(run.report.shard_notes.is_empty());
     assert_eq!(run.report.shard_count, Some(2));
@@ -336,7 +338,8 @@ fn sharded_report_aggregates_phase_perf_across_shards() {
     let data = three_clusters(18);
     let rock = engine(2, RunGovernor::unlimited());
     let run = rock
-        .cluster_sharded(&data, &Jaccard, shard_config(3))
+        .shard_supervisor(shard_config(3))
+        .and_then(|s| s.run(&data, &Jaccard))
         .unwrap();
     let report = &run.report;
     assert_eq!(report.shard_count, Some(3));
@@ -366,9 +369,13 @@ fn sub_unit_representative_fraction_is_deterministic() {
         ..shard_config(3)
     };
     let a = rock
-        .cluster_sharded(&data, &Jaccard, config.clone())
+        .shard_supervisor(config.clone())
+        .and_then(|s| s.run(&data, &Jaccard))
         .unwrap();
-    let b = rock.cluster_sharded(&data, &Jaccard, config).unwrap();
+    let b = rock
+        .shard_supervisor(config)
+        .and_then(|s| s.run(&data, &Jaccard))
+        .unwrap();
     assert_eq!(a.clustering, b.clustering);
     let assigned: usize =
         a.clustering.clusters.iter().map(Vec::len).sum::<usize>() + a.clustering.outliers.len();
