@@ -19,8 +19,7 @@ fn bench_goodness_kinds(c: &mut Criterion) {
     let spec = SyntheticBasketSpec::paper_scaled(0.01);
     let data = generate_baskets(&spec, &mut StdRng::seed_from_u64(3));
     let graph = NeighborGraph::build(&PointsWith::new(&data.transactions, Jaccard), 0.5);
-    let links =
-        rock_core::LinkMatrix::from_table(&rock_core::links::compute_links_auto(&graph));
+    let links = rock_core::LinkMatrix::compute_auto(&graph, 1);
     let unlimited = rock_core::RunGovernor::unlimited();
     let merge = |algo: &RockAlgorithm| {
         algo.run_governed(&graph, &links, &unlimited, None)

@@ -1,10 +1,12 @@
-//! Link-computation benchmarks (§4.4): the sparse Fig.-4 algorithm vs
-//! the bit-packed adjacency-matrix square, across neighbor-graph
-//! densities, plus the FxHash-vs-SipHash ablation for the link table.
+//! Link-computation benchmarks (§4.4): the row-wise sparse kernel
+//! (Fig. 4's work) vs the bit-packed adjacency-matrix square, across
+//! neighbor-graph densities, plus the FxHash-vs-SipHash ablation for
+//! pair-keyed hash maps (FxHash still backs the item catalogs and the
+//! component grouping).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{rngs::StdRng, SeedableRng};
-use rock_core::links::{compute_links_dense, compute_links_sparse};
+use rock_core::links_matrix::LinkMatrix;
 use rock_core::neighbors::NeighborGraph;
 use rock_core::similarity::{Jaccard, PointsWith};
 use rock_data::{generate_baskets, SyntheticBasketSpec};
@@ -25,12 +27,12 @@ fn bench_sparse_vs_dense(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("sparse_fig4", format!("theta={theta}")),
             &graph,
-            |b, g| b.iter(|| black_box(compute_links_sparse(g))),
+            |b, g| b.iter(|| black_box(LinkMatrix::compute_sparse(g, 1))),
         );
         group.bench_with_input(
             BenchmarkId::new("dense_bitset", format!("theta={theta}")),
             &graph,
-            |b, g| b.iter(|| black_box(compute_links_dense(g))),
+            |b, g| b.iter(|| black_box(LinkMatrix::compute_dense(g, 1))),
         );
     }
     group.finish();
@@ -38,7 +40,7 @@ fn bench_sparse_vs_dense(c: &mut Criterion) {
 
 /// The hash ablation justifying the in-tree FxHasher (see
 /// `rock_core::util::fxhash`): increment counters keyed by `(u32, u32)`
-/// neighbor pairs with each hasher.
+/// neighbor pairs with each hasher, as a hashmap link table would.
 fn bench_hashers(c: &mut Criterion) {
     let graph = sample_graph(600, 0.5);
     let mut group = c.benchmark_group("link_table_hasher");

@@ -7,8 +7,8 @@
 //! * `neighbors` — the O(n²) θ-neighbor scan, over both the per-pair
 //!   sorted-merge `Transaction` substrate and the bit-packed
 //!   [`PackedBaskets`] popcount rows;
-//! * `links_sparse` — the Fig.-4 link computation: legacy hashmap
-//!   reference vs the sharded pair-stream CSR kernel;
+//! * `links_sparse` — the Fig.-4 link computation: the row-sharded
+//!   sparse `A·A` CSR kernel;
 //! * `links_dense` — the §4.4 boolean-A² path: blocked popcount squaring;
 //! * `labeling` — the §4.6 disk-labeling scan, partitioned across workers.
 //!
@@ -32,7 +32,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use rand::{rngs::StdRng, SeedableRng};
 use rock_core::governor::RunGovernor;
 use rock_core::labeling::Labeler;
-use rock_core::links::compute_links_sparse;
 use rock_core::links_matrix::LinkMatrix;
 use rock_core::neighbors::NeighborGraph;
 use rock_core::points::Transaction;
@@ -108,9 +107,6 @@ fn bench_links(c: &mut Criterion) {
     let graph = NeighborGraph::build(&PackedBaskets::new(sample), THETA);
 
     let mut sparse = c.benchmark_group("links_sparse");
-    sparse.bench_function(BenchmarkId::from("reference_hashmap").threads(1), |b| {
-        b.iter(|| black_box(compute_links_sparse(&graph)))
-    });
     sparse.bench_function(BenchmarkId::from("csr_seq").threads(1), |b| {
         b.iter(|| black_box(LinkMatrix::compute_sparse(&graph, 1)))
     });

@@ -4,10 +4,13 @@
 //! Each binary under `src/bin/` reproduces one table or figure; this
 //! library holds the common pieces: a minimal flag parser, aligned table
 //! printing, wall-clock timing, and the standard ROCK-vs-traditional
-//! drivers over categorical records.
+//! drivers over categorical records. [`links_l3`] holds the length-3
+//! link ablation (§3.2).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod links_l3;
 
 use rock_core::engine::{ClusterModel, ModelFit};
 use rock_core::error::RockError;

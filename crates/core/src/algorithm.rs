@@ -149,8 +149,8 @@ impl RockAlgorithm {
     }
 
     /// Runs the merge loop (Fig. 3) over precomputed `links` (e.g.
-    /// [`LinkMatrix::compute_auto`], or [`LinkMatrix::from_table`] for a
-    /// hashmap [`crate::links::LinkTable`]), governed: budgets and
+    /// [`LinkMatrix::compute_auto`], or [`LinkMatrix::from_pairs`] for
+    /// links computed elsewhere), governed: budgets and
     /// cancellation are checked every `check_every` merges, and every
     /// merge decision is appended to `wal` (if given) *before* it is
     /// counted as done, so an interrupted run can be continued by
@@ -646,7 +646,7 @@ mod tests {
         use crate::criterion_fn::criterion_value;
         let ts = crate::testdata::figure1_transactions();
         let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
-        let links = crate::links::compute_links_sparse(&g);
+        let links = LinkMatrix::compute_sparse(&g, 1);
         let correct = vec![(0u32..10).collect::<Vec<_>>(), (10u32..14).collect()];
         let swallowed = vec![(0u32..12).collect::<Vec<_>>(), (12u32..14).collect()];
         let basket = Goodness::new(0.5, BasketF, GoodnessKind::Normalized);

@@ -13,12 +13,12 @@
 //! itself is exposed for evaluation, tests and the ablation benches.
 
 use crate::goodness::Goodness;
-use crate::links::LinkTable;
+use crate::links_matrix::LinkMatrix;
 
 /// Sum of `link(p_q, p_r)` over unordered point pairs inside `cluster`.
 ///
 /// `cluster` is a set of point ids valid for `links`.
-pub fn intra_cluster_links(links: &LinkTable, cluster: &[u32]) -> u64 {
+pub fn intra_cluster_links(links: &LinkMatrix, cluster: &[u32]) -> u64 {
     let mut total = 0u64;
     for (a, &i) in cluster.iter().enumerate() {
         for &j in &cluster[a + 1..] {
@@ -29,7 +29,7 @@ pub fn intra_cluster_links(links: &LinkTable, cluster: &[u32]) -> u64 {
 }
 
 /// Sum of `link(p_q, p_s)` over pairs with `p_q ∈ a`, `p_s ∈ b`.
-pub fn cross_cluster_links(links: &LinkTable, a: &[u32], b: &[u32]) -> u64 {
+pub fn cross_cluster_links(links: &LinkMatrix, a: &[u32], b: &[u32]) -> u64 {
     let mut total = 0u64;
     for &i in a {
         for &j in b {
@@ -43,7 +43,7 @@ pub fn cross_cluster_links(links: &LinkTable, a: &[u32], b: &[u32]) -> u64 {
 ///
 /// Empty clusters contribute nothing. The goodness measure supplies the
 /// exponent `1 + 2f(θ)`.
-pub fn criterion_value(links: &LinkTable, clusters: &[Vec<u32>], goodness: &Goodness) -> f64 {
+pub fn criterion_value(links: &LinkMatrix, clusters: &[Vec<u32>], goodness: &Goodness) -> f64 {
     clusters
         .iter()
         .filter(|c| !c.is_empty())
@@ -60,12 +60,11 @@ mod tests {
     use super::*;
     use crate::goodness::{BasketF, GoodnessKind};
     use crate::neighbors::NeighborGraph;
-    use crate::links::compute_links_sparse;
     use crate::points::Transaction;
     use crate::similarity::{Jaccard, PointsWith};
 
     /// Two 4-point cliques with no cross-neighbor edges.
-    fn two_cliques() -> (Vec<Transaction>, LinkTable) {
+    fn two_cliques() -> (Vec<Transaction>, LinkMatrix) {
         let ts = vec![
             Transaction::from([1, 2, 3]),
             Transaction::from([1, 2, 4]),
@@ -77,7 +76,7 @@ mod tests {
             Transaction::from([11, 12, 13]),
         ];
         let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
-        let links = compute_links_sparse(&g);
+        let links = LinkMatrix::compute_sparse(&g, 1);
         (ts, links)
     }
 

@@ -138,7 +138,7 @@ impl Dendrogram {
     /// to choose `k` after one clustering run (§3.3).
     pub fn criterion_profile(
         &self,
-        links: &crate::links::LinkTable,
+        links: &crate::links_matrix::LinkMatrix,
         goodness: &crate::goodness::Goodness,
     ) -> Vec<(usize, f64)> {
         (self.min_clusters()..=self.num_leaves())
@@ -217,7 +217,7 @@ mod tests {
         let d = Dendrogram::from_run(&run).unwrap();
         let ts = crate::testdata::figure1_transactions();
         let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
-        let links = crate::links::compute_links_sparse(&g);
+        let links = crate::links_matrix::LinkMatrix::compute_sparse(&g, 1);
         let goodness = Goodness::new(0.5, ConstantF(1.0), GoodnessKind::Normalized);
         let profile = d.criterion_profile(&links, &goodness);
         assert_eq!(profile.len(), d.num_leaves() - d.min_clusters() + 1);

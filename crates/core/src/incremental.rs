@@ -37,7 +37,7 @@ use crate::perf::PerfCounters;
 use crate::report::RunReport;
 use crate::similarity::Similarity;
 use crate::util::frame::{put_f64, put_u32, put_u32_slice, put_u64, Cursor};
-use crate::util::{crc32, FxBuildHasher};
+use crate::util::crc32;
 use crate::wal::{parse_update_wal, UpdateBase, UpdateRecord, UpdateWal};
 use std::collections::BinaryHeap;
 
@@ -330,8 +330,6 @@ impl IncrementalState {
     ///
     /// `links` entries are `(i, j, count)` with `i < j` indexing
     /// `clusters`, each unordered pair at most once and `count > 0`.
-    /// `hasher` is unused: the state holds no hash maps (the argument is
-    /// kept so existing callers compile unchanged).
     ///
     /// # Panics
     /// Panics if a cluster is empty or a link entry is malformed (out of
@@ -340,9 +338,7 @@ impl IncrementalState {
         clusters: Vec<Vec<u32>>,
         links: &[(u32, u32, u64)],
         goodness: Goodness,
-        hasher: FxBuildHasher,
     ) -> Self {
-        let _ = hasher;
         assert!(
             clusters.iter().all(|c| !c.is_empty()),
             "clusters must be non-empty"
@@ -1010,7 +1006,6 @@ impl<P: ArtifactPoint + Clone> IncrementalRockState<P> {
             std::mem::take(&mut self.clusters),
             &fresh_links,
             goodness,
-            FxBuildHasher::default(),
         );
         let records = st.bounded_merge(&self.policy.merge_bound(clustered_points));
 
@@ -1247,7 +1242,7 @@ mod tests {
 
     fn singleton_state(n: u32, links: &[(u32, u32, u64)]) -> IncrementalState {
         let clusters: Vec<Vec<u32>> = (0..n).map(|p| vec![p]).collect();
-        IncrementalState::from_clusters(clusters, links, goodness(), FxBuildHasher::default())
+        IncrementalState::from_clusters(clusters, links, goodness())
     }
 
     #[test]
@@ -1272,12 +1267,7 @@ mod tests {
                 (i.min(j), i.max(j), c)
             })
             .collect();
-        let b = IncrementalState::from_clusters(
-            clusters.clone(),
-            &links,
-            goodness(),
-            FxBuildHasher::with_seed(99),
-        );
+        let b = IncrementalState::from_clusters(clusters.clone(), &links, goodness());
         assert_eq!(
             b.live_clusters().into_iter().map(|(_, m)| m).collect::<Vec<_>>(),
             clusters
@@ -1426,8 +1416,7 @@ mod tests {
         }
         let good = Goodness::new(0.5, ConstantF(0.5), GoodnessKind::Normalized);
         let clusters: Vec<Vec<u32>> = (0..n).map(|p| vec![p]).collect();
-        let mut st =
-            IncrementalState::from_clusters(clusters, &links, good, FxBuildHasher::default());
+        let mut st = IncrementalState::from_clusters(clusters, &links, good);
         let step = MergeBound {
             min_goodness: f64::NEG_INFINITY,
             min_clusters: 1,
@@ -1466,8 +1455,7 @@ mod tests {
         // The same holds mid-run, and the link image there agrees with
         // the plain loop's.
         let clusters: Vec<Vec<u32>> = (0..n).map(|p| vec![p]).collect();
-        let mut st =
-            IncrementalState::from_clusters(clusters, &links, good, FxBuildHasher::default());
+        let mut st = IncrementalState::from_clusters(clusters, &links, good);
         let half = chain as usize / 2 + 7;
         st.bounded_merge(&MergeBound {
             max_merges: half,

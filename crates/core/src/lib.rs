@@ -52,8 +52,7 @@
 //! | [`points`] | §3.1 | transactions, categorical records, schemas |
 //! | [`similarity`] | §3.1 | Jaccard, categorical w/ missing values, Lp, expert tables |
 //! | [`neighbors`] | §3.1 | θ-neighbor graph construction (serial & parallel) |
-//! | [`links`] | §3.2, §4.4 | sparse (Fig. 4) and dense (A²) link computation (reference) |
-//! | [`links_matrix`] | §3.2, §4.4 | parallel CSR link kernels — the hot path |
+//! | [`links_matrix`] | §3.2, §4.4 | link counts as a CSR matrix: row-wise sparse (Fig. 4) and dense (A²) kernels |
 //! | [`goodness`] | §3.3, §4.2 | f(θ) estimates and the merge goodness measure |
 //! | [`criterion_fn`] | §3.3 | the criterion function E_l |
 //! | [`heap`] | §4.3 | addressable max-heaps for the merge loop |
@@ -111,8 +110,6 @@ pub mod governor;
 pub mod heap;
 pub mod incremental;
 pub mod labeling;
-pub mod links;
-pub mod links_l3;
 pub mod links_matrix;
 pub mod neighbors;
 pub mod perf;
@@ -148,11 +145,6 @@ pub use governor::{
     CancellationToken, DegradationNote, DegradationPolicy, Phase, RunGovernor, TripReason,
 };
 pub use labeling::{Labeler, Labeling};
-pub use links::{
-    compute_links_auto, compute_links_dense, compute_links_sparse, compute_links_sparse_seeded,
-    LinkTable,
-};
-pub use links_l3::{combine_links, compute_links_l3, compute_links_l3_parallel};
 pub use links_matrix::{LinkKernel, LinkMatrix};
 pub use neighbors::NeighborGraph;
 pub use perf::PerfCounters;

@@ -1,41 +1,43 @@
-//! CSR link matrix — the parallel hot-path replacement for [`LinkTable`].
+//! Link counts (§3.2, §4.4, Fig. 4) in their one representation, the
+//! CSR [`LinkMatrix`].
 //!
-//! The Fig.-4 link pass and the §4.4 matrix-square both produce, for every
-//! point, the sorted list of partners it shares common neighbors with.
-//! [`LinkMatrix`] stores exactly that as compressed sparse rows: one
-//! `offsets` array plus parallel `cols`/`counts` arrays holding both
-//! directions of every linked pair. Compared to the
-//! `FxHashMap<(u32,u32),u32>`-backed [`LinkTable`], lookups are a binary
-//! search in a contiguous row, iteration is a linear scan, and
-//! construction is a sort — all cache-friendly and parallelisable.
+//! `link(p, q) = |N(p) ∩ N(q)|`, the number of common neighbors of `p`
+//! and `q` — entry (p, q) of `A·A` for the 0/1 neighbor adjacency
+//! matrix `A` (§4.4). [`LinkMatrix`] stores, for every point, the
+//! ascending list of partners it shares a neighbor with as compressed
+//! sparse rows: one `offsets` array plus parallel `cols`/`counts` arrays
+//! holding both directions of every linked pair. Lookups are a binary
+//! search in a contiguous row, iteration is a linear scan.
 //!
-//! Two construction kernels are provided, selected by [`LinkMatrix::compute_auto`]:
+//! Two kernels build it, selected by [`LinkMatrix::compute_auto`]:
 //!
-//! * [`LinkMatrix::compute_sparse`] — Fig. 4 reformulated as a pair
-//!   stream sharded by **smaller endpoint**: a global O(Σmᵢ) histogram
-//!   prices every CSR row by its emitted-pair count, contiguous row
-//!   ranges of equal pair mass are handed to workers, and each worker
-//!   counting-sorts exactly the pairs whose smaller endpoint falls in
-//!   its range (histogram segment, scatter, dense per-segment count).
-//!   Because the key space `pack(j, l)` is ordered by smaller endpoint
-//!   first, the per-shard sorted runs occupy *disjoint, ascending key
-//!   ranges*: the final CSR is assembled by scanning the runs in shard
-//!   order with **no merge step and no cross-shard count summing**. The
-//!   pair multiset owned by each row is independent of where the shard
-//!   boundaries fall, so output is **bit-identical for every thread
-//!   count and every shard split** (proptest-pinned in
+//! * [`LinkMatrix::compute_sparse`] — the row-wise (Gustavson) sparse
+//!   product `A·A`, upper triangle only. Row `j` adds one link to a
+//!   dense per-worker counter for every `m ∈ N(j)` and every
+//!   `l ∈ N(m)` with `l > j`, remembering which counters it touched,
+//!   then emits those partners sorted and resets them. That is Fig. 4's
+//!   work — each neighbor pair of each point counted once — ordered so
+//!   that every output row is finished before the next one starts:
+//!   O(n) scratch per worker and no pair buffer. Contiguous row ranges
+//!   of equal accumulate count go to the workers; each writes its rows'
+//!   sorted run outright, and the runs concatenate in shard order into
+//!   the CSR with no merge step. A row's counts do not depend on which
+//!   shard computes it, so the output is **bit-identical for every
+//!   thread count and every shard split** (proptest-pinned in
 //!   `tests/kernel_invariance.rs`).
 //! * [`LinkMatrix::compute_dense`] — §4.4's boolean `A²` over bit-packed
 //!   adjacency rows: worker `t` owns a block of rows and computes
 //!   `popcount(rowᵢ & rowⱼ)` for `j > i`, writing into its own block, so
 //!   again no merge order can affect the result.
 //!
-//! See DESIGN.md §"Performance model" for layout diagrams and the
-//! measured crossover between the kernels.
+//! `tests/merge_reference.rs` checks both kernels, every shard split and
+//! the selector against a plain `|N(p) ∩ N(q)|` count.
+//! [`LinkMatrix::from_pairs`] wraps links computed elsewhere (such as the
+//! bench crate's length-3 ablation) for the merge loop. See DESIGN.md
+//! §7 "Performance model" for the kernel layouts.
 
 use std::ops::Range;
 
-use crate::links::LinkTable;
 use crate::neighbors::NeighborGraph;
 use crate::util::{balanced_ranges, BitSet};
 
@@ -43,7 +45,7 @@ use crate::util::{balanced_ranges, BitSet};
 /// [`LinkMatrix::choose_kernel`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LinkKernel {
-    /// The Fig.-4 counting-sort pair-stream kernel.
+    /// The row-wise sparse product `A·A` (Fig. 4's work, row by row).
     Sparse,
     /// The §4.4 boolean matrix square over bit-packed rows.
     Dense,
@@ -52,8 +54,8 @@ pub enum LinkKernel {
 /// Symmetric link counts in compressed-sparse-row form.
 ///
 /// Row `i` lists, ascending, every `j` with `link(i, j) > 0` together
-/// with the count; every linked pair therefore appears twice (once per
-/// endpoint), exactly like the adjacency view of [`LinkTable::per_point`].
+/// with the count; every linked pair therefore appears twice, once per
+/// endpoint. No row lists its own point.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LinkMatrix {
     /// Row boundaries: row `i` occupies `cols[offsets[i]..offsets[i+1]]`.
@@ -119,23 +121,30 @@ impl LinkMatrix {
         })
     }
 
-    /// Converts to the hashmap-backed reference representation.
-    pub fn to_table(&self) -> LinkTable {
-        let mut table = LinkTable::new(self.num_points());
-        for ((i, j), c) in self.iter_upper() {
-            table.add(i as usize, j as usize, c);
-        }
-        table
-    }
-
-    /// Builds a matrix from the hashmap-backed reference representation.
-    pub fn from_table(table: &LinkTable) -> Self {
-        let mut pairs: Vec<(u64, u32)> = table
+    /// Builds a matrix over `n` points from upper-triangle
+    /// `(i, j, count)` triples computed outside the kernels, such as an
+    /// alternative link definition. The triples may come in any order;
+    /// pairs with a zero count are dropped.
+    ///
+    /// # Panics
+    /// Panics if some `i >= j`, some `j >= n`, or a pair repeats.
+    pub fn from_pairs(n: usize, pairs: &[(u32, u32, u32)]) -> Self {
+        let mut keyed: Vec<(u64, u32)> = pairs
             .iter()
-            .map(|((i, j), c)| (pack(i, j), c))
+            .map(|&(i, j, c)| {
+                assert!(i < j, "links need i < j, got ({i}, {j})");
+                assert!((j as usize) < n, "point id {j} out of range for {n} points");
+                (pack(i, j), c)
+            })
             .collect();
-        pairs.sort_unstable_by_key(|&(key, _)| key);
-        Self::assemble_runs(table.num_points(), std::slice::from_ref(&pairs))
+        keyed.sort_unstable_by_key(|&(key, _)| key);
+        for w in keyed.windows(2) {
+            // tidy-allow(panic-reach): windows(2) yields exactly two entries
+            let (a, b) = (w[0].0, w[1].0);
+            assert!(a != b, "link pair {:?} repeated", unpack(a));
+        }
+        keyed.retain(|&(_, c)| c > 0);
+        Self::assemble_runs(n, std::slice::from_ref(&keyed))
     }
 
     /// Approximate heap footprint in bytes (for the auto heuristic and
@@ -150,9 +159,10 @@ impl LinkMatrix {
     ///
     /// Point `i`'s ascending neighbor list contributes `mᵢ−1−a` pairs
     /// with smaller endpoint `nbrs[a]`, so one O(Σmᵢ) sweep prices every
-    /// CSR row before any pair is materialised. This histogram is both
-    /// the shard balancer (mass = emitted pairs) and each worker's
-    /// segment layout.
+    /// CSR row before any link is counted. `hist[j]` is exactly the
+    /// number of increments row `j` makes in the row kernel (one per
+    /// `m ∈ N(j)`, `l ∈ N(m)`, `l > j`), so it is both the shard
+    /// balancer and the `pairs_emitted` total.
     fn smaller_endpoint_histogram(graph: &NeighborGraph) -> Vec<usize> {
         let n = graph.len();
         let mut hist = vec![0usize; n];
@@ -166,16 +176,16 @@ impl LinkMatrix {
         hist
     }
 
-    /// Fig. 4 via the range-sharded pair-stream kernel. `threads == 1`
-    /// runs the same kernel on one shard; output is identical for every
-    /// `threads`.
+    /// Fig. 4 as the row-wise sparse product `A·A`, sharded by row.
+    /// `threads == 1` runs the same kernel on one shard; output is
+    /// identical for every `threads`.
     ///
-    /// Work is sharded by *smaller endpoint*: shard boundaries balance
-    /// emitted-pair mass (not row count — a shard of a few hub rows can
-    /// weigh as much as thousands of sparse rows), and each worker owns
-    /// a contiguous CSR row range whose sorted `(key, count)` run it
-    /// writes outright. Runs occupy disjoint ascending key ranges, so
-    /// assembly is a concatenated scan with no merge step.
+    /// Shard boundaries balance accumulate count (not row count — a
+    /// shard of a few hub rows can weigh as much as thousands of sparse
+    /// rows), and each worker owns a contiguous CSR row range whose
+    /// sorted `(key, count)` run it writes outright. Runs occupy disjoint
+    /// ascending key ranges, so assembly is a concatenated scan with no
+    /// merge step.
     ///
     /// # Panics
     /// Panics if `threads == 0`.
@@ -196,17 +206,16 @@ impl LinkMatrix {
         Self::compute_sparse_on(graph, &hist, shards)
     }
 
-    /// The sharded counting-sort body shared by
-    /// [`Self::compute_sparse`] and [`Self::compute_sparse_ranges`].
+    /// The sharded row-kernel body shared by [`Self::compute_sparse`]
+    /// and [`Self::compute_sparse_ranges`].
     ///
-    /// Each worker counting-sorts exactly the pairs whose smaller
-    /// endpoint falls in its row range: a per-`j` segment layout read
-    /// off the global histogram, a linear scatter of larger endpoints
-    /// (neighbor lists are ascending ⇒ `(j, l)` is already the
-    /// normalised pair), then a dense per-segment count into the
-    /// shard's sorted run. O(pairs) total, vs O(pairs·log pairs) for a
-    /// sort — the difference that makes this kernel beat the hashmap
-    /// reference instead of losing to it.
+    /// For each row `j` of its range a worker adds one to `scratch[l]`
+    /// for every `m ∈ N(j)` and every `l ∈ N(m)` with `l > j` (neighbor
+    /// lists are ascending, so that is a suffix found by binary search),
+    /// recording each counter it lifts off zero. It then sorts the
+    /// touched partners, emits row `j`'s `(j, l, count)` triples and
+    /// zeroes exactly those counters. Scratch is one n-sized counter row
+    /// and one touched list per worker, allocated outside the loop.
     fn compute_sparse_on(
         graph: &NeighborGraph,
         hist: &[usize],
@@ -220,59 +229,32 @@ impl LinkMatrix {
         runs.resize_with(shards.len(), Vec::new);
         rayon::scope(|scope| {
             for (range, out) in shards.iter().zip(runs.iter_mut()) {
-                let (lo, hi) = (range.start, range.end);
-                if lo == hi {
+                if range.is_empty() {
                     continue;
                 }
+                let rows = range.clone();
                 scope.spawn(move |_| {
-                    // Segment offsets for this shard's rows, straight
-                    // from the global histogram.
-                    let mut seg = vec![0usize; hi - lo + 1];
-                    for j in lo..hi {
-                        seg[j - lo + 1] = seg[j - lo] + hist[j];
-                    }
-                    let mut data = vec![0u32; seg[hi - lo]];
-                    let mut cursor: Vec<usize> = seg[..hi - lo].to_vec();
-                    // tidy:kernel-hot-loop — scatter larger endpoints into per-row segments
-                    for i in 0..n {
-                        let nbrs = graph.neighbors(i);
-                        let a0 = nbrs.partition_point(|&x| (x as usize) < lo);
-                        let a1 = a0 + nbrs[a0..].partition_point(|&x| (x as usize) < hi);
-                        for a in a0..a1 {
-                            let j = nbrs[a] as usize;
-                            let mut c = cursor[j - lo];
-                            for &l in &nbrs[a + 1..] {
-                                data[c] = l;
-                                c += 1;
-                            }
-                            cursor[j - lo] = c;
-                        }
-                    }
-                    // tidy:end-kernel-hot-loop
-                    // Dense count per segment → this shard's sorted run
-                    // over its disjoint slice of the key space. Scratch
-                    // is allocated once per worker, outside the loop.
                     let mut scratch = vec![0u32; n];
-                    let mut partners: Vec<u32> = Vec::new();
+                    let mut touched: Vec<u32> = Vec::new();
                     let mut pairs: Vec<(u64, u32)> = Vec::new();
-                    // tidy:kernel-hot-loop — per-segment dense count
-                    for j in lo..hi {
-                        let segment = &data[seg[j - lo]..seg[j - lo + 1]];
-                        if segment.is_empty() {
-                            continue;
-                        }
-                        for &l in segment {
-                            if scratch[l as usize] == 0 {
-                                partners.push(l);
+                    // tidy:kernel-hot-loop — accumulate, then emit, one upper-triangle row of A·A
+                    for j in rows {
+                        for &m in graph.neighbors(j) {
+                            let nbrs = graph.neighbors(m as usize);
+                            let above = nbrs.partition_point(|&l| (l as usize) <= j);
+                            for &l in &nbrs[above..] {
+                                if scratch[l as usize] == 0 {
+                                    touched.push(l);
+                                }
+                                scratch[l as usize] += 1;
                             }
-                            scratch[l as usize] += 1;
                         }
-                        partners.sort_unstable();
-                        for &l in &partners {
+                        touched.sort_unstable();
+                        for &l in &touched {
                             pairs.push((pack(j as u32, l), scratch[l as usize]));
                             scratch[l as usize] = 0;
                         }
-                        partners.clear();
+                        touched.clear();
                     }
                     // tidy:end-kernel-hot-loop
                     *out = pairs;
@@ -282,8 +264,12 @@ impl LinkMatrix {
 
         let emitted: usize = hist.iter().sum();
         crate::perf::count_pairs_emitted(emitted as u64);
+        let run_bytes: usize = runs
+            .iter()
+            .map(|run| run.len() * std::mem::size_of::<(u64, u32)>())
+            .sum();
         let matrix = Self::assemble_runs(n, &runs);
-        crate::perf::count_bytes_touched((emitted * 4 + matrix.memory_bytes()) as u64);
+        crate::perf::count_bytes_touched((run_bytes + matrix.memory_bytes()) as u64);
         matrix
     }
 
@@ -344,17 +330,9 @@ impl LinkMatrix {
         Self::assemble_runs(n, std::slice::from_ref(&pairs))
     }
 
-    /// Chooses between the sparse and dense kernels by estimated cost.
-    ///
-    /// The pair-stream kernel touches each of its ~`Σᵢ mᵢ²/2` pairs a
-    /// constant number of times (histogram, scatter, count); the bitset
-    /// square costs `n²/2 · ⌈n/64⌉` word ANDs plus O(n²/8) bytes of row
-    /// storage. One counted pair costs ~1.5× a popcount-AND word op
-    /// (measured with `bench/benches/rock_parallel.rs` on the §5.3
-    /// generator — far below the ~8× of the old hash-increment path,
-    /// which is why the crossover moved), and both kernels parallelise
-    /// evenly so `threads` does not shift it. Dense is refused above
-    /// 64 MiB of row storage regardless.
+    /// Runs the kernel [`choose_kernel`](Self::choose_kernel) picks for
+    /// `graph`. Both kernels produce the same matrix, so the choice only
+    /// affects speed and memory.
     pub fn compute_auto(graph: &NeighborGraph, threads: usize) -> Self {
         match Self::choose_kernel(graph) {
             LinkKernel::Dense => Self::compute_dense(graph, threads),
@@ -362,10 +340,22 @@ impl LinkMatrix {
         }
     }
 
-    /// The kernel [`compute_auto`](Self::compute_auto) would pick for
-    /// `graph`, exposed so budget-aware drivers can veto the dense
-    /// kernel's `n²/8` row storage *before* allocating it (see
+    /// The kernel [`compute_auto`](Self::compute_auto) runs for `graph`,
+    /// exposed so budget-aware drivers can veto the dense kernel's
+    /// `n²/8` row storage *before* allocating it (see
     /// [`crate::governor::DegradationPolicy::SparseLinks`]).
+    ///
+    /// The row kernel makes `Σᵢ mᵢ(mᵢ−1)/2 ≈ Σᵢ mᵢ²/2` scratch
+    /// increments, one per neighbor pair; the bitset square costs
+    /// `n²/2 · ⌈n/64⌉` popcount-AND word operations plus `n²/8` bytes of
+    /// row storage. Each increment is priced at 1.5 word operations, the
+    /// ratio measured with `bench/benches/rock_parallel.rs` on the §5.3
+    /// generator for the counting-sort kernel the row kernel replaced.
+    /// The weight is kept so each workload keeps its kernel: of the
+    /// rockbench workloads, only the small, dense base fit of
+    /// `online_update` gets the dense kernel. Both kernels parallelise evenly, so `threads`
+    /// does not shift the crossover. Dense is refused above 64 MiB of row
+    /// storage regardless.
     pub fn choose_kernel(graph: &NeighborGraph) -> LinkKernel {
         let n = graph.len() as f64;
         let sparse_cost: f64 = (0..graph.len())
@@ -387,8 +377,8 @@ impl LinkMatrix {
 
     /// Transient working-set estimate of the dense kernel over `n`
     /// points: the bit-packed adjacency rows (`n²/8` bytes). The sparse
-    /// kernel's working set is the counted pair stream, roughly
-    /// proportional to the output CSR instead.
+    /// kernel's working set is one n-sized counter row per worker plus
+    /// its output runs, roughly proportional to the output CSR instead.
     pub fn estimated_dense_bytes(n: usize) -> u64 {
         let n = n as u64;
         n * n / 8
@@ -407,7 +397,7 @@ impl LinkMatrix {
 
     /// Builds the symmetric CSR from upper-triangle `(packed key, count)`
     /// runs whose concatenation is ascending and duplicate-free — the
-    /// shape the range-sharded kernel produces (each run owns a disjoint
+    /// shape the row-sharded kernel produces (each run owns a disjoint
     /// slice of the key space), and trivially also a single sorted run.
     fn assemble_runs(n: usize, runs: &[Vec<(u64, u32)>]) -> Self {
         debug_assert!({
@@ -467,7 +457,6 @@ fn unpack(key: u64) -> (u32, u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::links::compute_links_sparse;
     use crate::points::Transaction;
     use crate::similarity::{Jaccard, PointsWith, SimilarityMatrix};
 
@@ -476,25 +465,6 @@ mod tests {
             ((i * j).wrapping_mul(2654435761) % 1000) as f64 / 1000.0
         });
         NeighborGraph::build(&m, theta)
-    }
-
-    #[test]
-    fn matches_reference_table() {
-        let g = pseudo_graph(90, 0.6);
-        let reference = compute_links_sparse(&g);
-        let matrix = LinkMatrix::compute_sparse(&g, 1);
-        assert_eq!(matrix.to_table(), reference);
-        assert_eq!(matrix.num_linked_pairs(), reference.num_linked_pairs());
-        assert_eq!(matrix.total_links(), reference.total_links());
-        for i in 0..g.len() {
-            for j in 0..g.len() {
-                assert_eq!(
-                    matrix.count(i, j),
-                    reference.count(i, j),
-                    "pair ({i},{j})"
-                );
-            }
-        }
     }
 
     #[test]
@@ -587,28 +557,103 @@ mod tests {
     }
 
     #[test]
-    fn from_table_round_trips() {
+    fn from_pairs_round_trips_iter_upper() {
         let g = pseudo_graph(70, 0.55);
-        let table = compute_links_sparse(&g);
-        let m = LinkMatrix::from_table(&table);
-        assert_eq!(m, LinkMatrix::compute_sparse(&g, 1));
-        assert_eq!(m.to_table(), table);
+        let m = LinkMatrix::compute_sparse(&g, 1);
+        let mut triples: Vec<(u32, u32, u32)> =
+            m.iter_upper().map(|((i, j), c)| (i, j, c)).collect();
+        // Any order is accepted; zero counts are dropped.
+        triples.reverse();
+        assert_eq!(LinkMatrix::from_pairs(g.len(), &triples), m);
+        assert_eq!(LinkMatrix::from_pairs(3, &[(0, 2, 0)]), LinkMatrix::new(3));
     }
 
     #[test]
-    fn paper_example_links_figure1() {
-        // Same §3.2 counts the LinkTable tests pin down.
+    #[should_panic(expected = "i < j")]
+    fn from_pairs_rejects_lower_triangle() {
+        LinkMatrix::from_pairs(3, &[(2, 1, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "i < j")]
+    fn from_pairs_rejects_diagonal() {
+        LinkMatrix::from_pairs(3, &[(1, 1, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn from_pairs_rejects_out_of_range() {
+        LinkMatrix::from_pairs(3, &[(0, 3, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "repeated")]
+    fn from_pairs_rejects_repeated_pair() {
+        LinkMatrix::from_pairs(3, &[(0, 2, 1), (0, 1, 4), (0, 2, 1)]);
+    }
+
+    #[test]
+    fn links_match_adjacency_matrix_square() {
+        // Cross-check both kernels against an O(n³) textbook matrix
+        // multiplication (§4.4).
+        let m = SimilarityMatrix::from_fn(40, |i, j| ((i * 31 + j * 17) % 10) as f64 / 10.0);
+        let g = NeighborGraph::build(&m, 0.5);
+        let n = g.len();
+        let mut a = vec![vec![0u32; n]; n];
+        for (i, row) in a.iter_mut().enumerate() {
+            for &j in g.neighbors(i) {
+                row[j as usize] = 1;
+            }
+        }
+        for links in [
+            LinkMatrix::compute_sparse(&g, 1),
+            LinkMatrix::compute_dense(&g, 1),
+        ] {
+            for i in 0..n {
+                assert_eq!(links.count(i, i), 0, "diagonal ({i},{i})");
+                for j in (0..n).filter(|&j| j != i) {
+                    let aa: u32 = (0..n).map(|l| a[i][l] * a[l][j]).sum();
+                    assert_eq!(links.count(i, j), aa, "pair ({i},{j})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn paper_example_1_2_pair_counts() {
+        // §1.2: pairs containing {1,2} in the same cluster have 5 common
+        // neighbors; across clusters only 3.
         let ts = crate::testdata::figure1_transactions();
         let find = |items: [u32; 3]| {
             let t = Transaction::from(items);
             ts.iter().position(|x| *x == t).expect("present")
         };
         let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
-        let m = LinkMatrix::compute_auto(&g, 2);
-        assert_eq!(m.count(find([1, 2, 6]), find([1, 2, 7])), 5);
-        assert_eq!(m.count(find([1, 2, 6]), find([1, 2, 3])), 3);
-        assert_eq!(m.count(find([1, 6, 7]), find([1, 2, 6])), 2);
-        assert_eq!(m.count(find([1, 6, 7]), find([3, 4, 5])), 0);
+        let m = LinkMatrix::compute_sparse(&g, 1);
+        assert_eq!(m.count(find([1, 2, 3]), find([1, 2, 4])), 5);
+        assert_eq!(m.count(find([1, 2, 3]), find([1, 2, 6])), 3);
+    }
+
+    #[test]
+    fn paper_example_links_figure1() {
+        // §3.2: with θ = 0.5, {1,2,6} has 5 links with {1,2,7} and 3 links
+        // with {1,2,3}; {1,6,7} has 2 links with {1,2,6} and 0 links with
+        // transactions of the big cluster not containing 1, 2, 6 or 7.
+        let ts = crate::testdata::figure1_transactions();
+        let find = |items: [u32; 3]| {
+            let t = Transaction::from(items);
+            ts.iter().position(|x| *x == t).expect("present")
+        };
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        for m in [
+            LinkMatrix::compute_sparse(&g, 1),
+            LinkMatrix::compute_auto(&g, 2),
+        ] {
+            assert_eq!(m.count(find([1, 2, 6]), find([1, 2, 7])), 5);
+            assert_eq!(m.count(find([1, 2, 6]), find([1, 2, 3])), 3);
+            assert_eq!(m.count(find([1, 6, 7]), find([1, 2, 6])), 2);
+            assert_eq!(m.count(find([1, 6, 7]), find([3, 4, 5])), 0);
+        }
     }
 
     #[test]
@@ -626,6 +671,18 @@ mod tests {
         assert_eq!(m.num_points(), 3);
         assert_eq!(m.num_linked_pairs(), 0);
         assert_eq!(m.count(0, 1), 0);
+
+        // A transaction sharing no item with the others has no links.
+        let ts = vec![
+            Transaction::from([1, 2, 3]),
+            Transaction::from([1, 2, 4]),
+            Transaction::from([1, 3, 4]),
+            Transaction::from([9]),
+        ];
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.4);
+        let m = LinkMatrix::compute_sparse(&g, 1);
+        assert!(m.num_linked_pairs() > 0);
+        assert_eq!(m.row(3).0, &[] as &[u32]);
     }
 
     #[test]

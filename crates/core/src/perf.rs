@@ -31,14 +31,17 @@ static RELABELS: AtomicU64 = AtomicU64::new(0);
 static DIRTY_LINKS: AtomicU64 = AtomicU64::new(0);
 static REMERGES: AtomicU64 = AtomicU64::new(0);
 
-/// Records `n` link-pairs emitted by a link kernel.
+/// Records `n` link-pairs emitted by a link kernel: the neighbor pairs
+/// the sparse kernel counts (Σᵢ mᵢ(mᵢ−1)/2), or the linked pairs the
+/// dense kernel finds.
 #[inline]
 pub fn count_pairs_emitted(n: u64) {
     PAIRS_EMITTED.fetch_add(n, Ordering::Relaxed);
 }
 
-/// Records `n` bytes of working-set traffic (scatter buffers, CSR
-/// output, bitset rows — an estimate of bytes written + read once).
+/// Records `n` bytes of working-set traffic — an estimate of the bytes
+/// a kernel writes: the sparse link kernel's output runs plus its CSR,
+/// the dense link kernel's bitset rows.
 #[inline]
 pub fn count_bytes_touched(n: u64) {
     BYTES_TOUCHED.fetch_add(n, Ordering::Relaxed);

@@ -29,7 +29,7 @@ use crate::rules::{allowed, FileKind, SourceFile};
 /// One call site inside a function body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CallSite {
-    /// The called name (`compute_links_sparse`, `unwrap`, `scope`).
+    /// The called name (`compute_sparse`, `unwrap`, `scope`).
     pub name: String,
     /// Path qualifier as written, innermost last (`crate::perf::count_x`
     /// yields `["crate", "perf"]`; bare and method calls yield `[]`).

@@ -10,7 +10,6 @@
 
 use rand::{rngs::StdRng, SeedableRng};
 use rock::labeling::Labeler;
-use rock::links::compute_links_sparse;
 use rock::links_matrix::LinkMatrix;
 use rock::neighbors::NeighborGraph;
 use rock::rock::Rock;
@@ -54,15 +53,17 @@ fn main() {
         graph.average_degree()
     );
 
-    // --- stage 2: links. The CSR LinkMatrix picks the Fig.-4 counting
-    // kernel or §4.4 matrix squaring by predicted cost; both shard across
-    // threads and merge deterministically. The legacy hashmap table stays
-    // as the cross-checked reference.
+    // --- stage 2: links. The CSR LinkMatrix picks the row-wise sparse
+    // kernel or §4.4 matrix squaring by predicted cost; both shard rows
+    // across threads and assemble deterministically.
     let links = LinkMatrix::compute_auto(&graph, threads);
-    let legacy = compute_links_sparse(&graph);
-    assert_eq!(links.to_table(), legacy, "CSR kernels must match the reference table");
+    assert_eq!(
+        links,
+        LinkMatrix::compute_auto(&graph, 1),
+        "parallel links must be bit-identical to sequential"
+    );
     println!(
-        "links: {} linked pairs, {} total links (CSR == hashmap reference ✓)",
+        "links: {} linked pairs, {} total links (parallel == sequential ✓)",
         links.num_linked_pairs(),
         links.total_links()
     );

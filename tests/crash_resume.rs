@@ -156,7 +156,7 @@ fn chained_interruptions_resume_through_continuation_logs() {
     // The §3.3 criterion profile (E_l at every cut) over the resumed
     // dendrogram matches the uninterrupted one bit for bit.
     let graph = rock::NeighborGraph::build(&rock::similarity::PointsWith::new(&data, Jaccard), 0.4);
-    let links = rock::compute_links_sparse(&graph);
+    let links = rock::LinkMatrix::compute_sparse(&graph, 1);
     let goodness = rock::Goodness::new(0.4, rock::ConstantF(1.0), rock::GoodnessKind::Normalized);
     let d_resumed = Dendrogram::from_run(&resumed).expect("no weeding");
     let d_baseline = Dendrogram::from_run(&baseline).expect("no weeding");

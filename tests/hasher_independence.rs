@@ -1,13 +1,12 @@
 //! Hasher-independence regression tests.
 //!
-//! The engine's cross-link bookkeeping lives in Fx-hashed maps, and a
-//! hash map's iteration order is an accident of its hasher. PRs 2–3 made
-//! bit-identical output the core guarantee, so no accident of bucket
+//! A hash map's iteration order is an accident of its hasher, and
+//! bit-identical output is the core guarantee, so no accident of bucket
 //! order may ever reach the clustering, the merge trace or the WAL
 //! bytes. rock-tidy's `nondeterministic-iter` rule enforces that
 //! statically; these property tests enforce it dynamically, by running
-//! the same input under the default hasher and under seeded hashers
-//! (which scramble every map's iteration order) and diffing the outputs.
+//! the same input under the default hasher and under a seeded
+//! `RockConfig::hash_seed` and diffing the outputs.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -17,9 +16,8 @@ use rock::governor::RunGovernor;
 use rock::neighbors::NeighborGraph;
 use rock::points::Transaction;
 use rock::similarity::{Jaccard, PointsWith};
-use rock::util::FxBuildHasher;
 use rock::wal::MergeWal;
-use rock::{compute_links_sparse, compute_links_sparse_seeded, LinkMatrix};
+use rock::LinkMatrix;
 
 /// Strategy: a set of transactions over a small item universe.
 fn transactions(max_points: usize) -> impl Strategy<Value = Vec<Transaction>> {
@@ -39,8 +37,8 @@ macro_rules! assert_same_run {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    // The full pipeline — link table, merge loop, weeding — produces
-    // bit-identical results under scrambled map iteration orders.
+    // The merge loop with pruning and weeding produces bit-identical
+    // results under any hash seed.
     #[test]
     fn clustering_is_identical_across_hash_seeds(
         ts in transactions(20),
@@ -60,17 +58,14 @@ proptest! {
         let algo = RockAlgorithm::new(goodness, k, outliers);
 
         let governor = RunGovernor::unlimited();
-        let baseline_links = LinkMatrix::from_table(&compute_links_sparse(&g));
+        let links = LinkMatrix::compute_sparse(&g, 1);
         let baseline = algo
-            .run_governed(&g, &baseline_links, &governor, None)
+            .run_governed(&g, &links, &governor, None)
             .expect("unlimited governor");
 
-        // Scramble the link table's pair order and seed the engine.
-        let seeded_table = compute_links_sparse_seeded(&g, FxBuildHasher::with_seed(seed));
-        let seeded_links = LinkMatrix::from_table(&seeded_table);
         let seeded = algo
             .with_hash_seed(seed)
-            .run_governed(&g, &seeded_links, &governor, None)
+            .run_governed(&g, &links, &governor, None)
             .expect("unlimited governor");
 
         assert_same_run!(baseline, seeded);

@@ -1,5 +1,11 @@
-//! Differential test of every merge-loop driver against a plain reading
+//! Differential tests of every link kernel against a plain reading of
+//! Fig. 4 (§3.2), and of every merge-loop driver against a plain reading
 //! of Fig. 3 (§4.3).
+//!
+//! [`naive_links`] counts `|N(p) ∩ N(q)|` pair by pair. The row-wise
+//! sparse kernel at several thread counts and over random shard splits
+//! (empty shards included), the §4.4 dense square and the auto selector
+//! must all reproduce it exactly.
 //!
 //! [`Reference`] is the paper's agglomeration with nothing optimised:
 //! cross links in a `BTreeMap` keyed by cluster pair, and every step a
@@ -19,13 +25,13 @@
 
 use proptest::prelude::*;
 use rock::governor::{Phase, RunGovernor};
-use rock::util::FxBuildHasher;
 use rock::wal::MergeWal;
 use rock::{
     Clustering, ConstantF, Goodness, GoodnessKind, IncrementalState, LinkMatrix, MergeBound,
     MergeRecord, NeighborGraph, OutlierPolicy, RockAlgorithm, RockError, WeedPolicy,
 };
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// The plain Fig.-3 loop over an arena of clusters.
 struct Reference {
@@ -251,8 +257,50 @@ fn point_reference(g: &NeighborGraph, min_neighbors: usize, good: Goodness) -> R
     r
 }
 
+/// `[0, c₁, …, c_k, n]` as contiguous ranges, with `cuts` as fractions
+/// of `n`: repeated or end cuts give empty ranges.
+fn split(n: usize, cuts: &[f64]) -> Vec<Range<usize>> {
+    let mut points: Vec<usize> = cuts.iter().map(|&c| (c * n as f64) as usize).collect();
+    points.sort_unstable();
+    let mut ranges = Vec::new();
+    let mut lo = 0;
+    for p in points.into_iter().chain([n]) {
+        ranges.push(lo..p);
+        lo = p;
+    }
+    ranges
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn link_kernels_match_the_reference(
+        n in 0usize..=200,
+        shape in 0u8..4,
+        seed in any::<u64>(),
+        cuts in proptest::collection::vec(0.0f64..=1.0, 0..6),
+    ) {
+        let g = graph(n, shape, seed);
+        let want: Vec<((u32, u32), u32)> =
+            naive_links(&g).into_iter().map(|(p, c)| (p, c as u32)).collect();
+        let triples: Vec<(u32, u32, u32)> = want.iter().map(|&((p, q), c)| (p, q, c)).collect();
+        let reference = LinkMatrix::from_pairs(n, &triples);
+        let shards = split(n, &cuts);
+        let kernels = [
+            ("sparse/1".to_string(), LinkMatrix::compute_sparse(&g, 1)),
+            ("sparse/2".to_string(), LinkMatrix::compute_sparse(&g, 2)),
+            ("sparse/8".to_string(), LinkMatrix::compute_sparse(&g, 8)),
+            (format!("sparse {shards:?}"), LinkMatrix::compute_sparse_ranges(&g, &shards)),
+            ("dense".to_string(), LinkMatrix::compute_dense(&g, 2)),
+            ("auto".to_string(), LinkMatrix::compute_auto(&g, 1)),
+        ];
+        for (name, links) in &kernels {
+            let got: Vec<((u32, u32), u32)> = links.iter_upper().collect();
+            prop_assert_eq!(&got, &want, "{}", name);
+            prop_assert_eq!(links, &reference, "{}", name);
+        }
+    }
 
     #[test]
     fn batch_and_resumed_runs_match_the_reference(
@@ -355,7 +403,7 @@ proptest! {
 
         let mut reference = Reference::new(clusters.clone(), &links, good);
         let want = reference.run_bounded(&bound);
-        let mut state = IncrementalState::from_clusters(clusters, &links, good, FxBuildHasher::default());
+        let mut state = IncrementalState::from_clusters(clusters, &links, good);
         let got = state.bounded_merge(&bound);
         prop_assert_eq!(bits(&got), bits(&want));
         let live: Vec<Vec<u32>> = state.live_clusters().into_iter().map(|(_, m)| m).collect();

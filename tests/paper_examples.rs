@@ -112,7 +112,7 @@ fn figure1_link_counts_match_paper() {
     // §3.2's arithmetic, end-to-end through the public API.
     let ts = figure1();
     let graph = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
-    let links = rock::compute_links_sparse(&graph);
+    let links = rock::LinkMatrix::compute_sparse(&graph, 1);
     let id = |items: [u32; 3]| {
         ts.iter()
             .position(|t| *t == Transaction::from(items))

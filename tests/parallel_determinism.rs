@@ -12,7 +12,6 @@ use proptest::collection;
 use proptest::prelude::*;
 use rock::governor::RunGovernor;
 use rock::labeling::Labeler;
-use rock::links::compute_links_sparse;
 use rock::links_matrix::LinkMatrix;
 use rock::neighbors::NeighborGraph;
 use rock::points::Transaction;
@@ -65,10 +64,6 @@ proptest! {
         prop_assert_eq!(&LinkMatrix::compute_sparse(&graph, threads), &seq);
         prop_assert_eq!(&LinkMatrix::compute_dense(&graph, threads), &seq);
         prop_assert_eq!(&LinkMatrix::compute_auto(&graph, threads), &seq);
-        // Cross-check against the legacy hashmap reference (§ Fig. 4).
-        let reference = compute_links_sparse(&graph);
-        prop_assert_eq!(&LinkMatrix::from_table(&reference), &seq);
-        prop_assert_eq!(&seq.to_table(), &reference);
     }
 
     #[test]

@@ -23,11 +23,10 @@ use rock::labeling::{Labeler, Labeling};
 use rock::points::Transaction;
 use rock::rock::Rock;
 use rock::similarity::{Jaccard, PointsWith};
-use rock::util::FxBuildHasher;
 use rock::wal::{parse_wal, MergeWal};
 use rock::{
-    compute_links_sparse, Clustering, ConstantF, Goodness, IncrementalState, LinkMatrix,
-    MergeBound, NeighborGraph, OutlierPolicy, RockAlgorithm, RockError, RockRun,
+    Clustering, ConstantF, Goodness, IncrementalState, LinkMatrix, MergeBound, NeighborGraph,
+    OutlierPolicy, RockAlgorithm, RockError, RockRun,
 };
 
 /// Three well-separated basket clusters over disjoint item ranges (the
@@ -226,11 +225,12 @@ proptest! {
 
     // Gate 4: the extracted incremental core. Driving the merge loop
     // through the public `IncrementalState` surface — singleton clusters
-    // plus the sparse link table, merged under an uncapped `MergeBound`
+    // plus the link matrix's pairs, merged under an uncapped `MergeBound`
     // to the same k — reproduces the batch engine's merge trace and
-    // clustering bit-for-bit, across threads × hash seeds. And the
-    // canonical state image at any mid-loop cut is identical for every
-    // hasher seed, which is what makes the image serializable.
+    // clustering bit-for-bit, across threads × hash seeds. And a run
+    // capped at any mid-loop cut is a prefix of that trace whose
+    // canonical state image is identical across rebuilds, which is what
+    // makes the image serializable.
     #[test]
     fn incremental_state_drives_the_batch_merge_loop_bit_identically(
         threads_idx in 0usize..3,
@@ -255,11 +255,8 @@ proptest! {
             .unwrap();
 
         let singletons: Vec<Vec<u32>> = (0..data.len() as u32).map(|p| vec![p]).collect();
-        let mut pairs: Vec<(u32, u32, u64)> = compute_links_sparse(&graph)
-            .iter()
-            .map(|((i, j), c)| (i.min(j), i.max(j), u64::from(c)))
-            .collect();
-        pairs.sort_unstable();
+        let pairs: Vec<(u32, u32, u64)> =
+            links.iter_upper().map(|((i, j), c)| (i, j, u64::from(c))).collect();
         let unbounded = MergeBound {
             min_goodness: f64::NEG_INFINITY,
             min_clusters: cfg.k,
@@ -267,34 +264,21 @@ proptest! {
             max_cluster_size: usize::MAX,
         };
 
-        let mut st = IncrementalState::from_clusters(
-            singletons.clone(),
-            &pairs,
-            goodness,
-            FxBuildHasher::with_seed(hash_seed),
-        );
+        let mut st = IncrementalState::from_clusters(singletons.clone(), &pairs, goodness);
         let records = st.bounded_merge(&unbounded);
         prop_assert_eq!(&records, &baseline.merges);
         let clusters: Vec<Vec<u32>> = st.live_clusters().into_iter().map(|(_, m)| m).collect();
         prop_assert_eq!(Clustering::new(clusters, vec![]), baseline.clustering.clone());
 
-        // Image determinism: stop after `cut` merges under two different
-        // hasher seeds and demand the identical canonical image.
+        // Image determinism: stop after `cut` merges in two independently
+        // built states and demand the trace prefix and the identical
+        // canonical image.
         let capped = MergeBound { max_merges: cut, ..unbounded };
-        let mut a = IncrementalState::from_clusters(
-            singletons.clone(),
-            &pairs,
-            goodness,
-            FxBuildHasher::with_seed(hash_seed),
-        );
-        let mut b = IncrementalState::from_clusters(
-            singletons,
-            &pairs,
-            goodness,
-            FxBuildHasher::with_seed(hash_seed.wrapping_add(513)),
-        );
+        let mut a = IncrementalState::from_clusters(singletons.clone(), &pairs, goodness);
+        let mut b = IncrementalState::from_clusters(singletons, &pairs, goodness);
         let ra = a.bounded_merge(&capped);
         let rb = b.bounded_merge(&capped);
+        prop_assert_eq!(&ra[..], &records[..cut.min(records.len())]);
         prop_assert_eq!(ra, rb);
         prop_assert_eq!(a.live_clusters(), b.live_clusters());
         prop_assert_eq!(a.canonical_links(), b.canonical_links());

@@ -11,7 +11,7 @@ use rock::similarity::{
     CategoricalJaccard, Jaccard, MissingPolicy, PairwiseSimilarity, PointsWith, Similarity,
     SimilarityMatrix,
 };
-use rock::{compute_links_dense, compute_links_sparse};
+use rock::LinkMatrix;
 
 /// Strategy: a set of transactions over a small item universe.
 fn transactions(max_points: usize) -> impl Strategy<Value = Vec<Transaction>> {
@@ -91,16 +91,10 @@ proptest! {
     }
 
     #[test]
-    fn sparse_and_dense_links_agree(m in sim_matrix(24), theta in 0.2f64..0.9) {
-        let g = NeighborGraph::build(&m, theta);
-        prop_assert_eq!(compute_links_sparse(&g), compute_links_dense(&g));
-    }
-
-    #[test]
     fn link_counts_are_bounded_by_min_degree(ts in transactions(16)) {
         let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.3);
-        let links = compute_links_sparse(&g);
-        for ((i, j), c) in links.iter() {
+        let links = LinkMatrix::compute_sparse(&g, 1);
+        for ((i, j), c) in links.iter_upper() {
             let bound = g.degree(i as usize).min(g.degree(j as usize)) as u32;
             prop_assert!(c <= bound, "link({i},{j}) = {c} > min degree {bound}");
         }
@@ -187,7 +181,7 @@ proptest! {
         ts in transactions(14)
     ) {
         let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.3);
-        let links = compute_links_sparse(&g);
+        let links = LinkMatrix::compute_sparse(&g, 1);
         let good = Goodness::new(0.3, BasketF, GoodnessKind::Normalized);
         let n = ts.len() as u32;
         let half = n / 2;
