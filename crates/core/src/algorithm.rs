@@ -506,28 +506,13 @@ impl RockAlgorithm {
             *slot = Some(m.clone());
         }
         let mut state = IncrementalState::new(members, self.goodness);
-        let mut prev: Option<(u32, u32)> = None;
-        // tidy-allow(nondeterministic-iter): snap.links is a Vec canonically sorted by Engine::snapshot, not a hash map; the name merely shadows the links field
-        for &(i, j, c) in &snap.links {
-            let live = |x: u32| {
-                state
-                    .members
-                    .get(x as usize)
-                    .is_some_and(|m| m.is_some())
-            };
-            // Snapshots list each pair once, ascending: anything else
-            // (including a repeated pair) is malformed.
-            if i >= j || !live(i) || !live(j) || c == 0 || prev >= Some((i, j)) {
-                return Err(mismatch(format!(
-                    "snapshot link ({i}, {j}, {c}) is malformed, out of order or \
-                     references a dead cluster"
-                )));
-            }
-            prev = Some((i, j));
-            state.links[i as usize].push((j, c));
-            state.links[j as usize].push((i, c));
+        if let Err(k) = state.seed_links(&snap.links) {
+            let (i, j, c) = snap.links[k];
+            return Err(mismatch(format!(
+                "snapshot link ({i}, {j}, {c}) is malformed, out of order or \
+                 references a dead cluster"
+            )));
         }
-        state.seed();
         Ok(Engine {
             state,
             outliers: snap.outliers.clone(),

@@ -41,10 +41,11 @@ pub enum RockError {
     /// A user-supplied similarity measure returned NaN or ±∞.
     ///
     /// Surfaced by the driver entry points ([`crate::rock::Rock::cluster`],
-    /// [`crate::rock::Rock::run`], [`crate::engine::Pipeline::fit_wal`]
-    /// and [`crate::labeling::Labeler::label_point_checked`]) instead of
-    /// letting the value poison neighbor decisions or trip heap asserts
-    /// mid-merge.
+    /// [`crate::rock::Rock::run`], [`crate::engine::Pipeline::fit_wal`],
+    /// [`crate::labeling::Labeler::label_point_checked`] and
+    /// [`crate::incremental::IncrementalRockState::update`], the last two
+    /// through the same checked §4.6 scan) instead of letting the value
+    /// poison neighbor decisions or trip heap asserts mid-merge.
     NonFiniteSimilarity {
         /// The offending similarity value.
         value: f64,

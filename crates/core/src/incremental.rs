@@ -344,29 +344,46 @@ impl IncrementalState {
             "clusters must be non-empty"
         );
         let n = clusters.len();
-        for &(i, j, c) in links {
-            assert!(
-                i < j && (j as usize) < n && c > 0,
-                "malformed link ({i}, {j}, {c}) over {n} clusters"
-            );
-        }
         let mut sorted = links.to_vec();
         sorted.sort_unstable();
-        for pair in sorted.windows(2) {
-            // tidy-allow(panic-reach): windows(2) yields exactly two entries
-            let (a, b) = (pair[0], pair[1]);
-            assert!((a.0, a.1) != (b.0, b.1), "link pair ({}, {}) repeated", a.0, a.1);
+        let mut state = IncrementalState::new(clusters.into_iter().map(Some).collect(), goodness);
+        if let Err(k) = state.seed_links(&sorted) {
+            // tidy-allow(panic-reach): seed_links reports the position of an entry of sorted
+            let (i, j, c) = sorted[k];
+            // Sorted input breaks the ascending order only by repeating a pair.
+            // tidy-allow(panic-reach): k > 0 is checked first, so k - 1 indexes sorted
+            let repeated = k > 0 && (sorted[k - 1].0, sorted[k - 1].1) == (i, j);
+            assert!(!repeated, "link pair ({i}, {j}) repeated");
+            // tidy-allow(panic): a malformed link is a caller bug this constructor documents as a panic
+            panic!("malformed link ({i}, {j}, {c}) over {n} clusters");
         }
-        let members: Vec<Option<Vec<u32>>> = clusters.into_iter().map(Some).collect();
-        let mut state = IncrementalState::new(members, goodness);
-        for &(i, j, c) in &sorted {
-            // tidy-allow(panic-reach): i < j < n was asserted above for every entry
-            state.links[i as usize].push((j, c));
-            // tidy-allow(panic-reach): i < j < n was asserted above for every entry
-            state.links[j as usize].push((i, c));
-        }
-        state.seed();
         state
+    }
+
+    /// Pushes `(i, j, count)` links into both endpoints' lists of an
+    /// unseeded state and then [`seed`](Self::seed)s it: the one checked
+    /// link fill, behind [`from_clusters`](Self::from_clusters) and WAL
+    /// snapshot resume. Entries must be strictly ascending, with `i < j`,
+    /// both clusters live and `count > 0`.
+    ///
+    /// # Errors
+    /// The position of the first entry that breaks a condition; the
+    /// state is then partly filled and unseeded, and must be dropped.
+    pub(crate) fn seed_links(&mut self, links: &[(u32, u32, u64)]) -> Result<(), usize> {
+        let mut prev = None;
+        for (k, &(i, j, c)) in links.iter().enumerate() {
+            let live = |x: u32| self.members.get(x as usize).is_some_and(Option::is_some);
+            if i >= j || !live(i) || !live(j) || c == 0 || prev >= Some((i, j)) {
+                return Err(k);
+            }
+            prev = Some((i, j));
+            // tidy-allow(panic-reach): i and j were checked live above, so they index the links arena
+            self.links[i as usize].push((j, c));
+            // tidy-allow(panic-reach): i and j were checked live above, so they index the links arena
+            self.links[j as usize].push((i, c));
+        }
+        self.seed();
+        Ok(())
     }
 
     /// Number of live clusters.
@@ -646,9 +663,11 @@ pub struct UpdateOutcome {
 /// Built from a served [`ModelArtifact`]
 /// ([`IncrementalRockState::from_artifact`]), it absorbs arrival batches
 /// with [`IncrementalRockState::update`]: each arrival is labeled
-/// against the per-cluster Lᵢ representative sets (§4.6 semantics,
-/// bit-identical to [`crate::labeling::Labeler::label_point_checked`]),
-/// absorbed points accumulate per-cluster *dirty links*, and when the
+/// against the per-cluster Lᵢ representative pools by the batch
+/// labeler's §4.6 scan (item-indexed when the measure exposes item sets;
+/// labels bit-identical to
+/// [`crate::labeling::Labeler::label_point_checked`]), absorbed points
+/// accumulate per-cluster *dirty links*, and when the
 /// [`StalenessPolicy`] criterion trips the affected clusters are
 /// rebuilt into an [`IncrementalState`] and re-merged under the
 /// policy's [`MergeBound`].
@@ -681,12 +700,11 @@ pub struct IncrementalRockState<P> {
     /// fixpoint, so artifact round-trips never shift cluster indices.
     clusters: Vec<Vec<u32>>,
     outliers: Vec<u32>,
-    /// Per-cluster representative pools, parallel to `clusters`.
-    reps: Vec<Vec<P>>,
+    /// Per-cluster representative pools Lᵢ, parallel to `clusters`,
+    /// with their §4.6 normalisers, θ and `f(θ)`.
+    labeler: Labeler<P>,
     /// Per-cluster dirty-link accumulators, parallel to `clusters`.
     dirty: Vec<u64>,
-    theta: f64,
-    ftheta: f64,
     labeling_fraction: f64,
     hash_seed: Option<u64>,
     next_point: u32,
@@ -716,7 +734,6 @@ impl<P: ArtifactPoint + Clone> IncrementalRockState<P> {
             return Err(RockError::ArtifactMismatch { detail });
         }
         let labeler: Labeler<P> = artifact.labeler()?;
-        let reps = labeler.sets().to_vec();
         let clustering = artifact.clustering();
         let clusters = clustering.clusters.clone();
         let outliers = clustering.outliers.clone();
@@ -746,10 +763,8 @@ impl<P: ArtifactPoint + Clone> IncrementalRockState<P> {
             model: artifact.model().to_string(),
             clusters,
             outliers,
-            reps,
+            labeler,
             dirty,
-            theta: artifact.theta(),
-            ftheta: artifact.ftheta(),
             labeling_fraction: artifact.labeling_fraction(),
             hash_seed: artifact.hash_seed(),
             next_point,
@@ -759,8 +774,8 @@ impl<P: ArtifactPoint + Clone> IncrementalRockState<P> {
             wal: UpdateWal::new(),
         };
         let base = UpdateBase {
-            theta_bits: state.theta.to_bits(),
-            ftheta_bits: state.ftheta.to_bits(),
+            theta_bits: state.labeler.theta().to_bits(),
+            ftheta_bits: state.labeler.ftheta().to_bits(),
             fraction_bits: state.labeling_fraction.to_bits(),
             hash_seed: state.hash_seed,
             policy: state.policy,
@@ -791,8 +806,8 @@ impl<P: ArtifactPoint + Clone> IncrementalRockState<P> {
         let replay = parse_update_wal(wal_bytes)?;
         let base = &replay.base;
         let mut state = IncrementalRockState::from_artifact(artifact, base.policy)?;
-        let fingerprint_ok = base.theta_bits == state.theta.to_bits()
-            && base.ftheta_bits == state.ftheta.to_bits()
+        let fingerprint_ok = base.theta_bits == state.labeler.theta().to_bits()
+            && base.ftheta_bits == state.labeler.ftheta().to_bits()
             && base.fraction_bits == state.labeling_fraction.to_bits()
             && base.hash_seed == state.hash_seed
             && base.policy == state.policy;
@@ -822,7 +837,8 @@ impl<P: ArtifactPoint + Clone> IncrementalRockState<P> {
     /// Absorbs one batch of arrivals.
     ///
     /// The batch proceeds in phases: (1) every arrival is scored
-    /// against the *pre-batch* representative pools (§4.6: assign to
+    /// against the *pre-batch* representative pools by the batch
+    /// labeler's scan, over one item index per batch (§4.6: assign to
     /// the cluster maximising `Nᵢ / (|Lᵢ| + 1)^{f(θ)}`, ties to the
     /// smaller index, no representative neighbor anywhere → outlier);
     /// (2) absorbed points join their cluster (and its representative
@@ -853,25 +869,12 @@ impl<P: ArtifactPoint + Clone> IncrementalRockState<P> {
             .check_at(Phase::Labeling, self.provenance.updates_applied)
             .map_err(|e| crate::algorithm::mark_resumable(e, true))?;
 
-        // Phase 1: pure scoring against the pre-batch pools. Local
-        // tallies only — the process-global perf counters are bumped
-        // once by the exact amounts, never via snapshot deltas (other
+        // Phase 1: pure scoring against the pre-batch pools, through the
+        // batch labeler's scan, which counts its own evaluations. The
+        // other perf counters are tallied locally and bumped once at the
+        // end by the exact amounts, never via snapshot deltas (other
         // threads' kernels would pollute a delta).
-        let set_points: u64 = self.reps.iter().map(|s| s.len() as u64).sum();
-        let norms = crate::labeling::cluster_norms(&self.reps, self.ftheta);
-        let mut scored: Vec<Option<(usize, u64)>> = Vec::with_capacity(arrivals.len());
-        // tidy:kernel-hot-loop — per-arrival §4.6 scoring
-        for point in arrivals {
-            scored.push(crate::labeling::score_checked(
-                point,
-                &self.reps,
-                &norms,
-                self.theta,
-                measure,
-            )?);
-        }
-        // tidy:end-kernel-hot-loop
-        let mut sims = arrivals.len() as u64 * set_points;
+        let scored = self.labeler.score_each(arrivals, measure)?;
 
         // Phase 2: absorb.
         let mut absorbed = 0u64;
@@ -883,14 +886,12 @@ impl<P: ArtifactPoint + Clone> IncrementalRockState<P> {
             self.next_point += 1;
             match slot {
                 Some((c, neighbors)) => {
-                    // tidy-allow(panic-reach): c came from enumerate() over reps, and clusters/reps/dirty are parallel
+                    // tidy-allow(panic-reach): c is a cluster index of the labeler, and clusters/labeler sets/dirty are parallel
                     self.clusters[c].push(id);
-                    // tidy-allow(panic-reach): c came from enumerate() over reps, and clusters/reps/dirty are parallel
-                    if self.reps[c].len() < self.policy.rep_cap {
-                        // tidy-allow(panic-reach): c came from enumerate() over reps, and clusters/reps/dirty are parallel
-                        self.reps[c].push(point.clone());
+                    if self.labeler.set_size(c) < self.policy.rep_cap {
+                        self.labeler.push_rep(c, point.clone());
                     }
-                    // tidy-allow(panic-reach): c came from enumerate() over reps, and clusters/reps/dirty are parallel
+                    // tidy-allow(panic-reach): c is a cluster index of the labeler, and clusters/labeler sets/dirty are parallel
                     self.dirty[c] += neighbors;
                     new_dirty += neighbors;
                     absorbed += 1;
@@ -909,14 +910,13 @@ impl<P: ArtifactPoint + Clone> IncrementalRockState<P> {
         let stale = self.pending >= self.policy.max_pending
             || dirty_total as f64 >= self.policy.max_dirty_fraction * clustered_points as f64;
         let mut remerged = Vec::new();
+        let mut merge_sims = 0u64;
         let mut did_remerge = false;
         if stale && self.clusters.len() > self.policy.min_clusters {
             governor
                 .check_at(Phase::Merge, self.provenance.remerges)
                 .map_err(|e| crate::algorithm::mark_resumable(e, true))?;
-            let (records, merge_sims) = self.remerge(measure, clustered_points)?;
-            sims += merge_sims;
-            remerged = records;
+            (remerged, merge_sims) = self.remerge(measure, clustered_points)?;
             did_remerge = true;
         }
 
@@ -934,7 +934,7 @@ impl<P: ArtifactPoint + Clone> IncrementalRockState<P> {
         }
         crate::perf::count_relabels(arrivals.len() as u64);
         crate::perf::count_dirty_links(new_dirty);
-        crate::perf::count_sim_evals(sims);
+        crate::perf::count_sim_evals(merge_sims);
         let record = UpdateRecord {
             seq: self.provenance.updates_applied - 1,
             points: arrivals
@@ -960,7 +960,7 @@ impl<P: ArtifactPoint + Clone> IncrementalRockState<P> {
 
     /// Recounts representative cross-links over every pair involving a
     /// dirty cluster, runs the bounded merge, and folds the committed
-    /// merges back into the parallel `(clusters, reps)` arrays. Dirty
+    /// merges back into the parallel `clusters` and labeler pools. Dirty
     /// accumulators and the pending count reset afterwards. Returns the
     /// merge records and the number of similarity evaluations spent.
     fn remerge<S: Similarity<P>>(
@@ -969,6 +969,7 @@ impl<P: ArtifactPoint + Clone> IncrementalRockState<P> {
         clustered_points: usize,
     ) -> Result<(Vec<MergeRecord>, u64), RockError> {
         let n = self.clusters.len();
+        let (reps, theta) = (self.labeler.sets(), self.labeler.theta());
         let mut sims = 0u64;
         let mut fresh_links: Vec<(u32, u32, u64)> = Vec::new();
         for i in 0..n {
@@ -979,16 +980,16 @@ impl<P: ArtifactPoint + Clone> IncrementalRockState<P> {
                 }
                 let mut count = 0u64;
                 // tidy-allow(panic-reach): i < j < n index the parallel dirty/reps arrays
-                sims += self.reps[i].len() as u64 * self.reps[j].len() as u64;
+                sims += reps[i].len() as u64 * reps[j].len() as u64;
                 // tidy-allow(panic-reach): i < j < n index the parallel dirty/reps arrays
-                for a in &self.reps[i] {
+                for a in &reps[i] {
                     // tidy-allow(panic-reach): i < j < n index the parallel dirty/reps arrays
-                    for b in &self.reps[j] {
+                    for b in &reps[j] {
                         let s = measure.similarity(a, b);
                         if !s.is_finite() {
                             return Err(RockError::NonFiniteSimilarity { value: s });
                         }
-                        if s >= self.theta {
+                        if s >= theta {
                             count += 1;
                         }
                     }
@@ -1001,34 +1002,41 @@ impl<P: ArtifactPoint + Clone> IncrementalRockState<P> {
         // The artifact does not persist a goodness kind; re-merges always
         // run the paper's §3.3 normalised criterion, matching the batch
         // engine's default.
-        let goodness = Goodness::new(self.theta, ConstantF(self.ftheta), GoodnessKind::Normalized);
+        let goodness = Goodness::new(
+            theta,
+            ConstantF(self.labeler.ftheta()),
+            GoodnessKind::Normalized,
+        );
         let mut st = IncrementalState::from_clusters(
             std::mem::take(&mut self.clusters),
             &fresh_links,
             goodness,
         );
         let records = st.bounded_merge(&self.policy.merge_bound(clustered_points));
+        let live = st.live_clusters();
 
         // Fold committed merges into the parallel representative pools:
         // an arena slot per pre-merge cluster, each record concatenating
         // its operands' pools (capped) into the slot of the merged id —
         // the same id-minting order as the merge arena itself.
-        let mut rep_arena: Vec<Option<Vec<P>>> =
-            std::mem::take(&mut self.reps).into_iter().map(Some).collect();
-        for rec in &records {
-            debug_assert_eq!(rec.merged as usize, rep_arena.len());
-            // tidy-allow(panic-reach): merge records reference operand ids already minted into the arena
-            let mut pool = rep_arena[rec.left as usize].take().unwrap_or_default();
-            // tidy-allow(panic-reach): merge records reference operand ids already minted into the arena
-            pool.extend(rep_arena[rec.right as usize].take().unwrap_or_default());
-            pool.truncate(self.policy.rep_cap);
-            rep_arena.push(Some(pool));
-        }
-        for (id, members) in st.live_clusters() {
-            self.clusters.push(members);
-            // tidy-allow(panic-reach): live arena ids index rep_arena, which grew in lockstep with the merge arena
-            self.reps.push(rep_arena[id as usize].take().unwrap_or_default());
-        }
+        let rep_cap = self.policy.rep_cap;
+        self.labeler.map_sets(|sets| {
+            let mut rep_arena: Vec<Option<Vec<P>>> = sets.into_iter().map(Some).collect();
+            for rec in &records {
+                debug_assert_eq!(rec.merged as usize, rep_arena.len());
+                // tidy-allow(panic-reach): merge records reference operand ids already minted into the arena
+                let mut pool = rep_arena[rec.left as usize].take().unwrap_or_default();
+                // tidy-allow(panic-reach): merge records reference operand ids already minted into the arena
+                pool.extend(rep_arena[rec.right as usize].take().unwrap_or_default());
+                pool.truncate(rep_cap);
+                rep_arena.push(Some(pool));
+            }
+            live.iter()
+                // tidy-allow(panic-reach): live arena ids index rep_arena, which grew in lockstep with the merge arena
+                .map(|&(id, _)| rep_arena[id as usize].take().unwrap_or_default())
+                .collect()
+        });
+        self.clusters = live.into_iter().map(|(_, members)| members).collect();
         self.dirty = vec![0; self.clusters.len()];
         self.pending = 0;
         Ok((records, sims))
@@ -1036,7 +1044,7 @@ impl<P: ArtifactPoint + Clone> IncrementalRockState<P> {
 
     /// Restores the [`Clustering::new`] canonical order in place: members
     /// ascending within each cluster, clusters by (size desc, smallest
-    /// member asc), the parallel `reps`/`dirty` arrays permuted in
+    /// member asc), the parallel labeler pools and `dirty` permuted in
     /// lockstep, outliers sorted. Clusters are disjoint and non-empty, so
     /// the order is total and the permutation unique — which is what
     /// makes the digest canonical.
@@ -1051,20 +1059,9 @@ impl<P: ArtifactPoint + Clone> IncrementalRockState<P> {
             let (ca, cb) = (&clusters[a], &clusters[b]);
             cb.len().cmp(&ca.len()).then(ca[0].cmp(&cb[0]))
         });
-        let mut clusters = Vec::with_capacity(order.len());
-        let mut reps = Vec::with_capacity(order.len());
-        let mut dirty = Vec::with_capacity(order.len());
-        for &i in &order {
-            // tidy-allow(panic-reach): order is a permutation of 0..len over the parallel arrays
-            clusters.push(std::mem::take(&mut self.clusters[i]));
-            // tidy-allow(panic-reach): order is a permutation of 0..len over the parallel arrays
-            reps.push(std::mem::take(&mut self.reps[i]));
-            // tidy-allow(panic-reach): order is a permutation of 0..len over the parallel arrays
-            dirty.push(self.dirty[i]);
-        }
-        self.clusters = clusters;
-        self.reps = reps;
-        self.dirty = dirty;
+        self.clusters = permute(std::mem::take(&mut self.clusters), &order);
+        self.dirty = permute(std::mem::take(&mut self.dirty), &order);
+        self.labeler.map_sets(|sets| permute(sets, &order));
         self.outliers.sort_unstable();
     }
 
@@ -1075,10 +1072,8 @@ impl<P: ArtifactPoint + Clone> IncrementalRockState<P> {
     /// state digest-identically.
     ///
     /// # Errors
-    /// Propagates [`crate::labeling::Labeler::from_sets`] and
-    /// [`ModelArtifact::from_labeled`] validation failures.
+    /// Propagates [`ModelArtifact::from_labeled`] validation failures.
     pub fn to_artifact(&self) -> Result<ModelArtifact, RockError> {
-        let labeler = Labeler::from_sets(self.reps.clone(), self.theta, self.ftheta)?;
         let mut report = RunReport::new();
         report.record_phase_perf(
             "update",
@@ -1097,7 +1092,7 @@ impl<P: ArtifactPoint + Clone> IncrementalRockState<P> {
         let mut artifact = ModelArtifact::from_labeled(
             &self.model,
             &fit,
-            &labeler,
+            &self.labeler,
             self.labeling_fraction,
             self.hash_seed,
         )?;
@@ -1114,6 +1109,12 @@ impl<P: ArtifactPoint + Clone> IncrementalRockState<P> {
     /// The model name inherited from the base artifact.
     pub fn model(&self) -> &str {
         &self.model
+    }
+
+    /// The representative pools Lᵢ the next update scores against,
+    /// parallel to [`clusters`](Self::clusters).
+    pub(crate) fn labeler(&self) -> &Labeler<P> {
+        &self.labeler
     }
 
     /// Current number of clusters.
@@ -1161,8 +1162,8 @@ impl<P: ArtifactPoint + Clone> IncrementalRockState<P> {
 
     fn canonical_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::new();
-        put_u64(&mut buf, self.theta.to_bits());
-        put_u64(&mut buf, self.ftheta.to_bits());
+        put_u64(&mut buf, self.labeler.theta().to_bits());
+        put_u64(&mut buf, self.labeler.ftheta().to_bits());
         put_u64(&mut buf, self.labeling_fraction.to_bits());
         match self.hash_seed {
             Some(s) => {
@@ -1200,8 +1201,8 @@ impl<P: ArtifactPoint + Clone> IncrementalRockState<P> {
         for &d in &self.dirty {
             put_u64(&mut buf, d);
         }
-        put_u32(&mut buf, self.reps.len() as u32);
-        for set in &self.reps {
+        put_u32(&mut buf, self.labeler.num_clusters() as u32);
+        for set in self.labeler.sets() {
             put_u32(&mut buf, set.len() as u32);
             for p in set {
                 let mut blob = Vec::new();
@@ -1212,6 +1213,16 @@ impl<P: ArtifactPoint + Clone> IncrementalRockState<P> {
         }
         buf
     }
+}
+
+/// `items` reordered so that position `k` holds `items[order[k]]`, for
+/// a permutation `order` of its positions.
+fn permute<T: Default>(mut items: Vec<T>, order: &[usize]) -> Vec<T> {
+    order
+        .iter()
+        // tidy-allow(panic-reach): order is a permutation of 0..items.len()
+        .map(|&i| std::mem::take(&mut items[i]))
+        .collect()
 }
 
 /// Decodes one logged update batch back into points; a blob that does

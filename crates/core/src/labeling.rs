@@ -9,18 +9,26 @@
 //! neighbors `p` would have in `Lᵢ` if it belonged to cluster `i`. Points
 //! with no neighbors in any labeling set are reported as outliers.
 //!
+//! One scan, `Scorer`, implements that rule for every caller: the batch
+//! pass [`Labeler::label_all`], the single-point calls
+//! [`Labeler::label_point`] and [`Labeler::label_point_checked`] (serve,
+//! streaming), and phase 1 of
+//! [`crate::incremental::IncrementalRockState::update`].
+//!
 //! ## Item-indexed scoring
 //!
 //! When the measure exposes item sets ([`Similarity::item_set`], e.g.
 //! [`crate::similarity::Jaccard`]) and θ > 0, a representative sharing no
 //! item with `p` has similarity 0 < θ and can never add to `Nᵢ`. The
-//! batch passes ([`Labeler::label_all`] and friends) therefore build one
-//! item → representative postings index over all `Lᵢ` and score each
-//! point only against the representatives its items reach, deriving
-//! each similarity from the intersection count with the same expression
-//! [`crate::points::Transaction::jaccard`] uses. Labels are bit-identical
-//! to the brute-force scan; only the work changes, from
-//! `|data| × Σ|Lᵢ|` evaluations to the postings the points touch.
+//! batch callers ([`Labeler::label_all`] and the online update)
+//! therefore build one item → representative postings index over all
+//! `Lᵢ` and score each point only against the representatives its items
+//! reach, deriving each similarity from the intersection count with the
+//! same expression [`crate::points::Transaction::jaccard`] uses. Labels
+//! are bit-identical to the brute-force scan; only the work changes, from
+//! `|data| × Σ|Lᵢ|` evaluations to the postings the points touch. A single
+//! point is scored by brute force: the index pays off only across a
+//! batch.
 
 use crate::error::RockError;
 use crate::governor::{Phase, RunGovernor};
@@ -141,7 +149,7 @@ impl<P: Clone> Labeler<P> {
     }
 
     fn assemble(sets: Vec<Vec<P>>, theta: f64, ftheta: f64) -> Self {
-        let norms = cluster_norms(&sets, ftheta);
+        let norms = sets.iter().map(|set| norm(set.len(), ftheta)).collect();
         Labeler {
             sets,
             theta,
@@ -181,14 +189,10 @@ impl<P: Clone> Labeler<P> {
     ///
     /// Ties go to the smaller cluster index (deterministic). A single
     /// point is always scored by brute force; the item index pays off
-    /// only across a batch ([`Labeler::label_all`]).
+    /// only across a batch ([`Labeler::label_all`]). A NaN similarity
+    /// fails `≥ θ`, so the pair counts as no neighbor.
     pub fn label_point<S: Similarity<P>>(&self, point: &P, sim: &S) -> Option<usize> {
-        // A NaN similarity fails `>= θ`: the pair is no neighbor.
-        let counts = self.sets.iter().map(|set| {
-            let near = |l: &&P| sim.similarity(point, l) >= self.theta;
-            Ok(set.iter().filter(near).count() as u64)
-        });
-        infallible(argmax_normalized(counts, &self.norms)).map(|(c, _)| c)
+        infallible(Scorer::new(self, None).score(point, sim)).map(|(c, _)| c)
     }
 
     /// Like [`Labeler::label_point`], but surfaces a non-finite similarity
@@ -207,7 +211,48 @@ impl<P: Clone> Labeler<P> {
         point: &P,
         sim: &S,
     ) -> Result<Option<usize>, RockError> {
-        Ok(score_checked(point, &self.sets, &self.norms, self.theta, sim)?.map(|(c, _)| c))
+        let scored = Scorer::new(self, None).score::<_, RockError>(point, sim)?;
+        Ok(scored.map(|(c, _)| c))
+    }
+
+    /// Scores every point of `points` (§4.6) through one [`Scorer`] over
+    /// one [`RepIndex`]: per point, the winning cluster and its `Nᵢ`, or
+    /// `None` for an outlier. Phase 1 of the online update; like
+    /// [`Labeler::label_all`] it counts its similarity evaluations.
+    ///
+    /// # Errors
+    /// Returns [`RockError::NonFiniteSimilarity`] on the first NaN/±∞
+    /// similarity.
+    pub(crate) fn score_each<S: Similarity<P>>(
+        &self,
+        points: &[P],
+        sim: &S,
+    ) -> Result<Vec<Option<(usize, u64)>>, RockError> {
+        let index = RepIndex::build(self, sim);
+        let mut scorer = Scorer::new(self, index.as_ref());
+        let mut scored = Vec::with_capacity(points.len());
+        // tidy:kernel-hot-loop — per-arrival §4.6 scoring
+        for point in points {
+            scored.push(scorer.score(point, sim)?);
+        }
+        // tidy:end-kernel-hot-loop
+        crate::perf::count_sim_evals(scorer.evals);
+        Ok(scored)
+    }
+
+    /// Adds `point` to labeling set `cluster`, keeping its normaliser
+    /// current.
+    pub(crate) fn push_rep(&mut self, cluster: usize, point: P) {
+        let set = &mut self.sets[cluster];
+        set.push(point);
+        self.norms[cluster] = norm(set.len(), self.ftheta);
+    }
+
+    /// Replaces the labeling sets with `f(sets)` and recomputes every
+    /// normaliser.
+    pub(crate) fn map_sets(&mut self, f: impl FnOnce(Vec<Vec<P>>) -> Vec<Vec<P>>) {
+        let sets = f(std::mem::take(&mut self.sets));
+        *self = Labeler::assemble(sets, self.theta, self.ftheta);
     }
 
     /// Labels every point of `data` (§4.6) — through the item index when
@@ -296,7 +341,7 @@ impl<P: Clone> Labeler<P> {
             let mut scorer = Scorer::new(self, index);
             // tidy:kernel-hot-loop — per-point scoring
             for (p, slot) in part.iter().zip(slots.iter_mut()) {
-                let label = scorer.label(p, sim);
+                let label = infallible(scorer.score(p, sim)).map(|(c, _)| c);
                 match label {
                     Some(c) => counts[c] += 1,
                     None => *outliers += 1,
@@ -361,26 +406,23 @@ impl<P: Clone> Labeler<P> {
     }
 }
 
-/// The §4.6 normalisers `(|Lᵢ| + 1)^{f(θ)}` of labeling sets `sets`: the
-/// expected neighbor count of a member point of each cluster.
-pub(crate) fn cluster_norms<P>(sets: &[Vec<P>], ftheta: f64) -> Vec<f64> {
-    sets.iter()
-        .map(|set| ((set.len() + 1) as f64).powf(ftheta))
-        .collect()
+/// The §4.6 normaliser `(|Lᵢ| + 1)^{f(θ)}` of a labeling set of `len`
+/// points: the expected neighbor count of a member point of its cluster.
+fn norm(len: usize, ftheta: f64) -> f64 {
+    ((len + 1) as f64).powf(ftheta)
 }
 
 /// The §4.6 decision over per-cluster neighbor counts `Nᵢ` given in
-/// cluster order, against the clusters' [`cluster_norms`]: the cluster
+/// cluster order, against the clusters' [`norm`]s: the cluster
 /// maximising `Nᵢ / normᵢ`, returned with its `Nᵢ`; ties go to the
 /// smaller index, and `None` means no cluster has a neighbor (an
 /// outlier).
 ///
-/// Every scorer decides through this one function: brute force, checked,
-/// item-indexed and the online update path
-/// ([`crate::incremental::IncrementalRockState::update`]). Counts are
-/// pulled lazily, so a failing count (a non-finite similarity) stops the
-/// scan before any later similarity is evaluated.
-pub(crate) fn argmax_normalized<E>(
+/// Both branches of [`Scorer::score`] decide through this one function.
+/// Counts are pulled lazily, so on the brute-force branch a failing count
+/// (a non-finite similarity under [`RockError`]) stops the scan before
+/// any later similarity is evaluated.
+fn argmax_normalized<E>(
     neighbors: impl IntoIterator<Item = Result<u64, E>>,
     norms: &[f64],
 ) -> Result<Option<(usize, u64)>, E> {
@@ -402,32 +444,28 @@ pub(crate) fn argmax_normalized<E>(
     Ok(best.map(|(i, n, _)| (i, n)))
 }
 
-/// Brute-force §4.6 scoring of `point` against `sets` (with their
-/// [`cluster_norms`]) that fails on the first non-finite similarity: the
-/// winning cluster and its `Nᵢ`. Shared by
-/// [`Labeler::label_point_checked`] (serve, streaming) and the online
-/// update path.
-pub(crate) fn score_checked<P, S: Similarity<P>>(
-    point: &P,
-    sets: &[Vec<P>],
-    norms: &[f64],
-    theta: f64,
-    sim: &S,
-) -> Result<Option<(usize, u64)>, RockError> {
-    let counts = sets.iter().map(|set| {
-        let mut neighbors = 0u64;
-        for l in set {
-            let s = sim.similarity(point, l);
-            if !s.is_finite() {
-                return Err(RockError::NonFiniteSimilarity { value: s });
-            }
-            if s >= theta {
-                neighbors += 1;
-            }
+/// How the brute-force branch of [`Scorer::score`] treats a non-finite
+/// similarity, chosen by the scan's error type: [`Infallible`] lets it
+/// fail `≥ θ` (no neighbor) and scans every set; [`RockError`] stops at
+/// the first one with [`RockError::NonFiniteSimilarity`].
+trait NanPolicy: Sized {
+    fn check(similarity: f64) -> Result<(), Self>;
+}
+
+impl NanPolicy for Infallible {
+    fn check(_: f64) -> Result<(), Self> {
+        Ok(())
+    }
+}
+
+impl NanPolicy for RockError {
+    fn check(value: f64) -> Result<(), Self> {
+        if value.is_finite() {
+            Ok(())
+        } else {
+            Err(RockError::NonFiniteSimilarity { value })
         }
-        Ok(neighbors)
-    });
-    argmax_normalized(counts, norms)
+    }
 }
 
 fn infallible<T>(r: Result<T, Infallible>) -> T {
@@ -481,10 +519,10 @@ impl RepIndex {
     }
 }
 
-/// One worker's §4.6 scorer. It takes the item-indexed path when an
-/// index exists and the measure exposes the point's items, and brute
-/// force ([`Labeler::label_point`]) otherwise; it owns the scratch the
-/// indexed path reuses from point to point.
+/// The §4.6 scan: one worker's scorer. It takes the item-indexed path
+/// when an index exists and the measure exposes the point's items, and
+/// brute force otherwise; it owns the scratch the indexed path reuses
+/// from point to point.
 struct Scorer<'a, P> {
     labeler: &'a Labeler<P>,
     index: Option<&'a RepIndex>,
@@ -501,7 +539,7 @@ struct Scorer<'a, P> {
     evals: u64,
 }
 
-impl<'a, P: Clone> Scorer<'a, P> {
+impl<'a, P> Scorer<'a, P> {
     fn new(labeler: &'a Labeler<P>, index: Option<&'a RepIndex>) -> Self {
         let reps = index.map_or(0, |ix| ix.items.num_sets());
         let clusters = index.map_or(0, |_| labeler.sets.len());
@@ -516,20 +554,41 @@ impl<'a, P: Clone> Scorer<'a, P> {
         }
     }
 
-    fn label<S: Similarity<P>>(&mut self, point: &P, sim: &S) -> Option<usize> {
+    /// Scores one point: the winning cluster and its `Nᵢ`, or `None` for
+    /// an outlier. The brute-force branch evaluates the sets in order and
+    /// applies `E`'s [`NanPolicy`] to every value; the indexed branch
+    /// evaluates no similarity, so the policy never fires there (the
+    /// [`Similarity::item_set`] contract makes its values finite).
+    fn score<S: Similarity<P>, E: NanPolicy>(
+        &mut self,
+        point: &P,
+        sim: &S,
+    ) -> Result<Option<(usize, u64)>, E> {
         if let Some(index) = self.index {
             if let Some(items) = sim.item_set(point) {
-                return self.label_items(index, items);
+                return Ok(self.score_items(index, items));
             }
         }
         self.evals += self.set_points;
-        self.labeler.label_point(point, sim)
+        let theta = self.labeler.theta;
+        let counts = self.labeler.sets.iter().map(|set| {
+            let mut neighbors = 0u64;
+            for rep in set {
+                let s = sim.similarity(point, rep);
+                E::check(s)?;
+                if s >= theta {
+                    neighbors += 1;
+                }
+            }
+            Ok(neighbors)
+        });
+        argmax_normalized(counts, &self.labeler.norms)
     }
 
     /// Scores a point given as its items: scatter over the items'
     /// postings, then test only the touched reps. Untouched reps share
     /// no item with the point, so their similarity is 0 < θ.
-    fn label_items(&mut self, index: &RepIndex, items: &[u32]) -> Option<usize> {
+    fn score_items(&mut self, index: &RepIndex, items: &[u32]) -> Option<(usize, u64)> {
         for &item in items {
             for &r in index.items.of(item) {
                 let count = &mut self.inter[r as usize];
@@ -552,7 +611,7 @@ impl<'a, P: Clone> Scorer<'a, P> {
         let counts = self.neighbors.iter().map(|&n| Ok(n));
         let best = infallible(argmax_normalized(counts, &self.labeler.norms));
         self.neighbors.fill(0);
-        best.map(|(c, _)| c)
+        best
     }
 }
 

@@ -73,8 +73,10 @@
 //! User-supplied inputs are guarded at the API boundary: configuration
 //! errors are typed [`RockError`]s, and the entry points
 //! ([`rock::Rock::cluster`], [`rock::Rock::run`],
-//! [`labeling::Labeler::label_point_checked`]) surface non-finite
-//! similarities instead of mis-clustering or panicking. The companion
+//! [`labeling::Labeler::label_point_checked`] and
+//! [`incremental::IncrementalRockState::update`], which share one
+//! checked §4.6 scan) surface non-finite similarities instead of
+//! mis-clustering or panicking. The companion
 //! `rock-data` crate adds a resilient streaming ingest/labeling driver
 //! (retries, quarantine, checkpoints) over the same primitives;
 //! [`similarity::FaultySimilarity`] provides the deterministic fault

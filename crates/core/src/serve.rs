@@ -362,7 +362,16 @@ where
     /// [`RockError::ArtifactMismatch`] when the artifact has no
     /// representative section or its points do not decode as `P`.
     pub fn new(artifact: &ModelArtifact, measure: S, config: ServeConfig) -> Result<Self, RockError> {
-        let full = artifact.labeler::<P>()?;
+        AssignService::from_labeler(artifact.labeler()?, measure, config)
+    }
+
+    /// A service over the representative sets of `full`: the one
+    /// constructor behind [`AssignService::new`] and the snapshots
+    /// [`OnlineAssignService::absorb_batch`] publishes.
+    ///
+    /// # Errors
+    /// As [`Labeler::from_sets`], for the centroid labeler.
+    fn from_labeler(full: Labeler<P>, measure: S, config: ServeConfig) -> Result<Self, RockError> {
         let centroid_sets = full
             .sets()
             .iter()
@@ -577,13 +586,14 @@ where
     /// Absorbs one batch of arrivals into the evolving model and — when
     /// the batch changed it (any point absorbed, or a re-merge ran) —
     /// swaps a freshly built service snapshot in for subsequent
-    /// readers. The snapshot is constructed before the swap lock is
-    /// taken; the lock covers only the pointer store.
+    /// readers. The snapshot is built straight from the state's
+    /// representative pools (no artifact round trip), before the swap
+    /// lock is taken; the lock covers only the pointer store.
     ///
     /// # Errors
     /// As [`IncrementalRockState::update`] (the model may then be torn
     /// — discard and resume from the WAL; the published snapshot is
-    /// unaffected), plus artifact/service rebuild errors.
+    /// unaffected), plus service rebuild errors.
     pub fn absorb_batch(
         &mut self,
         arrivals: &[P],
@@ -591,9 +601,8 @@ where
     ) -> Result<UpdateOutcome, RockError> {
         let outcome = self.state.update(arrivals, &self.measure, governor)?;
         if outcome.absorbed > 0 || !outcome.remerged.is_empty() {
-            let artifact = self.state.to_artifact()?;
-            let next = Arc::new(AssignService::new(
-                &artifact,
+            let next = Arc::new(AssignService::from_labeler(
+                self.state.labeler().clone(),
                 self.measure.clone(),
                 self.config.clone(),
             )?);
@@ -1106,12 +1115,36 @@ mod tests {
         let mut online: OnlineAssignService<Transaction, Jaccard> =
             OnlineAssignService::new(&artifact, Jaccard, ServeConfig::default(), calm_policy())
                 .unwrap();
-        online
-            .absorb_batch(
-                &[Transaction::from([0, 1, 2]), Transaction::from([10, 11, 12])],
-                &RunGovernor::unlimited(),
+        // {0,1,10,11} is no neighbor of the base pools; the absorbed
+        // {0,1,10} and {0,10,11} each give it one, moving it to cluster 0
+        // and then to the smaller pool of cluster 1.
+        let mut qs = queries();
+        qs.push(Transaction::from([0, 1, 10, 11]));
+        let mut moving = Vec::new();
+        for batch in [
+            vec![
+                Transaction::from([0, 1, 2]),
+                Transaction::from([10, 11, 12]),
+            ],
+            vec![Transaction::from([0, 1, 10]), Transaction::from([77, 78])],
+            vec![Transaction::from([0, 10, 11]), Transaction::from([0, 2, 3])],
+        ] {
+            online
+                .absorb_batch(&batch, &RunGovernor::unlimited())
+                .unwrap();
+            // The published snapshot serves exactly what a service over
+            // the persisted evolved model would.
+            let persisted: AssignService<Transaction, Jaccard> = AssignService::new(
+                &online.state().to_artifact().unwrap(),
+                Jaccard,
+                ServeConfig::default(),
             )
             .unwrap();
+            let served = online.service().assign_batch(&qs).unwrap();
+            assert_eq!(served, persisted.assign_batch(&qs).unwrap());
+            moving.push(served.assignments[3]);
+        }
+        assert_eq!(moving, vec![None, Some(0), Some(1)]);
         let wal = online.state().wal().as_bytes().to_vec();
         let (replayed, truncated) =
             IncrementalRockState::<Transaction>::resume(&artifact, &wal, &Jaccard).unwrap();

@@ -25,18 +25,25 @@
 //!   tests only the sample pairs sharing an item must reproduce the
 //!   brute-force graph (the same reference measure) edge for edge, on
 //!   the serial and the sharded builder alike.
+//! * **Item-indexed updates are exact** — the online update scores its
+//!   arrivals through the batch labeler's indexed scan, so every update
+//!   outcome, state digest and update-WAL byte must equal the
+//!   brute-force run's, re-merges included.
 //!
 //! CI runs this file in release mode (`kernel-equivalence` job) so the
 //! optimizer cannot hide a divergence that debug builds mask.
 
 use proptest::collection;
 use proptest::prelude::*;
+use rock::artifact::ModelArtifact;
+use rock::engine::model::ModelFit;
 use rock::governor::RunGovernor;
 use rock::labeling::{Labeler, Labeling};
 use rock::links_matrix::LinkMatrix;
 use rock::neighbors::NeighborGraph;
 use rock::points::Transaction;
 use rock::similarity::{Jaccard, PointsWith, Similarity};
+use rock::{Clustering, IncrementalRockState, RunReport, StalenessPolicy};
 use rock_data::packed::PackedBaskets;
 use std::ops::Range;
 
@@ -149,6 +156,28 @@ fn pick_theta(pick: usize, random: f64) -> f64 {
 /// a θ equal to one of them separates the paper's `≥ θ` rule from `> θ`.
 const BOUNDARY_BASKETS: [&[u32]; 4] = [&[0, 1], &[0, 1, 2], &[0, 1, 2, 3], &[0, 1, 2, 3, 4]];
 
+/// A model artifact over `sample` (at least 6 points) at θ: clusters
+/// `0..h` and `h..n` (h = ⌈n/2⌉) keep every member as a representative,
+/// the first one its first member twice, and a third, one-point cluster
+/// has an empty Lᵢ. The clusters are given in canonical order.
+fn update_base(sample: &[Transaction], theta: f64) -> ModelArtifact {
+    let n = sample.len() as u32;
+    let h = n.div_ceil(2);
+    let mut sets = vec![
+        sample[..h as usize].to_vec(),
+        sample[h as usize..].to_vec(),
+        vec![],
+    ];
+    sets[0].push(sample[0].clone());
+    let labeler = Labeler::from_sets(sets, theta, 0.4).unwrap();
+    let fit = ModelFit {
+        clustering: Clustering::new(vec![(0..h).collect(), (h..n).collect(), vec![n]], vec![]),
+        dendrogram: None,
+        report: RunReport::new(),
+    };
+    ModelArtifact::from_labeled("rock", &fit, &labeler, 1.0, None).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -190,6 +219,57 @@ proptest! {
                 "threads = {}", threads
             );
         }
+    }
+
+    // The online update through the item-indexed scan equals the
+    // brute-force update outcome for outcome, digest for digest and WAL
+    // byte for byte: random (possibly empty) baskets, the boundary
+    // baskets in the pools and in the first batch, duplicated
+    // representatives, an empty Lᵢ, capped pools, the three id layouts
+    // (the mixed one takes the brute-force fallback), the θ grid, θ on a
+    // pair's exact Jaccard value, and a policy that trips re-merges.
+    #[test]
+    fn indexed_update_matches_brute_force(
+        sample_raw in collection::vec(collection::vec(0u32..40, 0..6), 2..24),
+        batches in collection::vec(
+            collection::vec(collection::vec(0u32..40, 0..6), 0..10),
+            1..6,
+        ),
+        layout in 0usize..3,
+        theta_pick in 0usize..6,
+        theta_random in 0.05f64..0.95,
+        max_pending in 1u64..6,
+        rep_cap in 1usize..12,
+    ) {
+        let mut raw: Vec<Vec<u32>> = BOUNDARY_BASKETS.iter().map(|b| b.to_vec()).collect();
+        raw.extend(sample_raw);
+        let sample: Vec<Transaction> = raw.iter().map(|t| place_items(t, layout)).collect();
+        let theta = match theta_pick {
+            4 => 2.0 / 3.0,
+            5 => 0.8,
+            pick => pick_theta(pick, theta_random),
+        };
+        let artifact = update_base(&sample, theta);
+        let policy = StalenessPolicy {
+            max_pending,
+            min_clusters: 1,
+            max_cluster_fraction: 1.0,
+            rep_cap,
+            ..StalenessPolicy::default()
+        };
+        let open = || IncrementalRockState::<Transaction>::from_artifact(&artifact, policy).unwrap();
+        let (mut indexed, mut brute) = (open(), open());
+        let governor = RunGovernor::unlimited();
+        for (b, batch) in batches.iter().enumerate() {
+            let mut arrivals: Vec<Transaction> = batch.iter().map(|t| place_items(t, layout)).collect();
+            if b == 0 {
+                arrivals.extend(BOUNDARY_BASKETS.iter().map(|t| place_items(t, layout)));
+            }
+            let want = brute.update(&arrivals, &BruteJaccard, &governor).unwrap();
+            prop_assert_eq!(indexed.update(&arrivals, &Jaccard, &governor).unwrap(), want, "batch {}", b);
+            prop_assert_eq!(indexed.digest(), brute.digest(), "batch {}", b);
+        }
+        prop_assert_eq!(indexed.wal().as_bytes(), brute.wal().as_bytes());
     }
 
     // The item-indexed neighbor graph equals brute force on both
