@@ -1,5 +1,7 @@
 //! Clustering results.
 
+use crate::util::frame::{put_u32, put_u32_slice, put_u64, Cursor};
+
 /// The output of a clustering run: the clusters (as sorted point-id lists)
 /// plus the points set aside as outliers.
 ///
@@ -70,6 +72,26 @@ impl Clustering {
     }
 }
 
+/// Appends the persisted image of a clustering: a `u32` cluster count,
+/// each cluster's member list, then the outliers. The one layout behind
+/// the artifact's Clusters section and the update state digest.
+pub(crate) fn encode_clustering(buf: &mut Vec<u8>, clusters: &[Vec<u32>], outliers: &[u32]) {
+    put_u32(buf, clusters.len() as u32);
+    for members in clusters {
+        put_u32_slice(buf, members);
+    }
+    put_u32_slice(buf, outliers);
+}
+
+/// Decodes [`encode_clustering`]'s layout as stored, without
+/// normalising it; `None` if the bytes do not decode.
+pub(crate) fn decode_clustering(c: &mut Cursor<'_>) -> Option<Clustering> {
+    let n = c.u32()? as usize;
+    let clusters = c.list(n, 4, Cursor::u32_vec)?;
+    let outliers = c.u32_vec()?;
+    Some(Clustering { clusters, outliers })
+}
+
 /// One merge step of the agglomeration, for dendrogram-style inspection.
 ///
 /// Cluster ids live in the run's arena: ids `0..initial` are the initial
@@ -89,6 +111,37 @@ pub struct MergeRecord {
     pub cross_links: u64,
     /// The goodness that won this merge.
     pub goodness: f64,
+}
+
+impl MergeRecord {
+    /// Bytes of one encoded record.
+    pub(crate) const ENCODED_LEN: usize = 44;
+
+    /// Appends the record's persisted layout: the three arena ids
+    /// (`u32`), both sizes and the cross links (`u64`), and the exact
+    /// goodness bits. The one layout behind merge-WAL Merge records and
+    /// the artifact's Dendrogram section.
+    pub(crate) fn encode(&self, buf: &mut Vec<u8>) {
+        put_u32(buf, self.left);
+        put_u32(buf, self.right);
+        put_u32(buf, self.merged);
+        put_u64(buf, self.sizes.0 as u64);
+        put_u64(buf, self.sizes.1 as u64);
+        put_u64(buf, self.cross_links);
+        put_u64(buf, self.goodness.to_bits());
+    }
+
+    /// Decodes one record of [`encode`](Self::encode)'s layout.
+    pub(crate) fn decode(c: &mut Cursor<'_>) -> Option<MergeRecord> {
+        Some(MergeRecord {
+            left: c.u32()?,
+            right: c.u32()?,
+            merged: c.u32()?,
+            sizes: (c.u64()? as usize, c.u64()? as usize),
+            cross_links: c.u64()?,
+            goodness: c.f64()?,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -120,6 +173,42 @@ mod tests {
     fn equal_size_tie_broken_by_smallest_member() {
         let c = Clustering::new(vec![vec![4, 5], vec![1, 2]], vec![]);
         assert_eq!(c.clusters, vec![vec![1, 2], vec![4, 5]]);
+    }
+
+    #[test]
+    fn merge_record_round_trips_in_encoded_len_bytes() {
+        let m = MergeRecord {
+            left: 1,
+            right: 2,
+            merged: 3,
+            sizes: (4, 5),
+            cross_links: 6,
+            goodness: -0.0,
+        };
+        let mut buf = Vec::new();
+        m.encode(&mut buf);
+        assert_eq!(buf.len(), MergeRecord::ENCODED_LEN);
+        let mut c = Cursor::new(&buf);
+        let back = MergeRecord::decode(&mut c).unwrap();
+        assert!(c.done());
+        assert_eq!(back, m);
+        assert!(back.goodness.is_sign_negative());
+    }
+
+    #[test]
+    fn clustering_image_round_trips_as_stored() {
+        // Decoding does not normalise: the artifact checks canonical order.
+        let clusters = vec![vec![3, 1], vec![0, 2, 4]];
+        let mut buf = Vec::new();
+        encode_clustering(&mut buf, &clusters, &[5]);
+        let mut c = Cursor::new(&buf);
+        let back = decode_clustering(&mut c).unwrap();
+        assert!(c.done());
+        assert_eq!(back.clusters, clusters);
+        assert_eq!(back.outliers, vec![5]);
+        let mut lying = Vec::new();
+        put_u32(&mut lying, u32::MAX);
+        assert_eq!(decode_clustering(&mut Cursor::new(&lying)), None);
     }
 
     #[test]

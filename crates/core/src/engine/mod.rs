@@ -63,7 +63,7 @@ pub mod stage;
 pub mod supervisor;
 
 pub use ctx::RunCtx;
-pub use model::{ClusterModel, IncrementalModel, ModelFit};
+pub use model::{ClusterModel, ModelFit};
 pub use pipeline::Pipeline;
 pub use shard::{shard_ranges, NoFaults, RepSetSimilarity, ShardConfig, ShardFaultPlan, ShardRun};
 pub use stage::{LabelStage, LinksStage, MergeStage, NeighborsStage, ResumeStage, SampleStage, Stage};

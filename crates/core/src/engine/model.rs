@@ -19,7 +19,6 @@ use crate::artifact::{ArtifactPoint, ModelArtifact};
 use crate::cluster::Clustering;
 use crate::dendrogram::Dendrogram;
 use crate::error::RockError;
-use crate::incremental::{IncrementalRockState, StalenessPolicy, UpdateOutcome};
 use crate::report::RunReport;
 use crate::rock::Rock;
 use crate::similarity::Similarity;
@@ -105,68 +104,6 @@ pub trait ClusterModel<D: ?Sized> {
     }
 }
 
-/// A [`ClusterModel`] whose fitted artifact can keep evolving online.
-///
-/// The extension to the engine contract for models that support
-/// incremental updates: an artifact opens into an evolving
-/// [`State`](IncrementalModel::State), arrival batches are absorbed
-/// with [`update`](IncrementalModel::update), and the state both
-/// journals itself (update WAL, replayable to bit-identity with
-/// [`resume_updates`](IncrementalModel::resume_updates)) and persists
-/// as an updated artifact
-/// ([`save_updated`](IncrementalModel::save_updated)).
-///
-/// Batch fitting is untouched: `fit` through this trait is the same
-/// bit-for-bit run as through [`ClusterModel`] alone.
-pub trait IncrementalModel<D: ?Sized>: ClusterModel<D> {
-    /// The evolving-model state the update path drives.
-    type State;
-
-    /// Opens `artifact` as an evolving model governed by `policy` (an
-    /// update state already stored in the artifact keeps its own
-    /// policy).
-    ///
-    /// # Errors
-    /// [`RockError::ArtifactMismatch`] when the artifact cannot serve
-    /// updates (no representative sets, wrong point type, bad policy).
-    fn open_incremental(
-        &self,
-        artifact: &ModelArtifact,
-        policy: StalenessPolicy,
-    ) -> Result<Self::State, RockError>;
-
-    /// Absorbs one batch of arrivals into `state`: labels them against
-    /// the per-cluster representatives, accumulates dirty links, and
-    /// runs a governed bounded re-merge when the staleness criterion
-    /// trips.
-    ///
-    /// # Errors
-    /// [`RockError::Interrupted`] when the model's governor trips
-    /// (resumable: replay the state's WAL), plus model-specific
-    /// labeling errors.
-    fn update(&self, state: &mut Self::State, arrivals: &D) -> Result<UpdateOutcome, RockError>;
-
-    /// Replays an update WAL over its base `artifact` to the
-    /// bit-identical evolved state; the second return reports a torn
-    /// (truncated) log tail.
-    ///
-    /// # Errors
-    /// [`RockError::WalCorrupt`] / [`RockError::WalMismatch`] as for
-    /// [`crate::incremental::IncrementalRockState::resume`].
-    fn resume_updates(
-        &self,
-        artifact: &ModelArtifact,
-        wal_bytes: &[u8],
-    ) -> Result<(Self::State, bool), RockError>;
-
-    /// Persists the evolved `state` as an updated (version-2) artifact
-    /// at `path`, atomically as in [`ModelArtifact::save`].
-    ///
-    /// # Errors
-    /// [`RockError::ArtifactIo`] on filesystem failure.
-    fn save_updated(&self, state: &Self::State, path: &std::path::Path) -> Result<(), RockError>;
-}
-
 /// ROCK as a [`ClusterModel`]: the full governed Fig.-2 pipeline
 /// ([`crate::rock::Rock::run`]) with a user-chosen similarity
 /// measure baked in.
@@ -238,37 +175,5 @@ where
             dendrogram,
             report,
         })
-    }
-}
-
-impl<P, S> IncrementalModel<[P]> for RockModel<S>
-where
-    P: ArtifactPoint + Clone + Sync,
-    S: Similarity<P> + Sync,
-{
-    type State = IncrementalRockState<P>;
-
-    fn open_incremental(
-        &self,
-        artifact: &ModelArtifact,
-        policy: StalenessPolicy,
-    ) -> Result<Self::State, RockError> {
-        IncrementalRockState::from_artifact(artifact, policy)
-    }
-
-    fn update(&self, state: &mut Self::State, arrivals: &[P]) -> Result<UpdateOutcome, RockError> {
-        state.update(arrivals, &self.measure, self.rock.governor())
-    }
-
-    fn resume_updates(
-        &self,
-        artifact: &ModelArtifact,
-        wal_bytes: &[u8],
-    ) -> Result<(Self::State, bool), RockError> {
-        IncrementalRockState::resume(artifact, wal_bytes, &self.measure)
-    }
-
-    fn save_updated(&self, state: &Self::State, path: &std::path::Path) -> Result<(), RockError> {
-        state.to_artifact()?.save(path)
     }
 }

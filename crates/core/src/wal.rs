@@ -20,7 +20,16 @@
 //! ```
 //!
 //! The frame codec is shared with the fitted-model artifact
-//! ([`crate::artifact`]); see [`crate::util::frame`].
+//! ([`crate::artifact`]); see [`crate::util::frame`]. So are the record
+//! layouts: each is decided in one module and written by one encoder,
+//! whichever image carries it.
+//!
+//! | Layout | Lives in | Carried by |
+//! |---|---|---|
+//! | [`MergeRecord`] (44 bytes) | [`crate::cluster`] | Merge records, artifact Dendrogram section |
+//! | update fingerprint (θ, `f(θ)`, fraction, hash seed, policy) | [`crate::incremental`] | UpdateBase, head of the state digest image |
+//! | [`crate::incremental::StalenessPolicy`] | [`crate::incremental`] | update fingerprint, artifact Update section |
+//! | optional `u64`, counted blob lists | [`crate::util::frame`] | hash seed, point blobs in Update records, artifact and digest pools |
 //!
 //! * **Begin** — configuration fingerprint (k, goodness exponent/kind,
 //!   outlier policy) plus the initial arena: point id of every
@@ -45,9 +54,10 @@
 //! ```
 //!
 //! * **UpdateBase** — the evolving model's fingerprint (θ, `f(θ)`,
-//!   labeling fraction, hash seed — exact f64 bits), the
-//!   [`crate::incremental::StalenessPolicy`] in force, and a CRC-32
-//!   digest of the base model's canonical state image.
+//!   labeling fraction — exact f64 bits — the hash seed and the
+//!   [`crate::incremental::StalenessPolicy`] in force), then a CRC-32
+//!   digest of the base model's canonical state image. That image opens
+//!   with the same fingerprint bytes.
 //! * **Update** — one applied update batch: its sequence number, the
 //!   encoded arrival points (self-contained
 //!   [`crate::artifact::ArtifactPoint`] blobs), and the digest of the
@@ -70,19 +80,27 @@
 //! that is incomplete, fails its CRC, or has an unknown type — reporting
 //! [`WalReplay::truncated`] rather than an error. Only damage to the
 //! magic/Begin prefix (nothing to resume from) is a
-//! [`RockError::WalCorrupt`].
+//! [`RockError::WalCorrupt`]. Both grammars run through one scanner that
+//! owns this rule; each parser only says which records it accepts.
+//!
+//! ## Writing logs to disk
+//!
+//! [`MergeWal`] and [`UpdateWal`] share one in-memory buffer type, and
+//! their `write_to` replaces the target file atomically through the
+//! artifact's write routine: `<path>.tmp`, fsync, rename. A crash during
+//! the write leaves the previous log intact.
 //!
 //! Entry points: [`crate::algorithm::RockAlgorithm::run_governed`]
 //! (writes), [`crate::algorithm::RockAlgorithm::resume`] (replays), and
 //! [`crate::rock::Rock::cluster_wal`] / [`crate::rock::Rock::resume_cluster`].
 
+use crate::artifact::write_atomic;
 use crate::cluster::MergeRecord;
 use crate::error::RockError;
-use crate::incremental::StalenessPolicy;
+use crate::incremental::UpdateFingerprint;
 use crate::util::frame::{
-    append_frame, put_f64, put_u32, put_u32_slice, put_u64, read_frame, Cursor,
+    append_frame, put_blobs, put_u32, put_u32_slice, put_u64, read_frame, Cursor,
 };
-use std::io::Write as _;
 use std::path::Path;
 
 /// The 8-byte magic prefix of every merge WAL.
@@ -135,22 +153,12 @@ pub(crate) struct WalSnapshot {
     pub links: Vec<(u32, u32, u64)>,
 }
 
-/// The evolving-model fingerprint logged once at the head of every
-/// update WAL: the labeling parameters the model serves under, the
-/// staleness policy in force, and a digest of the base model's
-/// canonical state image.
+/// The head of every update WAL: the evolving model's fingerprint and a
+/// digest of the base model's canonical state image.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct UpdateBase {
-    /// Exact bits of the similarity threshold θ.
-    pub theta_bits: u64,
-    /// Exact bits of the resolved `f(θ)`.
-    pub ftheta_bits: u64,
-    /// Exact bits of the labeling fraction.
-    pub fraction_bits: u64,
-    /// The merge engine's hash seed, if one was configured.
-    pub hash_seed: Option<u64>,
-    /// The staleness/re-merge policy the updates were applied under.
-    pub policy: StalenessPolicy,
+    /// Labeling parameters, hash seed and staleness policy.
+    pub fingerprint: UpdateFingerprint,
     /// CRC-32 of the base model's canonical state image.
     pub base_digest: u32,
 }
@@ -168,6 +176,30 @@ pub(crate) struct UpdateRecord {
     pub post_digest: u32,
 }
 
+/// The in-memory image both logs append to: the magic, then frames.
+#[derive(Clone, Debug)]
+struct LogBuf(Vec<u8>);
+
+impl Default for LogBuf {
+    fn default() -> Self {
+        LogBuf(WAL_MAGIC.to_vec())
+    }
+}
+
+impl LogBuf {
+    fn is_empty(&self) -> bool {
+        self.0.len() <= WAL_MAGIC.len()
+    }
+
+    fn write_to(&self, path: &Path) -> std::io::Result<()> {
+        write_atomic(path, &self.0).map_err(|(_, e)| e)
+    }
+
+    fn frame(&mut self, kind: u8, payload: &[u8]) {
+        append_frame(&mut self.0, kind, payload);
+    }
+}
+
 /// An append-only, CRC-framed merge log held in memory.
 ///
 /// Obtain the bytes with [`as_bytes`](MergeWal::as_bytes) (persist them
@@ -177,7 +209,7 @@ pub(crate) struct UpdateRecord {
 /// interrupted run.
 #[derive(Clone, Debug)]
 pub struct MergeWal {
-    buf: Vec<u8>,
+    log: LogBuf,
     snapshot_every: u64,
 }
 
@@ -191,7 +223,7 @@ impl MergeWal {
     /// An empty WAL (magic only), snapshotting every 512 merges.
     pub fn new() -> Self {
         MergeWal {
-            buf: WAL_MAGIC.to_vec(),
+            log: LogBuf::default(),
             snapshot_every: 512,
         }
     }
@@ -211,36 +243,33 @@ impl MergeWal {
 
     /// The encoded log bytes (magic + frames).
     pub fn as_bytes(&self) -> &[u8] {
-        &self.buf
+        &self.log.0
     }
 
     /// Consumes the WAL, returning the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
+        self.log.0
     }
 
     /// Encoded size in bytes.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.log.0.len()
     }
 
     /// Whether the WAL holds no records yet (magic only).
     pub fn is_empty(&self) -> bool {
-        self.buf.len() <= WAL_MAGIC.len()
+        self.log.is_empty()
     }
 
-    /// Writes the encoded log to `path`, fsync'd.
+    /// Atomically replaces `path` with the encoded log: the bytes are
+    /// written to `<path>.tmp`, fsync'd and renamed over `path`, so a
+    /// crash leaves either the previous log or this one.
     ///
     /// # Errors
-    /// Any I/O error from create/write/sync.
+    /// Any I/O error from create/write/sync/rename; `path` is then
+    /// untouched.
     pub fn write_to(&self, path: &Path) -> std::io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(&self.buf)?;
-        f.sync_all()
-    }
-
-    fn frame(&mut self, kind: u8, payload: &[u8]) {
-        append_frame(&mut self.buf, kind, payload);
+        self.log.write_to(path)
     }
 
     pub(crate) fn append_begin(&mut self, b: &WalBegin) {
@@ -260,19 +289,13 @@ impl MergeWal {
         }
         put_u32_slice(&mut p, &b.initial_points);
         put_u32_slice(&mut p, &b.pruned_outliers);
-        self.frame(REC_BEGIN, &p);
+        self.log.frame(REC_BEGIN, &p);
     }
 
     pub(crate) fn append_merge(&mut self, m: &MergeRecord) {
-        let mut p = Vec::with_capacity(44);
-        put_u32(&mut p, m.left);
-        put_u32(&mut p, m.right);
-        put_u32(&mut p, m.merged);
-        put_u64(&mut p, m.sizes.0 as u64);
-        put_u64(&mut p, m.sizes.1 as u64);
-        put_u64(&mut p, m.cross_links);
-        put_u64(&mut p, m.goodness.to_bits());
-        self.frame(REC_MERGE, &p);
+        let mut p = Vec::with_capacity(MergeRecord::ENCODED_LEN);
+        m.encode(&mut p);
+        self.log.frame(REC_MERGE, &p);
     }
 
     pub(crate) fn append_snapshot(&mut self, s: &WalSnapshot) {
@@ -292,13 +315,13 @@ impl MergeWal {
             put_u32(&mut p, j);
             put_u64(&mut p, c);
         }
-        self.frame(REC_SNAPSHOT, &p);
+        self.log.frame(REC_SNAPSHOT, &p);
     }
 
     pub(crate) fn append_finish(&mut self, merges_total: u64) {
         let mut p = Vec::with_capacity(8);
         put_u64(&mut p, merges_total);
-        self.frame(REC_FINISH, &p);
+        self.log.frame(REC_FINISH, &p);
     }
 }
 
@@ -311,96 +334,58 @@ impl MergeWal {
 /// needs to splice onto old bytes.
 #[derive(Clone, Debug, Default)]
 pub struct UpdateWal {
-    buf: Vec<u8>,
+    log: LogBuf,
 }
 
 impl UpdateWal {
     /// An empty update WAL (magic only).
     pub fn new() -> Self {
-        UpdateWal {
-            buf: WAL_MAGIC.to_vec(),
-        }
+        UpdateWal::default()
     }
 
     /// The encoded log bytes (magic + frames).
     pub fn as_bytes(&self) -> &[u8] {
-        if self.buf.is_empty() {
-            // `Default` derives an empty buffer; expose it as a valid
-            // (magic-only) image anyway.
-            WAL_MAGIC
-        } else {
-            &self.buf
-        }
+        &self.log.0
     }
 
     /// Consumes the WAL, returning the encoded bytes.
-    pub fn into_bytes(mut self) -> Vec<u8> {
-        if self.buf.is_empty() {
-            self.buf = WAL_MAGIC.to_vec();
-        }
-        self.buf
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.log.0
     }
 
     /// Encoded size in bytes.
     pub fn len(&self) -> usize {
-        self.as_bytes().len()
+        self.log.0.len()
     }
 
     /// Whether the WAL holds no records yet (magic only).
     pub fn is_empty(&self) -> bool {
-        self.len() <= WAL_MAGIC.len()
+        self.log.is_empty()
     }
 
-    /// Writes the encoded log to `path`, fsync'd.
+    /// Atomically replaces `path` with the encoded log, as
+    /// [`MergeWal::write_to`] does.
     ///
     /// # Errors
-    /// Any I/O error from create/write/sync.
+    /// Any I/O error from create/write/sync/rename; `path` is then
+    /// untouched.
     pub fn write_to(&self, path: &Path) -> std::io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.as_bytes())?;
-        f.sync_all()
-    }
-
-    fn frame(&mut self, kind: u8, payload: &[u8]) {
-        if self.buf.is_empty() {
-            self.buf = WAL_MAGIC.to_vec();
-        }
-        append_frame(&mut self.buf, kind, payload);
+        self.log.write_to(path)
     }
 
     pub(crate) fn append_base(&mut self, b: &UpdateBase) {
         let mut p = Vec::new();
-        put_u64(&mut p, b.theta_bits);
-        put_u64(&mut p, b.ftheta_bits);
-        put_u64(&mut p, b.fraction_bits);
-        match b.hash_seed {
-            None => p.push(0),
-            Some(seed) => {
-                p.push(1);
-                put_u64(&mut p, seed);
-            }
-        }
-        put_u64(&mut p, b.policy.max_pending);
-        put_f64(&mut p, b.policy.max_dirty_fraction);
-        put_f64(&mut p, b.policy.min_goodness);
-        put_u64(&mut p, b.policy.max_merges);
-        put_u64(&mut p, b.policy.min_clusters as u64);
-        put_f64(&mut p, b.policy.max_cluster_fraction);
-        put_u64(&mut p, b.policy.rep_cap as u64);
+        b.fingerprint.encode(&mut p);
         put_u32(&mut p, b.base_digest);
-        self.frame(REC_UBASE, &p);
+        self.log.frame(REC_UBASE, &p);
     }
 
     pub(crate) fn append_update(&mut self, u: &UpdateRecord) {
         let mut p = Vec::new();
         put_u64(&mut p, u.seq);
-        put_u32(&mut p, u.points.len() as u32);
-        for blob in &u.points {
-            put_u32(&mut p, blob.len() as u32);
-            p.extend_from_slice(blob);
-        }
+        put_blobs(&mut p, u.points.iter());
         put_u32(&mut p, u.post_digest);
-        self.frame(REC_UPDATE, &p);
+        self.log.frame(REC_UPDATE, &p);
     }
 }
 
@@ -470,15 +455,7 @@ fn parse_begin(payload: &[u8]) -> Option<WalBegin> {
 
 fn parse_merge(payload: &[u8]) -> Option<MergeRecord> {
     let mut c = Cursor::new(payload);
-    let rec = MergeRecord {
-        left: c.u32()?,
-        right: c.u32()?,
-        merged: c.u32()?,
-        sizes: (c.u64()? as usize, c.u64()? as usize),
-        cross_links: c.u64()?,
-        goodness: f64::from_bits(c.u64()?),
-    };
-    c.done().then_some(rec)
+    MergeRecord::decode(&mut c).filter(|_| c.done())
 }
 
 fn parse_snapshot(payload: &[u8]) -> Option<WalSnapshot> {
@@ -499,13 +476,8 @@ fn parse_snapshot(payload: &[u8]) -> Option<WalSnapshot> {
         clusters.push((id, members));
     }
     let num_links = c.u64()? as usize;
-    if num_links > payload.len() / 16 {
-        return None; // each link entry is 16 bytes; length is lying
-    }
-    let mut links = Vec::with_capacity(num_links);
-    for _ in 0..num_links {
-        links.push((c.u32()?, c.u32()?, c.u64()?));
-    }
+    // Each link entry is 16 bytes.
+    let links = c.list(num_links, 16, |c| Some((c.u32()?, c.u32()?, c.u64()?)))?;
     c.done().then_some(WalSnapshot {
         merges_done,
         arena_len,
@@ -516,6 +488,48 @@ fn parse_snapshot(payload: &[u8]) -> Option<WalSnapshot> {
     })
 }
 
+/// The torn-tail scanner both log grammars share.
+///
+/// Checks the magic, decodes the first frame with `head` (it must have
+/// type `head_kind`), then feeds every following frame to `record` until
+/// one is incomplete, fails its CRC, or is refused. Returns the head and
+/// whether a tail was cut.
+///
+/// # Errors
+/// [`RockError::WalCorrupt`] when the magic is missing or the head
+/// record (named `head_name` in the detail) is torn or refused — there
+/// is nothing to replay onto.
+fn scan_log<H>(
+    bytes: &[u8],
+    (head_kind, head_name): (u8, &str),
+    head: impl FnOnce(&[u8]) -> Option<H>,
+    mut record: impl FnMut(u8, &[u8]) -> bool,
+) -> Result<(H, bool), RockError> {
+    let corrupt = |offset: usize, detail: String| RockError::WalCorrupt {
+        offset: offset as u64,
+        detail,
+    };
+    if !bytes.starts_with(WAL_MAGIC) {
+        return Err(corrupt(0, "missing ROCKWAL1 magic".into()));
+    }
+    let mut at = WAL_MAGIC.len();
+    let Some((kind, payload, next)) = read_frame(bytes, at) else {
+        let detail = format!("log ends before a complete {head_name} record");
+        return Err(corrupt(at, detail));
+    };
+    let Some(h) = (kind == head_kind).then(|| head(payload)).flatten() else {
+        return Err(corrupt(at, format!("damaged {head_name} record")));
+    };
+    at = next;
+    while at < bytes.len() {
+        match read_frame(bytes, at) {
+            Some((kind, payload, next)) if record(kind, payload) => at = next,
+            _ => return Ok((h, true)),
+        }
+    }
+    Ok((h, false))
+}
+
 /// Parses a merge WAL, truncating any torn tail.
 ///
 /// # Errors
@@ -524,80 +538,34 @@ fn parse_snapshot(payload: &[u8]) -> Option<WalSnapshot> {
 /// a valid Begin is treated as a torn tail: the valid prefix is kept and
 /// [`WalReplay::truncated`] is set.
 pub fn parse_wal(bytes: &[u8]) -> Result<WalReplay, RockError> {
-    // tidy-allow(panic-reach): the length check short-circuits before the magic slice
-    if bytes.len() < WAL_MAGIC.len() || &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-        return Err(RockError::WalCorrupt {
-            offset: 0,
-            detail: "missing ROCKWAL1 magic".into(),
-        });
-    }
-
-    let mut at = WAL_MAGIC.len();
-    let mut begin: Option<WalBegin> = None;
     let mut merges: Vec<MergeRecord> = Vec::new();
     let mut snapshot: Option<WalSnapshot> = None;
     let mut finished = false;
-    let mut truncated = false;
-
-    while at < bytes.len() {
-        // Frame = type(1) + len(4) + payload + crc(4).
-        let frame = read_frame(bytes, at);
-        let Some((kind, payload, next)) = frame else {
-            truncated = true;
-            break;
-        };
-        let record_ok = match kind {
-            REC_BEGIN if begin.is_none() && merges.is_empty() => {
-                begin = parse_begin(payload);
-                begin.is_some()
-            }
-            REC_MERGE if begin.is_some() && !finished => match parse_merge(payload) {
-                Some(m) => {
-                    merges.push(m);
-                    true
-                }
-                None => false,
-            },
-            REC_SNAPSHOT if begin.is_some() && !finished => match parse_snapshot(payload) {
-                // A snapshot claiming more merges than are logged before
-                // it cannot be replayed; treat it as tail damage.
+    let head = (REC_BEGIN, "Begin");
+    let (begin, truncated) = scan_log(bytes, head, parse_begin, |kind, payload| {
+        if finished {
+            return false; // nothing may follow Finish
+        }
+        match kind {
+            REC_MERGE => parse_merge(payload).map(|m| merges.push(m)).is_some(),
+            // A snapshot claiming more merges than are logged before it
+            // cannot be replayed; treat it as tail damage.
+            REC_SNAPSHOT => match parse_snapshot(payload) {
                 Some(s) if s.merges_done as usize <= merges.len() => {
                     snapshot = Some(s);
                     true
                 }
                 _ => false,
             },
-            REC_FINISH if begin.is_some() && !finished => {
+            REC_FINISH => {
                 let mut c = Cursor::new(payload);
-                match c.u64() {
-                    Some(total) if c.done() && total as usize == merges.len() => {
-                        finished = true;
-                        true
-                    }
-                    _ => false,
-                }
+                let total = c.u64();
+                finished = c.done() && total == Some(merges.len() as u64);
+                finished
             }
-            _ => false, // unknown type or record out of order
-        };
-        if !record_ok {
-            if begin.is_none() {
-                return Err(RockError::WalCorrupt {
-                    offset: at as u64,
-                    detail: "damaged Begin record".into(),
-                });
-            }
-            truncated = true;
-            break;
+            _ => false, // unknown type or a second Begin
         }
-        at = next;
-    }
-
-    let Some(begin) = begin else {
-        return Err(RockError::WalCorrupt {
-            offset: at as u64,
-            detail: "log ends before a complete Begin record".into(),
-        });
-    };
+    })?;
     Ok(WalReplay {
         begin,
         merges,
@@ -626,33 +594,13 @@ impl UpdateReplay {
 
 fn parse_update_base(payload: &[u8]) -> Option<UpdateBase> {
     let mut c = Cursor::new(payload);
-    let theta_bits = c.u64()?;
-    let ftheta_bits = c.u64()?;
-    let fraction_bits = c.u64()?;
-    let hash_seed = match c.u8()? {
-        0 => None,
-        1 => Some(c.u64()?),
-        _ => return None,
-    };
-    let policy = StalenessPolicy {
-        max_pending: c.u64()?,
-        max_dirty_fraction: c.f64()?,
-        min_goodness: c.f64()?,
-        max_merges: c.u64()?,
-        min_clusters: c.u64()? as usize,
-        max_cluster_fraction: c.f64()?,
-        rep_cap: c.u64()? as usize,
-    };
+    let fingerprint = UpdateFingerprint::decode(&mut c)?;
     let base_digest = c.u32()?;
-    if policy.check().is_err() {
+    if fingerprint.policy.check().is_err() {
         return None;
     }
     c.done().then_some(UpdateBase {
-        theta_bits,
-        ftheta_bits,
-        fraction_bits,
-        hash_seed,
-        policy,
+        fingerprint,
         base_digest,
     })
 }
@@ -660,15 +608,7 @@ fn parse_update_base(payload: &[u8]) -> Option<UpdateBase> {
 fn parse_update_record(payload: &[u8]) -> Option<UpdateRecord> {
     let mut c = Cursor::new(payload);
     let seq = c.u64()?;
-    let n = c.u32()? as usize;
-    if n > payload.len() / 4 {
-        return None; // each blob costs at least a 4-byte length
-    }
-    let mut points = Vec::with_capacity(n);
-    for _ in 0..n {
-        let blob_len = c.u32()? as usize;
-        points.push(c.take(blob_len)?.to_vec());
-    }
+    let points = c.blobs()?;
     let post_digest = c.u32()?;
     c.done().then_some(UpdateRecord {
         seq,
@@ -689,58 +629,16 @@ fn parse_update_record(payload: &[u8]) -> Option<UpdateRecord> {
 /// [`RockError::WalCorrupt`] when the magic or the UpdateBase record is
 /// missing or damaged.
 pub fn parse_update_wal(bytes: &[u8]) -> Result<UpdateReplay, RockError> {
-    // tidy-allow(panic-reach): the length check short-circuits before the magic slice
-    if bytes.len() < WAL_MAGIC.len() || &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-        return Err(RockError::WalCorrupt {
-            offset: 0,
-            detail: "missing ROCKWAL1 magic".into(),
-        });
-    }
-
-    let mut at = WAL_MAGIC.len();
-    let mut base: Option<UpdateBase> = None;
     let mut updates: Vec<UpdateRecord> = Vec::new();
-    let mut truncated = false;
-
-    while at < bytes.len() {
-        let frame = read_frame(bytes, at);
-        let Some((kind, payload, next)) = frame else {
-            truncated = true;
-            break;
-        };
-        let record_ok = match kind {
-            REC_UBASE if base.is_none() && updates.is_empty() => {
-                base = parse_update_base(payload);
-                base.is_some()
-            }
-            REC_UPDATE if base.is_some() => match parse_update_record(payload) {
-                Some(u) if u.seq as usize == updates.len() => {
-                    updates.push(u);
-                    true
-                }
-                _ => false,
-            },
-            _ => false, // unknown type or record out of order
-        };
-        if !record_ok {
-            if base.is_none() {
-                return Err(RockError::WalCorrupt {
-                    offset: at as u64,
-                    detail: "damaged UpdateBase record".into(),
-                });
-            }
-            truncated = true;
-            break;
-        }
-        at = next;
-    }
-
-    let Some(base) = base else {
-        return Err(RockError::WalCorrupt {
-            offset: at as u64,
-            detail: "log ends before a complete UpdateBase record".into(),
-        });
-    };
+    let head = (REC_UBASE, "UpdateBase");
+    let (base, truncated) = scan_log(bytes, head, parse_update_base, |kind, payload| {
+        // Anything but the next update in sequence ends the log.
+        let next = (kind == REC_UPDATE)
+            .then(|| parse_update_record(payload))
+            .flatten()
+            .filter(|u| u.seq as usize == updates.len());
+        next.map(|u| updates.push(u)).is_some()
+    })?;
     Ok(UpdateReplay {
         base,
         updates,
@@ -751,6 +649,8 @@ pub fn parse_update_wal(bytes: &[u8]) -> Result<UpdateReplay, RockError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::tmp_path;
+    use crate::incremental::StalenessPolicy;
 
     fn sample_begin() -> WalBegin {
         WalBegin {
@@ -899,11 +799,13 @@ mod tests {
 
     fn sample_update_base() -> UpdateBase {
         UpdateBase {
-            theta_bits: 0.5f64.to_bits(),
-            ftheta_bits: 1.0f64.to_bits(),
-            fraction_bits: 0.25f64.to_bits(),
-            hash_seed: Some(7),
-            policy: StalenessPolicy::default(),
+            fingerprint: UpdateFingerprint {
+                theta_bits: 0.5f64.to_bits(),
+                ftheta_bits: 1.0f64.to_bits(),
+                fraction_bits: 0.25f64.to_bits(),
+                hash_seed: Some(7),
+                policy: StalenessPolicy::default(),
+            },
             base_digest: 0xDEAD_BEEF,
         }
     }
@@ -997,7 +899,7 @@ mod tests {
         wal.append_base(&sample_update_base());
         let mut p = Vec::new();
         put_u64(&mut p, 1);
-        append_frame(&mut wal.buf, REC_MERGE, &p);
+        wal.log.frame(REC_MERGE, &p);
         let replay = parse_update_wal(wal.as_bytes()).unwrap();
         assert!(replay.truncated);
         assert!(replay.updates.is_empty());
@@ -1012,7 +914,7 @@ mod tests {
     #[test]
     fn update_base_with_invalid_policy_is_corrupt() {
         let mut base = sample_update_base();
-        base.policy.rep_cap = 0;
+        base.fingerprint.policy.rep_cap = 0;
         let mut wal = UpdateWal::new();
         wal.append_base(&base);
         assert!(matches!(
@@ -1049,5 +951,35 @@ mod tests {
         std::fs::remove_file(&path).ok();
         assert_eq!(bytes, wal.as_bytes());
         assert_eq!(parse_wal(&bytes).unwrap().num_merges(), 1);
+    }
+
+    #[test]
+    fn write_to_replaces_the_log_atomically() {
+        let dir = std::env::temp_dir().join("rock-wal-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("atomic-{}.wal", std::process::id()));
+        let mut merge = MergeWal::new();
+        merge.append_begin(&sample_begin());
+        merge.write_to(&path).unwrap();
+        assert!(!tmp_path(&path).exists(), "tmp staging file left behind");
+        let mut update = UpdateWal::new();
+        update.append_base(&sample_update_base());
+        update.write_to(&path).unwrap();
+        assert!(!tmp_path(&path).exists(), "tmp staging file left behind");
+        assert_eq!(std::fs::read(&path).unwrap(), update.as_bytes());
+
+        // A directory squatting on the staging path makes both writes
+        // fail before `path` is touched: the previous log survives.
+        std::fs::create_dir_all(tmp_path(&path)).unwrap();
+        merge.append_merge(&sample_merge(0));
+        assert!(merge.write_to(&path).is_err());
+        update.append_update(&sample_update(0));
+        assert!(update.write_to(&path).is_err());
+        let on_disk = std::fs::read(&path).unwrap();
+        std::fs::remove_dir(tmp_path(&path)).ok();
+        std::fs::remove_file(&path).ok();
+        let mut expect = UpdateWal::new();
+        expect.append_base(&sample_update_base());
+        assert_eq!(on_disk, expect.as_bytes(), "the old log was overwritten");
     }
 }

@@ -8,7 +8,7 @@
 //! ```
 //!
 //! The demo walks DESIGN.md §14: open a fitted artifact as an
-//! [`IncrementalModel`] state, label arrivals against the per-cluster
+//! [`IncrementalRockState`], label arrivals against the per-cluster
 //! representative pools, watch the staleness criterion trip a bounded
 //! re-merge, and verify both durability stories — WAL replay to a
 //! bit-identical digest and the v2 artifact round trip.
@@ -20,8 +20,8 @@ use rock::points::Transaction;
 use rock::rock::Rock;
 use rock::similarity::Jaccard;
 use rock::{
-    IncrementalModel, IncrementalRockState, ModelArtifact, OnlineAssignService, RockModel,
-    ServeConfig, StalenessPolicy,
+    IncrementalRockState, ModelArtifact, OnlineAssignService, RockModel, ServeConfig,
+    StalenessPolicy,
 };
 use rock_data::{generate_drift_stream, DriftStreamSpec};
 
@@ -56,12 +56,12 @@ fn main() {
     );
 
     // --- absorb the remaining windows through the update path.
-    let mut state = model
-        .open_incremental(&artifact, StalenessPolicy::default())
-        .expect("artifact opens incrementally");
+    let mut state =
+        IncrementalRockState::<Transaction>::from_artifact(&artifact, StalenessPolicy::default())
+            .expect("artifact opens incrementally");
     for (i, window) in data.windows[1..].iter().enumerate() {
-        let outcome = model
-            .update(&mut state, &window.transactions)
+        let outcome = state
+            .update(&window.transactions, &Jaccard, model.rock().governor())
             .expect("update");
         println!(
             "update {}: absorbed {}, rejected {}, dirty links {}, re-merged {} pairs",
@@ -109,11 +109,15 @@ fn main() {
 
     // --- persist the evolved model as a v2 artifact and reopen it.
     let path = std::env::temp_dir().join(format!("inc-stream-{}.rockart", std::process::id()));
-    model.save_updated(&state, &path).expect("evolved save");
+    state
+        .to_artifact()
+        .expect("evolved artifact")
+        .save(&path)
+        .expect("evolved save");
     let evolved = ModelArtifact::load(&path).expect("evolved load");
-    let reopened = model
-        .open_incremental(&evolved, StalenessPolicy::default())
-        .expect("evolved artifact reopens");
+    let reopened =
+        IncrementalRockState::<Transaction>::from_artifact(&evolved, StalenessPolicy::default())
+            .expect("evolved artifact reopens");
     assert_eq!(reopened.digest(), state.digest());
     println!(
         "artifact: v2 round trip at {} preserves digest {:08x}",

@@ -2,7 +2,7 @@
 //! guarantees behind the incremental clustering core:
 //!
 //! 1. **Faithfulness**: absorbing a drifting basket stream through the
-//!    [`IncrementalModel`] update path stays within a pinned ARI band
+//!    [`IncrementalRockState`] update path stays within a pinned ARI band
 //!    of refitting from scratch on the full data, scored against the
 //!    generator's ground truth via `rock_eval::scoring`.
 //! 2. **Kill/resume matrix**: a kill injected before *any* update — or
@@ -23,8 +23,7 @@ use rock::points::Transaction;
 use rock::rock::Rock;
 use rock::similarity::Jaccard;
 use rock::{
-    ClusterModel, IncrementalModel, IncrementalRockState, ModelArtifact, RockError, RockModel,
-    StalenessPolicy,
+    ClusterModel, IncrementalRockState, ModelArtifact, RockError, RockModel, StalenessPolicy,
 };
 use rock_data::{generate_drift_stream, DriftStreamData, DriftStreamSpec};
 use rock_eval::scoring::score_assignments;
@@ -78,14 +77,13 @@ fn incremental_stream_stays_within_the_pinned_ari_band_of_scratch() {
     let truth = data.all_labels();
     let artifact = base_artifact(&data);
 
-    // Absorb windows 1..4 through the engine-contract update path.
-    let model = model_for(data.windows[0].transactions.len());
-    let mut state = model
-        .open_incremental(&artifact, StalenessPolicy::default())
+    // Absorb windows 1..4 through the update path.
+    let mut state = IncrementalRockState::from_artifact(&artifact, StalenessPolicy::default())
         .expect("base artifact opens incrementally");
+    let governor = RunGovernor::unlimited();
     for window in &data.windows[1..] {
-        model
-            .update(&mut state, &window.transactions)
+        state
+            .update(&window.transactions, &Jaccard, &governor)
             .expect("update absorbs the window");
     }
 
@@ -270,7 +268,7 @@ fn kill_inside_the_remerge_loses_only_the_inflight_batch() {
 fn evolved_artifacts_round_trip_and_version_errors_stay_typed() {
     let data = stream();
     let artifact = base_artifact(&data);
-    let model = model_for(data.windows[0].transactions.len());
+    let governor = RunGovernor::unlimited();
     let dir = std::env::temp_dir().join(format!("rock-incdrift-it-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
 
@@ -283,31 +281,38 @@ fn evolved_artifacts_round_trip_and_version_errors_stay_typed() {
 
     // Evolve, then drive the full on-disk v2 round trip:
     // save → load → update → save → load.
-    let mut state = model
-        .open_incremental(&artifact, StalenessPolicy::default())
+    let mut state = IncrementalRockState::from_artifact(&artifact, StalenessPolicy::default())
         .expect("artifact opens");
-    model
-        .update(&mut state, &data.windows[1].transactions)
+    state
+        .update(&data.windows[1].transactions, &Jaccard, &governor)
         .expect("first update");
     let path = dir.join("evolved.rockmodel");
-    model.save_updated(&state, &path).expect("evolved save");
+    state
+        .to_artifact()
+        .expect("evolved artifact")
+        .save(&path)
+        .expect("evolved save");
 
     let loaded = ModelArtifact::load(&path).expect("evolved artifact loads");
     assert!(loaded.update_state().is_some(), "evolved artifacts carry update state");
-    let mut reopened = model
-        .open_incremental(&loaded, StalenessPolicy::default())
-        .expect("evolved artifact reopens");
+    let mut reopened =
+        IncrementalRockState::<Transaction>::from_artifact(&loaded, StalenessPolicy::default())
+            .expect("evolved artifact reopens");
     assert_eq!(
         reopened.digest(),
         state.digest(),
         "the evolved state survives the artifact round trip bit-identically"
     );
 
-    model
-        .update(&mut reopened, &data.windows[2].transactions)
+    reopened
+        .update(&data.windows[2].transactions, &Jaccard, &governor)
         .expect("update after reload");
     assert_eq!(reopened.provenance().updates_applied, 2);
-    model.save_updated(&reopened, &path).expect("re-save after update");
+    reopened
+        .to_artifact()
+        .expect("re-evolved artifact")
+        .save(&path)
+        .expect("re-save after update");
     let reloaded = ModelArtifact::load(&path).expect("re-saved artifact loads");
     let ext = reloaded.update_state().expect("update state persists");
     assert_eq!(ext.provenance.updates_applied, 2);
