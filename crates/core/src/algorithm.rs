@@ -28,7 +28,7 @@ use crate::governor::{Phase, RunGovernor};
 use crate::incremental::IncrementalState;
 use crate::links_matrix::LinkMatrix;
 use crate::neighbors::NeighborGraph;
-use crate::wal::{parse_wal, MergeWal, WalBegin, WalSnapshot};
+use crate::wal::{parse_wal, MergeWal, WalBegin, WalReplay, WalSnapshot};
 
 /// §4.6 outlier handling knobs.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -193,7 +193,10 @@ impl RockAlgorithm {
     ///
     /// If the WAL carries a snapshot, `graph` may be `None` — the state
     /// is restored from the snapshot and links are not recomputed.
-    /// Without a snapshot the original neighbor graph is required.
+    /// Without a snapshot the original neighbor graph is required, and
+    /// the recomputed links' bytes are charged to `governor` until the
+    /// merge loop finishes, as in a journaled fit; the replayed loop
+    /// observes the charge at its next budget check.
     ///
     /// A fresh, self-contained continuation log is written to `wal_out`
     /// (if given): the full merge history is re-logged and a snapshot of
@@ -212,12 +215,13 @@ impl RockAlgorithm {
         graph: Option<&NeighborGraph>,
         threads: usize,
         governor: &RunGovernor,
-        mut wal_out: Option<&mut MergeWal>,
+        wal_out: Option<&mut MergeWal>,
     ) -> Result<RockRun, RockError> {
         let replay = parse_wal(wal_bytes)?;
         self.validate_begin(&replay.begin, graph)?;
 
-        let mut engine = match &replay.snapshot {
+        let mut link_bytes = 0;
+        let engine = match &replay.snapshot {
             Some(snap) => self.engine_from_snapshot(&replay.begin, &replay.merges, snap)?,
             None => {
                 let Some(graph) = graph else {
@@ -228,6 +232,7 @@ impl RockAlgorithm {
                     });
                 };
                 let links = LinkMatrix::compute_auto(graph, threads);
+                link_bytes = links.memory_bytes() as u64;
                 let engine = self.init_from_pairs(graph, links.iter_upper());
                 if engine.initial_points != replay.begin.initial_points
                     || engine.outliers != replay.begin.pruned_outliers
@@ -241,7 +246,22 @@ impl RockAlgorithm {
                 engine
             }
         };
+        governor.charge(link_bytes);
+        let outcome = self.replay_and_drive(engine, &replay, governor, wal_out);
+        governor.release(link_bytes);
+        outcome
+    }
 
+    /// The tail of [`RockAlgorithm::resume`]: replays the logged merges
+    /// `engine` lacks, re-journals the history to `wal_out` and drives
+    /// the merge loop to completion.
+    fn replay_and_drive(
+        &self,
+        mut engine: Engine,
+        replay: &WalReplay,
+        governor: &RunGovernor,
+        mut wal_out: Option<&mut MergeWal>,
+    ) -> Result<RockRun, RockError> {
         // Replay the logged merges the snapshot hasn't already baked in.
         let already = engine.merges.len();
         for rec in &replay.merges[already..] {

@@ -407,7 +407,8 @@ impl<'w> Pipeline<'w> {
         })?;
         // The rebuilt graph occupies the same memory as the original
         // run's: charge it against the budget exactly like fit_wal, so a
-        // resume cannot silently escape the memory governor.
+        // resume cannot silently escape the memory governor. The
+        // recomputed links are charged inside RockAlgorithm::resume.
         let graph_bytes = graph.memory_bytes() as u64;
         self.ctx.governor.charge(graph_bytes);
         let algorithm = self.algorithm();

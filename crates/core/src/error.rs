@@ -42,9 +42,10 @@ pub enum RockError {
     ///
     /// Surfaced by the driver entry points ([`crate::rock::Rock::cluster`],
     /// [`crate::rock::Rock::run`], [`crate::engine::Pipeline::fit_wal`],
-    /// [`crate::labeling::Labeler::label_point_checked`] and
-    /// [`crate::incremental::IncrementalRockState::update`], the last two
-    /// through the same checked §4.6 scan) instead of letting the value
+    /// [`crate::labeling::Labeler::label_point_checked`],
+    /// [`crate::labeling::LabelPass::label_checked`] and
+    /// [`crate::incremental::IncrementalRockState::update`], the last
+    /// three through the same checked §4.6 scan) instead of letting the value
     /// poison neighbor decisions or trip heap asserts mid-merge.
     NonFiniteSimilarity {
         /// The offending similarity value.

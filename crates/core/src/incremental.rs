@@ -32,7 +32,7 @@ use crate::error::RockError;
 use crate::goodness::{ConstantF, Goodness, GoodnessKind};
 use crate::governor::{Phase, RunGovernor};
 use crate::heap::{AddressableHeap, Cand};
-use crate::labeling::Labeler;
+use crate::labeling::{LabelPass, Labeler};
 use crate::perf::PerfCounters;
 use crate::report::RunReport;
 use crate::similarity::Similarity;
@@ -968,11 +968,17 @@ impl<P: ArtifactPoint + Clone> IncrementalRockState<P> {
             .map_err(|e| crate::algorithm::mark_resumable(e, true))?;
 
         // Phase 1: pure scoring against the pre-batch pools, through the
-        // batch labeler's scan, which counts its own evaluations. The
+        // batch labeler's pass on this thread, stopping at the first
+        // non-finite similarity; the pass counts its own evaluations. The
         // other perf counters are tallied locally and bumped once at the
         // end by the exact amounts, never via snapshot deltas (other
         // threads' kernels would pollute a delta).
-        let scored = self.labeler.score_each(arrivals, measure)?;
+        let mut scored = Vec::with_capacity(arrivals.len());
+        LabelPass::new(&self.labeler, measure).score_chunk(
+            arrivals,
+            &mut scored,
+            &|outcome: Result<_, RockError>| outcome,
+        )?;
 
         // Phase 2: absorb.
         let mut absorbed = 0u64;

@@ -9,26 +9,28 @@
 //! neighbors `p` would have in `Lᵢ` if it belonged to cluster `i`. Points
 //! with no neighbors in any labeling set are reported as outliers.
 //!
-//! One scan, `Scorer`, implements that rule for every caller: the batch
-//! pass [`Labeler::label_all`], the single-point calls
-//! [`Labeler::label_point`] and [`Labeler::label_point_checked`] (serve,
-//! streaming), and phase 1 of
-//! [`crate::incremental::IncrementalRockState::update`].
+//! One scan, `Scorer`, implements that rule for every caller, and one
+//! batch pass, [`LabelPass`], is the only driver that runs it over many
+//! points: [`Labeler::label_all`], phase 1 of
+//! [`crate::incremental::IncrementalRockState::update`] and the
+//! `rock-data` stream labeler all score through it. The single-point
+//! calls [`Labeler::label_point`] and [`Labeler::label_point_checked`]
+//! (serve's entry point) run the scan directly.
 //!
 //! ## Item-indexed scoring
 //!
 //! When the measure exposes item sets ([`Similarity::item_set`], e.g.
 //! [`crate::similarity::Jaccard`]) and θ > 0, a representative sharing no
-//! item with `p` has similarity 0 < θ and can never add to `Nᵢ`. The
-//! batch callers ([`Labeler::label_all`] and the online update)
-//! therefore build one item → representative postings index over all
-//! `Lᵢ` and score each point only against the representatives its items
-//! reach, deriving each similarity from the intersection count with the
-//! same expression [`crate::points::Transaction::jaccard`] uses. Labels
-//! are bit-identical to the brute-force scan; only the work changes, from
-//! `|data| × Σ|Lᵢ|` evaluations to the postings the points touch. A single
-//! point is scored by brute force: the index pays off only across a
-//! batch.
+//! item with `p` has similarity 0 < θ and can never add to `Nᵢ`. A
+//! [`LabelPass`] therefore builds one item → representative postings
+//! index over all `Lᵢ` and scores each point only against the
+//! representatives its items reach, deriving each similarity from the
+//! intersection count with the same expression
+//! [`crate::points::Transaction::jaccard`] uses. Labels are bit-identical
+//! to the brute-force scan; only the work changes, from
+//! `|data| × Σ|Lᵢ|` evaluations to the postings the points touch. A
+//! single point is scored by brute force: the index pays off only across
+//! a batch.
 
 use crate::error::RockError;
 use crate::governor::{Phase, RunGovernor};
@@ -39,10 +41,10 @@ use rand::Rng;
 use std::convert::Infallible;
 
 /// Minimum labeling cost (points × total labeling-set size — i.e.
-/// similarity evaluations) before [`Labeler::label_all`] spawns
-/// workers. Below this the whole pass is faster than thread spawn/join.
-/// Replaces the old `data.len() < 1024` bailout, which misjudged both
-/// huge labeling sets over few points and tiny sets over many.
+/// similarity evaluations) before a [`LabelPass`] spawns workers. Below
+/// this the whole batch is faster than thread spawn/join. A cost, not a
+/// point count, so that huge labeling sets over few points still
+/// parallelise and tiny sets over many points do not.
 const PARALLEL_CUTOFF_SCORES: u64 = 16 * 1024;
 
 /// The per-cluster labeling sets drawn from the clustered sample.
@@ -199,9 +201,11 @@ impl<P: Clone> Labeler<P> {
     /// value as a typed error instead of silently treating the pair as
     /// non-neighbors.
     ///
-    /// This is the per-record entry point of the resilient streaming
-    /// driver: a record whose similarity evaluation degenerates (NaN from
-    /// a user measure) can be quarantined rather than mislabeled.
+    /// This is the per-query entry point of serving
+    /// ([`crate::serve::AssignService`]): a query whose similarity
+    /// evaluation degenerates (NaN from a user measure) is quarantined
+    /// rather than mislabeled. Batches go through
+    /// [`LabelPass::label_checked`] instead.
     ///
     /// # Errors
     /// Returns [`RockError::NonFiniteSimilarity`] on the first NaN/±∞
@@ -213,31 +217,6 @@ impl<P: Clone> Labeler<P> {
     ) -> Result<Option<usize>, RockError> {
         let scored = Scorer::new(self, None).score::<_, RockError>(point, sim)?;
         Ok(scored.map(|(c, _)| c))
-    }
-
-    /// Scores every point of `points` (§4.6) through one [`Scorer`] over
-    /// one [`RepIndex`]: per point, the winning cluster and its `Nᵢ`, or
-    /// `None` for an outlier. Phase 1 of the online update; like
-    /// [`Labeler::label_all`] it counts its similarity evaluations.
-    ///
-    /// # Errors
-    /// Returns [`RockError::NonFiniteSimilarity`] on the first NaN/±∞
-    /// similarity.
-    pub(crate) fn score_each<S: Similarity<P>>(
-        &self,
-        points: &[P],
-        sim: &S,
-    ) -> Result<Vec<Option<(usize, u64)>>, RockError> {
-        let index = RepIndex::build(self, sim);
-        let mut scorer = Scorer::new(self, index.as_ref());
-        let mut scored = Vec::with_capacity(points.len());
-        // tidy:kernel-hot-loop — per-arrival §4.6 scoring
-        for point in points {
-            scored.push(scorer.score(point, sim)?);
-        }
-        // tidy:end-kernel-hot-loop
-        crate::perf::count_sim_evals(scorer.evals);
-        Ok(scored)
     }
 
     /// Adds `point` to labeling set `cluster`, keeping its normaliser
@@ -265,15 +244,11 @@ impl<P: Clone> Labeler<P> {
     /// (`with_kill_at(Phase::Labeling, batch)`) are observed within one
     /// batch. Pass [`RunGovernor::unlimited`] for an ungoverned pass.
     ///
-    /// Each batch is scored on up to `threads` rayon workers, each
-    /// writing the assignment slots of its own contiguous chunk and
-    /// tallying its chunk's counts into a thread-local buffer; the
-    /// buffers are summed once after the join. Every point is scored
+    /// Each batch goes through one [`LabelPass`] (one index for the
+    /// whole pass) on up to `threads` workers. Every point is scored
     /// independently against the fixed Lᵢ sets, so the result is
     /// bit-identical for every thread count and batch boundary (pinned
-    /// in `tests/kernel_invariance.rs`). Workers are spawned only when a
-    /// batch's cost (points × total labeling-set size) reaches
-    /// [`PARALLEL_CUTOFF_SCORES`].
+    /// in `tests/kernel_invariance.rs`).
     ///
     /// # Errors
     /// Returns [`RockError::Interrupted`] when the governor trips.
@@ -293,7 +268,7 @@ impl<P: Clone> Labeler<P> {
     {
         assert!(threads > 0, "need at least one thread");
         governor.check(Phase::Labeling)?;
-        let index = RepIndex::build(self, sim);
+        let pass = LabelPass::new(self, sim);
         let mut assignments: Vec<Option<usize>> = Vec::with_capacity(data.len());
         for (batch, part) in data.chunks(Self::GOVERNED_BATCH).enumerate() {
             // check_at applies the injected kill point; the unconditional
@@ -301,108 +276,145 @@ impl<P: Clone> Labeler<P> {
             // for governors with a large merge check interval.
             governor.check_at(Phase::Labeling, batch as u64)?;
             governor.check(Phase::Labeling)?;
-            let labeled = self.label_chunked(part, sim, threads, index.as_ref());
-            assignments.extend(labeled.assignments);
+            infallible(pass.score(part, threads, &mut assignments, |scored| {
+                Ok(infallible(scored).map(|(c, _)| c))
+            }));
         }
-        Ok(self.collect(assignments.into_iter()))
+        Ok(pass.labeling(assignments))
     }
 
     /// Points labeled between two governor checkpoints in
     /// [`Labeler::label_all`].
     pub const GOVERNED_BATCH: usize = 4096;
+}
 
-    /// Labels one batch over a prebuilt index, on the calling thread
-    /// below the cost cutoff and on `threads` workers above it.
-    fn label_chunked<S>(
+/// One §4.6 batch pass: the item index over a labeler's sets, built
+/// once, and the chunked scan that every batch caller scores through —
+/// [`Labeler::label_all`], phase 1 of the online update and the
+/// `rock-data` stream labeler, which builds one pass per stream and
+/// calls [`LabelPass::label_checked`] once per read round.
+///
+/// Every point is scored independently against the fixed Lᵢ sets, so
+/// the outcome of a point does not depend on the thread count, on the
+/// chunk it lands in or on how the caller splits its batches.
+#[derive(Debug)]
+pub struct LabelPass<'a, P, S> {
+    labeler: &'a Labeler<P>,
+    sim: &'a S,
+    index: Option<RepIndex>,
+}
+
+impl<'a, P, S: Similarity<P>> LabelPass<'a, P, S> {
+    /// Indexes `labeler`'s sets for `sim` when the index is exact (see
+    /// the module docs); otherwise the pass scores by brute force.
+    pub fn new(labeler: &'a Labeler<P>, sim: &'a S) -> Self {
+        LabelPass {
+            labeler,
+            sim,
+            index: RepIndex::build(labeler, sim),
+        }
+    }
+
+    /// Scores `points` in order on the calling thread, appending
+    /// `keep(outcome)` to `out` until `keep` returns an error. The
+    /// outcome's error type is the scan's [`NanPolicy`]. Counts the
+    /// similarity evaluations it made.
+    pub(crate) fn score_chunk<T, E: NanPolicy, F>(
         &self,
-        data: &[P],
-        sim: &S,
-        threads: usize,
-        index: Option<&RepIndex>,
-    ) -> Labeling
-    where
-        S: Similarity<P> + Sync,
-        P: Sync,
-    {
-        let set_points: usize = self.sets.iter().map(Vec::len).sum();
-        let cost = data.len() as u64 * set_points.max(1) as u64;
-        let workers = if cost < PARALLEL_CUTOFF_SCORES { 1 } else { threads };
-        let chunk = data.len().div_ceil(workers).max(1);
-        let mut assignments: Vec<Option<usize>> = vec![None; data.len()];
-        // Thread-local outcome buffers: (per-cluster counts, outliers,
-        // similarity evaluations).
-        type Outcome = (Vec<usize>, usize, u64);
-        let mut outcomes: Vec<Outcome> = Vec::new();
-        outcomes.resize_with(data.len().div_ceil(chunk), || {
-            (vec![0usize; self.sets.len()], 0, 0)
+        points: &[P],
+        out: &mut Vec<T>,
+        keep: &impl Fn(Result<Option<(usize, u64)>, E>) -> Result<T, F>,
+    ) -> Result<(), F> {
+        let mut scorer = Scorer::new(self.labeler, self.index.as_ref());
+        // tidy:kernel-hot-loop — per-point §4.6 scoring
+        let stop = points.iter().try_for_each(|point| {
+            out.push(keep(scorer.score(point, self.sim))?);
+            Ok(())
         });
-        let score = |part: &[P], slots: &mut [Option<usize>], outcome: &mut Outcome| {
-            let (counts, outliers, evals) = outcome;
-            let mut scorer = Scorer::new(self, index);
-            // tidy:kernel-hot-loop — per-point scoring
-            for (p, slot) in part.iter().zip(slots.iter_mut()) {
-                let label = infallible(scorer.score(p, sim)).map(|(c, _)| c);
-                match label {
-                    Some(c) => counts[c] += 1,
-                    None => *outliers += 1,
-                }
-                *slot = label;
-            }
-            // tidy:end-kernel-hot-loop
-            *evals = scorer.evals;
-        };
-        let chunks = data
-            .chunks(chunk)
-            .zip(assignments.chunks_mut(chunk))
-            .zip(outcomes.iter_mut());
-        if workers == 1 {
-            for ((part, slots), outcome) in chunks {
-                score(part, slots, outcome);
-            }
-        } else {
-            rayon::scope(|scope| {
-                for ((part, slots), outcome) in chunks {
-                    scope.spawn(move |_| score(part, slots, outcome));
-                }
-            });
-        }
-        // Single merge of the thread-local buffers: addition is
-        // commutative and each point lands in exactly one chunk, so the
-        // totals equal the sequential tally.
-        let mut cluster_counts = vec![0usize; self.sets.len()];
+        // tidy:end-kernel-hot-loop
+        crate::perf::count_sim_evals(scorer.evals);
+        stop
+    }
+
+    /// Folds assignments given in input order into a [`Labeling`] over
+    /// the labeler's clusters.
+    pub fn labeling(&self, assignments: Vec<Option<usize>>) -> Labeling {
+        let mut cluster_counts = vec![0usize; self.labeler.sets.len()];
         let mut num_outliers = 0usize;
-        let mut total_evals = 0u64;
-        for (counts, outliers, evals) in &outcomes {
-            for (total, c) in cluster_counts.iter_mut().zip(counts) {
-                *total += c;
+        for a in &assignments {
+            match a {
+                Some(c) => cluster_counts[*c] += 1,
+                None => num_outliers += 1,
             }
-            num_outliers += outliers;
-            total_evals += evals;
         }
-        crate::perf::count_sim_evals(total_evals);
         Labeling {
             assignments,
             cluster_counts,
             num_outliers,
         }
     }
+}
 
-    fn collect(&self, labels: impl Iterator<Item = Option<usize>>) -> Labeling {
-        let mut assignments = Vec::with_capacity(labels.size_hint().0);
-        let mut cluster_counts = vec![0usize; self.sets.len()];
-        let mut num_outliers = 0usize;
-        for a in labels {
-            match a {
-                Some(c) => cluster_counts[c] += 1,
-                None => num_outliers += 1,
+impl<P: Sync, S: Similarity<P> + Sync> LabelPass<'_, P, S> {
+    /// Like [`LabelPass::score_chunk`], on up to `threads` rayon
+    /// workers, each scoring one contiguous chunk into its own buffer;
+    /// the buffers join `out` in chunk order. Workers are spawned only
+    /// when the cost (points × total labeling-set size) reaches
+    /// [`PARALLEL_CUTOFF_SCORES`]; below it the calling thread scores
+    /// straight into `out`.
+    fn score<T: Send, E: NanPolicy, F: Send>(
+        &self,
+        points: &[P],
+        threads: usize,
+        out: &mut Vec<T>,
+        keep: impl Fn(Result<Option<(usize, u64)>, E>) -> Result<T, F> + Sync,
+    ) -> Result<(), F> {
+        let set_points: usize = self.labeler.sets.iter().map(Vec::len).sum();
+        let cost = points.len() as u64 * set_points.max(1) as u64;
+        if cost < PARALLEL_CUTOFF_SCORES || threads == 1 {
+            return self.score_chunk(points, out, &keep);
+        }
+        let chunk = points.len().div_ceil(threads).max(1);
+        let mut parts: Vec<(Vec<T>, Result<(), F>)> = points
+            .chunks(chunk)
+            .map(|part| (Vec::with_capacity(part.len()), Ok(())))
+            .collect();
+        let keep = &keep;
+        rayon::scope(|scope| {
+            for (part, (slots, stop)) in points.chunks(chunk).zip(parts.iter_mut()) {
+                scope.spawn(move |_| *stop = self.score_chunk(part, slots, keep));
             }
-            assignments.push(a);
+        });
+        for (slots, stop) in parts {
+            out.extend(slots);
+            stop?;
         }
-        Labeling {
-            assignments,
-            cluster_counts,
-            num_outliers,
-        }
+        Ok(())
+    }
+
+    /// Labels `points` (§4.6) on up to `threads` workers, quarantining
+    /// rather than mislabeling: per point, its cluster or `None` for an
+    /// outlier, or [`RockError::NonFiniteSimilarity`] when a similarity
+    /// the scan evaluated is NaN/±∞. A point takes the indexed branch
+    /// exactly when [`Labeler::label_all`] would; otherwise the sets are
+    /// evaluated in order, as [`Labeler::label_point_checked`] does, up
+    /// to the first non-finite value. The result is the same for every
+    /// thread count.
+    ///
+    /// # Panics
+    /// Panics if `threads == 0`.
+    pub fn label_checked(
+        &self,
+        points: &[P],
+        threads: usize,
+    ) -> Vec<Result<Option<usize>, RockError>> {
+        assert!(threads > 0, "need at least one thread");
+        let mut out = Vec::with_capacity(points.len());
+        let keep = |scored: Result<Option<(usize, u64)>, RockError>| {
+            Ok(scored.map(|s| s.map(|(c, _)| c)))
+        };
+        infallible(self.score(points, threads, &mut out, keep));
+        out
     }
 }
 
@@ -448,7 +460,7 @@ fn argmax_normalized<E>(
 /// similarity, chosen by the scan's error type: [`Infallible`] lets it
 /// fail `≥ θ` (no neighbor) and scans every set; [`RockError`] stops at
 /// the first one with [`RockError::NonFiniteSimilarity`].
-trait NanPolicy: Sized {
+pub(crate) trait NanPolicy: Sized {
     fn check(similarity: f64) -> Result<(), Self>;
 }
 

@@ -73,7 +73,8 @@
 //! User-supplied inputs are guarded at the API boundary: configuration
 //! errors are typed [`RockError`]s, and the entry points
 //! ([`rock::Rock::cluster`], [`rock::Rock::run`],
-//! [`labeling::Labeler::label_point_checked`] and
+//! [`labeling::Labeler::label_point_checked`],
+//! [`labeling::LabelPass::label_checked`] and
 //! [`incremental::IncrementalRockState::update`], which share one
 //! checked §4.6 scan) surface non-finite similarities instead of
 //! mis-clustering or panicking. The companion

@@ -47,10 +47,11 @@ pub fn count_bytes_touched(n: u64) {
     BYTES_TOUCHED.fetch_add(n, Ordering::Relaxed);
 }
 
-/// Records `n` pairwise similarity evaluations. The §4.6 scan (batch
-/// labeling and the online update alike) counts the evaluations it
-/// made: the touched representatives of an item-indexed point, `Σ|Lᵢ|`
-/// of a brute-force one.
+/// Records `n` pairwise similarity evaluations. The §4.6 batch pass
+/// (`label_all`, the `rock-data` stream labeler and the online update
+/// alike) counts the evaluations its scan made, once per worker chunk:
+/// the touched representatives of an item-indexed point, `Σ|Lᵢ|` of a
+/// brute-force one.
 #[inline]
 pub fn count_sim_evals(n: u64) {
     SIM_EVALS.fetch_add(n, Ordering::Relaxed);

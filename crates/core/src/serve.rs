@@ -257,22 +257,11 @@ pub fn load_artifact_with_retry(
     retry: &RetryPolicy,
 ) -> Result<(ModelArtifact, u64), RockError> {
     let mut retries = 0u64;
-    loop {
-        match source.fetch() {
-            Ok(bytes) => return ModelArtifact::from_bytes(&bytes).map(|a| (a, retries)),
-            Err(e)
-                if RetryPolicy::is_transient_kind(e.kind())
-                    && retries < u64::from(retry.max_retries) =>
-            {
-                std::thread::sleep(retry.backoff(retries as u32));
-                retries += 1;
-            }
-            Err(e) => {
-                return Err(RockError::ArtifactIo {
-                    detail: format!("artifact fetch failed after {retries} retries: {e}"),
-                })
-            }
-        }
+    match retry.run(&mut retries, || source.fetch()) {
+        Ok(bytes) => ModelArtifact::from_bytes(&bytes).map(|a| (a, retries)),
+        Err(e) => Err(RockError::ArtifactIo {
+            detail: format!("artifact fetch failed after {retries} retries: {e}"),
+        }),
     }
 }
 

@@ -1,25 +1,21 @@
 //! Bounded retry-with-backoff — the one policy shared by every
 //! transient-failure site in the workspace.
 //!
-//! Before this module existed, the artifact serve layer
-//! ([`crate::serve`]) and rock-data's resilient ingest each carried a
-//! private copy of the same capped-exponential backoff policy. Both now
-//! share this one. The unified policy adds a capability the copies
-//! lacked: *deterministic, seed-derived jitter*
+//! The artifact serve layer ([`crate::serve`]) and rock-data's
+//! resilient ingest share this one policy and its one loop,
+//! [`RetryPolicy::run`]: attempt, sleep [`RetryPolicy::backoff`], retry
+//! while the error is transient and the budget lasts. Delays may carry
+//! *deterministic, seed-derived jitter*
 //! ([`RetryPolicy::with_jitter_seed`]) — each retry's delay is scattered
 //! within `[delay/2, delay)` by a [`splitmix64`] stream of the seed, so
 //! many retriers backing off from a shared resource do not thunder in
 //! lockstep, while a given seed reproduces the exact delay schedule
 //! (the property every fault-matrix test relies on).
 //!
-//! Two semantics are deliberately *not* this module's business and stay
-//! at the call sites:
-//!
-//! * **what counts as transient** is offered as a default
-//!   ([`RetryPolicy::is_transient`]) but callers may refine it;
-//! * **corruption is never retried** — parse and validation failures
-//!   surface immediately at every call site, because a deterministic
-//!   re-read of bad bytes cannot succeed.
+//! **Corruption is never retried**: [`RetryPolicy::run`] retries only
+//! I/O errors of a transient kind ([`RetryPolicy::is_transient`]), and
+//! parse and validation failures surface at the call sites after the
+//! read, because a deterministic re-read of bad bytes cannot succeed.
 
 use crate::util::splitmix::splitmix64;
 use std::io;
@@ -95,18 +91,43 @@ impl RetryPolicy {
         }
     }
 
+    /// Runs `op` under the policy: a transient error
+    /// ([`RetryPolicy::is_transient`]) is retried after sleeping
+    /// [`RetryPolicy::backoff`]`(n)` before retry `n`, up to
+    /// `max_retries` times; any other error, and a transient one past
+    /// the budget, is returned at once. Each retry taken is added to
+    /// `retries`, on success and failure alike.
+    ///
+    /// # Errors
+    /// The error of the last attempt.
+    pub fn run<T>(
+        &self,
+        retries: &mut u64,
+        mut op: impl FnMut() -> io::Result<T>,
+    ) -> io::Result<T> {
+        let mut attempt = 0u32;
+        loop {
+            match op() {
+                Err(e) if Self::is_transient(&e) && attempt < self.max_retries => {
+                    let delay = self.backoff(attempt);
+                    attempt += 1;
+                    *retries += 1;
+                    if !delay.is_zero() {
+                        std::thread::sleep(delay);
+                    }
+                }
+                outcome => return outcome,
+            }
+        }
+    }
+
     /// Whether an I/O error is worth retrying. Interrupted reads,
     /// would-block and timeouts are transient; everything else —
     /// including corruption, which a deterministic re-read cannot fix —
     /// should fail fast.
     pub fn is_transient(e: &io::Error) -> bool {
-        Self::is_transient_kind(e.kind())
-    }
-
-    /// [`RetryPolicy::is_transient`], on a bare [`io::ErrorKind`].
-    pub fn is_transient_kind(kind: io::ErrorKind) -> bool {
         matches!(
-            kind,
+            e.kind(),
             io::ErrorKind::Interrupted | io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
         )
     }
@@ -161,6 +182,32 @@ mod tests {
         // Different seeds scatter differently somewhere in the schedule.
         let other = base.with_jitter_seed(8);
         assert!((0..5).any(|a| jittered.backoff(a) != other.backoff(a)));
+    }
+
+    #[test]
+    fn run_retries_transients_within_the_budget_only() {
+        let policy = RetryPolicy::no_backoff(2);
+        let failing = |kinds: Vec<io::ErrorKind>| {
+            let mut kinds = kinds.into_iter();
+            move || match kinds.next() {
+                Some(kind) => Err(io::Error::new(kind, "x")),
+                None => Ok(7),
+            }
+        };
+        let mut retries = 0;
+        let op = failing(vec![io::ErrorKind::TimedOut, io::ErrorKind::WouldBlock]);
+        assert_eq!(policy.run(&mut retries, op).unwrap(), 7);
+        assert_eq!(retries, 2);
+        // A third transient error exhausts the budget; the count carries on.
+        let op = failing(vec![io::ErrorKind::TimedOut; 3]);
+        let err = policy.run(&mut retries, op).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        assert_eq!(retries, 4);
+        // A non-transient error is returned at once.
+        let op = failing(vec![io::ErrorKind::NotFound]);
+        let err = policy.run(&mut retries, op).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        assert_eq!(retries, 4);
     }
 
     #[test]

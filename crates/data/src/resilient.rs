@@ -33,7 +33,7 @@
 #![allow(clippy::result_large_err)]
 
 use rock_core::governor::{Phase, RunGovernor, TripReason};
-use rock_core::labeling::{Labeler, Labeling};
+use rock_core::labeling::{LabelPass, Labeler, Labeling};
 use rock_core::points::Transaction;
 use rock_core::report::RunReport;
 use rock_core::similarity::Similarity;
@@ -341,6 +341,20 @@ struct ReadRetries {
     retries: u64,
 }
 
+impl ReadRetries {
+    /// Runs `op` under `policy`, adding the transient errors it met and
+    /// the retries they cost. Every retry answers one transient error;
+    /// a transient error that exhausts the budget is counted too.
+    fn run<T>(&mut self, policy: &RetryPolicy, op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
+        let mut retries = 0;
+        let outcome = policy.run(&mut retries, op);
+        let exhausted = matches!(&outcome, Err(e) if RetryPolicy::is_transient(e));
+        self.retries += retries;
+        self.transient += retries + u64::from(exhausted);
+        outcome
+    }
+}
+
 /// Mutable state of one pass: the cumulative checkpoint, this
 /// invocation's report and what it produced.
 struct LoopState {
@@ -403,66 +417,35 @@ fn read_record_retry<R: BufRead>(
     read: &mut ReadRetries,
 ) -> io::Result<usize> {
     let start = buf.len();
-    let mut attempts = 0u32;
-    loop {
-        match reader.read_until(b'\n', buf) {
-            // Partial bytes from failed attempts are already in `buf`, so
-            // the total consumed is the length delta, not this call's n.
-            Ok(_) => return Ok(buf.len() - start),
-            Err(e) if RetryPolicy::is_transient(&e) => {
-                read.transient += 1;
-                if attempts >= retry.max_retries {
-                    return Err(e);
-                }
-                let delay = retry.backoff(attempts);
-                attempts += 1;
-                read.retries += 1;
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
+    // Partial bytes from failed attempts stay in `buf`, so the total
+    // consumed is the length delta, not the last call's count.
+    read.run(retry, || reader.read_until(b'\n', buf))?;
+    Ok(buf.len() - start)
 }
 
 /// Discards exactly `n` bytes (the resume skip), retrying transients.
+/// One retry budget covers the whole skip.
 fn skip_bytes<R: BufRead>(
     reader: &mut R,
     mut n: u64,
     retry: &RetryPolicy,
     read: &mut ReadRetries,
 ) -> io::Result<()> {
-    let mut attempts = 0u32;
-    while n > 0 {
-        let available = match reader.fill_buf() {
-            Ok(buf) => buf.len(),
-            Err(e) if RetryPolicy::is_transient(&e) => {
-                read.transient += 1;
-                if attempts >= retry.max_retries {
-                    return Err(e);
-                }
-                let delay = retry.backoff(attempts);
-                attempts += 1;
-                read.retries += 1;
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
-                continue;
+    read.run(retry, || {
+        while n > 0 {
+            let available = reader.fill_buf()?.len();
+            if available == 0 {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    format!("checkpoint offset lies {n} bytes beyond end of stream"),
+                ));
             }
-            Err(e) => return Err(e),
-        };
-        if available == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                format!("checkpoint offset lies {n} bytes beyond end of stream"),
-            ));
+            let take = (available as u64).min(n) as usize;
+            reader.consume(take);
+            n -= take as u64;
         }
-        let take = (available as u64).min(n) as usize;
-        reader.consume(take);
-        n -= take as u64;
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 /// Parses a trimmed non-comment basket line into a numeric transaction.
@@ -494,40 +477,14 @@ fn interrupt_stop(e: RockError, report: &mut RunReport, line: u64) -> (IngestErr
 /// read-ahead.
 const READ_BATCH: usize = 4096;
 
-/// Scores `records` on up to `threads` rayon workers, each filling the
-/// slots of one contiguous chunk. Scoring is pure, so the result is the
-/// same for every thread count.
-fn score_batch<H>(records: &[Transaction], score: &H, threads: usize) -> Vec<Handled>
-where
-    H: Fn(&Transaction) -> Handled + Sync,
-{
-    let mut scored: Vec<Handled> = records.iter().map(|_| Handled::Stored).collect();
-    let chunk = records.len().div_ceil(threads).max(1);
-    let work = |part: &[Transaction], slots: &mut [Handled]| {
-        for (txn, slot) in part.iter().zip(slots) {
-            *slot = score(txn);
-        }
-    };
-    if threads == 1 {
-        work(records, &mut scored);
-    } else {
-        rayon::scope(|scope| {
-            for (part, slots) in records.chunks(chunk).zip(scored.chunks_mut(chunk)) {
-                scope.spawn(move |_| work(part, slots));
-            }
-        });
-    }
-    scored
-}
-
 /// The read-score-fold loop every resilient pass runs.
 ///
 /// Each round reads up to [`READ_BATCH`] lines sequentially (with
 /// retries), parses them, scores the parsed records with `score` (the
-/// only step that fans out, over `threads` workers), then folds the lines
-/// in input order: the governor checkpoint, the line's read retries,
-/// the checkpoint and report counters, quarantine and the periodic
-/// checkpoint cadence. The fold visits exactly the lines a one-line-at-a-
+/// only step that may fan out, over the workers it owns), then folds
+/// the lines in input order: the governor checkpoint, the line's read
+/// retries, the checkpoint and report counters, quarantine and the
+/// periodic checkpoint cadence. The fold visits exactly the lines a one-line-at-a-
 /// time loop would, so results, reports, checkpoints and every stop are
 /// the same for any thread count; lines read past a stop are neither
 /// folded nor counted.
@@ -537,7 +494,6 @@ fn ingest_loop<R, F, H>(
     reader: &mut R,
     config: &ResilientConfig,
     governor: &RunGovernor,
-    threads: usize,
     state: &mut LoopState,
     on_checkpoint: &mut F,
     score: &H,
@@ -545,7 +501,7 @@ fn ingest_loop<R, F, H>(
 where
     R: BufRead,
     F: FnMut(&Checkpoint),
-    H: Fn(&Transaction) -> Handled + Sync,
+    H: Fn(&[Transaction]) -> Vec<Handled>,
 {
     let mut buf = Vec::new();
     let mut since_checkpoint = 0u64;
@@ -586,7 +542,7 @@ where
             }
         }
 
-        let handled = score_batch(&records, score, threads);
+        let handled = score(&records);
         let mut scored = records.into_iter().zip(handled);
         for (consumed, read, pending) in lines {
             state.admit(governor, read)?;
@@ -600,7 +556,7 @@ where
                 }
                 Pending::Bad(reason) => state.quarantine(config, lineno, reason)?,
                 Pending::Record => {
-                    // tidy-allow(panic): score_batch returns one result per parsed record, and each is taken exactly once in line order
+                    // tidy-allow(panic): score returns one result per parsed record, and each is taken exactly once in line order
                     let (txn, handled) = scored.next().expect("every parsed record is scored");
                     match handled {
                         Handled::Quarantine(reason) => state.quarantine(config, lineno, reason)?,
@@ -686,7 +642,6 @@ fn run_pass<R, F, H>(
     resume: Option<&Checkpoint>,
     num_clusters: usize,
     governor: &RunGovernor,
-    threads: usize,
     on_checkpoint: &mut F,
     score: &H,
     phase: &str,
@@ -694,7 +649,7 @@ fn run_pass<R, F, H>(
 where
     R: BufRead,
     F: FnMut(&Checkpoint),
-    H: Fn(&Transaction) -> Handled + Sync,
+    H: Fn(&[Transaction]) -> Vec<Handled>,
 {
     let started = Instant::now();
     let mut state = start_state(resume, num_clusters)?;
@@ -708,7 +663,6 @@ where
             &mut reader,
             config,
             governor,
-            threads,
             &mut state,
             on_checkpoint,
             score,
@@ -744,21 +698,26 @@ where
 ///   [`IngestErrorKind::Interrupted`], mirrored in the report's
 ///   `interrupted` field. Pass [`RunGovernor::unlimited`] for an
 ///   ungoverned pass.
-/// * `threads` — rayon workers for scoring. The stream is processed in
+/// * `threads` — workers for scoring. The pass builds one
+///   [`LabelPass`] (one item index) per call and processes the stream in
 ///   rounds of up to 4096 lines: reads (with retries) and parsing stay
-///   sequential, the per-record [`Labeler::label_point_checked`] calls
-///   fan out over contiguous chunks, and the lines are folded back in
-///   input order. Assignments, reports, checkpoint cadence and every
-///   salvaged [`IngestError`] are bit-identical for every thread count,
-///   and a run may resume from a checkpoint taken at any other thread
-///   count.
+///   sequential, each round's parsed records are scored by
+///   [`LabelPass::label_checked`] on up to `threads` workers, and the
+///   lines are folded back in input order. Assignments, reports,
+///   checkpoint cadence and every salvaged [`IngestError`] are
+///   bit-identical for every thread count, and a run may resume from a
+///   checkpoint taken at any other thread count.
 ///
-/// Records whose tokens fail to parse, or whose similarity to any
-/// labeling point is non-finite
-/// ([`rock_core::RockError::NonFiniteSimilarity`]), are quarantined
-/// rather than mislabeled. The returned [`ResilientLabelRun`] holds this
-/// invocation's [`Labeling`], its [`RunReport`] and the final cumulative
-/// [`Checkpoint`].
+/// Records whose tokens fail to parse, or whose scan meets a non-finite
+/// similarity ([`rock_core::RockError::NonFiniteSimilarity`]), are
+/// quarantined rather than mislabeled. A record is scored exactly as
+/// [`Labeler::label_all`] would score it — through the item index when
+/// one exists and the measure exposes the record's items — except that
+/// the brute-force scan stops at the first non-finite value, as
+/// [`Labeler::label_point_checked`] does. The scan's similarity
+/// evaluations are counted in `rock_core::perf`. The returned
+/// [`ResilientLabelRun`] holds this invocation's [`Labeling`], its
+/// [`RunReport`] and the final cumulative [`Checkpoint`].
 ///
 /// On a stop mid-round, lines read beyond the stopping line are
 /// discarded: the checkpoint's byte offset still points at the first
@@ -789,27 +748,32 @@ where
     F: FnMut(&Checkpoint),
 {
     assert!(threads > 0, "need at least one thread");
-    let score = |txn: &Transaction| match labeler.label_point_checked(txn, sim) {
-        Ok(assignment) => Handled::Labeled(assignment),
-        Err(RockError::NonFiniteSimilarity { value }) => {
-            Handled::Quarantine(format!("non-finite similarity {value}"))
-        }
-        Err(e) => Handled::Quarantine(e.to_string()),
+    let pass = LabelPass::new(labeler, sim);
+    let score = |records: &[Transaction]| {
+        let scored = pass.label_checked(records, threads);
+        scored
+            .into_iter()
+            .map(|outcome| match outcome {
+                Ok(assignment) => Handled::Labeled(assignment),
+                Err(RockError::NonFiniteSimilarity { value }) => {
+                    Handled::Quarantine(format!("non-finite similarity {value}"))
+                }
+                Err(e) => Handled::Quarantine(e.to_string()),
+            })
+            .collect()
     };
-    let num_clusters = labeler.num_clusters();
     let state = run_pass(
         reader,
         config,
         resume,
-        num_clusters,
+        labeler.num_clusters(),
         governor,
-        threads,
         &mut on_checkpoint,
         &score,
         "label-stream",
     )?;
     Ok(ResilientLabelRun {
-        labeling: collect_labeling(state.assignments, num_clusters),
+        labeling: pass.labeling(state.assignments),
         report: state.report,
         checkpoint: state.checkpoint,
     })
@@ -834,29 +798,11 @@ pub fn read_baskets_resilient<R: BufRead>(
         resume,
         resume.map_or(0, |cp| cp.cluster_counts.len()),
         &RunGovernor::unlimited(),
-        1,
         &mut |_: &Checkpoint| {},
-        &|_: &Transaction| Handled::Stored,
+        &|records: &[Transaction]| records.iter().map(|_| Handled::Stored).collect(),
         "ingest",
     )?;
     Ok((state.records, state.report, state.checkpoint))
-}
-
-/// Folds per-invocation assignments into a [`Labeling`].
-fn collect_labeling(assignments: Vec<Option<usize>>, num_clusters: usize) -> Labeling {
-    let mut cluster_counts = vec![0usize; num_clusters];
-    let mut num_outliers = 0usize;
-    for a in &assignments {
-        match a {
-            Some(c) => cluster_counts[*c] += 1,
-            None => num_outliers += 1,
-        }
-    }
-    Labeling {
-        assignments,
-        cluster_counts,
-        num_outliers,
-    }
 }
 
 #[cfg(test)]

@@ -12,13 +12,16 @@
 //! 3. snapshot-bearing WALs resume without the original data;
 //! 4. cancellation and deadlines are observed within one merge batch;
 //! 5. a tripped memory budget degrades per the configured policy instead
-//!    of failing, and the outcome is recorded in the run report.
+//!    of failing, and the outcome is recorded in the run report; a
+//!    resume charges the links it recomputes like the journaled fit.
 
 use proptest::prelude::*;
 use rock::governor::{CancellationToken, DegradationPolicy, Phase, RunGovernor, TripReason};
+use rock::links_matrix::LinkMatrix;
+use rock::neighbors::NeighborGraph;
 use rock::points::Transaction;
 use rock::rock::Rock;
-use rock::similarity::Jaccard;
+use rock::similarity::{Jaccard, PointsWith};
 use rock::wal::{parse_wal, MergeWal};
 use rock::{Dendrogram, RockError};
 use std::time::Duration;
@@ -293,4 +296,44 @@ fn memory_trip_degrades_per_policy() {
             }
         }
     }
+}
+
+// A resume without a snapshot recomputes the links, and charges their
+// bytes like the journaled fit does: under a budget that holds the
+// neighbor graph but only half the links, both the fit and the resume
+// of a run killed at merge 5 stop with MemoryBudgetExceeded. Without a
+// budget the resume stays bit-identical.
+#[test]
+fn resume_charges_the_recomputed_links() {
+    let data = three_clusters(35);
+    let graph = NeighborGraph::build(&PointsWith::new(&data, &Jaccard), 0.4);
+    let graph_bytes = graph.memory_bytes() as u64;
+    let link_bytes = LinkMatrix::compute_auto(&graph, 1).memory_bytes() as u64;
+    let capped = || RunGovernor::unlimited().with_memory_budget(graph_bytes + link_bytes / 2);
+    let over_budget = |outcome: Result<rock::RockRun, RockError>| {
+        matches!(
+            outcome,
+            Err(RockError::Interrupted {
+                reason: TripReason::MemoryBudgetExceeded,
+                ..
+            })
+        )
+    };
+
+    let unlimited = || engine(1, RunGovernor::unlimited());
+    let baseline = unlimited().cluster(&data, &Jaccard).unwrap();
+    let mut wal = MergeWal::new();
+    let killer = engine(1, RunGovernor::unlimited().with_kill_at(Phase::Merge, 5));
+    assert!(killer.cluster_wal(&data, &Jaccard, &mut wal).is_err());
+    assert_eq!(parse_wal(wal.as_bytes()).unwrap().num_merges(), 5);
+
+    let fit = engine(1, capped()).cluster_wal(&data, &Jaccard, &mut MergeWal::new());
+    assert!(over_budget(fit));
+    let resume = engine(1, capped()).resume_cluster(&data, &Jaccard, wal.as_bytes(), None);
+    assert!(over_budget(resume));
+
+    let resumed = unlimited()
+        .resume_cluster(&data, &Jaccard, wal.as_bytes(), None)
+        .unwrap();
+    assert_bit_identical(&resumed, &baseline);
 }

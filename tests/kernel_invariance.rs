@@ -10,9 +10,9 @@
 //! * **Exact thread grid** — the paper-relevant thread counts
 //!   {1, 2, 3, 8} pinned explicitly (the proptests draw thread counts
 //!   randomly, which in principle could miss a specific count).
-//! * **Labeling merge under adversarial similarities** — the
-//!   thread-local outcome merge in `Labeler::label_all` must agree with
-//!   the single-threaded fold even when the similarity measure is engineered
+//! * **Labeling merge under adversarial similarities** — the chunked
+//!   fan-out of the batch labeling pass must agree with the
+//!   single-threaded pass even when the similarity measure is engineered
 //!   to sit exactly on the θ decision boundary, to drive every point to
 //!   the outlier path, or to saturate at 1.0 — the regimes where a
 //!   merge-order bug would surface as a miscounted outlier or cluster
@@ -29,6 +29,11 @@
 //!   arrivals through the batch labeler's indexed scan, so every update
 //!   outcome, state digest and update-WAL byte must equal the
 //!   brute-force run's, re-merges included.
+//! * **The stream labeler is the per-record checked scan** — the
+//!   resilient stream labeler scores each round through the batch pass,
+//!   and must reproduce a plain loop of `label_point_checked` calls:
+//!   assignments, quarantined lines and reasons, counts, report
+//!   counters and the final checkpoint, for every thread count.
 //!
 //! CI runs this file in release mode (`kernel-equivalence` job) so the
 //! optimizer cannot hide a divergence that debug builds mask.
@@ -43,8 +48,10 @@ use rock::links_matrix::LinkMatrix;
 use rock::neighbors::NeighborGraph;
 use rock::points::Transaction;
 use rock::similarity::{Jaccard, PointsWith, Similarity};
-use rock::{Clustering, IncrementalRockState, RunReport, StalenessPolicy};
+use rock::{Clustering, IncrementalRockState, RockError, RunReport, StalenessPolicy};
 use rock_data::packed::PackedBaskets;
+use rock_data::resilient::{label_stream_resilient, Checkpoint, ResilientConfig, RetryPolicy};
+use std::io::BufReader;
 use std::ops::Range;
 
 /// The pinned thread grid from the acceptance criteria.
@@ -127,6 +134,161 @@ impl Similarity<Transaction> for BruteJaccard {
     fn similarity(&self, a: &Transaction, b: &Transaction) -> f64 {
         Jaccard.similarity(a, b)
     }
+}
+
+/// The item [`MarkerNan`] answers NaN for.
+const MARKER: u32 = 39;
+
+/// Jaccard without the item capability that returns NaN for every pair
+/// holding [`MARKER`]: the value is decided by the pair alone, so the
+/// stream and its oracle see the same NaNs in any evaluation order.
+struct MarkerNan;
+
+impl Similarity<Transaction> for MarkerNan {
+    fn similarity(&self, a: &Transaction, b: &Transaction) -> f64 {
+        if a.items().contains(&MARKER) || b.items().contains(&MARKER) {
+            f64::NAN
+        } else {
+            Jaccard.similarity(a, b)
+        }
+    }
+}
+
+/// One generated stream line, as the oracle reads it.
+enum StreamLine {
+    /// A basket record.
+    Record(Transaction),
+    /// A line that fails to parse, with the quarantine reason.
+    Garbage(String),
+    /// A blank or comment line.
+    Skip,
+}
+
+/// Writes the stream lines drawn as `(kind, items)`: kinds 0..=6 a
+/// record (items joined by spaces or commas, `,` alone for an empty
+/// basket), 7 the record with an unparsable token appended, 8 a
+/// comment, 9 a blank line. Returns the text and the oracle's view.
+fn write_stream(drawn: &[(u8, Vec<u32>)]) -> (String, Vec<StreamLine>) {
+    let mut text = String::new();
+    let mut lines = Vec::new();
+    for (i, (kind, items)) in drawn.iter().enumerate() {
+        let sep = if i % 2 == 0 { " " } else { "," };
+        let joined: Vec<String> = items.iter().map(u32::to_string).collect();
+        // An empty basket is written as a lone separator, so it parses as
+        // an empty record rather than a blank line.
+        let record = match joined.join(sep) {
+            empty if empty.is_empty() => ",".to_string(),
+            record => record,
+        };
+        let (line, parsed) = match kind {
+            0..=6 => (record, StreamLine::Record(Transaction::new(items.clone()))),
+            7 => {
+                let bad = format!("x{i}");
+                let reason = format!("bad item token {bad:?}");
+                (format!("{record} {bad}"), StreamLine::Garbage(reason))
+            }
+            8 => (format!("# comment {i}"), StreamLine::Skip),
+            _ => (String::new(), StreamLine::Skip),
+        };
+        text.push_str(&line);
+        text.push('\n');
+        lines.push(parsed);
+    }
+    (text, lines)
+}
+
+/// What a stream pass must produce, computed by a plain loop of
+/// `label_point_checked` calls: the assignments, the quarantined
+/// `(line, reason)` pairs and the final checkpoint.
+fn stream_oracle<S: Similarity<Transaction>>(
+    labeler: &Labeler<Transaction>,
+    lines: &[StreamLine],
+    text: &str,
+    sim: &S,
+) -> (Labeling, Vec<(u64, String)>, Checkpoint) {
+    let mut assignments = Vec::new();
+    let mut quarantined = Vec::new();
+    let mut checkpoint = Checkpoint::new(labeler.num_clusters());
+    for (i, line) in lines.iter().enumerate() {
+        let lineno = i as u64 + 1;
+        match line {
+            StreamLine::Record(t) => match labeler.label_point_checked(t, sim) {
+                Ok(a) => assignments.push(a),
+                Err(RockError::NonFiniteSimilarity { value }) => {
+                    quarantined.push((lineno, format!("non-finite similarity {value}")));
+                }
+                Err(e) => panic!("unexpected labeling error: {e}"),
+            },
+            StreamLine::Garbage(reason) => quarantined.push((lineno, reason.clone())),
+            StreamLine::Skip => checkpoint.records_skipped += 1,
+        }
+    }
+    let mut cluster_counts = vec![0usize; labeler.num_clusters()];
+    for c in assignments.iter().flatten() {
+        cluster_counts[*c] += 1;
+    }
+    let num_outliers = assignments.iter().filter(|a| a.is_none()).count();
+    checkpoint.byte_offset = text.len() as u64;
+    checkpoint.lines_seen = lines.len() as u64;
+    checkpoint.records_read = assignments.len() as u64;
+    checkpoint.records_quarantined = quarantined.len() as u64;
+    checkpoint.cluster_counts = cluster_counts.iter().map(|&c| c as u64).collect();
+    checkpoint.outliers = num_outliers as u64;
+    let labeling = Labeling {
+        assignments,
+        cluster_counts,
+        num_outliers,
+    };
+    (labeling, quarantined, checkpoint)
+}
+
+/// Checks one measure's stream passes at threads 1, 2 and 8 against
+/// [`stream_oracle`].
+fn check_stream_against_oracle<S: Similarity<Transaction> + Sync>(
+    labeler: &Labeler<Transaction>,
+    drawn: &[(u8, Vec<u32>)],
+    sim: &S,
+    checkpoint_every: u64,
+) -> Result<(), TestCaseError> {
+    let (text, lines) = write_stream(drawn);
+    let (labeling, quarantined, checkpoint) = stream_oracle(labeler, &lines, &text, sim);
+    let config = ResilientConfig {
+        retry: RetryPolicy::no_backoff(0),
+        max_quarantine: usize::MAX,
+        quarantine_detail: lines.len(),
+        checkpoint_every,
+    };
+    for threads in [1, 2, 8] {
+        let run = label_stream_resilient(
+            BufReader::new(text.as_bytes()),
+            labeler,
+            sim,
+            &config,
+            None,
+            |_| {},
+            &RunGovernor::unlimited(),
+            threads,
+        )
+        .unwrap();
+        prop_assert_eq!(&run.labeling, &labeling, "threads = {}", threads);
+        let got: Vec<(u64, String)> = run
+            .report
+            .quarantined
+            .iter()
+            .map(|q| (q.line, q.reason.clone()))
+            .collect();
+        prop_assert_eq!(&got, &quarantined, "threads = {}", threads);
+        prop_assert_eq!(&run.checkpoint, &checkpoint, "threads = {}", threads);
+        let report = &run.report;
+        prop_assert_eq!(report.records_read, checkpoint.records_read);
+        prop_assert_eq!(report.records_skipped, checkpoint.records_skipped);
+        prop_assert_eq!(report.records_quarantined, checkpoint.records_quarantined);
+        prop_assert_eq!(report.outliers, checkpoint.outliers);
+        let written = lines.len() as u64 / checkpoint_every;
+        prop_assert_eq!(report.checkpoints_written, written);
+        prop_assert_eq!((report.transient_io_errors, report.io_retries), (0, 0));
+    }
+    Ok(())
 }
 
 /// Maps raw item draws `0..40` into one of three id layouts: small ids,
@@ -270,6 +432,43 @@ proptest! {
             prop_assert_eq!(indexed.digest(), brute.digest(), "batch {}", b);
         }
         prop_assert_eq!(indexed.wal().as_bytes(), brute.wal().as_bytes());
+    }
+
+    // The resilient stream labeler equals a plain loop of
+    // label_point_checked calls at every thread count, for Jaccard
+    // (indexed for θ > 0), Jaccard with the capability hidden and a
+    // measure that answers NaN for marker pairs: random (possibly empty,
+    // repeated-item) baskets with garbage, comment and blank lines,
+    // random clusters (some empty) drawn by Labeler::new, the θ grid
+    // {0, 0.3, 0.5, 0.8}, and streams shorter and longer than one read
+    // round.
+    #[test]
+    fn stream_labeling_matches_checked_point_loop(
+        sample_raw in collection::vec(collection::vec(0u32..MARKER, 0..6), 2..48),
+        cluster_of in collection::vec(0usize..4, 48),
+        k in 1usize..5,
+        fraction in 0.1f64..1.0,
+        seed in any::<u64>(),
+        drawn in collection::vec((0u8..10, collection::vec(0u32..=MARKER, 0..6)), 1..40),
+        theta_pick in 0usize..4,
+        long in any::<bool>(),
+        extra in 1usize..800,
+        checkpoint_every in 1u64..500,
+    ) {
+        use rand::{rngs::StdRng, SeedableRng};
+        let sample: Vec<Transaction> = sample_raw.into_iter().map(Transaction::new).collect();
+        let mut clusters = vec![Vec::new(); k];
+        for (i, &c) in cluster_of.iter().take(sample.len()).enumerate() {
+            clusters[c % k].push(i as u32);
+        }
+        let theta = [0.0, 0.3, 0.5, 0.8][theta_pick];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let labeler = Labeler::new(&sample, &clusters, fraction, theta, 0.4, &mut rng).unwrap();
+        let len = if long { 4096 + extra } else { extra };
+        let drawn: Vec<(u8, Vec<u32>)> = drawn.iter().cycle().take(len).cloned().collect();
+        check_stream_against_oracle(&labeler, &drawn, &Jaccard, checkpoint_every)?;
+        check_stream_against_oracle(&labeler, &drawn, &BruteJaccard, checkpoint_every)?;
+        check_stream_against_oracle(&labeler, &drawn, &MarkerNan, checkpoint_every)?;
     }
 
     // The item-indexed neighbor graph equals brute force on both

@@ -12,13 +12,20 @@
 //! * lower on the item-indexed path than on brute force, which evaluates
 //!   every point against every representative (label) and every sample
 //!   pair once (the neighbor scan inside cluster).
+//!
+//! The resilient stream labeler scores through the same batch pass, so
+//! streaming the data through the fit's labeler counts exactly the label
+//! phase's evaluations, on either path.
 
 use rand::{rngs::StdRng, SeedableRng};
+use rock::governor::RunGovernor;
+use rock::labeling::Labeler;
 use rock::points::Transaction;
 use rock::report::RunReport;
 use rock::rock::Rock;
 use rock::similarity::{Jaccard, Similarity};
-use rock_data::{generate_baskets, SyntheticBasketSpec};
+use rock_data::resilient::{label_stream_resilient, ResilientConfig};
+use rock_data::{generate_baskets, write_baskets, SyntheticBasketSpec};
 
 /// Jaccard with the item-set capability hidden: labeling takes the
 /// brute-force path.
@@ -40,13 +47,39 @@ fn sim_evals(report: &RunReport, phase: &str) -> u64 {
         .map_or(0, |p| p.counters.sim_evals)
 }
 
+/// The similarity evaluations one resilient stream pass over `data`
+/// counts, at `threads` workers.
+fn stream_sim_evals<S: Similarity<Transaction> + Sync>(
+    labeler: &Labeler<Transaction>,
+    data: &[Transaction],
+    sim: &S,
+    threads: usize,
+) -> u64 {
+    let mut text = Vec::new();
+    write_baskets(&mut text, data).unwrap();
+    let before = rock::perf::snapshot();
+    let run = label_stream_resilient(
+        text.as_slice(),
+        labeler,
+        sim,
+        &ResilientConfig::default(),
+        None,
+        |_| {},
+        &RunGovernor::unlimited(),
+        threads,
+    )
+    .unwrap();
+    assert_eq!(run.labeling.assignments.len(), data.len());
+    rock::perf::snapshot().since(&before).sim_evals
+}
+
 #[test]
 fn label_phase_sim_evals_are_counted_exactly() {
     let data = generate_baskets(
         &SyntheticBasketSpec::paper_scaled(0.02),
         &mut StdRng::seed_from_u64(5),
     );
-    type Fit = (Vec<Option<usize>>, RunReport, u64);
+    type Fit = (Vec<Option<usize>>, RunReport, Labeler<Transaction>);
     let fit = |threads: usize, measure: &dyn Fn(&Rock) -> Fit| {
         let rock = Rock::builder()
             .theta(0.5)
@@ -62,20 +95,19 @@ fn label_phase_sim_evals_are_counted_exactly() {
     let indexed = |rock: &Rock| {
         let (result, report, labeler) =
             rock.session().fit_with_labeler(&data.transactions, &Jaccard).unwrap();
-        let reps: usize = labeler.sets().iter().map(Vec::len).sum();
-        (result.labeling.assignments, report, reps as u64)
+        (result.labeling.assignments, report, labeler)
     };
     let brute = |rock: &Rock| {
         let (result, report, labeler) = rock
             .session().fit_with_labeler(&data.transactions, &BruteJaccard)
             .unwrap();
-        let reps: usize = labeler.sets().iter().map(Vec::len).sum();
-        (result.labeling.assignments, report, reps as u64)
+        (result.labeling.assignments, report, labeler)
     };
 
-    let (labels_1, report_1, _) = fit(1, &indexed);
+    let (labels_1, report_1, labeler) = fit(1, &indexed);
     let (labels_2, report_2, _) = fit(2, &indexed);
-    let (brute_labels_1, brute_report_1, reps) = fit(1, &brute);
+    let (brute_labels_1, brute_report_1, brute_labeler) = fit(1, &brute);
+    let reps = brute_labeler.sets().iter().map(Vec::len).sum::<usize>() as u64;
     let (brute_labels_2, brute_report_2, _) = fit(2, &brute);
     assert_eq!(labels_1, labels_2);
     assert_eq!(labels_1, brute_labels_1);
@@ -91,6 +123,12 @@ fn label_phase_sim_evals_are_counted_exactly() {
         indexed_evals < brute_evals,
         "indexed {indexed_evals} vs brute force {brute_evals}"
     );
+    for threads in [1, 2] {
+        let stream = stream_sim_evals(&labeler, &data.transactions, &Jaccard, threads);
+        assert_eq!(stream, indexed_evals, "threads = {threads}");
+        let stream = stream_sim_evals(&brute_labeler, &data.transactions, &BruteJaccard, threads);
+        assert_eq!(stream, brute_evals, "threads = {threads}");
+    }
 
     // The cluster phase's evaluations all come from the neighbor scan:
     // every sample pair once by brute force, the pairs sharing an item

@@ -1,6 +1,13 @@
-//! Differential tests of every link kernel against a plain reading of
+//! Differential tests of both neighbor-graph builders against a plain
+//! reading of §3.1, of every link kernel against a plain reading of
 //! Fig. 4 (§3.2), and of every merge-loop driver against a plain reading
 //! of Fig. 3 (§4.3).
+//!
+//! [`naive_neighbors`] tests every pair `i < j` of a basket set for
+//! `|A ∩ B| / |A ∪ B| ≥ θ` over `BTreeSet`s. `NeighborGraph::build` and
+//! `build_parallel` (threads 1/2/8), with Jaccard's item index and with
+//! it hidden, must reproduce it edge for edge — at θ = 0 too, where
+//! baskets sharing no item are neighbors.
 //!
 //! [`naive_links`] counts `|N(p) ∩ N(q)|` pair by pair. The row-wise
 //! sparse kernel at several thread counts and over random shard splits
@@ -25,12 +32,14 @@
 
 use proptest::prelude::*;
 use rock::governor::{Phase, RunGovernor};
+use rock::points::Transaction;
+use rock::similarity::{Jaccard, PointsWith, Similarity};
 use rock::wal::MergeWal;
 use rock::{
     Clustering, ConstantF, Goodness, GoodnessKind, IncrementalState, LinkMatrix, MergeBound,
     MergeRecord, NeighborGraph, OutlierPolicy, RockAlgorithm, RockError, WeedPolicy,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
 /// The plain Fig.-3 loop over an arena of clusters.
@@ -217,6 +226,34 @@ fn graph(n: usize, shape: u8, seed: u64) -> NeighborGraph {
     NeighborGraph::from_lists(lists, 0.5)
 }
 
+/// The θ-neighbor graph of `baskets` straight from §3.1: every pair
+/// `i < j` whose Jaccard coefficient `|A ∩ B| / |A ∪ B|` (0 for two
+/// empty baskets) reaches θ, tested one pair at a time.
+fn naive_neighbors(baskets: &[BTreeSet<u32>], theta: f64) -> NeighborGraph {
+    let mut lists = vec![Vec::new(); baskets.len()];
+    for (i, a) in baskets.iter().enumerate() {
+        for (j, b) in baskets.iter().enumerate().skip(i + 1) {
+            let inter = a.intersection(b).count();
+            let union = a.union(b).count();
+            let sim = if union == 0 { 0.0 } else { inter as f64 / union as f64 };
+            if sim >= theta {
+                lists[i].push(j as u32);
+            }
+        }
+    }
+    NeighborGraph::from_lists(lists, theta)
+}
+
+/// Jaccard with the item-set capability hidden: the builders scan every
+/// pair by brute force.
+struct HiddenItems;
+
+impl Similarity<Transaction> for HiddenItems {
+    fn similarity(&self, a: &Transaction, b: &Transaction) -> f64 {
+        Jaccard.similarity(a, b)
+    }
+}
+
 /// `|N(p) ∩ N(q)|` for every pair, counted the slow way.
 fn naive_links(g: &NeighborGraph) -> BTreeMap<(u32, u32), u64> {
     let mut links = BTreeMap::new();
@@ -273,6 +310,34 @@ fn split(n: usize, cuts: &[f64]) -> Vec<Range<usize>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // Random baskets over a small item universe (empty baskets, repeated
+    // items and repeated baskets included), on both sides of the
+    // parallel builder's cutoff, at θ ∈ {0, 0.3, 0.5, 0.8, 1}.
+    #[test]
+    fn neighbor_builders_match_the_reference(
+        raw in proptest::collection::vec(proptest::collection::vec(0u32..30, 0..6), 0..300),
+        dups in 0usize..20,
+        theta_pick in 0usize..5,
+    ) {
+        let theta = [0.0, 0.3, 0.5, 0.8, 1.0][theta_pick];
+        let mut raw = raw;
+        let copies: Vec<Vec<u32>> = raw.iter().take(dups).cloned().collect();
+        raw.extend(copies);
+        let sets: Vec<BTreeSet<u32>> = raw.iter().map(|t| t.iter().copied().collect()).collect();
+        let want = naive_neighbors(&sets, theta);
+        let baskets: Vec<Transaction> = raw.into_iter().map(Transaction::new).collect();
+        let indexed = PointsWith::new(&baskets, Jaccard);
+        let hidden = PointsWith::new(&baskets, HiddenItems);
+        prop_assert_eq!(&NeighborGraph::build(&indexed, theta), &want, "build, item index");
+        prop_assert_eq!(&NeighborGraph::build(&hidden, theta), &want, "build, brute force");
+        for threads in [1, 2, 8] {
+            let got = NeighborGraph::build_parallel(&indexed, theta, threads);
+            prop_assert_eq!(&got, &want, "build_parallel/{}, item index", threads);
+            let got = NeighborGraph::build_parallel(&hidden, theta, threads);
+            prop_assert_eq!(&got, &want, "build_parallel/{}, brute force", threads);
+        }
+    }
 
     #[test]
     fn link_kernels_match_the_reference(
