@@ -14,7 +14,7 @@ use rock_core::cluster::Clustering;
 use rock_core::error::RockError;
 use rock_core::governor::{Phase, RunGovernor};
 use rock_core::points::CategoricalRecord;
-use rock_core::util::FxHashMap;
+use std::collections::BTreeMap;
 
 /// Configuration for a k-modes run.
 #[derive(Clone, Copy, Debug)]
@@ -66,15 +66,13 @@ fn mismatch(record: &CategoricalRecord, mode: &CategoricalRecord) -> u64 {
 fn mode_of(records: &[CategoricalRecord], members: &[u32], arity: usize) -> CategoricalRecord {
     let mut values = Vec::with_capacity(arity);
     for a in 0..arity {
-        let mut counts: FxHashMap<u32, usize> = FxHashMap::default();
+        let mut counts: BTreeMap<u32, usize> = BTreeMap::new();
         for &m in members {
             if let Some(v) = records[m as usize].value(a) {
                 *counts.entry(v).or_insert(0) += 1;
             }
         }
         // Deterministic mode: highest count, smallest value on ties.
-        // Canonicalise the hash-map contents with a total sort so the
-        // winner never depends on iteration order.
         let mut tallies: Vec<(u32, usize)> = counts.into_iter().collect();
         tallies.sort_unstable_by(|(va, ca), (vb, cb)| cb.cmp(ca).then(va.cmp(vb)));
         values.push(tallies.first().map(|&(v, _)| v));

@@ -8,11 +8,11 @@
 //!   outlier rule ("the traditional algorithm" of §5);
 //! * [`linkage`] — MST/single-link, complete-link and group-average
 //!   hierarchical clustering over arbitrary similarities (§1.1);
-//! * [`kmeans`] — Lloyd's k-means minimising the criterion function `E`
+//! * [`mod@kmeans`] — Lloyd's k-means minimising the criterion function `E`
 //!   (the partitional family of §1.1);
-//! * [`kmodes`] — Huang's k-modes, a categorical partitional extra;
-//! * [`clarans`] — Ng & Han's randomized k-medoids search (§2);
-//! * [`dbscan`] — Ester et al.'s density-based clustering (§2), run over
+//! * [`mod@kmodes`] — Huang's k-modes, a categorical partitional extra;
+//! * [`mod@clarans`] — Ng & Han's randomized k-medoids search (§2);
+//! * [`mod@dbscan`] — Ester et al.'s density-based clustering (§2), run over
 //!   the same θ-neighbor graph as ROCK;
 //! * [`vectorize`] — the §5 categorical → boolean 0/1 encoding;
 //! * [`models`] — [`rock_core::ClusterModel`] adapters putting every

@@ -1,26 +1,36 @@
 //! Boolean 0/1 encoding of categorical data (§5).
 //!
-//! The paper's traditional comparator "handle[s] categorical attributes by
+//! The paper's traditional comparator "handle\[s\] categorical attributes by
 //! converting them to boolean attributes with 0/1 values. For every
 //! categorical attribute, we define a new attribute for every value in its
 //! domain." Transactions are likewise 0/1 vectors over the item universe
 //! (§1.1, Example 1.1). These encoders produce the dense `f64` vectors the
 //! centroid-based algorithms operate on.
 //!
-//! Both encoders are thin fronts over the packed item-set substrate
-//! ([`rock_data::packed::PackedBaskets`]) — the bit-packed rows are the
-//! single source of truth for item membership, expanded to dense `f64`
-//! by [`PackedBaskets::to_dense`].
+//! Both encoders set one coordinate per item of [`Transaction::items`];
+//! records go through the schema's record → transaction mapping first.
 
 use rock_core::points::{CategoricalRecord, CategoricalSchema, Transaction};
-use rock_data::packed::PackedBaskets;
 
 /// Encodes transactions as 0/1 vectors over `num_items` dimensions.
 ///
 /// # Panics
 /// Panics if a transaction contains an item id ≥ `num_items`.
 pub fn transactions_to_vectors(transactions: &[Transaction], num_items: usize) -> Vec<Vec<f64>> {
-    PackedBaskets::new(transactions).to_dense(num_items)
+    transactions
+        .iter()
+        .map(|t| {
+            let mut v = vec![0.0; num_items];
+            for &item in t.items() {
+                assert!(
+                    (item as usize) < num_items,
+                    "item id {item} out of range {num_items}"
+                );
+                v[item as usize] = 1.0;
+            }
+            v
+        })
+        .collect()
 }
 
 /// Encodes categorical records as 0/1 vectors with one dimension per
@@ -37,7 +47,7 @@ pub fn transactions_to_vectors(transactions: &[Transaction], num_items: usize) -
 /// Panics if a record's arity differs from the schema.
 pub fn records_to_vectors(records: &[CategoricalRecord], schema: &CategoricalSchema) -> Vec<Vec<f64>> {
     let ts: Vec<Transaction> = records.iter().map(|r| schema.to_transaction(r)).collect();
-    PackedBaskets::new(&ts).to_dense(schema.num_items())
+    transactions_to_vectors(&ts, schema.num_items())
 }
 
 /// Squared Euclidean distance between dense vectors.
@@ -96,6 +106,15 @@ mod tests {
         let vs = records_to_vectors(&recs, &schema);
         assert_eq!(vs[0], vec![0.0, 1.0, 0.0, 1.0, 0.0]);
         assert_eq!(vs[1], vec![0.0, 0.0, 0.0, 0.0, 1.0]);
+    }
+
+    #[test]
+    fn empty_transaction_is_the_zero_vector() {
+        let ts = vec![Transaction::from([0, 2]), Transaction::new(vec![])];
+        assert_eq!(
+            transactions_to_vectors(&ts, 4),
+            vec![vec![1.0, 0.0, 1.0, 0.0], vec![0.0; 4]]
+        );
     }
 
     #[test]

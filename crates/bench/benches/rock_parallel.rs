@@ -4,9 +4,8 @@
 //! Four stages of the pipeline are measured, each as `seq` (the reference
 //! single-thread path) against `parN` (the rayon kernels at N workers):
 //!
-//! * `neighbors` — the O(n²) θ-neighbor scan, over both the per-pair
-//!   sorted-merge `Transaction` substrate and the bit-packed
-//!   [`PackedBaskets`] popcount rows;
+//! * `neighbors` — the θ-neighbor scan over `Transaction`s, which tests
+//!   only the pairs that share an item;
 //! * `links_sparse` — the Fig.-4 link computation: the row-sharded
 //!   sparse `A·A` CSR kernel;
 //! * `links_dense` — the §4.4 boolean-A² path: blocked popcount squaring;
@@ -36,7 +35,6 @@ use rock_core::links_matrix::LinkMatrix;
 use rock_core::neighbors::NeighborGraph;
 use rock_core::points::Transaction;
 use rock_core::similarity::{Jaccard, PointsWith};
-use rock_data::packed::PackedBaskets;
 use rock_data::{generate_baskets, SyntheticBasketSpec};
 use std::hint::black_box;
 
@@ -80,21 +78,17 @@ fn pool() -> Vec<Transaction> {
 fn bench_neighbors(c: &mut Criterion) {
     let pool = pool();
     let sample = &pool[..1500.min(pool.len())];
-    let packed = PackedBaskets::new(sample);
+    let points = PointsWith::new(sample, Jaccard);
     let mut group = c.benchmark_group("neighbors");
     group.bench_function(BenchmarkId::from("transactions_seq").threads(1), |b| {
-        let points = PointsWith::new(sample, Jaccard);
         b.iter(|| black_box(NeighborGraph::build(&points, THETA)))
-    });
-    group.bench_function(BenchmarkId::from("packed_seq").threads(1), |b| {
-        b.iter(|| black_box(NeighborGraph::build(&packed, THETA)))
     });
     for threads in THREAD_COUNTS {
         group.bench_with_input(
-            BenchmarkId::new("packed_par", threads).threads(threads),
+            BenchmarkId::new("transactions_par", threads).threads(threads),
             &threads,
             |b, &threads| {
-                b.iter(|| black_box(NeighborGraph::build_parallel(&packed, THETA, threads)))
+                b.iter(|| black_box(NeighborGraph::build_parallel(&points, THETA, threads)))
             },
         );
     }
@@ -104,7 +98,7 @@ fn bench_neighbors(c: &mut Criterion) {
 fn bench_links(c: &mut Criterion) {
     let pool = pool();
     let sample = &pool[..1500.min(pool.len())];
-    let graph = NeighborGraph::build(&PackedBaskets::new(sample), THETA);
+    let graph = NeighborGraph::build(&PointsWith::new(sample, Jaccard), THETA);
 
     let mut sparse = c.benchmark_group("links_sparse");
     sparse.bench_function(BenchmarkId::from("csr_seq").threads(1), |b| {

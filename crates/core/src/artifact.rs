@@ -37,10 +37,9 @@
 //!
 //! Version 2 (this build's native format) adds the **Update** section —
 //! the evolving-model state of the online update path
-//! ([`crate::incremental`]): cumulative
-//! [`UpdateProvenance`](crate::incremental::UpdateProvenance), the
-//! [`StalenessPolicy`](crate::incremental::StalenessPolicy) in force,
-//! and the pending/dirty-link accumulators — and widens the per-phase
+//! ([`crate::incremental`]): cumulative [`UpdateProvenance`], the
+//! [`StalenessPolicy`] in force, and the pending/dirty-link
+//! accumulators — and widens the per-phase
 //! perf entries in the Report section with the update-path counters.
 //! [`ModelArtifact::to_bytes`] writes version 1 whenever the artifact
 //! carries no update state, so batch fits stay byte-identical to what

@@ -74,14 +74,14 @@ pub fn neighbor_components(graph: &NeighborGraph, min_size: usize) -> Clustering
             dsu.union(i as u32, j);
         }
     }
-    let mut by_root: crate::util::FxHashMap<u32, Vec<u32>> = Default::default();
+    let mut by_root: Vec<Vec<u32>> = vec![Vec::new(); n];
     for p in 0..n as u32 {
-        by_root.entry(dsu.find(p)).or_default().push(p);
+        by_root[dsu.find(p) as usize].push(p);
     }
     let mut clusters = Vec::new();
     let mut outliers = Vec::new();
-    // tidy-allow(nondeterministic-iter): cluster and outlier order is canonicalized by Clustering::new (members sorted, clusters by size then smallest member)
-    for (_, members) in by_root {
+    // Empty groups (non-root ids) fall through to `outliers` as no-ops.
+    for members in by_root {
         if members.len() >= min_size.max(2) {
             clusters.push(members);
         } else {

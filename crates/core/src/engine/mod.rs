@@ -14,20 +14,20 @@
 //!                       governor · WAL · RNG · hash seed · policy · report
 //! ```
 //!
-//! * [`Stage`](stage::Stage) — one pipeline step. A stage is a plain
+//! * [`Stage`] — one pipeline step. A stage is a plain
 //!   struct carrying its inputs and knobs; running it consumes it and
 //!   returns its typed output.
-//! * [`RunCtx`](ctx::RunCtx) — the shared run state every stage receives:
+//! * [`RunCtx`] — the shared run state every stage receives:
 //!   the [`crate::governor::RunGovernor`], the optional
 //!   [`crate::wal::MergeWal`] handle, the seeded sampling/labeling RNG,
 //!   the seeded-hasher override, the
 //!   [`crate::governor::DegradationPolicy`], and the
 //!   [`crate::report::RunReport`] sink.
-//! * [`Pipeline`](pipeline::Pipeline) — the thin runner that owns phase
+//! * [`Pipeline`] — the thin runner that owns phase
 //!   transitions (one governor checkpoint per stage entry), the
 //!   memory-charge windows around the big structures, checkpoint
 //!   boundaries and interruption/resume semantics.
-//! * [`ClusterModel`](model::ClusterModel) — the uniform fit → labels +
+//! * [`ClusterModel`] — the uniform fit → labels +
 //!   report contract implemented by ROCK here and by every traditional
 //!   algorithm in `rock-baselines`, so evaluation and benchmarking run
 //!   generically over any model.

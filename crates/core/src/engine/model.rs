@@ -14,6 +14,9 @@
 //! `rock-eval` scores a [`ModelFit`] against ground truth and
 //! `rock-bench` times one generically, so adding an algorithm to the
 //! comparison is one trait impl, not a bespoke driver.
+//!
+//! [`RockModel`]: crate::engine::model::RockModel
+//! [`Similarity`]: crate::similarity::Similarity
 
 use crate::artifact::{ArtifactPoint, ModelArtifact};
 use crate::cluster::Clustering;

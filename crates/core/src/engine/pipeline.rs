@@ -112,7 +112,7 @@ impl<'w> Pipeline<'w> {
     /// # Errors
     /// [`RockError::Interrupted`] when a budget trips and no policy
     /// absorbs it.
-    pub fn merge_governed(&mut self, graph: &NeighborGraph) -> Result<RockRun, RockError> {
+    fn merge_governed(&mut self, graph: &NeighborGraph) -> Result<RockRun, RockError> {
         let result = self.merge_budgeted(graph);
         match result {
             Err(RockError::Interrupted {

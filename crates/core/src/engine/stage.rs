@@ -80,8 +80,9 @@ impl Stage for SampleStage {
     }
 }
 
-/// Builds the θ-neighbor graph (§3.1), serial or parallel by thread
-/// count. The result is bit-identical for every thread count.
+/// Builds the θ-neighbor graph (§3.1). The builder runs serially at one
+/// thread or below its parallel cutoff; the result is bit-identical for
+/// every thread count.
 #[derive(Debug)]
 pub struct NeighborsStage<'a, PS> {
     /// Pairwise similarity source over the (sampled) points.
@@ -104,11 +105,7 @@ impl<PS: PairwiseSimilarity + Sync> Stage for NeighborsStage<'_, PS> {
     }
 
     fn run(self, _ctx: &mut RunCtx<'_>) -> Result<NeighborGraph, RockError> {
-        Ok(if self.threads > 1 {
-            NeighborGraph::build_parallel(self.sim, self.theta, self.threads)
-        } else {
-            NeighborGraph::build(self.sim, self.theta)
-        })
+        Ok(NeighborGraph::build_parallel(self.sim, self.theta, self.threads))
     }
 }
 

@@ -37,6 +37,10 @@
 //! retry ladder (fault plans address it by the sentinel shard index
 //! `shard count`). If *that* ladder is exhausted, the run degrades to
 //! the concatenation of shard-level clusters — recorded, never silent.
+//!
+//! [`RunGovernor::child`]: crate::governor::RunGovernor::child
+//! [`ShardDegradationNote`]: crate::report::ShardDegradationNote
+//! [`RockError::Interrupted`]: crate::error::RockError::Interrupted
 
 use crate::algorithm::{OutlierPolicy, RockRun};
 use crate::cluster::Clustering;
@@ -52,7 +56,6 @@ use crate::similarity::{CheckedSimilarity, PairwiseSimilarity, PointsWith, Simil
 use crate::wal::MergeWal;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::ops::Range;
 
 /// A supervised multi-shard ROCK run: deterministic sharding, per-shard
 /// fault isolation, representative-level merge.
@@ -595,9 +598,4 @@ impl ShardSupervisor {
             .collect();
         Ok(Clustering::new(clusters, outliers))
     }
-}
-
-/// Supervised shard ranges of this run's input (see [`shard_ranges`]).
-pub fn planned_ranges(data_len: usize, config: &ShardConfig) -> Vec<Range<usize>> {
-    shard_ranges(data_len, config.shards)
 }

@@ -5,7 +5,7 @@
 //! ordered by their best goodness.
 //!
 //! * The local heaps are plain `std::collections::BinaryHeap`s of
-//!   [`Cand`] with lazy deletion: an entry whose partner has died stays
+//!   `Cand` with lazy deletion: an entry whose partner has died stays
 //!   in the heap and is skipped when it surfaces (see
 //!   [`crate::incremental::IncrementalState`] for why that is exact).
 //! * `Q` must update and delete arbitrary clusters

@@ -14,7 +14,7 @@
 //! [`crate::similarity::CategoricalJaccard`].
 
 use super::Transaction;
-use crate::util::FxHashMap;
+use std::collections::HashMap;
 use std::fmt;
 
 /// Definition of one categorical attribute: a name and its value domain.
@@ -22,7 +22,7 @@ use std::fmt;
 pub struct AttributeDef {
     name: String,
     values: Vec<String>,
-    value_ids: FxHashMap<String, u32>,
+    value_ids: HashMap<String, u32>,
 }
 
 impl AttributeDef {
@@ -91,7 +91,7 @@ impl CategoricalSchema {
     /// # Panics
     /// Panics if the domain contains duplicate values.
     pub fn add_attribute(&mut self, name: &str, domain: Vec<&str>) -> usize {
-        let mut value_ids = FxHashMap::default();
+        let mut value_ids = HashMap::new();
         for (i, v) in domain.iter().enumerate() {
             let prev = value_ids.insert((*v).to_owned(), i as u32);
             assert!(prev.is_none(), "duplicate value {v:?} in domain of {name:?}");

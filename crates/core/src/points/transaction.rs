@@ -139,7 +139,7 @@ impl<const N: usize> From<[u32; N]> for Transaction {
 #[derive(Default, Clone, Debug)]
 pub struct ItemCatalog {
     names: Vec<String>,
-    ids: crate::util::FxHashMap<String, u32>,
+    ids: std::collections::HashMap<String, u32>,
 }
 
 impl ItemCatalog {

@@ -1,4 +1,4 @@
-//! Random sampling (§4.6, [Vit85]).
+//! Random sampling (§4.6, \[Vit85\]).
 //!
 //! ROCK clusters a main-memory random sample and labels the rest of the
 //! data afterwards. The paper defers to Vitter's reservoir algorithms for
@@ -37,7 +37,7 @@ where
 
 /// Reservoir sampling, Algorithm X: like Algorithm R but computes how many
 /// records to *skip* before the next replacement, drawing O(k·(1+log(n/k)))
-/// random variates instead of n — the point of [Vit85] for disk-resident
+/// random variates instead of n — the point of \[Vit85\] for disk-resident
 /// data.
 pub fn reservoir_sample_x<T, I, R>(stream: I, k: usize, rng: &mut R) -> Vec<T>
 where

@@ -1,10 +1,9 @@
-//! Internal utilities: fast hashing, bitsets, checksums, CRC framing,
-//! stateless mixing, retry backoff and the item postings index.
+//! Internal utilities: bitsets, checksums, CRC framing, stateless mixing,
+//! retry backoff and the item postings index.
 
 pub mod bitset;
 pub mod crc32;
 pub mod frame;
-pub mod fxhash;
 pub(crate) mod postings;
 pub mod ranges;
 pub mod retry;
@@ -13,7 +12,6 @@ pub mod splitmix;
 pub use bitset::BitSet;
 pub use crc32::crc32;
 pub use frame::{append_frame, read_frame, Cursor};
-pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use ranges::balanced_ranges;
 pub use retry::RetryPolicy;
 pub use splitmix::{seeded_hit, splitmix64};

@@ -16,8 +16,6 @@
 //!   values) and the §5.1 Up/Down/No discretisation;
 //! * [`basketio`] — market-basket file IO, including lazy streaming for
 //!   reservoir sampling straight off disk;
-//! * [`packed`] — bit-packed CSR transaction storage whose popcount
-//!   Jaccard kernel feeds the parallel neighbor-graph builder;
 //! * [`dist`] — the Normal sampler (Box–Muller) the generators share.
 //!
 //! All generators take a caller-supplied `rand::Rng`, so fixed seeds give
@@ -42,7 +40,6 @@ pub mod dist;
 pub mod faults;
 pub mod mushroom;
 pub mod mutualfund;
-pub mod packed;
 pub mod resilient;
 pub mod synthetic;
 pub mod votes;
@@ -52,7 +49,6 @@ pub use faults::{
     corrupt_baskets, deadline_trip, kill_at, kill_at_merge, memory_budget_trip, poison_range,
     FaultSpec, FaultyReader, PoisonedSimilarity, ShardFaultSchedule, GARBAGE_TOKEN,
 };
-pub use packed::PackedBaskets;
 pub use resilient::{
     label_stream_resilient, read_baskets_resilient, Checkpoint, IngestError, IngestErrorKind,
     ResilientConfig, ResilientLabelRun, RetryPolicy,

@@ -4,7 +4,7 @@
 //! clears a threshold.
 
 use rock_core::points::{CategoricalRecord, CategoricalSchema};
-use rock_core::util::FxHashMap;
+use std::collections::BTreeMap;
 
 /// One frequent value of one attribute within a cluster.
 #[derive(Clone, Debug, PartialEq)]
@@ -66,7 +66,7 @@ pub fn cluster_profiles(
         .map(|members| {
             let mut values = Vec::new();
             for a in 0..schema.num_attributes() {
-                let mut counts: FxHashMap<u32, usize> = FxHashMap::default();
+                let mut counts: BTreeMap<u32, usize> = BTreeMap::new();
                 let mut present = 0usize;
                 for &m in members {
                     let record = &records[m as usize];

@@ -588,7 +588,7 @@ const KERNEL_ALLOC_PATTERNS: &[(&str, &str)] = &[
 /// ```
 ///
 /// and inside a region every allocating construction
-/// ([`KERNEL_ALLOC_PATTERNS`]) is a violation unless it carries a
+/// (`KERNEL_ALLOC_PATTERNS`) is a violation unless it carries a
 /// `tidy-allow(kernel-alloc)` annotation stating why the allocation is
 /// amortised (e.g. runs once per shard, not once per element). Scratch
 /// buffers belong *above* the marker; the bench harness's counting

@@ -1,6 +1,6 @@
-//! The parallel link-computation engine end to end: bit-packed neighbor
-//! rows, CSR link kernels, a multi-threaded Fig.-2 pipeline and parallel
-//! resilient labeling — every stage checked bit-identical against its
+//! The parallel link-computation engine end to end: the sharded
+//! neighbor scan, CSR link kernels, a multi-threaded Fig.-2 pipeline and
+//! parallel resilient labeling — every stage checked bit-identical against its
 //! sequential counterpart, because thread count is a pure performance
 //! knob in this codebase (see DESIGN.md §7).
 //!
@@ -16,7 +16,7 @@ use rock::rock::Rock;
 use rock::similarity::{Jaccard, PointsWith};
 use rock::governor::RunGovernor;
 use rock_data::resilient::{label_stream_resilient, ResilientConfig, RetryPolicy};
-use rock_data::{generate_baskets, write_baskets, PackedBaskets, SyntheticBasketSpec};
+use rock_data::{generate_baskets, write_baskets, SyntheticBasketSpec};
 use std::io::BufReader;
 use std::time::Duration;
 
@@ -32,22 +32,14 @@ fn main() {
     let txns = &data.transactions;
     println!("database: {} transactions over {} items", txns.len(), data.num_items);
 
-    // --- stage 1: θ-neighbor graph over bit-packed rows.
-    // PackedBaskets stores every transaction as a bitmap row, so each
-    // Jaccard evaluation is a handful of popcounts instead of a sorted
-    // merge — same f64s, bit for bit.
-    let packed = PackedBaskets::new(txns);
-    assert!(packed.uses_bitmap());
-    println!(
-        "packed {} rows into {} KiB (bitmap kernel: {})",
-        packed.len(),
-        packed.memory_bytes() / 1024,
-        packed.uses_bitmap()
-    );
+    // --- stage 1: θ-neighbor graph. The scan tests only pairs that
+    // share an item, with rows sharded across threads; the graph is the
+    // same whatever the thread count.
     let theta = 0.5;
-    let graph = NeighborGraph::build_parallel(&packed, theta, threads);
-    let reference = NeighborGraph::build(&PointsWith::new(txns, Jaccard), theta);
-    assert_eq!(graph, reference, "packed parallel graph must be bit-identical");
+    let points = PointsWith::new(txns, Jaccard);
+    let graph = NeighborGraph::build_parallel(&points, theta, threads);
+    let reference = NeighborGraph::build(&points, theta);
+    assert_eq!(graph, reference, "parallel graph must be bit-identical");
     println!(
         "neighbor graph: average degree {:.1} (parallel == sequential ✓)",
         graph.average_degree()

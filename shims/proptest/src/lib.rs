@@ -322,7 +322,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// Length specification for [`vec`]: an exact length or a half-open
+    /// Length specification for [`vec()`]: an exact length or a half-open
     /// range of lengths.
     #[derive(Clone, Debug)]
     pub struct SizeRange {

@@ -1,14 +1,18 @@
-//! Integration tests over the three §5.1-style data sets (scaled), each
-//! asserting the paper's qualitative findings.
+//! Integration tests over the §5.1-style data sets (scaled) and the §5.3
+//! market-basket data, each asserting the paper's qualitative findings.
 
 use rand::{rngs::StdRng, SeedableRng};
 use rock::governor::RunGovernor;
+use rock::links_matrix::LinkMatrix;
+use rock::neighbors::NeighborGraph;
+use rock::points::Transaction;
 use rock::rock::Rock;
-use rock::similarity::{CategoricalJaccard, MissingPolicy};
+use rock::sampling::sample_indices;
+use rock::similarity::{CategoricalJaccard, Jaccard, MissingPolicy, PointsWith};
 use rock_baselines::{centroid_hierarchical, records_to_vectors, CentroidConfig};
 use rock_data::{
-    generate_funds, generate_mushrooms, generate_votes, Edibility, FundSpec, MushroomSpec,
-    Party, VotesSpec,
+    generate_baskets, generate_funds, generate_mushrooms, generate_votes, Edibility, FundSpec,
+    MushroomSpec, Party, SyntheticBasketSpec, VotesSpec,
 };
 use rock_eval::{adjusted_rand_index, ContingencyTable};
 
@@ -183,4 +187,49 @@ fn funds_young_and_old_members_cluster_together() {
         young_clustered > 0,
         "no young fund was clustered with its family"
     );
+}
+
+/// Neighbor pairs (Σdeg / 2) and linked pairs of a random `n`-point
+/// sample of `pool` at threshold `theta`.
+fn fig5_counts(pool: &[Transaction], n: usize, theta: f64, seed: u64) -> (usize, usize) {
+    let idx = sample_indices(pool.len(), n, &mut StdRng::seed_from_u64(seed));
+    let sample: Vec<_> = idx.iter().map(|&i| pool[i].clone()).collect();
+    let graph = NeighborGraph::build(&PointsWith::new(&sample, Jaccard), theta);
+    let degrees: usize = (0..graph.len()).map(|i| graph.degree(i)).sum();
+    let links = LinkMatrix::compute_auto(&graph, 1);
+    (degrees / 2, links.num_linked_pairs())
+}
+
+#[test]
+fn fig5_work_grows_with_sample_size_and_falls_with_theta() {
+    // Figure 5's shape, on counters instead of wall time: doubling the
+    // sample about quadruples the neighbor and link work, and a higher
+    // θ leaves fewer neighbors and so fewer linked pairs. Each size
+    // reuses one sample across θ, so its neighbor sets are nested.
+    let spec = SyntheticBasketSpec::paper_scaled(0.05);
+    let pool = generate_baskets(&spec, &mut StdRng::seed_from_u64(1)).transactions;
+    let thetas = [0.5, 0.6, 0.7, 0.8];
+    let counts: Vec<[(usize, usize); 4]> = [1_000usize, 2_000]
+        .iter()
+        .map(|&n| thetas.map(|theta| fig5_counts(&pool, n, theta, n as u64)))
+        .collect();
+    for (t, theta) in thetas.iter().enumerate() {
+        let (small, large) = (counts[0][t], counts[1][t]);
+        let pairs = [("neighbor pairs", small.0, large.0), ("linked pairs", small.1, large.1)];
+        for (what, a, b) in pairs {
+            let ratio = b as f64 / a as f64;
+            assert!(
+                (3.0..=6.0).contains(&ratio),
+                "theta {theta}: {what} grew {ratio:.2}x ({a} -> {b}) when the sample doubled"
+            );
+        }
+    }
+    for (size, row) in [1_000, 2_000].iter().zip(&counts) {
+        for w in row.windows(2) {
+            assert!(
+                w[1].0 < w[0].0 && w[1].1 < w[0].1,
+                "sample {size}: counts did not fall as theta rose: {row:?}"
+            );
+        }
+    }
 }

@@ -49,7 +49,6 @@ use rock::neighbors::NeighborGraph;
 use rock::points::Transaction;
 use rock::similarity::{Jaccard, PointsWith, Similarity};
 use rock::{Clustering, IncrementalRockState, RockError, RunReport, StalenessPolicy};
-use rock_data::packed::PackedBaskets;
 use rock_data::resilient::{label_stream_resilient, Checkpoint, ResilientConfig, RetryPolicy};
 use std::io::BufReader;
 use std::ops::Range;
@@ -574,7 +573,6 @@ fn pinned_thread_grid_is_bit_identical() {
     let theta = 0.3;
 
     let points = PointsWith::new(&ts, Jaccard);
-    let packed = PackedBaskets::new(&ts);
     let graph = NeighborGraph::build(&points, theta);
     let links = LinkMatrix::compute_sparse(&graph, 1);
     let labeler = Labeler::full(
@@ -590,11 +588,6 @@ fn pinned_thread_grid_is_bit_identical() {
             NeighborGraph::build_parallel(&points, theta, threads),
             graph,
             "neighbors diverged at {threads} threads"
-        );
-        assert_eq!(
-            NeighborGraph::build_parallel(&packed, theta, threads),
-            graph,
-            "packed neighbors diverged at {threads} threads"
         );
         assert_eq!(
             LinkMatrix::compute_sparse(&graph, threads),

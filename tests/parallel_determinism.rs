@@ -16,7 +16,6 @@ use rock::links_matrix::LinkMatrix;
 use rock::neighbors::NeighborGraph;
 use rock::points::Transaction;
 use rock::similarity::{Jaccard, PointsWith};
-use rock_data::packed::PackedBaskets;
 use rock_data::resilient::label_stream_resilient;
 use rock_data::ResilientConfig;
 use std::io::BufReader;
@@ -45,12 +44,6 @@ proptest! {
         let serial = NeighborGraph::build(&points, theta);
         let parallel = NeighborGraph::build_parallel(&points, theta, threads);
         prop_assert_eq!(&parallel, &serial);
-        // The packed popcount substrate yields the same graph too.
-        let packed = PackedBaskets::new(&ts);
-        prop_assert_eq!(
-            &NeighborGraph::build_parallel(&packed, theta, threads),
-            &serial
-        );
     }
 
     #[test]
