@@ -8,7 +8,8 @@
 //!   only the pairs that share an item;
 //! * `links_sparse` — the Fig.-4 link computation: the row-sharded
 //!   sparse `A·A` CSR kernel;
-//! * `links_dense` — the §4.4 boolean-A² path: blocked popcount squaring;
+//! * `links_dense` — the §4.4 boolean-A² path: popcount squaring, one
+//!   connected component at a time;
 //! * `labeling` — the §4.6 disk-labeling scan, partitioned across workers.
 //!
 //! `scripts/bench_snapshot.sh` runs this bench with `BENCH_JSON` set and

@@ -62,30 +62,115 @@ impl DisjointSet {
     }
 }
 
+/// The connected components of a θ-neighbor graph, labelled once.
+///
+/// Components are numbered in order of their smallest member, and each
+/// member list is ascending, so a point's local index is its position
+/// in that list. Isolated points are one-point components. The links
+/// stage uses the labeling to square the adjacency matrix one block at
+/// a time (no link crosses a component); the [`neighbor_components`]
+/// degradation finish uses it as the clustering itself.
+#[derive(Debug)]
+pub(crate) struct Components {
+    /// Component id of each point.
+    comp: Vec<u32>,
+    /// Each point's position in its component's member list.
+    local: Vec<u32>,
+    /// Component `c`'s members are `members[starts[c]..starts[c + 1]]`.
+    starts: Vec<usize>,
+    /// Every point, grouped by component, ascending within each.
+    members: Vec<u32>,
+}
+
+impl Components {
+    /// Labels the connected components of `graph` with a disjoint-set
+    /// forest, in O(n + edges).
+    pub(crate) fn of(graph: &NeighborGraph) -> Self {
+        let n = graph.len();
+        let mut dsu = DisjointSet::new(n);
+        for i in 0..n {
+            // Each edge once: from its smaller endpoint.
+            let nbrs = graph.neighbors(i);
+            let above = nbrs.partition_point(|&j| (j as usize) < i);
+            for &j in &nbrs[above..] {
+                dsu.union(i as u32, j);
+            }
+        }
+        let mut id_of_root = vec![u32::MAX; n];
+        let mut sizes: Vec<u32> = Vec::new();
+        let mut comp = Vec::with_capacity(n);
+        let mut local = Vec::with_capacity(n);
+        for p in 0..n as u32 {
+            let root = dsu.find(p) as usize;
+            if id_of_root[root] == u32::MAX {
+                id_of_root[root] = sizes.len() as u32;
+                sizes.push(0);
+            }
+            let c = id_of_root[root] as usize;
+            comp.push(c as u32);
+            local.push(sizes[c]);
+            sizes[c] += 1;
+        }
+        let mut starts = Vec::with_capacity(sizes.len() + 1);
+        let mut total = 0;
+        starts.push(total);
+        for &size in &sizes {
+            total += size as usize;
+            starts.push(total);
+        }
+        // Points arrive ascending, so each member list fills ascending.
+        let mut members = vec![0u32; n];
+        for p in 0..n {
+            members[starts[comp[p] as usize] + local[p] as usize] = p as u32;
+        }
+        Components {
+            comp,
+            local,
+            starts,
+            members,
+        }
+    }
+
+    /// Number of components.
+    pub(crate) fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Component `c`'s members, ascending.
+    pub(crate) fn members(&self, c: usize) -> &[u32] {
+        &self.members[self.starts[c]..self.starts[c + 1]]
+    }
+
+    /// The component id of point `p`.
+    pub(crate) fn component(&self, p: usize) -> usize {
+        self.comp[p] as usize
+    }
+
+    /// Point `p`'s position in its component's member list.
+    pub(crate) fn local(&self, p: usize) -> usize {
+        self.local[p] as usize
+    }
+
+    /// The size of every component, in component order.
+    pub(crate) fn sizes(&self) -> impl Iterator<Item = usize> + '_ {
+        self.starts.windows(2).map(|w| w[1] - w[0])
+    }
+}
+
 /// Clusters points as connected components of the θ-neighbor graph.
 ///
 /// Components smaller than `min_size` are reported as outliers (isolated
 /// points always are).
 pub fn neighbor_components(graph: &NeighborGraph, min_size: usize) -> Clustering {
-    let n = graph.len();
-    let mut dsu = DisjointSet::new(n);
-    for i in 0..n {
-        for &j in graph.neighbors(i) {
-            dsu.union(i as u32, j);
-        }
-    }
-    let mut by_root: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for p in 0..n as u32 {
-        by_root[dsu.find(p) as usize].push(p);
-    }
+    let components = Components::of(graph);
     let mut clusters = Vec::new();
     let mut outliers = Vec::new();
-    // Empty groups (non-root ids) fall through to `outliers` as no-ops.
-    for members in by_root {
+    for c in 0..components.len() {
+        let members = components.members(c);
         if members.len() >= min_size.max(2) {
-            clusters.push(members);
+            clusters.push(members.to_vec());
         } else {
-            outliers.extend(members);
+            outliers.extend_from_slice(members);
         }
     }
     Clustering::new(clusters, outliers)
@@ -107,6 +192,26 @@ mod tests {
         assert_ne!(d.find(0), d.find(3));
         assert_eq!(d.set_size(4), 2);
         assert_eq!(d.set_size(2), 1);
+    }
+
+    #[test]
+    fn labeling_orders_components_and_members() {
+        // Components {0, 3, 5}, {1, 4}, {2} and {6}: ids interleave.
+        let lists = vec![vec![3], vec![4], vec![], vec![5], vec![], vec![], vec![]];
+        let g = NeighborGraph::from_lists(lists, 0.5);
+        let comps = Components::of(&g);
+        assert_eq!(comps.len(), 4);
+        let members: Vec<&[u32]> = (0..comps.len()).map(|c| comps.members(c)).collect();
+        assert_eq!(members, [&[0, 3, 5][..], &[1, 4], &[2], &[6]]);
+        assert_eq!(comps.sizes().collect::<Vec<_>>(), [3, 2, 1, 1]);
+        for c in 0..comps.len() {
+            for (a, &p) in comps.members(c).iter().enumerate() {
+                assert_eq!(
+                    (comps.component(p as usize), comps.local(p as usize)),
+                    (c, a)
+                );
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! keep their own in-loop checkpoints (merge batches, labeling batches).
 
 use crate::algorithm::{RockAlgorithm, RockRun};
+use crate::components::Components;
 use crate::engine::ctx::RunCtx;
 use crate::error::RockError;
 use crate::governor::{DegradationNote, DegradationPolicy, Phase, TripReason};
@@ -111,8 +112,8 @@ impl<PS: PairwiseSimilarity + Sync> Stage for NeighborsStage<'_, PS> {
 
 /// Computes the link matrix (§3.2, §4.4) with the auto-chosen kernel,
 /// applying the proactive [`DegradationPolicy::SparseLinks`] downshift:
-/// if the dense kernel was chosen but its estimated footprint would
-/// exceed the memory budget, the stage forces the sparse kernel instead
+/// if the dense kernel was chosen but its bit-row arena would exceed the
+/// memory budget, the stage forces the sparse kernel instead
 /// and records the downshift in the context's degradation note.
 #[derive(Debug)]
 pub struct LinksStage<'a> {
@@ -134,12 +135,12 @@ impl Stage for LinksStage<'_> {
     }
 
     fn run(self, ctx: &mut RunCtx<'_>) -> Result<LinkMatrix, RockError> {
-        let mut kernel = LinkMatrix::choose_kernel(self.graph);
+        let components = Components::of(self.graph);
+        let mut kernel = LinkMatrix::choose_on(self.graph, &components);
+        let arena = LinkMatrix::dense_arena_bytes(&components);
         if kernel == LinkKernel::Dense
             && ctx.degradation == DegradationPolicy::SparseLinks
-            && ctx
-                .governor
-                .would_exceed(LinkMatrix::estimated_dense_bytes(self.graph.len()))
+            && ctx.governor.would_exceed(arena)
         {
             kernel = LinkKernel::Sparse;
             ctx.note = Some(DegradationNote {
@@ -147,13 +148,17 @@ impl Stage for LinksStage<'_> {
                 phase: Phase::Links,
                 reason: TripReason::MemoryBudgetExceeded,
                 detail: format!(
-                    "dense link kernel (~{} bytes over {} points) downshifted to sparse",
-                    LinkMatrix::estimated_dense_bytes(self.graph.len()),
+                    "dense link kernel (~{arena} bytes over {} points) downshifted to sparse",
                     self.graph.len(),
                 ),
             });
         }
-        Ok(LinkMatrix::compute_kernel(self.graph, self.threads, kernel))
+        Ok(LinkMatrix::compute_kernel(
+            self.graph,
+            &components,
+            self.threads,
+            kernel,
+        ))
     }
 }
 
@@ -313,5 +318,60 @@ impl Stage for ResumeStage<'_> {
             &ctx.governor,
             ctx.wal.as_deref_mut(),
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::governor::RunGovernor;
+
+    /// Six 40-point cliques with interleaved ids: point `p` lies in
+    /// clique `p % 6`.
+    fn interleaved_cliques() -> NeighborGraph {
+        let n = 240;
+        let lists = (0..n)
+            .map(|i| ((i + 6)..n).step_by(6).map(|j| j as u32).collect())
+            .collect();
+        NeighborGraph::from_lists(lists, 0.5)
+    }
+
+    fn run_links(graph: &NeighborGraph, budget: u64) -> (LinkMatrix, Option<DegradationNote>) {
+        let governor = RunGovernor::unlimited().with_memory_budget(budget);
+        let mut ctx = RunCtx::new(governor, DegradationPolicy::SparseLinks, Some(1), None);
+        let links = LinksStage { graph, threads: 2 }.run(&mut ctx).unwrap();
+        (links, ctx.note)
+    }
+
+    #[test]
+    fn sparse_links_downshift_prices_the_component_arena() {
+        let graph = interleaved_cliques();
+        let components = Components::of(&graph);
+        assert_eq!(
+            LinkMatrix::choose_on(&graph, &components),
+            LinkKernel::Dense
+        );
+        let arena = LinkMatrix::dense_arena_bytes(&components);
+        let whole_graph = (graph.len() * graph.len() / 8) as u64;
+        assert_eq!(arena, 6 * 40 * 8);
+        assert!(arena < whole_graph);
+        let reference = LinkMatrix::compute_sparse(&graph, 1);
+
+        // A budget that fits the arena but not n²/8 rows keeps the
+        // dense kernel.
+        let (links, note) = run_links(&graph, (arena + whole_graph) / 2);
+        assert!(note.is_none(), "unexpected downshift: {note:?}");
+        assert_eq!(links, reference);
+
+        let (links, note) = run_links(&graph, arena - 1);
+        let note = note.expect("downshift recorded");
+        assert_eq!(note.policy, DegradationPolicy::SparseLinks);
+        assert_eq!(note.reason, TripReason::MemoryBudgetExceeded);
+        assert!(
+            note.detail.contains(&format!("~{arena} bytes")),
+            "{}",
+            note.detail
+        );
+        assert_eq!(links, reference);
     }
 }

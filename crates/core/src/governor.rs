@@ -176,8 +176,8 @@ impl RunGovernor {
     /// There is no portable resident-set meter, so the governor meters
     /// the dominant *tracked* allocations instead: phases
     /// [`charge`](RunGovernor::charge) their big structures (neighbor
-    /// graph rows, link matrix, dense bitset rows) and the budget trips
-    /// when the total would exceed `bytes`.
+    /// graph rows, link matrix) and the budget trips when the total
+    /// would exceed `bytes`.
     pub fn with_memory_budget(self, bytes: u64) -> Self {
         self.rebuild(|inner| inner.memory_budget = Some(bytes))
     }
@@ -353,8 +353,10 @@ pub enum DegradationPolicy {
     /// Propagate [`RockError::Interrupted`] (the default).
     Fail,
     /// On a *memory* trip at kernel selection: force the sparse link
-    /// kernel instead of the dense §4.4 matrix square, trading time for
-    /// the `n²/8` bitset rows. Identical results, slower.
+    /// kernel instead of the dense §4.4 matrix square when the dense
+    /// kernel's bit-row arena (`Σ_c c · ⌈c/64⌉ · 8` bytes over the
+    /// neighbor graph's component sizes `c`) would exceed the budget.
+    /// Identical results, usually slower.
     SparseLinks,
     /// On a trip in the merge phase: restart on a random sub-sample of
     /// this fraction of the current sample (rounded up, floored at `k`).

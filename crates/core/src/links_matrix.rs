@@ -25,11 +25,17 @@
 //!   shard computes it, so the output is **bit-identical for every
 //!   thread count and every shard split** (proptest-pinned in
 //!   `tests/kernel_invariance.rs`).
-//! * [`LinkMatrix::compute_dense`] — §4.4's boolean `A²` over bit-packed
-//!   adjacency rows: worker `t` owns a block of rows and computes
-//!   `popcount(rowᵢ & rowⱼ)` for `j > i`, writing into its own block, so
-//!   again no merge order can affect the result.
+//! * [`LinkMatrix::compute_dense`] — §4.4's boolean `A²`, squared one
+//!   connected component at a time. Two points share a neighbor only
+//!   inside one component, so `A` and `A²` are block-diagonal under the
+//!   component order. Each point's bit row spans only its component,
+//!   indexed by position in the ascending member list, and is
+//!   popcount-ANDed against the rows of the members after it. Workers
+//!   own contiguous ranges of global rows and write their sorted runs
+//!   outright, so again no merge order can affect the result.
 //!
+//! [`LinkMatrix::compute_auto`] labels the components once and prices
+//! both kernels with it ([`LinkMatrix::choose_kernel`]).
 //! `tests/merge_reference.rs` checks both kernels, every shard split and
 //! the selector against a plain `|N(p) ∩ N(q)|` count.
 //! [`LinkMatrix::from_pairs`] wraps links computed elsewhere (such as the
@@ -38,8 +44,17 @@
 
 use std::ops::Range;
 
+use crate::components::Components;
 use crate::neighbors::NeighborGraph;
-use crate::util::{balanced_ranges, BitSet};
+use crate::util::balanced_ranges;
+
+/// Price of one row-kernel scratch increment, in dense-kernel word
+/// operations (measured; see [`LinkMatrix::choose_kernel`]).
+const SPARSE_INCREMENT_COST: f64 = 1.2;
+
+/// Price of one pair the dense kernel visits, on top of its words, in
+/// word operations (measured; see [`LinkMatrix::choose_kernel`]).
+const DENSE_PAIR_COST: f64 = 3.4;
 
 /// Which link-construction kernel to run (see
 /// [`LinkMatrix::choose_kernel`]).
@@ -47,7 +62,8 @@ use crate::util::{balanced_ranges, BitSet};
 pub enum LinkKernel {
     /// The row-wise sparse product `A·A` (Fig. 4's work, row by row).
     Sparse,
-    /// The §4.4 boolean matrix square over bit-packed rows.
+    /// The §4.4 boolean matrix square over bit-packed rows, one
+    /// connected component at a time.
     Dense,
 }
 
@@ -147,7 +163,7 @@ impl LinkMatrix {
         Self::assemble_runs(n, std::slice::from_ref(&keyed))
     }
 
-    /// Approximate heap footprint in bytes (for the auto heuristic and
+    /// Approximate heap footprint in bytes (for memory charges and
     /// benchmark reports).
     pub fn memory_bytes(&self) -> usize {
         self.offsets.len() * std::mem::size_of::<usize>()
@@ -273,91 +289,142 @@ impl LinkMatrix {
         matrix
     }
 
-    /// §4.4's boolean matrix square over bit-packed rows, blocked across
-    /// workers. Output is identical to [`Self::compute_sparse`].
+    /// §4.4's boolean matrix square, one connected component at a time.
+    /// Output is identical to [`Self::compute_sparse`].
+    ///
+    /// A link needs a common neighbor, so both endpoints lie in one
+    /// component: under the component order `A` is block-diagonal, and
+    /// so is `A²`. Each point's bit row therefore spans only its own
+    /// component of `c` points, bit `b` standing for the component's
+    /// `b`-th smallest member, in `⌈c/64⌉` words of one flat arena. Row
+    /// `i` is popcount-ANDed against the rows of the members after it,
+    /// which are exactly its upper-triangle partners, in ascending order.
+    /// The whole-graph square is the one-component case.
+    ///
+    /// Workers own contiguous ranges of global rows, balanced by
+    /// `(c − local index) · ⌈c/64⌉` word operations per row, and write
+    /// their rows' sorted runs outright, as the sparse kernel does.
     ///
     /// # Panics
     /// Panics if `threads == 0`.
     pub fn compute_dense(graph: &NeighborGraph, threads: usize) -> Self {
+        Self::compute_dense_on(graph, &Components::of(graph), threads)
+    }
+
+    /// [`Self::compute_dense`] over a precomputed component labeling.
+    fn compute_dense_on(graph: &NeighborGraph, components: &Components, threads: usize) -> Self {
         assert!(threads > 0, "need at least one thread");
         let n = graph.len();
-        let mut rows: Vec<BitSet> = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut row = BitSet::new(n);
-            for &j in graph.neighbors(i) {
-                row.set(j as usize);
-            }
-            rows.push(row);
+        // Component c's rows start at word `base[c]` of the arena.
+        let mut base = Vec::with_capacity(components.len());
+        let mut arena_words = 0;
+        for c in components.sizes() {
+            base.push(arena_words);
+            arena_words += c * c.div_ceil(64);
         }
-        let rows = &rows;
+        let mut arena = vec![0u64; arena_words];
+        for p in 0..n {
+            let comp = components.component(p);
+            let words = components.members(comp).len().div_ceil(64);
+            let row = base[comp] + components.local(p) * words;
+            for &q in graph.neighbors(p) {
+                let b = components.local(q as usize);
+                arena[row + b / 64] |= 1u64 << (b % 64);
+            }
+        }
+        let (arena, base) = (&arena, &base);
 
-        // Row i of the upper triangle costs (n − i) popcount-AND sweeps.
-        let shards = balanced_ranges(n, threads, |i| (n - i) as u64);
-        let mut upper: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
+        let row_cost = |p: usize| {
+            let c = components.members(components.component(p)).len();
+            ((c - components.local(p)) * c.div_ceil(64)) as u64
+        };
+        let shards = balanced_ranges(n, threads, row_cost);
+        let mut runs: Vec<Vec<(u64, u32)>> = Vec::with_capacity(shards.len());
+        runs.resize_with(shards.len(), Vec::new);
         rayon::scope(|scope| {
-            let mut rest = upper.as_mut_slice();
-            let mut consumed = 0;
-            for range in &shards {
-                let (block, tail) = rest.split_at_mut(range.end - consumed);
-                rest = tail;
-                let lo = consumed;
-                consumed = range.end;
+            for (range, out) in shards.iter().zip(runs.iter_mut()) {
+                let rows = range.clone();
                 scope.spawn(move |_| {
-                    for (offset, out) in block.iter_mut().enumerate() {
-                        let i = lo + offset;
-                        for j in (i + 1)..n {
-                            let c = rows[i].intersection_count(&rows[j]);
+                    let mut pairs: Vec<(u64, u32)> = Vec::new();
+                    // tidy:kernel-hot-loop — popcount one row against the later rows of its block
+                    for p in rows {
+                        let comp = components.component(p);
+                        let members = components.members(comp);
+                        let words = members.len().div_ceil(64);
+                        let a = components.local(p);
+                        let block = &arena[base[comp]..base[comp] + members.len() * words];
+                        let (head, later) = block.split_at((a + 1) * words);
+                        let row = &head[a * words..];
+                        for (other, &q) in later.chunks_exact(words).zip(&members[a + 1..]) {
+                            let c: u32 = row
+                                .iter()
+                                .zip(other)
+                                .map(|(x, y)| (x & y).count_ones())
+                                .sum();
                             if c > 0 {
-                                out.push((j as u32, c as u32));
+                                pairs.push((pack(p as u32, q), c));
                             }
                         }
                     }
+                    // tidy:end-kernel-hot-loop
+                    *out = pairs;
                 });
             }
         });
 
-        let pairs: Vec<(u64, u32)> = upper
-            .iter()
-            .enumerate()
-            .flat_map(|(i, row)| {
-                row.iter().map(move |&(j, c)| (pack(i as u32, j), c))
-            })
-            .collect();
         // Count emitted pairs like the sparse kernel does, so reports
         // stay comparable whichever kernel the auto heuristic picks.
-        crate::perf::count_pairs_emitted(pairs.len() as u64);
-        crate::perf::count_bytes_touched((n * n / 8) as u64);
-        Self::assemble_runs(n, std::slice::from_ref(&pairs))
+        let linked: usize = runs.iter().map(Vec::len).sum();
+        crate::perf::count_pairs_emitted(linked as u64);
+        let matrix = Self::assemble_runs(n, &runs);
+        let run_bytes = linked * std::mem::size_of::<(u64, u32)>();
+        crate::perf::count_bytes_touched(
+            (arena_words * 8 + run_bytes + matrix.memory_bytes()) as u64,
+        );
+        matrix
     }
 
     /// Runs the kernel [`choose_kernel`](Self::choose_kernel) picks for
     /// `graph`. Both kernels produce the same matrix, so the choice only
     /// affects speed and memory.
     pub fn compute_auto(graph: &NeighborGraph, threads: usize) -> Self {
-        match Self::choose_kernel(graph) {
-            LinkKernel::Dense => Self::compute_dense(graph, threads),
-            LinkKernel::Sparse => Self::compute_sparse(graph, threads),
-        }
+        let components = Components::of(graph);
+        let kernel = Self::choose_on(graph, &components);
+        Self::compute_kernel(graph, &components, threads, kernel)
     }
 
     /// The kernel [`compute_auto`](Self::compute_auto) runs for `graph`,
     /// exposed so budget-aware drivers can veto the dense kernel's
-    /// `n²/8` row storage *before* allocating it (see
+    /// arena *before* allocating it (see
     /// [`crate::governor::DegradationPolicy::SparseLinks`]).
     ///
     /// The row kernel makes `Σᵢ mᵢ(mᵢ−1)/2 ≈ Σᵢ mᵢ²/2` scratch
-    /// increments, one per neighbor pair; the bitset square costs
-    /// `n²/2 · ⌈n/64⌉` popcount-AND word operations plus `n²/8` bytes of
-    /// row storage. Each increment is priced at 1.5 word operations, the
-    /// ratio measured with `bench/benches/rock_parallel.rs` on the §5.3
-    /// generator for the counting-sort kernel the row kernel replaced.
-    /// The weight is kept so each workload keeps its kernel: of the
-    /// rockbench workloads, only the small, dense base fit of
-    /// `online_update` gets the dense kernel. Both kernels parallelise evenly, so `threads`
-    /// does not shift the crossover. Dense is refused above 64 MiB of row
-    /// storage regardless.
+    /// increments, one per neighbor pair. The dense kernel visits
+    /// `Σ_c c²/2` pairs over the component sizes `c`, each costing a
+    /// fixed overhead plus `⌈c/64⌉` popcount-AND word operations. Prices
+    /// are in word operations: 1.2 per increment and 3.4 per visited
+    /// pair. They come from least-squares fits of one-thread kernel
+    /// times on an Intel Xeon (2 shared vCPUs, no hardware popcount in
+    /// the build) over 78 graphs: the rockbench fit shapes, the links
+    /// bench shapes and the online base fit at seeds 42–46 and 60, plus
+    /// 12 block-cycle graphs whose visited pairs share almost no
+    /// neighbor. The fits gave 1.19 ns per word, 4.0 ns per visited pair
+    /// and 1.39 ns per increment. Both kernels then emit the same linked
+    /// pairs; the row kernel's per-row sort makes each cost it ~37 ns
+    /// more (61 against 24 ns), which is left unpriced because the
+    /// linked count is unknown until a kernel runs. Near the crossover
+    /// the chooser therefore leans to the row kernel: on the rockbench
+    /// `fit_sparse` shape (seed 42) it keeps the row kernel at 12.7–13.9
+    /// ms where the dense one takes 10.9–12.7 ms. Both kernels
+    /// parallelise evenly, so `threads` does not shift the crossover.
+    /// Dense is refused above 64 MiB of bit-row arena
+    /// (`Σ_c c · ⌈c/64⌉ · 8` bytes) regardless.
     pub fn choose_kernel(graph: &NeighborGraph) -> LinkKernel {
-        let n = graph.len() as f64;
+        Self::choose_on(graph, &Components::of(graph))
+    }
+
+    /// [`Self::choose_kernel`] over a precomputed component labeling.
+    pub(crate) fn choose_on(graph: &NeighborGraph, components: &Components) -> LinkKernel {
         let sparse_cost: f64 = (0..graph.len())
             .map(|i| {
                 let m = graph.degree(i) as f64;
@@ -365,32 +432,42 @@ impl LinkMatrix {
             })
             .sum::<f64>()
             / 2.0
-            * 1.5;
-        let dense_cost = n * n / 2.0 * (n / 64.0).max(1.0);
-        let dense_bytes = n * n / 8.0;
-        if dense_cost < sparse_cost && dense_bytes < 64.0 * 1024.0 * 1024.0 {
+            * SPARSE_INCREMENT_COST;
+        let dense_cost: f64 = components
+            .sizes()
+            .map(|c| {
+                let c = c as f64;
+                c * c / 2.0 * (DENSE_PAIR_COST + (c / 64.0).ceil())
+            })
+            .sum();
+        let arena = Self::dense_arena_bytes(components) as f64;
+        if dense_cost < sparse_cost && arena < 64.0 * 1024.0 * 1024.0 {
             LinkKernel::Dense
         } else {
             LinkKernel::Sparse
         }
     }
 
-    /// Transient working-set estimate of the dense kernel over `n`
-    /// points: the bit-packed adjacency rows (`n²/8` bytes). The sparse
-    /// kernel's working set is one n-sized counter row per worker plus
-    /// its output runs, roughly proportional to the output CSR instead.
-    pub fn estimated_dense_bytes(n: usize) -> u64 {
-        let n = n as u64;
-        n * n / 8
+    /// The dense kernel's bit-row arena in bytes: `Σ_c c · ⌈c/64⌉ · 8`
+    /// over the component sizes `c`. The sparse kernel's working set is
+    /// one n-sized counter row per worker plus its output runs, roughly
+    /// proportional to the output CSR instead.
+    pub(crate) fn dense_arena_bytes(components: &Components) -> u64 {
+        components
+            .sizes()
+            .map(|c| (c * c.div_ceil(64) * 8) as u64)
+            .sum()
     }
 
-    /// Runs the named kernel.
-    ///
-    /// # Panics
-    /// Panics if `threads == 0`.
-    pub fn compute_kernel(graph: &NeighborGraph, threads: usize, kernel: LinkKernel) -> Self {
+    /// Runs the named kernel over a precomputed component labeling.
+    pub(crate) fn compute_kernel(
+        graph: &NeighborGraph,
+        components: &Components,
+        threads: usize,
+        kernel: LinkKernel,
+    ) -> Self {
         match kernel {
-            LinkKernel::Dense => Self::compute_dense(graph, threads),
+            LinkKernel::Dense => Self::compute_dense_on(graph, components, threads),
             LinkKernel::Sparse => Self::compute_sparse(graph, threads),
         }
     }

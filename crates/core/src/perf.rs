@@ -40,8 +40,8 @@ pub fn count_pairs_emitted(n: u64) {
 }
 
 /// Records `n` bytes of working-set traffic — an estimate of the bytes
-/// a kernel writes: the sparse link kernel's output runs plus its CSR,
-/// the dense link kernel's bitset rows.
+/// a kernel writes: a link kernel's output runs plus its CSR, and for
+/// the dense link kernel also its bit-row arena.
 #[inline]
 pub fn count_bytes_touched(n: u64) {
     BYTES_TOUCHED.fetch_add(n, Ordering::Relaxed);

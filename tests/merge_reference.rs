@@ -11,8 +11,9 @@
 //!
 //! [`naive_links`] counts `|N(p) ∩ N(q)|` pair by pair. The row-wise
 //! sparse kernel at several thread counts and over random shard splits
-//! (empty shards included), the §4.4 dense square and the auto selector
-//! must all reproduce it exactly.
+//! (empty shards included), the component-blocked §4.4 dense square at
+//! threads 1/2/8 and the auto selector must all reproduce it exactly,
+//! also on [`blocks`] graphs of shuffled, bridged components.
 //!
 //! [`Reference`] is the paper's agglomeration with nothing optimised:
 //! cross links in a `BTreeMap` keyed by cluster pair, and every step a
@@ -202,10 +203,13 @@ fn next(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A neighbor graph over `n` points of one of four shapes: random
+/// A neighbor graph over `n` points of one of five shapes: random
 /// (density from the seed), complete (every link count equal), disjoint
-/// equal cliques, or complete bipartite (two tie classes).
+/// equal cliques, complete bipartite (two tie classes), or [`blocks`].
 fn graph(n: usize, shape: u8, seed: u64) -> NeighborGraph {
+    if shape == 4 {
+        return blocks(n, seed);
+    }
     let mut s = seed;
     let mut lists: Vec<Vec<u32>> = vec![Vec::new(); n];
     let clique = 3 + (seed % 6) as usize;
@@ -221,6 +225,51 @@ fn graph(n: usize, shape: u8, seed: u64) -> NeighborGraph {
             if edge {
                 list.push(j as u32);
             }
+        }
+    }
+    NeighborGraph::from_lists(lists, 0.5)
+}
+
+/// Blocks of 1–141 points, each with its own random edge density, over
+/// ids shuffled by the seed, so a point's position in its component
+/// differs from its id. One-point blocks are isolated points, and about
+/// half the graphs get one bridge edge that fuses two blocks.
+fn blocks(n: usize, seed: u64) -> NeighborGraph {
+    let mut s = seed;
+    let mut ids: Vec<u32> = (0..n as u32).collect();
+    for i in (1..n).rev() {
+        ids.swap(i, (next(&mut s) % (i as u64 + 1)) as usize);
+    }
+    let mut lists: Vec<Vec<u32>> = vec![Vec::new(); n];
+    let mut starts = Vec::new();
+    let mut start = 0;
+    while start < n {
+        let size = match next(&mut s) % 4 {
+            0 => 1,
+            _ => 2 + (next(&mut s) % 140) as usize,
+        }
+        .min(n - start);
+        let density = 5 + next(&mut s) % 95; // percent
+        let block = &ids[start..start + size];
+        for (a, &p) in block.iter().enumerate() {
+            for &q in &block[a + 1..] {
+                if next(&mut s) % 100 < density {
+                    lists[p as usize].push(q);
+                }
+            }
+        }
+        starts.push(start);
+        start += size;
+    }
+    if starts.len() >= 2 && next(&mut s).is_multiple_of(2) {
+        let pick = |s: &mut u64| {
+            let b = (next(s) % starts.len() as u64) as usize;
+            let end = starts.get(b + 1).copied().unwrap_or(n);
+            ids[starts[b] + (next(s) % (end - starts[b]) as u64) as usize]
+        };
+        let (p, q) = (pick(&mut s), pick(&mut s));
+        if p != q {
+            lists[p as usize].push(q);
         }
     }
     NeighborGraph::from_lists(lists, 0.5)
@@ -342,7 +391,7 @@ proptest! {
     #[test]
     fn link_kernels_match_the_reference(
         n in 0usize..=200,
-        shape in 0u8..4,
+        shape in 0u8..5,
         seed in any::<u64>(),
         cuts in proptest::collection::vec(0.0f64..=1.0, 0..6),
     ) {
@@ -357,7 +406,9 @@ proptest! {
             ("sparse/2".to_string(), LinkMatrix::compute_sparse(&g, 2)),
             ("sparse/8".to_string(), LinkMatrix::compute_sparse(&g, 8)),
             (format!("sparse {shards:?}"), LinkMatrix::compute_sparse_ranges(&g, &shards)),
-            ("dense".to_string(), LinkMatrix::compute_dense(&g, 2)),
+            ("dense/1".to_string(), LinkMatrix::compute_dense(&g, 1)),
+            ("dense/2".to_string(), LinkMatrix::compute_dense(&g, 2)),
+            ("dense/8".to_string(), LinkMatrix::compute_dense(&g, 8)),
             ("auto".to_string(), LinkMatrix::compute_auto(&g, 1)),
         ];
         for (name, links) in &kernels {
