@@ -10,15 +10,16 @@ use rand::{rngs::StdRng, SeedableRng};
 /// A `RunCtx` is created by [`crate::engine::Pipeline`] and handed by
 /// mutable reference to each [`crate::engine::Stage`]; it owns the
 /// governor (budgets + cancellation), the optional merge WAL, the
-/// sampling/labeling RNG stream, the seeded-hasher override, the
-/// degradation policy and the report being accumulated.
+/// sampling/labeling RNG stream, the hash seed (persisted only; it
+/// reaches no computation), the degradation policy and the report being
+/// accumulated.
 ///
 /// | Field | Carries | Consumed by |
 /// |---|---|---|
 /// | `governor` | budgets, cancellation, kill injection | every stage entry + in-loop checkpoints |
 /// | `wal` | merge journal / continuation log | merge + resume stages |
 /// | `rng` | the seeded sampling/labeling stream | sample + label stages |
-/// | `hash_seed` | configured hash seed (reaches no hash map in a fit) | merge + resume stages |
+/// | `hash_seed` | configured hash seed; reaches no computation | nothing (kept because artifacts and update-log fingerprints persist it) |
 /// | `degradation` | what to do on a budget trip | links (downshift), pipeline (subsample/components) |
 /// | `report` | per-phase timings, outcome counters | the pipeline runner |
 /// | `note` | provenance of an applied degradation | links stage + pipeline runner |
@@ -38,9 +39,9 @@ pub struct RunCtx<'w> {
     /// reproduce the plain driver's draws exactly.
     pub rng: StdRng,
     /// Optional hash seed, handed to
-    /// [`crate::algorithm::RockAlgorithm::with_hash_seed`]. The merge
-    /// engine holds no hash maps, so the seed no longer changes any
-    /// work; it stays part of the configuration fingerprint.
+    /// [`crate::algorithm::RockAlgorithm::with_hash_seed`], which ignores
+    /// it: the seed reaches no computation. It is kept only because
+    /// model artifacts and update-log fingerprints persist it.
     pub hash_seed: Option<u64>,
     /// What to do when a governor budget trips mid-run.
     pub degradation: DegradationPolicy,

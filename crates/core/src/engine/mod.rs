@@ -20,7 +20,7 @@
 //! * [`RunCtx`] — the shared run state every stage receives:
 //!   the [`crate::governor::RunGovernor`], the optional
 //!   [`crate::wal::MergeWal`] handle, the seeded sampling/labeling RNG,
-//!   the seeded-hasher override, the
+//!   the hash seed (persisted only; it reaches no computation), the
 //!   [`crate::governor::DegradationPolicy`], and the
 //!   [`crate::report::RunReport`] sink.
 //! * [`Pipeline`] — the thin runner that owns phase
@@ -41,9 +41,10 @@
 //!
 //! Above the single-run pipeline sits the fault-isolated
 //! shard-and-merge layer: [`shard`] partitions the input and defines the
-//! coarse representative-level similarity, and [`supervisor`] runs each
-//! shard's pipeline under its own child governor with retry, WAL resume
-//! and poisoned-shard quarantine, then merges the survivors.
+//! fault seam, and [`supervisor`] runs each shard's pipeline under its
+//! own child governor with retry, WAL resume and poisoned-shard
+//! quarantine, then merges the survivors on representative link
+//! densities.
 //!
 //! This module is panic-free by construction — no `unwrap`/`expect`/
 //! `panic!`/`unreachable!` — and rock-tidy's `engine-contract` rule keeps
@@ -55,7 +56,7 @@ pub mod ctx;
 pub mod model;
 /// The [`Pipeline`] runner: phase transitions, checkpoints, resume.
 pub mod pipeline;
-/// Sharding primitives: partitioning, knobs, fault seam, coarse similarity.
+/// Sharding primitives: partitioning, knobs, fault seam.
 pub mod shard;
 /// The [`Stage`] trait and the five Fig.-2 stages.
 pub mod stage;
@@ -65,6 +66,6 @@ pub mod supervisor;
 pub use ctx::RunCtx;
 pub use model::{ClusterModel, ModelFit};
 pub use pipeline::Pipeline;
-pub use shard::{shard_ranges, NoFaults, RepSetSimilarity, ShardConfig, ShardFaultPlan, ShardRun};
+pub use shard::{shard_ranges, NoFaults, ShardConfig, ShardFaultPlan, ShardRun};
 pub use stage::{LabelStage, LinksStage, MergeStage, NeighborsStage, ResumeStage, SampleStage, Stage};
 pub use supervisor::{ShardSupervisor, ShardedRun};

@@ -42,8 +42,9 @@ pub struct Pipeline<'w> {
 impl Pipeline<'static> {
     /// A pipeline over `config`, governed by `governor`.
     ///
-    /// The context's RNG, hasher seed and degradation policy come from
-    /// the config; no WAL is attached (see [`Pipeline::attach_wal`]).
+    /// The context's RNG, hash seed (persisted only; it reaches no
+    /// computation) and degradation policy come from the config; no WAL
+    /// is attached (see [`Pipeline::attach_wal`]).
     pub fn new(config: RockConfig, governor: RunGovernor) -> Self {
         Pipeline {
             config,
@@ -86,7 +87,7 @@ impl<'w> Pipeline<'w> {
     }
 
     /// The merge engine configured for this run (goodness, `k`, outlier
-    /// policy, optional hasher seed).
+    /// policy).
     fn algorithm(&self) -> RockAlgorithm {
         let goodness = Goodness::new(
             self.config.theta,

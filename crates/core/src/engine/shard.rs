@@ -5,19 +5,19 @@
 //! shards ([`shard_ranges`]), each shard is clustered by the staged
 //! [`crate::engine::Pipeline`] under its own child governor, and the
 //! shard-level clusters are merged by a second, coarse ROCK pass over
-//! their representative sets ([`RepSetSimilarity`]) — He et al.'s
+//! the link densities of their representative sets — He et al.'s
 //! link-clustering view (PAPERS.md) justifies treating
 //! representative-level links as a faithful clustering substrate, and
 //! Genie motivates an outlier-resistant agglomerative merge.
 //!
 //! This module holds the *mechanism*: partitioning, the per-run knobs
-//! ([`ShardConfig`]), the deterministic fault-injection seam
-//! ([`ShardFaultPlan`]) and the coarse-pass similarity. The *policy* —
-//! retry, resume-from-WAL, quarantine, merge — lives in
+//! ([`ShardConfig`]) and the deterministic fault-injection seam
+//! ([`ShardFaultPlan`]). The *policy* — retry, resume-from-WAL,
+//! quarantine, merge (its densities counted once per pass by the shared
+//! representative cross-link count, `util::postings`) — lives in
 //! [`crate::engine::supervisor`].
 
 use crate::governor::RunGovernor;
-use crate::similarity::{PairwiseSimilarity, Similarity};
 use crate::util::retry::RetryPolicy;
 use std::ops::Range;
 use std::time::Duration;
@@ -132,54 +132,4 @@ pub struct ShardRun {
     /// The shard-local clustering; point ids are relative to
     /// `range.start`.
     pub run: crate::algorithm::RockRun,
-}
-
-/// Pairwise similarity between shard-cluster representative sets — the
-/// substrate of the coarse merge pass.
-///
-/// `sim(a, b)` is the *link density* between the two sets: the fraction
-/// of cross pairs (one representative from each set) whose inner
-/// similarity clears `theta`. It is symmetric, lies in `[0, 1]`, and
-/// degenerates to the inner measure's neighbor indicator for singleton
-/// sets; an empty set is similar to nothing.
-pub struct RepSetSimilarity<'a, P, S> {
-    sets: &'a [Vec<P>],
-    measure: &'a S,
-    theta: f64,
-}
-
-impl<'a, P, S: Similarity<P>> RepSetSimilarity<'a, P, S> {
-    /// A representative-level similarity over `sets`, with inner
-    /// neighbor threshold `theta`.
-    pub fn new(sets: &'a [Vec<P>], measure: &'a S, theta: f64) -> Self {
-        RepSetSimilarity {
-            sets,
-            measure,
-            theta,
-        }
-    }
-}
-
-impl<P, S: Similarity<P>> PairwiseSimilarity for RepSetSimilarity<'_, P, S> {
-    fn len(&self) -> usize {
-        self.sets.len()
-    }
-
-    fn sim(&self, i: usize, j: usize) -> f64 {
-        // tidy-allow(panic-reach): PairwiseSimilarity contract — callers pass i, j < self.len() == sets.len()
-        let (a, b) = (&self.sets[i], &self.sets[j]);
-        let total = a.len() * b.len();
-        if total == 0 {
-            return 0.0;
-        }
-        let mut hits = 0usize;
-        for p in a {
-            for q in b {
-                if self.measure.similarity(p, q) >= self.theta {
-                    hits += 1;
-                }
-            }
-        }
-        hits as f64 / total as f64
-    }
 }

@@ -179,7 +179,7 @@ pub struct MergeStage<'a> {
     pub graph: &'a NeighborGraph,
     /// Precomputed link matrix, if the pipeline already charged one.
     pub links: Option<&'a LinkMatrix>,
-    /// The configured merge engine (goodness, k, outlier policy, hasher).
+    /// The configured merge engine (goodness, k, outlier policy).
     pub algorithm: RockAlgorithm,
     /// Worker threads for the self-computed-links path.
     pub threads: usize,

@@ -32,8 +32,8 @@
 //! run with [`RockError::Interrupted`], and is never masked as a
 //! quarantine.
 //!
-//! Surviving shard clusters are merged by a coarse ROCK pass over their
-//! `Lᵢ` representative sets ([`RepSetSimilarity`]), run under the same
+//! Surviving shard clusters are merged by a coarse ROCK pass over the
+//! link densities of their `Lᵢ` representative sets, run under the same
 //! retry ladder (fault plans address it by the sentinel shard index
 //! `shard count`). If *that* ladder is exhausted, the run degrades to
 //! the concatenation of shard-level clusters — recorded, never silent.
@@ -45,14 +45,15 @@
 use crate::algorithm::{OutlierPolicy, RockRun};
 use crate::cluster::Clustering;
 use crate::engine::pipeline::Pipeline;
-use crate::engine::shard::{
-    shard_ranges, NoFaults, RepSetSimilarity, ShardConfig, ShardFaultPlan, ShardRun,
-};
+use crate::engine::shard::{shard_ranges, NoFaults, ShardConfig, ShardFaultPlan, ShardRun};
 use crate::error::RockError;
 use crate::governor::{DegradationPolicy, Phase, RunGovernor};
 use crate::report::{PhaseTimer, RunReport, ShardDegradationNote};
 use crate::rock::RockConfig;
-use crate::similarity::{CheckedSimilarity, PairwiseSimilarity, PointsWith, Similarity};
+use crate::similarity::{
+    CheckedSimilarity, PairwiseSimilarity, PointsWith, Similarity, SimilarityMatrix,
+};
+use crate::util::postings::cross_links;
 use crate::wal::MergeWal;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -475,8 +476,17 @@ impl ShardSupervisor {
             }
         }
 
+        // Link density of every coarse pair, counted once for the pass:
+        // the fraction of its representative cross pairs that clear the
+        // run's θ (0 without a link). A non-finite inner value fails
+        // `≥ θ` and is latched by `checked`.
         let checked = CheckedSimilarity::new(measure);
-        let sim = RepSetSimilarity::new(&sets, &checked, self.config.theta);
+        let mut sim = SimilarityMatrix::new(sets.len());
+        for (i, j, hits) in cross_links(&sets, &checked, self.config.theta, |_, _| true).0 {
+            let (i, j) = (i as usize, j as usize);
+            // tidy-allow(panic-reach): cross_links reports pool ids i < j < sets.len(), and hits ≤ |Lᵢ|·|Lⱼ| keeps the density in [0, 1]
+            sim.set(i, j, hits as f64 / (sets[i].len() * sets[j].len()) as f64);
+        }
         let coarse_config = RockConfig {
             theta: self.shard.merge_theta.unwrap_or(self.config.theta),
             // Isolated shard clusters must stay clusters, not vanish as

@@ -38,6 +38,7 @@ use crate::report::RunReport;
 use crate::similarity::Similarity;
 use crate::util::crc32;
 use crate::util::frame::{put_blobs, put_f64, put_option_u64, put_u32, put_u64, Cursor};
+use crate::util::postings::cross_links;
 use crate::wal::{parse_update_wal, UpdateBase, UpdateRecord, UpdateWal};
 use std::collections::BinaryHeap;
 
@@ -1056,45 +1057,24 @@ impl<P: ArtifactPoint + Clone> IncrementalRockState<P> {
     }
 
     /// Recounts representative cross-links over every pair involving a
-    /// dirty cluster, runs the bounded merge, and folds the committed
-    /// merges back into the parallel `clusters` and labeler pools. Dirty
-    /// accumulators and the pending count reset afterwards. Returns the
-    /// merge records and the number of similarity evaluations spent.
+    /// dirty cluster through [`cross_links`] (the item index where it is
+    /// exact; on the brute-force path a non-finite value is
+    /// [`RockError::NonFiniteSimilarity`]), runs the bounded merge, and
+    /// folds the committed merges back into the parallel `clusters` and
+    /// labeler pools. Dirty accumulators and the pending count reset
+    /// afterwards. Returns the merge records and the number of similarity
+    /// evaluations spent.
     fn remerge<S: Similarity<P>>(
         &mut self,
         measure: &S,
         clustered_points: usize,
     ) -> Result<(Vec<MergeRecord>, u64), RockError> {
-        let n = self.clusters.len();
-        let (reps, theta) = (self.labeler.sets(), self.labeler.theta());
-        let mut sims = 0u64;
-        let mut fresh_links: Vec<(u32, u32, u64)> = Vec::new();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                // tidy-allow(panic-reach): i < j < n index the parallel dirty/reps arrays
-                if self.dirty[i] == 0 && self.dirty[j] == 0 {
-                    continue;
-                }
-                let mut count = 0u64;
-                // tidy-allow(panic-reach): i < j < n index the parallel dirty/reps arrays
-                sims += reps[i].len() as u64 * reps[j].len() as u64;
-                // tidy-allow(panic-reach): i < j < n index the parallel dirty/reps arrays
-                for a in &reps[i] {
-                    // tidy-allow(panic-reach): i < j < n index the parallel dirty/reps arrays
-                    for b in &reps[j] {
-                        let s = measure.similarity(a, b);
-                        if !s.is_finite() {
-                            return Err(RockError::NonFiniteSimilarity { value: s });
-                        }
-                        if s >= theta {
-                            count += 1;
-                        }
-                    }
-                }
-                if count > 0 {
-                    fresh_links.push((i as u32, j as u32, count));
-                }
-            }
+        let theta = self.labeler.theta();
+        let dirty = |c: usize| self.dirty.get(c).is_some_and(|&d| d != 0);
+        let (links, evals, non_finite) =
+            cross_links(self.labeler.sets(), measure, theta, |i, j| dirty(i) || dirty(j));
+        if let Some(value) = non_finite {
+            return Err(RockError::NonFiniteSimilarity { value });
         }
         // The artifact does not persist a goodness kind; re-merges always
         // run the paper's §3.3 normalised criterion, matching the batch
@@ -1106,7 +1086,7 @@ impl<P: ArtifactPoint + Clone> IncrementalRockState<P> {
         );
         let mut st = IncrementalState::from_clusters(
             std::mem::take(&mut self.clusters),
-            &fresh_links,
+            &links,
             goodness,
         );
         let records = st.bounded_merge(&self.policy.merge_bound(clustered_points));
@@ -1136,7 +1116,7 @@ impl<P: ArtifactPoint + Clone> IncrementalRockState<P> {
         self.clusters = live.into_iter().map(|(_, members)| members).collect();
         self.dirty = vec![0; self.clusters.len()];
         self.pending = 0;
-        Ok((records, sims))
+        Ok((records, evals))
     }
 
     /// Restores the [`Clustering::new`] canonical order in place: members

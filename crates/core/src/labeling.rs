@@ -34,9 +34,8 @@
 
 use crate::error::RockError;
 use crate::governor::{Phase, RunGovernor};
-use crate::points::jaccard_from_counts;
 use crate::similarity::Similarity;
-use crate::util::postings::Postings;
+use crate::util::postings::{Postings, Probe};
 use rand::Rng;
 use std::convert::Infallible;
 
@@ -301,7 +300,7 @@ impl<P: Clone> Labeler<P> {
 pub struct LabelPass<'a, P, S> {
     labeler: &'a Labeler<P>,
     sim: &'a S,
-    index: Option<RepIndex>,
+    index: Option<RepIndex<'a>>,
 }
 
 impl<'a, P, S: Similarity<P>> LabelPass<'a, P, S> {
@@ -311,7 +310,7 @@ impl<'a, P, S: Similarity<P>> LabelPass<'a, P, S> {
         LabelPass {
             labeler,
             sim,
-            index: RepIndex::build(labeler, sim),
+            index: rep_index(labeler, sim),
         }
     }
 
@@ -487,61 +486,32 @@ fn infallible<T>(r: Result<T, Infallible>) -> T {
     }
 }
 
-/// Item → representative postings over every labeling set. Built once
-/// per labeling pass and shared read-only by the workers.
-///
-/// Representatives ("reps") are numbered by their position in the
-/// concatenation `L₀ ‖ L₁ ‖ …`.
-#[derive(Debug)]
-struct RepIndex {
-    /// Postings and item count of each rep.
-    items: Postings,
-    /// Cluster of each rep.
-    rep_cluster: Vec<u32>,
-}
+/// The item index of a pass: postings over the representatives ("reps")
+/// of every labeling set, numbered by position in `L₀ ‖ L₁ ‖ …`, with the
+/// cluster of each rep. Built once per pass through the shared gate
+/// ([`Postings::index`]) and shared read-only by the workers; `None`
+/// keeps labeling brute force, also when there are more clusters than
+/// `u32` ids address.
+type RepIndex<'a> = (Postings<'a>, Vec<u32>);
 
-impl RepIndex {
-    /// Indexes the labeler's sets, or returns `None` when labeling must
-    /// stay brute force:
-    ///
-    /// * θ ≤ 0 — pairs sharing no item are neighbors too;
-    /// * a representative the measure exposes no item set for (measures
-    ///   without the capability, fault-injecting wrappers);
-    /// * more clusters than `u32` ids address, or reps the shared
-    ///   [`Postings`] cannot table (see [`Postings::build`]).
-    fn build<P, S: Similarity<P>>(labeler: &Labeler<P>, sim: &S) -> Option<RepIndex> {
-        // A NaN θ (possible through `Labeler::full`) fails every
-        // comparison on both paths alike, so it may take the index.
-        if labeler.theta <= 0.0 {
-            return None;
-        }
-        let mut reps: Vec<&[u32]> = Vec::new();
-        let mut rep_cluster: Vec<u32> = Vec::new();
-        for (c, set) in labeler.sets.iter().enumerate() {
-            let c = u32::try_from(c).ok()?;
-            for rep in set {
-                reps.push(sim.item_set(rep)?);
-                rep_cluster.push(c);
-            }
-        }
-        Some(RepIndex {
-            items: Postings::build(&reps)?,
-            rep_cluster,
-        })
+fn rep_index<'a, P, S: Similarity<P>>(labeler: &'a Labeler<P>, sim: &S) -> Option<RepIndex<'a>> {
+    let reps = labeler.sets.iter().flatten().map(|rep| sim.item_set(rep));
+    let items = Postings::index(labeler.theta, reps)?;
+    let mut rep_cluster = Vec::with_capacity(items.num_sets());
+    for (c, set) in labeler.sets.iter().enumerate() {
+        rep_cluster.resize(rep_cluster.len() + set.len(), u32::try_from(c).ok()?);
     }
+    Some((items, rep_cluster))
 }
 
 /// The §4.6 scan: one worker's scorer. It takes the item-indexed path
 /// when an index exists and the measure exposes the point's items, and
-/// brute force otherwise; it owns the scratch the indexed path reuses
-/// from point to point.
+/// brute force otherwise; on the indexed path it owns the [`Probe`] it
+/// reuses from point to point.
 struct Scorer<'a, P> {
     labeler: &'a Labeler<P>,
-    index: Option<&'a RepIndex>,
-    /// `|point ∩ rep|` per rep; all zero between points.
-    inter: Vec<u32>,
-    /// The reps with a non-zero `inter`, in first-touch order.
-    touched: Vec<u32>,
+    /// The probe of the pass's index, with the cluster of each rep.
+    index: Option<(Probe<'a>, &'a [u32])>,
     /// `Nᵢ` per cluster; all zero between points.
     neighbors: Vec<u64>,
     /// `Σ|Lᵢ|`: the evaluations of one brute-force point.
@@ -552,15 +522,12 @@ struct Scorer<'a, P> {
 }
 
 impl<'a, P> Scorer<'a, P> {
-    fn new(labeler: &'a Labeler<P>, index: Option<&'a RepIndex>) -> Self {
-        let reps = index.map_or(0, |ix| ix.items.num_sets());
-        let clusters = index.map_or(0, |_| labeler.sets.len());
+    fn new(labeler: &'a Labeler<P>, index: Option<&'a RepIndex<'a>>) -> Self {
         Scorer {
             labeler,
-            index,
-            inter: vec![0; reps],
-            touched: Vec::with_capacity(reps),
-            neighbors: vec![0; clusters],
+            index: index.map(|(items, clusters)| (Probe::new(items), &clusters[..])),
+            // Only the indexed path tallies Nᵢ here.
+            neighbors: vec![0; index.map_or(0, |_| labeler.sets.len())],
             set_points: labeler.sets.iter().map(|s| s.len() as u64).sum(),
             evals: 0,
         }
@@ -576,13 +543,21 @@ impl<'a, P> Scorer<'a, P> {
         point: &P,
         sim: &S,
     ) -> Result<Option<(usize, u64)>, E> {
-        if let Some(index) = self.index {
-            if let Some(items) = sim.item_set(point) {
-                return Ok(self.score_items(index, items));
-            }
+        let theta = self.labeler.theta;
+        if let (Some((probe, rep_cluster)), Some(items)) =
+            (self.index.as_mut(), sim.item_set(point))
+        {
+            // Every rep is probed, and each hit adds to its cluster's Nᵢ.
+            let neighbors = &mut self.neighbors;
+            self.evals += probe.run(items, 0, theta, |r| {
+                neighbors[rep_cluster[r as usize] as usize] += 1;
+            });
+            let counts = self.neighbors.iter().map(|&n| Ok(n));
+            let best = infallible(argmax_normalized(counts, &self.labeler.norms));
+            self.neighbors.fill(0);
+            return Ok(best);
         }
         self.evals += self.set_points;
-        let theta = self.labeler.theta;
         let counts = self.labeler.sets.iter().map(|set| {
             let mut neighbors = 0u64;
             for rep in set {
@@ -595,35 +570,6 @@ impl<'a, P> Scorer<'a, P> {
             Ok(neighbors)
         });
         argmax_normalized(counts, &self.labeler.norms)
-    }
-
-    /// Scores a point given as its items: scatter over the items'
-    /// postings, then test only the touched reps. Untouched reps share
-    /// no item with the point, so their similarity is 0 < θ.
-    fn score_items(&mut self, index: &RepIndex, items: &[u32]) -> Option<(usize, u64)> {
-        for &item in items {
-            for &r in index.items.of(item) {
-                let count = &mut self.inter[r as usize];
-                if *count == 0 {
-                    self.touched.push(r);
-                }
-                *count += 1;
-            }
-        }
-        self.evals += self.touched.len() as u64;
-        for &r in &self.touched {
-            let r = r as usize;
-            let inter = std::mem::take(&mut self.inter[r]) as usize;
-            let union = items.len() + index.items.set_len(r) - inter;
-            if jaccard_from_counts(inter, union) >= self.labeler.theta {
-                self.neighbors[index.rep_cluster[r] as usize] += 1;
-            }
-        }
-        self.touched.clear();
-        let counts = self.neighbors.iter().map(|&n| Ok(n));
-        let best = infallible(argmax_normalized(counts, &self.labeler.norms));
-        self.neighbors.fill(0);
-        best
     }
 }
 
@@ -867,11 +813,11 @@ mod tests {
     fn index_is_built_only_where_it_is_exact() {
         let (sample, clusters) = two_cluster_sample();
         let labeler = Labeler::full(&sample, &clusters, 0.4, 1.0 / 3.0);
-        assert!(RepIndex::build(&labeler, &Jaccard).is_some());
-        assert!(RepIndex::build(&labeler, &&Jaccard).is_some());
-        assert!(RepIndex::build(&labeler, &Opaque).is_none());
+        assert!(rep_index(&labeler, &Jaccard).is_some());
+        assert!(rep_index(&labeler, &&Jaccard).is_some());
+        assert!(rep_index(&labeler, &Opaque).is_none());
         let at_zero = Labeler::full(&sample, &clusters, 0.0, 1.0 / 3.0);
-        assert!(RepIndex::build(&at_zero, &Jaccard).is_none());
+        assert!(rep_index(&at_zero, &Jaccard).is_none());
     }
 
     #[test]
@@ -883,7 +829,7 @@ mod tests {
             Transaction::from([7, 8]),
         ];
         let labeler = Labeler::full(&sample, &[vec![0, 1], vec![2]], 0.3, 0.5);
-        assert!(RepIndex::build(&labeler, &Jaccard).is_none());
+        assert!(rep_index(&labeler, &Jaccard).is_none());
     }
 
     #[test]

@@ -16,10 +16,10 @@
 //! * **Item index.** When the measure exposes every point's item set
 //!   ([`PairwiseSimilarity::item_set`], e.g. [`crate::similarity::Jaccard`]
 //!   through [`crate::similarity::PointsWith`]) and θ > 0, a pair sharing
-//!   no item has similarity 0 < θ. The kernel then scatters intersection
-//!   counts over the item → point postings of row `i`'s items and tests
-//!   only the touched partners, with the same float expression
-//!   [`crate::points::Transaction::jaccard`] uses.
+//!   no item has similarity 0 < θ. Row `i` then runs the shared
+//!   item-index probe (`util::postings`) over the points after it, which
+//!   tests only the partners sharing an item with the same float
+//!   expression [`crate::points::Transaction::jaccard`] uses.
 //! * **Brute force** otherwise: every `j > i`.
 //!
 //! [`NeighborGraph::build`] is the single-shard case;
@@ -29,10 +29,9 @@
 //! edge order, so the graph is bit-identical for every thread count and
 //! for both candidate sources (see DESIGN.md §"Performance model").
 
-use crate::points::jaccard_from_counts;
 use crate::similarity::PairwiseSimilarity;
 use crate::util::balanced_ranges;
-use crate::util::postings::Postings;
+use crate::util::postings::{Postings, Probe};
 use std::ops::Range;
 
 /// Below this many pair evaluations the upper-triangle scan completes in
@@ -60,7 +59,7 @@ impl NeighborGraph {
     /// `u32::MAX` points.
     pub fn build<S: PairwiseSimilarity>(sim: &S, theta: f64) -> Self {
         let n = checked_len(sim, theta);
-        let index = ItemIndex::build(sim, theta);
+        let index = item_index(sim, theta);
         let mut hits = Vec::new();
         RowScan::new(sim, theta, index.as_ref()).scan(0..n, &mut hits);
         Self::assemble(n, std::slice::from_ref(&hits), theta)
@@ -96,7 +95,7 @@ impl NeighborGraph {
         if threads == 1 || pairs < PARALLEL_CUTOFF_PAIRS {
             return Self::build(sim, theta);
         }
-        let index = ItemIndex::build(sim, theta);
+        let index = item_index(sim, theta);
         let index = index.as_ref();
         let shards = balanced_ranges(n, threads, |i| (n - 1 - i) as u64);
         let mut edges: Vec<Vec<(u32, u32)>> = Vec::with_capacity(shards.len());
@@ -237,39 +236,15 @@ fn checked_len<S: PairwiseSimilarity>(sim: &S, theta: f64) -> usize {
     n
 }
 
-/// Item → point postings over the whole point set, with each point's
-/// item set. Built once per graph and shared read-only by the workers.
-struct ItemIndex<'a> {
-    /// The items of each point.
-    sets: Vec<&'a [u32]>,
-    /// Postings and item count of each point.
-    postings: Postings,
-}
-
-impl<'a> ItemIndex<'a> {
-    /// Indexes the points, or returns `None` when the scan must stay
-    /// brute force:
-    ///
-    /// * θ ≤ 0 — pairs sharing no item are neighbors too;
-    /// * a point the measure exposes no item set for (measures without
-    ///   the capability, fault-injecting or counting wrappers);
-    /// * points the shared [`Postings`] cannot table (`u32` overflow,
-    ///   item ids too spread out; see [`Postings::build`]).
-    fn build<S: PairwiseSimilarity>(sim: &'a S, theta: f64) -> Option<Self> {
-        if theta <= 0.0 {
-            return None;
-        }
-        let sets = (0..sim.len())
-            .map(|i| sim.item_set(i))
-            .collect::<Option<Vec<&[u32]>>>()?;
-        let postings = Postings::build(&sets)?;
-        Some(ItemIndex { sets, postings })
-    }
+/// Indexes the points' item sets through the shared gate
+/// ([`Postings::index`]): `None` keeps the scan brute force.
+fn item_index<S: PairwiseSimilarity>(sim: &S, theta: f64) -> Option<Postings<'_>> {
+    Postings::index(theta, (0..sim.len()).map(|i| sim.item_set(i)))
 }
 
 /// One worker's row kernel: for each of its rows `i`, appends `(i, j)`
-/// for every partner `j > i` with `sim(i, j) ≥ θ`, in ascending `j`. It
-/// owns the scratch the item-indexed path reuses from row to row.
+/// for every partner `j > i` with `sim(i, j) ≥ θ`, in ascending `j`. On
+/// the item-indexed path it owns the [`Probe`] it reuses from row to row.
 ///
 /// Each scan adds its similarity evaluations to `perf::sim_evals` once,
 /// after its rows: every pair by brute force, the touched pairs on the
@@ -277,29 +252,22 @@ impl<'a> ItemIndex<'a> {
 struct RowScan<'a, S> {
     sim: &'a S,
     theta: f64,
-    index: Option<&'a ItemIndex<'a>>,
-    /// `|i ∩ j|` per partner `j`; all zero between rows.
-    inter: Vec<u32>,
-    /// The partners with a non-zero `inter`, in first-touch order.
-    touched: Vec<u32>,
+    probe: Option<Probe<'a>>,
 }
 
 impl<'a, S: PairwiseSimilarity> RowScan<'a, S> {
-    fn new(sim: &'a S, theta: f64, index: Option<&'a ItemIndex<'a>>) -> Self {
-        let n = index.map_or(0, |ix| ix.sets.len());
+    fn new(sim: &'a S, theta: f64, index: Option<&'a Postings<'a>>) -> Self {
         RowScan {
             sim,
             theta,
-            index,
-            inter: vec![0; n],
-            touched: Vec::with_capacity(n),
+            probe: index.map(Probe::new),
         }
     }
 
     /// Scans `rows`, appending their hit edges to `hits`.
     fn scan(&mut self, rows: Range<usize>, hits: &mut Vec<(u32, u32)>) {
-        match self.index {
-            Some(index) => self.scan_indexed(index, rows, hits),
+        match self.probe.as_mut() {
+            Some(probe) => scan_indexed(probe, self.theta, rows, hits),
             None => self.scan_all(rows, hits),
         }
     }
@@ -320,52 +288,23 @@ impl<'a, S: PairwiseSimilarity> RowScan<'a, S> {
         // tidy:end-kernel-hot-loop
         crate::perf::count_sim_evals(evals);
     }
+}
 
-    /// Item index: scatters `|i ∩ j|` over the postings of row `i`'s
-    /// items, then tests only the touched partners. An untouched partner
-    /// shares no item with `i`, so its similarity is 0 < θ; a touched one
-    /// gets the value the measure would compute, because both go through
-    /// `jaccard_from_counts` on the same integers.
-    fn scan_indexed(
-        &mut self,
-        index: &ItemIndex<'_>,
-        rows: Range<usize>,
-        hits: &mut Vec<(u32, u32)>,
-    ) {
-        let mut evals = 0u64;
-        // tidy:kernel-hot-loop — item-indexed row scan
-        for i in rows {
-            let items = index.sets[i];
-            for &item in items {
-                let ids = index.postings.of(item);
-                // Postings are ascending: skip the partners j ≤ i, whose
-                // pairs belong to earlier rows.
-                let larger = ids.partition_point(|&j| j as usize <= i);
-                for &j in &ids[larger..] {
-                    let count = &mut self.inter[j as usize];
-                    if *count == 0 {
-                        self.touched.push(j);
-                    }
-                    *count += 1;
-                }
-            }
-            evals += self.touched.len() as u64;
-            let row_start = hits.len();
-            for &j in &self.touched {
-                let inter = std::mem::take(&mut self.inter[j as usize]) as usize;
-                let union = items.len() + index.postings.set_len(j as usize) - inter;
-                if jaccard_from_counts(inter, union) >= self.theta {
-                    hits.push((i as u32, j));
-                }
-            }
-            self.touched.clear();
-            // First-touch order is not partner order; the row's hits are
-            // few, so sorting them is cheap.
-            hits[row_start..].sort_unstable();
-        }
-        // tidy:end-kernel-hot-loop
-        crate::perf::count_sim_evals(evals);
+/// Item index: probes each row `i` with its own items from `i + 1`, so
+/// each pair is touched from its smaller endpoint only.
+fn scan_indexed(probe: &mut Probe<'_>, theta: f64, rows: Range<usize>, hits: &mut Vec<(u32, u32)>) {
+    let mut evals = 0u64;
+    // tidy:kernel-hot-loop — item-indexed row scan
+    for i in rows {
+        let items = probe.index().items(i);
+        let row_start = hits.len();
+        evals += probe.run(items, i as u32 + 1, theta, |j| hits.push((i as u32, j)));
+        // First-touch order is not partner order; the row's hits are
+        // few, so sorting them is cheap.
+        hits[row_start..].sort_unstable();
     }
+    // tidy:end-kernel-hot-loop
+    crate::perf::count_sim_evals(evals);
 }
 
 #[cfg(test)]
@@ -509,12 +448,12 @@ mod tests {
     fn index_is_built_only_where_it_is_exact() {
         let pts = example_1_1();
         let jaccard = PointsWith::new(&pts, Jaccard);
-        assert!(ItemIndex::build(&jaccard, 0.1).is_some());
-        assert!(ItemIndex::build(&&jaccard, 0.1).is_some());
-        assert!(ItemIndex::build(&jaccard, 0.0).is_none());
-        assert!(ItemIndex::build(&SimilarityMatrix::new(4), 0.1).is_none());
+        assert!(item_index(&jaccard, 0.1).is_some());
+        assert!(item_index(&&jaccard, 0.1).is_some());
+        assert!(item_index(&jaccard, 0.0).is_none());
+        assert!(item_index(&SimilarityMatrix::new(4), 0.1).is_none());
         let spread = vec![Transaction::from([0, u32::MAX]), Transaction::from([1])];
-        assert!(ItemIndex::build(&PointsWith::new(&spread, Jaccard), 0.1).is_none());
+        assert!(item_index(&PointsWith::new(&spread, Jaccard), 0.1).is_none());
     }
 
     #[test]

@@ -51,7 +51,10 @@ pub fn count_bytes_touched(n: u64) {
 /// (`label_all`, the `rock-data` stream labeler and the online update
 /// alike) counts the evaluations its scan made, once per worker chunk:
 /// the touched representatives of an item-indexed point, `Σ|Lᵢ|` of a
-/// brute-force one.
+/// brute-force one. An online update adds its re-merge's cross-link
+/// count: the touched representatives on the indexed path, `Σ|Lᵢ|·|Lⱼ|`
+/// over the pairs with a dirty cluster on the brute-force path. The
+/// shard coarse merge counts only its coarse neighbor scan.
 #[inline]
 pub fn count_sim_evals(n: u64) {
     SIM_EVALS.fetch_add(n, Ordering::Relaxed);

@@ -41,9 +41,10 @@ pub struct RockConfig {
     pub labeling_fraction: f64,
     /// RNG seed for sampling/labeling; `None` seeds from the OS.
     pub seed: Option<u64>,
-    /// Optional seed perturbing the merge engine's internal hash maps
-    /// ([`crate::algorithm::RockAlgorithm::with_hash_seed`]); `None` keeps the default
-    /// hasher. Results are bit-identical for every value.
+    /// Optional hash seed. It reaches no computation (no fit path holds
+    /// a hash map it could seed), so results are bit-identical for every
+    /// value; it is kept only because model artifacts and update-log
+    /// fingerprints persist it.
     pub hash_seed: Option<u64>,
     /// Worker threads for the neighbor, link and labeling kernels
     /// (1 = serial). Results are bit-identical for every value.
@@ -163,10 +164,10 @@ impl RockBuilder {
         self
     }
 
-    /// Perturbs the merge engine's internal hash maps with `seed`
-    /// ([`crate::algorithm::RockAlgorithm::with_hash_seed`]). The clustering result does
-    /// not depend on it — the equivalence proptests sweep this knob to
-    /// prove hasher independence.
+    /// Records a hash seed. It reaches no computation, so the clustering
+    /// does not depend on it (the equivalence proptests sweep it); it is
+    /// kept only because model artifacts and update-log fingerprints
+    /// persist it.
     pub fn hash_seed(mut self, seed: u64) -> Self {
         self.hash_seed = Some(seed);
         self

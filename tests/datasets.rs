@@ -2,6 +2,7 @@
 //! market-basket data, each asserting the paper's qualitative findings.
 
 use rand::{rngs::StdRng, SeedableRng};
+use rock::goodness::GoodnessKind;
 use rock::governor::RunGovernor;
 use rock::links_matrix::LinkMatrix;
 use rock::neighbors::NeighborGraph;
@@ -14,7 +15,7 @@ use rock_data::{
     generate_baskets, generate_funds, generate_mushrooms, generate_votes, Edibility, FundSpec,
     MushroomSpec, Party, SyntheticBasketSpec, VotesSpec,
 };
-use rock_eval::{adjusted_rand_index, ContingencyTable};
+use rock_eval::{adjusted_rand_index, count_misclassified, ContingencyTable};
 
 #[test]
 fn votes_rock_finds_two_party_clusters() {
@@ -232,4 +233,65 @@ fn fig5_work_grows_with_sample_size_and_falls_with_theta() {
             );
         }
     }
+}
+
+/// Table 6's misclassification counts at samples `sizes`, for θ 0.5 and
+/// 0.6, with `table6_misclassification`'s setup at its defaults (seed
+/// 114586, scale 0.25, labeling fraction 0.3, its weeding): the sample
+/// is clustered, then all 28,647 transactions are labeled.
+fn table6_counts(sizes: &[usize]) -> (usize, [Vec<usize>; 2]) {
+    let seed = 114_586u64;
+    let spec = SyntheticBasketSpec::paper_scaled(0.25);
+    let data = generate_baskets(&spec, &mut StdRng::seed_from_u64(seed));
+    let k = spec.num_clusters();
+    let counts = [0.5, 0.6].map(|theta: f64| {
+        sizes
+            .iter()
+            .map(|&sample| {
+                let rock = Rock::builder()
+                    .theta(theta)
+                    .clusters(k)
+                    .goodness_kind(GoodnessKind::Normalized)
+                    .sample_size(sample)
+                    .labeling_fraction(0.3)
+                    .weed_outliers(3.0, sample / (k * 10).max(1))
+                    .threads(2)
+                    .seed(seed ^ sample as u64 ^ (theta * 10.0) as u64)
+                    .build()
+                    .unwrap();
+                let (result, _) = rock.run(&data.transactions, &Jaccard).unwrap();
+                count_misclassified(&result.labeling.assignments, &data.labels).misclassified
+            })
+            .collect()
+    });
+    (data.transactions.len(), counts)
+}
+
+#[test]
+fn table6_misclassification_falls_with_sample_size() {
+    // Table 6's shape at a quarter of the paper's size (samples 1,000
+    // to 5,000 scaled by 0.25). At θ 0.5 a 2,000-point sample
+    // (scaled) already misclassifies almost nothing: the paper's 0 of
+    // 114,586, held here to 0.1%. At θ 0.6 misclassification does not
+    // grow with the sample, and it never beats θ 0.5 from there on.
+    let sizes = [250, 500, 750, 1000, 1250];
+    let (n, [half, six]) = table6_counts(&sizes);
+    let bound = n / 1000;
+    for (i, &size) in sizes.iter().enumerate().skip(1) {
+        assert!(
+            half[i] <= bound,
+            "theta 0.5, sample {size}: {} of {n} misclassified (bound {bound}); all: {half:?}",
+            half[i]
+        );
+        assert!(
+            half[i] <= six[i],
+            "sample {size}: theta 0.5 misclassifies {} > theta 0.6's {}",
+            half[i],
+            six[i]
+        );
+    }
+    assert!(
+        six.windows(2).all(|w| w[1] <= w[0]),
+        "theta 0.6: misclassification grew with sample size: {six:?} at {sizes:?}"
+    );
 }

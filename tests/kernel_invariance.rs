@@ -29,6 +29,10 @@
 //!   arrivals through the batch labeler's indexed scan, so every update
 //!   outcome, state digest and update-WAL byte must equal the
 //!   brute-force run's, re-merges included.
+//! * **Item-indexed coarse merges are exact** — the shard supervisor
+//!   counts representative link densities through the same item index,
+//!   and must reproduce the brute-force run: clustering, shard runs and
+//!   report notes.
 //! * **The stream labeler is the per-record checked scan** — the
 //!   resilient stream labeler scores each round through the batch pass,
 //!   and must reproduce a plain loop of `label_point_checked` calls:
@@ -47,8 +51,9 @@ use rock::labeling::{Labeler, Labeling};
 use rock::links_matrix::LinkMatrix;
 use rock::neighbors::NeighborGraph;
 use rock::points::Transaction;
+use rock::rock::Rock;
 use rock::similarity::{Jaccard, PointsWith, Similarity};
-use rock::{Clustering, IncrementalRockState, RockError, RunReport, StalenessPolicy};
+use rock::{Clustering, IncrementalRockState, RockError, RunReport, ShardConfig, StalenessPolicy};
 use rock_data::resilient::{label_stream_resilient, Checkpoint, ResilientConfig, RetryPolicy};
 use std::io::BufReader;
 use std::ops::Range;
@@ -505,6 +510,47 @@ proptest! {
                 "threads = {}", threads
             );
         }
+    }
+
+    // The shard supervisor's coarse merge counts representative
+    // cross-links through the item index for Jaccard and by brute force
+    // for Jaccard with the capability hidden; the two runs must agree
+    // on the clustering, every surviving shard run and every report
+    // note: random baskets over three item bands (so shards hold split
+    // clusters), shards ∈ {2, 3, 4}, both representative fractions and
+    // the run's or a random coarse θ.
+    #[test]
+    fn indexed_coarse_merge_matches_brute_force(
+        drawn in collection::vec((0u32..3, collection::vec(0u32..8, 1..5)), 12..72),
+        shards in 2usize..5,
+        half_reps in any::<bool>(),
+        merge_theta in proptest::option::of(0.05f64..0.6),
+        theta in 0.1f64..0.7,
+        k in 1usize..5,
+        seed in any::<u64>(),
+    ) {
+        let data: Vec<Transaction> = drawn
+            .iter()
+            .map(|(band, items)| Transaction::new(items.iter().map(|&x| band * 20 + x).collect()))
+            .collect();
+        let rock = Rock::builder().theta(theta).clusters(k).seed(seed).build().unwrap();
+        let config = ShardConfig {
+            merge_theta,
+            representative_fraction: if half_reps { 0.5 } else { 1.0 },
+            ..ShardConfig::new(shards)
+        };
+        let supervisor = rock.shard_supervisor(config).unwrap();
+        let indexed = supervisor.run(&data, &Jaccard).unwrap();
+        let brute = supervisor.run(&data, &BruteJaccard).unwrap();
+        prop_assert_eq!(&indexed.clustering, &brute.clustering);
+        prop_assert_eq!(indexed.shard_runs.len(), brute.shard_runs.len());
+        for (a, b) in indexed.shard_runs.iter().zip(&brute.shard_runs) {
+            prop_assert_eq!((a.shard, &a.range, a.attempts), (b.shard, &b.range, b.attempts));
+            prop_assert_eq!(&a.run.clustering, &b.run.clustering);
+            prop_assert_eq!(&a.run.merges, &b.run.merges);
+            prop_assert_eq!(&a.run.initial_points, &b.run.initial_points);
+        }
+        prop_assert_eq!(&indexed.report.shard_notes, &brute.report.shard_notes);
     }
 
     // Any contiguous partition of the rows — balanced, lopsided,
