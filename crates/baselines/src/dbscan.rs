@@ -109,7 +109,7 @@ mod tests {
             Transaction::from([11, 12, 13]),
             Transaction::from([99]),
         ];
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1);
         let c = dbscan(&g, DbscanConfig::new(3), &RunGovernor::unlimited()).unwrap();
         assert_eq!(c.sizes(), vec![4, 4]);
         assert_eq!(c.outliers, vec![8]);
@@ -129,7 +129,7 @@ mod tests {
         }
         m.set(3, 4, 0.9); // border point 4
         m.set(4, 5, 0.9); // 5 hangs off the border point — NOT reachable
-        let g = NeighborGraph::build(&m, 0.5);
+        let g = NeighborGraph::build(&m, 0.5, 1);
         let c = dbscan(&g, DbscanConfig::new(4), &RunGovernor::unlimited()).unwrap();
         assert_eq!(c.num_clusters(), 1);
         assert_eq!(c.clusters[0], vec![0, 1, 2, 3, 4]);
@@ -162,7 +162,7 @@ mod tests {
             }
             ts
         };
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1);
         let c = dbscan(&g, DbscanConfig::new(3), &RunGovernor::unlimited()).unwrap();
         assert_eq!(c.num_clusters(), 1, "DBSCAN merges Fig. 1's clusters");
     }
@@ -170,7 +170,7 @@ mod tests {
     #[test]
     fn all_noise_when_min_pts_too_high() {
         let m = SimilarityMatrix::new(4);
-        let g = NeighborGraph::build(&m, 0.5);
+        let g = NeighborGraph::build(&m, 0.5, 1);
         let c = dbscan(&g, DbscanConfig::new(2), &RunGovernor::unlimited()).unwrap();
         assert_eq!(c.num_clusters(), 0);
         assert_eq!(c.outliers.len(), 4);

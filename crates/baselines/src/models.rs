@@ -306,11 +306,7 @@ impl<PS: PairwiseSimilarity + Sync> ClusterModel<PS> for DbscanModel {
         let mut report = RunReport::new();
         report.records_read = data.len() as u64;
         let timer = PhaseTimer::start();
-        let graph = if self.threads > 1 {
-            NeighborGraph::build_parallel(data, self.theta, self.threads)
-        } else {
-            NeighborGraph::build(data, self.theta)
-        };
+        let graph = NeighborGraph::build(data, self.theta, self.threads);
         timer.record(&mut report, "neighbors");
         let timer = PhaseTimer::start();
         let clustering = dbscan(&graph, self.config, &self.governor)?;

@@ -18,7 +18,7 @@ use std::hint::black_box;
 fn bench_goodness_kinds(c: &mut Criterion) {
     let spec = SyntheticBasketSpec::paper_scaled(0.01);
     let data = generate_baskets(&spec, &mut StdRng::seed_from_u64(3));
-    let graph = NeighborGraph::build(&PointsWith::new(&data.transactions, Jaccard), 0.5);
+    let graph = NeighborGraph::build(&PointsWith::new(&data.transactions, Jaccard), 0.5, 1);
     let links = rock_core::LinkMatrix::compute_auto(&graph, 1);
     let unlimited = rock_core::RunGovernor::unlimited();
     let merge = |algo: &RockAlgorithm| {
@@ -62,7 +62,7 @@ fn bench_goodness_kinds(c: &mut Criterion) {
 fn bench_outlier_pruning(c: &mut Criterion) {
     let spec = SyntheticBasketSpec::paper_scaled(0.01);
     let data = generate_baskets(&spec, &mut StdRng::seed_from_u64(4));
-    let graph = NeighborGraph::build(&PointsWith::new(&data.transactions, Jaccard), 0.6);
+    let graph = NeighborGraph::build(&PointsWith::new(&data.transactions, Jaccard), 0.6, 1);
     let mut group = c.benchmark_group("outlier_pruning");
     for (name, policy) in [
         ("prune_isolated", OutlierPolicy::default()),

@@ -16,7 +16,7 @@ fn sample_graph(n: usize, theta: f64) -> NeighborGraph {
     let spec = SyntheticBasketSpec::paper_scaled(0.02);
     let data = generate_baskets(&spec, &mut StdRng::seed_from_u64(7));
     let sample = &data.transactions[..n.min(data.transactions.len())];
-    NeighborGraph::build(&PointsWith::new(sample, Jaccard), theta)
+    NeighborGraph::build(&PointsWith::new(sample, Jaccard), theta, 1)
 }
 
 fn bench_sparse_vs_dense(c: &mut Criterion) {
@@ -49,7 +49,7 @@ fn fit_graph(sample: usize, theta: f64) -> NeighborGraph {
         &mut StdRng::seed_from_u64(7),
     );
     let points: Vec<_> = idx.iter().map(|&i| data.transactions[i].clone()).collect();
-    NeighborGraph::build(&PointsWith::new(&points, Jaccard), theta)
+    NeighborGraph::build(&PointsWith::new(&points, Jaccard), theta, 1)
 }
 
 fn bench_fit_shapes(c: &mut Criterion) {

@@ -24,6 +24,7 @@ fn bench_serial_sizes(c: &mut Criterion) {
                 black_box(NeighborGraph::build(
                     &PointsWith::new(pts, Jaccard),
                     0.5,
+                    1,
                 ))
             })
         });
@@ -40,7 +41,7 @@ fn bench_parallel(c: &mut Criterion) {
             &threads,
             |b, &threads| {
                 b.iter(|| {
-                    black_box(NeighborGraph::build_parallel(
+                    black_box(NeighborGraph::build(
                         &PointsWith::new(&pts, Jaccard),
                         0.5,
                         threads,

@@ -82,14 +82,14 @@ fn bench_neighbors(c: &mut Criterion) {
     let points = PointsWith::new(sample, Jaccard);
     let mut group = c.benchmark_group("neighbors");
     group.bench_function(BenchmarkId::from("transactions_seq").threads(1), |b| {
-        b.iter(|| black_box(NeighborGraph::build(&points, THETA)))
+        b.iter(|| black_box(NeighborGraph::build(&points, THETA, 1)))
     });
     for threads in THREAD_COUNTS {
         group.bench_with_input(
             BenchmarkId::new("transactions_par", threads).threads(threads),
             &threads,
             |b, &threads| {
-                b.iter(|| black_box(NeighborGraph::build_parallel(&points, THETA, threads)))
+                b.iter(|| black_box(NeighborGraph::build(&points, THETA, threads)))
             },
         );
     }
@@ -99,7 +99,7 @@ fn bench_neighbors(c: &mut Criterion) {
 fn bench_links(c: &mut Criterion) {
     let pool = pool();
     let sample = &pool[..1500.min(pool.len())];
-    let graph = NeighborGraph::build(&PointsWith::new(sample, Jaccard), THETA);
+    let graph = NeighborGraph::build(&PointsWith::new(sample, Jaccard), THETA, 1);
 
     let mut sparse = c.benchmark_group("links_sparse");
     sparse.bench_function(BenchmarkId::from("csr_seq").threads(1), |b| {

@@ -33,7 +33,7 @@ fn bench_sizes(c: &mut Criterion) {
             let goodness = Goodness::new(0.5, BasketF, GoodnessKind::Normalized);
             let algo = RockAlgorithm::new(goodness, 10, OutlierPolicy::default());
             b.iter(|| {
-                let graph = NeighborGraph::build(&PointsWith::new(sample, Jaccard), 0.5);
+                let graph = NeighborGraph::build(&PointsWith::new(sample, Jaccard), 0.5, 1);
                 black_box(algo.run(&graph))
             })
         });
@@ -54,7 +54,7 @@ fn bench_thetas(c: &mut Criterion) {
                 let algo = RockAlgorithm::new(goodness, 10, OutlierPolicy::default());
                 b.iter(|| {
                     let graph =
-                        NeighborGraph::build(&PointsWith::new(sample, Jaccard), theta);
+                        NeighborGraph::build(&PointsWith::new(sample, Jaccard), theta, 1);
                     black_box(algo.run(&graph))
                 })
             },
@@ -78,7 +78,7 @@ fn bench_threads(c: &mut Criterion) {
                 let goodness = Goodness::new(0.5, BasketF, GoodnessKind::Normalized);
                 let algo = RockAlgorithm::new(goodness, 10, OutlierPolicy::default());
                 b.iter(|| {
-                    let graph = NeighborGraph::build_parallel(
+                    let graph = NeighborGraph::build(
                         &PointsWith::new(sample, Jaccard),
                         0.5,
                         threads,

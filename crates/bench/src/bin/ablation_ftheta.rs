@@ -20,14 +20,14 @@ use rock_core::{
 use rock_data::{generate_baskets, generate_mushrooms, MushroomSpec, SyntheticBasketSpec};
 use rock_eval::adjusted_rand_index;
 
-fn ari_with_f<PS: PairwiseSimilarity>(
+fn ari_with_f<PS: PairwiseSimilarity + Sync>(
     sim: &PS,
     theta: f64,
     k: usize,
     f: f64,
     truth: &[usize],
 ) -> f64 {
-    let graph = NeighborGraph::build(sim, theta);
+    let graph = NeighborGraph::build(sim, theta, 1);
     let goodness = Goodness::new(theta, ConstantF(f), GoodnessKind::Normalized);
     let run = RockAlgorithm::new(goodness, k, OutlierPolicy::default()).run(&graph);
     // Outliers become one extra dense label (the agreement indices build

@@ -56,7 +56,7 @@ fn main() {
             let mut best = f64::INFINITY;
             for _ in 0..repeats.max(1) {
                 let (_, secs) = timed(|| {
-                    let graph = NeighborGraph::build(&PointsWith::new(&sample, Jaccard), theta);
+                    let graph = NeighborGraph::build(&PointsWith::new(&sample, Jaccard), theta, 1);
                     algo.run(&graph)
                 });
                 best = best.min(secs);

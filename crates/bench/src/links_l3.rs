@@ -101,7 +101,7 @@ mod tests {
         for &(a, b) in edges {
             m.set(a, b, 1.0);
         }
-        NeighborGraph::build(&m, 0.9)
+        NeighborGraph::build(&m, 0.9, 1)
     }
 
     /// `link₃` as a matrix, for pair lookups.
@@ -175,7 +175,7 @@ mod tests {
                 let h = (i as u64 * 2654435761 + j as u64 * 97 + seed * 131) % 100;
                 h as f64 / 100.0
             });
-            let g = NeighborGraph::build(&m, 0.55);
+            let g = NeighborGraph::build(&m, 0.55, 1);
             let triples = compute_links_l3(&g);
             assert!(triples
                 .windows(2)
@@ -225,7 +225,7 @@ mod tests {
         // (10, 4) split, link₂ + ½·link₃ does not. Longer paths are not
         // merely "not as valuable" (§3.2); here they are actively worse.
         let ts = figure1_transactions();
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1);
         let l2 = LinkMatrix::compute_sparse(&g, 1);
         let l3 = compute_links_l3(&g);
         let goodness = Goodness::new(0.5, ConstantF(1.0), GoodnessKind::Normalized);

@@ -626,7 +626,7 @@ mod tests {
     #[test]
     fn recovers_figure1_clusters() {
         let ts = crate::testdata::figure1_transactions();
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1);
         let engine = RockAlgorithm::new(
             Goodness::new(0.5, crate::goodness::ConstantF(1.0), GoodnessKind::Normalized),
             2,
@@ -650,7 +650,7 @@ mod tests {
     fn figure1_f_sensitivity() {
         use crate::criterion_fn::criterion_value;
         let ts = crate::testdata::figure1_transactions();
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1);
         let links = LinkMatrix::compute_sparse(&g, 1);
         let correct = vec![(0u32..10).collect::<Vec<_>>(), (10u32..14).collect()];
         let swallowed = vec![(0u32..12).collect::<Vec<_>>(), (12u32..14).collect()];
@@ -680,7 +680,7 @@ mod tests {
             Transaction::from([1, 4]),
             Transaction::from([6]),
         ];
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.2);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.2, 1);
         // Ask for 2 clusters with outlier pruning off so all points remain.
         let engine = RockAlgorithm::new(
             Goodness::new(0.2, BasketF, GoodnessKind::Normalized),
@@ -710,7 +710,7 @@ mod tests {
             Transaction::from([10, 11, 13]),
             Transaction::from([10, 12, 13]),
         ];
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1);
         let run = basket_engine(0.5, 1).run(&g);
         assert_eq!(run.clustering.num_clusters(), 2);
         assert_eq!(run.clustering.sizes(), vec![3, 3]);
@@ -724,7 +724,7 @@ mod tests {
             Transaction::from([1, 3, 4]),
             Transaction::from([99]),
         ];
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1);
         let run = basket_engine(0.5, 1).run(&g);
         assert_eq!(run.clustering.outliers, vec![3]);
         assert_eq!(run.clustering.num_clusters(), 1);
@@ -742,7 +742,7 @@ mod tests {
             Transaction::from([50, 51, 52]),
             Transaction::from([50, 51, 53]),
         ];
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1);
         let engine = RockAlgorithm::new(
             Goodness::new(0.5, BasketF, GoodnessKind::Normalized),
             1,
@@ -763,7 +763,7 @@ mod tests {
     #[test]
     fn merge_records_are_consistent() {
         let ts = crate::testdata::figure1_transactions();
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1);
         let run = basket_engine(0.5, 2).run(&g);
         // 14 points → 2 clusters needs exactly 12 merges.
         assert_eq!(run.merges.len(), 12);
@@ -777,7 +777,7 @@ mod tests {
     #[test]
     fn k_greater_than_n_returns_singletons() {
         let m = SimilarityMatrix::from_fn(3, |_, _| 1.0);
-        let g = NeighborGraph::build(&m, 0.5);
+        let g = NeighborGraph::build(&m, 0.5, 1);
         let run = RockAlgorithm::new(
             Goodness::new(0.5, BasketF, GoodnessKind::Normalized),
             10,
@@ -791,7 +791,7 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let ts = crate::testdata::figure1_transactions();
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1);
         let a = basket_engine(0.5, 2).run(&g).clustering;
         let b = basket_engine(0.5, 2).run(&g).clustering;
         assert_eq!(a, b);
@@ -804,7 +804,7 @@ mod tests {
     fn snapshot_with_a_repeated_link_pair_is_a_mismatch() {
         use crate::governor::Phase;
         let ts = crate::testdata::figure1_transactions();
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1);
         let engine = basket_engine(0.5, 2);
         let mut wal = MergeWal::new().with_snapshot_every(2);
         let killed = RunGovernor::unlimited().with_kill_at(Phase::Merge, 3);

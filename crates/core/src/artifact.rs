@@ -1520,7 +1520,7 @@ mod tests {
         use crate::neighbors::NeighborGraph;
         use crate::similarity::{Jaccard, PointsWith};
         let ts = crate::testdata::figure1_transactions();
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1);
         let goodness = Goodness::new(0.5, ConstantF(1.0), GoodnessKind::Normalized);
         let run = RockAlgorithm::new(goodness, 2, OutlierPolicy::default()).run(&g);
         let fit = ModelFit {

@@ -225,7 +225,7 @@ mod tests {
             Transaction::from([10, 12, 13]),
             Transaction::from([99]),
         ];
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1);
         let comp = neighbor_components(&g, 2);
         assert_eq!(comp.sizes(), vec![3, 3]);
         assert_eq!(comp.outliers, vec![6]);
@@ -250,7 +250,7 @@ mod tests {
         // the {1,2,x} transactions, so components lump everything — the
         // failure mode that motivates links.
         let ts = crate::testdata::figure1_transactions();
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1);
         let comp = neighbor_components(&g, 2);
         assert_eq!(comp.num_clusters(), 1, "components cannot separate Fig. 1");
     }
@@ -264,7 +264,7 @@ mod tests {
             Transaction::from([5, 6, 8]),
             Transaction::from([5, 7, 8]),
         ];
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1);
         let c = neighbor_components(&g, 3);
         assert_eq!(c.sizes(), vec![3]);
         assert_eq!(c.outliers, vec![0, 1]);

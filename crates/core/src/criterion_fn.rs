@@ -75,7 +75,7 @@ mod tests {
             Transaction::from([10, 12, 13]),
             Transaction::from([11, 12, 13]),
         ];
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1);
         let links = LinkMatrix::compute_sparse(&g, 1);
         (ts, links)
     }

@@ -163,7 +163,7 @@ mod tests {
 
     fn figure1_run(k: usize) -> crate::algorithm::RockRun {
         let ts = crate::testdata::figure1_transactions();
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1);
         let goodness = Goodness::new(0.5, ConstantF(1.0), GoodnessKind::Normalized);
         RockAlgorithm::new(goodness, k, OutlierPolicy::default()).run(&g)
     }
@@ -216,7 +216,7 @@ mod tests {
         let run = figure1_run(2);
         let d = Dendrogram::from_run(&run).unwrap();
         let ts = crate::testdata::figure1_transactions();
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1);
         let links = crate::links_matrix::LinkMatrix::compute_sparse(&g, 1);
         let goodness = Goodness::new(0.5, ConstantF(1.0), GoodnessKind::Normalized);
         let profile = d.criterion_profile(&links, &goodness);
@@ -238,7 +238,7 @@ mod tests {
     #[test]
     fn weeded_runs_have_no_dendrogram() {
         let ts = crate::testdata::figure1_transactions();
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1);
         let goodness = Goodness::new(0.5, BasketF, GoodnessKind::Normalized);
         let run = RockAlgorithm::new(
             goodness,

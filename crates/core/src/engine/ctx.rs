@@ -10,16 +10,14 @@ use rand::{rngs::StdRng, SeedableRng};
 /// A `RunCtx` is created by [`crate::engine::Pipeline`] and handed by
 /// mutable reference to each [`crate::engine::Stage`]; it owns the
 /// governor (budgets + cancellation), the optional merge WAL, the
-/// sampling/labeling RNG stream, the hash seed (persisted only; it
-/// reaches no computation), the degradation policy and the report being
-/// accumulated.
+/// sampling/labeling RNG stream, the degradation policy and the report
+/// being accumulated.
 ///
 /// | Field | Carries | Consumed by |
 /// |---|---|---|
 /// | `governor` | budgets, cancellation, kill injection | every stage entry + in-loop checkpoints |
 /// | `wal` | merge journal / continuation log | merge + resume stages |
 /// | `rng` | the seeded sampling/labeling stream | sample + label stages |
-/// | `hash_seed` | configured hash seed; reaches no computation | nothing (kept because artifacts and update-log fingerprints persist it) |
 /// | `degradation` | what to do on a budget trip | links (downshift), pipeline (subsample/components) |
 /// | `report` | per-phase timings, outcome counters | the pipeline runner |
 /// | `note` | provenance of an applied degradation | links stage + pipeline runner |
@@ -38,11 +36,6 @@ pub struct RunCtx<'w> {
     /// stream in stage order, which is what makes a seeded governed run
     /// reproduce the plain driver's draws exactly.
     pub rng: StdRng,
-    /// Optional hash seed, handed to
-    /// [`crate::algorithm::RockAlgorithm::with_hash_seed`], which ignores
-    /// it: the seed reaches no computation. It is kept only because
-    /// model artifacts and update-log fingerprints persist it.
-    pub hash_seed: Option<u64>,
     /// What to do when a governor budget trips mid-run.
     pub degradation: DegradationPolicy,
     /// The report accumulated across stages (phase timings are recorded
@@ -56,12 +49,7 @@ pub struct RunCtx<'w> {
 impl<'w> RunCtx<'w> {
     /// A context with the given governor and policy, no WAL, and an RNG
     /// seeded from `seed` (or from the OS when `None`).
-    pub fn new(
-        governor: RunGovernor,
-        degradation: DegradationPolicy,
-        seed: Option<u64>,
-        hash_seed: Option<u64>,
-    ) -> Self {
+    pub fn new(governor: RunGovernor, degradation: DegradationPolicy, seed: Option<u64>) -> Self {
         RunCtx {
             governor,
             wal: None,
@@ -69,7 +57,6 @@ impl<'w> RunCtx<'w> {
                 Some(s) => StdRng::seed_from_u64(s),
                 None => StdRng::from_os_rng(),
             },
-            hash_seed,
             degradation,
             report: RunReport::new(),
             note: None,
@@ -83,7 +70,6 @@ impl<'w> RunCtx<'w> {
             governor: self.governor,
             wal: Some(wal),
             rng: self.rng,
-            hash_seed: self.hash_seed,
             degradation: self.degradation,
             report: self.report,
             note: self.note,

@@ -11,7 +11,7 @@
 //!            └────────┘   └───────────┘   └───────┘   └───────┘   └───────┘
 //!                 ╲             │              │           │           ╱
 //!                  ╲────────────┴──── RunCtx ──┴───────────┴──────────╱
-//!                       governor · WAL · RNG · hash seed · policy · report
+//!                       governor · WAL · RNG · policy · report
 //! ```
 //!
 //! * [`Stage`] — one pipeline step. A stage is a plain
@@ -20,8 +20,7 @@
 //! * [`RunCtx`] — the shared run state every stage receives:
 //!   the [`crate::governor::RunGovernor`], the optional
 //!   [`crate::wal::MergeWal`] handle, the seeded sampling/labeling RNG,
-//!   the hash seed (persisted only; it reaches no computation), the
-//!   [`crate::governor::DegradationPolicy`], and the
+//!   the [`crate::governor::DegradationPolicy`], and the
 //!   [`crate::report::RunReport`] sink.
 //! * [`Pipeline`] — the thin runner that owns phase
 //!   transitions (one governor checkpoint per stage entry), the

@@ -135,8 +135,12 @@ impl<S> RockModel<S> {
     ///
     /// # Errors
     /// As [`ClusterModel::fit`], plus [`RockError::ArtifactMismatch`]
-    /// if the labeler disagrees with the fit (unreachable for a healthy
-    /// pipeline).
+    /// when the labeler's cluster count differs from the fit's. That
+    /// happens whenever a sample cluster receives no labeled point:
+    /// [`crate::rock::RockResult::full_clustering`] drops the empty
+    /// cluster, while the labeler keeps its Lᵢ set. Weeding outliers
+    /// before the fit makes it rarer; the fix, one cluster identity
+    /// from fit to serve, is ROADMAP item 1.
     pub fn fit_artifact<P>(&self, data: &[P]) -> Result<(ModelFit, ModelArtifact), RockError>
     where
         P: ArtifactPoint + Clone + Sync,

@@ -42,13 +42,12 @@ pub struct Pipeline<'w> {
 impl Pipeline<'static> {
     /// A pipeline over `config`, governed by `governor`.
     ///
-    /// The context's RNG, hash seed (persisted only; it reaches no
-    /// computation) and degradation policy come from the config; no WAL
-    /// is attached (see [`Pipeline::attach_wal`]).
+    /// The context's RNG and degradation policy come from the config; no
+    /// WAL is attached (see [`Pipeline::attach_wal`]).
     pub fn new(config: RockConfig, governor: RunGovernor) -> Self {
         Pipeline {
             config,
-            ctx: RunCtx::new(governor, config.degradation, config.seed, config.hash_seed),
+            ctx: RunCtx::new(governor, config.degradation, config.seed),
         }
     }
 }
@@ -94,11 +93,7 @@ impl<'w> Pipeline<'w> {
             ConstantF(self.config.ftheta),
             self.config.goodness_kind,
         );
-        let algorithm = RockAlgorithm::new(goodness, self.config.k, self.config.outliers);
-        match self.ctx.hash_seed {
-            Some(seed) => algorithm.with_hash_seed(seed),
-            None => algorithm,
-        }
+        RockAlgorithm::new(goodness, self.config.k, self.config.outliers)
     }
 
     /// Governed links + merge over a prebuilt graph, with the

@@ -35,9 +35,6 @@ pub trait Stage {
     /// whose memory charge it observes).
     fn phase(&self) -> Phase;
 
-    /// Short stable stage name, for diagnostics.
-    fn name(&self) -> &'static str;
-
     /// Executes the stage against the shared run context.
     ///
     /// # Errors
@@ -65,10 +62,6 @@ impl Stage for SampleStage {
 
     fn phase(&self) -> Phase {
         Phase::Sample
-    }
-
-    fn name(&self) -> &'static str {
-        "sample"
     }
 
     fn run(self, ctx: &mut RunCtx<'_>) -> Result<Vec<usize>, RockError> {
@@ -101,12 +94,8 @@ impl<PS: PairwiseSimilarity + Sync> Stage for NeighborsStage<'_, PS> {
         Phase::Neighbors
     }
 
-    fn name(&self) -> &'static str {
-        "neighbors"
-    }
-
     fn run(self, _ctx: &mut RunCtx<'_>) -> Result<NeighborGraph, RockError> {
-        Ok(NeighborGraph::build_parallel(self.sim, self.theta, self.threads))
+        Ok(NeighborGraph::build(self.sim, self.theta, self.threads))
     }
 }
 
@@ -128,10 +117,6 @@ impl Stage for LinksStage<'_> {
 
     fn phase(&self) -> Phase {
         Phase::Links
-    }
-
-    fn name(&self) -> &'static str {
-        "links"
     }
 
     fn run(self, ctx: &mut RunCtx<'_>) -> Result<LinkMatrix, RockError> {
@@ -196,10 +181,6 @@ impl Stage for MergeStage<'_> {
         }
     }
 
-    fn name(&self) -> &'static str {
-        "merge"
-    }
-
     fn run(self, ctx: &mut RunCtx<'_>) -> Result<RockRun, RockError> {
         if let Some(links) = self.links {
             return self
@@ -259,10 +240,6 @@ where
         Phase::Labeling
     }
 
-    fn name(&self) -> &'static str {
-        "label"
-    }
-
     fn run(self, ctx: &mut RunCtx<'_>) -> Result<(Labeler<P>, Labeling), RockError> {
         let labeler = Labeler::new(
             self.sample,
@@ -306,10 +283,6 @@ impl Stage for ResumeStage<'_> {
         Phase::Merge
     }
 
-    fn name(&self) -> &'static str {
-        "resume"
-    }
-
     fn run(self, ctx: &mut RunCtx<'_>) -> Result<RockRun, RockError> {
         self.algorithm.resume(
             self.wal_bytes,
@@ -338,7 +311,7 @@ mod tests {
 
     fn run_links(graph: &NeighborGraph, budget: u64) -> (LinkMatrix, Option<DegradationNote>) {
         let governor = RunGovernor::unlimited().with_memory_budget(budget);
-        let mut ctx = RunCtx::new(governor, DegradationPolicy::SparseLinks, Some(1), None);
+        let mut ctx = RunCtx::new(governor, DegradationPolicy::SparseLinks, Some(1));
         let links = LinksStage { graph, threads: 2 }.run(&mut ctx).unwrap();
         (links, ctx.note)
     }

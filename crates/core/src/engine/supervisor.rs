@@ -95,10 +95,20 @@ impl ShardedRun {
     }
 }
 
-/// What one shard's retry ladder concluded.
+/// What one retry ladder concluded.
 enum ShardOutcome {
     Done { run: RockRun, attempts: u32 },
     Quarantined { attempts: u32, reason: String },
+}
+
+/// How a ladder attempt's caller sorts its result.
+enum Attempt {
+    /// A clean run: the ladder is done.
+    Done(RockRun),
+    /// A deterministic poison no retry can fix: quarantine now.
+    Poisoned(RockError),
+    /// A failure the next rung may heal.
+    Retry(RockError),
 }
 
 impl ShardSupervisor {
@@ -280,7 +290,63 @@ impl ShardSupervisor {
         g
     }
 
-    /// One shard's retry ladder (see the module diagram).
+    /// The one retry ladder, run by every shard and by the coarse merge
+    /// (fault plans address it as shard `shard count`); see the module
+    /// diagram. Each of up to `1 + max_retries` attempts checks the
+    /// parent governor (a cancelled or over-budget parent aborts the
+    /// run), then runs `attempt` under the armed child governor the plan
+    /// hands out. A poisoned attempt quarantines at once; an interruption
+    /// under a cancelled parent token is returned as the run's error,
+    /// never masked as quarantine; any other failure backs off and
+    /// retries.
+    fn ladder<F: ShardFaultPlan>(
+        &self,
+        shard: usize,
+        plan: &F,
+        mut attempt: impl FnMut(RunGovernor, u32) -> Attempt,
+    ) -> Result<ShardOutcome, RockError> {
+        let attempts_budget = self.shard.retry.max_retries.saturating_add(1);
+        let mut last_failure = String::new();
+        for n in 0..attempts_budget {
+            self.governor.check(Phase::Merge)?;
+            let gov = plan.governor(shard, n, self.child_governor());
+            gov.arm();
+            let failure = match attempt(gov, n) {
+                Attempt::Done(run) => {
+                    return Ok(ShardOutcome::Done {
+                        run,
+                        attempts: n + 1,
+                    })
+                }
+                Attempt::Poisoned(e) => {
+                    return Ok(ShardOutcome::Quarantined {
+                        attempts: n + 1,
+                        reason: e.to_string(),
+                    })
+                }
+                Attempt::Retry(e) => e,
+            };
+            if matches!(failure, RockError::Interrupted { .. })
+                && self.governor.cancel_token().is_cancelled()
+            {
+                return Err(failure);
+            }
+            last_failure = failure.to_string();
+            if n + 1 < attempts_budget {
+                let delay = self.shard.retry.backoff(n);
+                if !delay.is_zero() {
+                    std::thread::sleep(delay);
+                }
+            }
+        }
+        Ok(ShardOutcome::Quarantined {
+            attempts: attempts_budget,
+            reason: last_failure,
+        })
+    }
+
+    /// One shard on the retry ladder: an interrupted attempt carries its
+    /// WAL into the next one, which resumes from it.
     fn run_shard<P, S, F>(
         &self,
         points: &[P],
@@ -293,16 +359,8 @@ impl ShardSupervisor {
         S: Similarity<P> + Sync,
         F: ShardFaultPlan,
     {
-        let attempts_budget = self.shard.retry.max_retries.saturating_add(1);
         let mut carried: Option<Vec<u8>> = None;
-        let mut last_failure = String::new();
-        let mut attempt = 0u32;
-        while attempt < attempts_budget {
-            // A cancelled or over-budget *parent* aborts the whole run;
-            // quarantine never masks it.
-            self.governor.check(Phase::Merge)?;
-            let gov = plan.governor(shard, attempt, self.child_governor());
-            gov.arm();
+        self.ladder(shard, plan, |gov, attempt| {
             let checked = CheckedSimilarity::new(measure);
             let pw = PointsWith::new(points, &checked);
             let mut wal = MergeWal::new();
@@ -313,78 +371,35 @@ impl ShardSupervisor {
             };
             let failure = match outcome {
                 Ok(run) => match checked.error() {
-                    None => {
-                        return Ok(ShardOutcome::Done {
-                            run,
-                            attempts: attempt + 1,
-                        })
-                    }
+                    None => return Attempt::Done(run),
                     Some(e) => e,
                 },
                 Err(e) => e,
             };
-            last_failure = failure.to_string();
-            match failure {
-                // A deterministic poison no retry can fix: quarantine
-                // now (the corruption-never-retried rule).
-                RockError::NonFiniteSimilarity { .. } => {
-                    return Ok(ShardOutcome::Quarantined {
-                        attempts: attempt + 1,
-                        reason: last_failure,
-                    });
-                }
+            match &failure {
+                RockError::NonFiniteSimilarity { .. } => return Attempt::Poisoned(failure),
                 RockError::Interrupted {
-                    phase,
-                    reason,
-                    resumable,
-                } => {
-                    // Distinguish a real external cancellation (parent
-                    // token fired) from an injected kill or a tripped
-                    // per-shard budget: the former is authoritative.
-                    if self.governor.cancel_token().is_cancelled() {
-                        return Err(RockError::Interrupted {
-                            phase,
-                            reason,
-                            resumable,
-                        });
+                    resumable: true, ..
+                } if !wal.is_empty() => {
+                    // Carry the shard's WAL into the next attempt: the
+                    // resume replays to a bit-identical result. A log
+                    // damaged in flight (torn write past the recoverable
+                    // tail) is useless to resume from — validate now
+                    // rather than burn a ladder rung on a doomed resume;
+                    // torn *tails* parse fine and replay truncated.
+                    let bytes = plan.wal_bytes(shard, attempt, wal.into_bytes());
+                    if crate::wal::parse_wal(&bytes).is_ok() {
+                        carried = Some(bytes);
                     }
-                    if resumable && !wal.is_empty() {
-                        // Carry the shard's WAL into the next attempt:
-                        // the resume replays to a bit-identical result.
-                        // A log damaged in flight (torn write past the
-                        // recoverable tail) is useless to resume from —
-                        // validate now rather than burn a ladder rung on
-                        // a doomed resume; torn *tails* parse fine and
-                        // replay truncated.
-                        let bytes = plan.wal_bytes(shard, attempt, wal.into_bytes());
-                        if crate::wal::parse_wal(&bytes).is_ok() {
-                            carried = Some(bytes);
-                        }
-                    }
-                    // Otherwise keep whatever log the previous attempt
-                    // carried (still valid to resume from), or None for
-                    // a from-scratch retry.
                 }
                 // The carried log turned out damaged or foreign: drop it
                 // and retry from scratch.
-                RockError::WalCorrupt { .. } | RockError::WalMismatch { .. } => {
-                    carried = None;
-                }
-                // Anything else burns a ladder rung too — the shard ends
-                // in provenance-carrying quarantine, not a global abort.
+                RockError::WalCorrupt { .. } | RockError::WalMismatch { .. } => carried = None,
+                // Otherwise keep the log the previous attempt carried
+                // (still valid to resume from), or none.
                 _ => {}
             }
-            attempt += 1;
-            if attempt < attempts_budget {
-                let delay = self.shard.retry.backoff(attempt - 1);
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
-            }
-        }
-        Ok(ShardOutcome::Quarantined {
-            attempts: attempts_budget,
-            reason: last_failure,
+            Attempt::Retry(failure)
         })
     }
 
@@ -500,55 +515,30 @@ impl ShardSupervisor {
         // The coarse pass runs the same retry ladder, addressed by the
         // sentinel shard index `num_shards`. Attempts restart from
         // scratch — the pass is tiny (one point per shard cluster).
-        let attempts_budget = self.shard.retry.max_retries.saturating_add(1);
-        let mut last_failure = String::new();
-        let mut coarse: Option<RockRun> = None;
-        let mut attempt = 0u32;
-        let mut attempts_used = 0u32;
-        while attempt < attempts_budget {
-            self.governor.check(Phase::Merge)?;
-            let gov = plan.governor(num_shards, attempt, self.child_governor());
-            gov.arm();
-            attempts_used = attempt + 1;
+        // Poisoned representatives are deterministic, so they end the
+        // ladder at once.
+        let outcome = self.ladder(num_shards, plan, |gov, _| {
             match Pipeline::new(coarse_config, gov).fit_wal(&sim) {
                 Ok(run) => match checked.error() {
-                    None => {
-                        coarse = Some(run);
-                        break;
-                    }
-                    Some(e) => {
-                        // Poisoned representatives: deterministic, so
-                        // exhaust the ladder immediately.
-                        last_failure = e.to_string();
-                        break;
-                    }
+                    None => Attempt::Done(run),
+                    Some(e) => Attempt::Poisoned(e),
                 },
-                Err(e) => {
-                    if self.governor.cancel_token().is_cancelled() {
-                        return Err(e);
-                    }
-                    last_failure = e.to_string();
-                    attempt += 1;
-                    if attempt < attempts_budget {
-                        let delay = self.shard.retry.backoff(attempt - 1);
-                        if !delay.is_zero() {
-                            std::thread::sleep(delay);
-                        }
-                    }
-                }
+                Err(e) => Attempt::Retry(e),
             }
-        }
-
-        let Some(run) = coarse else {
-            report.shard_notes.push(ShardDegradationNote {
-                shard: num_shards,
-                points: Vec::new(),
-                attempts: attempts_used,
-                reason: format!(
-                    "coarse merge abandoned ({last_failure}); shard clusters kept unmerged"
-                ),
-            });
-            return Ok(Clustering::new(members, outliers));
+        })?;
+        let run = match outcome {
+            ShardOutcome::Done { run, .. } => run,
+            ShardOutcome::Quarantined { attempts, reason } => {
+                report.shard_notes.push(ShardDegradationNote {
+                    shard: num_shards,
+                    points: Vec::new(),
+                    attempts,
+                    reason: format!(
+                        "coarse merge abandoned ({reason}); shard clusters kept unmerged"
+                    ),
+                });
+                return Ok(Clustering::new(members, outliers));
+            }
         };
 
         // Coarse groups of coarse-point ids. The coarse outlier policy

@@ -36,6 +36,7 @@ use crate::error::RockError;
 use crate::governor::{Phase, RunGovernor};
 use crate::similarity::Similarity;
 use crate::util::postings::{Postings, Probe};
+use crate::util::ranges::run_shards;
 use rand::Rng;
 use std::convert::Infallible;
 
@@ -355,12 +356,13 @@ impl<'a, P, S: Similarity<P>> LabelPass<'a, P, S> {
 }
 
 impl<P: Sync, S: Similarity<P> + Sync> LabelPass<'_, P, S> {
-    /// Like [`LabelPass::score_chunk`], on up to `threads` rayon
-    /// workers, each scoring one contiguous chunk into its own buffer;
-    /// the buffers join `out` in chunk order. Workers are spawned only
-    /// when the cost (points × total labeling-set size) reaches
-    /// [`PARALLEL_CUTOFF_SCORES`]; below it the calling thread scores
-    /// straight into `out`.
+    /// Like [`LabelPass::score_chunk`], on up to `threads` workers: the
+    /// points split into equal contiguous chunks, which the crate's one
+    /// shard fan-out (`util::ranges::run_shards`) scores into their own
+    /// buffers; the buffers join `out` in chunk order. The points are
+    /// chunked only when the cost (points × total labeling-set size)
+    /// reaches [`PARALLEL_CUTOFF_SCORES`]; below it the calling thread
+    /// scores straight into `out`.
     fn score<T: Send, E: NanPolicy, F: Send>(
         &self,
         points: &[P],
@@ -374,15 +376,10 @@ impl<P: Sync, S: Similarity<P> + Sync> LabelPass<'_, P, S> {
             return self.score_chunk(points, out, &keep);
         }
         let chunk = points.len().div_ceil(threads).max(1);
-        let mut parts: Vec<(Vec<T>, Result<(), F>)> = points
-            .chunks(chunk)
-            .map(|part| (Vec::with_capacity(part.len()), Ok(())))
-            .collect();
-        let keep = &keep;
-        rayon::scope(|scope| {
-            for (part, (slots, stop)) in points.chunks(chunk).zip(parts.iter_mut()) {
-                scope.spawn(move |_| *stop = self.score_chunk(part, slots, keep));
-            }
+        let parts = run_shards(points.chunks(chunk), |part| {
+            let mut slots = Vec::with_capacity(part.len());
+            let stop = self.score_chunk(part, &mut slots, &keep);
+            (slots, stop)
         });
         for (slots, stop) in parts {
             out.extend(slots);

@@ -46,7 +46,7 @@ use std::ops::Range;
 
 use crate::components::Components;
 use crate::neighbors::NeighborGraph;
-use crate::util::balanced_ranges;
+use crate::util::ranges::{balanced_ranges, run_shards};
 
 /// Price of one row-kernel scratch increment, in dense-kernel word
 /// operations (measured; see [`LinkMatrix::choose_kernel`]).
@@ -241,41 +241,34 @@ impl LinkMatrix {
         debug_assert_eq!(shards.iter().map(|r| r.len()).sum::<usize>(), n);
         debug_assert!(shards.windows(2).all(|w| w[0].end == w[1].start));
 
-        let mut runs: Vec<Vec<(u64, u32)>> = Vec::with_capacity(shards.len());
-        runs.resize_with(shards.len(), Vec::new);
-        rayon::scope(|scope| {
-            for (range, out) in shards.iter().zip(runs.iter_mut()) {
-                if range.is_empty() {
-                    continue;
-                }
-                let rows = range.clone();
-                scope.spawn(move |_| {
-                    let mut scratch = vec![0u32; n];
-                    let mut touched: Vec<u32> = Vec::new();
-                    let mut pairs: Vec<(u64, u32)> = Vec::new();
-                    // tidy:kernel-hot-loop — accumulate, then emit, one upper-triangle row of A·A
-                    for j in rows {
-                        for &m in graph.neighbors(j) {
-                            let nbrs = graph.neighbors(m as usize);
-                            let above = nbrs.partition_point(|&l| (l as usize) <= j);
-                            for &l in &nbrs[above..] {
-                                if scratch[l as usize] == 0 {
-                                    touched.push(l);
-                                }
-                                scratch[l as usize] += 1;
-                            }
-                        }
-                        touched.sort_unstable();
-                        for &l in &touched {
-                            pairs.push((pack(j as u32, l), scratch[l as usize]));
-                            scratch[l as usize] = 0;
-                        }
-                        touched.clear();
-                    }
-                    // tidy:end-kernel-hot-loop
-                    *out = pairs;
-                });
+        let runs = run_shards(shards.iter().cloned(), |rows| {
+            let mut pairs: Vec<(u64, u32)> = Vec::new();
+            if rows.is_empty() {
+                return pairs;
             }
+            let mut scratch = vec![0u32; n];
+            let mut touched: Vec<u32> = Vec::new();
+            // tidy:kernel-hot-loop — accumulate, then emit, one upper-triangle row of A·A
+            for j in rows {
+                for &m in graph.neighbors(j) {
+                    let nbrs = graph.neighbors(m as usize);
+                    let above = nbrs.partition_point(|&l| (l as usize) <= j);
+                    for &l in &nbrs[above..] {
+                        if scratch[l as usize] == 0 {
+                            touched.push(l);
+                        }
+                        scratch[l as usize] += 1;
+                    }
+                }
+                touched.sort_unstable();
+                for &l in &touched {
+                    pairs.push((pack(j as u32, l), scratch[l as usize]));
+                    scratch[l as usize] = 0;
+                }
+                touched.clear();
+            }
+            // tidy:end-kernel-hot-loop
+            pairs
         });
 
         let emitted: usize = hist.iter().sum();
@@ -339,37 +332,30 @@ impl LinkMatrix {
             ((c - components.local(p)) * c.div_ceil(64)) as u64
         };
         let shards = balanced_ranges(n, threads, row_cost);
-        let mut runs: Vec<Vec<(u64, u32)>> = Vec::with_capacity(shards.len());
-        runs.resize_with(shards.len(), Vec::new);
-        rayon::scope(|scope| {
-            for (range, out) in shards.iter().zip(runs.iter_mut()) {
-                let rows = range.clone();
-                scope.spawn(move |_| {
-                    let mut pairs: Vec<(u64, u32)> = Vec::new();
-                    // tidy:kernel-hot-loop — popcount one row against the later rows of its block
-                    for p in rows {
-                        let comp = components.component(p);
-                        let members = components.members(comp);
-                        let words = members.len().div_ceil(64);
-                        let a = components.local(p);
-                        let block = &arena[base[comp]..base[comp] + members.len() * words];
-                        let (head, later) = block.split_at((a + 1) * words);
-                        let row = &head[a * words..];
-                        for (other, &q) in later.chunks_exact(words).zip(&members[a + 1..]) {
-                            let c: u32 = row
-                                .iter()
-                                .zip(other)
-                                .map(|(x, y)| (x & y).count_ones())
-                                .sum();
-                            if c > 0 {
-                                pairs.push((pack(p as u32, q), c));
-                            }
-                        }
+        let runs = run_shards(shards, |rows| {
+            let mut pairs: Vec<(u64, u32)> = Vec::new();
+            // tidy:kernel-hot-loop — popcount one row against the later rows of its block
+            for p in rows {
+                let comp = components.component(p);
+                let members = components.members(comp);
+                let words = members.len().div_ceil(64);
+                let a = components.local(p);
+                let block = &arena[base[comp]..base[comp] + members.len() * words];
+                let (head, later) = block.split_at((a + 1) * words);
+                let row = &head[a * words..];
+                for (other, &q) in later.chunks_exact(words).zip(&members[a + 1..]) {
+                    let c: u32 = row
+                        .iter()
+                        .zip(other)
+                        .map(|(x, y)| (x & y).count_ones())
+                        .sum();
+                    if c > 0 {
+                        pairs.push((pack(p as u32, q), c));
                     }
-                    // tidy:end-kernel-hot-loop
-                    *out = pairs;
-                });
+                }
             }
+            // tidy:end-kernel-hot-loop
+            pairs
         });
 
         // Count emitted pairs like the sparse kernel does, so reports
@@ -541,7 +527,7 @@ mod tests {
         let m = SimilarityMatrix::from_fn(n, |i, j| {
             ((i * j).wrapping_mul(2654435761) % 1000) as f64 / 1000.0
         });
-        NeighborGraph::build(&m, theta)
+        NeighborGraph::build(&m, theta, 1)
     }
 
     #[test]
@@ -674,7 +660,7 @@ mod tests {
         // Cross-check both kernels against an O(n³) textbook matrix
         // multiplication (§4.4).
         let m = SimilarityMatrix::from_fn(40, |i, j| ((i * 31 + j * 17) % 10) as f64 / 10.0);
-        let g = NeighborGraph::build(&m, 0.5);
+        let g = NeighborGraph::build(&m, 0.5, 1);
         let n = g.len();
         let mut a = vec![vec![0u32; n]; n];
         for (i, row) in a.iter_mut().enumerate() {
@@ -705,7 +691,7 @@ mod tests {
             let t = Transaction::from(items);
             ts.iter().position(|x| *x == t).expect("present")
         };
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1);
         let m = LinkMatrix::compute_sparse(&g, 1);
         assert_eq!(m.count(find([1, 2, 3]), find([1, 2, 4])), 5);
         assert_eq!(m.count(find([1, 2, 3]), find([1, 2, 6])), 3);
@@ -721,7 +707,7 @@ mod tests {
             let t = Transaction::from(items);
             ts.iter().position(|x| *x == t).expect("present")
         };
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1);
         for m in [
             LinkMatrix::compute_sparse(&g, 1),
             LinkMatrix::compute_auto(&g, 2),
@@ -756,7 +742,7 @@ mod tests {
             Transaction::from([1, 3, 4]),
             Transaction::from([9]),
         ];
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.4);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.4, 1);
         let m = LinkMatrix::compute_sparse(&g, 1);
         assert!(m.num_linked_pairs() > 0);
         assert_eq!(m.row(3).0, &[] as &[u32]);

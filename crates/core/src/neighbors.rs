@@ -22,21 +22,24 @@
 //!   expression [`crate::points::Transaction::jaccard`] uses.
 //! * **Brute force** otherwise: every `j > i`.
 //!
-//! [`NeighborGraph::build`] is the single-shard case;
-//! [`NeighborGraph::build_parallel`] shards the rows across rayon scoped
-//! workers. The hit edges are assembled into exact-capacity adjacency
-//! lists afterwards; the shard concatenation is the ascending `(i, j)`
-//! edge order, so the graph is bit-identical for every thread count and
-//! for both candidate sources (see DESIGN.md §"Performance model").
+//! [`NeighborGraph::build`] is the one builder: it splits the rows into
+//! cost-balanced shards ([`balanced_ranges`]), one per thread, or one
+//! shard below a size cutoff, and runs them through the crate's one
+//! fan-out (`util::ranges::run_shards`). The hit edges are assembled
+//! into exact-capacity adjacency lists afterwards; the shard
+//! concatenation is the ascending `(i, j)` edge order, so the graph is
+//! bit-identical for every thread count and for both candidate sources
+//! (see DESIGN.md §"Performance model").
 
 use crate::similarity::PairwiseSimilarity;
-use crate::util::balanced_ranges;
 use crate::util::postings::{Postings, Probe};
+use crate::util::ranges::{balanced_ranges, run_shards};
 use std::ops::Range;
 
 /// Below this many pair evaluations the upper-triangle scan completes in
-/// tens of microseconds and thread spawn/join dominates, so
-/// [`NeighborGraph::build_parallel`] falls back to the serial scan.
+/// tens of microseconds and a worker's spawn and join would dominate, so
+/// [`NeighborGraph::build`] scans the rows as one shard on the calling
+/// thread whatever the thread count.
 const PARALLEL_CUTOFF_PAIRS: u64 = 32 * 1024;
 
 /// The θ-neighbor graph of a point set: `lists[i]` holds the ids of all
@@ -48,63 +51,44 @@ pub struct NeighborGraph {
 }
 
 impl NeighborGraph {
-    /// Builds the neighbor graph on the calling thread.
-    ///
-    /// Each unordered pair is evaluated at most once: every pair by
-    /// brute force, only the pairs sharing an item on the item-indexed
-    /// path (see the module docs).
-    ///
-    /// # Panics
-    /// Panics if `theta` is not in `[0, 1]` or the point set has more than
-    /// `u32::MAX` points.
-    pub fn build<S: PairwiseSimilarity>(sim: &S, theta: f64) -> Self {
-        let n = checked_len(sim, theta);
-        let index = item_index(sim, theta);
-        let mut hits = Vec::new();
-        RowScan::new(sim, theta, index.as_ref()).scan(0..n, &mut hits);
-        Self::assemble(n, std::slice::from_ref(&hits), theta)
-    }
-
-    /// Builds the neighbor graph using `threads` rayon workers.
+    /// Builds the neighbor graph on up to `threads` workers.
     ///
     /// The upper triangle is sharded into contiguous row ranges balanced
-    /// by row length (row `i` holds `n−1−i` pairs), one rayon task per
-    /// range, each running the same row kernel as
-    /// [`NeighborGraph::build`] over a shared, read-only item index; each
-    /// unordered pair is evaluated **at most once**, by the worker owning
-    /// its smaller endpoint. Workers append hit edges to a single
-    /// per-worker buffer reused across all their rows; the final
+    /// by row length (row `i` holds `n−1−i` pairs), one worker per
+    /// range, each running the row kernel over a shared, read-only item
+    /// index; below `PARALLEL_CUTOFF_PAIRS` pairs, or at one thread,
+    /// the calling thread scans every row as one shard. Each unordered
+    /// pair is evaluated at most once, by the shard owning its smaller
+    /// endpoint: every pair by brute force, only the pairs sharing an
+    /// item on the item-indexed path (see the module docs). Each shard
+    /// appends its hit edges to one buffer reused across its rows; the
     /// adjacency lists are then assembled in one degree-count +
     /// exact-capacity scatter pass with no per-row reallocation.
     ///
     /// **Determinism:** every row emits its edges in ascending partner
     /// order, so the shard buffers concatenate to the ascending `(i, j)`
-    /// edge order — for any shard split — and the result is bit-identical
-    /// to [`NeighborGraph::build`] for every `threads`.
+    /// edge order for any shard split, and the graph is bit-identical
+    /// for every `threads`.
     ///
     /// # Panics
-    /// Panics if `theta ∉ [0, 1]` or `threads == 0`.
-    pub fn build_parallel<S: PairwiseSimilarity + Sync>(
-        sim: &S,
-        theta: f64,
-        threads: usize,
-    ) -> Self {
+    /// Panics if `threads == 0`, `theta` is not in `[0, 1]` or the point
+    /// set has more than `u32::MAX` points.
+    pub fn build<S: PairwiseSimilarity + Sync>(sim: &S, theta: f64, threads: usize) -> Self {
         assert!(threads > 0, "need at least one thread");
         let n = checked_len(sim, theta);
         let pairs = n as u64 * (n as u64).saturating_sub(1) / 2;
-        if threads == 1 || pairs < PARALLEL_CUTOFF_PAIRS {
-            return Self::build(sim, theta);
-        }
+        let threads = if pairs < PARALLEL_CUTOFF_PAIRS {
+            1
+        } else {
+            threads
+        };
+        let shards = balanced_ranges(n, threads, |i| (n - 1 - i) as u64);
         let index = item_index(sim, theta);
         let index = index.as_ref();
-        let shards = balanced_ranges(n, threads, |i| (n - 1 - i) as u64);
-        let mut edges: Vec<Vec<(u32, u32)>> = Vec::with_capacity(shards.len());
-        edges.resize_with(shards.len(), Vec::new);
-        rayon::scope(|scope| {
-            for (range, hits) in shards.iter().zip(edges.iter_mut()) {
-                let range = range.clone();
-                scope.spawn(move |_| RowScan::new(sim, theta, index).scan(range, hits));
-            }
+        let edges = run_shards(shards, |rows| {
+            let mut hits = Vec::new();
+            RowScan::new(sim, theta, index).scan(rows, &mut hits);
+            hits
         });
         Self::assemble(n, &edges, theta)
     }
@@ -225,7 +209,7 @@ impl NeighborGraph {
     }
 }
 
-/// Validates the builders' preconditions and returns the point count.
+/// Validates the builder's preconditions and returns the point count.
 fn checked_len<S: PairwiseSimilarity>(sim: &S, theta: f64) -> usize {
     assert!(
         (0.0..=1.0).contains(&theta),
@@ -329,7 +313,7 @@ mod tests {
         // one item in common": any θ in (0, 0.2] realises this for these
         // transactions. {6} is isolated.
         let pts = example_1_1();
-        let g = NeighborGraph::build(&PointsWith::new(&pts, Jaccard), 0.1);
+        let g = NeighborGraph::build(&PointsWith::new(&pts, Jaccard), 0.1, 1);
         assert_eq!(g.neighbors(0), &[1, 2]);
         assert_eq!(g.neighbors(1), &[0, 2]);
         assert_eq!(g.neighbors(2), &[0, 1]);
@@ -344,7 +328,7 @@ mod tests {
             Transaction::from([1, 2]),
             Transaction::from([1, 3]),
         ];
-        let g = NeighborGraph::build(&PointsWith::new(&pts, Jaccard), 1.0);
+        let g = NeighborGraph::build(&PointsWith::new(&pts, Jaccard), 1.0, 1);
         assert_eq!(g.neighbors(0), &[1]);
         assert_eq!(g.neighbors(1), &[0]);
         assert_eq!(g.degree(2), 0);
@@ -353,7 +337,7 @@ mod tests {
     #[test]
     fn theta_zero_connects_everything() {
         let pts = example_1_1();
-        let g = NeighborGraph::build(&PointsWith::new(&pts, Jaccard), 0.0);
+        let g = NeighborGraph::build(&PointsWith::new(&pts, Jaccard), 0.0, 1);
         for i in 0..4 {
             assert_eq!(g.degree(i), 3, "point {i}");
         }
@@ -364,7 +348,7 @@ mod tests {
     #[test]
     fn lists_are_sorted_and_symmetric() {
         let m = SimilarityMatrix::from_fn(20, |i, j| if (i + j) % 3 == 0 { 0.9 } else { 0.1 });
-        let g = NeighborGraph::build(&m, 0.5);
+        let g = NeighborGraph::build(&m, 0.5, 1);
         for i in 0..20 {
             let l = g.neighbors(i);
             assert!(l.windows(2).all(|w| w[0] < w[1]), "unsorted list at {i}");
@@ -375,17 +359,17 @@ mod tests {
     }
 
     #[test]
-    fn sorted_invariant_holds_for_both_builders() {
+    fn sorted_invariant_holds_for_one_and_many_shards() {
         // The "lists sorted" invariant follows from the ascending edge
-        // order both builders hand to the shared assembly; both must
-        // yield strictly ascending (no duplicate), symmetric,
-        // self-loop-free lists.
+        // order every shard split hands to the shared assembly; one
+        // shard and four must both yield strictly ascending (no
+        // duplicate), symmetric, self-loop-free lists.
         let m = SimilarityMatrix::from_fn(301, |i, j| {
             ((i * j).wrapping_mul(2654435761) % 1000) as f64 / 1000.0
         });
         for (which, g) in [
-            ("serial", NeighborGraph::build(&m, 0.55)),
-            ("parallel", NeighborGraph::build_parallel(&m, 0.55, 4)),
+            ("serial", NeighborGraph::build(&m, 0.55, 1)),
+            ("parallel", NeighborGraph::build(&m, 0.55, 4)),
         ] {
             for i in 0..g.len() {
                 let l = g.neighbors(i);
@@ -411,9 +395,9 @@ mod tests {
             let h = (i * 2654435761 + j * 40503) % 1000;
             h as f64 / 1000.0
         });
-        let serial = NeighborGraph::build(&m, 0.7);
+        let serial = NeighborGraph::build(&m, 0.7, 1);
         for threads in [1, 2, 3, 8] {
-            let par = NeighborGraph::build_parallel(&m, 0.7, threads);
+            let par = NeighborGraph::build(&m, 0.7, threads);
             assert_eq!(par, serial, "threads={threads}");
         }
     }
@@ -436,7 +420,7 @@ mod tests {
             ((i * j).wrapping_mul(2654435761) % 1000) as f64 / 1000.0
         });
         let counting = Counting(m, AtomicU64::new(0));
-        let _ = NeighborGraph::build_parallel(&counting, 0.5, 4);
+        let _ = NeighborGraph::build(&counting, 0.5, 4);
         assert_eq!(
             counting.1.load(Ordering::Relaxed),
             (n as u64) * (n as u64 - 1) / 2,
@@ -467,7 +451,7 @@ mod tests {
     #[test]
     fn empty_graph() {
         let m = SimilarityMatrix::new(0);
-        let g = NeighborGraph::build(&m, 0.5);
+        let g = NeighborGraph::build(&m, 0.5, 1);
         assert!(g.is_empty());
         assert_eq!(g.average_degree(), 0.0);
         assert_eq!(g.max_degree(), 0);
@@ -477,6 +461,6 @@ mod tests {
     #[should_panic(expected = "theta must be in [0, 1]")]
     fn invalid_theta_panics() {
         let m = SimilarityMatrix::new(2);
-        let _ = NeighborGraph::build(&m, 1.5);
+        let _ = NeighborGraph::build(&m, 1.5, 1);
     }
 }

@@ -23,7 +23,7 @@ const STREAM_SIMILARITY: u64 = 0x51;
 /// The schedule is a pure function of `(seed, call index)`: the n-th
 /// similarity evaluation faults iff `seeded_hit(seed, ·, n, rate)`. Under
 /// a single thread the faulting *pairs* are therefore fully reproducible;
-/// under parallel builders the faulting call indices are still
+/// under parallel builds the faulting call indices are still
 /// deterministic but their assignment to pairs depends on scheduling —
 /// use `threads = 1` where exact fault placement matters.
 #[derive(Debug)]

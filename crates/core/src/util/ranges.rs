@@ -1,4 +1,5 @@
-//! Cost-balanced contiguous range splitting for sharded kernels.
+//! Cost-balanced contiguous range splitting for sharded kernels, and the
+//! one fan-out that runs their shards.
 
 use std::ops::Range;
 
@@ -6,13 +7,13 @@ use std::ops::Range;
 /// equal total `cost`. Never returns an empty range; returns fewer
 /// ranges when `n < threads` or the cost mass is concentrated.
 ///
-/// Every sharded kernel (sparse links, dense links, parallel neighbor
-/// build) balances its shards with this function, each supplying its own
-/// per-index cost: emitted-pair count for the sparse link kernel,
-/// upper-triangle row length for the dense square and the neighbor
-/// build. The split only affects which worker computes what — kernel
-/// outputs are pinned bit-identical across arbitrary splits by
-/// `tests/kernel_invariance.rs`.
+/// The neighbor scan and both link kernels balance their shards with
+/// this function, each supplying its own per-index cost: emitted-pair
+/// count for the sparse link kernel, word operations per row for the
+/// dense square and upper-triangle row length for the neighbor scan;
+/// `run_shards` then runs them. The split only affects which worker
+/// computes what — kernel outputs are pinned bit-identical across
+/// arbitrary splits by `tests/kernel_invariance.rs`.
 pub fn balanced_ranges(
     n: usize,
     threads: usize,
@@ -40,6 +41,34 @@ pub fn balanced_ranges(
     }
     ranges.push(start..n);
     ranges
+}
+
+/// Runs `work` once per shard and returns its outputs in shard order.
+///
+/// One shard runs on the calling thread; more run on one scoped rayon
+/// worker each, and a panicking worker propagates out of the scope. This
+/// is the only fan-out of the sharded kernels: the neighbor scan, both
+/// link kernels and the §4.6 batch pass each supply their shards and
+/// their per-shard body, which owns its scratch.
+pub(crate) fn run_shards<I: Send, T: Send>(
+    shards: impl IntoIterator<Item = I>,
+    work: impl Fn(I) -> T + Sync,
+) -> Vec<T> {
+    let shards: Vec<I> = shards.into_iter().collect();
+    if shards.len() <= 1 {
+        return shards.into_iter().map(work).collect();
+    }
+    let mut outs: Vec<Option<T>> = Vec::with_capacity(shards.len());
+    outs.resize_with(shards.len(), || None);
+    let work = &work;
+    rayon::scope(|scope| {
+        for (shard, out) in shards.into_iter().zip(outs.iter_mut()) {
+            scope.spawn(move |_| *out = Some(work(shard)));
+        }
+    });
+    // Every slot is filled: the scope returns only after all workers
+    // completed.
+    outs.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -73,5 +102,31 @@ mod tests {
     #[test]
     fn zero_mass_collapses_to_one_range() {
         assert_eq!(balanced_ranges(5, 3, |_| 0), vec![0..5]);
+    }
+
+    #[test]
+    fn one_shard_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let outs = run_shards(std::iter::once(0..5), |rows| {
+            (rows.len(), std::thread::current().id())
+        });
+        assert_eq!(outs, vec![(5, caller)]);
+    }
+
+    #[test]
+    fn uneven_shards_come_back_in_shard_order() {
+        let shards = vec![0..1, 1..40, 40..43, 43..100, 100..101];
+        let outs = run_shards(shards.clone(), |rows| rows.collect::<Vec<usize>>());
+        assert_eq!(outs.len(), shards.len());
+        for (out, rows) in outs.iter().zip(&shards) {
+            assert_eq!(out, &rows.clone().collect::<Vec<_>>());
+        }
+        assert_eq!(outs.concat(), (0..101).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn no_shards_return_nothing() {
+        let outs = run_shards(Vec::<Range<usize>>::new(), |rows| rows.len());
+        assert!(outs.is_empty());
     }
 }

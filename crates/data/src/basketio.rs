@@ -15,7 +15,7 @@ use rock_core::points::{ItemCatalog, Transaction};
 use std::io::{self, BufRead, Write};
 
 /// Splits a basket line into item tokens (commas or whitespace).
-pub(crate) fn tokens(line: &str) -> impl Iterator<Item = &str> {
+fn tokens(line: &str) -> impl Iterator<Item = &str> {
     line.split(|c: char| c == ',' || c.is_whitespace())
         .map(str::trim)
         .filter(|t| !t.is_empty())
@@ -49,31 +49,32 @@ pub fn read_baskets<R: BufRead>(
     Ok(out)
 }
 
-/// Reads transactions whose items are non-negative integers.
+/// Parses one numeric basket line: `Ok(None)` for a blank or `#`
+/// comment line, otherwise its transaction, or the text naming the first
+/// token that is not a non-negative integer. The one line parser of
+/// [`stream_baskets`] (and so [`read_baskets_numeric`]) and the
+/// resilient readers.
+pub(crate) fn parse_numeric_line(line: &str) -> Result<Option<Transaction>, String> {
+    let line = line.trim();
+    if line.is_empty() || line.starts_with('#') {
+        return Ok(None);
+    }
+    let items = tokens(line)
+        .map(|t| {
+            t.parse::<u32>()
+                .map_err(|_| format!("bad item token {t:?}"))
+        })
+        .collect::<Result<Vec<u32>, String>>()?;
+    Ok(Some(Transaction::new(items)))
+}
+
+/// Reads transactions whose items are non-negative integers: the
+/// collected [`stream_baskets`].
 ///
 /// Returns an `InvalidData` error naming the offending line and token;
 /// I/O errors are likewise annotated with their line number.
 pub fn read_baskets_numeric<R: BufRead>(reader: R) -> io::Result<Vec<Transaction>> {
-    let mut out = Vec::new();
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line.map_err(|e| annotate_line(lineno + 1, e))?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut items = Vec::new();
-        for t in tokens(line) {
-            let item: u32 = t.parse().map_err(|_| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("line {}: bad item token {t:?}", lineno + 1),
-                )
-            })?;
-            items.push(item);
-        }
-        out.push(Transaction::new(items));
-    }
-    Ok(out)
+    stream_baskets(reader).collect()
 }
 
 /// Lazily streams numeric transactions from a reader; parse errors end
@@ -86,25 +87,14 @@ pub fn stream_baskets<R: BufRead>(
         .enumerate()
         .filter_map(|(lineno, line)| match line {
             Err(e) => Some(Err(annotate_line(lineno + 1, e))),
-            Ok(line) => {
-                let line = line.trim();
-                if line.is_empty() || line.starts_with('#') {
-                    return None;
-                }
-                let mut items = Vec::new();
-                for t in tokens(line) {
-                    match t.parse::<u32>() {
-                        Ok(item) => items.push(item),
-                        Err(_) => {
-                            return Some(Err(io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                format!("line {}: bad item token {t:?}", lineno + 1),
-                            )))
-                        }
-                    }
-                }
-                Some(Ok(Transaction::new(items)))
-            }
+            Ok(line) => parse_numeric_line(&line)
+                .map_err(|reason| {
+                    io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("line {}: {reason}", lineno + 1),
+                    )
+                })
+                .transpose(),
         })
 }
 

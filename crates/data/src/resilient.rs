@@ -32,6 +32,7 @@
 // run could not resume losslessly.
 #![allow(clippy::result_large_err)]
 
+use crate::basketio::parse_numeric_line;
 use rock_core::governor::{Phase, RunGovernor, TripReason};
 use rock_core::labeling::{LabelPass, Labeler, Labeling};
 use rock_core::points::Transaction;
@@ -448,18 +449,6 @@ fn skip_bytes<R: BufRead>(
     })
 }
 
-/// Parses a trimmed non-comment basket line into a numeric transaction.
-fn parse_record(line: &str) -> Result<Transaction, String> {
-    let mut items = Vec::new();
-    for t in crate::basketio::tokens(line) {
-        match t.parse::<u32>() {
-            Ok(item) => items.push(item),
-            Err(_) => return Err(format!("bad item token {t:?}")),
-        }
-    }
-    Ok(Transaction::new(items))
-}
-
 /// Converts a governor trip into an ingest stop, recording the
 /// interruption in the report. Only `RockError::Interrupted` reaches
 /// here (it is all the governor's checks return).
@@ -520,18 +509,13 @@ where
                     break;
                 }
                 Ok(consumed) => {
-                    let text = String::from_utf8_lossy(&buf);
-                    let line = text.trim();
-                    let pending = if line.is_empty() || line.starts_with('#') {
-                        Pending::Skip
-                    } else {
-                        match parse_record(line) {
-                            Ok(txn) => {
-                                records.push(txn);
-                                Pending::Record
-                            }
-                            Err(reason) => Pending::Bad(reason),
+                    let pending = match parse_numeric_line(&String::from_utf8_lossy(&buf)) {
+                        Ok(None) => Pending::Skip,
+                        Ok(Some(txn)) => {
+                            records.push(txn);
+                            Pending::Record
                         }
+                        Err(reason) => Pending::Bad(reason),
                     };
                     lines.push((consumed as u64, read, pending));
                 }

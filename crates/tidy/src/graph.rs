@@ -27,8 +27,8 @@ use crate::rules::{FileKind, SourceFile};
 /// computes the transitive closure.
 const CRATE_DEPS: &[(&str, &[&str])] = &[
     ("core", &["shims/rand", "shims/rayon"]),
-    ("data", &["core", "shims/rand", "shims/rayon"]),
-    ("baselines", &["core", "data", "shims/rand"]),
+    ("data", &["core", "shims/rand"]),
+    ("baselines", &["core", "shims/rand"]),
     ("eval", &["core"]),
     ("bench", &["core", "baselines", "data", "eval", "shims/rand"]),
     ("rock", &["core", "baselines", "data", "eval", "shims/rand"]),
@@ -308,5 +308,65 @@ mod tests {
         assert!(parents[leaf].is_some());
         assert!(parents[island].is_none());
         assert_eq!(m.chain(&parents, leaf), vec!["core::a::root", "core::a::mid", "core::a::leaf"]);
+    }
+
+    /// The direct dependencies a member's `Cargo.toml` declares under
+    /// `[dependencies]`, by classifier name (`rock-core` → `core`, any
+    /// other package → its shim), sorted.
+    fn manifest_deps(manifest: &std::path::Path) -> Vec<String> {
+        let text = std::fs::read_to_string(manifest).expect("reading a member manifest");
+        let mut deps: Vec<String> = text
+            .lines()
+            .map(str::trim)
+            .skip_while(|l| *l != "[dependencies]")
+            .skip(1)
+            .take_while(|l| !l.starts_with('['))
+            .filter(|l| !l.is_empty() && !l.starts_with('#'))
+            .map(|l| {
+                let package = l.split(['=', '.']).next().unwrap_or(l).trim();
+                match package.strip_prefix("rock-") {
+                    Some(member) => member.to_string(),
+                    None => format!("shims/{package}"),
+                }
+            })
+            .collect();
+        deps.sort();
+        deps
+    }
+
+    #[test]
+    fn crate_deps_mirror_the_member_manifests() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut members = vec![("rock".to_string(), root.join("Cargo.toml"))];
+        for (dir, prefix) in [("crates", ""), ("shims", "shims/")] {
+            let mut found: Vec<_> = std::fs::read_dir(root.join(dir))
+                .expect("listing workspace members")
+                .map(|e| e.expect("a member directory entry").path())
+                .filter(|p| p.join("Cargo.toml").is_file())
+                .collect();
+            found.sort();
+            for path in found {
+                let name = path.file_name().expect("a member name").to_string_lossy();
+                members.push((format!("{prefix}{name}"), path.join("Cargo.toml")));
+            }
+        }
+        let mut listed: Vec<&str> = CRATE_DEPS.iter().map(|&(name, _)| name).collect();
+        listed.sort_unstable();
+        let mut names: Vec<&str> = members.iter().map(|(name, _)| name.as_str()).collect();
+        names.sort_unstable();
+        assert_eq!(listed, names, "CRATE_DEPS must list every workspace member");
+        for (name, manifest) in &members {
+            let mut table: Vec<&str> = CRATE_DEPS
+                .iter()
+                .find(|&&(n, _)| n == name)
+                .map(|&(_, deps)| deps.to_vec())
+                .unwrap_or_default();
+            table.sort_unstable();
+            assert_eq!(
+                table,
+                manifest_deps(manifest),
+                "CRATE_DEPS entry for `{name}` differs from its [dependencies]"
+            );
+        }
     }
 }

@@ -21,7 +21,7 @@ fn main() {
         &SyntheticBasketSpec::paper_scaled(0.02),
         &mut StdRng::seed_from_u64(21),
     );
-    let graph = NeighborGraph::build(&PointsWith::new(&data.transactions, Jaccard), 0.5);
+    let graph = NeighborGraph::build(&PointsWith::new(&data.transactions, Jaccard), 0.5, 1);
     let goodness = Goodness::new(0.5, BasketF, GoodnessKind::Normalized);
 
     // One run to k = 2 captures the whole hierarchy above it.

@@ -27,7 +27,7 @@ fn main() {
         }
     });
 
-    let graph = NeighborGraph::build(&expert, 0.7);
+    let graph = NeighborGraph::build(&expert, 0.7, 1);
     // f(θ) is the expert's estimate of neighborhood density; here every
     // wine neighbors its whole school, so f ≈ 1.
     let goodness = Goodness::new(0.7, ConstantF(1.0), GoodnessKind::Normalized);

@@ -37,8 +37,8 @@ fn main() {
     // same whatever the thread count.
     let theta = 0.5;
     let points = PointsWith::new(txns, Jaccard);
-    let graph = NeighborGraph::build_parallel(&points, theta, threads);
-    let reference = NeighborGraph::build(&points, theta);
+    let graph = NeighborGraph::build(&points, theta, threads);
+    let reference = NeighborGraph::build(&points, theta, 1);
     assert_eq!(graph, reference, "parallel graph must be bit-identical");
     println!(
         "neighbor graph: average degree {:.1} (parallel == sequential ✓)",

@@ -28,7 +28,7 @@ fn dbscan_close_but_below_rock_on_overlapping_baskets() {
     // critique: "prone to errors if clusters are not well-separated"),
     // while links hold the boundary. DBSCAN lands high but below ROCK.
     let data = basket_data();
-    let graph = NeighborGraph::build(&PointsWith::new(&data.transactions, Jaccard), 0.5);
+    let graph = NeighborGraph::build(&PointsWith::new(&data.transactions, Jaccard), 0.5, 1);
     let truth = dense_truth(&data.labels, 10);
 
     let db = dbscan(&graph, DbscanConfig::new(4), &RunGovernor::unlimited()).unwrap();
@@ -84,7 +84,7 @@ fn clarans_recovers_basket_clusters_roughly() {
 #[test]
 fn components_fast_path_agrees_with_rock_when_separated() {
     let data = basket_data();
-    let graph = NeighborGraph::build(&PointsWith::new(&data.transactions, Jaccard), 0.6);
+    let graph = NeighborGraph::build(&PointsWith::new(&data.transactions, Jaccard), 0.6, 1);
     let comp = rock::neighbor_components(&graph, 5);
     let truth = dense_truth(&data.labels, 10);
     let pred = dense_truth(&comp.assignments(truth.len()), comp.num_clusters());

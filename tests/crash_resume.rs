@@ -158,7 +158,7 @@ fn chained_interruptions_resume_through_continuation_logs() {
 
     // The §3.3 criterion profile (E_l at every cut) over the resumed
     // dendrogram matches the uninterrupted one bit for bit.
-    let graph = rock::NeighborGraph::build(&rock::similarity::PointsWith::new(&data, Jaccard), 0.4);
+    let graph = rock::NeighborGraph::build(&rock::similarity::PointsWith::new(&data, Jaccard), 0.4, 1);
     let links = rock::LinkMatrix::compute_sparse(&graph, 1);
     let goodness = rock::Goodness::new(0.4, rock::ConstantF(1.0), rock::GoodnessKind::Normalized);
     let d_resumed = Dendrogram::from_run(&resumed).expect("no weeding");
@@ -306,7 +306,7 @@ fn memory_trip_degrades_per_policy() {
 #[test]
 fn resume_charges_the_recomputed_links() {
     let data = three_clusters(35);
-    let graph = NeighborGraph::build(&PointsWith::new(&data, &Jaccard), 0.4);
+    let graph = NeighborGraph::build(&PointsWith::new(&data, &Jaccard), 0.4, 1);
     let graph_bytes = graph.memory_bytes() as u64;
     let link_bytes = LinkMatrix::compute_auto(&graph, 1).memory_bytes() as u64;
     let capped = || RunGovernor::unlimited().with_memory_budget(graph_bytes + link_bytes / 2);

@@ -195,7 +195,7 @@ fn funds_young_and_old_members_cluster_together() {
 fn fig5_counts(pool: &[Transaction], n: usize, theta: f64, seed: u64) -> (usize, usize) {
     let idx = sample_indices(pool.len(), n, &mut StdRng::seed_from_u64(seed));
     let sample: Vec<_> = idx.iter().map(|&i| pool[i].clone()).collect();
-    let graph = NeighborGraph::build(&PointsWith::new(&sample, Jaccard), theta);
+    let graph = NeighborGraph::build(&PointsWith::new(&sample, Jaccard), theta, 1);
     let degrees: usize = (0..graph.len()).map(|i| graph.degree(i)).sum();
     let links = LinkMatrix::compute_auto(&graph, 1);
     (degrees / 2, links.num_linked_pairs())

@@ -46,7 +46,7 @@ proptest! {
         k in 1usize..5,
         seed in 1u64..u64::MAX,
     ) {
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), theta);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), theta, 1);
         let goodness = Goodness::new(theta, BasketF, GoodnessKind::Normalized);
         let outliers = OutlierPolicy {
             min_neighbors: 1,
@@ -81,7 +81,7 @@ proptest! {
         theta in 0.2f64..0.8,
         seed in 1u64..u64::MAX,
     ) {
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), theta);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), theta, 1);
         let goodness = Goodness::new(theta, BasketF, GoodnessKind::Normalized);
         let algo = RockAlgorithm::new(goodness, 2, OutlierPolicy::default());
         let governor = RunGovernor::unlimited();
@@ -111,7 +111,7 @@ proptest! {
         theta in 0.2f64..0.8,
         seed in 1u64..u64::MAX,
     ) {
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), theta);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), theta, 1);
         let goodness = Goodness::new(theta, BasketF, GoodnessKind::Normalized);
         let algo = RockAlgorithm::new(goodness, 2, OutlierPolicy::default());
         let governor = RunGovernor::unlimited();

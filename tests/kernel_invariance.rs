@@ -500,12 +500,12 @@ proptest! {
             pick => pick_theta(pick, theta_random),
         };
 
-        let brute = NeighborGraph::build(&PointsWith::new(&sample, BruteJaccard), theta);
+        let brute = NeighborGraph::build(&PointsWith::new(&sample, BruteJaccard), theta, 1);
         let indexed = PointsWith::new(&sample, Jaccard);
-        prop_assert_eq!(&NeighborGraph::build(&indexed, theta), &brute);
+        prop_assert_eq!(&NeighborGraph::build(&indexed, theta, 1), &brute);
         for threads in THREAD_GRID {
             prop_assert_eq!(
-                &NeighborGraph::build_parallel(&indexed, theta, threads),
+                &NeighborGraph::build(&indexed, theta, threads),
                 &brute,
                 "threads = {}", threads
             );
@@ -562,7 +562,7 @@ proptest! {
         cuts in collection::vec(0.0f64..1.0, 0..6),
         salt_empties in any::<bool>(),
     ) {
-        let graph = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), theta);
+        let graph = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), theta, 1);
         let reference = LinkMatrix::compute_sparse(&graph, 1);
         let shards = ranges_from_cuts(graph.len(), &cuts, salt_empties);
         prop_assert_eq!(
@@ -619,7 +619,7 @@ fn pinned_thread_grid_is_bit_identical() {
     let theta = 0.3;
 
     let points = PointsWith::new(&ts, Jaccard);
-    let graph = NeighborGraph::build(&points, theta);
+    let graph = NeighborGraph::build(&points, theta, 1);
     let links = LinkMatrix::compute_sparse(&graph, 1);
     let labeler = Labeler::full(
         &ts,
@@ -631,7 +631,7 @@ fn pinned_thread_grid_is_bit_identical() {
 
     for threads in THREAD_GRID {
         assert_eq!(
-            NeighborGraph::build_parallel(&points, theta, threads),
+            NeighborGraph::build(&points, theta, threads),
             graph,
             "neighbors diverged at {threads} threads"
         );
@@ -657,14 +657,14 @@ fn pinned_thread_grid_is_bit_identical() {
 /// graph with isolated points only.
 #[test]
 fn degenerate_graphs_accept_degenerate_splits() {
-    let empty = NeighborGraph::build(&PointsWith::new(&Vec::<Transaction>::new(), Jaccard), 0.5);
+    let empty = NeighborGraph::build(&PointsWith::new(&Vec::<Transaction>::new(), Jaccard), 0.5, 1);
     assert_eq!(
         LinkMatrix::compute_sparse_ranges(&empty, &[]),
         LinkMatrix::compute_sparse(&empty, 1)
     );
 
     let singleton = vec![Transaction::from([1, 2, 3])];
-    let one = NeighborGraph::build(&PointsWith::new(&singleton, Jaccard), 0.5);
+    let one = NeighborGraph::build(&PointsWith::new(&singleton, Jaccard), 0.5, 1);
     let single: Vec<Range<usize>> = std::iter::once(0..1).collect();
     for shards in [single, vec![0..0, 0..1, 1..1]] {
         assert_eq!(

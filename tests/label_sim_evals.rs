@@ -133,7 +133,7 @@ fn label_phase_sim_evals_are_counted_exactly() {
     // The cluster phase's evaluations all come from the neighbor scan:
     // every sample pair once by brute force, the pairs sharing an item
     // on the indexed path. At two threads the 300-point sample is above
-    // the parallel cutoff, so both builders are compared.
+    // the parallel cutoff, so one shard and two shards are compared.
     let indexed_evals = sim_evals(&report_1, "cluster");
     let brute_evals = sim_evals(&brute_report_1, "cluster");
     assert!(indexed_evals > 0, "indexed cluster phase counted nothing");

@@ -1,11 +1,11 @@
-//! Differential tests of both neighbor-graph builders against a plain
+//! Differential tests of the neighbor-graph builder against a plain
 //! reading of §3.1, of every link kernel against a plain reading of
 //! Fig. 4 (§3.2), and of every merge-loop driver against a plain reading
 //! of Fig. 3 (§4.3).
 //!
 //! [`naive_neighbors`] tests every pair `i < j` of a basket set for
-//! `|A ∩ B| / |A ∪ B| ≥ θ` over `BTreeSet`s. `NeighborGraph::build` and
-//! `build_parallel` (threads 1/2/8), with Jaccard's item index and with
+//! `|A ∩ B| / |A ∪ B| ≥ θ` over `BTreeSet`s. `NeighborGraph::build`
+//! (threads 1/2/8), with Jaccard's item index and with
 //! it hidden, must reproduce it edge for edge — at θ = 0 too, where
 //! baskets sharing no item are neighbors.
 //!
@@ -362,7 +362,7 @@ proptest! {
 
     // Random baskets over a small item universe (empty baskets, repeated
     // items and repeated baskets included), on both sides of the
-    // parallel builder's cutoff, at θ ∈ {0, 0.3, 0.5, 0.8, 1}.
+    // builder's parallel cutoff, at θ ∈ {0, 0.3, 0.5, 0.8, 1}.
     #[test]
     fn neighbor_builders_match_the_reference(
         raw in proptest::collection::vec(proptest::collection::vec(0u32..30, 0..6), 0..300),
@@ -378,13 +378,13 @@ proptest! {
         let baskets: Vec<Transaction> = raw.into_iter().map(Transaction::new).collect();
         let indexed = PointsWith::new(&baskets, Jaccard);
         let hidden = PointsWith::new(&baskets, HiddenItems);
-        prop_assert_eq!(&NeighborGraph::build(&indexed, theta), &want, "build, item index");
-        prop_assert_eq!(&NeighborGraph::build(&hidden, theta), &want, "build, brute force");
+        prop_assert_eq!(&NeighborGraph::build(&indexed, theta, 1), &want, "build, item index");
+        prop_assert_eq!(&NeighborGraph::build(&hidden, theta, 1), &want, "build, brute force");
         for threads in [1, 2, 8] {
-            let got = NeighborGraph::build_parallel(&indexed, theta, threads);
-            prop_assert_eq!(&got, &want, "build_parallel/{}, item index", threads);
-            let got = NeighborGraph::build_parallel(&hidden, theta, threads);
-            prop_assert_eq!(&got, &want, "build_parallel/{}, brute force", threads);
+            let got = NeighborGraph::build(&indexed, theta, threads);
+            prop_assert_eq!(&got, &want, "build/{} threads, item index", threads);
+            let got = NeighborGraph::build(&hidden, theta, threads);
+            prop_assert_eq!(&got, &want, "build/{} threads, brute force", threads);
         }
     }
 

@@ -61,7 +61,7 @@ fn example_1_1_rock_never_merges_disjoint_transactions() {
     // With links, {1,4} and {6} have no common neighbors and can never
     // be merged, whatever k is requested.
     let ts = example_1_1();
-    let graph = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.2);
+    let graph = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.2, 1);
     let goodness = Goodness::new(0.2, ConstantF(1.0), GoodnessKind::Normalized);
     for k in 1..=3 {
         let run = RockAlgorithm::new(goodness, k, OutlierPolicy::disabled()).run(&graph);
@@ -99,7 +99,7 @@ fn figure1_rock_recovers_both_clusters() {
     // clusters (f ≈ 1 here: every transaction neighbors most of its
     // cluster — see rock-core's algorithm tests for the f-sensitivity).
     let ts = figure1();
-    let graph = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+    let graph = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1);
     let goodness = Goodness::new(0.5, ConstantF(1.0), GoodnessKind::Normalized);
     let run = RockAlgorithm::new(goodness, 2, OutlierPolicy::default()).run(&graph);
     assert_eq!(run.clustering.sizes(), vec![10, 4]);
@@ -111,7 +111,7 @@ fn figure1_rock_recovers_both_clusters() {
 fn figure1_link_counts_match_paper() {
     // §3.2's arithmetic, end-to-end through the public API.
     let ts = figure1();
-    let graph = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+    let graph = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1);
     let links = rock::LinkMatrix::compute_sparse(&graph, 1);
     let id = |items: [u32; 3]| {
         ts.iter()

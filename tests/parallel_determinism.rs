@@ -41,8 +41,8 @@ proptest! {
         threads in 2usize..9,
     ) {
         let points = PointsWith::new(&ts, Jaccard);
-        let serial = NeighborGraph::build(&points, theta);
-        let parallel = NeighborGraph::build_parallel(&points, theta, threads);
+        let serial = NeighborGraph::build(&points, theta, 1);
+        let parallel = NeighborGraph::build(&points, theta, threads);
         prop_assert_eq!(&parallel, &serial);
     }
 
@@ -52,7 +52,7 @@ proptest! {
         theta in 0.1f64..0.9,
         threads in 2usize..9,
     ) {
-        let graph = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), theta);
+        let graph = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), theta, 1);
         let seq = LinkMatrix::compute_sparse(&graph, 1);
         prop_assert_eq!(&LinkMatrix::compute_sparse(&graph, threads), &seq);
         prop_assert_eq!(&LinkMatrix::compute_dense(&graph, threads), &seq);

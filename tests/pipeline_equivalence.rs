@@ -75,11 +75,7 @@ fn reference_fit(rock: &Rock, data: &[Transaction]) -> (Vec<usize>, RockRun, Lab
     };
     let sample: Vec<Transaction> = sample_indices.iter().map(|&i| data[i].clone()).collect();
     let pw = PointsWith::new(&sample, Jaccard);
-    let graph = if cfg.threads > 1 {
-        NeighborGraph::build_parallel(&pw, cfg.theta, cfg.threads)
-    } else {
-        NeighborGraph::build(&pw, cfg.theta)
-    };
+    let graph = NeighborGraph::build(&pw, cfg.theta, cfg.threads);
     let goodness = Goodness::new(cfg.theta, ConstantF(cfg.ftheta), cfg.goodness_kind);
     let mut algorithm = RockAlgorithm::new(goodness, cfg.k, OutlierPolicy::default());
     if let Some(h) = cfg.hash_seed {
@@ -157,11 +153,7 @@ proptest! {
         let cfg = rock.config();
 
         let pw = PointsWith::new(&data, Jaccard);
-        let graph = if threads > 1 {
-            NeighborGraph::build_parallel(&pw, cfg.theta, threads)
-        } else {
-            NeighborGraph::build(&pw, cfg.theta)
-        };
+        let graph = NeighborGraph::build(&pw, cfg.theta, threads);
         let goodness = Goodness::new(cfg.theta, ConstantF(cfg.ftheta), cfg.goodness_kind);
         let mut algorithm = RockAlgorithm::new(goodness, cfg.k, OutlierPolicy::default());
         if let Some(h) = cfg.hash_seed {
@@ -242,11 +234,7 @@ proptest! {
         let rock = engine(threads, Some(hash_seed), None);
         let cfg = rock.config();
         let pw = PointsWith::new(&data, Jaccard);
-        let graph = if threads > 1 {
-            NeighborGraph::build_parallel(&pw, cfg.theta, threads)
-        } else {
-            NeighborGraph::build(&pw, cfg.theta)
-        };
+        let graph = NeighborGraph::build(&pw, cfg.theta, threads);
         let goodness = Goodness::new(cfg.theta, ConstantF(cfg.ftheta), cfg.goodness_kind);
         let links = LinkMatrix::compute_auto(&graph, threads);
         let baseline = RockAlgorithm::new(goodness, cfg.k, OutlierPolicy::disabled())

@@ -74,7 +74,7 @@ proptest! {
         m in sim_matrix(20),
         theta in 0.0f64..=1.0
     ) {
-        let g = NeighborGraph::build(&m, theta);
+        let g = NeighborGraph::build(&m, theta, 1);
         for i in 0..g.len() {
             for &j in g.neighbors(i) {
                 prop_assert!(m.sim(i, j as usize) >= theta);
@@ -92,7 +92,7 @@ proptest! {
 
     #[test]
     fn link_counts_are_bounded_by_min_degree(ts in transactions(16)) {
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.3);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.3, 1);
         let links = LinkMatrix::compute_sparse(&g, 1);
         for ((i, j), c) in links.iter_upper() {
             let bound = g.degree(i as usize).min(g.degree(j as usize)) as u32;
@@ -106,7 +106,7 @@ proptest! {
         theta in 0.1f64..0.9,
         k in 1usize..6
     ) {
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), theta);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), theta, 1);
         let goodness = Goodness::new(theta, BasketF, GoodnessKind::Normalized);
         let run = RockAlgorithm::new(goodness, k, OutlierPolicy::default()).run(&g);
         let mut seen = vec![false; ts.len()];
@@ -132,7 +132,7 @@ proptest! {
         ts in transactions(20),
         min_size in 1usize..4
     ) {
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.4);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.4, 1);
         let goodness = Goodness::new(0.4, BasketF, GoodnessKind::Normalized);
         let without = RockAlgorithm::new(goodness, 2, OutlierPolicy::default()).run(&g);
         let with = RockAlgorithm::new(
@@ -180,7 +180,7 @@ proptest! {
     fn criterion_value_invariant_under_cluster_order(
         ts in transactions(14)
     ) {
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.3);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.3, 1);
         let links = LinkMatrix::compute_sparse(&g, 1);
         let good = Goodness::new(0.3, BasketF, GoodnessKind::Normalized);
         let n = ts.len() as u32;
@@ -259,10 +259,14 @@ proptest! {
         // Ok or Err — never a panic.
         let mut catalog = rock::points::ItemCatalog::new();
         let _ = rock_data::read_baskets(BufReader::new(bytes.as_slice()), &mut catalog);
-        let _ = rock_data::read_baskets_numeric(BufReader::new(bytes.as_slice()));
-        for item in rock_data::stream_baskets(BufReader::new(bytes.as_slice())) {
-            let _ = item;
-        }
+        // The numeric reader and the collected stream parse through one
+        // line parser: the same transactions, or the same error text.
+        let read = rock_data::read_baskets_numeric(BufReader::new(bytes.as_slice()))
+            .map_err(|e| e.to_string());
+        let streamed = rock_data::stream_baskets(BufReader::new(bytes.as_slice()))
+            .collect::<std::io::Result<Vec<Transaction>>>()
+            .map_err(|e| e.to_string());
+        prop_assert_eq!(read, streamed);
         let config = rock_data::ResilientConfig {
             retry: rock_data::RetryPolicy::no_backoff(2),
             max_quarantine: usize::MAX,
