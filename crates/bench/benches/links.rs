@@ -1,10 +1,14 @@
 //! Link-computation benchmarks (§4.4): the row-wise sparse kernel
 //! (Fig. 4's work) vs the component-blocked bit-packed adjacency-matrix
 //! square, across neighbor-graph densities and on the rockbench
-//! `fit_dense` and `fit_sparse` link inputs.
+//! `fit_dense` and `fit_sparse` link inputs; plus the Fig.-3 merge loop
+//! (seeding included) over those two link inputs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{rngs::StdRng, SeedableRng};
+use rock_core::algorithm::{OutlierPolicy, RockAlgorithm};
+use rock_core::goodness::{BasketF, Goodness, GoodnessKind};
+use rock_core::governor::RunGovernor;
 use rock_core::links_matrix::LinkMatrix;
 use rock_core::neighbors::NeighborGraph;
 use rock_core::sampling::sample_indices;
@@ -52,9 +56,12 @@ fn fit_graph(sample: usize, theta: f64) -> NeighborGraph {
     NeighborGraph::build(&PointsWith::new(&points, Jaccard), theta, 1)
 }
 
+/// The two fit link inputs: (workload, sample size, θ).
+const FIT_SHAPES: [(&str, usize, f64); 2] = [("fit_dense", 3000, 0.5), ("fit_sparse", 4000, 0.8)];
+
 fn bench_fit_shapes(c: &mut Criterion) {
     let mut group = c.benchmark_group("links_fit_shapes");
-    for (name, sample, theta) in [("fit_dense", 3000, 0.5), ("fit_sparse", 4000, 0.8)] {
+    for (name, sample, theta) in FIT_SHAPES {
         let graph = fit_graph(sample, theta);
         group.bench_with_input(BenchmarkId::new("sparse_fig4", name), &graph, |b, g| {
             b.iter(|| black_box(LinkMatrix::compute_sparse(g, 1)))
@@ -66,9 +73,34 @@ fn bench_fit_shapes(c: &mut Criterion) {
     group.finish();
 }
 
+/// The merge loop a fit runs after its links: state seeding from the
+/// link rows, then Fig. 3 down to k = 10 with the default outlier
+/// policy and the paper's f(θ), ungoverned.
+fn bench_merge_fit_shapes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("merge_fit_shapes");
+    for (name, sample, theta) in FIT_SHAPES {
+        let graph = fit_graph(sample, theta);
+        let links = LinkMatrix::compute_auto(&graph, 1);
+        let rock = RockAlgorithm::new(
+            Goodness::new(theta, BasketF, GoodnessKind::Normalized),
+            10,
+            OutlierPolicy::default(),
+        );
+        group.bench_with_input(BenchmarkId::from_parameter(name), &links, |b, links| {
+            b.iter(|| {
+                black_box(
+                    rock.run_governed(&graph, links, &RunGovernor::unlimited(), None)
+                        .expect("an unlimited governor never trips"),
+                )
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_sparse_vs_dense, bench_fit_shapes
+    targets = bench_sparse_vs_dense, bench_fit_shapes, bench_merge_fit_shapes
 }
 criterion_main!(benches);

@@ -177,7 +177,7 @@ impl RockAlgorithm {
             graph.len(),
             "link matrix and neighbor graph disagree on point count"
         );
-        let mut engine = self.init_from_pairs(graph, links.iter_upper());
+        let mut engine = self.init_from_links(graph, links);
         if let Some(w) = wal.as_deref_mut() {
             w.append_begin(&self.wal_begin(graph.len(), &engine));
         }
@@ -233,7 +233,7 @@ impl RockAlgorithm {
                 };
                 let links = LinkMatrix::compute_auto(graph, threads);
                 link_bytes = links.memory_bytes() as u64;
-                let engine = self.init_from_pairs(graph, links.iter_upper());
+                let engine = self.init_from_links(graph, &links);
                 if engine.initial_points != replay.begin.initial_points
                     || engine.outliers != replay.begin.pruned_outliers
                 {
@@ -283,11 +283,12 @@ impl RockAlgorithm {
     /// Builds the initial engine state: §4.6 first pruning, singleton
     /// clusters and their link lists; [`IncrementalState::seed`] derives
     /// the two-level heaps.
-    fn init_from_pairs(
-        &self,
-        graph: &NeighborGraph,
-        pairs: impl Iterator<Item = ((u32, u32), u32)>,
-    ) -> Engine {
+    ///
+    /// A surviving point's list is its CSR row of `links` with pruned
+    /// partners skipped, copied into a `Vec` of exactly that length.
+    /// Clusters are numbered in point order, so the list stays ascending
+    /// by partner.
+    fn init_from_links(&self, graph: &NeighborGraph, links: &LinkMatrix) -> Engine {
         let n = graph.len();
 
         // §4.6 first pruning: points with too few neighbors are outliers.
@@ -305,15 +306,18 @@ impl RockAlgorithm {
             }
         }
         let mut state = IncrementalState::new(members, self.goodness);
-        for ((i, j), c) in pairs {
-            let (Some(ci), Some(cj)) = (
-                cluster_of_point[i as usize],
-                cluster_of_point[j as usize],
-            ) else {
-                continue; // link to a pruned outlier
-            };
-            state.links[ci as usize].push((cj, u64::from(c)));
-            state.links[cj as usize].push((ci, u64::from(c)));
+        for (&p, list) in initial_points.iter().zip(&mut state.links) {
+            let (cols, counts) = links.row(p as usize);
+            let kept = cols
+                .iter()
+                .filter(|&&j| cluster_of_point[j as usize].is_some())
+                .count();
+            list.reserve_exact(kept);
+            for (&j, &c) in cols.iter().zip(counts) {
+                if let Some(cj) = cluster_of_point[j as usize] {
+                    list.push((cj, u64::from(c)));
+                }
+            }
         }
         state.seed();
 

@@ -366,8 +366,10 @@ impl UpdateFingerprint {
 
 impl IncrementalState {
     /// An unseeded state over `members` (dead slots allowed) with empty
-    /// link lists: the caller pushes both directions of every linked pair
-    /// into `links` and then calls [`seed`](Self::seed).
+    /// link lists: the caller fills each live cluster's list with its
+    /// `(partner, links)` entries, ascending by partner and naming only
+    /// live partners (so every linked pair appears once per side), and
+    /// then calls [`seed`](Self::seed).
     pub(crate) fn new(members: Vec<Option<Vec<u32>>>, goodness: Goodness) -> Self {
         let n = members.len();
         IncrementalState {
@@ -385,37 +387,38 @@ impl IncrementalState {
         }
     }
 
-    /// Derives the Fig.-3 heaps from the filled link lists: the goodness
-    /// of every linked pair (computed once, with the smaller arena id
-    /// first, and stored in both local heaps), every `q[i]` heapified,
-    /// and `Q` refreshed for every live cluster. The one seeding path of
-    /// the batch driver, WAL snapshot resume and
+    /// Derives the Fig.-3 heaps from the filled link lists, one cluster
+    /// at a time: `q[i]` is heapified from one candidate per entry of
+    /// `links[i]`, in list order, each goodness computed with the smaller
+    /// arena id's size first (so both sides of a pair get the same bits);
+    /// then `Q` is refreshed for every live cluster. Each heap reads only
+    /// its own list, with no scatter into other clusters' heaps, and
+    /// gets a buffer of exactly the list's length. The one seeding path
+    /// of the batch driver, WAL snapshot resume and
     /// [`from_clusters`](Self::from_clusters).
     pub(crate) fn seed(&mut self) {
-        let mut cands: Vec<Vec<Cand>> = self
-            .links
-            .iter()
-            .map(|l| Vec::with_capacity(l.len()))
-            .collect();
+        let mut local = Vec::with_capacity(self.links.len());
         for (i, list) in self.links.iter().enumerate() {
             // tidy-allow(panic-reach): links and members are parallel arenas; i enumerates links
             let Some(mi) = &self.members[i] else {
+                local.push(BinaryHeap::new());
                 continue;
             };
+            let mut cands = Vec::with_capacity(list.len());
             for &(j, c) in list {
-                if (j as usize) < i {
-                    continue; // each pair once, from its smaller id
-                }
                 // tidy-allow(panic-reach): callers link only live arena ids, so j indexes members in range
                 let sj = self.members[j as usize].as_ref().map_or(0, Vec::len);
-                let g = self.goodness.pair(c, mi.len(), sj);
-                // tidy-allow(panic-reach): i and j index the links arena, which cands parallels
-                cands[i].push(Cand { g, key: j });
-                // tidy-allow(panic-reach): i and j index the links arena, which cands parallels
-                cands[j as usize].push(Cand { g, key: i as u32 });
+                let (a, b) = if (j as usize) < i {
+                    (sj, mi.len())
+                } else {
+                    (mi.len(), sj)
+                };
+                let g = self.goodness.pair(c, a, b);
+                cands.push(Cand { g, key: j });
             }
+            local.push(BinaryHeap::from(cands));
         }
-        self.local = cands.into_iter().map(BinaryHeap::from).collect();
+        self.local = local;
         self.compacted = self.links.iter().map(Vec::len).collect();
         for id in 0..self.members.len() {
             // tidy-allow(panic-reach): id enumerates the members arena

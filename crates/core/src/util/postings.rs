@@ -127,7 +127,9 @@ pub(crate) struct Probe<'a> {
     index: &'a Postings<'a>,
     /// `|query ∩ set|` per id; all zero between queries.
     inter: Vec<u32>,
-    /// The ids with a non-zero `inter`, in first-touch order.
+    /// `n + 1` slots; during a query, the first `len` hold the ids with a
+    /// non-zero `inter`, in first-touch order, and slot `len` is the
+    /// cursor's scratch write.
     touched: Vec<u32>,
 }
 
@@ -137,7 +139,7 @@ impl<'a> Probe<'a> {
         Probe {
             index,
             inter: vec![0; n],
-            touched: Vec::with_capacity(n),
+            touched: vec![0; n + 1],
         }
     }
 
@@ -157,6 +159,13 @@ impl<'a> Probe<'a> {
     /// with the query, so its similarity is 0 < θ; a touched one gets the
     /// value the measure would compute, because both go through
     /// `jaccard_from_counts` on the same integers.
+    ///
+    /// The scatter records first touches without a branch: every step
+    /// writes its id at the cursor and advances the cursor only when the
+    /// count was zero. About one step in four is a first touch, in no
+    /// pattern a predictor can learn, so the branch it replaces missed
+    /// often; the extra store is cheap. The cursor never passes `n` (there
+    /// are `n` distinct ids), so the write lands in the `n + 1` slots.
     pub(crate) fn run(
         &mut self,
         items: &[u32],
@@ -164,6 +173,7 @@ impl<'a> Probe<'a> {
         theta: f64,
         mut hit: impl FnMut(u32),
     ) -> u64 {
+        let mut len = 0;
         for &item in items {
             let ids = self.index.of(item);
             // Labeling probes every query from 0: skip the search there
@@ -176,22 +186,19 @@ impl<'a> Probe<'a> {
             };
             for &id in &ids[first..] {
                 let count = &mut self.inter[id as usize];
-                if *count == 0 {
-                    self.touched.push(id);
-                }
+                self.touched[len] = id;
+                len += usize::from(*count == 0);
                 *count += 1;
             }
         }
-        for &id in &self.touched {
+        for &id in &self.touched[..len] {
             let inter = std::mem::take(&mut self.inter[id as usize]) as usize;
             let union = items.len() + self.index.sets[id as usize].len() - inter;
             if jaccard_from_counts(inter, union) >= theta {
                 hit(id);
             }
         }
-        let touched = self.touched.len() as u64;
-        self.touched.clear();
-        touched
+        len as u64
     }
 }
 
@@ -336,6 +343,71 @@ mod tests {
         let mut hits = Vec::new();
         let touched = probe.run(&[1, 2], 1, 0.7, |id| hits.push(id));
         assert_eq!((touched, hits), (2, vec![3]));
+    }
+
+    #[test]
+    fn probe_that_touches_every_set_uses_the_spare_slot() {
+        // Every set shares items 2 and 3 or item 1 with the query, so each
+        // is touched two or three times; item 1's postings touch 1, 2, 3
+        // first, and set 0 is first touched by item 2.
+        let sets: [&[u32]; 4] = [&[2, 3], &[1, 2, 3], &[1, 3], &[1, 2]];
+        let p = index(&sets).expect("compact ids");
+        let mut probe = Probe::new(&p);
+        let mut hits = Vec::new();
+        // Jaccard({1,2,3}, ·) = 2/3, 1, 2/3, 2/3.
+        let touched = probe.run(&[1, 2, 3], 0, 0.5, |id| hits.push(id));
+        assert_eq!((touched, hits), (4, vec![1, 2, 3, 0]));
+        assert!(probe.inter.iter().all(|&c| c == 0));
+    }
+
+    #[test]
+    fn probe_skips_postings_below_from() {
+        let sets: [&[u32]; 4] = [&[1, 2], &[1, 2], &[1, 2, 5], &[1, 2]];
+        let p = index(&sets).expect("compact ids");
+        let mut probe = Probe::new(&p);
+        let mut hits = Vec::new();
+        // Sets 0 and 1 equal the query but lie below `from`.
+        let touched = probe.run(&[1, 2], 2, 0.6, |id| hits.push(id));
+        assert_eq!((touched, hits), (2, vec![2, 3]));
+        let mut hits = Vec::new();
+        let touched = probe.run(&[1, 2], 4, 0.0, |id| hits.push(id));
+        assert_eq!((touched, &hits), (0, &vec![]));
+        let touched = probe.run(&[1, 2], 3, 1.0, |id| hits.push(id));
+        assert_eq!((touched, hits), (1, vec![3]));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // One probe reused across a run of queries of 0–11 items (items
+        // 10–13 lie in no set), with random start ids and θ, reports
+        // what a fresh probe reports for each, and its counts are all
+        // zero again after every query.
+        #[test]
+        fn reused_probe_matches_a_fresh_probe(
+            sets in collection::vec(collection::vec(0u32..10, 0..6), 1..12),
+            queries in collection::vec(
+                (collection::vec(0u32..14, 0..12), 0u32..14, 0.05f64..1.0),
+                1..12,
+            ),
+        ) {
+            let sorted = |mut items: Vec<u32>| {
+                items.sort_unstable();
+                items.dedup();
+                items
+            };
+            let sets: Vec<Vec<u32>> = sets.into_iter().map(sorted).collect();
+            let p = Postings::index(0.5, sets.iter().map(|s| Some(&s[..]))).expect("compact ids");
+            let mut reused = Probe::new(&p);
+            for (query, from, theta) in queries {
+                let query = sorted(query);
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                let got_touched = reused.run(&query, from, theta, |id| got.push(id));
+                let want_touched = Probe::new(&p).run(&query, from, theta, |id| want.push(id));
+                prop_assert_eq!((got_touched, &got), (want_touched, &want));
+                prop_assert!(reused.inter.iter().all(|&c| c == 0));
+            }
+        }
     }
 
     /// Jaccard with the item capability hidden: [`cross_links`] takes
