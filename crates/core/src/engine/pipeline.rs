@@ -213,7 +213,6 @@ impl<'w> Pipeline<'w> {
         let checked = CheckedSimilarity::new(measure);
 
         let t = PhaseTimer::start();
-        let perf_before = crate::perf::snapshot();
         let mut sample_indices = self.stage(SampleStage {
             data_len: data.len(),
             sample_size: self.config.sample_size,
@@ -221,12 +220,8 @@ impl<'w> Pipeline<'w> {
         // tidy-allow(panic-reach): SampleStage yields indices drawn from 0..data_len == data.len()
         let mut sample: Vec<P> = sample_indices.iter().map(|&i| data[i].clone()).collect();
         t.record(&mut self.ctx.report, "sample");
-        self.ctx
-            .report
-            .record_phase_perf("sample", crate::perf::snapshot().since(&perf_before));
 
         let t = PhaseTimer::start();
-        let perf_before = crate::perf::snapshot();
         let outcome = {
             let pw = PointsWith::new(&sample, &checked);
             let graph = self.stage(NeighborsStage {
@@ -307,12 +302,8 @@ impl<'w> Pipeline<'w> {
             Err(e) => return Err(e),
         };
         t.record(&mut self.ctx.report, "cluster");
-        self.ctx
-            .report
-            .record_phase_perf("cluster", crate::perf::snapshot().since(&perf_before));
 
         let t = PhaseTimer::start();
-        let perf_before = crate::perf::snapshot();
         let (labeler, labeling) = self.stage(LabelStage {
             sample: &sample,
             clusters: &sample_run.clustering.clusters,
@@ -327,9 +318,6 @@ impl<'w> Pipeline<'w> {
             return Err(e);
         }
         t.record(&mut self.ctx.report, "label");
-        self.ctx
-            .report
-            .record_phase_perf("label", crate::perf::snapshot().since(&perf_before));
 
         self.ctx.report.records_read = data.len() as u64;
         self.ctx.report.outliers = labeling.num_outliers as u64;

@@ -223,12 +223,10 @@ impl ShardSupervisor {
         report.records_read = data.len() as u64;
         report.shard_count = Some(ranges.len());
 
-        // Phase "cluster": every shard's attempts. The perf counters are
-        // process-global, so one snapshot window around the whole loop
-        // sums the per-shard kernel work — satellite aggregation for
-        // free, comparable with single-run reports.
+        // Phase "cluster": every shard's attempts, run on this thread, so
+        // one phase window sums the per-shard kernel work (their workers
+        // folded in), comparable with single-run reports.
         let t = PhaseTimer::start();
-        let perf_before = crate::perf::snapshot();
         let mut shard_runs: Vec<ShardRun> = Vec::new();
         for (s, range) in ranges.iter().enumerate() {
             if excluded.contains(&s) {
@@ -260,14 +258,11 @@ impl ShardSupervisor {
             }
         }
         t.record(&mut report, "cluster");
-        report.record_phase_perf("cluster", crate::perf::snapshot().since(&perf_before));
 
         // Phase "merge": the coarse representative-level pass.
         let t = PhaseTimer::start();
-        let perf_before = crate::perf::snapshot();
         let clustering = self.merge(data, measure, ranges.len(), &shard_runs, plan, &mut report)?;
         t.record(&mut report, "merge");
-        report.record_phase_perf("merge", crate::perf::snapshot().since(&perf_before));
 
         report.outliers = clustering.outliers.len() as u64;
         Ok(ShardedRun {

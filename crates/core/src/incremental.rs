@@ -974,9 +974,8 @@ impl<P: ArtifactPoint + Clone> IncrementalRockState<P> {
         // Phase 1: pure scoring against the pre-batch pools, through the
         // batch labeler's pass on this thread, stopping at the first
         // non-finite similarity; the pass counts its own evaluations. The
-        // other perf counters are tallied locally and bumped once at the
-        // end by the exact amounts, never via snapshot deltas (other
-        // threads' kernels would pollute a delta).
+        // other perf counters are tallied locally, into the provenance,
+        // and bumped once at the end by the same amounts.
         let mut scored = Vec::with_capacity(arrivals.len());
         LabelPass::new(&self.labeler, measure).score_chunk(
             arrivals,

@@ -1,42 +1,64 @@
-//! Lightweight process-global performance counters for the hot kernels.
+//! Per-thread work counters for the hot kernels.
 //!
 //! Every bench-snapshot delta should be explainable: when a number
 //! moves, these counters say whether the kernel touched fewer bytes,
 //! emitted fewer pairs, evaluated fewer similarities, or merely
-//! allocated less. Kernels record *aggregate* contributions (one atomic
-//! add per kernel invocation or per worker, never per element), so the
-//! counters cost nothing measurable and — because every contribution is
-//! a sum over the same work partition — their totals are identical for
-//! every thread count, like the kernel outputs themselves.
+//! allocated less. Kernels add *aggregate* contributions (once per
+//! invocation or per worker, never per element), so counting costs
+//! nothing measurable and the totals, sums over the same work partition,
+//! are identical at every thread count, like the kernel outputs.
 //!
-//! The counters are monotonically increasing and process-global.
-//! Phase-scoped readings are taken by differencing two [`snapshot`]s,
-//! which is how [`crate::engine::Pipeline`] attributes counts to the
-//! sample/cluster/label phases in the [`crate::report::RunReport`].
-//! Allocation counts are fed by the counting allocator installed in the
-//! bench harness (`crates/bench`); library builds leave them at zero.
+//! Each thread owns its counters: a kernel counts on the thread that runs
+//! it, and `util::ranges::run_shards`, the one fan-out of the sharded
+//! kernels, adds its workers' counts to the caller, so work on other
+//! threads never shows. [`crate::report::PhaseTimer`] scopes a phase by
+//! differencing two [`snapshot`]s on one thread. Only the allocation
+//! counts, fed by the bench harness's counting allocator from every
+//! thread, are process-global; library builds leave them at zero.
 //!
 //! This module never reads the wall clock ([`crate::report::PhaseTimer`]
-//! owns timing) and never panics.
+//! owns timing) and never panics; counts made during thread teardown are dropped.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-static PAIRS_EMITTED: AtomicU64 = AtomicU64::new(0);
-static BYTES_TOUCHED: AtomicU64 = AtomicU64::new(0);
-static SIM_EVALS: AtomicU64 = AtomicU64::new(0);
-static SCRATCH_REUSED: AtomicU64 = AtomicU64::new(0);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-static RELABELS: AtomicU64 = AtomicU64::new(0);
-static DIRTY_LINKS: AtomicU64 = AtomicU64::new(0);
-static REMERGES: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// This thread's kernel counters; its `allocs`/`alloc_bytes` stay zero.
+    static LOCAL: Cell<PerfCounters> = Cell::new(PerfCounters::default());
+}
+
+/// Applies `f` to this thread's counters.
+fn bump(f: impl FnOnce(&mut PerfCounters)) {
+    let _ = LOCAL.try_with(|cell| {
+        let mut counters = cell.get();
+        f(&mut counters);
+        cell.set(counters);
+    });
+}
+
+/// Runs `work` and returns its output with the counts it made, leaving
+/// this thread's counters as they were (a `run_shards` worker's half).
+pub(crate) fn measured<T>(work: impl FnOnce() -> T) -> (T, PerfCounters) {
+    let before = LOCAL.try_with(Cell::take).unwrap_or_default();
+    let out = work();
+    let counted = LOCAL.try_with(|c| c.replace(before)).unwrap_or_default();
+    (out, counted)
+}
+
+/// Adds `counted` to this thread's counters.
+pub(crate) fn absorb(counted: &PerfCounters) {
+    bump(|c| *c = c.zip(counted, u64::wrapping_add));
+}
 
 /// Records `n` link-pairs emitted by a link kernel: the neighbor pairs
 /// the sparse kernel counts (Σᵢ mᵢ(mᵢ−1)/2), or the linked pairs the
 /// dense kernel finds.
 #[inline]
 pub fn count_pairs_emitted(n: u64) {
-    PAIRS_EMITTED.fetch_add(n, Ordering::Relaxed);
+    bump(|c| c.pairs_emitted = c.pairs_emitted.wrapping_add(n));
 }
 
 /// Records `n` bytes of working-set traffic — an estimate of the bytes
@@ -44,7 +66,7 @@ pub fn count_pairs_emitted(n: u64) {
 /// the dense link kernel also its bit-row arena.
 #[inline]
 pub fn count_bytes_touched(n: u64) {
-    BYTES_TOUCHED.fetch_add(n, Ordering::Relaxed);
+    bump(|c| c.bytes_touched = c.bytes_touched.wrapping_add(n));
 }
 
 /// Records `n` pairwise similarity evaluations. The §4.6 batch pass
@@ -57,7 +79,7 @@ pub fn count_bytes_touched(n: u64) {
 /// shard coarse merge counts only its coarse neighbor scan.
 #[inline]
 pub fn count_sim_evals(n: u64) {
-    SIM_EVALS.fetch_add(n, Ordering::Relaxed);
+    bump(|c| c.sim_evals = c.sim_evals.wrapping_add(n));
 }
 
 /// Records `n` scratch structures reused instead of
@@ -65,11 +87,11 @@ pub fn count_sim_evals(n: u64) {
 /// and candidate heap to the merged cluster).
 #[inline]
 pub fn count_scratch_reused(n: u64) {
-    SCRATCH_REUSED.fetch_add(n, Ordering::Relaxed);
+    bump(|c| c.scratch_reused = c.scratch_reused.wrapping_add(n));
 }
 
 /// Records `count` heap allocations totalling `bytes` — called by the
-/// counting allocator in the bench harness.
+/// counting allocator in the bench harness, on any thread.
 #[inline]
 pub fn count_allocs(count: u64, bytes: u64) {
     ALLOCS.fetch_add(count, Ordering::Relaxed);
@@ -79,23 +101,23 @@ pub fn count_allocs(count: u64, bytes: u64) {
 /// Records `n` §4.6 labeling decisions taken by the online update path.
 #[inline]
 pub fn count_relabels(n: u64) {
-    RELABELS.fetch_add(n, Ordering::Relaxed);
+    bump(|c| c.relabels = c.relabels.wrapping_add(n));
 }
 
 /// Records `n` dirty links accumulated by the online update path.
 #[inline]
 pub fn count_dirty_links(n: u64) {
-    DIRTY_LINKS.fetch_add(n, Ordering::Relaxed);
+    bump(|c| c.dirty_links = c.dirty_links.wrapping_add(n));
 }
 
 /// Records `n` bounded re-merge passes triggered by staleness.
 #[inline]
 pub fn count_remerges(n: u64) {
-    REMERGES.fetch_add(n, Ordering::Relaxed);
+    bump(|c| c.remerges = c.remerges.wrapping_add(n));
 }
 
 /// A point-in-time reading of all counters; subtract two to scope a
-/// phase. All fields are cumulative totals since process start.
+/// phase. Kernel counters are this thread's, allocation counters global.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PerfCounters {
     /// Link-pairs emitted by link kernels.
@@ -122,16 +144,21 @@ impl PerfCounters {
     /// The counters accumulated since `earlier` (saturating, so a stale
     /// baseline never underflows).
     pub fn since(&self, earlier: &PerfCounters) -> PerfCounters {
+        self.zip(earlier, u64::saturating_sub)
+    }
+
+    /// Combines the two readings field by field.
+    fn zip(&self, other: &PerfCounters, op: impl Fn(u64, u64) -> u64) -> PerfCounters {
         PerfCounters {
-            pairs_emitted: self.pairs_emitted.saturating_sub(earlier.pairs_emitted),
-            bytes_touched: self.bytes_touched.saturating_sub(earlier.bytes_touched),
-            sim_evals: self.sim_evals.saturating_sub(earlier.sim_evals),
-            scratch_reused: self.scratch_reused.saturating_sub(earlier.scratch_reused),
-            allocs: self.allocs.saturating_sub(earlier.allocs),
-            alloc_bytes: self.alloc_bytes.saturating_sub(earlier.alloc_bytes),
-            relabels: self.relabels.saturating_sub(earlier.relabels),
-            dirty_links: self.dirty_links.saturating_sub(earlier.dirty_links),
-            remerges: self.remerges.saturating_sub(earlier.remerges),
+            pairs_emitted: op(self.pairs_emitted, other.pairs_emitted),
+            bytes_touched: op(self.bytes_touched, other.bytes_touched),
+            sim_evals: op(self.sim_evals, other.sim_evals),
+            scratch_reused: op(self.scratch_reused, other.scratch_reused),
+            allocs: op(self.allocs, other.allocs),
+            alloc_bytes: op(self.alloc_bytes, other.alloc_bytes),
+            relabels: op(self.relabels, other.relabels),
+            dirty_links: op(self.dirty_links, other.dirty_links),
+            remerges: op(self.remerges, other.remerges),
         }
     }
 
@@ -166,18 +193,12 @@ impl std::fmt::Display for PerfCounters {
     }
 }
 
-/// Reads all counters at once.
+/// Reads all counters: this thread's kernel counters, the process's allocations.
 pub fn snapshot() -> PerfCounters {
     PerfCounters {
-        pairs_emitted: PAIRS_EMITTED.load(Ordering::Relaxed),
-        bytes_touched: BYTES_TOUCHED.load(Ordering::Relaxed),
-        sim_evals: SIM_EVALS.load(Ordering::Relaxed),
-        scratch_reused: SCRATCH_REUSED.load(Ordering::Relaxed),
         allocs: ALLOCS.load(Ordering::Relaxed),
         alloc_bytes: ALLOC_BYTES.load(Ordering::Relaxed),
-        relabels: RELABELS.load(Ordering::Relaxed),
-        dirty_links: DIRTY_LINKS.load(Ordering::Relaxed),
-        remerges: REMERGES.load(Ordering::Relaxed),
+        ..LOCAL.try_with(Cell::get).unwrap_or_default()
     }
 }
 
@@ -194,15 +215,21 @@ mod tests {
         count_scratch_reused(2);
         count_allocs(3, 48);
         let delta = snapshot().since(&before);
-        // Other tests may run concurrently and bump the globals too, so
-        // pin lower bounds, not exact values.
-        assert!(delta.pairs_emitted >= 5);
-        assert!(delta.bytes_touched >= 100);
-        assert!(delta.sim_evals >= 7);
-        assert!(delta.scratch_reused >= 2);
-        assert!(delta.allocs >= 3);
-        assert!(delta.alloc_bytes >= 48);
-        assert!(!delta.is_zero());
+        // The kernel counters are this thread's, and nothing else in
+        // this binary feeds the allocation counters, so every value is
+        // exact.
+        assert_eq!(
+            delta,
+            PerfCounters {
+                pairs_emitted: 5,
+                bytes_touched: 100,
+                sim_evals: 7,
+                scratch_reused: 2,
+                allocs: 3,
+                alloc_bytes: 48,
+                ..PerfCounters::default()
+            }
+        );
     }
 
     #[test]
@@ -245,8 +272,7 @@ mod tests {
         count_dirty_links(3);
         count_remerges(1);
         let delta = snapshot().since(&before);
-        assert!(delta.relabels >= 2);
-        assert!(delta.dirty_links >= 3);
-        assert!(delta.remerges >= 1);
+        let update = (delta.relabels, delta.dirty_links, delta.remerges);
+        assert_eq!(update, (2, 3, 1));
     }
 }

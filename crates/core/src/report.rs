@@ -24,7 +24,7 @@ pub struct QuarantinedRecord {
     pub reason: String,
 }
 
-/// In-flight wall-clock measurement of one pipeline phase.
+/// In-flight measurement of one pipeline phase: wall-clock time and work counters.
 ///
 /// This is the only sanctioned way for pipeline code to time a phase:
 /// report.rs owns the process's wall-clock dependency, so the
@@ -34,20 +34,23 @@ pub struct QuarantinedRecord {
 #[derive(Debug)]
 pub struct PhaseTimer {
     started: Instant,
+    counted: PerfCounters,
 }
 
 impl PhaseTimer {
-    /// Starts the clock.
+    /// Starts the clock and takes this thread's counter reading.
     #[must_use]
     pub fn start() -> Self {
         PhaseTimer {
             started: Instant::now(),
+            counted: crate::perf::snapshot(),
         }
     }
 
-    /// Stops the clock and appends the phase timing to `report`.
+    /// Stops the clock and appends the phase's timing and counter delta to `report`.
     pub fn record(self, report: &mut RunReport, name: &str) {
         report.record_phase(name, self.started.elapsed());
+        report.record_phase_perf(name, crate::perf::snapshot().since(&self.counted));
     }
 }
 
@@ -180,10 +183,9 @@ impl RunReport {
 
     /// Appends a phase's work-counter delta, unless it is all zeros.
     ///
-    /// Callers snapshot [`crate::perf::snapshot`] before the phase and
-    /// pass `after.since(&before)`; a phase that touched no counted
-    /// kernel leaves no entry, keeping reports for non-ROCK models
-    /// (and their persisted artifacts) byte-identical to before.
+    /// [`PhaseTimer::record`] passes its thread's counts for the phase,
+    /// workers folded in. A phase that ran no counted kernel leaves no
+    /// entry, so models without counted kernels persist no counters.
     pub fn record_phase_perf(&mut self, name: &str, counters: PerfCounters) {
         if counters.is_zero() {
             return;

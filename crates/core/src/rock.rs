@@ -629,13 +629,15 @@ mod tests {
         };
         let (checked, report) = rock(1).run(&data, &Jaccard).unwrap();
         for threads in [2, 8] {
-            let (result, _) = rock(threads).run(&data, &Jaccard).unwrap();
+            let (result, threaded) = rock(threads).run(&data, &Jaccard).unwrap();
             assert_eq!(result.sample_indices, checked.sample_indices, "threads={threads}");
             assert_eq!(result.labeling, checked.labeling, "threads={threads}");
             assert_eq!(
                 result.sample_run.merges, checked.sample_run.merges,
                 "threads={threads}"
             );
+            // Work counters are this thread's, workers folded in: exact.
+            assert_eq!(threaded.phase_perf, report.phase_perf, "threads={threads}");
         }
         assert_eq!(report.records_read, data.len() as u64);
         assert_eq!(report.outliers, checked.labeling.num_outliers as u64);
@@ -643,8 +645,7 @@ mod tests {
         assert_eq!(phases, vec!["sample", "cluster", "label"]);
         assert!(!report.degraded());
         // The cluster phase ran the link kernel, so its perf delta is
-        // attributed in the report. (Lower-bound only: the counters are
-        // process-global and concurrent tests may add to the delta.)
+        // attributed in the report.
         let cluster = report
             .phase_counters("cluster")
             .expect("cluster phase records work counters");

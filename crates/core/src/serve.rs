@@ -543,7 +543,8 @@ where
         policy: StalenessPolicy,
     ) -> Result<Self, RockError> {
         let state = IncrementalRockState::from_artifact(artifact, policy)?;
-        let service = AssignService::new(artifact, measure.clone(), config.clone())?;
+        let service =
+            AssignService::from_labeler(state.labeler().clone(), measure.clone(), config.clone())?;
         Ok(OnlineAssignService {
             state,
             measure,

@@ -67,16 +67,6 @@ impl<S> CheckedSimilarity<S> {
             value: f64::from_bits(self.bits.load(Ordering::Acquire)),
         })
     }
-
-    /// Like [`CheckedSimilarity::error`], but clears the latch so the
-    /// wrapper can be reused record-by-record (streaming quarantine).
-    pub fn take_error(&self) -> Option<RockError> {
-        self.seen
-            .swap(false, Ordering::AcqRel)
-            .then(|| RockError::NonFiniteSimilarity {
-                value: f64::from_bits(self.bits.load(Ordering::Acquire)),
-            })
-    }
 }
 
 impl<P, S: Similarity<P>> Similarity<P> for CheckedSimilarity<S> {
@@ -134,7 +124,6 @@ mod tests {
         let b = Transaction::from([2, 3]);
         assert!((c.similarity(&a, &b) - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(c.error(), None);
-        assert_eq!(c.take_error(), None);
     }
 
     #[test]
@@ -148,16 +137,6 @@ mod tests {
             Some(RockError::NonFiniteSimilarity { value }) => assert!(value.is_nan()),
             other => panic!("expected NonFiniteSimilarity, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn take_error_clears_the_latch() {
-        let c = CheckedSimilarity::new(NanAt(0, Default::default()));
-        let a = Transaction::from([1]);
-        let _ = c.similarity(&a, &a); // NaN
-        assert!(c.take_error().is_some());
-        assert_eq!(c.take_error(), None);
-        assert_eq!(c.error(), None);
     }
 
     #[test]

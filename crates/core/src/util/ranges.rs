@@ -1,6 +1,7 @@
 //! Cost-balanced contiguous range splitting for sharded kernels, and the
 //! one fan-out that runs their shards.
 
+use crate::perf::{self, PerfCounters};
 use std::ops::Range;
 
 /// Splits `0..n` into at most `threads` contiguous ranges of roughly
@@ -49,7 +50,8 @@ pub fn balanced_ranges(
 /// worker each, and a panicking worker propagates out of the scope. This
 /// is the only fan-out of the sharded kernels: the neighbor scan, both
 /// link kernels and the §4.6 batch pass each supply their shards and
-/// their per-shard body, which owns its scratch.
+/// their per-shard body, which owns its scratch. Each worker's `perf`
+/// counts are added to the caller's, so its reading is thread-count invariant.
 pub(crate) fn run_shards<I: Send, T: Send>(
     shards: impl IntoIterator<Item = I>,
     work: impl Fn(I) -> T + Sync,
@@ -58,17 +60,19 @@ pub(crate) fn run_shards<I: Send, T: Send>(
     if shards.len() <= 1 {
         return shards.into_iter().map(work).collect();
     }
-    let mut outs: Vec<Option<T>> = Vec::with_capacity(shards.len());
+    let mut outs: Vec<Option<(T, PerfCounters)>> = Vec::with_capacity(shards.len());
     outs.resize_with(shards.len(), || None);
     let work = &work;
     rayon::scope(|scope| {
         for (shard, out) in shards.into_iter().zip(outs.iter_mut()) {
-            scope.spawn(move |_| *out = Some(work(shard)));
+            scope.spawn(move |_| *out = Some(perf::measured(|| work(shard))));
         }
     });
     // Every slot is filled: the scope returns only after all workers
     // completed.
-    outs.into_iter().flatten().collect()
+    let (outs, counted): (Vec<T>, Vec<PerfCounters>) = outs.into_iter().flatten().unzip();
+    counted.iter().for_each(perf::absorb);
+    outs
 }
 
 #[cfg(test)]

@@ -1,10 +1,9 @@
 //! The `sim_evals` work counter of the label and cluster phases, read
 //! from `RunReport::phase_perf`.
 //!
-//! `rock_core::perf` counters are process-global, so this binary holds a
-//! single `#[test]`: no other test in the process can add to the
-//! counters while a phase is differenced. In both phases the counter
-//! must be
+//! `rock_core::perf` counters belong to the thread that ran the work,
+//! so other tests in the process cannot add to a phase's delta. In both
+//! phases the counter must be
 //!
 //! * non-zero — the serial kernels count too, not only the parallel ones;
 //! * thread-count invariant — it counts evaluations, and both paths
