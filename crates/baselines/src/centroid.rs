@@ -15,8 +15,6 @@
 //! clustering" did.
 
 use rock_core::cluster::Clustering;
-use rock_core::error::RockError;
-use rock_core::governor::{Phase, RunGovernor};
 
 /// Configuration of the traditional comparator.
 #[derive(Clone, Copy, Debug)]
@@ -76,21 +74,10 @@ fn centroid_sq_dist(a: &ClusterSlot, b: &ClusterSlot) -> f64 {
 /// Returns the clustering (point ids index `points`); outliers are the
 /// singletons eliminated by the §5 rule, if enabled.
 ///
-/// The budgets and cancellation token of `governor` are checked at every
-/// merge, surfacing [`RockError::Interrupted`] instead of running
-/// open-loop; pass [`RunGovernor::unlimited`] for an ungoverned run.
-///
-/// # Errors
-/// [`RockError::Interrupted`] when the governor trips.
-///
 /// # Panics
 /// Panics if `points` is empty, dimensions are inconsistent, or
 /// `config.k == 0`.
-pub fn centroid_hierarchical(
-    points: &[Vec<f64>],
-    config: CentroidConfig,
-    governor: &RunGovernor,
-) -> Result<Clustering, RockError> {
+pub fn centroid_hierarchical(points: &[Vec<f64>], config: CentroidConfig) -> Clustering {
     assert!(config.k >= 1, "need at least one target cluster");
     assert!(!points.is_empty(), "cannot cluster zero points");
     let dim = points[0].len();
@@ -115,7 +102,6 @@ pub fn centroid_hierarchical(
     let weed_threshold = config.outlier_divisor.map(|d| (n / d).max(config.k));
     let mut weeded = config.outlier_divisor.is_none();
     let mut outliers: Vec<u32> = Vec::new();
-    let mut merges: u64 = 0;
 
     let recompute = |slots: &[ClusterSlot], live: &[usize], i: usize| {
         let si = &slots[i];
@@ -138,7 +124,6 @@ pub fn centroid_hierarchical(
     };
 
     while live.len() > config.k {
-        governor.check_at(Phase::Merge, merges)?;
         // §5 outlier rule, applied once.
         if let (Some(at), false) = (weed_threshold, weeded) {
             if live.len() <= at {
@@ -193,7 +178,6 @@ pub fn centroid_hierarchical(
         live.retain(|&i| i != v);
         nearest[u] = None;
         nearest[v] = None;
-        merges += 1;
         // Fix up the caches. Centroid linkage is not *reducible*: the
         // merged centroid is a convex combination of the old ones and can
         // land closer to a bystander cluster than that cluster's cached
@@ -221,44 +205,13 @@ pub fn centroid_hierarchical(
         .into_iter()
         .map(|i| std::mem::take(&mut slots[i].members))
         .collect();
-    Ok(Clustering::new(clusters, outliers))
-}
-
-/// Convenience: [`centroid_hierarchical`], also returning the final
-/// centroids (in cluster order of the returned [`Clustering`]).
-///
-/// # Errors
-/// [`RockError::Interrupted`] when the governor trips.
-pub fn centroid_hierarchical_with_centroids(
-    points: &[Vec<f64>],
-    config: CentroidConfig,
-    governor: &RunGovernor,
-) -> Result<(Clustering, Vec<Vec<f64>>), RockError> {
-    let clustering = centroid_hierarchical(points, config, governor)?;
-    let dim = points[0].len();
-    let centroids = clustering
-        .clusters
-        .iter()
-        .map(|members| {
-            let mut sum = vec![0.0; dim];
-            for &p in members {
-                for (s, x) in sum.iter_mut().zip(&points[p as usize]) {
-                    *s += *x;
-                }
-            }
-            let n = members.len() as f64;
-            sum.iter_mut().for_each(|s| *s /= n);
-            sum
-        })
-        .collect();
-    Ok((clustering, centroids))
+    Clustering::new(clusters, outliers)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::vectorize::transactions_to_vectors;
-    use rock_core::governor::{CancellationToken, TripReason};
     use rock_core::points::Transaction;
 
     #[test]
@@ -273,8 +226,7 @@ mod tests {
             Transaction::from([5]),
         ];
         let vs = transactions_to_vectors(&ts, 6);
-        let c = centroid_hierarchical(&vs, CentroidConfig::plain(2), &RunGovernor::unlimited())
-            .unwrap();
+        let c = centroid_hierarchical(&vs, CentroidConfig::plain(2));
         // After merging 0 and 1 (distance √2), points 2 and 3 merge
         // (distance √3 < 3.5 and 4.5 to the merged centroid).
         assert_eq!(c.num_clusters(), 2);
@@ -289,8 +241,7 @@ mod tests {
             pts.push(vec![0.0 + 0.01 * i as f64, 0.0]);
             pts.push(vec![10.0 + 0.01 * i as f64, 10.0]);
         }
-        let c = centroid_hierarchical(&pts, CentroidConfig::plain(2), &RunGovernor::unlimited())
-            .unwrap();
+        let c = centroid_hierarchical(&pts, CentroidConfig::plain(2));
         assert_eq!(c.num_clusters(), 2);
         assert_eq!(c.sizes(), vec![10, 10]);
         for cl in &c.clusters {
@@ -313,8 +264,7 @@ mod tests {
             pts.push(vec![100.0, i as f64 * 0.1]);
         }
         pts.push(vec![5000.0, 5000.0]);
-        let c = centroid_hierarchical(&pts, CentroidConfig::paper(2), &RunGovernor::unlimited())
-            .unwrap();
+        let c = centroid_hierarchical(&pts, CentroidConfig::paper(2));
         assert_eq!(c.num_clusters(), 2);
         assert_eq!(c.outliers, vec![8]);
     }
@@ -322,27 +272,9 @@ mod tests {
     #[test]
     fn k_equals_n_is_identity() {
         let pts = vec![vec![0.0], vec![1.0], vec![2.0]];
-        let c = centroid_hierarchical(&pts, CentroidConfig::plain(3), &RunGovernor::unlimited())
-            .unwrap();
+        let c = centroid_hierarchical(&pts, CentroidConfig::plain(3));
         assert_eq!(c.num_clusters(), 3);
         assert!(c.outliers.is_empty());
-    }
-
-    #[test]
-    fn centroids_returned_match_members() {
-        let pts = vec![vec![0.0, 0.0], vec![0.0, 2.0], vec![10.0, 0.0], vec![10.0, 2.0]];
-        let (c, cents) = centroid_hierarchical_with_centroids(
-            &pts,
-            CentroidConfig::plain(2),
-            &RunGovernor::unlimited(),
-        )
-        .unwrap();
-        assert_eq!(c.num_clusters(), 2);
-        for (cl, cent) in c.clusters.iter().zip(&cents) {
-            let x0: f64 = cl.iter().map(|&p| pts[p as usize][0]).sum::<f64>() / cl.len() as f64;
-            assert!((cent[0] - x0).abs() < 1e-12);
-            assert!((cent[1] - 1.0).abs() < 1e-12);
-        }
     }
 
     #[test]
@@ -358,8 +290,7 @@ mod tests {
             vec![1.0, 5.0],   // x
             vec![1.0, 10.1],  // j: x's initial nearest is NOT j (5.1)… keep j far
         ];
-        let c = centroid_hierarchical(&pts, CentroidConfig::plain(2), &RunGovernor::unlimited())
-            .unwrap();
+        let c = centroid_hierarchical(&pts, CentroidConfig::plain(2));
         // u and v merge first (distance 2); then x (distance 5 to the
         // merged centroid) joins them rather than pairing with far-away j.
         assert_eq!(c.clusters, vec![vec![0, 1, 2], vec![3]]);
@@ -370,36 +301,14 @@ mod tests {
         let pts: Vec<Vec<f64>> = (0..30)
             .map(|i| vec![(i % 7) as f64, (i % 5) as f64, (i % 3) as f64])
             .collect();
-        let a = centroid_hierarchical(&pts, CentroidConfig::plain(4), &RunGovernor::unlimited())
-            .unwrap();
-        let b = centroid_hierarchical(&pts, CentroidConfig::plain(4), &RunGovernor::unlimited())
-            .unwrap();
+        let a = centroid_hierarchical(&pts, CentroidConfig::plain(4));
+        let b = centroid_hierarchical(&pts, CentroidConfig::plain(4));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn cancelled_governor_interrupts() {
-        let pts: Vec<Vec<f64>> = (0..30)
-            .map(|i| vec![(i % 7) as f64, (i % 5) as f64, (i % 3) as f64])
-            .collect();
-        let token = CancellationToken::new();
-        token.cancel();
-        let g = RunGovernor::unlimited().with_cancel_token(token);
-        let err = centroid_hierarchical(&pts, CentroidConfig::plain(4), &g).unwrap_err();
-        assert!(matches!(
-            err,
-            RockError::Interrupted {
-                phase: Phase::Merge,
-                reason: TripReason::Cancelled,
-                ..
-            }
-        ));
     }
 
     #[test]
     #[should_panic(expected = "zero points")]
     fn empty_input_panics() {
-        let _ = centroid_hierarchical(&[], CentroidConfig::plain(1), &RunGovernor::unlimited())
-            .unwrap();
+        let _ = centroid_hierarchical(&[], CentroidConfig::plain(1));
     }
 }

@@ -12,8 +12,6 @@
 
 use rand::Rng;
 use rock_core::cluster::Clustering;
-use rock_core::error::RockError;
-use rock_core::governor::{Phase, RunGovernor};
 use rock_core::similarity::PairwiseSimilarity;
 
 /// CLARANS configuration.
@@ -67,15 +65,12 @@ fn total_cost<S: PairwiseSimilarity>(sim: &S, medoids: &[u32]) -> f64 {
 
 /// One randomized descent of the search graph: a random initial medoid
 /// set, then single-medoid swaps until `max_neighbor` consecutive
-/// failures declare a local optimum. `swaps` is the shared attempt
-/// counter the governor checkpoints are indexed by.
+/// failures declare a local optimum.
 fn local_optimum<S: PairwiseSimilarity, R: Rng + ?Sized>(
     sim: &S,
     config: ClaransConfig,
     rng: &mut R,
-    governor: &RunGovernor,
-    swaps: &mut u64,
-) -> Result<(Vec<u32>, f64), RockError> {
+) -> (Vec<u32>, f64) {
     let n = sim.len();
     // Random initial medoid set.
     let mut medoids: Vec<u32> = rock_core::sampling::sample_indices(n, config.k, rng)
@@ -87,8 +82,6 @@ fn local_optimum<S: PairwiseSimilarity, R: Rng + ?Sized>(
     // With k == n every point is a medoid and the swap graph has no
     // edges — the initial set is the (optimal) local optimum.
     while config.k < n && failures < config.max_neighbor {
-        governor.check_at(Phase::Merge, *swaps)?;
-        *swaps += 1;
         // Random neighbor in the search graph: swap one medoid for
         // one non-medoid.
         let slot = rng.random_range(0..config.k);
@@ -109,16 +102,10 @@ fn local_optimum<S: PairwiseSimilarity, R: Rng + ?Sized>(
             failures += 1;
         }
     }
-    Ok((medoids, cost))
+    (medoids, cost)
 }
 
 /// Runs CLARANS over an index-pairwise similarity.
-///
-/// The budgets and cancellation token of `governor` are checked at every
-/// swap attempt; pass [`RunGovernor::unlimited`] for an ungoverned run.
-///
-/// # Errors
-/// [`RockError::Interrupted`] when the governor trips.
 ///
 /// # Panics
 /// Panics if `k == 0` or `k > n`.
@@ -126,8 +113,7 @@ pub fn clarans<S: PairwiseSimilarity, R: Rng + ?Sized>(
     sim: &S,
     config: ClaransConfig,
     rng: &mut R,
-    governor: &RunGovernor,
-) -> Result<ClaransResult, RockError> {
+) -> ClaransResult {
     let n = sim.len();
     assert!(
         config.k >= 1 && config.k <= n,
@@ -136,10 +122,9 @@ pub fn clarans<S: PairwiseSimilarity, R: Rng + ?Sized>(
     );
     // The first restart seeds the incumbent; later restarts replace it
     // only on a strict cost improvement.
-    let mut swaps: u64 = 0;
-    let (mut medoids, mut cost) = local_optimum(sim, config, rng, governor, &mut swaps)?;
+    let (mut medoids, mut cost) = local_optimum(sim, config, rng);
     for _ in 1..config.num_local.max(1) {
-        let (m, c) = local_optimum(sim, config, rng, governor, &mut swaps)?;
+        let (m, c) = local_optimum(sim, config, rng);
         if c < cost {
             medoids = m;
             cost = c;
@@ -171,11 +156,11 @@ pub fn clarans<S: PairwiseSimilarity, R: Rng + ?Sized>(
                 .expect("each cluster contains its medoid")
         })
         .collect();
-    Ok(ClaransResult {
+    ClaransResult {
         clustering,
         medoids: medoids_ordered,
         cost,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -195,7 +180,7 @@ mod tests {
             }
         });
         let mut rng = StdRng::seed_from_u64(94);
-        let r = clarans(&m, ClaransConfig::new(2), &mut rng, &RunGovernor::unlimited()).unwrap();
+        let r = clarans(&m, ClaransConfig::new(2), &mut rng);
         assert_eq!(r.clustering.sizes(), vec![6, 6]);
         assert!(r.cost < 12.0 * 0.2);
         for cl in &r.clustering.clusters {
@@ -218,7 +203,7 @@ mod tests {
             .collect();
         let pw = PointsWith::new(&ts, Jaccard);
         let mut rng = StdRng::seed_from_u64(5);
-        let r = clarans(&pw, ClaransConfig::new(2), &mut rng, &RunGovernor::unlimited()).unwrap();
+        let r = clarans(&pw, ClaransConfig::new(2), &mut rng);
         for (cl, &m) in r.clustering.clusters.iter().zip(&r.medoids) {
             assert!(cl.binary_search(&m).is_ok());
         }
@@ -228,7 +213,7 @@ mod tests {
     fn k_equals_n_zero_cost() {
         let m = SimilarityMatrix::from_fn(4, |_, _| 0.3);
         let mut rng = StdRng::seed_from_u64(1);
-        let r = clarans(&m, ClaransConfig::new(4), &mut rng, &RunGovernor::unlimited()).unwrap();
+        let r = clarans(&m, ClaransConfig::new(4), &mut rng);
         assert!(r.cost < 1e-9, "every point is its own medoid");
     }
 
@@ -251,9 +236,7 @@ mod tests {
                     max_neighbor: 100,
                 },
                 &mut rng,
-                &RunGovernor::unlimited(),
             )
-            .unwrap()
             .cost
         };
         // More restarts explore at least as much (same seed stream, so
@@ -266,6 +249,6 @@ mod tests {
     fn k_zero_panics() {
         let m = SimilarityMatrix::new(3);
         let mut rng = StdRng::seed_from_u64(0);
-        let _ = clarans(&m, ClaransConfig::new(0), &mut rng, &RunGovernor::unlimited()).unwrap();
+        let _ = clarans(&m, ClaransConfig::new(0), &mut rng);
     }
 }

@@ -9,8 +9,6 @@
 //! difference is density-reachability vs links.
 
 use rock_core::cluster::Clustering;
-use rock_core::error::RockError;
-use rock_core::governor::{Phase, RunGovernor};
 use rock_core::neighbors::NeighborGraph;
 
 /// DBSCAN configuration.
@@ -33,18 +31,7 @@ impl DbscanConfig {
 /// Clusters are maximal sets of density-connected points; border points
 /// (non-core neighbors of a core point) join the first cluster that
 /// reaches them; everything else is noise (reported as outliers).
-///
-/// The budgets and cancellation token of `governor` are checked at every
-/// seed-point expansion; pass [`RunGovernor::unlimited`] for an
-/// ungoverned run.
-///
-/// # Errors
-/// [`RockError::Interrupted`] when the governor trips.
-pub fn dbscan(
-    graph: &NeighborGraph,
-    config: DbscanConfig,
-    governor: &RunGovernor,
-) -> Result<Clustering, RockError> {
+pub fn dbscan(graph: &NeighborGraph, config: DbscanConfig) -> Clustering {
     let n = graph.len();
     const UNVISITED: u32 = u32::MAX;
     const NOISE: u32 = u32::MAX - 1;
@@ -54,7 +41,6 @@ pub fn dbscan(
 
     let mut queue: Vec<u32> = Vec::new();
     for p in 0..n {
-        governor.check_at(Phase::Merge, p as u64)?;
         if label[p] != UNVISITED {
             continue;
         }
@@ -87,7 +73,7 @@ pub fn dbscan(
     let outliers: Vec<u32> = (0..n as u32)
         .filter(|&p| label[p as usize] == NOISE)
         .collect();
-    Ok(Clustering::new(clusters, outliers))
+    Clustering::new(clusters, outliers)
 }
 
 #[cfg(test)]
@@ -110,7 +96,7 @@ mod tests {
             Transaction::from([99]),
         ];
         let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1);
-        let c = dbscan(&g, DbscanConfig::new(3), &RunGovernor::unlimited()).unwrap();
+        let c = dbscan(&g, DbscanConfig::new(3));
         assert_eq!(c.sizes(), vec![4, 4]);
         assert_eq!(c.outliers, vec![8]);
     }
@@ -130,7 +116,7 @@ mod tests {
         m.set(3, 4, 0.9); // border point 4
         m.set(4, 5, 0.9); // 5 hangs off the border point — NOT reachable
         let g = NeighborGraph::build(&m, 0.5, 1);
-        let c = dbscan(&g, DbscanConfig::new(4), &RunGovernor::unlimited()).unwrap();
+        let c = dbscan(&g, DbscanConfig::new(4));
         assert_eq!(c.num_clusters(), 1);
         assert_eq!(c.clusters[0], vec![0, 1, 2, 3, 4]);
         assert_eq!(c.outliers, vec![5]);
@@ -163,7 +149,7 @@ mod tests {
             ts
         };
         let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1);
-        let c = dbscan(&g, DbscanConfig::new(3), &RunGovernor::unlimited()).unwrap();
+        let c = dbscan(&g, DbscanConfig::new(3));
         assert_eq!(c.num_clusters(), 1, "DBSCAN merges Fig. 1's clusters");
     }
 
@@ -171,7 +157,7 @@ mod tests {
     fn all_noise_when_min_pts_too_high() {
         let m = SimilarityMatrix::new(4);
         let g = NeighborGraph::build(&m, 0.5, 1);
-        let c = dbscan(&g, DbscanConfig::new(2), &RunGovernor::unlimited()).unwrap();
+        let c = dbscan(&g, DbscanConfig::new(2));
         assert_eq!(c.num_clusters(), 0);
         assert_eq!(c.outliers.len(), 4);
     }

@@ -9,8 +9,6 @@
 use crate::vectorize::sq_euclidean;
 use rand::Rng;
 use rock_core::cluster::Clustering;
-use rock_core::error::RockError;
-use rock_core::governor::{Phase, RunGovernor};
 
 /// Configuration for a k-means run.
 #[derive(Clone, Copy, Debug)]
@@ -50,20 +48,13 @@ pub struct KMeansResult {
 
 /// Runs k-means++ seeding followed by Lloyd iterations.
 ///
-/// The budgets and cancellation token of `governor` are checked at every
-/// Lloyd sweep; pass [`RunGovernor::unlimited`] for an ungoverned run.
-///
-/// # Errors
-/// [`RockError::Interrupted`] when the governor trips.
-///
 /// # Panics
 /// Panics if `points` is empty, `k == 0`, or `k > points.len()`.
 pub fn kmeans<R: Rng + ?Sized>(
     points: &[Vec<f64>],
     config: KMeansConfig,
     rng: &mut R,
-    governor: &RunGovernor,
-) -> Result<KMeansResult, RockError> {
+) -> KMeansResult {
     let n = points.len();
     assert!(n > 0, "cannot cluster zero points");
     assert!(
@@ -111,7 +102,6 @@ pub fn kmeans<R: Rng + ?Sized>(
     let mut assign: Vec<usize> = vec![0; n];
     let mut iterations = 0;
     for iter in 0..config.max_iters {
-        governor.check_at(Phase::Merge, iter as u64)?;
         iterations = iter + 1;
         let mut changes = 0usize;
         for (i, p) in points.iter().enumerate() {
@@ -169,12 +159,12 @@ pub fn kmeans<R: Rng + ?Sized>(
             sum
         })
         .collect();
-    Ok(KMeansResult {
+    KMeansResult {
         clustering,
         centroids: centroids_ordered,
         criterion,
         iterations,
-    })
+    }
 }
 
 /// The §1.1 criterion function `E`: the sum over all points of the
@@ -206,7 +196,7 @@ mod tests {
     fn separates_blobs() {
         let pts = two_blobs();
         let mut rng = StdRng::seed_from_u64(1);
-        let r = kmeans(&pts, KMeansConfig::new(2), &mut rng, &RunGovernor::unlimited()).unwrap();
+        let r = kmeans(&pts, KMeansConfig::new(2), &mut rng);
         assert_eq!(r.clustering.sizes(), vec![20, 20]);
         for cl in &r.clustering.clusters {
             let even: std::collections::HashSet<bool> =
@@ -219,8 +209,8 @@ mod tests {
     fn criterion_decreases_with_better_k() {
         let pts = two_blobs();
         let mut rng = StdRng::seed_from_u64(2);
-        let r1 = kmeans(&pts, KMeansConfig::new(1), &mut rng, &RunGovernor::unlimited()).unwrap();
-        let r2 = kmeans(&pts, KMeansConfig::new(2), &mut rng, &RunGovernor::unlimited()).unwrap();
+        let r1 = kmeans(&pts, KMeansConfig::new(1), &mut rng);
+        let r2 = kmeans(&pts, KMeansConfig::new(2), &mut rng);
         assert!(r2.criterion < r1.criterion);
     }
 
@@ -228,7 +218,7 @@ mod tests {
     fn k_equals_n_gives_zero_criterion() {
         let pts: Vec<Vec<f64>> = (0..5).map(|i| vec![i as f64 * 100.0]).collect();
         let mut rng = StdRng::seed_from_u64(3);
-        let r = kmeans(&pts, KMeansConfig::new(5), &mut rng, &RunGovernor::unlimited()).unwrap();
+        let r = kmeans(&pts, KMeansConfig::new(5), &mut rng);
         assert!(r.criterion < 1e-9);
     }
 
@@ -236,7 +226,7 @@ mod tests {
     fn converges_and_reports_iterations() {
         let pts = two_blobs();
         let mut rng = StdRng::seed_from_u64(4);
-        let r = kmeans(&pts, KMeansConfig::new(2), &mut rng, &RunGovernor::unlimited()).unwrap();
+        let r = kmeans(&pts, KMeansConfig::new(2), &mut rng);
         assert!(r.iterations <= 100);
         assert!(r.iterations >= 1);
     }
@@ -245,7 +235,6 @@ mod tests {
     #[should_panic(expected = "k must be in 1..=n")]
     fn k_zero_panics() {
         let mut rng = StdRng::seed_from_u64(0);
-        let _ = kmeans(&[vec![0.0]], KMeansConfig::new(0), &mut rng, &RunGovernor::unlimited())
-            .unwrap();
+        let _ = kmeans(&[vec![0.0]], KMeansConfig::new(0), &mut rng);
     }
 }

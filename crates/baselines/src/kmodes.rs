@@ -11,8 +11,6 @@
 
 use rand::Rng;
 use rock_core::cluster::Clustering;
-use rock_core::error::RockError;
-use rock_core::governor::{Phase, RunGovernor};
 use rock_core::points::CategoricalRecord;
 use std::collections::BTreeMap;
 
@@ -82,13 +80,6 @@ fn mode_of(records: &[CategoricalRecord], members: &[u32], arity: usize) -> Cate
 
 /// Runs k-modes with random distinct seeding and Lloyd-style sweeps.
 ///
-/// The budgets and cancellation token of `governor` are checked at every
-/// reassignment sweep; pass [`RunGovernor::unlimited`] for an ungoverned
-/// run.
-///
-/// # Errors
-/// [`RockError::Interrupted`] when the governor trips.
-///
 /// # Panics
 /// Panics if `records` is empty, arities differ, `k == 0`, or
 /// `k > records.len()`.
@@ -96,8 +87,7 @@ pub fn kmodes<R: Rng + ?Sized>(
     records: &[CategoricalRecord],
     config: KModesConfig,
     rng: &mut R,
-    governor: &RunGovernor,
-) -> Result<KModesResult, RockError> {
+) -> KModesResult {
     let n = records.len();
     assert!(n > 0, "cannot cluster zero records");
     let arity = records[0].arity();
@@ -138,7 +128,6 @@ pub fn kmodes<R: Rng + ?Sized>(
     let mut assign: Vec<usize> = vec![0; n];
     let mut iterations = 0;
     for iter in 0..config.max_iters {
-        governor.check_at(Phase::Merge, iter as u64)?;
         iterations = iter + 1;
         let mut changes = 0usize;
         for (i, r) in records.iter().enumerate() {
@@ -183,12 +172,12 @@ pub fn kmodes<R: Rng + ?Sized>(
         .iter()
         .map(|members| mode_of(records, members, arity))
         .collect();
-    Ok(KModesResult {
+    KModesResult {
         clustering,
         modes: modes_ordered,
         cost,
         iterations,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -213,7 +202,7 @@ mod tests {
     fn separates_patterns() {
         let rs = two_pattern_records();
         let mut rng = StdRng::seed_from_u64(11);
-        let r = kmodes(&rs, KModesConfig::new(2), &mut rng, &RunGovernor::unlimited()).unwrap();
+        let r = kmodes(&rs, KModesConfig::new(2), &mut rng);
         assert_eq!(r.clustering.sizes(), vec![10, 10]);
         for cl in &r.clustering.clusters {
             let even: std::collections::HashSet<bool> =
@@ -226,7 +215,7 @@ mod tests {
     fn modes_reflect_majority() {
         let rs = two_pattern_records();
         let mut rng = StdRng::seed_from_u64(11);
-        let r = kmodes(&rs, KModesConfig::new(2), &mut rng, &RunGovernor::unlimited()).unwrap();
+        let r = kmodes(&rs, KModesConfig::new(2), &mut rng);
         for m in &r.modes {
             let first = m.value(0).unwrap();
             assert!(first == 0 || first == 5);
@@ -250,7 +239,7 @@ mod tests {
         let best = (0..8)
             .map(|seed| {
                 let mut rng = StdRng::seed_from_u64(seed);
-                kmodes(&rs, KModesConfig::new(2), &mut rng, &RunGovernor::unlimited()).unwrap().cost
+                kmodes(&rs, KModesConfig::new(2), &mut rng).cost
             })
             .min()
             .unwrap();
@@ -262,6 +251,6 @@ mod tests {
     fn arity_mismatch_panics() {
         let rs = vec![rec(&[1]), rec(&[1, 2])];
         let mut rng = StdRng::seed_from_u64(5);
-        let _ = kmodes(&rs, KModesConfig::new(1), &mut rng, &RunGovernor::unlimited()).unwrap();
+        let _ = kmodes(&rs, KModesConfig::new(1), &mut rng);
     }
 }

@@ -18,9 +18,10 @@
 //! * [`models`] — [`rock_core::ClusterModel`] adapters putting every
 //!   baseline behind the same fit-and-report trait as ROCK.
 //!
-//! Every algorithm is one function taking a
-//! [`rock_core::governor::RunGovernor`] for cancellation and budgets;
-//! pass `RunGovernor::unlimited()` for an ungoverned run.
+//! Every algorithm is one function that runs to completion and returns
+//! its result directly. They reproduce the paper's offline comparison
+//! tables, so none takes a governor; only ROCK's own pipeline is
+//! cancellable and budgeted.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +35,7 @@ pub mod linkage;
 pub mod models;
 pub mod vectorize;
 
-pub use centroid::{centroid_hierarchical, centroid_hierarchical_with_centroids, CentroidConfig};
+pub use centroid::{centroid_hierarchical, CentroidConfig};
 pub use clarans::{clarans, ClaransConfig, ClaransResult};
 pub use dbscan::{dbscan, DbscanConfig};
 pub use kmeans::{criterion_e, kmeans, KMeansConfig, KMeansResult};

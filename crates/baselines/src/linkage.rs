@@ -15,8 +15,6 @@
 //! adequate for sample-sized inputs.
 
 use rock_core::cluster::Clustering;
-use rock_core::error::RockError;
-use rock_core::governor::{Phase, RunGovernor};
 use rock_core::similarity::PairwiseSimilarity;
 
 /// How inter-cluster similarity is derived when clusters merge.
@@ -62,19 +60,9 @@ impl LinkageConfig {
 /// Runs agglomerative clustering under the configured linkage over a
 /// pairwise similarity.
 ///
-/// The budgets and cancellation token of `governor` are checked at every
-/// merge; pass [`RunGovernor::unlimited`] for an ungoverned run.
-///
-/// # Errors
-/// [`RockError::Interrupted`] when the governor trips.
-///
 /// # Panics
 /// Panics if the point set is empty or `config.k == 0`.
-pub fn similarity_linkage<S: PairwiseSimilarity>(
-    sim: &S,
-    config: LinkageConfig,
-    governor: &RunGovernor,
-) -> Result<Clustering, RockError> {
+pub fn similarity_linkage<S: PairwiseSimilarity>(sim: &S, config: LinkageConfig) -> Clustering {
     assert!(config.k >= 1, "need at least one target cluster");
     let n = sim.len();
     assert!(n > 0, "cannot cluster zero points");
@@ -99,10 +87,8 @@ pub fn similarity_linkage<S: PairwiseSimilarity>(
     let mut live: Vec<usize> = (0..n).collect();
     // nearest-partner cache: (best similarity, partner) per live cluster.
     let mut nearest: Vec<Option<(f64, usize)>> = vec![None; n];
-    let mut merges: u64 = 0;
 
     while live.len() > config.k {
-        governor.check_at(Phase::Merge, merges)?;
         let mut best: Option<(f64, usize, usize)> = None;
         for pos in 0..live.len() {
             let i = live[pos];
@@ -159,7 +145,6 @@ pub fn similarity_linkage<S: PairwiseSimilarity>(
         members[u].extend(mw);
         live.retain(|&i| i != w);
         nearest[u] = None;
-        merges += 1;
         for &i in &live {
             if let Some((_, j)) = nearest[i] {
                 if j == u || j == w {
@@ -173,13 +158,12 @@ pub fn similarity_linkage<S: PairwiseSimilarity>(
         .into_iter()
         .map(|i| std::mem::take(&mut members[i]))
         .collect();
-    Ok(Clustering::new(clusters, Vec::new()))
+    Clustering::new(clusters, Vec::new())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rock_core::governor::{CancellationToken, TripReason};
     use rock_core::points::Transaction;
     use rock_core::similarity::{Jaccard, PointsWith, SimilarityMatrix};
 
@@ -200,12 +184,7 @@ mod tests {
     fn single_link_chains() {
         // Single link follows the chain: the 6 points collapse pairwise by
         // the strongest edges regardless of cluster diameter.
-        let c = similarity_linkage(
-            &chain_matrix(),
-            LinkageConfig::new(2, Linkage::Single),
-            &RunGovernor::unlimited(),
-        )
-        .unwrap();
+        let c = similarity_linkage(&chain_matrix(), LinkageConfig::new(2, Linkage::Single));
         assert_eq!(c.num_clusters(), 2);
         // Chaining keeps contiguous runs together.
         for cl in &c.clusters {
@@ -226,12 +205,7 @@ mod tests {
                 _ => 0.05,
             }
         });
-        let c = similarity_linkage(
-            &m,
-            LinkageConfig::new(2, Linkage::Complete),
-            &RunGovernor::unlimited(),
-        )
-        .unwrap();
+        let c = similarity_linkage(&m, LinkageConfig::new(2, Linkage::Complete));
         assert_eq!(c.clusters, vec![vec![0, 1], vec![2, 3]]);
     }
 
@@ -244,12 +218,7 @@ mod tests {
         // cluster.
         let ts = crate::testdata::figure1_transactions();
         let pw = PointsWith::new(&ts, Jaccard);
-        let c = similarity_linkage(
-            &pw,
-            LinkageConfig::new(2, Linkage::Average),
-            &RunGovernor::unlimited(),
-        )
-        .unwrap();
+        let c = similarity_linkage(&pw, LinkageConfig::new(2, Linkage::Average));
         let t123 = ts.iter().position(|t| *t == Transaction::from([1, 2, 3])).unwrap();
         let t127 = ts.iter().position(|t| *t == Transaction::from([1, 2, 7])).unwrap();
         assert_eq!(
@@ -265,12 +234,7 @@ mod tests {
         // through the {1,2,x} transactions (Jaccard 0.5 across clusters).
         let ts = crate::testdata::figure1_transactions();
         let pw = PointsWith::new(&ts, Jaccard);
-        let c = similarity_linkage(
-            &pw,
-            LinkageConfig::new(2, Linkage::Single),
-            &RunGovernor::unlimited(),
-        )
-        .unwrap();
+        let c = similarity_linkage(&pw, LinkageConfig::new(2, Linkage::Single));
         // The resulting split cannot be the correct (10, 4): the best
         // cross edge ties the best intra edges at 0.5.
         assert_ne!(c.sizes(), vec![10, 4], "single link bridges the clusters");
@@ -281,38 +245,15 @@ mod tests {
         let m = SimilarityMatrix::from_fn(4, |i, j| if i / 2 == j / 2 { 0.9 } else { 0.0 });
         let mut cfg = LinkageConfig::new(1, Linkage::Single);
         cfg.min_similarity = 0.5;
-        let c = similarity_linkage(&m, cfg, &RunGovernor::unlimited()).unwrap();
+        let c = similarity_linkage(&m, cfg);
         assert_eq!(c.num_clusters(), 2, "zero-similarity merge refused");
     }
 
     #[test]
     fn k_one_merges_everything_without_threshold() {
         let m = SimilarityMatrix::from_fn(5, |_, _| 0.5);
-        let c = similarity_linkage(
-            &m,
-            LinkageConfig::new(1, Linkage::Average),
-            &RunGovernor::unlimited(),
-        )
-        .unwrap();
+        let c = similarity_linkage(&m, LinkageConfig::new(1, Linkage::Average));
         assert_eq!(c.num_clusters(), 1);
         assert_eq!(c.clusters[0].len(), 5);
-    }
-
-    #[test]
-    fn cancelled_governor_interrupts() {
-        let m = chain_matrix();
-        let cfg = LinkageConfig::new(2, Linkage::Average);
-        let token = CancellationToken::new();
-        token.cancel();
-        let g = RunGovernor::unlimited().with_cancel_token(token);
-        let err = similarity_linkage(&m, cfg, &g).unwrap_err();
-        assert!(matches!(
-            err,
-            RockError::Interrupted {
-                phase: Phase::Merge,
-                reason: TripReason::Cancelled,
-                ..
-            }
-        ));
     }
 }

@@ -4,9 +4,11 @@
 //! `rock-eval` and `rock-bench` drive clustering algorithms generically —
 //! fit a model, score/tabulate its [`ModelFit`] — so each baseline gets a
 //! thin adapter that owns its configuration, seeds its own RNG stream
-//! (for the randomized searches), runs the governed core under the
-//! model's [`RunGovernor`], and accounts for wall-clock time and outliers
-//! in the returned [`rock_core::report::RunReport`].
+//! (for the randomized searches), runs the core to completion, and
+//! accounts for wall-clock time and outliers in the returned
+//! [`rock_core::report::RunReport`]. The baselines are ungoverned, so
+//! `fit` never fails; only `rock_core::RockModel` runs under a
+//! governor.
 //!
 //! | Model | Data type `D` | Core driver |
 //! |---|---|---|
@@ -28,7 +30,6 @@ use rand::SeedableRng;
 use rock_core::cluster::Clustering;
 use rock_core::engine::{ClusterModel, ModelFit};
 use rock_core::error::RockError;
-use rock_core::governor::RunGovernor;
 use rock_core::neighbors::NeighborGraph;
 use rock_core::points::CategoricalRecord;
 use rock_core::report::{PhaseTimer, RunReport};
@@ -58,23 +59,12 @@ fn finish(clustering: Clustering, timer: PhaseTimer, mut report: RunReport) -> M
 #[derive(Clone, Debug)]
 pub struct CentroidModel {
     config: CentroidConfig,
-    governor: RunGovernor,
 }
 
 impl CentroidModel {
-    /// A model with the given configuration and no budgets.
+    /// A model with the given configuration.
     pub fn new(config: CentroidConfig) -> Self {
-        CentroidModel {
-            config,
-            governor: RunGovernor::unlimited(),
-        }
-    }
-
-    /// Runs fits under `governor` (cancellation, deadline, memory).
-    #[must_use]
-    pub fn with_governor(mut self, governor: RunGovernor) -> Self {
-        self.governor = governor;
-        self
+        CentroidModel { config }
     }
 }
 
@@ -87,7 +77,7 @@ impl ClusterModel<[Vec<f64>]> for CentroidModel {
         let mut report = RunReport::new();
         report.records_read = data.len() as u64;
         let timer = PhaseTimer::start();
-        let clustering = centroid_hierarchical(data, self.config, &self.governor)?;
+        let clustering = centroid_hierarchical(data, self.config);
         Ok(finish(clustering, timer, report))
     }
 }
@@ -97,24 +87,12 @@ impl ClusterModel<[Vec<f64>]> for CentroidModel {
 pub struct KMeansModel {
     config: KMeansConfig,
     seed: u64,
-    governor: RunGovernor,
 }
 
 impl KMeansModel {
     /// A model seeding its k-means++ stream from `seed`.
     pub fn new(config: KMeansConfig, seed: u64) -> Self {
-        KMeansModel {
-            config,
-            seed,
-            governor: RunGovernor::unlimited(),
-        }
-    }
-
-    /// Runs fits under `governor` (cancellation, deadline, memory).
-    #[must_use]
-    pub fn with_governor(mut self, governor: RunGovernor) -> Self {
-        self.governor = governor;
-        self
+        KMeansModel { config, seed }
     }
 }
 
@@ -128,7 +106,7 @@ impl ClusterModel<[Vec<f64>]> for KMeansModel {
         report.records_read = data.len() as u64;
         let mut rng = StdRng::seed_from_u64(self.seed);
         let timer = PhaseTimer::start();
-        let result = kmeans(data, self.config, &mut rng, &self.governor)?;
+        let result = kmeans(data, self.config, &mut rng);
         Ok(finish(result.clustering, timer, report))
     }
 }
@@ -138,24 +116,12 @@ impl ClusterModel<[Vec<f64>]> for KMeansModel {
 pub struct KModesModel {
     config: KModesConfig,
     seed: u64,
-    governor: RunGovernor,
 }
 
 impl KModesModel {
     /// A model seeding its mode-selection stream from `seed`.
     pub fn new(config: KModesConfig, seed: u64) -> Self {
-        KModesModel {
-            config,
-            seed,
-            governor: RunGovernor::unlimited(),
-        }
-    }
-
-    /// Runs fits under `governor` (cancellation, deadline, memory).
-    #[must_use]
-    pub fn with_governor(mut self, governor: RunGovernor) -> Self {
-        self.governor = governor;
-        self
+        KModesModel { config, seed }
     }
 }
 
@@ -169,7 +135,7 @@ impl ClusterModel<[CategoricalRecord]> for KModesModel {
         report.records_read = data.len() as u64;
         let mut rng = StdRng::seed_from_u64(self.seed);
         let timer = PhaseTimer::start();
-        let result = kmodes(data, self.config, &mut rng, &self.governor)?;
+        let result = kmodes(data, self.config, &mut rng);
         Ok(finish(result.clustering, timer, report))
     }
 }
@@ -179,23 +145,12 @@ impl ClusterModel<[CategoricalRecord]> for KModesModel {
 #[derive(Clone, Debug)]
 pub struct LinkageModel {
     config: LinkageConfig,
-    governor: RunGovernor,
 }
 
 impl LinkageModel {
-    /// A model with the given linkage configuration and no budgets.
+    /// A model with the given linkage configuration.
     pub fn new(config: LinkageConfig) -> Self {
-        LinkageModel {
-            config,
-            governor: RunGovernor::unlimited(),
-        }
-    }
-
-    /// Runs fits under `governor` (cancellation, deadline, memory).
-    #[must_use]
-    pub fn with_governor(mut self, governor: RunGovernor) -> Self {
-        self.governor = governor;
-        self
+        LinkageModel { config }
     }
 }
 
@@ -212,7 +167,7 @@ impl<PS: PairwiseSimilarity> ClusterModel<PS> for LinkageModel {
         let mut report = RunReport::new();
         report.records_read = data.len() as u64;
         let timer = PhaseTimer::start();
-        let clustering = similarity_linkage(data, self.config, &self.governor)?;
+        let clustering = similarity_linkage(data, self.config);
         Ok(finish(clustering, timer, report))
     }
 }
@@ -223,24 +178,12 @@ impl<PS: PairwiseSimilarity> ClusterModel<PS> for LinkageModel {
 pub struct ClaransModel {
     config: ClaransConfig,
     seed: u64,
-    governor: RunGovernor,
 }
 
 impl ClaransModel {
     /// A model seeding its randomized search from `seed`.
     pub fn new(config: ClaransConfig, seed: u64) -> Self {
-        ClaransModel {
-            config,
-            seed,
-            governor: RunGovernor::unlimited(),
-        }
-    }
-
-    /// Runs fits under `governor` (cancellation, deadline, memory).
-    #[must_use]
-    pub fn with_governor(mut self, governor: RunGovernor) -> Self {
-        self.governor = governor;
-        self
+        ClaransModel { config, seed }
     }
 }
 
@@ -254,46 +197,25 @@ impl<PS: PairwiseSimilarity> ClusterModel<PS> for ClaransModel {
         report.records_read = data.len() as u64;
         let mut rng = StdRng::seed_from_u64(self.seed);
         let timer = PhaseTimer::start();
-        let result = clarans(data, self.config, &mut rng, &self.governor)?;
+        let result = clarans(data, self.config, &mut rng);
         Ok(finish(result.clustering, timer, report))
     }
 }
 
 /// DBSCAN as a [`ClusterModel`]: builds the θ-neighbor graph ROCK uses
 /// (a similarity threshold is an ε-radius in similarity space), then
-/// grows density-connected clusters over it. Reports the graph build as
-/// its own "neighbors" phase.
+/// grows density-connected clusters over it on one thread. Reports the
+/// graph build as its own "neighbors" phase.
 #[derive(Clone, Debug)]
 pub struct DbscanModel {
     config: DbscanConfig,
     theta: f64,
-    threads: usize,
-    governor: RunGovernor,
 }
 
 impl DbscanModel {
-    /// A model thresholding neighborhoods at `theta`, single-threaded.
+    /// A model thresholding neighborhoods at `theta`.
     pub fn new(config: DbscanConfig, theta: f64) -> Self {
-        DbscanModel {
-            config,
-            theta,
-            threads: 1,
-            governor: RunGovernor::unlimited(),
-        }
-    }
-
-    /// Builds the neighbor graph with `threads` workers.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Runs fits under `governor` (cancellation, deadline, memory).
-    #[must_use]
-    pub fn with_governor(mut self, governor: RunGovernor) -> Self {
-        self.governor = governor;
-        self
+        DbscanModel { config, theta }
     }
 }
 
@@ -306,10 +228,10 @@ impl<PS: PairwiseSimilarity + Sync> ClusterModel<PS> for DbscanModel {
         let mut report = RunReport::new();
         report.records_read = data.len() as u64;
         let timer = PhaseTimer::start();
-        let graph = NeighborGraph::build(data, self.theta, self.threads);
+        let graph = NeighborGraph::build(data, self.theta, 1);
         timer.record(&mut report, "neighbors");
         let timer = PhaseTimer::start();
-        let clustering = dbscan(&graph, self.config, &self.governor)?;
+        let clustering = dbscan(&graph, self.config);
         Ok(finish(clustering, timer, report))
     }
 }
@@ -317,9 +239,7 @@ impl<PS: PairwiseSimilarity + Sync> ClusterModel<PS> for DbscanModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kmodes::kmodes;
     use crate::vectorize::transactions_to_vectors;
-    use rock_core::governor::{CancellationToken, Phase, TripReason};
     use rock_core::points::Transaction;
     use rock_core::similarity::{Jaccard, PointsWith, SimilarityMatrix};
 
@@ -333,9 +253,22 @@ mod tests {
         })
     }
 
+    /// One adapter-table row: the model's name, its fit, the direct
+    /// core call's clustering and the input length.
+    fn row<D: ?Sized, M: ClusterModel<D>>(
+        model: &M,
+        data: &D,
+        direct: Clustering,
+        len: usize,
+    ) -> (&'static str, ModelFit, Clustering, usize) {
+        (model.name(), model.fit(data).unwrap(), direct, len)
+    }
+
     #[test]
-    fn centroid_model_matches_direct_call() {
-        let ts: Vec<Transaction> = (0..12)
+    fn every_model_matches_its_core() {
+        // Two groups of six baskets plus one basket sharing no item, so
+        // the outlier-weeding centroid run and DBSCAN both report noise.
+        let mut ts: Vec<Transaction> = (0..12)
             .map(|i| {
                 if i < 6 {
                     Transaction::from([1, 2, 3 + (i % 2) as u32])
@@ -344,22 +277,77 @@ mod tests {
                 }
             })
             .collect();
-        let vs = transactions_to_vectors(&ts, 14);
-        let model = CentroidModel::new(CentroidConfig::plain(2));
-        let fit = model.fit(&vs).unwrap();
-        assert_eq!(
-            fit.clustering,
-            crate::centroid::centroid_hierarchical(
-                &vs,
-                CentroidConfig::plain(2),
-                &RunGovernor::unlimited()
-            )
-            .unwrap()
-        );
-        assert_eq!(fit.report.records_read, 12);
-        assert!(fit.report.phase_duration("cluster").is_some());
-        assert!(fit.dendrogram.is_none());
-        assert_eq!(model.name(), "centroid");
+        ts.push(Transaction::from([20]));
+        let n = ts.len();
+        let vs = transactions_to_vectors(&ts, 21);
+        let pw = PointsWith::new(&ts, Jaccard);
+        let rs: Vec<CategoricalRecord> = (0..10)
+            .map(|i| CategoricalRecord::complete(vec![(i / 5) * 5, (i / 5) * 5, i % 2]))
+            .collect();
+        let rng = StdRng::seed_from_u64;
+
+        let centroid = CentroidConfig::paper(2);
+        let kmeans_cfg = KMeansConfig::new(2);
+        let kmodes_cfg = KModesConfig::new(2);
+        let linkage = LinkageConfig::new(2, Linkage::Average);
+        let clarans_cfg = ClaransConfig::new(2);
+        let dbscan_cfg = DbscanConfig::new(3);
+        let rows = [
+            row(
+                &CentroidModel::new(centroid),
+                &vs[..],
+                centroid_hierarchical(&vs, centroid),
+                n,
+            ),
+            row(
+                &KMeansModel::new(kmeans_cfg, 7),
+                &vs[..],
+                kmeans(&vs, kmeans_cfg, &mut rng(7)).clustering,
+                n,
+            ),
+            row(
+                &KModesModel::new(kmodes_cfg, 11),
+                &rs[..],
+                kmodes(&rs, kmodes_cfg, &mut rng(11)).clustering,
+                rs.len(),
+            ),
+            row(
+                &LinkageModel::new(linkage),
+                &pw,
+                similarity_linkage(&pw, linkage),
+                n,
+            ),
+            row(
+                &ClaransModel::new(clarans_cfg, 94),
+                &pw,
+                clarans(&pw, clarans_cfg, &mut rng(94)).clustering,
+                n,
+            ),
+            row(
+                &DbscanModel::new(dbscan_cfg, 0.5),
+                &pw,
+                dbscan(&NeighborGraph::build(&pw, 0.5, 1), dbscan_cfg),
+                n,
+            ),
+        ];
+
+        let names: Vec<&str> = rows.iter().map(|r| r.0).collect();
+        let expected = ["centroid", "kmeans", "kmodes", "group-average", "clarans", "dbscan"];
+        assert_eq!(names, expected);
+        for (name, fit, direct, len) in &rows {
+            assert_eq!(fit.clustering, *direct, "{name}: fit differs from its core");
+            assert_eq!(fit.report.records_read, *len as u64, "{name}");
+            assert_eq!(
+                fit.report.outliers,
+                fit.clustering.outliers.len() as u64,
+                "{name}"
+            );
+            assert!(fit.report.phase_duration("cluster").is_some(), "{name}");
+            assert!(fit.dendrogram.is_none(), "{name}");
+        }
+        for (name, fit, ..) in [&rows[0], &rows[5]] {
+            assert_eq!(fit.clustering.outliers, vec![12], "{name}: the lone basket is noise");
+        }
     }
 
     #[test]
@@ -375,18 +363,6 @@ mod tests {
         let m = block_matrix(12);
         let cl = ClaransModel::new(ClaransConfig::new(2), 94);
         assert_eq!(cl.fit(&m).unwrap().clustering, cl.fit(&m).unwrap().clustering);
-    }
-
-    #[test]
-    fn kmodes_model_matches_direct_call() {
-        let rs: Vec<CategoricalRecord> = (0..10)
-            .map(|i| CategoricalRecord::complete(vec![(i / 5) * 5, (i / 5) * 5, i % 2]))
-            .collect();
-        let model = KModesModel::new(KModesConfig::new(2), 11);
-        let fit = model.fit(&rs).unwrap();
-        let mut rng = StdRng::seed_from_u64(11);
-        let direct = kmodes(&rs, KModesConfig::new(2), &mut rng, &RunGovernor::unlimited());
-        assert_eq!(fit.clustering, direct.unwrap().clustering);
     }
 
     #[test]
@@ -427,25 +403,5 @@ mod tests {
         assert!(fit.report.phase_duration("neighbors").is_some());
         assert!(fit.report.phase_duration("cluster").is_some());
         assert_eq!(fit.assignments(9)[8], None, "noise point is unassigned");
-    }
-
-    #[test]
-    fn cancelled_governor_interrupts_any_model() {
-        let token = CancellationToken::new();
-        token.cancel();
-        let g = RunGovernor::unlimited().with_cancel_token(token);
-        let m = block_matrix(10);
-        let err = ClaransModel::new(ClaransConfig::new(2), 1)
-            .with_governor(g)
-            .fit(&m)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            RockError::Interrupted {
-                phase: Phase::Merge,
-                reason: TripReason::Cancelled,
-                ..
-            }
-        ));
     }
 }

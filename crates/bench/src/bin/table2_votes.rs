@@ -14,7 +14,6 @@ use bench::{contingency_rows, print_table, rock_on_records, Args};
 use rand::{rngs::StdRng, SeedableRng};
 use rock_baselines::{centroid_hierarchical, records_to_vectors, CentroidConfig};
 use rock_core::goodness::GoodnessKind;
-use rock_core::governor::RunGovernor;
 use rock_core::similarity::MissingPolicy;
 use rock_data::{generate_votes, Party, VotesSpec};
 use rock_eval::cluster_profiles;
@@ -41,9 +40,7 @@ fn main() {
     // Traditional algorithm (§5): boolean 0/1 encoding, Euclidean
     // centroid distance, singletons weeded at n/3.
     let vectors = records_to_vectors(&data.records, &data.schema);
-    let traditional =
-        centroid_hierarchical(&vectors, CentroidConfig::paper(2), &RunGovernor::unlimited())
-            .expect("an unlimited governor never trips");
+    let traditional = centroid_hierarchical(&vectors, CentroidConfig::paper(2));
     let mut header = vec!["Cluster No"];
     header.extend(class_names);
     print_table(

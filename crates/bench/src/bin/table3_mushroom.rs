@@ -24,7 +24,6 @@ use bench::{contingency_rows, default_threads, print_table, rock_on_records, tim
 use rand::{rngs::StdRng, SeedableRng};
 use rock_baselines::{centroid_hierarchical, records_to_vectors, CentroidConfig};
 use rock_core::goodness::GoodnessKind;
-use rock_core::governor::RunGovernor;
 use rock_core::similarity::MissingPolicy;
 use rock_data::{generate_mushrooms, Edibility, MushroomSpec};
 use rock_eval::{cluster_profiles, ContingencyTable};
@@ -67,10 +66,7 @@ fn main() {
     if !args.flag("skip-traditional") {
         let vectors = records_to_vectors(&data.records, &data.schema);
         let (traditional, secs) =
-            timed(|| {
-                centroid_hierarchical(&vectors, CentroidConfig::paper(k), &RunGovernor::unlimited())
-                    .expect("an unlimited governor never trips")
-            });
+            timed(|| centroid_hierarchical(&vectors, CentroidConfig::paper(k)));
         print_table(
             &format!("Table 3a: Traditional Hierarchical Algorithm ({secs:.1}s)"),
             &header,

@@ -54,10 +54,10 @@ impl ModelFit {
 /// `D` is the unsized data view the model consumes (`[Vec<f64>]` for
 /// geometric baselines, `[CategoricalRecord]` for k-modes, a
 /// `PairwiseSimilarity` source for similarity-driven models). Models
-/// are configured at construction — including their
-/// [`crate::governor::RunGovernor`], so every implementation is
-/// cancellable and budget-aware — and `fit` is reusable: each call is
-/// an independent run.
+/// are configured at construction and `fit` is reusable: each call is
+/// an independent run. Only [`RockModel`] runs under a
+/// [`crate::governor::RunGovernor`] (its [`Rock`]'s); the baselines run
+/// to completion.
 pub trait ClusterModel<D: ?Sized> {
     /// Short stable model name (`"rock"`, `"kmeans"`, …), used as the
     /// row label by evaluation and benchmark tables.
@@ -66,8 +66,8 @@ pub trait ClusterModel<D: ?Sized> {
     /// Runs the model over `data`.
     ///
     /// # Errors
-    /// [`RockError::Interrupted`] when the model's governor trips, plus
-    /// model-specific input errors.
+    /// For [`RockModel`], [`RockError::Interrupted`] when its governor
+    /// trips, plus its input errors. The baselines never fail.
     fn fit(&self, data: &D) -> Result<ModelFit, RockError>;
 
     /// Persists `fit` as a durable model artifact at `path`, tagged

@@ -38,9 +38,9 @@ pub struct ShardConfig {
     /// count is lower for inputs smaller than this).
     pub shards: usize,
     /// Per-shard retry ladder: a shard gets `1 + retry.max_retries`
-    /// attempts before quarantine, with `retry`'s (optionally
-    /// seed-jittered) backoff between attempts. The same ladder guards
-    /// the coarse merge pass.
+    /// attempts before quarantine, with `retry`'s capped-exponential
+    /// backoff between attempts. The same ladder guards the coarse
+    /// merge pass.
     pub retry: RetryPolicy,
     /// Wall-clock budget per shard *attempt* (`None` = none): a hung
     /// shard is killed at its deadline and retried or resumed from its
@@ -68,7 +68,6 @@ impl Default for ShardConfig {
                 max_retries: 2,
                 base_delay: Duration::ZERO,
                 max_delay: Duration::ZERO,
-                jitter_seed: None,
             },
             shard_deadline: None,
             shard_memory_budget: None,

@@ -17,7 +17,7 @@
 //!   under a *child* governor ([`RunGovernor::child`]): its own deadline
 //!   and memory slice, the parent's cancellation token.
 //! * **Retrying** — a deadline/memory/kill trip sleeps the configured
-//!   (optionally seed-jittered) backoff, then resumes from the shard's
+//!   capped-exponential backoff, then resumes from the shard's
 //!   carried WAL when the interruption was resumable — a replay is
 //!   bit-identical to an uninterrupted run — or restarts from scratch
 //!   when it was not (or the carried log turned out damaged).

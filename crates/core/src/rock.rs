@@ -129,12 +129,6 @@ impl RockBuilder {
         self
     }
 
-    /// Sets the outlier policy (default: prune neighbor-less points).
-    pub fn outlier_policy(mut self, policy: OutlierPolicy) -> Self {
-        self.outliers = policy;
-        self
-    }
-
     /// Enables mid-flight weeding: stop at `stop_multiple · k` clusters and
     /// discard those smaller than `min_cluster_size` (§4.6).
     pub fn weed_outliers(mut self, stop_multiple: f64, min_cluster_size: usize) -> Self {

@@ -911,7 +911,6 @@ mod tests {
             max_retries: 3,
             base_delay: Duration::from_micros(10),
             max_delay: Duration::from_micros(50),
-            jitter_seed: None,
         }
     }
 
@@ -1042,7 +1041,6 @@ mod tests {
             max_retries: 10,
             base_delay: Duration::from_millis(10),
             max_delay: Duration::from_millis(25),
-            jitter_seed: None,
         };
         assert_eq!(retry.backoff(0), Duration::from_millis(10));
         assert_eq!(retry.backoff(1), Duration::from_millis(20));

@@ -4,28 +4,22 @@
 //! The artifact serve layer ([`crate::serve`]) and rock-data's
 //! resilient ingest share this one policy and its one loop,
 //! [`RetryPolicy::run`]: attempt, sleep [`RetryPolicy::backoff`], retry
-//! while the error is transient and the budget lasts. Delays may carry
-//! *deterministic, seed-derived jitter*
-//! ([`RetryPolicy::with_jitter_seed`]) — each retry's delay is scattered
-//! within `[delay/2, delay)` by a [`splitmix64`] stream of the seed, so
-//! many retriers backing off from a shared resource do not thunder in
-//! lockstep, while a given seed reproduces the exact delay schedule
-//! (the property every fault-matrix test relies on).
+//! while the error is transient and the budget lasts. The delay
+//! schedule is a pure function of the policy and the attempt number,
+//! so every fault-matrix test sees the exact same schedule.
 //!
 //! **Corruption is never retried**: [`RetryPolicy::run`] retries only
 //! I/O errors of a transient kind ([`RetryPolicy::is_transient`]), and
 //! parse and validation failures surface at the call sites after the
 //! read, because a deterministic re-read of bad bytes cannot succeed.
 
-use crate::util::splitmix::splitmix64;
 use std::io;
 use std::time::Duration;
 
 /// Bounded capped-exponential backoff for transient failures.
 ///
 /// Delay before retry `n` (0-based) is `base_delay · 2ⁿ`, capped at
-/// `max_delay`, optionally jittered deterministically (see
-/// [`RetryPolicy::jitter_seed`]).
+/// `max_delay`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Retries after the first attempt (0 = try once, never retry).
@@ -34,12 +28,6 @@ pub struct RetryPolicy {
     pub base_delay: Duration,
     /// Upper bound on any single delay.
     pub max_delay: Duration,
-    /// When set, each delay is scaled into `[delay/2, delay)` by a
-    /// SplitMix64 stream of this seed — deterministic per `(seed,
-    /// attempt)`, so schedules de-synchronize across retriers without
-    /// losing reproducibility. `None` keeps the exact
-    /// capped-exponential schedule.
-    pub jitter_seed: Option<u64>,
 }
 
 impl Default for RetryPolicy {
@@ -48,7 +36,6 @@ impl Default for RetryPolicy {
             max_retries: 3,
             base_delay: Duration::from_millis(10),
             max_delay: Duration::from_millis(500),
-            jitter_seed: None,
         }
     }
 }
@@ -61,34 +48,16 @@ impl RetryPolicy {
             max_retries,
             base_delay: Duration::ZERO,
             max_delay: Duration::ZERO,
-            jitter_seed: None,
         }
     }
 
-    /// Enables deterministic seed-derived jitter (see
-    /// [`RetryPolicy::jitter_seed`]).
-    pub fn with_jitter_seed(mut self, seed: u64) -> Self {
-        self.jitter_seed = Some(seed);
-        self
-    }
-
     /// The delay before retry number `attempt` (0-based): `base · 2ᵃ`
-    /// capped at `max_delay`, then jittered into `[delay/2, delay)`
-    /// when a jitter seed is set.
+    /// capped at `max_delay`.
     pub fn backoff(&self, attempt: u32) -> Duration {
         // Shift capped well past any real max_delay; saturating_mul
         // absorbs the rest.
         let factor = 1u32.checked_shl(attempt.min(20)).unwrap_or(u32::MAX);
-        let full = self.base_delay.saturating_mul(factor).min(self.max_delay);
-        match self.jitter_seed {
-            None => full,
-            Some(seed) => {
-                let h = splitmix64(seed ^ u64::from(attempt).wrapping_mul(0xA24B_AED4_963E_E407));
-                // Top 53 bits as a dyadic fraction in [0, 1).
-                let frac = (h >> 11) as f64 / (1u64 << 53) as f64;
-                full.mul_f64(0.5 + frac * 0.5)
-            }
-        }
+        self.base_delay.saturating_mul(factor).min(self.max_delay)
     }
 
     /// Runs `op` under the policy: a transient error
@@ -143,7 +112,6 @@ mod tests {
             max_retries: 10,
             base_delay: Duration::from_millis(10),
             max_delay: Duration::from_millis(25),
-            jitter_seed: None,
         };
         assert_eq!(p.backoff(0), Duration::from_millis(10));
         assert_eq!(p.backoff(1), Duration::from_millis(20));
@@ -159,29 +127,6 @@ mod tests {
         for attempt in 0..8 {
             assert_eq!(p.backoff(attempt), Duration::ZERO);
         }
-    }
-
-    #[test]
-    fn jitter_is_deterministic_and_bounded() {
-        let base = RetryPolicy {
-            max_retries: 4,
-            base_delay: Duration::from_millis(100),
-            max_delay: Duration::from_secs(10),
-            jitter_seed: None,
-        };
-        let jittered = base.with_jitter_seed(7);
-        for attempt in 0..5 {
-            let full = base.backoff(attempt);
-            let j = jittered.backoff(attempt);
-            // Deterministic: same (seed, attempt) → same delay.
-            assert_eq!(j, jittered.backoff(attempt));
-            // Bounded: within [full/2, full).
-            assert!(j >= full / 2, "attempt {attempt}: {j:?} < {:?}", full / 2);
-            assert!(j < full, "attempt {attempt}: {j:?} >= {full:?}");
-        }
-        // Different seeds scatter differently somewhere in the schedule.
-        let other = base.with_jitter_seed(8);
-        assert!((0..5).any(|a| jittered.backoff(a) != other.backoff(a)));
     }
 
     #[test]

@@ -36,13 +36,13 @@ use crate::basketio::parse_numeric_line;
 use rock_core::governor::{Phase, RunGovernor, TripReason};
 use rock_core::labeling::{LabelPass, Labeler, Labeling};
 use rock_core::points::Transaction;
-use rock_core::report::RunReport;
+use rock_core::report::{PhaseTimer, RunReport};
 use rock_core::similarity::Similarity;
 use rock_core::RockError;
 use std::error::Error;
 use std::fmt;
 use std::io::{self, BufRead};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 pub use rock_core::util::retry::RetryPolicy;
 
@@ -73,7 +73,6 @@ impl Default for ResilientConfig {
                 max_retries: 4,
                 base_delay: Duration::from_millis(10),
                 max_delay: Duration::from_secs(1),
-                jitter_seed: None,
             },
             max_quarantine: 64,
             quarantine_detail: 16,
@@ -617,7 +616,8 @@ fn start_state(
 }
 
 /// One resilient pass: validates the resume checkpoint, skips to its
-/// byte offset, runs [`ingest_loop`] and records `phase` in the report.
+/// byte offset, runs [`ingest_loop`] and records `phase` (its time and
+/// work counters) in the report.
 /// A hard stop becomes an [`IngestError`] carrying the salvage.
 #[allow(clippy::too_many_arguments)]
 fn run_pass<R, F, H>(
@@ -635,7 +635,7 @@ where
     F: FnMut(&Checkpoint),
     H: Fn(&[Transaction]) -> Vec<Handled>,
 {
-    let started = Instant::now();
+    let timer = PhaseTimer::start();
     let mut state = start_state(resume, num_clusters)?;
     let mut read = ReadRetries::default();
     let skipped = skip_bytes(&mut reader, state.checkpoint.byte_offset, &config.retry, &mut read);
@@ -652,7 +652,7 @@ where
             score,
         ),
     };
-    state.report.record_phase(phase, started.elapsed());
+    timer.record(&mut state.report, phase);
     match outcome {
         Ok(()) => Ok(state),
         Err((kind, line)) => Err(IngestError {
@@ -1439,7 +1439,6 @@ mod tests {
             max_retries: 8,
             base_delay: Duration::from_millis(10),
             max_delay: Duration::from_millis(35),
-            jitter_seed: None,
         };
         assert_eq!(p.backoff(0), Duration::from_millis(10));
         assert_eq!(p.backoff(1), Duration::from_millis(20));

@@ -7,7 +7,6 @@
 //! ```
 
 use rand::{rngs::StdRng, SeedableRng};
-use rock::governor::RunGovernor;
 use rock::rock::Rock;
 use rock::similarity::{CategoricalJaccard, PointsWith};
 use rock_baselines::{
@@ -48,31 +47,24 @@ fn main() {
     let rock_ari = score("ROCK (theta=0.73)", run.clustering.assignments(truth.len()));
 
     let vectors = records_to_vectors(&data.records, &data.schema);
-    let unlimited = RunGovernor::unlimited();
-    let centroid = centroid_hierarchical(&vectors, CentroidConfig::paper(2), &unlimited)
-        .expect("an unlimited governor never trips");
+    let centroid = centroid_hierarchical(&vectors, CentroidConfig::paper(2));
     let centroid_ari = score("centroid hierarchical", centroid.assignments(truth.len()));
 
     let sim = CategoricalJaccard::default();
     let avg = similarity_linkage(
         &PointsWith::new(&data.records, &sim),
         LinkageConfig::new(2, Linkage::Average),
-        &unlimited,
-    )
-    .expect("an unlimited governor never trips");
+    );
     score("group average", avg.assignments(truth.len()));
 
     let mst = similarity_linkage(
         &PointsWith::new(&data.records, &sim),
         LinkageConfig::new(2, Linkage::Single),
-        &unlimited,
-    )
-    .expect("an unlimited governor never trips");
+    );
     let mst_ari = score("single link (MST)", mst.assignments(truth.len()));
 
     let mut rng = StdRng::seed_from_u64(5);
-    let km = kmodes(&data.records, KModesConfig::new(2), &mut rng, &unlimited)
-        .expect("an unlimited governor never trips");
+    let km = kmodes(&data.records, KModesConfig::new(2), &mut rng);
     score("k-modes", km.clustering.assignments(truth.len()));
 
     assert!(

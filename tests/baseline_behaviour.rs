@@ -2,7 +2,6 @@
 //! against ROCK on shared data.
 
 use rand::{rngs::StdRng, SeedableRng};
-use rock::governor::RunGovernor;
 use rock::neighbors::NeighborGraph;
 use rock::rock::Rock;
 use rock::similarity::{Jaccard, PointsWith};
@@ -31,7 +30,7 @@ fn dbscan_close_but_below_rock_on_overlapping_baskets() {
     let graph = NeighborGraph::build(&PointsWith::new(&data.transactions, Jaccard), 0.5, 1);
     let truth = dense_truth(&data.labels, 10);
 
-    let db = dbscan(&graph, DbscanConfig::new(4), &RunGovernor::unlimited()).unwrap();
+    let db = dbscan(&graph, DbscanConfig::new(4));
     let db_pred = dense_truth(&db.assignments(truth.len()), db.num_clusters());
     let db_ari = adjusted_rand_index(&db_pred, &truth);
 
@@ -73,9 +72,7 @@ fn clarans_recovers_basket_clusters_roughly() {
             max_neighbor: 150,
         },
         &mut rng,
-        &RunGovernor::unlimited(),
-    )
-    .unwrap();
+    );
     let pred = dense_truth(&r.clustering.assignments(truth.len()), 10);
     let ari = adjusted_rand_index(&pred, &truth);
     assert!(ari > 0.5, "CLARANS ARI {ari}");

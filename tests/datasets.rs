@@ -3,7 +3,6 @@
 
 use rand::{rngs::StdRng, SeedableRng};
 use rock::goodness::GoodnessKind;
-use rock::governor::RunGovernor;
 use rock::links_matrix::LinkMatrix;
 use rock::neighbors::NeighborGraph;
 use rock::points::Transaction;
@@ -70,8 +69,7 @@ fn votes_rock_beats_traditional_on_ari() {
     let rock_ari =
         adjusted_rand_index(&flatten(rock_run.clustering.assignments(truth.len())), &truth);
     let vectors = records_to_vectors(&data.records, &data.schema);
-    let trad = centroid_hierarchical(&vectors, CentroidConfig::paper(2), &RunGovernor::unlimited())
-        .unwrap();
+    let trad = centroid_hierarchical(&vectors, CentroidConfig::paper(2));
     let trad_ari = adjusted_rand_index(&flatten(trad.assignments(truth.len())), &truth);
     assert!(
         rock_ari > trad_ari,
@@ -126,8 +124,7 @@ fn mushroom_rock_tracks_species_better_than_traditional() {
         &data.species,
     );
     let vectors = records_to_vectors(&data.records, &data.schema);
-    let trad = centroid_hierarchical(&vectors, CentroidConfig::paper(20), &RunGovernor::unlimited())
-        .unwrap();
+    let trad = centroid_hierarchical(&vectors, CentroidConfig::paper(20));
     let trad_ari = adjusted_rand_index(
         &flatten(trad.assignments(data.records.len())),
         &data.species,

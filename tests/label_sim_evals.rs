@@ -14,7 +14,8 @@
 //!
 //! The resilient stream labeler scores through the same batch pass, so
 //! streaming the data through the fit's labeler counts exactly the label
-//! phase's evaluations, on either path.
+//! phase's evaluations, on either path, and its report's `label-stream`
+//! phase carries that count.
 
 use rand::{rngs::StdRng, SeedableRng};
 use rock::governor::RunGovernor;
@@ -69,7 +70,13 @@ fn stream_sim_evals<S: Similarity<Transaction> + Sync>(
     )
     .unwrap();
     assert_eq!(run.labeling.assignments.len(), data.len());
-    rock::perf::snapshot().since(&before).sim_evals
+    let delta = rock::perf::snapshot().since(&before).sim_evals;
+    assert_eq!(
+        sim_evals(&run.report, "label-stream"),
+        delta,
+        "the stream report's phase_perf carries the pass's evaluations"
+    );
+    delta
 }
 
 #[test]

@@ -4,7 +4,6 @@
 
 use rock::algorithm::{OutlierPolicy, RockAlgorithm};
 use rock::goodness::{ConstantF, Goodness, GoodnessKind};
-use rock::governor::RunGovernor;
 use rock::neighbors::NeighborGraph;
 use rock::points::Transaction;
 use rock::similarity::{Jaccard, PointsWith};
@@ -51,8 +50,7 @@ fn example_1_1_centroid_merges_disjoint_transactions() {
     // §1.1: the centroid algorithm merges {1,4} and {6} — transactions
     // with no item in common — because of centroid geometry.
     let vs = transactions_to_vectors(&example_1_1(), 6);
-    let c = centroid_hierarchical(&vs, CentroidConfig::plain(2), &RunGovernor::unlimited())
-        .unwrap();
+    let c = centroid_hierarchical(&vs, CentroidConfig::plain(2));
     assert_eq!(c.clusters, vec![vec![0, 1], vec![2, 3]]);
 }
 
@@ -79,12 +77,7 @@ fn example_1_2_group_average_and_mst_mix_the_clusters() {
     let t123 = ts.iter().position(|t| *t == Transaction::from([1, 2, 3])).unwrap() as u32;
     let t127 = ts.iter().position(|t| *t == Transaction::from([1, 2, 7])).unwrap() as u32;
     for linkage in [Linkage::Average, Linkage::Single] {
-        let c = similarity_linkage(
-            &PointsWith::new(&ts, Jaccard),
-            LinkageConfig::new(2, linkage),
-            &RunGovernor::unlimited(),
-        )
-        .unwrap();
+        let c = similarity_linkage(&PointsWith::new(&ts, Jaccard), LinkageConfig::new(2, linkage));
         assert_eq!(
             c.cluster_of(t123),
             c.cluster_of(t127),
