@@ -4,13 +4,13 @@
 //! The `single_query` benchmark is the one that matters operationally —
 //! its p99 is the tail assign latency a caller sees per query. The
 //! `deadline_degraded` variant pins the batch deadline to zero so every
-//! sample exercises the centroid degradation ladder; the demo run after
+//! sample exercises the centroid downshift; the demo run after
 //! the group prints the resulting `ServeReport` note.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{rngs::StdRng, SeedableRng};
 use rock_core::points::Transaction;
-use rock_core::serve::{AssignService, ServeConfig, ServeDegradation};
+use rock_core::serve::{AssignService, ServeConfig};
 use rock_core::similarity::Jaccard;
 use rock_core::{ModelArtifact, Rock, RockModel};
 use rock_data::{generate_baskets, SyntheticBasketSpec};
@@ -50,8 +50,6 @@ fn bench_serve(c: &mut Criterion) {
         AssignService::new(&artifact, Jaccard, ServeConfig::default()).expect("service");
     let degraded_config = ServeConfig {
         batch_deadline: Some(Duration::ZERO),
-        degradation: ServeDegradation::Centroid,
-        ..ServeConfig::default()
     };
     let degraded: AssignService<Transaction, Jaccard> =
         AssignService::new(&artifact, Jaccard, degraded_config).expect("service");

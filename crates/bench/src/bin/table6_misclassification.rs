@@ -19,6 +19,7 @@
 use bench::{default_threads, print_table, timed, Args};
 use rand::{rngs::StdRng, SeedableRng};
 use rock_core::goodness::GoodnessKind;
+use rock_core::sampling::chernoff_sample_size;
 use rock_core::similarity::Jaccard;
 use rock_core::Rock;
 use rock_data::{generate_baskets, SyntheticBasketSpec};
@@ -46,6 +47,22 @@ fn main() {
         .map(|&s| ((s as f64 * scale).round() as usize).max(10 * k))
         .collect();
     let thetas = [0.5, 0.6];
+
+    // §4.6's Chernoff bound for the smallest generator cluster.
+    let mut sizes = vec![0usize; data.cluster_items.len()];
+    for c in data.labels.iter().flatten() {
+        sizes[*c] += 1;
+    }
+    let smallest = sizes.iter().copied().min().unwrap_or(0);
+    let n = data.transactions.len();
+    for f in [0.01, 0.02] {
+        let bound = chernoff_sample_size(n, smallest, f, 0.001)
+            .map_or_else(|| "undefined".to_string(), |s| s.to_string());
+        println!(
+            "Chernoff sample size for f {f}, delta 0.001 (smallest cluster {smallest}): \
+             {bound}; table sizes {sample_sizes:?}"
+        );
+    }
 
     let mut rows = Vec::new();
     for &sample in &sample_sizes {

@@ -417,28 +417,6 @@ impl ModelArtifact {
         self.encode(if self.update.is_some() { 2 } else { 1 })
     }
 
-    /// Serializes the artifact at an explicit format `version` — the
-    /// compatibility seam for writing images an older reader accepts.
-    ///
-    /// # Errors
-    /// [`RockError::ArtifactVersion`] when `version` is not one this
-    /// build writes, and [`RockError::ArtifactMismatch`] when the
-    /// artifact carries update state that `version` cannot represent.
-    pub fn to_bytes_versioned(&self, version: u32) -> Result<Vec<u8>, RockError> {
-        if !(1..=FORMAT_VERSION).contains(&version) {
-            return Err(RockError::ArtifactVersion {
-                found: version,
-                supported: FORMAT_VERSION,
-            });
-        }
-        if version < 2 && self.update.is_some() {
-            return Err(RockError::ArtifactMismatch {
-                detail: "update state cannot be represented in a version-1 artifact".into(),
-            });
-        }
-        Ok(self.encode(version))
-    }
-
     fn encode(&self, version: u32) -> Vec<u8> {
         let mut buf = ARTIFACT_MAGIC.to_vec();
 
@@ -1308,7 +1286,7 @@ mod tests {
     fn batch_artifacts_still_write_version_1() {
         let bytes = sample_artifact().to_bytes();
         assert_eq!(encoded_version(&bytes), 1);
-        assert_eq!(sample_artifact().to_bytes_versioned(1).unwrap(), bytes);
+        assert_eq!(sample_artifact().encode(1), bytes);
     }
 
     #[test]
@@ -1328,28 +1306,11 @@ mod tests {
     #[test]
     fn explicit_v2_without_update_state_round_trips() {
         let artifact = sample_artifact();
-        let bytes = artifact.to_bytes_versioned(2).unwrap();
+        let bytes = artifact.encode(2);
         assert_eq!(encoded_version(&bytes), 2);
         let reloaded = ModelArtifact::from_bytes(&bytes).unwrap();
         assert_eq!(reloaded, artifact);
         assert!(reloaded.update_state().is_none());
-    }
-
-    #[test]
-    fn to_bytes_versioned_rejects_unrepresentable_requests() {
-        assert!(matches!(
-            sample_v2_artifact().to_bytes_versioned(1),
-            Err(RockError::ArtifactMismatch { .. })
-        ));
-        for v in [0, 3] {
-            assert!(matches!(
-                sample_artifact().to_bytes_versioned(v),
-                Err(RockError::ArtifactVersion {
-                    found,
-                    supported: FORMAT_VERSION
-                }) if found == v
-            ));
-        }
     }
 
     #[test]

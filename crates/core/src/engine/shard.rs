@@ -18,9 +18,7 @@
 //! [`crate::engine::supervisor`].
 
 use crate::governor::RunGovernor;
-use crate::util::retry::RetryPolicy;
 use std::ops::Range;
-use std::time::Duration;
 
 /// Deterministically partitions `0..n` into at most `shards` contiguous,
 /// non-empty, size-balanced ranges (fewer when `n < shards`; none when
@@ -37,17 +35,6 @@ pub struct ShardConfig {
     /// How many shards to partition the input into (≥ 1; the effective
     /// count is lower for inputs smaller than this).
     pub shards: usize,
-    /// Per-shard retry ladder: a shard gets `1 + retry.max_retries`
-    /// attempts before quarantine, with `retry`'s capped-exponential
-    /// backoff between attempts. The same ladder guards the coarse
-    /// merge pass.
-    pub retry: RetryPolicy,
-    /// Wall-clock budget per shard *attempt* (`None` = none): a hung
-    /// shard is killed at its deadline and retried or resumed from its
-    /// WAL instead of hanging the whole run.
-    pub shard_deadline: Option<Duration>,
-    /// Charged-memory slice per shard attempt (`None` = none).
-    pub shard_memory_budget: Option<u64>,
     /// θ for the coarse merge pass over representative-set link
     /// densities (`None` = reuse the run's θ). Representative-level
     /// similarities concentrate below raw point similarities, so a
@@ -64,13 +51,6 @@ impl Default for ShardConfig {
     fn default() -> Self {
         ShardConfig {
             shards: 1,
-            retry: RetryPolicy {
-                max_retries: 2,
-                base_delay: Duration::ZERO,
-                max_delay: Duration::ZERO,
-            },
-            shard_deadline: None,
-            shard_memory_budget: None,
             merge_theta: None,
             representative_fraction: 1.0,
         }
@@ -95,9 +75,9 @@ impl ShardConfig {
 /// coarse merge pass under the sentinel shard index `shard count`.
 pub trait ShardFaultPlan {
     /// The governor attempt `attempt` (0-based) of shard `shard` runs
-    /// under. `base` is the supervisor-built child governor (shared
-    /// cancellation token plus the configured per-shard budgets); a
-    /// schedule injects a crash, hang or memory trip by rebuilding it.
+    /// under. `base` is the supervisor-built child governor (the
+    /// parent's cancellation token, no budgets of its own); a schedule
+    /// injects a crash, hang or memory trip by rebuilding it.
     fn governor(&self, shard: usize, attempt: u32, base: RunGovernor) -> RunGovernor {
         let _ = (shard, attempt);
         base

@@ -7,24 +7,24 @@
 //! ```text
 //!   Pending ──► Running(attempt n) ──ok──────────────────────► Done
 //!                  │        ▲
-//!                  │ trip   │ backoff · carry shard WAL
+//!                  │ trip   │ carry shard WAL
 //!                  ▼        │
 //!              Retrying(n) ─┘──ladder exhausted / poisoned──► Quarantined
 //! ```
 //!
 //! * **Running** — the shard's slice runs the staged
 //!   [`Pipeline::fit_wal`] composition (θ-neighbors → journaled merge)
-//!   under a *child* governor ([`RunGovernor::child`]): its own deadline
-//!   and memory slice, the parent's cancellation token.
-//! * **Retrying** — a deadline/memory/kill trip sleeps the configured
-//!   capped-exponential backoff, then resumes from the shard's
-//!   carried WAL when the interruption was resumable — a replay is
-//!   bit-identical to an uninterrupted run — or restarts from scratch
-//!   when it was not (or the carried log turned out damaged).
-//! * **Quarantined** — after `1 + max_retries` failed attempts (or
-//!   immediately on a poisoned, NaN-producing shard: deterministic
-//!   corruption is never retried), the shard's points are excluded and
-//!   recorded as a [`ShardDegradationNote`] in the report. The run
+//!   under a *child* governor ([`RunGovernor::child`]): the parent's
+//!   cancellation token, a fresh clock and memory meter.
+//! * **Retrying** — a failed attempt (a trip a fault plan injected, or
+//!   an error) resumes at once from the shard's carried WAL when the
+//!   interruption was resumable — a replay is bit-identical to an
+//!   uninterrupted run — or restarts from scratch when it was not (or
+//!   the carried log turned out damaged).
+//! * **Quarantined** — after three failed attempts (or immediately on
+//!   a poisoned, NaN-producing shard: deterministic corruption is
+//!   never retried), the shard's points are excluded and recorded as a
+//!   [`ShardDegradationNote`] in the report. The run
 //!   continues; one bad shard never takes down or silently skews the
 //!   whole clustering.
 //!
@@ -57,6 +57,10 @@ use crate::util::postings::cross_links;
 use crate::wal::MergeWal;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Attempts each shard (and the coarse merge pass) gets before it is
+/// quarantined; attempts follow each other without delay.
+const SHARD_ATTEMPTS: u32 = 3;
 
 /// A supervised multi-shard ROCK run: deterministic sharding, per-shard
 /// fault isolation, representative-level merge.
@@ -272,39 +276,24 @@ impl ShardSupervisor {
         })
     }
 
-    /// The child governor a shard attempt starts from: shared parent
-    /// cancellation, plus the configured per-shard budgets.
-    fn child_governor(&self) -> RunGovernor {
-        let mut g = self.governor.child();
-        if let Some(d) = self.shard.shard_deadline {
-            g = g.with_time_budget(d);
-        }
-        if let Some(m) = self.shard.shard_memory_budget {
-            g = g.with_memory_budget(m);
-        }
-        g
-    }
-
     /// The one retry ladder, run by every shard and by the coarse merge
     /// (fault plans address it as shard `shard count`); see the module
-    /// diagram. Each of up to `1 + max_retries` attempts checks the
+    /// diagram. Each of up to [`SHARD_ATTEMPTS`] attempts checks the
     /// parent governor (a cancelled or over-budget parent aborts the
     /// run), then runs `attempt` under the armed child governor the plan
     /// hands out. A poisoned attempt quarantines at once; an interruption
     /// under a cancelled parent token is returned as the run's error,
-    /// never masked as quarantine; any other failure backs off and
-    /// retries.
+    /// never masked as quarantine; any other failure retries.
     fn ladder<F: ShardFaultPlan>(
         &self,
         shard: usize,
         plan: &F,
         mut attempt: impl FnMut(RunGovernor, u32) -> Attempt,
     ) -> Result<ShardOutcome, RockError> {
-        let attempts_budget = self.shard.retry.max_retries.saturating_add(1);
         let mut last_failure = String::new();
-        for n in 0..attempts_budget {
+        for n in 0..SHARD_ATTEMPTS {
             self.governor.check(Phase::Merge)?;
-            let gov = plan.governor(shard, n, self.child_governor());
+            let gov = plan.governor(shard, n, self.governor.child());
             gov.arm();
             let failure = match attempt(gov, n) {
                 Attempt::Done(run) => {
@@ -327,15 +316,9 @@ impl ShardSupervisor {
                 return Err(failure);
             }
             last_failure = failure.to_string();
-            if n + 1 < attempts_budget {
-                let delay = self.shard.retry.backoff(n);
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
-            }
         }
         Ok(ShardOutcome::Quarantined {
-            attempts: attempts_budget,
+            attempts: SHARD_ATTEMPTS,
             reason: last_failure,
         })
     }

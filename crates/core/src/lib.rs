@@ -58,7 +58,7 @@
 //! | [`heap`] | §4.3 | addressable max-heaps for the merge loop |
 //! | [`algorithm`] | §4.3, §4.6 | the Fig.-3 agglomeration with outlier handling |
 //! | [`incremental`] | §4.3, §4.6 | reusable merge-loop state + online update path (bounded re-merge) |
-//! | [`sampling`] | §4.6 | Vitter reservoir sampling (Algorithms R and X) |
+//! | [`sampling`] | §4.6 | Vitter reservoir sampling (Algorithms R and X), Chernoff sample size |
 //! | [`labeling`] | §4.6 | assigning disk-resident points to sample clusters |
 //! | [`rock`] | Fig. 2 | builder-configured end-to-end driver |
 //! | [`perf`] | — | phase-scoped kernel counters (pairs, bytes, sims, allocations) |
@@ -156,7 +156,7 @@ pub use report::{PhasePerf, PhaseTiming, QuarantinedRecord, RunReport, ShardDegr
 pub use rock::{Rock, RockBuilder, RockConfig, RockResult};
 pub use serve::{
     load_artifact_with_retry, AssignService, Centroid, OnlineAssignService, RetryPolicy,
-    ServeBatch, ServeConfig, ServeDegradation, ServeDegradationNote, ServeReport,
+    ServeBatch, ServeConfig, ServeDegradationNote, ServeReport,
 };
 pub use wal::{parse_update_wal, parse_wal, MergeWal, UpdateReplay, UpdateWal, WalReplay};
 pub use similarity::{

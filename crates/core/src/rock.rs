@@ -14,12 +14,11 @@ use crate::cluster::Clustering;
 use crate::engine::Pipeline;
 use crate::error::RockError;
 use crate::goodness::{BasketF, FTheta, GoodnessKind};
-use crate::governor::{CancellationToken, DegradationPolicy, RunGovernor};
+use crate::governor::{DegradationPolicy, RunGovernor};
 use crate::labeling::Labeling;
 use crate::report::RunReport;
 use crate::similarity::{PointsWith, Similarity};
 use crate::wal::MergeWal;
-use std::time::Duration;
 
 /// Validated configuration of a ROCK run.
 #[derive(Clone, Copy, Debug)]
@@ -174,32 +173,13 @@ impl RockBuilder {
         self
     }
 
-    /// Installs a fully configured [`RunGovernor`] (budgets, cancellation,
-    /// injected kill points), replacing any previously set deadline,
-    /// memory budget or cancellation token.
+    /// Installs the [`RunGovernor`] every run is checked against: its
+    /// wall-clock deadline (measured from the run's first checkpoint),
+    /// charged-memory budget for the neighbor graph and link
+    /// structures, cancellation token and injected kill points.
+    /// Default: [`RunGovernor::unlimited`].
     pub fn governor(mut self, governor: RunGovernor) -> Self {
         self.governor = governor;
-        self
-    }
-
-    /// Sets a wall-clock deadline for governed runs, measured from the
-    /// run's first governor checkpoint.
-    pub fn deadline(mut self, budget: Duration) -> Self {
-        self.governor = self.governor.with_time_budget(budget);
-        self
-    }
-
-    /// Shares `token` with governed runs so another thread can cancel
-    /// them cooperatively.
-    pub fn cancel_token(mut self, token: CancellationToken) -> Self {
-        self.governor = self.governor.with_cancel_token(token);
-        self
-    }
-
-    /// Sets the charged-memory budget (bytes) governing the neighbor
-    /// graph and link structures.
-    pub fn memory_budget(mut self, bytes: u64) -> Self {
-        self.governor = self.governor.with_memory_budget(bytes);
         self
     }
 
@@ -497,9 +477,10 @@ impl Rock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::governor::{Phase, TripReason};
+    use crate::governor::{CancellationToken, Phase, TripReason};
     use crate::points::Transaction;
     use crate::similarity::{Jaccard, PairwiseSimilarity};
+    use std::time::Duration;
 
     fn two_basket_clusters(n_each: usize) -> Vec<Transaction> {
         // Cluster A over items 0..6, cluster B over items 100..106;
@@ -730,7 +711,7 @@ mod tests {
         let data = two_basket_clusters(10);
         let rock = Rock::builder()
             .seed(1)
-            .deadline(Duration::ZERO)
+            .governor(RunGovernor::unlimited().with_time_budget(Duration::ZERO))
             .build()
             .unwrap();
         assert!(matches!(
@@ -748,7 +729,7 @@ mod tests {
         let token = CancellationToken::new();
         let rock = Rock::builder()
             .seed(1)
-            .cancel_token(token.clone())
+            .governor(RunGovernor::unlimited().with_cancel_token(token.clone()))
             .build()
             .unwrap();
         token.cancel();
@@ -766,7 +747,7 @@ mod tests {
         let data = two_basket_clusters(20);
         let rock = Rock::builder()
             .seed(1)
-            .memory_budget(1)
+            .governor(RunGovernor::unlimited().with_memory_budget(1))
             .build()
             .unwrap();
         assert!(matches!(
@@ -784,7 +765,7 @@ mod tests {
         let rock = Rock::builder()
             .seed(1)
             .labeling_fraction(1.0)
-            .memory_budget(1)
+            .governor(RunGovernor::unlimited().with_memory_budget(1))
             .degradation(DegradationPolicy::Components {
                 min_cluster_size: 2,
             })
@@ -815,7 +796,7 @@ mod tests {
         let rock = Rock::builder()
             .seed(1)
             .labeling_fraction(1.0)
-            .memory_budget(1)
+            .governor(RunGovernor::unlimited().with_memory_budget(1))
             .degradation(DegradationPolicy::Subsample { fraction: 0.5 })
             .build()
             .unwrap();

@@ -93,6 +93,39 @@ pub fn sample_indices<R: Rng + ?Sized>(n: usize, k: usize, rng: &mut R) -> Vec<u
     idx
 }
 
+/// The smallest random sample of `n` points that, by the Chernoff
+/// bound ROCK borrows from CURE (§4.6), keeps at least `f·|u|` points of
+/// a cluster `u` of `smallest_cluster` points with probability at least
+/// `1 − delta`:
+///
+/// s = fN + (N/|u|)·ln(1/δ) + (N/|u|)·√(ln²(1/δ) + 2f|u|·ln(1/δ)),
+///
+/// rounded to the nearest point and capped at `n`. Every larger cluster
+/// is covered too, since the bound falls as |u| grows. For Table 6's
+/// data (N 28,647, smallest cluster 1,353) it gives 757 at f 0.01,
+/// δ 0.001.
+///
+/// Returns `None` unless `0 < smallest_cluster ≤ n`, `0 < f ≤ 1` and
+/// `0 < delta < 1`.
+pub fn chernoff_sample_size(
+    n: usize,
+    smallest_cluster: usize,
+    f: f64,
+    delta: f64,
+) -> Option<usize> {
+    if smallest_cluster == 0 || smallest_cluster > n || !(f > 0.0 && f <= 1.0) {
+        return None;
+    }
+    if !(delta > 0.0 && delta < 1.0) {
+        return None;
+    }
+    let (big_n, u) = (n as f64, smallest_cluster as f64);
+    let log = (1.0 / delta).ln();
+    let ratio = big_n / u;
+    let s = f * big_n + ratio * log + ratio * (log * log + 2.0 * f * u * log).sqrt();
+    Some((s.round() as usize).min(n))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,6 +201,25 @@ mod tests {
     #[test]
     fn x_is_roughly_uniform() {
         uniformity_of(reservoir_sample_x);
+    }
+
+    #[test]
+    fn chernoff_bound_matches_the_worked_values() {
+        assert_eq!(chernoff_sample_size(28_647, 1_353, 0.01, 0.001), Some(757));
+        assert_eq!(
+            chernoff_sample_size(28_647, 1_353, 0.02, 0.001),
+            Some(1_154)
+        );
+        // A tiny cluster needs more than the whole data: capped at N.
+        assert_eq!(chernoff_sample_size(100, 1, 0.5, 0.001), Some(100));
+        for (u, f, delta) in [
+            (0, 0.01, 0.001),
+            (101, 0.01, 0.001),
+            (10, 0.0, 0.001),
+            (10, 0.01, 1.0),
+        ] {
+            assert_eq!(chernoff_sample_size(100, u, f, delta), None);
+        }
     }
 
     #[test]

@@ -17,13 +17,11 @@
 //!   typed [`RockError`].
 //! * **Per-batch deadline and cancellation** via the existing
 //!   [`RunGovernor`]: every query is a [`Phase::Labeling`] checkpoint.
-//! * **Degradation ladder** ([`ServeDegradation`]): when the batch
-//!   deadline trips mid-batch, the service either fails the batch
-//!   ([`ServeDegradation::Fail`]) or downshifts from full
-//!   representative scoring to a single centroid per cluster
-//!   ([`ServeDegradation::Centroid`]) — O(k) instead of O(Σ|Lᵢ|) per
-//!   query — and finishes the batch, recording the switch in the
-//!   [`ServeReport`]. Cancellation always aborts.
+//! * **Deadline downshift**: when the batch deadline trips mid-batch,
+//!   the service downshifts from full representative scoring to a
+//!   single centroid per cluster ([`Centroid`]) — O(k) instead of
+//!   O(Σ|Lᵢ|) per query — and finishes the batch, recording the switch
+//!   in the [`ServeReport`]. Cancellation and memory trips abort.
 //! * **Quarantine**: a query whose similarity evaluation degenerates
 //!   (NaN/±∞ from a user measure) is recorded and left unassigned
 //!   instead of poisoning the batch.
@@ -57,59 +55,21 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// What to do when the batch deadline trips mid-batch.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ServeDegradation {
-    /// Abort the batch with [`RockError::Interrupted`].
-    Fail,
-    /// Downshift to centroid-of-representatives scoring for the rest of
-    /// the batch and complete it (the default).
-    #[default]
-    Centroid,
-}
-
-impl std::fmt::Display for ServeDegradation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServeDegradation::Fail => write!(f, "fail"),
-            ServeDegradation::Centroid => write!(f, "centroid"),
-        }
-    }
-}
-
 pub use crate::util::retry::RetryPolicy;
 
 /// Serving knobs for an [`AssignService`].
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Wall-clock budget per [`AssignService::assign_batch`] call;
-    /// `None` = no deadline.
+    /// `None` = no deadline. A tripped deadline downshifts the rest of
+    /// the batch to centroid scoring.
     pub batch_deadline: Option<Duration>,
-    /// What a mid-batch deadline trip does.
-    pub degradation: ServeDegradation,
-    /// Retry policy for [`AssignService::from_source`].
-    pub retry: RetryPolicy,
-    /// At most this many quarantined queries keep a detailed record
-    /// per batch (the count is always exact).
-    pub quarantine_detail_cap: usize,
 }
 
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
-            batch_deadline: None,
-            degradation: ServeDegradation::default(),
-            retry: RetryPolicy::default(),
-            quarantine_detail_cap: 32,
-        }
-    }
-}
-
-/// A mid-batch downshift, as recorded in the [`ServeReport`].
+/// A mid-batch downshift to centroid scoring, as recorded in the
+/// [`ServeReport`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct ServeDegradationNote {
-    /// The policy that was applied.
-    pub policy: ServeDegradation,
     /// Index of the first query served degraded.
     pub at_query: u64,
     /// Which budget tripped.
@@ -122,8 +82,8 @@ impl std::fmt::Display for ServeDegradationNote {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "degraded to {} from query {} ({}): {}",
-            self.policy, self.at_query, self.reason, self.detail
+            "degraded to centroid from query {} ({}): {}",
+            self.at_query, self.reason, self.detail
         )
     }
 }
@@ -140,9 +100,8 @@ pub struct ServeReport {
     /// Queries quarantined (non-finite similarity) — always exact, even
     /// past the detail cap.
     pub records_quarantined: u64,
-    /// Detailed records for the first
-    /// [`ServeConfig::quarantine_detail_cap`] quarantined queries
-    /// (`line` = query index within the batch).
+    /// Detailed records for the first [`QUARANTINE_DETAIL_CAP`]
+    /// quarantined queries (`line` = query index within the batch).
     pub quarantined: Vec<QuarantinedRecord>,
     /// The mid-batch downshift, if the deadline tripped.
     pub degraded: Option<ServeDegradationNote>,
@@ -197,8 +156,12 @@ impl std::fmt::Display for ServeStats {
 /// (the exact count survives in [`ServeStats::degraded_batches`]).
 pub const DEGRADATION_LOG_CAP: usize = 16;
 
+/// At most this many quarantined queries keep a detailed record per
+/// batch; [`ServeReport::records_quarantined`] is always exact.
+pub const QUARANTINE_DETAIL_CAP: usize = 32;
+
 /// A point type whose representative set can collapse to one summary
-/// point — the degraded scoring mode of [`ServeDegradation::Centroid`].
+/// point — the scoring mode a tripped batch deadline downshifts to.
 pub trait Centroid: Sized {
     /// A single point summarising `reps`, or `None` when `reps` is
     /// empty. Must be deterministic.
@@ -377,9 +340,9 @@ where
         })
     }
 
-    /// Loads the artifact through `source` (with the config's retry
-    /// policy) and builds the service. Returns the service and the
-    /// number of fetch retries.
+    /// Loads the artifact through `source` (with the default
+    /// [`RetryPolicy`]) and builds the service. Returns the service and
+    /// the number of fetch retries.
     ///
     /// # Errors
     /// As [`load_artifact_with_retry`] and [`AssignService::new`].
@@ -388,7 +351,7 @@ where
         measure: S,
         config: ServeConfig,
     ) -> Result<(Self, u64), RockError> {
-        let (artifact, retries) = load_artifact_with_retry(source, &config.retry)?;
+        let (artifact, retries) = load_artifact_with_retry(source, &RetryPolicy::default())?;
         Ok((AssignService::new(&artifact, measure, config)?, retries))
     }
 
@@ -406,8 +369,8 @@ where
     /// ([`ServeConfig::batch_deadline`]).
     ///
     /// # Errors
-    /// [`RockError::Interrupted`] when cancelled, or when the deadline
-    /// trips under [`ServeDegradation::Fail`].
+    /// [`RockError::Interrupted`] when cancelled or over a memory
+    /// budget; a tripped deadline degrades instead of failing.
     pub fn assign_batch(&self, queries: &[P]) -> Result<ServeBatch, RockError> {
         let mut governor = RunGovernor::unlimited().with_check_every(1);
         if let Some(deadline) = self.config.batch_deadline {
@@ -416,13 +379,9 @@ where
         self.assign_batch_governed(queries, &governor)
     }
 
-    /// Serves one batch under an injected governor — the seam for
-    /// shared cancellation tokens and deterministic deadline tests.
-    /// Every query is a [`Phase::Labeling`] checkpoint.
-    ///
-    /// # Errors
-    /// As [`AssignService::assign_batch`].
-    pub fn assign_batch_governed(
+    /// Serves one batch under `governor`; every query is a
+    /// [`Phase::Labeling`] checkpoint.
+    fn assign_batch_governed(
         &self,
         queries: &[P],
         governor: &RunGovernor,
@@ -438,15 +397,13 @@ where
                 let RockError::Interrupted { reason, .. } = trip else {
                     return Err(trip);
                 };
-                let may_degrade = reason == TripReason::DeadlineExceeded
-                    && self.config.degradation == ServeDegradation::Centroid;
+                let may_degrade = reason == TripReason::DeadlineExceeded;
                 match (may_degrade, &report.degraded) {
                     // Already degraded: the deadline stays tripped for
                     // the rest of the batch; keep completing it.
                     (true, Some(_)) => {}
                     (true, None) => {
                         report.degraded = Some(ServeDegradationNote {
-                            policy: ServeDegradation::Centroid,
                             at_query: i as u64,
                             reason,
                             detail: format!(
@@ -456,8 +413,7 @@ where
                             ),
                         });
                     }
-                    // Cancellation, memory trips and the Fail policy
-                    // always abort.
+                    // Cancellation and memory trips always abort.
                     (false, _) => {
                         return Err(RockError::Interrupted {
                             phase: Phase::Labeling,
@@ -482,7 +438,7 @@ where
                 }
                 Err(RockError::NonFiniteSimilarity { value }) => {
                     report.records_quarantined += 1;
-                    if report.quarantined.len() < self.config.quarantine_detail_cap {
+                    if report.quarantined.len() < QUARANTINE_DETAIL_CAP {
                         report.quarantined.push(QuarantinedRecord {
                             line: i as u64,
                             reason: format!("non-finite similarity {value}"),
@@ -692,7 +648,6 @@ mod tests {
         std::thread::sleep(Duration::from_millis(1));
         let batch = service.assign_batch_governed(&queries(), &governor).unwrap();
         let note = batch.report.degraded.expect("deadline must be recorded");
-        assert_eq!(note.policy, ServeDegradation::Centroid);
         assert_eq!(note.at_query, 0);
         assert_eq!(note.reason, TripReason::DeadlineExceeded);
         // The whole batch was served via centroids and still completed.
@@ -702,29 +657,6 @@ mod tests {
         assert_eq!(batch.assignments[0], Some(0));
         assert_eq!(batch.assignments[1], Some(1));
         assert_eq!(batch.assignments[2], None);
-    }
-
-    #[test]
-    fn tripped_deadline_with_fail_policy_aborts() {
-        let config = ServeConfig {
-            degradation: ServeDegradation::Fail,
-            ..ServeConfig::default()
-        };
-        let service: AssignService<Transaction, Jaccard> =
-            AssignService::new(&sample_artifact(), Jaccard, config).unwrap();
-        let governor = RunGovernor::unlimited()
-            .with_check_every(1)
-            .with_time_budget(Duration::ZERO);
-        governor.arm();
-        std::thread::sleep(Duration::from_millis(1));
-        assert!(matches!(
-            service.assign_batch_governed(&queries(), &governor),
-            Err(RockError::Interrupted {
-                phase: Phase::Labeling,
-                reason: TripReason::DeadlineExceeded,
-                ..
-            })
-        ));
     }
 
     #[test]
@@ -778,16 +710,15 @@ mod tests {
 
     #[test]
     fn quarantine_detail_is_capped_but_count_is_exact() {
-        let config = ServeConfig {
-            quarantine_detail_cap: 2,
-            ..ServeConfig::default()
-        };
         let service: AssignService<Transaction, NanOn> =
-            AssignService::new(&sample_artifact(), NanOn(99), config).unwrap();
-        let qs: Vec<Transaction> = (0..5).map(|i| Transaction::from([99, i])).collect();
+            AssignService::new(&sample_artifact(), NanOn(99), ServeConfig::default()).unwrap();
+        let n = QUARANTINE_DETAIL_CAP as u32 + 5;
+        let qs: Vec<Transaction> = (0..n).map(|i| Transaction::from([99, i])).collect();
         let batch = service.assign_batch(&qs).unwrap();
-        assert_eq!(batch.report.records_quarantined, 5);
-        assert_eq!(batch.report.quarantined.len(), 2);
+        assert_eq!(batch.report.records_quarantined, u64::from(n));
+        assert_eq!(batch.report.quarantined.len(), QUARANTINE_DETAIL_CAP);
+        let last = batch.report.quarantined.last().unwrap();
+        assert_eq!(last.line, QUARANTINE_DETAIL_CAP as u64 - 1);
     }
 
     #[test]
@@ -817,17 +748,13 @@ mod tests {
 
     #[test]
     fn aborted_batches_do_not_count() {
-        let config = ServeConfig {
-            degradation: ServeDegradation::Fail,
-            ..ServeConfig::default()
-        };
         let service: AssignService<Transaction, Jaccard> =
-            AssignService::new(&sample_artifact(), Jaccard, config).unwrap();
+            AssignService::new(&sample_artifact(), Jaccard, ServeConfig::default()).unwrap();
+        let token = CancellationToken::new();
+        token.cancel();
         let governor = RunGovernor::unlimited()
             .with_check_every(1)
-            .with_time_budget(Duration::ZERO);
-        governor.arm();
-        std::thread::sleep(Duration::from_millis(1));
+            .with_cancel_token(token);
         assert!(service.assign_batch_governed(&queries(), &governor).is_err());
         assert_eq!(service.lifetime_stats().0, ServeStats::default());
     }
@@ -975,12 +902,8 @@ mod tests {
             fail: 1,
             kind: std::io::ErrorKind::Interrupted,
         };
-        let config = ServeConfig {
-            retry: fast_retry(),
-            ..ServeConfig::default()
-        };
         let (service, retries): (AssignService<Transaction, Jaccard>, u64) =
-            AssignService::from_source(&mut source, Jaccard, config).unwrap();
+            AssignService::from_source(&mut source, Jaccard, ServeConfig::default()).unwrap();
         assert_eq!(retries, 1);
         assert_eq!(service.num_clusters(), 2);
         let batch = service.assign_batch(&queries()).unwrap();

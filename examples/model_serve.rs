@@ -16,7 +16,7 @@
 use rock::points::Transaction;
 use rock::rock::Rock;
 use rock::similarity::Jaccard;
-use rock::{AssignService, ModelArtifact, RetryPolicy, RockModel, ServeConfig};
+use rock::{AssignService, ModelArtifact, RockModel, ServeConfig};
 use rock_data::faults::{flip_artifact_bit, FaultSpec, FaultyArtifactSource};
 use std::time::Duration;
 
@@ -85,8 +85,6 @@ fn main() {
     // still completes, on centroid-of-representatives scoring.
     let pressured = ServeConfig {
         batch_deadline: Some(Duration::ZERO),
-        retry: RetryPolicy::default(),
-        ..ServeConfig::default()
     };
     let service: AssignService<Transaction, Jaccard> =
         AssignService::new(&reloaded, Jaccard, pressured).expect("service");

@@ -73,7 +73,7 @@ fn main() {
             .weed_outliers(3.0, 8)
             .seed(7)
             .threads(threads)
-            .deadline(Duration::from_secs(600))
+            .governor(RunGovernor::unlimited().with_time_budget(Duration::from_secs(600)))
             .build()
             .expect("valid configuration")
     };

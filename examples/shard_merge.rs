@@ -19,7 +19,7 @@
 use rock::points::Transaction;
 use rock::rock::Rock;
 use rock::similarity::Jaccard;
-use rock::{RetryPolicy, ShardConfig};
+use rock::ShardConfig;
 use rock_data::faults::{poison_range, PoisonedSimilarity, ShardFaultSchedule};
 
 fn main() {
@@ -42,10 +42,10 @@ fn main() {
         .build()
         .expect("valid configuration");
     // 3 size-balanced shards — the shard boundaries do NOT line up with
-    // the latent clusters, so the coarse merge pass has real work.
+    // the latent clusters, so the coarse merge pass has real work. Each
+    // shard gets 3 attempts, with no sleeping between them.
     let shard = ShardConfig {
-        retry: RetryPolicy::no_backoff(2), // 3 attempts per shard, no sleeping
-        merge_theta: Some(0.2),            // θ for representative link densities
+        merge_theta: Some(0.2), // θ for representative link densities
         ..ShardConfig::new(3)
     };
 

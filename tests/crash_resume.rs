@@ -208,7 +208,7 @@ fn interruption_granularity_is_one_merge_batch() {
     let err = Rock::builder()
         .theta(0.4)
         .clusters(3)
-        .deadline(Duration::ZERO)
+        .governor(RunGovernor::unlimited().with_time_budget(Duration::ZERO))
         .build()
         .unwrap()
         .cluster_wal(&data, &Jaccard, &mut wal)
@@ -228,7 +228,7 @@ fn interruption_granularity_is_one_merge_batch() {
     let err = Rock::builder()
         .theta(0.4)
         .clusters(3)
-        .cancel_token(token)
+        .governor(RunGovernor::unlimited().with_cancel_token(token))
         .build()
         .unwrap()
         .cluster_wal(&data, &Jaccard, &mut wal)
@@ -255,7 +255,7 @@ fn memory_trip_degrades_per_policy() {
         .clusters(3)
         .sample_size(30)
         .seed(5)
-        .memory_budget(1)
+        .governor(RunGovernor::unlimited().with_memory_budget(1))
         .build()
         .unwrap();
     let err = fail.run(&data, &Jaccard).unwrap_err();
@@ -273,7 +273,7 @@ fn memory_trip_degrades_per_policy() {
         .clusters(3)
         .sample_size(30)
         .seed(5)
-        .memory_budget(1)
+        .governor(RunGovernor::unlimited().with_memory_budget(1))
         .degradation(DegradationPolicy::Components { min_cluster_size: 2 })
         .build()
         .unwrap();

@@ -7,7 +7,7 @@ use rock::links_matrix::LinkMatrix;
 use rock::neighbors::NeighborGraph;
 use rock::points::Transaction;
 use rock::rock::Rock;
-use rock::sampling::sample_indices;
+use rock::sampling::{chernoff_sample_size, sample_indices};
 use rock::similarity::{CategoricalJaccard, Jaccard, MissingPolicy, PointsWith};
 use rock_baselines::{centroid_hierarchical, records_to_vectors, CentroidConfig};
 use rock_data::{
@@ -290,5 +290,45 @@ fn table6_misclassification_falls_with_sample_size() {
     assert!(
         six.windows(2).all(|w| w[1] <= w[0]),
         "theta 0.6: misclassification grew with sample size: {six:?} at {sizes:?}"
+    );
+}
+
+/// §4.6's sampling claim on Table 6's data: a sample of the Chernoff
+/// size keeps at least f·|u| points of every generator cluster u in at
+/// least 1 − δ of the draws. Draws only; no fit runs.
+#[test]
+fn chernoff_sample_keeps_every_cluster() {
+    let (f, delta, draws) = (0.01, 0.001, 300u64);
+    let data = generate_baskets(
+        &SyntheticBasketSpec::paper_scaled(0.25),
+        &mut StdRng::seed_from_u64(114_586),
+    );
+    let mut sizes = vec![0usize; data.cluster_items.len()];
+    for c in data.labels.iter().flatten() {
+        sizes[*c] += 1;
+    }
+    let n = data.labels.len();
+    let smallest = *sizes.iter().min().unwrap();
+    let s = chernoff_sample_size(n, smallest, f, delta).unwrap();
+    assert_eq!((n, smallest, s), (28_647, 1_353, 757));
+    let mut failures = 0u64;
+    for seed in 0..draws {
+        let mut kept = vec![0usize; sizes.len()];
+        for i in sample_indices(n, s, &mut StdRng::seed_from_u64(seed)) {
+            if let Some(c) = data.labels[i] {
+                kept[c] += 1;
+            }
+        }
+        if kept
+            .iter()
+            .zip(&sizes)
+            .any(|(&k, &u)| (k as f64) < f * u as f64)
+        {
+            failures += 1;
+        }
+    }
+    assert!(
+        failures as f64 <= delta * draws as f64,
+        "{failures} of {draws} samples of {s} lost a cluster below f·|u|"
     );
 }

@@ -10,7 +10,7 @@
 //! values echoed back.
 
 use rock::goodness::ConstantF;
-use rock::governor::{CancellationToken, DegradationPolicy, TripReason};
+use rock::governor::{CancellationToken, DegradationPolicy, RunGovernor, TripReason};
 use rock::points::Transaction;
 use rock::rock::Rock;
 use rock::similarity::{Jaccard, Similarity};
@@ -124,7 +124,7 @@ fn cluster_and_run_obey_the_configured_governor() {
     let rock = Rock::builder()
         .theta(0.5)
         .clusters(2)
-        .cancel_token(token)
+        .governor(RunGovernor::unlimited().with_cancel_token(token))
         .build()
         .unwrap();
     let cancelled = |err: &RockError| {

@@ -26,7 +26,6 @@ use rock::points::Transaction;
 use rock::rock::Rock;
 use rock::rock_data::{poison_range, PoisonedSimilarity, ShardFaultSchedule};
 use rock::similarity::Jaccard;
-use rock::util::retry::RetryPolicy;
 use rock::wal::MergeWal;
 use rock::{RockError, ShardConfig, ShardedRun};
 
@@ -63,12 +62,10 @@ fn engine(threads: usize, governor: RunGovernor) -> Rock {
         .unwrap()
 }
 
-/// A shard config with zero backoff delays (fast tests) and a loose
-/// coarse θ (representative-set link densities concentrate well below
-/// raw Jaccard values).
+/// A shard config with a loose coarse θ (representative-set link
+/// densities concentrate well below raw Jaccard values).
 fn shard_config(shards: usize) -> ShardConfig {
     ShardConfig {
-        retry: RetryPolicy::no_backoff(2),
         merge_theta: Some(0.2),
         ..ShardConfig::new(shards)
     }
