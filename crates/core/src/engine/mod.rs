@@ -10,22 +10,21 @@
 //!  Pipeline  │ Sample │ → │ Neighbors │ → │ Links │ → │ Merge │ → │ Label │
 //!            └────────┘   └───────────┘   └───────┘   └───────┘   └───────┘
 //!                 ╲             │              │           │           ╱
-//!                  ╲────────────┴──── RunCtx ──┴───────────┴──────────╱
-//!                       governor · WAL · RNG · policy · report
+//!                  ╲────────────┴──────────────┴───────────┴──────────╱
+//!                 &mut Pipeline: config · governor · WAL · RNG · report
 //! ```
 //!
 //! * [`Stage`] — one pipeline step. A stage is a plain
 //!   struct carrying its inputs and knobs; running it consumes it and
 //!   returns its typed output.
-//! * [`RunCtx`] — the shared run state every stage receives:
-//!   the [`crate::governor::RunGovernor`], the optional
-//!   [`crate::wal::MergeWal`] handle, the seeded sampling/labeling RNG,
-//!   the [`crate::governor::DegradationPolicy`], and the
-//!   [`crate::report::RunReport`] sink.
-//! * [`Pipeline`] — the thin runner that owns phase
-//!   transitions (one governor checkpoint per stage entry), the
-//!   memory-charge windows around the big structures, checkpoint
-//!   boundaries and interruption/resume semantics.
+//! * [`Pipeline`] — the one per-run object every stage receives by
+//!   `&mut`: the [`crate::rock::RockConfig`], the
+//!   [`crate::governor::RunGovernor`], the optional
+//!   [`crate::wal::MergeWal`] handle, the seeded sampling/labeling RNG
+//!   and the [`crate::report::RunReport`] sink. Its compositions own
+//!   phase transitions (one governor checkpoint per stage entry), the
+//!   memory-charge windows around the big structures, the degradation
+//!   fallbacks and interruption/resume semantics.
 //! * [`ClusterModel`] — the uniform fit → labels +
 //!   report contract implemented by ROCK here and by every traditional
 //!   algorithm in `rock-baselines`, so evaluation and benchmarking run
@@ -49,11 +48,10 @@
 //! `panic!`/`unreachable!` — and rock-tidy's `engine-contract` rule keeps
 //! it that way.
 
-/// Shared per-run state ([`RunCtx`]) threaded through every stage.
-pub mod ctx;
 /// The uniform [`ClusterModel`] fit contract and ROCK's implementation.
 pub mod model;
-/// The [`Pipeline`] runner: phase transitions, checkpoints, resume.
+/// The per-run [`Pipeline`]: run state, phase transitions, checkpoints,
+/// resume.
 pub mod pipeline;
 /// Sharding primitives: partitioning, knobs, fault seam.
 pub mod shard;
@@ -62,9 +60,8 @@ pub mod stage;
 /// The shard supervisor: retry, resume, quarantine and merge.
 pub mod supervisor;
 
-pub use ctx::RunCtx;
 pub use model::{ClusterModel, ModelFit};
 pub use pipeline::Pipeline;
 pub use shard::{shard_ranges, NoFaults, ShardConfig, ShardFaultPlan, ShardRun};
-pub use stage::{LabelStage, LinksStage, MergeStage, NeighborsStage, ResumeStage, SampleStage, Stage};
+pub use stage::{LabelStage, LinksStage, MergeStage, NeighborsStage, SampleStage, Stage};
 pub use supervisor::{ShardSupervisor, ShardedRun};

@@ -22,6 +22,7 @@ use crate::artifact::{ArtifactPoint, ModelArtifact};
 use crate::cluster::Clustering;
 use crate::dendrogram::Dendrogram;
 use crate::error::RockError;
+use crate::labeling::Labeler;
 use crate::report::RunReport;
 use crate::rock::Rock;
 use crate::similarity::Similarity;
@@ -146,13 +147,7 @@ impl<S> RockModel<S> {
         P: ArtifactPoint + Clone + Sync,
         S: Similarity<P> + Sync,
     {
-        let (result, report, labeler) = self.rock.session().fit_with_labeler(data, &self.measure)?;
-        let dendrogram = Dendrogram::from_run(&result.sample_run);
-        let fit = ModelFit {
-            clustering: result.full_clustering(),
-            dendrogram,
-            report,
-        };
+        let (fit, labeler) = self.fit_labeled(data)?;
         let config = self.rock.config();
         let artifact = ModelArtifact::from_labeled(
             "rock",
@@ -162,6 +157,23 @@ impl<S> RockModel<S> {
             config.hash_seed,
         )?;
         Ok((fit, artifact))
+    }
+
+    /// One Fig.-2 fit as a [`ModelFit`], with the [`Labeler`] that
+    /// labeled it.
+    fn fit_labeled<P>(&self, data: &[P]) -> Result<(ModelFit, Labeler<P>), RockError>
+    where
+        P: Clone + Sync,
+        S: Similarity<P> + Sync,
+    {
+        let (result, report, labeler) =
+            self.rock.session().fit_with_labeler(data, &self.measure)?;
+        let fit = ModelFit {
+            clustering: result.full_clustering(),
+            dendrogram: Dendrogram::from_run(&result.sample_run),
+            report,
+        };
+        Ok((fit, labeler))
     }
 }
 
@@ -175,12 +187,6 @@ where
     }
 
     fn fit(&self, data: &[P]) -> Result<ModelFit, RockError> {
-        let (result, report) = self.rock.run(data, &self.measure)?;
-        let dendrogram = Dendrogram::from_run(&result.sample_run);
-        Ok(ModelFit {
-            clustering: result.full_clustering(),
-            dendrogram,
-            report,
-        })
+        Ok(self.fit_labeled(data)?.0)
     }
 }

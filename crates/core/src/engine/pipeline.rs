@@ -1,11 +1,10 @@
-//! The thin pipeline runner: stage sequencing, phase checkpoints,
+//! The pipeline: one run's state, stage sequencing, phase checkpoints,
 //! memory-charge windows and interruption/resume semantics.
 
 use crate::algorithm::{RockAlgorithm, RockRun};
 use crate::components::neighbor_components;
-use crate::engine::ctx::RunCtx;
 use crate::engine::stage::{
-    LabelStage, LinksStage, MergeStage, NeighborsStage, ResumeStage, SampleStage, Stage,
+    LabelStage, LinksStage, MergeStage, NeighborsStage, SampleStage, Stage,
 };
 use crate::error::RockError;
 use crate::goodness::{ConstantF, Goodness};
@@ -16,73 +15,88 @@ use crate::report::{PhaseTimer, RunReport};
 use crate::rock::{RockConfig, RockResult};
 use crate::similarity::{CheckedSimilarity, PairwiseSimilarity, PointsWith, Similarity};
 use crate::wal::MergeWal;
+use rand::{rngs::StdRng, SeedableRng};
 
-/// The staged Fig.-2 runner.
+/// One staged Fig.-2 run: everything the run carries between stages,
+/// and the compositions that sequence the stages through it.
 ///
-/// A `Pipeline` owns one run's [`RunCtx`] and sequences
-/// [`Stage`]s through it: every [`Pipeline::stage`] call places one
-/// governor checkpoint at the stage boundary (under the stage's
-/// [`Stage::phase`] label), and the composition methods ([`fit`],
-/// [`fit_wal`], [`resume`], …) own the memory charge/release windows
-/// around the big structures plus the degradation fallbacks that span
-/// stages (subsample restart, connected-components finish).
+/// Every [`Pipeline::stage`] call places one governor checkpoint at the
+/// stage boundary (under the stage's [`Stage::phase`] label) and hands
+/// the stage this pipeline by mutable reference. The compositions
+/// ([`fit_with_labeler`], [`fit_wal`], [`resume`], [`resume_snapshot`])
+/// own the memory charge/release windows around the big structures plus
+/// the degradation fallbacks that span stages (subsample restart,
+/// connected-components finish).
 ///
 /// Construct one per run via [`crate::rock::Rock::session`]; the
-/// pipeline consumes itself on the composition entry points.
+/// compositions consume the pipeline.
 ///
-/// [`fit`]: Pipeline::fit
+/// [`fit_with_labeler`]: Pipeline::fit_with_labeler
 /// [`fit_wal`]: Pipeline::fit_wal
 /// [`resume`]: Pipeline::resume
+/// [`resume_snapshot`]: Pipeline::resume_snapshot
 #[derive(Debug)]
 pub struct Pipeline<'w> {
-    config: RockConfig,
-    ctx: RunCtx<'w>,
+    /// The validated configuration this run follows; the links stage
+    /// reads its degradation policy.
+    pub(crate) config: RockConfig,
+    /// Budgets, cancellation and kill injection, checked at every stage
+    /// entry and in the merge and labeling loops. Held by value: the
+    /// governor is `Arc`-backed, so the subsample restart can swap in a
+    /// retry governor while clones elsewhere keep sharing the original
+    /// token, clock and memory meter.
+    pub governor: RunGovernor,
+    /// Merge write-ahead log, when the run journals its merge decisions
+    /// (merge stage) or writes a continuation log (resume); `None`
+    /// otherwise.
+    pub wal: Option<&'w mut MergeWal>,
+    /// The run's RNG stream. Sampling and labeling draw from this one
+    /// stream in stage order, which is what makes a seeded governed run
+    /// reproduce the plain driver's draws exactly.
+    pub rng: StdRng,
+    /// The report accumulated across stages: phase timings from the
+    /// compositions, the degradation note from the links stage and the
+    /// fallbacks.
+    pub report: RunReport,
 }
 
 impl Pipeline<'static> {
-    /// A pipeline over `config`, governed by `governor`.
-    ///
-    /// The context's RNG and degradation policy come from the config; no
-    /// WAL is attached (see [`Pipeline::attach_wal`]).
+    /// A pipeline over `config`, governed by `governor`, with an RNG
+    /// seeded from `config.seed` (or from the OS when `None`) and no WAL
+    /// attached (see [`Pipeline::attach_wal`]).
     pub fn new(config: RockConfig, governor: RunGovernor) -> Self {
         Pipeline {
             config,
-            ctx: RunCtx::new(governor, config.degradation, config.seed),
+            governor,
+            wal: None,
+            rng: match config.seed {
+                Some(s) => StdRng::seed_from_u64(s),
+                None => StdRng::from_os_rng(),
+            },
+            report: RunReport::new(),
         }
     }
 }
 
 impl<'w> Pipeline<'w> {
-    /// Attaches a merge WAL: journaled compositions ([`Pipeline::fit_wal`])
-    /// append every merge decision to it, and resume compositions write
-    /// their continuation log through it.
-    pub fn attach_wal(self, wal: &'w mut MergeWal) -> Pipeline<'w> {
-        Pipeline {
-            config: self.config,
-            ctx: self.ctx.with_wal(wal),
-        }
-    }
-
-    /// The validated configuration this pipeline runs under.
-    pub fn config(&self) -> &RockConfig {
-        &self.config
-    }
-
-    /// The run context (governor, report accumulated so far, …).
-    pub fn ctx(&self) -> &RunCtx<'w> {
-        &self.ctx
+    /// Attaches a merge WAL (or none): journaled compositions
+    /// ([`Pipeline::fit_wal`]) append every merge decision to it, and
+    /// resume compositions write their continuation log through it.
+    pub fn attach_wal(mut self, wal: Option<&'w mut MergeWal>) -> Self {
+        self.wal = wal;
+        self
     }
 
     /// Runs one stage with its entry checkpoint: the governor is checked
     /// under the stage's [`Stage::phase`] label, then the stage executes
-    /// against the shared context.
+    /// against this pipeline.
     ///
     /// # Errors
     /// [`RockError::Interrupted`] if a budget has tripped at the stage
     /// boundary, plus whatever the stage itself surfaces.
     pub fn stage<S: Stage>(&mut self, stage: S) -> Result<S::Out, RockError> {
-        self.ctx.governor.check(stage.phase())?;
-        stage.run(&mut self.ctx)
+        self.governor.check(stage.phase())?;
+        stage.run(self)
     }
 
     /// The merge engine configured for this run (goodness, `k`, outlier
@@ -96,30 +110,66 @@ impl<'w> Pipeline<'w> {
         RockAlgorithm::new(goodness, self.config.k, self.config.outliers)
     }
 
-    /// Governed links + merge over a prebuilt graph, with the
-    /// cross-stage degradation fallback: a non-cancellation trip under
-    /// [`DegradationPolicy::Components`] abandons the agglomeration and
-    /// finishes via connected components of the θ-neighbor graph
-    /// (recorded in the context's degradation note).
-    /// [`DegradationPolicy::Subsample`] is handled one level up, in
-    /// [`Pipeline::fit`], where the sample can be re-drawn. Cancellation
-    /// is authoritative and never degrades.
+    /// Builds the θ-neighbor graph over `sim` through the neighbors
+    /// stage, then runs `then` over it with the graph's bytes charged to
+    /// the governor — the one graph charge window of every composition.
+    fn over_graph<PS: PairwiseSimilarity + Sync>(
+        &mut self,
+        sim: &PS,
+        then: impl FnOnce(&mut Self, &NeighborGraph) -> Result<RockRun, RockError>,
+    ) -> Result<RockRun, RockError> {
+        let graph = self.stage(NeighborsStage {
+            sim,
+            theta: self.config.theta,
+            threads: self.config.threads,
+        })?;
+        let graph_bytes = graph.memory_bytes() as u64;
+        self.governor.charge(graph_bytes);
+        let result = then(self, &graph);
+        self.governor.release(graph_bytes);
+        result
+    }
+
+    /// Neighbors → links → merge over one sample, with the non-finite
+    /// similarity guard and the cross-stage degradation fallback: a
+    /// non-cancellation trip under [`DegradationPolicy::Components`]
+    /// abandons the agglomeration and finishes via connected components
+    /// of the θ-neighbor graph (recorded in the report's degradation
+    /// note). [`DegradationPolicy::Subsample`] is handled one level up,
+    /// in [`Pipeline::fit_with_labeler`], where the sample can be
+    /// re-drawn. Cancellation is authoritative and never degrades.
     ///
     /// # Errors
+    /// [`RockError::NonFiniteSimilarity`] if `measure` misbehaved,
     /// [`RockError::Interrupted`] when a budget trips and no policy
     /// absorbs it.
-    fn merge_governed(&mut self, graph: &NeighborGraph) -> Result<RockRun, RockError> {
-        let result = self.merge_budgeted(graph);
-        match result {
-            Err(RockError::Interrupted {
-                phase,
-                reason,
-                resumable,
-            }) if reason != TripReason::Cancelled => {
-                if let DegradationPolicy::Components { min_cluster_size } = self.ctx.degradation {
+    fn cluster_sample<P, S>(
+        &mut self,
+        sample: &[P],
+        measure: &CheckedSimilarity<S>,
+    ) -> Result<RockRun, RockError>
+    where
+        P: Sync,
+        S: Similarity<P> + Sync,
+    {
+        self.over_graph(&PointsWith::new(sample, measure), |run, graph| {
+            if let Some(e) = measure.error() {
+                return Err(e);
+            }
+            // No explicit check here: a memory trip from the graph charge
+            // is observed at the links-stage checkpoint inside, where the
+            // degradation policies can still see the graph.
+            let result = run.merge_budgeted(graph);
+            let DegradationPolicy::Components { min_cluster_size } = run.config.degradation else {
+                return result;
+            };
+            match result {
+                Err(RockError::Interrupted { phase, reason, .. })
+                    if reason != TripReason::Cancelled =>
+                {
                     let clustering = neighbor_components(graph, min_cluster_size);
-                    self.ctx.note = Some(DegradationNote {
-                        policy: self.ctx.degradation,
+                    run.report.degraded = Some(DegradationNote {
+                        policy: run.config.degradation,
                         phase,
                         reason,
                         detail: format!(
@@ -132,19 +182,13 @@ impl<'w> Pipeline<'w> {
                         merges: Vec::new(),
                         initial_points: Vec::new(),
                     })
-                } else {
-                    Err(RockError::Interrupted {
-                        phase,
-                        reason,
-                        resumable,
-                    })
                 }
+                other => other,
             }
-            other => other,
-        }
+        })
     }
 
-    /// The budget-observing core of [`Pipeline::merge_governed`]: the
+    /// The budget-observing core of [`Pipeline::cluster_sample`]: the
     /// links stage (with its proactive sparse downshift), the link-bytes
     /// charge window, and the merge stage whose entry checkpoint
     /// observes that charge.
@@ -154,7 +198,7 @@ impl<'w> Pipeline<'w> {
             threads: self.config.threads,
         })?;
         let link_bytes = links.memory_bytes() as u64;
-        self.ctx.governor.charge(link_bytes);
+        self.governor.charge(link_bytes);
         let algorithm = self.algorithm();
         let result = self.stage(MergeStage {
             graph,
@@ -162,7 +206,7 @@ impl<'w> Pipeline<'w> {
             algorithm,
             threads: self.config.threads,
         });
-        self.ctx.governor.release(link_bytes);
+        self.governor.release(link_bytes);
         result
     }
 
@@ -171,6 +215,9 @@ impl<'w> Pipeline<'w> {
     /// similarity guard, and the configured degradation policy (the
     /// subsample restart lives here, where the sample can be re-drawn
     /// under a fresh budget that keeps the shared cancellation token).
+    /// Also returns the [`Labeler`] whose Lᵢ sets produced the labeling —
+    /// the ingredient [`crate::artifact::ModelArtifact`] persists so that
+    /// labeling through a reloaded artifact is bit-identical to this run.
     ///
     /// This composition never journals — the sampled pipeline prefers a
     /// restartable report over a merge log; any attached WAL is ignored.
@@ -180,26 +227,6 @@ impl<'w> Pipeline<'w> {
     /// [`RockError::NonFiniteSimilarity`] if `measure` misbehaves,
     /// [`RockError::Interrupted`] if the governor trips with no policy
     /// able to absorb it.
-    pub fn fit<P, S>(
-        self,
-        data: &[P],
-        measure: &S,
-    ) -> Result<(RockResult, RunReport), RockError>
-    where
-        P: Clone + Sync,
-        S: Similarity<P> + Sync,
-    {
-        let (result, report, _labeler) = self.fit_with_labeler(data, measure)?;
-        Ok((result, report))
-    }
-
-    /// [`Pipeline::fit`], additionally returning the [`Labeler`] whose
-    /// Lᵢ sets produced the labeling — the ingredient
-    /// [`crate::artifact::ModelArtifact`] persists so that labeling
-    /// through a reloaded artifact is bit-identical to this run.
-    ///
-    /// # Errors
-    /// As [`Pipeline::fit`].
     pub fn fit_with_labeler<P, S>(
         mut self,
         data: &[P],
@@ -209,7 +236,7 @@ impl<'w> Pipeline<'w> {
         P: Clone + Sync,
         S: Similarity<P> + Sync,
     {
-        self.ctx.wal = None;
+        self.wal = None;
         let checked = CheckedSimilarity::new(measure);
 
         let t = PhaseTimer::start();
@@ -219,89 +246,50 @@ impl<'w> Pipeline<'w> {
         })?;
         // tidy-allow(panic-reach): SampleStage yields indices drawn from 0..data_len == data.len()
         let mut sample: Vec<P> = sample_indices.iter().map(|&i| data[i].clone()).collect();
-        t.record(&mut self.ctx.report, "sample");
+        t.record(&mut self.report, "sample");
 
         let t = PhaseTimer::start();
-        let outcome = {
-            let pw = PointsWith::new(&sample, &checked);
-            let graph = self.stage(NeighborsStage {
-                sim: &pw,
-                theta: self.config.theta,
-                threads: self.config.threads,
-            })?;
-            if let Some(e) = checked.error() {
-                return Err(e);
+        let sample_run = match (
+            self.cluster_sample(&sample, &checked),
+            self.config.degradation,
+        ) {
+            (
+                Err(RockError::Interrupted { phase, reason, .. }),
+                DegradationPolicy::Subsample { fraction },
+            ) if reason != TripReason::Cancelled => {
+                let orig = sample.len();
+                let keep =
+                    ((orig as f64 * fraction).ceil() as usize).clamp(self.config.k.min(orig), orig);
+                let sub = crate::sampling::sample_indices(orig, keep, &mut self.rng);
+                // tidy-allow(panic-reach): sample_indices draws from 0..orig == sample.len() == sample_indices.len()
+                sample_indices = sub.iter().map(|&i| sample_indices[i]).collect();
+                sample = sub.iter().map(|&i| sample[i].clone()).collect();
+                let note = DegradationNote {
+                    policy: self.config.degradation,
+                    phase,
+                    reason,
+                    detail: format!(
+                        "restarted on a {keep}-point subsample of the {orig}-point sample"
+                    ),
+                };
+                // The retry drops the tripped budgets but keeps the
+                // shared cancellation token: cancellation stays
+                // authoritative, and is the only trip its entry
+                // checkpoint and graph charge can observe. The original
+                // governor is restored for the labeling phase.
+                let retry =
+                    RunGovernor::unlimited().with_cancel_token(self.governor.cancel_token());
+                let saved = std::mem::replace(&mut self.governor, retry);
+                let run = self.cluster_sample(&sample, &checked);
+                self.governor = saved;
+                // The run's provenance is the subsample note; any
+                // scratch note from the retry is discarded.
+                self.report.degraded = Some(note);
+                run?
             }
-            let graph_bytes = graph.memory_bytes() as u64;
-            self.ctx.governor.charge(graph_bytes);
-            // No explicit check here: a memory trip from the graph charge
-            // is observed at the links-stage checkpoint inside, where the
-            // degradation policies can still see the graph.
-            let r = self.merge_governed(&graph);
-            self.ctx.governor.release(graph_bytes);
-            r
+            (outcome, _) => outcome?,
         };
-        let sample_run = match outcome {
-            Ok(run) => run,
-            Err(RockError::Interrupted {
-                phase,
-                reason,
-                resumable,
-            }) if reason != TripReason::Cancelled => {
-                if let DegradationPolicy::Subsample { fraction } = self.ctx.degradation {
-                    let orig = sample.len();
-                    let keep = ((orig as f64 * fraction).ceil() as usize)
-                        .clamp(self.config.k.min(orig), orig);
-                    let sub = crate::sampling::sample_indices(orig, keep, &mut self.ctx.rng);
-                    // tidy-allow(panic-reach): sample_indices draws from 0..orig == sample.len() == sample_indices.len()
-                    sample_indices = sub.iter().map(|&i| sample_indices[i]).collect();
-                    sample = sub.iter().map(|&i| sample[i].clone()).collect();
-                    let sub_note = Some(DegradationNote {
-                        policy: self.ctx.degradation,
-                        phase,
-                        reason,
-                        detail: format!(
-                            "restarted on a {keep}-point subsample of the {orig}-point sample"
-                        ),
-                    });
-                    // The retry drops the tripped budgets but keeps the
-                    // shared cancellation token: cancellation stays
-                    // authoritative. The original governor is restored
-                    // for the labeling phase.
-                    let retry =
-                        RunGovernor::unlimited().with_cancel_token(self.ctx.governor.cancel_token());
-                    let saved = std::mem::replace(&mut self.ctx.governor, retry);
-                    let pw = PointsWith::new(&sample, &checked);
-                    // The retry re-enters the neighbors stage without a
-                    // fresh entry checkpoint or graph charge: its budgets
-                    // were just dropped, and the original charge window
-                    // already closed.
-                    let graph = NeighborsStage {
-                        sim: &pw,
-                        theta: self.config.theta,
-                        threads: self.config.threads,
-                    }
-                    .run(&mut self.ctx)?;
-                    if let Some(e) = checked.error() {
-                        return Err(e);
-                    }
-                    let run = self.merge_governed(&graph);
-                    self.ctx.governor = saved;
-                    // The run's provenance is the subsample note; any
-                    // scratch note from the retry merge is discarded.
-                    self.ctx.note = sub_note;
-                    run?
-                } else {
-                    return Err(RockError::Interrupted {
-                        phase,
-                        reason,
-                        resumable,
-                    });
-                }
-            }
-            Err(e) => return Err(e),
-        };
-        t.record(&mut self.ctx.report, "cluster");
+        t.record(&mut self.report, "cluster");
 
         let t = PhaseTimer::start();
         let (labeler, labeling) = self.stage(LabelStage {
@@ -317,18 +305,17 @@ impl<'w> Pipeline<'w> {
         if let Some(e) = checked.error() {
             return Err(e);
         }
-        t.record(&mut self.ctx.report, "label");
+        t.record(&mut self.report, "label");
 
-        self.ctx.report.records_read = data.len() as u64;
-        self.ctx.report.outliers = labeling.num_outliers as u64;
-        self.ctx.report.degraded = self.ctx.note.take();
+        self.report.records_read = data.len() as u64;
+        self.report.outliers = labeling.num_outliers as u64;
         Ok((
             RockResult {
                 sample_indices,
                 sample_run,
                 labeling,
             },
-            self.ctx.report,
+            self.report,
             labeler,
         ))
     }
@@ -349,25 +336,18 @@ impl<'w> Pipeline<'w> {
         sim: &PS,
     ) -> Result<RockRun, RockError> {
         let checked = CheckedSimilarity::new(sim);
-        let graph = self.stage(NeighborsStage {
-            sim: &checked,
-            theta: self.config.theta,
-            threads: self.config.threads,
-        })?;
-        if let Some(e) = checked.error() {
-            return Err(e);
-        }
-        let graph_bytes = graph.memory_bytes() as u64;
-        self.ctx.governor.charge(graph_bytes);
-        let algorithm = self.algorithm();
-        let result = self.stage(MergeStage {
-            graph: &graph,
-            links: None,
-            algorithm,
-            threads: self.config.threads,
-        });
-        self.ctx.governor.release(graph_bytes);
-        result
+        self.over_graph(&checked, |run, graph| {
+            if let Some(e) = checked.error() {
+                return Err(e);
+            }
+            let algorithm = run.algorithm();
+            run.stage(MergeStage {
+                graph,
+                links: None,
+                algorithm,
+                threads: run.config.threads,
+            })
+        })
     }
 
     /// The resume composition: rebuild the θ-neighbor graph from `sim`
@@ -384,27 +364,22 @@ impl<'w> Pipeline<'w> {
         sim: &PS,
         wal_bytes: &[u8],
     ) -> Result<RockRun, RockError> {
-        let graph = self.stage(NeighborsStage {
-            sim,
-            theta: self.config.theta,
-            threads: self.config.threads,
-        })?;
         // The rebuilt graph occupies the same memory as the original
-        // run's: charge it against the budget exactly like fit_wal, so a
-        // resume cannot silently escape the memory governor. The
-        // recomputed links are charged inside RockAlgorithm::resume.
-        let graph_bytes = graph.memory_bytes() as u64;
-        self.ctx.governor.charge(graph_bytes);
-        let algorithm = self.algorithm();
-        let result = ResumeStage {
-            wal_bytes,
-            graph: Some(&graph),
-            algorithm,
-            threads: self.config.threads,
-        }
-        .run(&mut self.ctx);
-        self.ctx.governor.release(graph_bytes);
-        result
+        // run's: it is charged against the budget exactly like fit_wal,
+        // so a resume cannot silently escape the memory governor. The
+        // recomputed links are charged inside RockAlgorithm::resume,
+        // whose first governor observation happens inside the replayed
+        // merge loop (no entry checkpoint), keeping a re-interrupted
+        // resume `resumable`.
+        self.over_graph(sim, |run, graph| {
+            run.algorithm().resume(
+                wal_bytes,
+                Some(graph),
+                run.config.threads,
+                &run.governor,
+                run.wal.as_deref_mut(),
+            )
+        })
     }
 
     /// Resumes from a snapshot-bearing WAL without the original data:
@@ -417,13 +392,12 @@ impl<'w> Pipeline<'w> {
     /// [`RockError::WalMismatch`] if the log carries no snapshot;
     /// otherwise as [`Pipeline::resume`].
     pub fn resume_snapshot(mut self, wal_bytes: &[u8]) -> Result<RockRun, RockError> {
-        let algorithm = self.algorithm();
-        ResumeStage {
+        self.algorithm().resume(
             wal_bytes,
-            graph: None,
-            algorithm,
-            threads: self.config.threads,
-        }
-        .run(&mut self.ctx)
+            None,
+            self.config.threads,
+            &self.governor,
+            self.wal.as_deref_mut(),
+        )
     }
 }

@@ -76,8 +76,9 @@ impl ShardConfig {
 pub trait ShardFaultPlan {
     /// The governor attempt `attempt` (0-based) of shard `shard` runs
     /// under. `base` is the supervisor-built child governor (the
-    /// parent's cancellation token, no budgets of its own); a schedule
-    /// injects a crash, hang or memory trip by rebuilding it.
+    /// parent's cancellation token, clock and time budget, and a memory
+    /// meter with no budget); a schedule injects a crash, hang or memory
+    /// trip by rebuilding it.
     fn governor(&self, shard: usize, attempt: u32, base: RunGovernor) -> RunGovernor {
         let _ = (shard, attempt);
         base

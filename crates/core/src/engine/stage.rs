@@ -1,7 +1,7 @@
 //! The stage contract and the five concrete Fig.-2 stages.
 //!
 //! A stage is a plain struct carrying its inputs and knobs; running it
-//! consumes it, reads/updates the shared [`RunCtx`], and returns its
+//! consumes it, reads/updates the run's [`Pipeline`], and returns its
 //! typed output. Stages never place governor *entry* checkpoints
 //! themselves — that is the pipeline runner's job
 //! ([`crate::engine::Pipeline::stage`]) — but long-running stage kernels
@@ -9,7 +9,7 @@
 
 use crate::algorithm::{RockAlgorithm, RockRun};
 use crate::components::Components;
-use crate::engine::ctx::RunCtx;
+use crate::engine::pipeline::Pipeline;
 use crate::error::RockError;
 use crate::governor::{DegradationNote, DegradationPolicy, Phase, TripReason};
 use crate::labeling::{Labeler, Labeling};
@@ -35,13 +35,14 @@ pub trait Stage {
     /// whose memory charge it observes).
     fn phase(&self) -> Phase;
 
-    /// Executes the stage against the shared run context.
+    /// Executes the stage against the run's pipeline (governor, WAL,
+    /// RNG, report).
     ///
     /// # Errors
     /// [`RockError::Interrupted`] from an in-stage governor checkpoint,
     /// or any stage-specific error (invalid labeling parameters, WAL
     /// corruption on resume, …).
-    fn run(self, ctx: &mut RunCtx<'_>) -> Result<Self::Out, RockError>;
+    fn run(self, run: &mut Pipeline<'_>) -> Result<Self::Out, RockError>;
 }
 
 /// Draws the Fig.-2 random sample from the run's RNG stream.
@@ -64,10 +65,10 @@ impl Stage for SampleStage {
         Phase::Sample
     }
 
-    fn run(self, ctx: &mut RunCtx<'_>) -> Result<Vec<usize>, RockError> {
+    fn run(self, run: &mut Pipeline<'_>) -> Result<Vec<usize>, RockError> {
         Ok(match self.sample_size {
             Some(size) if size < self.data_len => {
-                crate::sampling::sample_indices(self.data_len, size, &mut ctx.rng)
+                crate::sampling::sample_indices(self.data_len, size, &mut run.rng)
             }
             _ => (0..self.data_len).collect(),
         })
@@ -94,7 +95,7 @@ impl<PS: PairwiseSimilarity + Sync> Stage for NeighborsStage<'_, PS> {
         Phase::Neighbors
     }
 
-    fn run(self, _ctx: &mut RunCtx<'_>) -> Result<NeighborGraph, RockError> {
+    fn run(self, _run: &mut Pipeline<'_>) -> Result<NeighborGraph, RockError> {
         Ok(NeighborGraph::build(self.sim, self.theta, self.threads))
     }
 }
@@ -103,7 +104,7 @@ impl<PS: PairwiseSimilarity + Sync> Stage for NeighborsStage<'_, PS> {
 /// applying the proactive [`DegradationPolicy::SparseLinks`] downshift:
 /// if the dense kernel was chosen but its bit-row arena would exceed the
 /// memory budget, the stage forces the sparse kernel instead
-/// and records the downshift in the context's degradation note.
+/// and records the downshift in the report's degradation note.
 #[derive(Debug)]
 pub struct LinksStage<'a> {
     /// The θ-neighbor graph to count common neighbors over.
@@ -119,16 +120,16 @@ impl Stage for LinksStage<'_> {
         Phase::Links
     }
 
-    fn run(self, ctx: &mut RunCtx<'_>) -> Result<LinkMatrix, RockError> {
+    fn run(self, run: &mut Pipeline<'_>) -> Result<LinkMatrix, RockError> {
         let components = Components::of(self.graph);
         let mut kernel = LinkMatrix::choose_on(self.graph, &components);
         let arena = LinkMatrix::dense_arena_bytes(&components);
         if kernel == LinkKernel::Dense
-            && ctx.degradation == DegradationPolicy::SparseLinks
-            && ctx.governor.would_exceed(arena)
+            && run.config.degradation == DegradationPolicy::SparseLinks
+            && run.governor.would_exceed(arena)
         {
             kernel = LinkKernel::Sparse;
-            ctx.note = Some(DegradationNote {
+            run.report.degraded = Some(DegradationNote {
                 policy: DegradationPolicy::SparseLinks,
                 phase: Phase::Links,
                 reason: TripReason::MemoryBudgetExceeded,
@@ -147,8 +148,8 @@ impl Stage for LinksStage<'_> {
     }
 }
 
-/// The governed §4.3 agglomeration, journaling to the context's WAL when
-/// one is attached.
+/// The governed §4.3 agglomeration, journaling to the pipeline's WAL
+/// when one is attached.
 ///
 /// With precomputed `links` the merge loop runs directly over them;
 /// without, the stage computes and charges them itself (the journaled
@@ -181,24 +182,27 @@ impl Stage for MergeStage<'_> {
         }
     }
 
-    fn run(self, ctx: &mut RunCtx<'_>) -> Result<RockRun, RockError> {
+    fn run(self, run: &mut Pipeline<'_>) -> Result<RockRun, RockError> {
         if let Some(links) = self.links {
-            return self
-                .algorithm
-                .run_governed(self.graph, links, &ctx.governor, ctx.wal.as_deref_mut());
+            return self.algorithm.run_governed(
+                self.graph,
+                links,
+                &run.governor,
+                run.wal.as_deref_mut(),
+            );
         }
         // Self-computed links: checkpoint before computing them, charge
         // their bytes, and checkpoint again so the merge observes the
         // charge.
-        ctx.governor.check(Phase::Links)?;
+        run.governor.check(Phase::Links)?;
         let links = LinkMatrix::compute_auto(self.graph, self.threads);
         let link_bytes = links.memory_bytes() as u64;
-        ctx.governor.charge(link_bytes);
-        let result = ctx.governor.check(Phase::Links).and_then(|()| {
+        run.governor.charge(link_bytes);
+        let result = run.governor.check(Phase::Links).and_then(|()| {
             self.algorithm
-                .run_governed(self.graph, &links, &ctx.governor, ctx.wal.as_deref_mut())
+                .run_governed(self.graph, &links, &run.governor, run.wal.as_deref_mut())
         });
-        ctx.governor.release(link_bytes);
+        run.governor.release(link_bytes);
         result
     }
 }
@@ -240,57 +244,17 @@ where
         Phase::Labeling
     }
 
-    fn run(self, ctx: &mut RunCtx<'_>) -> Result<(Labeler<P>, Labeling), RockError> {
+    fn run(self, run: &mut Pipeline<'_>) -> Result<(Labeler<P>, Labeling), RockError> {
         let labeler = Labeler::new(
             self.sample,
             self.clusters,
             self.fraction,
             self.theta,
             self.ftheta,
-            &mut ctx.rng,
+            &mut run.rng,
         )?;
-        let labeling = labeler.label_all(self.data, self.measure, self.threads, &ctx.governor)?;
+        let labeling = labeler.label_all(self.data, self.measure, self.threads, &run.governor)?;
         Ok((labeler, labeling))
-    }
-}
-
-/// Replays an interrupted run's merge WAL to a bit-identical final
-/// clustering, optionally writing a fresh continuation log to the
-/// context's WAL handle.
-///
-/// With `graph` the links are recomputed and the replay is validated
-/// against them; without, the merge state is restored from the log's
-/// latest snapshot (failing with [`RockError::WalMismatch`] if there is
-/// none). Callers invoke this stage without a pipeline entry checkpoint:
-/// its first governor observation happens inside the replayed merge
-/// loop, which keeps a re-interrupted resume `resumable`.
-#[derive(Debug)]
-pub struct ResumeStage<'a> {
-    /// Bytes of the interrupted run's merge WAL.
-    pub wal_bytes: &'a [u8],
-    /// The rebuilt θ-neighbor graph, when the original data is at hand.
-    pub graph: Option<&'a NeighborGraph>,
-    /// The configured merge engine (must match the interrupted run).
-    pub algorithm: RockAlgorithm,
-    /// Worker threads for link recomputation.
-    pub threads: usize,
-}
-
-impl Stage for ResumeStage<'_> {
-    type Out = RockRun;
-
-    fn phase(&self) -> Phase {
-        Phase::Merge
-    }
-
-    fn run(self, ctx: &mut RunCtx<'_>) -> Result<RockRun, RockError> {
-        self.algorithm.resume(
-            self.wal_bytes,
-            self.graph,
-            self.threads,
-            &ctx.governor,
-            ctx.wal.as_deref_mut(),
-        )
     }
 }
 
@@ -298,6 +262,7 @@ impl Stage for ResumeStage<'_> {
 mod tests {
     use super::*;
     use crate::governor::RunGovernor;
+    use crate::rock::Rock;
 
     /// Six 40-point cliques with interleaved ids: point `p` lies in
     /// clique `p % 6`.
@@ -310,10 +275,16 @@ mod tests {
     }
 
     fn run_links(graph: &NeighborGraph, budget: u64) -> (LinkMatrix, Option<DegradationNote>) {
+        let config = *Rock::builder()
+            .degradation(DegradationPolicy::SparseLinks)
+            .seed(1)
+            .build()
+            .unwrap()
+            .config();
         let governor = RunGovernor::unlimited().with_memory_budget(budget);
-        let mut ctx = RunCtx::new(governor, DegradationPolicy::SparseLinks, Some(1));
-        let links = LinksStage { graph, threads: 2 }.run(&mut ctx).unwrap();
-        (links, ctx.note)
+        let mut run = Pipeline::new(config, governor);
+        let links = LinksStage { graph, threads: 2 }.run(&mut run).unwrap();
+        (links, run.report.degraded)
     }
 
     #[test]

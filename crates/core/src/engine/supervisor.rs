@@ -15,7 +15,8 @@
 //! * **Running** — the shard's slice runs the staged
 //!   [`Pipeline::fit_wal`] composition (θ-neighbors → journaled merge)
 //!   under a *child* governor ([`RunGovernor::child`]): the parent's
-//!   cancellation token, a fresh clock and memory meter.
+//!   cancellation token, clock and time budget — a parent deadline
+//!   stops a running shard — but a memory meter of its own.
 //! * **Retrying** — a failed attempt (a trip a fault plan injected, or
 //!   an error) resumes at once from the shard's carried WAL when the
 //!   interruption was resumable — a replay is bit-identical to an
@@ -65,8 +66,7 @@ const SHARD_ATTEMPTS: u32 = 3;
 /// A supervised multi-shard ROCK run: deterministic sharding, per-shard
 /// fault isolation, representative-level merge.
 ///
-/// Build one with [`ShardSupervisor::new`] (or
-/// [`crate::rock::Rock::shard_supervisor`]) and call
+/// Build one with [`crate::rock::Rock::shard_supervisor`] and call
 /// [`ShardSupervisor::run`]. With `shards == 1` the result is
 /// bit-identical to the unsharded journaled pipeline
 /// ([`crate::rock::Rock::cluster_wal`]) at every thread count.
@@ -117,14 +117,9 @@ enum Attempt {
 
 impl ShardSupervisor {
     /// Validates `shard` against `config` and builds a supervisor whose
-    /// parent governor is `governor`.
-    ///
-    /// # Errors
-    /// [`RockError::InvalidShardCount`] for zero shards,
-    /// [`RockError::InvalidLabelingFraction`] for a representative
-    /// fraction outside `(0, 1]`, [`RockError::InvalidTheta`] for a
-    /// merge θ outside `[0, 1]`.
-    pub fn new(
+    /// parent governor is `governor`; the errors are those of
+    /// [`crate::rock::Rock::shard_supervisor`].
+    pub(crate) fn new(
         config: RockConfig,
         shard: ShardConfig,
         governor: RunGovernor,
@@ -342,7 +337,7 @@ impl ShardSupervisor {
             let checked = CheckedSimilarity::new(measure);
             let pw = PointsWith::new(points, &checked);
             let mut wal = MergeWal::new();
-            let pipeline = Pipeline::new(self.config, gov).attach_wal(&mut wal);
+            let pipeline = Pipeline::new(self.config, gov).attach_wal(Some(&mut wal));
             let outcome = match carried.as_deref() {
                 Some(bytes) => pipeline.resume(&pw, bytes),
                 None => pipeline.fit_wal(&pw),

@@ -229,17 +229,21 @@ impl RunGovernor {
 
     /// A child governor for one unit of supervised work (e.g. one shard
     /// of a shard-and-merge run): it shares this governor's cancellation
-    /// token — cancelling the parent stops every child at its next
-    /// checkpoint — but starts with a fresh clock, an empty memory meter
-    /// and no budgets of its own, so a child's deadline or memory slice
-    /// never eats into the parent's. Give the child its own budgets with
-    /// the usual `with_*` builders.
+    /// token, start instant and time budget — cancelling the parent, or
+    /// running past its deadline, stops every child at its next
+    /// checkpoint — but keeps a memory meter of its own, empty and
+    /// unbudgeted, so a child's charges never eat into the parent's.
+    /// Creating a child anchors this governor's clock if no checkpoint
+    /// has yet. Give the child further budgets with the usual `with_*`
+    /// builders.
     pub fn child(&self) -> RunGovernor {
+        let started = OnceLock::new();
+        let _ = started.set(*self.inner.started.get_or_init(Instant::now));
         RunGovernor {
             inner: Arc::new(GovernorInner {
                 cancel: self.inner.cancel.clone(),
-                time_budget: None,
-                started: OnceLock::new(),
+                time_budget: self.inner.time_budget,
+                started,
                 memory_budget: None,
                 memory_charged: AtomicU64::new(0),
                 kill_at: None,
@@ -496,22 +500,36 @@ mod tests {
     }
 
     #[test]
-    fn child_shares_cancellation_but_not_budgets() {
+    fn child_shares_cancellation_and_deadline_but_not_memory() {
         let parent = RunGovernor::unlimited()
             .with_time_budget(Duration::ZERO)
             .with_memory_budget(10)
             .with_check_every(7);
         parent.arm();
         parent.charge(100);
-        // The child starts unconstrained despite the parent's tripped
-        // budgets, and inherits the checkpoint granularity.
+        // The child trips on the parent's expired deadline (same clock,
+        // same budget) and inherits the checkpoint granularity …
         let child = parent.child();
-        child.check(Phase::Merge).unwrap();
+        assert!(matches!(
+            child.check(Phase::Merge),
+            Err(RockError::Interrupted {
+                reason: TripReason::DeadlineExceeded,
+                ..
+            })
+        ));
+        assert!(child.check_at(Phase::Merge, 3).is_ok());
+        assert!(child.check_at(Phase::Merge, 7).is_err());
+        // … but its memory meter and budget are its own.
         assert_eq!(child.charged(), 0);
         assert!(!child.would_exceed(u64::MAX));
-        assert!(child.check_at(Phase::Merge, 3).is_ok());
-        // But cancellation is shared both ways (same token).
-        parent.cancel_token().cancel();
+        child.charge(1_000);
+        assert_eq!(parent.charged(), 100);
+        let roomy = RunGovernor::unlimited().with_memory_budget(10);
+        roomy.charge(100);
+        let child = roomy.child();
+        child.check(Phase::Merge).unwrap();
+        // Cancellation is shared both ways (same token).
+        roomy.cancel_token().cancel();
         assert!(matches!(
             child.check(Phase::Merge),
             Err(RockError::Interrupted {

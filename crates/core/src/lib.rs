@@ -135,8 +135,8 @@ pub use components::{neighbor_components, DisjointSet};
 pub use dendrogram::Dendrogram;
 pub use engine::model::RockModel;
 pub use engine::{
-    shard_ranges, ClusterModel, ModelFit, NoFaults, Pipeline, RunCtx, ShardConfig,
-    ShardFaultPlan, ShardRun, ShardSupervisor, ShardedRun,
+    shard_ranges, ClusterModel, ModelFit, NoFaults, Pipeline, ShardConfig, ShardFaultPlan,
+    ShardRun, ShardSupervisor, ShardedRun,
 };
 pub use error::RockError;
 pub use goodness::{BasketF, ConstantF, FTheta, Goodness, GoodnessKind};

@@ -322,7 +322,7 @@ impl Rock {
     /// A staged [`Pipeline`] over this driver's configuration and
     /// governor — the engine behind every entry point, exposed for
     /// custom stage compositions (attach a WAL, run individual stages,
-    /// inspect the run context) and for pairwise similarity sources
+    /// inspect the run's report) and for pairwise similarity sources
     /// without points (`session().fit_wal(&matrix)`).
     ///
     /// The pipeline's governor shares this driver's token, clock and
@@ -380,7 +380,8 @@ impl Rock {
         P: Clone + Sync,
         S: Similarity<P> + Sync,
     {
-        self.session().fit(data, measure)
+        let (result, report, _labeler) = self.session().fit_with_labeler(data, measure)?;
+        Ok((result, report))
     }
 
     /// [`Rock::cluster`] while journaling every merge decision to `wal`.
@@ -404,7 +405,9 @@ impl Rock {
         S: Similarity<P> + Sync,
         P: Sync,
     {
-        self.session().attach_wal(wal).fit_wal(&PointsWith::new(points, measure))
+        self.session()
+            .attach_wal(Some(wal))
+            .fit_wal(&PointsWith::new(points, measure))
     }
 
     /// Resumes an interrupted [`Rock::cluster_wal`] run from the bytes of
@@ -430,11 +433,9 @@ impl Rock {
         S: Similarity<P> + Sync,
         P: Sync,
     {
-        let pw = PointsWith::new(points, measure);
-        match wal_out {
-            Some(out) => self.session().attach_wal(out).resume(&pw, wal_bytes),
-            None => self.session().resume(&pw, wal_bytes),
-        }
+        self.session()
+            .attach_wal(wal_out)
+            .resume(&PointsWith::new(points, measure), wal_bytes)
     }
 
     /// A fault-isolated shard supervisor over this driver's configuration
@@ -446,8 +447,10 @@ impl Rock {
     /// by a coarse ROCK pass over their representative sets.
     ///
     /// # Errors
-    /// As [`crate::engine::supervisor::ShardSupervisor::new`] — an
-    /// invalid shard count, representative fraction or merge θ.
+    /// [`RockError::InvalidShardCount`] for zero shards,
+    /// [`RockError::InvalidLabelingFraction`] for a representative
+    /// fraction outside `(0, 1]`, [`RockError::InvalidTheta`] for a
+    /// merge θ outside `[0, 1]`.
     pub fn shard_supervisor(
         &self,
         shard: crate::engine::ShardConfig,
@@ -467,10 +470,9 @@ impl Rock {
         wal_bytes: &[u8],
         wal_out: Option<&mut MergeWal>,
     ) -> Result<RockRun, RockError> {
-        match wal_out {
-            Some(out) => self.session().attach_wal(out).resume_snapshot(wal_bytes),
-            None => self.session().resume_snapshot(wal_bytes),
-        }
+        self.session()
+            .attach_wal(wal_out)
+            .resume_snapshot(wal_bytes)
     }
 }
 

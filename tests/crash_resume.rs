@@ -337,3 +337,109 @@ fn resume_charges_the_recomputed_links() {
         .unwrap();
     assert_bit_identical(&resumed, &baseline);
 }
+
+/// `(phase, reason, resumable)` of an interruption, `None` for `Ok`.
+type TripPin = Option<(Phase, TripReason, bool)>;
+
+fn trip_pin<T>(outcome: Result<T, RockError>) -> TripPin {
+    match outcome {
+        Ok(_) => None,
+        Err(RockError::Interrupted {
+            phase,
+            reason,
+            resumable,
+        }) => Some((phase, reason, resumable)),
+        Err(e) => panic!("expected Ok or an interruption, got {e}"),
+    }
+}
+
+/// Where every public driver reports a tripped 1-byte memory budget and
+/// a zero deadline. A resumed merge loop makes its first budget check at
+/// its next multiple of `check_every` merges, so the resumes here finish
+/// before observing a memory trip (and the snapshot resume, which places
+/// no entry checkpoint, before observing the deadline); shards charge
+/// their own memory meters, never the parent's.
+#[test]
+fn every_driver_reports_budget_trips_at_a_pinned_phase() {
+    let data = three_clusters(20);
+    let driver = |governor: RunGovernor| {
+        Rock::builder()
+            .theta(0.4)
+            .clusters(3)
+            .sample_size(40)
+            .seed(5)
+            .governor(governor)
+            .build()
+            .unwrap()
+    };
+    let mut wal = MergeWal::new().with_snapshot_every(3);
+    let killed = driver(RunGovernor::unlimited().with_kill_at(Phase::Merge, 5))
+        .cluster_wal(&data, &Jaccard, &mut wal);
+    assert!(matches!(killed, Err(RockError::Interrupted { resumable: true, .. })));
+    let bytes = wal.as_bytes();
+    assert!(parse_wal(bytes).unwrap().has_snapshot());
+
+    let drivers = [
+        "cluster",
+        "cluster_wal",
+        "run",
+        "resume_cluster",
+        "resume_cluster + wal_out",
+        "resume_cluster_snapshot",
+        "shard_supervisor",
+    ];
+    let pins = |governor: fn() -> RunGovernor| -> [TripPin; 7] {
+        // A fresh driver per call: clones of one governor share its
+        // clock and memory meter.
+        let rock = || driver(governor());
+        [
+            trip_pin(rock().cluster(&data, &Jaccard)),
+            trip_pin(rock().cluster_wal(&data, &Jaccard, &mut MergeWal::new())),
+            trip_pin(rock().run(&data, &Jaccard)),
+            trip_pin(rock().resume_cluster(&data, &Jaccard, bytes, None)),
+            trip_pin(rock().resume_cluster(&data, &Jaccard, bytes, Some(&mut MergeWal::new()))),
+            trip_pin(rock().resume_cluster_snapshot(bytes, None)),
+            trip_pin(
+                rock()
+                    .shard_supervisor(rock::ShardConfig::new(2))
+                    .unwrap()
+                    .run(&data, &Jaccard),
+            ),
+        ]
+    };
+    let mem = |phase| Some((phase, TripReason::MemoryBudgetExceeded, false));
+    let late = |phase| Some((phase, TripReason::DeadlineExceeded, false));
+    let table = [
+        (
+            "1-byte memory budget",
+            pins(|| RunGovernor::unlimited().with_memory_budget(1)),
+            [
+                mem(Phase::Neighbors),
+                mem(Phase::Neighbors),
+                mem(Phase::Links),
+                None,
+                None,
+                None,
+                None,
+            ],
+        ),
+        (
+            "zero deadline",
+            pins(|| RunGovernor::unlimited().with_time_budget(Duration::ZERO)),
+            [
+                late(Phase::Neighbors),
+                late(Phase::Neighbors),
+                late(Phase::Sample),
+                late(Phase::Neighbors),
+                late(Phase::Neighbors),
+                None,
+                late(Phase::Merge),
+            ],
+        ),
+    ];
+    for (governor, got, want) in table {
+        for ((name, got), want) in drivers.iter().zip(got).zip(want) {
+            assert_eq!(got, want, "{name} under a {governor}");
+        }
+    }
+}

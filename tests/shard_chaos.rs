@@ -21,13 +21,17 @@
 //!    error — quarantine never masks a real cancellation.
 
 use proptest::prelude::*;
-use rock::governor::{CancellationToken, RunGovernor, TripReason};
+use rand::{rngs::StdRng, SeedableRng};
+use rock::governor::{CancellationToken, Phase, RunGovernor, TripReason};
 use rock::points::Transaction;
 use rock::rock::Rock;
-use rock::rock_data::{poison_range, PoisonedSimilarity, ShardFaultSchedule};
+use rock::rock_data::{
+    generate_baskets, poison_range, PoisonedSimilarity, ShardFaultSchedule, SyntheticBasketSpec,
+};
 use rock::similarity::Jaccard;
 use rock::wal::MergeWal;
 use rock::{RockError, ShardConfig, ShardedRun};
+use std::time::Duration;
 
 /// Three well-separated basket clusters over disjoint item ranges;
 /// transactions are deterministic 3-subsets of a 7-item universe.
@@ -502,5 +506,32 @@ proptest! {
         prop_assert!(healed.report.shard_notes.is_empty());
         prop_assert!(!healed.report.degraded());
         assert_survivors_identical(&healed, &clean);
+    }
+}
+
+/// A parent deadline reaches a running shard: the child governor shares
+/// the parent's clock and time budget, so the shard trips mid-run and
+/// the ladder's next parent check aborts the whole run.
+#[test]
+fn parent_deadline_stops_a_running_shard() {
+    let data = generate_baskets(
+        &SyntheticBasketSpec::paper_scaled(0.03),
+        &mut StdRng::seed_from_u64(1),
+    )
+    .transactions;
+    let rock = Rock::builder()
+        .theta(0.5)
+        .clusters(10)
+        .governor(RunGovernor::unlimited().with_time_budget(Duration::from_millis(5)))
+        .build()
+        .unwrap();
+    let supervisor = rock.shard_supervisor(ShardConfig::new(1)).unwrap();
+    match supervisor.run(&data, &Jaccard) {
+        Err(RockError::Interrupted {
+            phase: Phase::Merge,
+            reason: TripReason::DeadlineExceeded,
+            ..
+        }) => {}
+        other => panic!("expected the parent deadline to stop the shard, got {other:?}"),
     }
 }
