@@ -247,7 +247,12 @@ impl RockAlgorithm {
             }
         };
         governor.charge(link_bytes);
-        let outcome = self.replay_and_drive(engine, &replay, governor, wal_out);
+        // The resumed loop checks budgets only every `check_every`
+        // merges, so a resume with fewer left would never observe one.
+        let outcome = match governor.check(Phase::Merge) {
+            Err(e) => Err(mark_resumable(e, wal_out.is_some())),
+            Ok(()) => self.replay_and_drive(engine, &replay, governor, wal_out),
+        };
         governor.release(link_bytes);
         outcome
     }

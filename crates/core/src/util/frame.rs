@@ -1,8 +1,8 @@
 //! Shared CRC-32 frame codec for the workspace's durable binary formats.
 //!
-//! Both the merge WAL ([`crate::wal`]) and the fitted-model artifact
-//! ([`crate::artifact`]) persist themselves as a magic prefix followed by
-//! CRC-framed records:
+//! The merge WAL ([`crate::wal`]), the fitted-model artifact
+//! ([`crate::artifact`]) and `rock-data`'s stream `Checkpoint` persist
+//! themselves as a magic prefix followed by CRC-framed records:
 //!
 //! ```text
 //! frame := type:u8  len:u32le  payload[len]  crc32:u32le
@@ -18,7 +18,7 @@
 //! `UpdateProvenance` and the update fingerprint in
 //! [`crate::incremental`]); the formats differ only in their record
 //! vocabulary and damage semantics (the WAL truncates torn tails, the
-//! artifact rejects any damage outright).
+//! artifact and the checkpoint reject any damage outright).
 
 use crate::util::crc32;
 
@@ -114,7 +114,7 @@ impl<'a> Cursor<'a> {
     /// bytes. A count read from disk can never promise more items than
     /// bytes remain, so a lying count fails before anything is
     /// allocated.
-    pub(crate) fn list<T>(
+    pub fn list<T>(
         &mut self,
         n: usize,
         min_len: usize,

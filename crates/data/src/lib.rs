@@ -28,7 +28,9 @@
 //!
 //! * [`resilient`] — streaming ingest/labeling with transient-error
 //!   retries, quarantine of malformed records, periodic [`Checkpoint`]s
-//!   and bit-identical resume after interruption;
+//!   (persisted as one CRC frame, the codec of the merge WAL and the
+//!   artifact, so a torn or damaged checkpoint is rejected) and
+//!   bit-identical resume after interruption;
 //! * [`faults`] — deterministic fault injection ([`FaultyReader`],
 //!   [`corrupt_baskets`]) used to test all of the above.
 

@@ -38,6 +38,7 @@ use rock_core::labeling::{LabelPass, Labeler, Labeling};
 use rock_core::points::Transaction;
 use rock_core::report::{PhaseTimer, RunReport};
 use rock_core::similarity::Similarity;
+use rock_core::util::frame::{append_frame, put_u32, put_u64, read_frame, Cursor};
 use rock_core::RockError;
 use std::error::Error;
 use std::fmt;
@@ -45,6 +46,12 @@ use std::io::{self, BufRead};
 use std::time::Duration;
 
 pub use rock_core::util::retry::RetryPolicy;
+
+/// The 8-byte magic prefix of an encoded [`Checkpoint`].
+const CHECKPOINT_MAGIC: &[u8; 8] = b"ROCKCKP1";
+
+/// The kind byte of a checkpoint's one frame.
+const REC_CHECKPOINT: u8 = 1;
 
 /// Configuration for the resilient drivers.
 #[derive(Clone, Debug)]
@@ -85,9 +92,10 @@ impl Default for ResilientConfig {
 /// next record starts, plus cumulative counts over *all* invocations so
 /// far (unlike the per-invocation [`RunReport`]).
 ///
-/// Serialises to a small line-oriented text format via
-/// [`Checkpoint::encode`] / [`Checkpoint::decode`] so it can be persisted
-/// next to the data without any serialization dependency.
+/// Persists through [`Checkpoint::encode`] / [`Checkpoint::decode`] as a
+/// magic and one CRC frame, the codec of the workspace's other durable
+/// formats, so `decode` rejects a torn or damaged checkpoint instead of
+/// resuming from wrong counts.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Checkpoint {
     /// Byte offset of the first unprocessed line.
@@ -121,97 +129,70 @@ impl Checkpoint {
         }
     }
 
-    /// Encodes the checkpoint as line-oriented text.
-    pub fn encode(&self) -> String {
-        let counts: Vec<String> = self.cluster_counts.iter().map(u64::to_string).collect();
-        format!(
-            "rock-checkpoint v1\n\
-             byte_offset={}\n\
-             lines_seen={}\n\
-             records_read={}\n\
-             records_skipped={}\n\
-             records_quarantined={}\n\
-             outliers={}\n\
-             cluster_counts={}\n",
+    /// Encodes the checkpoint as the magic `ROCKCKP1` followed by one
+    /// CRC frame ([`rock_core::util::frame`]) whose payload is the six
+    /// counters (`byte_offset`, `lines_seen`, `records_read`,
+    /// `records_skipped`, `records_quarantined`, `outliers`) as `u64`s,
+    /// then a `u32` count and the `cluster_counts` as `u64`s.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut payload = Vec::with_capacity(6 * 8 + 4 + 8 * self.cluster_counts.len());
+        for v in [
             self.byte_offset,
             self.lines_seen,
             self.records_read,
             self.records_skipped,
             self.records_quarantined,
             self.outliers,
-            counts.join(",")
-        )
+        ] {
+            put_u64(&mut payload, v);
+        }
+        put_u32(&mut payload, self.cluster_counts.len() as u32);
+        for &count in &self.cluster_counts {
+            put_u64(&mut payload, count);
+        }
+        let mut bytes = CHECKPOINT_MAGIC.to_vec();
+        append_frame(&mut bytes, REC_CHECKPOINT, &payload);
+        bytes
     }
 
     /// Decodes a checkpoint produced by [`Checkpoint::encode`].
     ///
     /// # Errors
-    /// `InvalidData` on a bad header, an unknown/duplicate/missing field
-    /// or an unparsable number.
-    pub fn decode(text: &str) -> io::Result<Self> {
-        let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-        let mut lines = text.lines();
-        match lines.next() {
-            Some("rock-checkpoint v1") => {}
-            other => return Err(bad(format!("bad checkpoint header: {other:?}"))),
+    /// `InvalidData` on any damage: a wrong magic (the pre-frame text
+    /// checkpoints included), a torn or CRC-failing frame, a wrong record
+    /// kind, bytes after the frame, or a payload that does not decode
+    /// exactly.
+    pub fn decode(bytes: &[u8]) -> io::Result<Self> {
+        let bad =
+            |msg: &str| io::Error::new(io::ErrorKind::InvalidData, format!("checkpoint: {msg}"));
+        let framed = bytes
+            .strip_prefix(CHECKPOINT_MAGIC.as_slice())
+            .ok_or_else(|| bad("missing ROCKCKP1 magic"))?;
+        let (kind, payload, end) =
+            read_frame(framed, 0).ok_or_else(|| bad("truncated or damaged frame"))?;
+        if kind != REC_CHECKPOINT {
+            return Err(bad(&format!("unexpected record kind {kind}")));
         }
-        let mut cp = Checkpoint::new(0);
-        let mut seen = [false; 7];
-        for line in lines {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| bad(format!("bad checkpoint line: {line:?}")))?;
-            let idx = match key {
-                "byte_offset" => 0,
-                "lines_seen" => 1,
-                "records_read" => 2,
-                "records_skipped" => 3,
-                "records_quarantined" => 4,
-                "outliers" => 5,
-                "cluster_counts" => 6,
-                _ => return Err(bad(format!("unknown checkpoint field: {key:?}"))),
-            };
-            if seen[idx] {
-                return Err(bad(format!("duplicate checkpoint field: {key:?}")));
-            }
-            seen[idx] = true;
-            let parse = |v: &str| {
-                v.parse::<u64>()
-                    .map_err(|_| bad(format!("bad value for {key}: {v:?}")))
-            };
-            match idx {
-                0 => cp.byte_offset = parse(value)?,
-                1 => cp.lines_seen = parse(value)?,
-                2 => cp.records_read = parse(value)?,
-                3 => cp.records_skipped = parse(value)?,
-                4 => cp.records_quarantined = parse(value)?,
-                5 => cp.outliers = parse(value)?,
-                _ => {
-                    cp.cluster_counts = value
-                        .split(',')
-                        .filter(|t| !t.is_empty())
-                        .map(parse)
-                        .collect::<io::Result<_>>()?;
-                }
-            }
+        if end != framed.len() {
+            return Err(bad("trailing bytes after the frame"));
         }
-        if let Some(missing) = seen.iter().position(|&s| !s) {
-            let names = [
-                "byte_offset",
-                "lines_seen",
-                "records_read",
-                "records_skipped",
-                "records_quarantined",
-                "outliers",
-                "cluster_counts",
-            ];
-            return Err(bad(format!("missing checkpoint field: {}", names[missing])));
-        }
-        Ok(cp)
+        let mut c = Cursor::new(payload);
+        let fields = (|| {
+            let [byte_offset, lines_seen, records_read, records_skipped, records_quarantined, outliers] =
+                [c.u64()?, c.u64()?, c.u64()?, c.u64()?, c.u64()?, c.u64()?];
+            let n = c.u32()? as usize;
+            let cluster_counts = c.list(n, 8, Cursor::u64)?;
+            c.done().then_some(Checkpoint {
+                byte_offset,
+                lines_seen,
+                records_read,
+                records_skipped,
+                records_quarantined,
+                cluster_counts,
+                outliers,
+            })
+        })();
+        fields.ok_or_else(|| bad("payload does not decode"))
     }
 }
 
@@ -1036,17 +1017,21 @@ mod tests {
         }
     }
 
-    #[test]
-    fn checkpoint_roundtrips_through_text() {
-        let cp = Checkpoint {
+    fn three_cluster_checkpoint() -> Checkpoint {
+        Checkpoint {
             byte_offset: 12345,
-            lines_seen: 100,
-            records_read: 90,
-            records_skipped: 7,
+            lines_seen: 290,
+            records_read: 283,
+            records_skipped: 4,
             records_quarantined: 3,
-            cluster_counts: vec![40, 0, 50],
+            cluster_counts: vec![100, 120, 63],
             outliers: 2,
-        };
+        }
+    }
+
+    #[test]
+    fn checkpoint_roundtrips() {
+        let cp = three_cluster_checkpoint();
         assert_eq!(Checkpoint::decode(&cp.encode()).unwrap(), cp);
         // Empty cluster counts (plain-reader checkpoints) round-trip too.
         let cp0 = Checkpoint::new(0);
@@ -1054,18 +1039,54 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_decode_rejects_damage() {
-        let good = Checkpoint::new(2).encode();
-        for bad in [
-            "".to_string(),
-            "rock-checkpoint v2\n".to_string(),
-            good.replace("byte_offset=0", "byte_offset=zero"),
-            good.replace("outliers=0\n", ""),
-            good.replace("lines_seen=0", "lines_seen=0\nlines_seen=1"),
-            good.replace("records_read", "records_devoured"),
+    fn checkpoint_decode_is_total_over_prefixes_and_bit_flips() {
+        let cp = three_cluster_checkpoint();
+        let bytes = cp.encode();
+        let rejected_or_equal = |bad: &[u8], what: &str| match Checkpoint::decode(bad) {
+            Ok(got) => assert_eq!(got, cp, "{what} decoded to a different checkpoint"),
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{what}: {e}"),
+        };
+        for cut in 0..bytes.len() {
+            rejected_or_equal(&bytes[..cut], &format!("cut at {cut}"));
+        }
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut bad = bytes.clone();
+                bad[i] ^= 1 << bit;
+                rejected_or_equal(&bad, &format!("flip of bit {bit} at {i}"));
+            }
+        }
+    }
+
+    #[test]
+    fn checkpoint_decode_rejects_well_framed_damage() {
+        let good = three_cluster_checkpoint().encode();
+        let (_, payload, _) = read_frame(&good, CHECKPOINT_MAGIC.len()).unwrap();
+        let framed = |kind: u8, payload: &[u8]| {
+            let mut bytes = CHECKPOINT_MAGIC.to_vec();
+            append_frame(&mut bytes, kind, payload);
+            bytes
+        };
+        let mut unread = payload.to_vec();
+        unread.push(0);
+        let mut lying = payload[..6 * 8].to_vec();
+        put_u32(&mut lying, u32::MAX);
+        let mut trailing = good.clone();
+        trailing.push(0);
+        // The field lines of the pre-frame text checkpoints.
+        let text = "byte_offset=0\nlines_seen=0\nrecords_read=0\nrecords_skipped=0\n\
+                    records_quarantined=0\noutliers=0\ncluster_counts=0,0\n";
+        for (what, bad, detail) in [
+            ("wrong magic", [b"ROCKWAL1", &good[8..]].concat(), "magic"),
+            ("line text", text.as_bytes().to_vec(), "magic"),
+            ("wrong kind", framed(REC_CHECKPOINT + 1, payload), "kind"),
+            ("trailing byte", trailing, "trailing"),
+            ("unread payload", framed(REC_CHECKPOINT, &unread), "payload"),
+            ("lying count", framed(REC_CHECKPOINT, &lying), "payload"),
         ] {
             let e = Checkpoint::decode(&bad).unwrap_err();
-            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "accepted: {bad:?}");
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{what}");
+            assert!(e.to_string().contains(detail), "{what}: {e}");
         }
     }
 

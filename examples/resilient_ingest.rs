@@ -102,8 +102,8 @@ fn main() {
     println!("salvaged {} assignments; report so far:", err.partial_assignments.len());
     print!("{}", err.report);
 
-    // --- persist the checkpoint as text (as a real pipeline would) and
-    //     resume over a healthy reader.
+    // --- persist the checkpoint as its CRC-framed bytes (as a real
+    //     pipeline would) and resume over a healthy reader.
     let persisted = err.checkpoint.encode();
     let resume = Checkpoint::decode(&persisted).expect("checkpoint round-trips");
     // A real pipeline would hand the governor a cancellation token wired

@@ -354,11 +354,10 @@ fn trip_pin<T>(outcome: Result<T, RockError>) -> TripPin {
 }
 
 /// Where every public driver reports a tripped 1-byte memory budget and
-/// a zero deadline. A resumed merge loop makes its first budget check at
-/// its next multiple of `check_every` merges, so the resumes here finish
-/// before observing a memory trip (and the snapshot resume, which places
-/// no entry checkpoint, before observing the deadline); shards charge
-/// their own memory meters, never the parent's.
+/// a zero deadline. A resume checks its budgets once on entry, after
+/// charging the link matrix it rebuilt; the snapshot resume rebuilds
+/// none and charges nothing, so it finishes under a memory budget.
+/// Shards charge their own memory meters, never the parent's.
 #[test]
 fn every_driver_reports_budget_trips_at_a_pinned_phase() {
     let data = three_clusters(20);
@@ -417,8 +416,8 @@ fn every_driver_reports_budget_trips_at_a_pinned_phase() {
                 mem(Phase::Neighbors),
                 mem(Phase::Neighbors),
                 mem(Phase::Links),
-                None,
-                None,
+                mem(Phase::Merge),
+                Some((Phase::Merge, TripReason::MemoryBudgetExceeded, true)),
                 None,
                 None,
             ],
@@ -432,7 +431,7 @@ fn every_driver_reports_budget_trips_at_a_pinned_phase() {
                 late(Phase::Sample),
                 late(Phase::Neighbors),
                 late(Phase::Neighbors),
-                None,
+                late(Phase::Merge),
                 late(Phase::Merge),
             ],
         ),

@@ -175,7 +175,7 @@ fn interrupted_then_resumed_run_is_bit_identical() {
             "seed {seed}: run must stop mid-stream for the test to mean anything"
         );
 
-        // The checkpoint round-trips through its text encoding, as it
+        // The checkpoint round-trips through its byte encoding, as it
         // would when persisted between processes.
         let persisted = Checkpoint::decode(&err.checkpoint.encode()).unwrap();
         assert_eq!(persisted, err.checkpoint);
