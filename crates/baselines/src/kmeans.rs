@@ -50,7 +50,7 @@ pub struct KMeansResult {
 ///
 /// # Panics
 /// Panics if `points` is empty, `k == 0`, or `k > points.len()`.
-pub fn kmeans<R: Rng + ?Sized>(
+pub(crate) fn kmeans<R: Rng + ?Sized>(
     points: &[Vec<f64>],
     config: KMeansConfig,
     rng: &mut R,
@@ -169,7 +169,7 @@ pub fn kmeans<R: Rng + ?Sized>(
 
 /// The §1.1 criterion function `E`: the sum over all points of the
 /// Euclidean distance to their cluster's centroid.
-pub fn criterion_e(points: &[Vec<f64>], assign: &[usize], centroids: &[Vec<f64>]) -> f64 {
+fn criterion_e(points: &[Vec<f64>], assign: &[usize], centroids: &[Vec<f64>]) -> f64 {
     points
         .iter()
         .zip(assign)

@@ -38,13 +38,13 @@ pub mod vectorize;
 pub use centroid::{centroid_hierarchical, CentroidConfig};
 pub use clarans::{clarans, ClaransConfig, ClaransResult};
 pub use dbscan::{dbscan, DbscanConfig};
-pub use kmeans::{criterion_e, kmeans, KMeansConfig, KMeansResult};
+pub use kmeans::{KMeansConfig, KMeansResult};
 pub use kmodes::{kmodes, KModesConfig, KModesResult};
 pub use linkage::{similarity_linkage, Linkage, LinkageConfig};
 pub use models::{
     CentroidModel, ClaransModel, DbscanModel, KMeansModel, KModesModel, LinkageModel,
 };
-pub use vectorize::{euclidean, records_to_vectors, sq_euclidean, transactions_to_vectors};
+pub use vectorize::{records_to_vectors, transactions_to_vectors};
 
 #[cfg(test)]
 pub(crate) mod testdata {

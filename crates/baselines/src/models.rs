@@ -13,7 +13,7 @@
 //! | Model | Data type `D` | Core driver |
 //! |---|---|---|
 //! | [`CentroidModel`] | `[Vec<f64>]` | [`centroid_hierarchical`] |
-//! | [`KMeansModel`] | `[Vec<f64>]` | [`kmeans`] |
+//! | [`KMeansModel`] | `[Vec<f64>]` | [`kmeans`](mod@crate::kmeans) |
 //! | [`KModesModel`] | `[CategoricalRecord]` | [`kmodes`] |
 //! | [`LinkageModel`] | any [`PairwiseSimilarity`] | [`similarity_linkage`] |
 //! | [`ClaransModel`] | any [`PairwiseSimilarity`] | [`clarans`] |

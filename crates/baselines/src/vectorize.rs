@@ -55,15 +55,9 @@ pub fn records_to_vectors(records: &[CategoricalRecord], schema: &CategoricalSch
 /// # Panics
 /// Panics if dimensions differ.
 #[inline]
-pub fn sq_euclidean(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn sq_euclidean(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dimension mismatch");
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
-}
-
-/// Euclidean distance between dense vectors.
-#[inline]
-pub fn euclidean(a: &[f64], b: &[f64]) -> f64 {
-    sq_euclidean(a, b).sqrt()
 }
 
 #[cfg(test)]
@@ -86,9 +80,9 @@ mod tests {
         assert_eq!(vs[2], vec![1.0, 0.0, 0.0, 1.0, 0.0, 0.0]);
         assert_eq!(vs[3], vec![0.0, 0.0, 0.0, 0.0, 0.0, 1.0]);
         // Distance between the first two points is √2, the smallest (§1.1).
-        let d01 = euclidean(&vs[0], &vs[1]);
+        let d01 = sq_euclidean(&vs[0], &vs[1]).sqrt();
         assert!((d01 - 2f64.sqrt()).abs() < 1e-12);
-        let d23 = euclidean(&vs[2], &vs[3]);
+        let d23 = sq_euclidean(&vs[2], &vs[3]).sqrt();
         assert!((d23 - 3f64.sqrt()).abs() < 1e-12);
         assert!(d01 < d23);
     }

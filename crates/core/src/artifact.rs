@@ -183,8 +183,9 @@ struct Representatives {
 /// A fitted clustering model, serialized and served from bytes.
 ///
 /// Build one from a live fit ([`ModelArtifact::from_labeled`] for ROCK
-/// runs with representative sets, [`ModelArtifact::from_fit`] for any
-/// [`ModelFit`]), persist with [`ModelArtifact::save`], reload with
+/// runs with representative sets, or
+/// [`ClusterModel::save`](crate::engine::model::ClusterModel::save) for any
+/// model's [`ModelFit`]), persist with [`ModelArtifact::save`], reload with
 /// [`ModelArtifact::load`] / [`ModelArtifact::from_bytes`], and serve
 /// queries through [`crate::serve::AssignService`].
 #[derive(Clone, Debug, PartialEq)]
@@ -237,7 +238,7 @@ impl ModelArtifact {
     /// [`crate::engine::model::ClusterModel::save`] persists for
     /// baseline models; use [`ModelArtifact::from_labeled`] when the
     /// fit has representative sets to serve from.
-    pub fn from_fit(model: &str, fit: &ModelFit) -> ModelArtifact {
+    pub(crate) fn from_fit(model: &str, fit: &ModelFit) -> ModelArtifact {
         ModelArtifact {
             model: model.to_string(),
             theta: 0.0,
@@ -256,8 +257,7 @@ impl ModelArtifact {
         }
     }
 
-    /// An artifact of a labeled fit: [`ModelArtifact::from_fit`] plus
-    /// the exact Lᵢ representative sets of `labeler` (θ and `f(θ)` are
+    /// An artifact of a labeled fit: its [`ModelFit`] plus the exact Lᵢ representative sets of `labeler` (θ and `f(θ)` are
     /// taken from it), the labeling `fraction` the sets were drawn at,
     /// and the merge engine's `hash_seed`.
     ///
@@ -335,11 +335,6 @@ impl ModelArtifact {
         &self.report
     }
 
-    /// Whether the artifact carries representative sets to serve from.
-    pub fn has_representatives(&self) -> bool {
-        self.representatives.is_some()
-    }
-
     /// The evolving-model update state, if this artifact was saved by
     /// the online update path (version-2 artifacts only).
     pub fn update_state(&self) -> Option<&UpdateExtension> {
@@ -401,7 +396,7 @@ impl ModelArtifact {
     }
 
     /// Reassembles the [`ModelFit`] this artifact persists.
-    pub fn to_fit(&self) -> ModelFit {
+    pub(crate) fn to_fit(&self) -> ModelFit {
         ModelFit {
             clustering: self.clustering.clone(),
             dendrogram: self.dendrogram(),
@@ -755,7 +750,7 @@ pub(crate) fn tmp_path(path: &Path) -> std::path::PathBuf {
 
 /// A pluggable byte source for artifact images — the seam the serve
 /// layer's bounded retry wraps (see
-/// [`crate::serve::load_artifact_with_retry`]) and rock-data's fault
+/// [`crate::serve::AssignService::from_source`]) and rock-data's fault
 /// injectors implement.
 pub trait ArtifactSource {
     /// Reads one complete artifact image.
@@ -1146,7 +1141,6 @@ mod tests {
         let artifact = ModelArtifact::from_fit("kmeans", &sample_fit());
         let reloaded = ModelArtifact::from_bytes(&artifact.to_bytes()).unwrap();
         assert_eq!(reloaded, artifact);
-        assert!(!reloaded.has_representatives());
         assert!(matches!(
             reloaded.labeler::<Transaction>(),
             Err(RockError::ArtifactMismatch { .. })

@@ -27,9 +27,12 @@ impl Clustering {
             c.sort_unstable();
         }
         clusters.retain(|c| !c.is_empty());
-        clusters.sort_by(|a, b| b.len().cmp(&a.len()).then(a[0].cmp(&b[0])));
+        let order = canonical_order(&clusters);
         outliers.sort_unstable();
-        Clustering { clusters, outliers }
+        Clustering {
+            clusters: permute(clusters, &order),
+            outliers,
+        }
     }
 
     /// Number of clusters.
@@ -70,6 +73,30 @@ impl Clustering {
             .iter()
             .position(|c| c.binary_search(&p).is_ok())
     }
+}
+
+/// The canonical cluster order of [`Clustering::new`]: cluster indices by
+/// size descending, then smallest member ascending, ties kept in input
+/// order. Clusters must be non-empty with ascending members. Position
+/// `k` holds the input index of the cluster that becomes cluster `k`, so
+/// the result is the permutation from input cluster ids to canonical
+/// ones; [`permute`] applies it to any per-cluster vector.
+pub(crate) fn canonical_order(clusters: &[Vec<u32>]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..clusters.len()).collect();
+    order.sort_by(|&a, &b| {
+        let (ca, cb) = (&clusters[a], &clusters[b]);
+        cb.len().cmp(&ca.len()).then(ca[0].cmp(&cb[0]))
+    });
+    order
+}
+
+/// `items` reordered so that position `k` holds `items[order[k]]`, for
+/// a permutation `order` of its positions.
+pub(crate) fn permute<T: Default>(mut items: Vec<T>, order: &[usize]) -> Vec<T> {
+    order
+        .iter()
+        .map(|&i| std::mem::take(&mut items[i]))
+        .collect()
 }
 
 /// Appends the persisted image of a clustering: a `u32` cluster count,

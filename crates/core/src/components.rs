@@ -54,12 +54,6 @@ impl DisjointSet {
         self.size[big as usize] += self.size[small as usize];
         true
     }
-
-    /// Size of `x`'s set.
-    pub fn set_size(&mut self, x: u32) -> u32 {
-        let r = self.find(x);
-        self.size[r as usize]
-    }
 }
 
 /// The connected components of a θ-neighbor graph, labelled once.
@@ -190,8 +184,8 @@ mod tests {
         assert!(!d.union(1, 0));
         assert_eq!(d.find(0), d.find(1));
         assert_ne!(d.find(0), d.find(3));
-        assert_eq!(d.set_size(4), 2);
-        assert_eq!(d.set_size(2), 1);
+        let (big, single) = (d.find(4), d.find(2));
+        assert_eq!((d.size[big as usize], d.size[single as usize]), (2, 1));
     }
 
     #[test]

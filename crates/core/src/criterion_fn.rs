@@ -18,21 +18,10 @@ use crate::links_matrix::LinkMatrix;
 /// Sum of `link(p_q, p_r)` over unordered point pairs inside `cluster`.
 ///
 /// `cluster` is a set of point ids valid for `links`.
-pub fn intra_cluster_links(links: &LinkMatrix, cluster: &[u32]) -> u64 {
+fn intra_cluster_links(links: &LinkMatrix, cluster: &[u32]) -> u64 {
     let mut total = 0u64;
     for (a, &i) in cluster.iter().enumerate() {
         for &j in &cluster[a + 1..] {
-            total += u64::from(links.count(i as usize, j as usize));
-        }
-    }
-    total
-}
-
-/// Sum of `link(p_q, p_s)` over pairs with `p_q ∈ a`, `p_s ∈ b`.
-pub fn cross_cluster_links(links: &LinkMatrix, a: &[u32], b: &[u32]) -> u64 {
-    let mut total = 0u64;
-    for &i in a {
-        for &j in b {
             total += u64::from(links.count(i as usize, j as usize));
         }
     }
@@ -86,12 +75,6 @@ mod tests {
         // Within a 4-clique every pair has 2 common neighbors.
         assert_eq!(intra_cluster_links(&links, &[0, 1, 2, 3]), 12);
         assert_eq!(intra_cluster_links(&links, &[4, 5, 6, 7]), 12);
-    }
-
-    #[test]
-    fn cross_links_between_separated_cliques_is_zero() {
-        let (_, links) = two_cliques();
-        assert_eq!(cross_cluster_links(&links, &[0, 1, 2, 3], &[4, 5, 6, 7]), 0);
     }
 
     #[test]

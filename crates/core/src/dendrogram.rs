@@ -50,7 +50,7 @@ impl Dendrogram {
     /// record must mint the next dense arena id and consume two distinct,
     /// still-live cluster ids below it. Returns `None` otherwise, so an
     /// inconsistent artifact can never panic a later [`Dendrogram::cut`].
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         initial_points: Vec<u32>,
         merges: Vec<MergeRecord>,
         outliers: Vec<u32>,

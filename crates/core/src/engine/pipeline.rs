@@ -23,18 +23,14 @@ use rand::{rngs::StdRng, SeedableRng};
 /// Every [`Pipeline::stage`] call places one governor checkpoint at the
 /// stage boundary (under the stage's [`Stage::phase`] label) and hands
 /// the stage this pipeline by mutable reference. The compositions
-/// ([`fit_with_labeler`], [`fit_wal`], [`resume`], [`resume_snapshot`])
-/// own the memory charge/release windows around the big structures plus
-/// the degradation fallbacks that span stages (subsample restart,
+/// ([`Pipeline::fit_with_labeler`], and the crate-private journaled and
+/// resume compositions behind [`crate::rock::Rock`]'s entry points) own
+/// the memory charge/release windows around the big structures plus the
+/// degradation fallbacks that span stages (subsample restart,
 /// connected-components finish).
 ///
 /// Construct one per run via [`crate::rock::Rock::session`]; the
 /// compositions consume the pipeline.
-///
-/// [`fit_with_labeler`]: Pipeline::fit_with_labeler
-/// [`fit_wal`]: Pipeline::fit_wal
-/// [`resume`]: Pipeline::resume
-/// [`resume_snapshot`]: Pipeline::resume_snapshot
 #[derive(Debug)]
 pub struct Pipeline<'w> {
     /// The validated configuration this run follows; the links stage
@@ -64,7 +60,7 @@ impl Pipeline<'static> {
     /// A pipeline over `config`, governed by `governor`, with an RNG
     /// seeded from `config.seed` (or from the OS when `None`) and no WAL
     /// attached (see [`Pipeline::attach_wal`]).
-    pub fn new(config: RockConfig, governor: RunGovernor) -> Self {
+    pub(crate) fn new(config: RockConfig, governor: RunGovernor) -> Self {
         Pipeline {
             config,
             governor,
@@ -82,7 +78,7 @@ impl<'w> Pipeline<'w> {
     /// Attaches a merge WAL (or none): journaled compositions
     /// ([`Pipeline::fit_wal`]) append every merge decision to it, and
     /// resume compositions write their continuation log through it.
-    pub fn attach_wal(mut self, wal: Option<&'w mut MergeWal>) -> Self {
+    pub(crate) fn attach_wal(mut self, wal: Option<&'w mut MergeWal>) -> Self {
         self.wal = wal;
         self
     }
@@ -221,7 +217,8 @@ impl<'w> Pipeline<'w> {
     ///
     /// This composition never journals — the sampled pipeline prefers a
     /// restartable report over a merge log; any attached WAL is ignored.
-    /// Use [`Pipeline::fit_wal`] for a journaled whole-data run.
+    /// Use [`crate::rock::Rock::cluster_wal`] for a journaled whole-data
+    /// run.
     ///
     /// # Errors
     /// [`RockError::NonFiniteSimilarity`] if `measure` misbehaves,
@@ -331,7 +328,7 @@ impl<'w> Pipeline<'w> {
     /// [`RockError::NonFiniteSimilarity`] if `sim` returned a NaN/±∞
     /// for any pair, [`RockError::Interrupted`] when the governor trips
     /// (`resumable: true` once a WAL is being written).
-    pub fn fit_wal<PS: PairwiseSimilarity + Sync>(
+    pub(crate) fn fit_wal<PS: PairwiseSimilarity + Sync>(
         mut self,
         sim: &PS,
     ) -> Result<RockRun, RockError> {
@@ -359,7 +356,7 @@ impl<'w> Pipeline<'w> {
     /// [`RockError::WalCorrupt`] / [`RockError::WalMismatch`] for a
     /// damaged or foreign log, [`RockError::Interrupted`] if the
     /// governor trips again.
-    pub fn resume<PS: PairwiseSimilarity + Sync>(
+    pub(crate) fn resume<PS: PairwiseSimilarity + Sync>(
         mut self,
         sim: &PS,
         wal_bytes: &[u8],
@@ -391,7 +388,7 @@ impl<'w> Pipeline<'w> {
     /// # Errors
     /// [`RockError::WalMismatch`] if the log carries no snapshot;
     /// otherwise as [`Pipeline::resume`].
-    pub fn resume_snapshot(mut self, wal_bytes: &[u8]) -> Result<RockRun, RockError> {
+    pub(crate) fn resume_snapshot(mut self, wal_bytes: &[u8]) -> Result<RockRun, RockError> {
         self.algorithm().resume(
             wal_bytes,
             None,

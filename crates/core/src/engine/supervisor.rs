@@ -13,8 +13,8 @@
 //! ```
 //!
 //! * **Running** — the shard's slice runs the staged
-//!   [`Pipeline::fit_wal`] composition (θ-neighbors → journaled merge)
-//!   under a *child* governor ([`RunGovernor::child`]): the parent's
+//!   journaled `Pipeline::fit_wal` composition (θ-neighbors → journaled
+//!   merge) under a *child* governor (`RunGovernor::child`): the parent's
 //!   cancellation token, clock and time budget — a parent deadline
 //!   stops a running shard — but a memory meter of its own.
 //! * **Retrying** — a failed attempt (a trip a fault plan injected, or
@@ -39,7 +39,6 @@
 //! `shard count`). If *that* ladder is exhausted, the run degrades to
 //! the concatenation of shard-level clusters — recorded, never silent.
 //!
-//! [`RunGovernor::child`]: crate::governor::RunGovernor::child
 //! [`ShardDegradationNote`]: crate::report::ShardDegradationNote
 //! [`RockError::Interrupted`]: crate::error::RockError::Interrupted
 

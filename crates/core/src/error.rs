@@ -41,7 +41,7 @@ pub enum RockError {
     /// A user-supplied similarity measure returned NaN or ±∞.
     ///
     /// Surfaced by the driver entry points ([`crate::rock::Rock::cluster`],
-    /// [`crate::rock::Rock::run`], [`crate::engine::Pipeline::fit_wal`],
+    /// [`crate::rock::Rock::run`], [`crate::rock::Rock::cluster_wal`],
     /// [`crate::labeling::Labeler::label_point_checked`],
     /// [`crate::labeling::LabelPass::label_checked`] and
     /// [`crate::incremental::IncrementalRockState::update`], the last

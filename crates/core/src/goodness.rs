@@ -98,7 +98,7 @@ impl Goodness {
     }
 
     /// The exponent `1 + 2·f(θ)` used in the expected-link counts.
-    pub fn exponent(&self) -> f64 {
+    pub(crate) fn exponent(&self) -> f64 {
         self.exponent
     }
 
@@ -110,14 +110,14 @@ impl Goodness {
     /// Expected number of links between pairs of points *within* one
     /// cluster of size `n`: `n^{1+2f(θ)}` (§3.3).
     #[inline]
-    pub fn expected_within(&self, n: usize) -> f64 {
+    pub(crate) fn expected_within(&self, n: usize) -> f64 {
         (n as f64).powf(self.exponent)
     }
 
     /// Expected number of *cross* links created by merging clusters of
     /// sizes `n1` and `n2` (the denominator of g).
     #[inline]
-    pub fn expected_cross(&self, n1: usize, n2: usize) -> f64 {
+    fn expected_cross(&self, n1: usize, n2: usize) -> f64 {
         self.expected_within(n1 + n2) - self.expected_within(n1) - self.expected_within(n2)
     }
 

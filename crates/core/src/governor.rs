@@ -7,7 +7,7 @@
 //! pipeline phase) into a *governed* computation: a cloneable
 //! cancellation token, an optional wall-clock budget and an optional
 //! memory budget are checked at phase boundaries and every
-//! [`check_every`](RunGovernor::with_check_every) merges, surfacing
+//! `check_every` merges (64; 1 when serving), surfacing
 //! [`RockError::Interrupted`] instead of running away or dying to the OOM
 //! killer.
 //!
@@ -102,7 +102,7 @@ impl CancellationToken {
     }
 
     /// Whether the token has fired.
-    pub fn is_cancelled(&self) -> bool {
+    pub(crate) fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Acquire)
     }
 }
@@ -127,9 +127,9 @@ struct GovernorInner {
 ///
 /// The default governor is [`unlimited`](RunGovernor::unlimited): every
 /// check passes, so governed entry points behave exactly like their
-/// ungoverned counterparts. Clones share state — hand a clone to another
-/// thread and call [`CancellationToken::cancel`] on
-/// [`cancel_token`](RunGovernor::cancel_token) to stop the run.
+/// ungoverned counterparts. Clones share state — build the governor
+/// [`with_cancel_token`](RunGovernor::with_cancel_token) and call
+/// [`CancellationToken::cancel`] from another thread to stop the run.
 #[derive(Clone, Debug)]
 pub struct RunGovernor {
     inner: Arc<GovernorInner>,
@@ -160,7 +160,7 @@ impl RunGovernor {
     }
 
     /// Sets the wall-clock budget, measured from the first checkpoint
-    /// (or from [`arm`](RunGovernor::arm)).
+    /// (or from the moment a run arms the governor).
     pub fn with_time_budget(self, budget: Duration) -> Self {
         self.rebuild(|inner| inner.time_budget = Some(budget))
     }
@@ -174,10 +174,9 @@ impl RunGovernor {
     /// Sets the charged-memory budget in bytes.
     ///
     /// There is no portable resident-set meter, so the governor meters
-    /// the dominant *tracked* allocations instead: phases
-    /// [`charge`](RunGovernor::charge) their big structures (neighbor
-    /// graph rows, link matrix) and the budget trips when the total
-    /// would exceed `bytes`.
+    /// the dominant *tracked* allocations instead: phases charge their
+    /// big structures (neighbor graph rows, link matrix) to the governor
+    /// and the budget trips when the total would exceed `bytes`.
     pub fn with_memory_budget(self, bytes: u64) -> Self {
         self.rebuild(|inner| inner.memory_budget = Some(bytes))
     }
@@ -185,7 +184,7 @@ impl RunGovernor {
     /// Sets the merge-checkpoint granularity: deadline/cancel/memory are
     /// re-checked every `n ≥ 1` merges (default 64). Smaller values give
     /// tighter cancellation latency for more checking overhead.
-    pub fn with_check_every(mut self, n: u64) -> Self {
+    pub(crate) fn with_check_every(mut self, n: u64) -> Self {
         assert!(n >= 1, "check interval must be >= 1");
         self.check_every = n;
         self
@@ -223,7 +222,7 @@ impl RunGovernor {
     }
 
     /// The shared cancellation token.
-    pub fn cancel_token(&self) -> CancellationToken {
+    pub(crate) fn cancel_token(&self) -> CancellationToken {
         self.inner.cancel.clone()
     }
 
@@ -236,7 +235,7 @@ impl RunGovernor {
     /// Creating a child anchors this governor's clock if no checkpoint
     /// has yet. Give the child further budgets with the usual `with_*`
     /// builders.
-    pub fn child(&self) -> RunGovernor {
+    pub(crate) fn child(&self) -> RunGovernor {
         let started = OnceLock::new();
         let _ = started.set(*self.inner.started.get_or_init(Instant::now));
         RunGovernor {
@@ -254,17 +253,17 @@ impl RunGovernor {
 
     /// Anchors the wall-clock budget at "now". Called implicitly by the
     /// first checkpoint; call explicitly to start the clock earlier.
-    pub fn arm(&self) {
+    pub(crate) fn arm(&self) {
         let _ = self.inner.started.set(Instant::now());
     }
 
     /// Adds `bytes` to the charged-memory meter.
-    pub fn charge(&self, bytes: u64) {
+    pub(crate) fn charge(&self, bytes: u64) {
         self.inner.memory_charged.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Subtracts `bytes` from the charged-memory meter (saturating).
-    pub fn release(&self, bytes: u64) {
+    pub(crate) fn release(&self, bytes: u64) {
         let _ = self
             .inner
             .memory_charged
@@ -274,13 +273,13 @@ impl RunGovernor {
     }
 
     /// Currently charged bytes.
-    pub fn charged(&self) -> u64 {
+    fn charged(&self) -> u64 {
         self.inner.memory_charged.load(Ordering::Relaxed)
     }
 
     /// Whether charging `extra` more bytes would exceed the memory
     /// budget (always `false` without a budget).
-    pub fn would_exceed(&self, extra: u64) -> bool {
+    pub(crate) fn would_exceed(&self, extra: u64) -> bool {
         match self.inner.memory_budget {
             Some(budget) => self.charged().saturating_add(extra) > budget,
             None => false,
@@ -327,8 +326,7 @@ impl RunGovernor {
 
     /// In-phase checkpoint number `index` (e.g. `index` = merges done so
     /// far): applies the injected kill point exactly, and the budget
-    /// checks every [`check_every`](RunGovernor::with_check_every)-th
-    /// index.
+    /// checks every `check_every`-th index.
     ///
     /// # Errors
     /// As [`check`](RunGovernor::check), plus the injected kill.

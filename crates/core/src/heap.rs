@@ -79,7 +79,7 @@ impl AddressableHeap {
     }
 
     /// The maximum entry, if any.
-    pub fn peek(&self) -> Option<(u32, f64)> {
+    pub(crate) fn peek(&self) -> Option<(u32, f64)> {
         self.data.first().copied()
     }
 

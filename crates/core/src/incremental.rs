@@ -26,7 +26,7 @@
 //! drift can never collapse the model into one giant cluster.
 
 use crate::artifact::{decode_points, point_blob, ArtifactPoint, ModelArtifact, UpdateExtension};
-use crate::cluster::{encode_clustering, Clustering, MergeRecord};
+use crate::cluster::{canonical_order, encode_clustering, permute, Clustering, MergeRecord};
 use crate::engine::model::ModelFit;
 use crate::error::RockError;
 use crate::goodness::{ConstantF, Goodness, GoodnessKind};
@@ -490,11 +490,6 @@ impl IncrementalState {
         }
         self.seed();
         Ok(())
-    }
-
-    /// Number of live clusters.
-    pub fn num_live(&self) -> usize {
-        self.live
     }
 
     /// The live clusters as `(arena id, sorted-as-stored members)` pairs,
@@ -1122,22 +1117,16 @@ impl<P: ArtifactPoint + Clone> IncrementalRockState<P> {
     }
 
     /// Restores the [`Clustering::new`] canonical order in place: members
-    /// ascending within each cluster, clusters by (size desc, smallest
-    /// member asc), the parallel labeler pools and `dirty` permuted in
-    /// lockstep, outliers sorted. Clusters are disjoint and non-empty, so
-    /// the order is total and the permutation unique — which is what
-    /// makes the digest canonical.
+    /// ascending within each cluster, clusters in [`canonical_order`],
+    /// the parallel labeler pools and `dirty` permuted in lockstep,
+    /// outliers sorted. Clusters are disjoint and non-empty, so the order
+    /// is total and the permutation unique — which is what makes the
+    /// digest canonical.
     fn canonicalize(&mut self) {
         for c in &mut self.clusters {
             c.sort_unstable();
         }
-        let clusters = &self.clusters;
-        let mut order: Vec<usize> = (0..clusters.len()).collect();
-        order.sort_unstable_by(|&a, &b| {
-            // tidy-allow(panic-reach): a and b are drawn from 0..len, and clusters are never empty
-            let (ca, cb) = (&clusters[a], &clusters[b]);
-            cb.len().cmp(&ca.len()).then(ca[0].cmp(&cb[0]))
-        });
+        let order = canonical_order(&self.clusters);
         self.clusters = permute(std::mem::take(&mut self.clusters), &order);
         self.dirty = permute(std::mem::take(&mut self.dirty), &order);
         self.labeler.map_sets(|sets| permute(sets, &order));
@@ -1271,16 +1260,6 @@ impl<P: ArtifactPoint + Clone> IncrementalRockState<P> {
     }
 }
 
-/// `items` reordered so that position `k` holds `items[order[k]]`, for
-/// a permutation `order` of its positions.
-fn permute<T: Default>(mut items: Vec<T>, order: &[usize]) -> Vec<T> {
-    order
-        .iter()
-        // tidy-allow(panic-reach): order is a permutation of 0..items.len()
-        .map(|&i| std::mem::take(&mut items[i]))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1351,7 +1330,7 @@ mod tests {
             ..bound
         });
         assert_eq!(merges.len(), 2);
-        assert_eq!(s.num_live(), 3);
+        assert_eq!(s.live, 3);
 
         // min_goodness stops low-quality merges.
         let mut s = singleton_state(5, links);
@@ -1391,7 +1370,7 @@ mod tests {
             max_cluster_size: usize::MAX,
         });
         assert!(merges.is_empty());
-        assert_eq!(s.num_live(), 3);
+        assert_eq!(s.live, 3);
     }
 
     #[test]

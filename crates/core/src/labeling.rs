@@ -182,7 +182,7 @@ impl<P: Clone> Labeler<P> {
     }
 
     /// Size of labeling set `i`.
-    pub fn set_size(&self, i: usize) -> usize {
+    pub(crate) fn set_size(&self, i: usize) -> usize {
         self.sets[i].len()
     }
 
@@ -847,5 +847,36 @@ mod tests {
             labeler.label_point_checked(&q, &AlwaysNan),
             Err(RockError::NonFiniteSimilarity { .. })
         ));
+    }
+    #[test]
+    fn label_all_through_checked_latches_nan_without_item_sets() {
+        use crate::similarity::CheckedSimilarity;
+        use std::sync::atomic::{AtomicU64, Ordering};
+        /// NaN on every call, counted. It exposes no item set, so the
+        /// labeler must take the brute-force pass.
+        struct CountingNan(AtomicU64);
+        impl Similarity<Transaction> for CountingNan {
+            fn similarity(&self, _: &Transaction, _: &Transaction) -> f64 {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                f64::NAN
+            }
+        }
+        let nan = CountingNan(AtomicU64::new(0));
+        let a = Transaction::from([1, 2]);
+        assert_eq!(nan.item_set(&a), None);
+        let sample = vec![a.clone(), Transaction::from([2, 3])];
+        let labeler = Labeler::full(&sample, &[vec![0, 1]], 0.4, 1.0 / 3.0);
+        let checked = CheckedSimilarity::new(&nan);
+        let labeling = labeler
+            .label_all(
+                &[a],
+                &checked,
+                1,
+                &crate::governor::RunGovernor::unlimited(),
+            )
+            .unwrap();
+        assert_eq!(labeling.num_outliers, 1);
+        assert!(checked.error().is_some());
+        assert_eq!(nan.0.load(Ordering::Relaxed), 2);
     }
 }

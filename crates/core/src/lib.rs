@@ -79,9 +79,9 @@
 //! checked §4.6 scan) surface non-finite similarities instead of
 //! mis-clustering or panicking. The companion
 //! `rock-data` crate adds a resilient streaming ingest/labeling driver
-//! (retries, quarantine, checkpoints) over the same primitives;
-//! [`similarity::FaultySimilarity`] provides the deterministic fault
-//! injection used to test all of it.
+//! (retries, quarantine, checkpoints) over the same primitives, and its
+//! `faults` module the deterministic fault injection used to test all
+//! of it.
 //!
 //! Long runs are *governable* and *crash-safe*: a
 //! [`governor::RunGovernor`] threads cooperative cancellation, a
@@ -155,11 +155,11 @@ pub use points::{CategoricalRecord, CategoricalSchema, ItemCatalog, Transaction}
 pub use report::{PhasePerf, PhaseTiming, QuarantinedRecord, RunReport, ShardDegradationNote};
 pub use rock::{Rock, RockBuilder, RockConfig, RockResult};
 pub use serve::{
-    load_artifact_with_retry, AssignService, Centroid, OnlineAssignService, RetryPolicy,
-    ServeBatch, ServeConfig, ServeDegradationNote, ServeReport,
+    AssignService, Centroid, OnlineAssignService, RetryPolicy, ServeBatch, ServeConfig,
+    ServeDegradationNote, ServeReport,
 };
 pub use wal::{parse_update_wal, parse_wal, MergeWal, UpdateReplay, UpdateWal, WalReplay};
 pub use similarity::{
-    CategoricalJaccard, CheckedSimilarity, FaultySimilarity, Hamming, Jaccard, MissingPolicy,
+    CategoricalJaccard, CheckedSimilarity, Hamming, Jaccard, MissingPolicy,
     NormalizedLp, PairwiseSimilarity, PointsWith, Similarity, SimilarityMatrix,
 };

@@ -23,7 +23,7 @@
 //! * **Brute force** otherwise: every `j > i`.
 //!
 //! [`NeighborGraph::build`] is the one builder: it splits the rows into
-//! cost-balanced shards ([`balanced_ranges`]), one per thread, or one
+//! cost-balanced shards (`util::ranges::balanced_ranges`), one per thread, or one
 //! shard below a size cutoff, and runs them through the crate's one
 //! fan-out (`util::ranges::run_shards`). The hit edges are assembled
 //! into exact-capacity adjacency lists afterwards; the shard
@@ -182,11 +182,6 @@ impl NeighborGraph {
         self.lists.iter().map(Vec::len).sum::<usize>() as f64 / self.lists.len() as f64
     }
 
-    /// Maximum neighbor count `m_m`.
-    pub fn max_degree(&self) -> usize {
-        self.lists.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
     /// Rough heap footprint in bytes, for the governed drivers'
     /// charged-memory meter: per-point list headers plus the neighbor
     /// ids themselves.
@@ -194,18 +189,6 @@ impl NeighborGraph {
         let headers = self.lists.len() * std::mem::size_of::<Vec<u32>>();
         let ids: usize = self.lists.iter().map(|l| l.capacity() * 4).sum();
         std::mem::size_of::<Self>() + headers + ids
-    }
-
-    /// Ids of points with fewer than `min_neighbors` neighbors — the
-    /// "relatively isolated" points §4.6 discards as outliers before
-    /// clustering.
-    pub fn isolated_points(&self, min_neighbors: usize) -> Vec<u32> {
-        self.lists
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.len() < min_neighbors)
-            .map(|(i, _)| i as u32)
-            .collect()
     }
 }
 
@@ -318,7 +301,6 @@ mod tests {
         assert_eq!(g.neighbors(1), &[0, 2]);
         assert_eq!(g.neighbors(2), &[0, 1]);
         assert_eq!(g.neighbors(3), &[] as &[u32]);
-        assert_eq!(g.isolated_points(1), vec![3]);
     }
 
     #[test]
@@ -342,7 +324,6 @@ mod tests {
             assert_eq!(g.degree(i), 3, "point {i}");
         }
         assert_eq!(g.average_degree(), 3.0);
-        assert_eq!(g.max_degree(), 3);
     }
 
     #[test]
@@ -454,7 +435,6 @@ mod tests {
         let g = NeighborGraph::build(&m, 0.5, 1);
         assert!(g.is_empty());
         assert_eq!(g.average_degree(), 0.0);
-        assert_eq!(g.max_degree(), 0);
     }
 
     #[test]

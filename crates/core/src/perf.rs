@@ -57,7 +57,7 @@ pub(crate) fn absorb(counted: &PerfCounters) {
 /// the sparse kernel counts (Σᵢ mᵢ(mᵢ−1)/2), or the linked pairs the
 /// dense kernel finds.
 #[inline]
-pub fn count_pairs_emitted(n: u64) {
+pub(crate) fn count_pairs_emitted(n: u64) {
     bump(|c| c.pairs_emitted = c.pairs_emitted.wrapping_add(n));
 }
 
@@ -65,7 +65,7 @@ pub fn count_pairs_emitted(n: u64) {
 /// a kernel writes: a link kernel's output runs plus its CSR, and for
 /// the dense link kernel also its bit-row arena.
 #[inline]
-pub fn count_bytes_touched(n: u64) {
+pub(crate) fn count_bytes_touched(n: u64) {
     bump(|c| c.bytes_touched = c.bytes_touched.wrapping_add(n));
 }
 
@@ -78,7 +78,7 @@ pub fn count_bytes_touched(n: u64) {
 /// over the pairs with a dirty cluster on the brute-force path. The
 /// shard coarse merge counts only its coarse neighbor scan.
 #[inline]
-pub fn count_sim_evals(n: u64) {
+pub(crate) fn count_sim_evals(n: u64) {
     bump(|c| c.sim_evals = c.sim_evals.wrapping_add(n));
 }
 
@@ -86,7 +86,7 @@ pub fn count_sim_evals(n: u64) {
 /// freshly allocated (e.g. the merge loop handing a retired link list
 /// and candidate heap to the merged cluster).
 #[inline]
-pub fn count_scratch_reused(n: u64) {
+pub(crate) fn count_scratch_reused(n: u64) {
     bump(|c| c.scratch_reused = c.scratch_reused.wrapping_add(n));
 }
 
@@ -100,19 +100,19 @@ pub fn count_allocs(count: u64, bytes: u64) {
 
 /// Records `n` §4.6 labeling decisions taken by the online update path.
 #[inline]
-pub fn count_relabels(n: u64) {
+pub(crate) fn count_relabels(n: u64) {
     bump(|c| c.relabels = c.relabels.wrapping_add(n));
 }
 
 /// Records `n` dirty links accumulated by the online update path.
 #[inline]
-pub fn count_dirty_links(n: u64) {
+pub(crate) fn count_dirty_links(n: u64) {
     bump(|c| c.dirty_links = c.dirty_links.wrapping_add(n));
 }
 
 /// Records `n` bounded re-merge passes triggered by staleness.
 #[inline]
-pub fn count_remerges(n: u64) {
+pub(crate) fn count_remerges(n: u64) {
     bump(|c| c.remerges = c.remerges.wrapping_add(n));
 }
 
@@ -163,7 +163,7 @@ impl PerfCounters {
     }
 
     /// True when every counter is zero (nothing to report).
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         *self == PerfCounters::default()
     }
 }

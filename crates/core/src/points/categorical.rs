@@ -42,7 +42,7 @@ impl AttributeDef {
     }
 
     /// The id of value `name`, if in the domain.
-    pub fn value_id(&self, name: &str) -> Option<u32> {
+    fn value_id(&self, name: &str) -> Option<u32> {
         self.value_ids.get(name).copied()
     }
 
@@ -127,26 +127,12 @@ impl CategoricalSchema {
     /// # Panics
     /// Panics if `a` or `v` is out of range.
     #[inline]
-    pub fn item_id(&self, a: usize, v: u32) -> u32 {
+    fn item_id(&self, a: usize, v: u32) -> u32 {
         assert!(
             (v as usize) < self.attributes[a].domain_size(),
             "value id {v} out of domain for attribute {a}"
         );
         self.offsets[a] + v
-    }
-
-    /// Inverse of [`item_id`](Self::item_id): `(attribute, value)` of a
-    /// global item id, or `None` if out of range.
-    pub fn item_to_attr_value(&self, item: u32) -> Option<(usize, u32)> {
-        if item >= self.total_items {
-            return None;
-        }
-        // offsets is ascending; find the last offset ≤ item.
-        let a = match self.offsets.binary_search(&item) {
-            Ok(a) => a,
-            Err(ins) => ins - 1,
-        };
-        Some((a, item - self.offsets[a]))
     }
 
     /// §3.1.2 record → transaction mapping: one item `A.v` per non-missing
@@ -288,17 +274,6 @@ mod tests {
         assert_eq!(s.item_id(0, 2), 2);
         assert_eq!(s.item_id(1, 0), 3);
         assert_eq!(s.item_id(2, 3), 8);
-    }
-
-    #[test]
-    fn item_to_attr_value_inverts_item_id() {
-        let s = toy_schema();
-        for a in 0..s.num_attributes() {
-            for v in 0..s.attributes()[a].domain_size() as u32 {
-                assert_eq!(s.item_to_attr_value(s.item_id(a, v)), Some((a, v)));
-            }
-        }
-        assert_eq!(s.item_to_attr_value(9), None);
     }
 
     #[test]

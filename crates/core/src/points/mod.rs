@@ -6,4 +6,5 @@ pub mod categorical;
 pub mod transaction;
 
 pub use categorical::{AttributeDef, CategoricalRecord, CategoricalSchema};
-pub use transaction::{jaccard_from_counts, ItemCatalog, Transaction};
+pub(crate) use transaction::jaccard_from_counts;
+pub use transaction::{ItemCatalog, Transaction};

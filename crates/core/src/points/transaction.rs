@@ -62,7 +62,7 @@ impl Transaction {
     }
 
     /// Size of the intersection with `other`, by sorted merge.
-    pub fn intersection_size(&self, other: &Transaction) -> usize {
+    fn intersection_size(&self, other: &Transaction) -> usize {
         let (mut a, mut b, mut n) = (0usize, 0usize, 0usize);
         let (xs, ys) = (&self.items, &other.items);
         while a < xs.len() && b < ys.len() {
@@ -77,11 +77,6 @@ impl Transaction {
             }
         }
         n
-    }
-
-    /// Size of the union with `other`: `|A| + |B| − |A ∩ B|`.
-    pub fn union_size(&self, other: &Transaction) -> usize {
-        self.len() + other.len() - self.intersection_size(other)
     }
 
     /// The Jaccard coefficient `|A ∩ B| / |A ∪ B|` (§3.1.1).
@@ -99,7 +94,7 @@ impl Transaction {
 /// [`Transaction::jaccard`] and the item-indexed labeling path, so the
 /// two cannot drift apart.
 #[inline]
-pub fn jaccard_from_counts(inter: usize, union: usize) -> f64 {
+pub(crate) fn jaccard_from_counts(inter: usize, union: usize) -> f64 {
     if union == 0 {
         0.0
     } else {
@@ -193,11 +188,10 @@ mod tests {
     }
 
     #[test]
-    fn intersection_and_union() {
+    fn intersection_size_merges_sorted_items() {
         let a = Transaction::from([1, 2, 3, 5]);
         let b = Transaction::from([2, 3, 4, 5]);
         assert_eq!(a.intersection_size(&b), 3);
-        assert_eq!(a.union_size(&b), 5);
     }
 
     #[test]

@@ -212,11 +212,6 @@ impl RunReport {
             .map(|p| p.duration)
     }
 
-    /// Total wall-clock time across all recorded phases.
-    pub fn total_duration(&self) -> Duration {
-        self.phases.iter().map(|p| p.duration).sum()
-    }
-
     /// Counts a quarantined record, keeping detail for at most
     /// `detail_cap` of them.
     pub fn quarantine(&mut self, line: u64, reason: impl Into<String>, detail_cap: usize) {
@@ -327,13 +322,12 @@ mod tests {
     }
 
     #[test]
-    fn phases_accumulate_and_sum() {
+    fn phases_accumulate() {
         let mut r = RunReport::new();
         r.record_phase("sample", Duration::from_millis(2));
         r.record_phase("cluster", Duration::from_millis(5));
         assert_eq!(r.phase_duration("cluster"), Some(Duration::from_millis(5)));
         assert_eq!(r.phase_duration("label"), None);
-        assert_eq!(r.total_duration(), Duration::from_millis(7));
     }
 
     #[test]

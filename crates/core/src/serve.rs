@@ -10,7 +10,7 @@
 //! query path:
 //!
 //! * **Bounded retry** around a pluggable [`ArtifactSource`]
-//!   ([`load_artifact_with_retry`]): transient I/O errors
+//!   ([`AssignService::from_source`]): transient I/O errors
 //!   (`WouldBlock`, `TimedOut`, `Interrupted`) are retried with capped
 //!   exponential backoff; anything else — including artifact
 //!   corruption, which retrying cannot fix — surfaces immediately as a
@@ -215,7 +215,7 @@ impl Centroid for Vec<f64> {
 /// retry budget is exhausted; parse/validation errors as
 /// [`ModelArtifact::from_bytes`] (corruption is *not* retried — a
 /// deterministic reread cannot fix it).
-pub fn load_artifact_with_retry(
+fn load_artifact_with_retry(
     source: &mut dyn ArtifactSource,
     retry: &RetryPolicy,
 ) -> Result<(ModelArtifact, u64), RockError> {
@@ -345,7 +345,9 @@ where
     /// the number of fetch retries.
     ///
     /// # Errors
-    /// As [`load_artifact_with_retry`] and [`AssignService::new`].
+    /// [`RockError::ArtifactIo`] when a non-transient fetch error occurs
+    /// or the retry budget is exhausted; otherwise as
+    /// [`ModelArtifact::from_bytes`] and [`AssignService::new`].
     pub fn from_source(
         source: &mut dyn ArtifactSource,
         measure: S,
@@ -474,7 +476,8 @@ where
 /// Durability follows the incremental contract: the state's update WAL
 /// ([`OnlineAssignService::state`] → [`IncrementalRockState::wal`])
 /// replays to the bit-identical evolved model, and
-/// [`OnlineAssignService::persist`] saves it as a version-2 artifact.
+/// [`IncrementalRockState::to_artifact`] saves it as a version-2
+/// artifact.
 pub struct OnlineAssignService<P, S> {
     state: IncrementalRockState<P>,
     measure: S,
@@ -565,15 +568,6 @@ where
     /// provenance and the update WAL).
     pub fn state(&self) -> &IncrementalRockState<P> {
         &self.state
-    }
-
-    /// Saves the evolved model as a version-2 artifact at `path`
-    /// (atomic write-then-rename, as [`ModelArtifact::save`]).
-    ///
-    /// # Errors
-    /// [`RockError::ArtifactIo`] on filesystem failure.
-    pub fn persist(&self, path: &std::path::Path) -> Result<(), RockError> {
-        self.state.to_artifact()?.save(path)
     }
 }
 

@@ -44,11 +44,6 @@ impl<S> CheckedSimilarity<S> {
         &self.inner
     }
 
-    /// Unwraps the measure.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-
     #[inline]
     fn observe(&self, v: f64) -> f64 {
         if !v.is_finite() {

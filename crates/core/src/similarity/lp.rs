@@ -47,7 +47,7 @@ impl NormalizedLp {
     ///
     /// # Panics
     /// Panics if the slices have different lengths.
-    pub fn distance(&self, a: &[f64], b: &[f64]) -> f64 {
+    fn distance(&self, a: &[f64], b: &[f64]) -> f64 {
         assert_eq!(a.len(), b.len(), "dimension mismatch");
         if self.p.is_infinite() {
             a.iter()

@@ -11,21 +11,18 @@
 //!   "points + measure" ([`PointsWith`]) and fully materialised expert
 //!   tables ([`SimilarityMatrix`]) without forcing either representation.
 //!
-//! Two wrappers support the robustness layer: [`CheckedSimilarity`]
-//! latches non-finite values so driver entry points can surface them as
-//! typed errors, and [`FaultySimilarity`] injects seeded NaN faults for
-//! resilience testing.
+//! [`CheckedSimilarity`] supports the robustness layer: it latches
+//! non-finite values so driver entry points can surface them as typed
+//! errors.
 
 mod categorical;
 mod checked;
-mod faulty;
 mod jaccard;
 mod lp;
 mod table;
 
 pub use categorical::{CategoricalJaccard, MissingPolicy};
 pub use checked::CheckedSimilarity;
-pub use faulty::FaultySimilarity;
 pub use jaccard::Jaccard;
 pub use lp::{Hamming, NormalizedLp};
 pub use table::SimilarityMatrix;
@@ -44,7 +41,7 @@ pub trait Similarity<P: ?Sized> {
     ///
     /// **Contract:** whenever this returns `Some` for both `a` and `b`,
     /// `similarity(a, b)` equals
-    /// [`jaccard_from_counts`](crate::points::jaccard_from_counts)`(|A ∩ B|, |A ∪ B|)`
+    /// `|A ∩ B| as f64 / |A ∪ B| as f64` (0 when both sets are empty)
     /// over the two item sets, bit for bit — in particular it is finite
     /// and 0 for sets that share no item. The §4.6 labeler relies on this
     /// to score a point only against the representatives it shares an
@@ -94,7 +91,7 @@ pub trait PairwiseSimilarity {
     /// those sets — the index-addressed twin of [`Similarity::item_set`],
     /// under the same contract: whenever this returns `Some` for both `i`
     /// and `j`, `sim(i, j)` equals
-    /// [`jaccard_from_counts`](crate::points::jaccard_from_counts)`(|A ∩ B|, |A ∪ B|)`
+    /// `|A ∩ B| as f64 / |A ∪ B| as f64` (0 when both sets are empty)
     /// bit for bit. The neighbor scan relies on this to test only the
     /// pairs that share an item.
     ///

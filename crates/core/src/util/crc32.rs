@@ -29,7 +29,7 @@ const TABLE: [u32; 256] = {
 };
 
 /// CRC-32 of `bytes` (IEEE, as used by zlib/PNG/Ethernet).
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
         crc = (crc >> 8) ^ TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];

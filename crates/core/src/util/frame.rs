@@ -95,7 +95,7 @@ impl<'a> Cursor<'a> {
         Some(u64::from_le_bytes(bytes))
     }
 
-    /// Reads an `f64` persisted as exact bits (see [`put_f64`]).
+    /// Reads an `f64` persisted as exact bits.
     pub fn f64(&mut self) -> Option<f64> {
         self.u64().map(f64::from_bits)
     }
@@ -131,13 +131,9 @@ impl<'a> Cursor<'a> {
     }
 
     /// Reads a `u32`-counted `u32` list (see [`put_u32_slice`]).
-    pub fn u32_vec(&mut self) -> Option<Vec<u32>> {
+    pub(crate) fn u32_vec(&mut self) -> Option<Vec<u32>> {
         let n = self.u32()? as usize;
-        // A length prefix can never promise more items than bytes remain.
-        if n > (self.bytes.len() - self.at) / 4 {
-            return None;
-        }
-        (0..n).map(|_| self.u32()).collect()
+        self.list(n, 4, Cursor::u32)
     }
 
     /// Reads a `u32`-length-prefixed byte string (see [`put_blob`]).
@@ -152,13 +148,13 @@ impl<'a> Cursor<'a> {
         self.list(n, 4, |c| c.blob().map(<[u8]>::to_vec))
     }
 
-    /// Reads a `u32`-length-prefixed UTF-8 string (see [`put_str`]).
+    /// Reads a `u32`-length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Option<String> {
         String::from_utf8(self.blob()?.to_vec()).ok()
     }
 
     /// Bytes remaining past the cursor.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.bytes.len() - self.at
     }
 
@@ -180,13 +176,13 @@ pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
 
 /// Appends an `f64` as its exact bit pattern (round-trips NaN payloads
 /// and signed zeros — bit-identity is the repo's core guarantee).
-pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
+pub(crate) fn put_f64(buf: &mut Vec<u8>, v: f64) {
     put_u64(buf, v.to_bits());
 }
 
 /// Appends a `u32` count followed by each element (see
 /// [`Cursor::u32_vec`]).
-pub fn put_u32_slice(buf: &mut Vec<u8>, vs: &[u32]) {
+pub(crate) fn put_u32_slice(buf: &mut Vec<u8>, vs: &[u32]) {
     put_u32(buf, vs.len() as u32);
     for &v in vs {
         put_u32(buf, v);
@@ -224,7 +220,7 @@ pub(crate) fn put_blobs<B: AsRef<[u8]>>(
 }
 
 /// Appends a `u32`-length-prefixed UTF-8 string (see [`Cursor::str`]).
-pub fn put_str(buf: &mut Vec<u8>, s: &str) {
+pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_blob(buf, s.as_bytes());
 }
 

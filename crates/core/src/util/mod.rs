@@ -8,8 +8,8 @@ pub mod ranges;
 pub mod retry;
 pub mod splitmix;
 
-pub use crc32::crc32;
+pub(crate) use crc32::crc32;
 pub use frame::{append_frame, read_frame, Cursor};
-pub use ranges::balanced_ranges;
+pub(crate) use ranges::balanced_ranges;
 pub use retry::RetryPolicy;
 pub use splitmix::{seeded_hit, splitmix64};

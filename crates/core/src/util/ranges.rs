@@ -15,7 +15,7 @@ use std::ops::Range;
 /// `run_shards` then runs them. The split only affects which worker
 /// computes what — kernel outputs are pinned bit-identical across
 /// arbitrary splits by `tests/kernel_invariance.rs`.
-pub fn balanced_ranges(
+pub(crate) fn balanced_ranges(
     n: usize,
     threads: usize,
     cost: impl Fn(usize) -> u64,

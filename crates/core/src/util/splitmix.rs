@@ -1,10 +1,10 @@
 //! SplitMix64 — a tiny, high-quality 64-bit mixing function.
 //!
 //! Used wherever the workspace needs a *stateless* deterministic hash of a
-//! counter or seed — most prominently the fault-injection harnesses
-//! ([`crate::similarity::FaultySimilarity`], `rock_data::faults`), which must
-//! derive reproducible fault schedules from `(seed, index)` pairs without
-//! threading an `Rng` through every call site.
+//! counter or seed — most prominently the fault-injection harness in
+//! `rock_data::faults`, which must derive reproducible fault schedules
+//! from `(seed, index)` pairs without threading an `Rng` through every
+//! call site.
 
 /// Mixes `x` through the SplitMix64 finalizer (Steele, Lea & Flood 2014).
 ///

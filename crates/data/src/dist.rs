@@ -47,7 +47,7 @@ impl Normal {
 /// (The pair-caching optimisation is deliberately omitted: it would make
 /// sampling stateful and the generators draw few enough variates that the
 /// extra `ln`/`sqrt` is irrelevant.)
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+pub(crate) fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // u1 in (0, 1] to keep ln finite.
     let u1: f64 = 1.0 - rng.random::<f64>();
     let u2: f64 = rng.random::<f64>();
@@ -56,7 +56,7 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 
 /// Draws a transaction-size-style sample: Normal, rounded, clamped to
 /// `[min, max]` (§5.3's sizes have mean 15 with 98% of mass in 11..=19).
-pub fn clamped_normal_usize<R: Rng + ?Sized>(
+pub(crate) fn clamped_normal_usize<R: Rng + ?Sized>(
     normal: &Normal,
     min: usize,
     max: usize,

@@ -1,6 +1,6 @@
-//! Deterministic I/O fault injection — the data half of the workspace's
-//! fault harness (the similarity half is
-//! [`rock_core::similarity::FaultySimilarity`]).
+//! Deterministic fault injection — the workspace's fault harness: I/O
+//! faults, damaged artifacts, governor kills, shard chaos and a
+//! NaN-poisoned similarity measure ([`PoisonedSimilarity`]).
 //!
 //! Real basket databases fail in three characteristic ways: reads fail
 //! *transiently* (network filesystems, flaky disks), lines arrive
@@ -124,16 +124,6 @@ impl<R: Read> FaultyReader<R> {
             pending_burst: 0,
             injected: 0,
         }
-    }
-
-    /// Number of transient errors injected so far.
-    pub fn injected(&self) -> u64 {
-        self.injected
-    }
-
-    /// Unwraps the inner reader.
-    pub fn into_inner(self) -> R {
-        self.inner
     }
 
     fn transient_error(&self) -> io::Error {
@@ -270,11 +260,6 @@ impl FaultyArtifactSource {
         }
     }
 
-    /// Number of transient errors injected so far.
-    pub fn injected(&self) -> u64 {
-        self.injected
-    }
-
     fn transient_error(&self) -> io::Error {
         let kind = if self.injected.is_multiple_of(2) {
             io::ErrorKind::WouldBlock
@@ -307,30 +292,10 @@ impl rock_core::artifact::ArtifactSource for FaultyArtifactSource {
     }
 }
 
-/// A governor that simulates a kill signal after exactly `k` merge
-/// decisions — the injector driving the kill-at-merge-k crash/resume
-/// matrix. Deterministic: no OS signals, no timing races.
-pub fn kill_at_merge(k: u64) -> RunGovernor {
-    RunGovernor::unlimited().with_kill_at(Phase::Merge, k)
-}
-
 /// A governor that simulates a kill signal at checkpoint `index` of an
 /// arbitrary `phase` (e.g. a labeling batch).
 pub fn kill_at(phase: Phase, index: u64) -> RunGovernor {
     RunGovernor::unlimited().with_kill_at(phase, index)
-}
-
-/// A governor whose charged-memory budget trips at the first tracked
-/// allocation — the deterministic budget-trip injector for exercising
-/// degradation policies.
-pub fn memory_budget_trip() -> RunGovernor {
-    RunGovernor::unlimited().with_memory_budget(1)
-}
-
-/// A governor whose wall-clock deadline has already passed when the run
-/// starts: the very first checkpoint trips.
-pub fn deadline_trip() -> RunGovernor {
-    RunGovernor::unlimited().with_time_budget(Duration::ZERO)
 }
 
 /// A deterministic chaos schedule for the shard supervisor — the
@@ -397,23 +362,6 @@ impl ShardFaultSchedule {
     pub fn tear_wal(mut self, shard: usize, attempt: u32, keep: usize) -> Self {
         self.torn_wals.push((shard, attempt, keep));
         self
-    }
-
-    /// Shard indices with at least one injection (sorted, deduplicated)
-    /// — handy for building the exclusion oracle of a schedule designed
-    /// to exhaust every targeted shard's ladder.
-    pub fn targeted_shards(&self) -> Vec<usize> {
-        let mut shards: Vec<usize> = self
-            .crashes
-            .iter()
-            .map(|&(s, _, _)| s)
-            .chain(self.hangs.iter().map(|&(s, _)| s))
-            .chain(self.memory_trips.iter().map(|&(s, _)| s))
-            .chain(self.torn_wals.iter().map(|&(s, _, _)| s))
-            .collect();
-        shards.sort_unstable();
-        shards.dedup();
-        shards
     }
 }
 
@@ -493,7 +441,7 @@ mod tests {
         let mut out = Vec::new();
         r.read_to_end(&mut out).unwrap();
         assert_eq!(out, data);
-        assert_eq!(r.injected(), 0);
+        assert_eq!(r.injected, 0);
     }
 
     #[test]
@@ -523,7 +471,7 @@ mod tests {
             }
         }
         assert_eq!(out, data);
-        assert!(r.injected() > 0, "schedule never fired at rate 0.3");
+        assert!(r.injected > 0, "schedule never fired at rate 0.3");
     }
 
     #[test]
@@ -619,36 +567,14 @@ mod tests {
     }
 
     #[test]
-    fn governor_injectors_trip_deterministically() {
-        use rock_core::{RockError, TripReason};
-        let g = kill_at_merge(3);
+    fn kill_at_trips_at_its_checkpoint() {
+        let g = kill_at(Phase::Merge, 3);
         g.check_at(Phase::Merge, 2).unwrap();
         assert!(g.check_at(Phase::Merge, 3).is_err());
 
         let g = kill_at(Phase::Labeling, 0);
         assert!(g.check_at(Phase::Labeling, 0).is_err());
         g.check_at(Phase::Merge, 0).unwrap();
-
-        let g = memory_budget_trip();
-        g.check(Phase::Links).unwrap();
-        g.charge(2);
-        assert!(matches!(
-            g.check(Phase::Links),
-            Err(RockError::Interrupted {
-                reason: TripReason::MemoryBudgetExceeded,
-                ..
-            })
-        ));
-
-        let g = deadline_trip();
-        g.arm();
-        assert!(matches!(
-            g.check(Phase::Sample),
-            Err(RockError::Interrupted {
-                reason: TripReason::DeadlineExceeded,
-                ..
-            })
-        ));
     }
 
     #[test]
@@ -688,11 +614,11 @@ mod tests {
         assert!(source.fetch().is_err());
         assert!(source.fetch().is_err());
         assert_eq!(source.fetch().unwrap(), image);
-        assert_eq!(source.injected(), 2);
+        assert_eq!(source.injected, 2);
         // Zero-rate spec is transparent.
         let mut clean = FaultyArtifactSource::new(image.clone(), FaultSpec::none(5));
         assert_eq!(clean.fetch().unwrap(), image);
-        assert_eq!(clean.injected(), 0);
+        assert_eq!(clean.injected, 0);
     }
 
     #[test]

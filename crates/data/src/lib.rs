@@ -48,15 +48,15 @@ pub mod votes;
 
 pub use basketio::{read_baskets, read_baskets_numeric, stream_baskets, write_baskets};
 pub use faults::{
-    corrupt_baskets, deadline_trip, kill_at, kill_at_merge, memory_budget_trip, poison_range,
-    FaultSpec, FaultyReader, PoisonedSimilarity, ShardFaultSchedule, GARBAGE_TOKEN,
+    corrupt_baskets, kill_at, poison_range, FaultSpec, FaultyReader, PoisonedSimilarity,
+    ShardFaultSchedule, GARBAGE_TOKEN,
 };
 pub use resilient::{
     label_stream_resilient, read_baskets_resilient, Checkpoint, IngestError, IngestErrorKind,
     ResilientConfig, ResilientLabelRun, RetryPolicy,
 };
 pub use mushroom::{generate_mushrooms, parse_mushrooms, Edibility, MushroomData, MushroomSpec};
-pub use mutualfund::{generate_funds, prices_to_record, Fund, FundData, FundSpec};
+pub use mutualfund::{generate_funds, Fund, FundData, FundSpec};
 pub use synthetic::{
     generate_baskets, generate_drift_stream, DriftStreamData, DriftStreamSpec, DriftWindow,
     SyntheticBasketData, SyntheticBasketSpec,

@@ -64,7 +64,7 @@ const EDIBLE_ODORS: [u32; 3] = [0, 1, 6];
 const POISONOUS_ODORS: [u32; 3] = [3, 4, 8];
 
 /// The 22-attribute UCI schema with full value names.
-pub fn mushroom_schema() -> CategoricalSchema {
+fn mushroom_schema() -> CategoricalSchema {
     let mut schema = CategoricalSchema::new();
     for (name, values) in ATTRIBUTES {
         schema.add_attribute(name, values.iter().map(|&(_, v)| v).collect());
@@ -75,7 +75,7 @@ pub fn mushroom_schema() -> CategoricalSchema {
 /// The pure-cluster sizes ROCK found on the real data (Table 3):
 /// `(size, edibility)` per species block. Sums to 4,208 edible +
 /// 3,916 poisonous = 8,124.
-pub fn paper_species_sizes() -> Vec<(usize, Edibility)> {
+fn paper_species_sizes() -> Vec<(usize, Edibility)> {
     use Edibility::{Edible as E, Poisonous as P};
     vec![
         (96, E), (256, P), (704, E), (96, E), (768, E), (192, P), (1728, E), (32, P),
@@ -155,7 +155,7 @@ impl MushroomSpec {
     }
 
     /// Total number of records.
-    pub fn total_records(&self) -> usize {
+    fn total_records(&self) -> usize {
         self.species.iter().map(|&(s, _)| s).sum()
     }
 }

@@ -122,7 +122,7 @@ impl FundSpec {
     }
 
     /// Total number of funds.
-    pub fn total_funds(&self) -> usize {
+    fn total_funds(&self) -> usize {
         self.groups.iter().map(|g| g.size).sum::<usize>() + 3 * self.num_pairs + self.num_outliers
     }
 }
@@ -165,7 +165,7 @@ pub mod change {
 }
 
 /// The per-day {No, Up, Down} schema for `days` attributes.
-pub fn fund_schema(days: usize) -> CategoricalSchema {
+fn fund_schema(days: usize) -> CategoricalSchema {
     let mut schema = CategoricalSchema::new();
     for d in 0..days {
         schema.add_attribute(&format!("day-{d:03}"), vec!["no", "up", "down"]);
@@ -176,7 +176,7 @@ pub fn fund_schema(days: usize) -> CategoricalSchema {
 /// Discretises a price series into an Up/Down/No record (§5.1): attribute
 /// `t` compares `prices[t+1]` with `prices[t]`; missing if either is
 /// absent.
-pub fn prices_to_record(prices: &[Option<f64>], no_band: f64) -> CategoricalRecord {
+fn prices_to_record(prices: &[Option<f64>], no_band: f64) -> CategoricalRecord {
     let values = prices
         .windows(2)
         .map(|w| match (w[0], w[1]) {

@@ -115,7 +115,7 @@ pub struct VotesData {
 }
 
 /// The 16-issue schema (domain `{"n", "y"}` per issue; value 1 = Yes).
-pub fn votes_schema() -> CategoricalSchema {
+fn votes_schema() -> CategoricalSchema {
     let mut schema = CategoricalSchema::new();
     for issue in VOTE_ISSUES {
         schema.add_attribute(issue, vec!["n", "y"]);

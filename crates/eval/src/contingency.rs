@@ -90,7 +90,7 @@ impl ContingencyTable {
     /// Whether cluster `c` is *pure* (all points one class) — the paper's
     /// headline mushroom metric ("all except one of the clusters are pure
     /// clusters").
-    pub fn is_pure(&self, c: usize) -> bool {
+    fn is_pure(&self, c: usize) -> bool {
         self.counts[c].iter().filter(|&&n| n > 0).count() <= 1
     }
 

@@ -107,7 +107,7 @@ pub fn minimum_cost_assignment(cost: &[Vec<f64>]) -> Vec<Option<usize>> {
 
 /// Maximises total *value* instead of minimising cost (negates the
 /// matrix). Returns `assignment[row] = Some(col)`.
-pub fn maximum_value_assignment(value: &[Vec<f64>]) -> Vec<Option<usize>> {
+pub(crate) fn maximum_value_assignment(value: &[Vec<f64>]) -> Vec<Option<usize>> {
     let neg: Vec<Vec<f64>> = value
         .iter()
         .map(|r| r.iter().map(|&x| -x).collect())

@@ -28,7 +28,7 @@ pub mod scoring;
 
 pub use agreement::{adjusted_rand_index, normalized_mutual_information, rand_index};
 pub use contingency::ContingencyTable;
-pub use hungarian::{maximum_value_assignment, minimum_cost_assignment};
+pub use hungarian::minimum_cost_assignment;
 pub use misclassification::{count_misclassified, Misclassification};
 pub use profile::{cluster_profiles, ClusterProfile, FrequentValue};
-pub use scoring::{dense_labels, score_assignments, score_fit, score_model, ModelScore};
+pub use scoring::{dense_labels, score_assignments, score_fit, ModelScore};

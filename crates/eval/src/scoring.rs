@@ -1,4 +1,4 @@
-//! Scoring [`ClusterModel`] fits against ground truth.
+//! Scoring [`ClusterModel`](rock_core::engine::ClusterModel) fits against ground truth.
 //!
 //! The metric primitives in this crate all want flat label slices; a
 //! model fit hands back a [`ModelFit`] whose clustering has per-point
@@ -10,8 +10,7 @@
 
 use crate::agreement::{adjusted_rand_index, normalized_mutual_information, rand_index};
 use crate::misclassification::{count_misclassified, Misclassification};
-use rock_core::engine::{ClusterModel, ModelFit};
-use rock_core::error::RockError;
+use rock_core::engine::ModelFit;
 
 /// Every external quality index of one model fit against ground truth.
 #[derive(Clone, Debug, PartialEq)]
@@ -68,22 +67,6 @@ pub fn score_assignments(pred: &[Option<usize>], truth: &[Option<usize>]) -> Mod
 /// clustering is expanded to `truth.len()` per-point assignments.
 pub fn score_fit(fit: &ModelFit, truth: &[Option<usize>]) -> ModelScore {
     score_assignments(&fit.assignments(truth.len()), truth)
-}
-
-/// Fits `model` on `data` and scores the result — the one-call
-/// evaluation path for any [`ClusterModel`].
-///
-/// # Errors
-/// Whatever the model's `fit` surfaces (an interrupted governor, invalid
-/// labeling parameters, …).
-pub fn score_model<D: ?Sized, M: ClusterModel<D>>(
-    model: &M,
-    data: &D,
-    truth: &[Option<usize>],
-) -> Result<(ModelFit, ModelScore), RockError> {
-    let fit = model.fit(data)?;
-    let score = score_fit(&fit, truth);
-    Ok((fit, score))
 }
 
 #[cfg(test)]

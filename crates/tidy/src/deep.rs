@@ -1,12 +1,15 @@
 //! The deep (workspace-level) rule families: checks that need the call
-//! graph rather than a single line — panic-reachability, lock-order,
-//! counter-coverage and error-coverage.
+//! graph or the whole workspace rather than a single line —
+//! panic-reachability, lock-order, counter-coverage, error-coverage and
+//! pub-reach.
 //!
 //! Where the per-line rules in [`crate::rules`] ask "does this line
 //! contain a forbidden pattern", these ask "can control flow starting in
-//! a protected module *reach* one". All four run off the same
-//! [`WorkspaceModel`] built once per pass; everything is conservative in
-//! the reporting direction (see the [`crate::graph`] docs).
+//! a protected module *reach* one" — or, for pub-reach, "does anything
+//! outside the crate reach this `pub fn`". All five run off the same
+//! [`WorkspaceModel`] built once per pass; the reachability families are
+//! conservative in the reporting direction (see the [`crate::graph`]
+//! docs).
 //!
 //! Allow-escape semantics per family:
 //!
@@ -22,10 +25,12 @@
 //!   is metered elsewhere (e.g. callers count in aggregate).
 //! * **error-coverage** — `tidy-allow(error-coverage)` on the variant's
 //!   declaration line in `error.rs`.
+//! * **pub-reach** — `tidy-allow(pub-reach)` on the `fn` line names the
+//!   outside caller that needs the bare `pub`.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use crate::graph::WorkspaceModel;
+use crate::graph::{crate_reaches, WorkspaceModel};
 use crate::items::FnItem;
 use crate::lex::{lex, TokKind};
 use crate::rules::{allowed, Diagnostic, FileKind, SourceFile};
@@ -55,7 +60,10 @@ fn is_protected(rel: &str) -> bool {
     rel.starts_with("crates/core/src/engine/") || PROTECTED_FILES.contains(&rel)
 }
 
-/// Runs all four deep families over the workspace's files.
+/// Crates whose bare `pub fn`s must have a caller outside the crate.
+const PUB_REACH_LIBS: &[&str] = &["core", "data", "eval", "baselines"];
+
+/// Runs all five deep families over the workspace's files.
 pub fn check_deep(files: &[SourceFile]) -> Vec<Diagnostic> {
     let model = WorkspaceModel::build(files);
     let by_rel: BTreeMap<&str, &SourceFile> =
@@ -65,6 +73,7 @@ pub fn check_deep(files: &[SourceFile]) -> Vec<Diagnostic> {
     check_lock_order(&model, &mut out);
     check_counter_coverage(&model, &by_rel, &mut out);
     check_error_coverage(files, &by_rel, &mut out);
+    check_pub_reach(&model, files, &by_rel, &mut out);
     out
 }
 
@@ -405,6 +414,65 @@ fn check_error_coverage(
     }
 }
 
+/// **pub-reach** — a bare `pub fn` in the library code of
+/// [`PUB_REACH_LIBS`] must be named, as a whole word in code text, by a
+/// file outside its crate: another crate that can depend on it, any
+/// `tests/`, `examples/` or `benches/` tree, or a [`FileKind::Caller`]
+/// file. `pub(crate)` already serves callers inside the crate, so a
+/// `pub` nothing outside names is surface to delete or demote. Names are
+/// matched, not resolved, so a fn sharing a name with an outside call
+/// (`new`, `len`) passes.
+fn check_pub_reach(
+    model: &WorkspaceModel,
+    files: &[SourceFile],
+    by_rel: &BTreeMap<&str, &SourceFile>,
+    out: &mut Vec<Diagnostic>,
+) {
+    let outside_words = |krate: &str| -> BTreeSet<&str> {
+        files
+            .iter()
+            .filter(|f| match f.kind {
+                FileKind::TestOrExample | FileKind::Caller => true,
+                FileKind::Lib | FileKind::Bin | FileKind::Shim => {
+                    f.crate_name != krate && crate_reaches(&f.crate_name, krate)
+                }
+            })
+            .flat_map(|f| f.lines.iter())
+            .flat_map(|l| l.code.split(|c: char| !c.is_alphanumeric() && c != '_'))
+            .filter(|w| !w.is_empty())
+            .collect()
+    };
+    for &krate in PUB_REACH_LIBS {
+        let words = outside_words(krate);
+        for f in &model.fns {
+            if !f.is_pub
+                || f.kind != FileKind::Lib
+                || f.crate_name != krate
+                || words.contains(f.name.as_str())
+            {
+                continue;
+            }
+            let site_allowed = by_rel
+                .get(f.file.as_str())
+                .is_some_and(|src| allowed(src, f.line, "pub-reach"));
+            if site_allowed {
+                continue;
+            }
+            out.push(Diagnostic {
+                file: f.file.clone(),
+                line: f.line + 1,
+                rule: "pub-reach",
+                message: format!(
+                    "`{}` is `pub` but nothing outside crate `{krate}` names it: \
+                     delete it, make it `pub(crate)` (or private), or add \
+                     `// tidy-allow(pub-reach): <the outside caller that needs it>`",
+                    f.display_path(),
+                ),
+            });
+        }
+    }
+}
+
 /// Extracts `(variant, 0-based declaration line)` for `enum <name>` from
 /// a scanned file, via the token stream: identifiers at brace depth 1
 /// inside the enum body that start a variant (i.e. directly follow `{`
@@ -601,6 +669,116 @@ pub enum RockError {
             .collect();
         assert_eq!(msgs.len(), 1, "{d:#?}");
         assert!(msgs[0].contains("Unused"), "{msgs:?}");
+    }
+
+    /// pub-reach findings over a workspace of `(rel, crate, kind, src)`.
+    fn pub_reach(files: &[(&str, &str, FileKind, &str)]) -> Vec<Diagnostic> {
+        deep(files)
+            .into_iter()
+            .filter(|d| d.rule == "pub-reach")
+            .collect()
+    }
+
+    const LIB: &str = "\
+pub fn used() -> u32 { 1 }
+pub(crate) fn internal() -> u32 { used() }
+pub trait Model { fn fit(&self) -> u32; }
+impl Model for u32 { fn fit(&self) -> u32 { *self } }
+pub struct S;
+impl S { pub fn method(&self) -> u32 { 2 } }
+#[cfg(test)]
+mod tests { pub fn helper() {} }
+";
+
+    #[test]
+    fn pub_reach_flags_names_seen_only_inside_the_crate() {
+        let own = "pub fn g() -> u32 { crate::x::used() + S.method() }\n\
+                   #[cfg(test)]\nmod tests { fn t() { super::used(); } }\n";
+        let d = pub_reach(&[
+            ("crates/core/src/x.rs", "core", FileKind::Lib, LIB),
+            ("crates/core/src/y.rs", "core", FileKind::Lib, own),
+        ]);
+        let flagged: Vec<&str> = d.iter().map(|x| x.message.as_str()).collect();
+        assert_eq!(d.len(), 3, "{d:#?}");
+        assert!(
+            flagged.iter().any(|m| m.contains("`core::x::used`")),
+            "{d:#?}"
+        );
+        assert!(
+            flagged.iter().any(|m| m.contains("`core::x::S::method`")),
+            "{d:#?}"
+        );
+        assert!(flagged.iter().any(|m| m.contains("`core::y::g`")), "{d:#?}");
+    }
+
+    #[test]
+    fn pub_reach_ignores_comments_and_strings() {
+        let other =
+            "// calls used() and method()\npub fn h() -> &'static str { \"used method\" }\n";
+        let d = pub_reach(&[
+            ("crates/core/src/x.rs", "core", FileKind::Lib, LIB),
+            ("crates/data/src/z.rs", "data", FileKind::Lib, other),
+        ]);
+        assert!(
+            d.iter().any(|x| x.message.contains("`core::x::used`")),
+            "{d:#?}"
+        );
+        assert!(
+            d.iter().any(|x| x.message.contains("`core::x::S::method`")),
+            "{d:#?}"
+        );
+    }
+
+    #[test]
+    fn pub_reach_passes_on_any_outside_caller() {
+        let call = "fn main() { rock_core::x::used(); rock_core::x::S.method(); }\n";
+        for (rel, krate, kind) in [
+            ("crates/data/src/z.rs", "data", FileKind::Lib),
+            ("src/lib.rs", "rock", FileKind::Lib),
+            ("crates/bench/src/bin/b.rs", "bench", FileKind::Bin),
+            ("crates/core/tests/t.rs", "core", FileKind::TestOrExample),
+            ("tests/t.rs", "rock", FileKind::TestOrExample),
+            ("examples/e.rs", "rock", FileKind::TestOrExample),
+            (
+                "crates/bench/benches/b.rs",
+                "bench",
+                FileKind::TestOrExample,
+            ),
+            ("rockbench/src/main.rs", "rockbench", FileKind::Caller),
+        ] {
+            let d = pub_reach(&[
+                ("crates/core/src/x.rs", "core", FileKind::Lib, LIB),
+                (rel, krate, kind, call),
+            ]);
+            assert!(d.is_empty(), "{rel} is an outside caller: {d:#?}");
+        }
+        // A crate that cannot depend on rock-core is no caller.
+        let d = pub_reach(&[
+            ("crates/core/src/x.rs", "core", FileKind::Lib, LIB),
+            ("crates/tidy/src/t.rs", "tidy", FileKind::Lib, call),
+        ]);
+        assert_eq!(d.len(), 2, "{d:#?}");
+    }
+
+    #[test]
+    fn pub_reach_allow_needs_a_reason() {
+        let src = "\
+// tidy-allow(pub-reach): rockbench's workloads call it
+pub fn kept() {}
+// tidy-allow(pub-reach)
+pub fn bare() {}
+";
+        let files = [("crates/eval/src/x.rs", "eval", FileKind::Lib, src)];
+        let d = pub_reach(&files);
+        assert_eq!(d.len(), 1, "{d:#?}");
+        assert_eq!(d[0].line, 4);
+        let file = load_source(files[0].0, FileKind::Lib, "eval".into(), src);
+        let annotation: Vec<Diagnostic> = crate::check_file(&file)
+            .into_iter()
+            .filter(|x| x.rule == "annotation")
+            .collect();
+        assert_eq!(annotation.len(), 1, "{annotation:#?}");
+        assert_eq!(annotation[0].line, 3);
     }
 
     #[test]

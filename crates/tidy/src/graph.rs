@@ -53,6 +53,39 @@ const CRATE_ALIASES: &[(&str, &str)] = &[
     ("criterion", "shims/criterion"),
 ];
 
+/// True when code in `from` may call into `to` (same crate, a
+/// transitive dependency, or either crate is unknown to the map —
+/// fixture workspaces resolve permissively).
+pub(crate) fn crate_reaches(from: &str, to: &str) -> bool {
+    if from == to {
+        return true;
+    }
+    let known = |c: &str| CRATE_DEPS.iter().any(|(n, _)| *n == c);
+    if !known(from) || !known(to) {
+        return true;
+    }
+    // Transitive walk over the (tiny) static table.
+    let mut stack = vec![from];
+    let mut seen = vec![from];
+    while let Some(c) = stack.pop() {
+        let deps = CRATE_DEPS
+            .iter()
+            .find(|(n, _)| *n == c)
+            .map(|(_, d)| *d)
+            .unwrap_or(&[]);
+        for &d in deps {
+            if d == to {
+                return true;
+            }
+            if !seen.contains(&d) {
+                seen.push(d);
+                stack.push(d);
+            }
+        }
+    }
+    false
+}
+
 /// The extracted functions of a workspace plus resolution indices.
 pub struct WorkspaceModel {
     /// Every non-test function of every `Lib`/`Shim` file, in file order.
@@ -81,46 +114,13 @@ impl WorkspaceModel {
         WorkspaceModel { fns, by_name }
     }
 
-    /// True when code in `from` may call into `to` (same crate, a
-    /// transitive dependency, or either crate is unknown to the map —
-    /// fixture workspaces resolve permissively).
-    fn crate_reaches(&self, from: &str, to: &str) -> bool {
-        if from == to {
-            return true;
-        }
-        let known = |c: &str| CRATE_DEPS.iter().any(|(n, _)| *n == c);
-        if !known(from) || !known(to) {
-            return true;
-        }
-        // Transitive walk over the (tiny) static table.
-        let mut stack = vec![from];
-        let mut seen = vec![from];
-        while let Some(c) = stack.pop() {
-            let deps = CRATE_DEPS
-                .iter()
-                .find(|(n, _)| *n == c)
-                .map(|(_, d)| *d)
-                .unwrap_or(&[]);
-            for &d in deps {
-                if d == to {
-                    return true;
-                }
-                if !seen.contains(&d) {
-                    seen.push(d);
-                    stack.push(d);
-                }
-            }
-        }
-        false
-    }
-
     /// Resolves one call site to candidate function indices.
     pub fn resolve(&self, caller: &FnItem, call: &CallSite) -> Vec<usize> {
         let Some(cands) = self.by_name.get(&call.name) else {
             return Vec::new();
         };
         let reachable =
-            |idx: &&usize| self.crate_reaches(&caller.crate_name, &self.fns[**idx].crate_name);
+            |idx: &&usize| crate_reaches(&caller.crate_name, &self.fns[**idx].crate_name);
         if call.is_method {
             // `.name(…)`: any owned method with the name in a reachable
             // crate. Free functions can't be method-called.

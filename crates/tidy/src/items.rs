@@ -72,7 +72,8 @@ pub struct LockSite {
     /// the enclosing block for `let guard = …` acquisitions (or the
     /// `drop(guard)` line), the acquisition line itself for temporaries.
     pub scope_end: usize,
-    /// True when a `tidy-allow(lock-order)` annotation covers the site.
+    /// True when a `tidy-allow(lock-order)` annotation covers the site
+    /// or the first line of its statement.
     pub allowed: bool,
 }
 
@@ -98,6 +99,9 @@ pub struct FnItem {
     pub body: (usize, usize),
     /// True for functions inside `#[cfg(test)]` regions.
     pub in_test: bool,
+    /// True for a bare `pub fn` (not `pub(crate)`, `pub(super)` or
+    /// private); trait methods never carry it.
+    pub is_pub: bool,
     /// Call sites in the body.
     pub calls: Vec<CallSite>,
     /// Panic sites in the body.
@@ -339,6 +343,7 @@ pub fn extract(file: &SourceFile) -> Vec<FnItem> {
                     line: tok.line,
                     body: (usize::MAX, 0),
                     in_test: file.in_test.get(tok.line).copied().unwrap_or(false),
+                    is_pub: is_bare_pub(&toks, i),
                     calls: Vec::new(),
                     panics: Vec::new(),
                     indexes: Vec::new(),
@@ -456,6 +461,7 @@ fn parse_owner(toks: &[Tok], at: usize, is_trait: bool) -> (Option<String>, usiz
     // `where` keyword stops it.
     let mut angle: i32 = 0;
     let mut last: Option<String> = None;
+    let mut in_where = false;
     let mut j = at + 1;
     while j < toks.len() {
         match &toks[j].kind {
@@ -466,11 +472,13 @@ fn parse_owner(toks: &[Tok], at: usize, is_trait: bool) -> (Option<String>, usiz
             }
             TokKind::Punct('{') if angle == 0 => return (last, j),
             TokKind::Punct(';') if angle == 0 => return (None, j + 1),
-            TokKind::Ident(w) if angle == 0 => {
+            TokKind::Ident(w) if angle == 0 && !in_where => {
                 if w == "for" {
                     last = None;
                 } else if w == "where" {
-                    // Type already seen; skip to the body.
+                    // Type already seen; the bounds up to the body name
+                    // other types.
+                    in_where = true;
                 } else if w != "dyn" && w != "mut" && w != "const" {
                     last = Some(w.clone());
                 }
@@ -598,27 +606,26 @@ fn record_call(
             .map(str::to_string);
         if let Some(recv) = recv {
             if lock_names.iter().any(|l| l == &recv) {
-                let code = file
-                    .lines
-                    .get(line)
-                    .map(|l| l.code.trim_start())
-                    .unwrap_or("");
-                let scoped = code.starts_with("let ");
+                // The statement starts after the previous `;`, `{` or `}`
+                // token, so a method chain split over several lines (as
+                // rustfmt splits it) still finds its `let`.
+                let start = toks[..at]
+                    .iter()
+                    .rposition(|t| t.is_punct(';') || t.is_punct('{') || t.is_punct('}'))
+                    .map_or(0, |p| p + 1);
+                let ident = |k: usize| toks.get(k).and_then(Tok::ident);
+                let scoped = ident(start) == Some("let");
                 let binding = scoped.then(|| {
-                    code.strip_prefix("let ")
-                        .map(|r| r.strip_prefix("mut ").unwrap_or(r))
-                        .map(|r| {
-                            r.chars()
-                                .take_while(|c| c.is_alphanumeric() || *c == '_')
-                                .collect::<String>()
-                        })
-                        .unwrap_or_default()
+                    let name = start + 1 + usize::from(ident(start + 1) == Some("mut"));
+                    ident(name).unwrap_or_default().to_string()
                 });
+                let stmt_line = toks.get(start).map_or(line, |t| t.line);
                 items[item_idx].locks.push(LockSite {
                     lock: recv,
                     line,
                     scope_end: line,
-                    allowed: allowed(file, line, "lock-order"),
+                    allowed: allowed(file, line, "lock-order")
+                        || allowed(file, stmt_line, "lock-order"),
                 });
                 if scoped {
                     guards.push(OpenGuard {
@@ -648,6 +655,21 @@ fn record_call(
         is_method: site.is_method,
         line,
     });
+}
+
+/// True when the `fn` at token `at` is declared bare `pub`: the
+/// qualifiers `const`, `async`, `unsafe` and `extern "…"` are skipped,
+/// and `pub(crate) fn` ends in `)`, not `pub`.
+fn is_bare_pub(toks: &[Tok], at: usize) -> bool {
+    for tok in toks[..at].iter().rev() {
+        match tok.ident() {
+            Some("pub") => return true,
+            Some("const" | "async" | "unsafe" | "extern") => {}
+            None if tok.is_punct('"') => {}
+            _ => return false,
+        }
+    }
+    false
 }
 
 /// True when the `[` at token `at` indexes an expression (rather than
@@ -785,6 +807,39 @@ impl S {
         assert_eq!(dropped.locks[0].lock, "stats");
         assert_eq!(dropped.locks[0].scope_end, dropped.locks[0].line + 1, "released at drop()");
         assert!(dropped.locks[1].line > dropped.locks[0].scope_end);
+    }
+
+    #[test]
+    fn split_method_chains_keep_their_let_scope() {
+        // The layout rustfmt gives a long acquisition: the `let` and the
+        // `.lock()` sit on different lines.
+        let src = "\
+use std::sync::Mutex;
+pub struct S { stats: Mutex<u64>, log: Mutex<Vec<u32>> }
+impl S {
+    pub fn nested(&self) {
+        let s = self
+            .stats
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        // tidy-allow(lock-order): stats before log
+        let mut l = self
+            .log
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        drop(l);
+    }
+}
+";
+        let items = items_of("crates/core/src/x.rs", src);
+        let locks = &items[0].locks;
+        assert_eq!(locks.len(), 2);
+        assert!(locks[0].scope_end > locks[1].line, "stats held across log");
+        assert!(
+            locks[1].allowed,
+            "the allow above the `let` covers the chain"
+        );
+        assert_eq!(locks[1].scope_end, 13, "released at drop(l)");
     }
 
     #[test]

@@ -18,7 +18,11 @@
 //!   vendored API subset, CHANGES.md carries an entry per PR;
 //! * **engine contract** — the staged pipeline engine
 //!   (`crates/core/src/engine/**`) is panic-free with *no* `tidy-allow`
-//!   escape hatch, and every public engine item is documented.
+//!   escape hatch, and every public engine item is documented;
+//! * **call graph and reach** ([`deep`]) — panic-reach, lock-order,
+//!   counter-coverage, error-coverage and pub-reach: a bare `pub fn` in
+//!   the library crates needs a caller outside its crate (rockbench's
+//!   sources are read as callers only).
 //!
 //! Sites that are sound for a reason the checker cannot see carry a
 //! `// tidy-allow(<rule>): <reason>` annotation; the reason is mandatory
@@ -85,6 +89,15 @@ pub fn classify(rel: &str) -> Option<(FileKind, String)> {
     }
 }
 
+/// Rockbench's sources (`rockbench/src/*.rs`, a workspace of its own
+/// that calls the library crates): loaded as [`FileKind::Caller`], so
+/// `pub-reach` counts the names they use while [`classify`] keeps them
+/// out of every rule.
+fn caller_only(rel: &str) -> Option<(FileKind, String)> {
+    rel.starts_with("rockbench/src/")
+        .then(|| (FileKind::Caller, "rockbench".to_string()))
+}
+
 /// Reads and scans one file into a [`SourceFile`] ready for checking.
 pub fn load_source(rel: &str, kind: FileKind, crate_name: String, text: &str) -> SourceFile {
     let lines = scan::scan(text);
@@ -136,7 +149,7 @@ pub fn load_workspace(root: &Path) -> std::io::Result<Vec<SourceFile>> {
             .map(|c| c.as_os_str().to_string_lossy())
             .collect::<Vec<_>>()
             .join("/");
-        let Some((kind, crate_name)) = classify(&rel) else {
+        let Some((kind, crate_name)) = classify(&rel).or_else(|| caller_only(&rel)) else {
             continue;
         };
         let text = fs::read_to_string(&path)?;
@@ -302,6 +315,11 @@ mod tests {
             Some((FileKind::TestOrExample, "rock".to_string()))
         );
         assert_eq!(classify("crates/tidy/tests/fixtures/panic_unwrap.rs"), None);
+        assert_eq!(classify("rockbench/src/main.rs"), None);
+        assert_eq!(
+            caller_only("rockbench/src/main.rs"),
+            Some((FileKind::Caller, "rockbench".to_string()))
+        );
         assert_eq!(classify("target/debug/build/foo.rs"), None);
         assert_eq!(classify("README.md"), None);
     }

@@ -27,6 +27,10 @@ pub enum FileKind {
     Shim,
     /// Tests, examples and benches — exempt from the library-only rules.
     TestOrExample,
+    /// Read only as a caller of the library crates (`rockbench/src/**`,
+    /// a separate workspace): `pub-reach` counts its names, and no rule
+    /// reports on it.
+    Caller,
 }
 
 /// A scanned source file plus its workspace classification.
@@ -72,6 +76,7 @@ pub const ALLOWABLE_RULES: &[&str] = &[
     "lock-order",
     "counter-coverage",
     "error-coverage",
+    "pub-reach",
     "shims-confined",
 ];
 
@@ -749,6 +754,9 @@ pub fn check_shim_doc(file: &SourceFile, out: &mut Vec<Diagnostic>) {
 /// Runs every per-file rule on `file`.
 pub fn check_file(file: &SourceFile) -> Vec<Diagnostic> {
     let mut out = Vec::new();
+    if file.kind == FileKind::Caller {
+        return out;
+    }
     check_annotations(file, &mut out);
     check_panic(file, &mut out);
     check_wall_clock(file, &mut out);

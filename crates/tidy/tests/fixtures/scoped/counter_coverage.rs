@@ -2,7 +2,7 @@
 //! reaches a `perf::count_*` increment — scan as core library code.
 
 /// Sums rows without metering the work.
-pub fn kernel(rows: &[u32]) -> u64 {
+pub(crate) fn kernel(rows: &[u32]) -> u64 {
     let mut total = 0u64;
     // tidy:kernel-hot-loop — unmetered sum
     for r in rows {

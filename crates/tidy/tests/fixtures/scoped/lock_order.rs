@@ -10,7 +10,7 @@ pub struct Pair {
 
 impl Pair {
     /// Touches both counters under both guards.
-    pub fn both(&self) {
+    pub(crate) fn both(&self) {
         let a = self.first.lock();
         let b = self.second.lock();
         let _ = (a, b);

@@ -2,6 +2,6 @@
 //! serve-path function — scan as `crates/core/src/serve.rs`.
 
 /// Returns the first element; panics on an empty slice.
-pub fn first(v: &[u32]) -> u32 {
+pub(crate) fn first(v: &[u32]) -> u32 {
     v[0]
 }

@@ -81,32 +81,57 @@ fn transitive_unwrap_reachable_from_the_engine_fails_the_gate() {
     );
 }
 
-#[test]
-fn swapped_lock_acquisitions_in_serve_fail_the_gate() {
-    // Reverse the two acquisitions in `lifetime_stats` (text-level swap
-    // of the lock field names): the reversed order now coexists with
-    // `record_batch`'s stats → degradations order, a cycle — which no
-    // tidy-allow can excuse.
-    let swap = |raw: &str| {
-        let start = raw
-            .find("pub fn lifetime_stats")
-            .expect("lifetime_stats in serve.rs");
-        let end = start
-            + raw[start..]
-                .find("\n    }")
-                .expect("end of lifetime_stats body");
-        let body = &raw[start..end];
-        assert!(
-            body.contains("self.stats.lock") && body.contains("self.degradations.lock"),
-            "expected both acquisitions inside lifetime_stats"
-        );
-        let swapped = body
-            .replace("self.stats.lock", "self.__tmp.lock")
-            .replace("self.degradations.lock", "self.stats.lock")
-            .replace("self.__tmp.lock", "self.degradations.lock");
-        format!("{}{}{}", &raw[..start], swapped, &raw[end..])
-    };
-    let diags = check_patched(&[("crates/core/src/serve.rs", &swap)]);
+/// The byte span of `lifetime_stats` in serve.rs, from its signature to
+/// the brace that closes its body.
+fn lifetime_stats_span(raw: &str) -> (usize, usize) {
+    let start = raw
+        .find("pub fn lifetime_stats")
+        .expect("lifetime_stats in serve.rs");
+    let mut depth = 0usize;
+    for (i, c) in raw[start..].char_indices() {
+        match c {
+            '{' => depth += 1,
+            '}' if depth == 1 => return (start, start + i + 1),
+            '}' => depth -= 1,
+            _ => {}
+        }
+    }
+    panic!("lifetime_stats body never closes");
+}
+
+/// Rewrites the body of `lifetime_stats` with `edit`, after checking
+/// that it acquires both locks. The check reads the body with all
+/// whitespace removed, so it does not depend on where rustfmt breaks a
+/// line.
+fn edit_lifetime_stats(raw: &str, edit: impl Fn(&str) -> String) -> String {
+    let (start, end) = lifetime_stats_span(raw);
+    let body = &raw[start..end];
+    let flat: String = body.split_whitespace().collect();
+    assert!(
+        flat.contains("self.stats.lock(") && flat.contains("self.degradations.lock("),
+        "expected both acquisitions inside lifetime_stats"
+    );
+    format!("{}{}{}", &raw[..start], edit(body), &raw[end..])
+}
+
+/// Swaps the two lock fields (text-level, wherever the chains break).
+fn swap_locks(body: &str) -> String {
+    body.replace(".stats", ".__tmp")
+        .replace(".degradations", ".stats")
+        .replace(".__tmp", ".degradations")
+}
+
+/// Splits each acquisition chain over lines, the way rustfmt lays out
+/// `let x = self.field.lock().unwrap_or_else(..);` past the width limit.
+fn split_chains(body: &str) -> String {
+    let indent = "\n            ";
+    body.replace("self.", &format!("self{indent}."))
+        .replace(".lock()", &format!("{indent}.lock()"))
+        .replace(".unwrap_or_else", &format!("{indent}.unwrap_or_else"))
+}
+
+/// Asserts the gate reports the stats/degradations lock-order cycle.
+fn assert_lock_cycle(diags: &[Diagnostic]) {
     let cycles: Vec<&Diagnostic> = diags
         .iter()
         .filter(|d| d.rule == "lock-order" && d.message.contains("cycle"))
@@ -117,4 +142,28 @@ fn swapped_lock_acquisitions_in_serve_fail_the_gate() {
             .any(|d| d.message.contains("stats") && d.message.contains("degradations")),
         "swapping the acquisitions must surface a lock-order cycle; got {diags:#?}"
     );
+}
+
+#[test]
+fn swapped_lock_acquisitions_in_serve_fail_the_gate() {
+    // Reverse the two acquisitions in `lifetime_stats`: the reversed
+    // order now coexists with `record_batch`'s stats → degradations
+    // order, a cycle — which no tidy-allow can excuse.
+    let swap = |raw: &str| edit_lifetime_stats(raw, swap_locks);
+    assert_lock_cycle(&check_patched(&[("crates/core/src/serve.rs", &swap)]));
+}
+
+#[test]
+fn split_lock_chains_keep_their_allows_and_still_show_a_swap() {
+    // Splitting the chains alone changes nothing: the allows above each
+    // `let` still cover the acquisitions.
+    let split = |raw: &str| edit_lifetime_stats(raw, split_chains);
+    let diags = check_patched(&[("crates/core/src/serve.rs", &split)]);
+    assert!(
+        !diags.iter().any(|d| d.rule == "lock-order"),
+        "split chains must keep the gate clean; got {diags:#?}"
+    );
+    // Split, then swapped: the cycle must still surface.
+    let split_swap = |raw: &str| edit_lifetime_stats(raw, |b| swap_locks(&split_chains(b)));
+    assert_lock_cycle(&check_patched(&[("crates/core/src/serve.rs", &split_swap)]));
 }

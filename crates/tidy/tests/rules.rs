@@ -320,6 +320,15 @@ fn fixture_error_coverage() {
 }
 
 #[test]
+fn fixture_pub_reach() {
+    assert_single(
+        &scan_scoped("scoped/pub_reach.rs", "crates/core/src/reach.rs", "core"),
+        "pub-reach",
+        5,
+    );
+}
+
+#[test]
 fn fixture_forbid_unsafe() {
     let diags: Vec<_> = scan_scoped(
         "scoped/forbid_unsafe_lib.rs",
@@ -373,6 +382,7 @@ fn every_allowable_rule_has_a_failing_fixture() {
             "crates/core/src/error.rs",
             "core",
         ),
+        ("pub-reach", "scoped/pub_reach.rs", "crates/core/src/reach.rs", "core"),
         ("shims-confined", "shims_confined.rs", "crates/core/src/fixture.rs", "core"),
     ];
     for rule in rock_tidy::rules::ALLOWABLE_RULES {
@@ -499,4 +509,28 @@ fn safety_comment_satisfies_unsafe_audit() {
         src,
     );
     assert!(check_file(&file).is_empty());
+}
+
+#[test]
+fn rockbench_is_read_as_callers_only() {
+    assert_eq!(rock_tidy::classify("rockbench/src/workloads.rs"), None);
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let files = rock_tidy::load_workspace(&root).expect("walking the workspace");
+    assert!(
+        files
+            .iter()
+            .any(|f| f.rel.starts_with("rockbench/src/") && f.kind == FileKind::Caller),
+        "the workspace pass must read rockbench's sources as callers"
+    );
+    // Every rule's pattern, in a caller file: no rule reports on it.
+    let src = "pub fn f(x: Option<u32>) -> u32 {\n    dbg!(x);\n    \
+               // tidy-allow(bogus)\n    unsafe { x.unwrap() }\n}\n";
+    let bench = load_source(
+        "rockbench/src/workloads.rs",
+        FileKind::Caller,
+        "rockbench".to_string(),
+        src,
+    );
+    let diags = check_sources(&[bench]);
+    assert!(diags.is_empty(), "{diags:#?}");
 }
