@@ -38,7 +38,7 @@ pub mod vectorize;
 pub use centroid::{centroid_hierarchical, CentroidConfig};
 pub use clarans::{clarans, ClaransConfig, ClaransResult};
 pub use dbscan::{dbscan, DbscanConfig};
-pub use kmeans::{KMeansConfig, KMeansResult};
+pub use kmeans::KMeansConfig;
 pub use kmodes::{kmodes, KModesConfig, KModesResult};
 pub use linkage::{similarity_linkage, Linkage, LinkageConfig};
 pub use models::{
