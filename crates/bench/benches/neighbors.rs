@@ -1,6 +1,6 @@
 //! Neighbor-graph construction benchmarks: the θ-neighbor scan (the
 //! item-index probe where it applies, else the O(n²) pairwise scan) by
-//! sample size, by thread count (shards fanned out on the rayon shim
+//! sample size, by thread count (shards fanned out on scoped threads
 //! through `run_shards`), and on the rockbench `fit_dense` and
 //! `fit_sparse` inputs.
 

@@ -2,7 +2,7 @@
 //! on the §5.3 synthetic market-basket generator.
 //!
 //! Four stages of the pipeline are measured, each as `seq` (the reference
-//! single-thread path) against `parN` (the rayon kernels at N workers):
+//! single-thread path) against `parN` (the sharded kernels on N scoped threads):
 //!
 //! * `neighbors` — the θ-neighbor scan over `Transaction`s, which tests
 //!   only the pairs that share an item;

@@ -761,26 +761,6 @@ pub trait ArtifactSource {
     fn fetch(&mut self) -> std::io::Result<Vec<u8>>;
 }
 
-/// The plain filesystem [`ArtifactSource`]: reads the artifact file on
-/// every fetch.
-#[derive(Clone, Debug)]
-pub struct FileSource {
-    path: std::path::PathBuf,
-}
-
-impl FileSource {
-    /// A source reading `path`.
-    pub fn new(path: impl Into<std::path::PathBuf>) -> Self {
-        FileSource { path: path.into() }
-    }
-}
-
-impl ArtifactSource for FileSource {
-    fn fetch(&mut self) -> std::io::Result<Vec<u8>> {
-        std::fs::read(&self.path)
-    }
-}
-
 fn parse_clusters(payload: &[u8]) -> Option<Clustering> {
     let mut c = Cursor::new(payload);
     let clustering = decode_clustering(&mut c).filter(|_| c.done())?;
@@ -1453,19 +1433,6 @@ mod tests {
         v2.save(&path).unwrap();
         assert_eq!(ModelArtifact::load(&path).unwrap().model(), "rock-v2");
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn file_source_fetches_saved_bytes() {
-        let dir = std::env::temp_dir().join("rock-artifact-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("source-{}.rockart", std::process::id()));
-        let artifact = sample_artifact();
-        artifact.save(&path).unwrap();
-        let mut source = FileSource::new(&path);
-        let bytes = source.fetch().unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(bytes, artifact.to_bytes());
     }
 
     #[test]

@@ -16,14 +16,14 @@ use crate::neighbors::NeighborGraph;
 
 /// Disjoint-set forest with path halving and union by size.
 #[derive(Clone, Debug)]
-pub struct DisjointSet {
+pub(crate) struct DisjointSet {
     parent: Vec<u32>,
     size: Vec<u32>,
 }
 
 impl DisjointSet {
     /// `n` singleton sets.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         DisjointSet {
             parent: (0..n as u32).collect(),
             size: vec![1; n],
@@ -31,7 +31,7 @@ impl DisjointSet {
     }
 
     /// Representative of `x`'s set.
-    pub fn find(&mut self, mut x: u32) -> u32 {
+    pub(crate) fn find(&mut self, mut x: u32) -> u32 {
         while self.parent[x as usize] != x {
             self.parent[x as usize] = self.parent[self.parent[x as usize] as usize];
             x = self.parent[x as usize];
@@ -40,7 +40,7 @@ impl DisjointSet {
     }
 
     /// Unions the sets of `a` and `b`; returns false if already joined.
-    pub fn union(&mut self, a: u32, b: u32) -> bool {
+    pub(crate) fn union(&mut self, a: u32, b: u32) -> bool {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra == rb {
             return false;

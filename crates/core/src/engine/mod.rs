@@ -62,6 +62,6 @@ pub mod supervisor;
 
 pub use model::{ClusterModel, ModelFit};
 pub use pipeline::Pipeline;
-pub use shard::{shard_ranges, NoFaults, ShardConfig, ShardFaultPlan, ShardRun};
+pub use shard::{shard_ranges, ShardConfig, ShardFaultPlan, ShardRun};
 pub use stage::{LabelStage, LinksStage, MergeStage, NeighborsStage, SampleStage, Stage};
 pub use supervisor::{ShardSupervisor, ShardedRun};

@@ -95,7 +95,7 @@ pub trait ShardFaultPlan {
 
 /// The transparent plan: no injected faults.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct NoFaults;
+pub(crate) struct NoFaults;
 
 impl ShardFaultPlan for NoFaults {}
 

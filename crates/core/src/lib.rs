@@ -50,7 +50,7 @@
 //! | Module | Paper | Contents |
 //! |---|---|---|
 //! | [`points`] | §3.1 | transactions, categorical records, schemas |
-//! | [`similarity`] | §3.1 | Jaccard, categorical w/ missing values, Lp, expert tables |
+//! | [`similarity`] | §3.1 | Jaccard, categorical w/ missing values, expert tables |
 //! | [`neighbors`] | §3.1 | θ-neighbor graph construction (serial & parallel) |
 //! | [`links_matrix`] | §3.2, §4.4 | link counts as a CSR matrix: row-wise sparse (Fig. 4) and dense (A²) kernels |
 //! | [`goodness`] | §3.3, §4.2 | f(θ) estimates and the merge goodness measure |
@@ -129,13 +129,13 @@ pub mod wal;
 pub(crate) mod testdata;
 
 pub use algorithm::{OutlierPolicy, RockAlgorithm, RockRun, WeedPolicy};
-pub use artifact::{ArtifactPoint, ArtifactSource, FileSource, ModelArtifact, UpdateExtension};
+pub use artifact::{ArtifactPoint, ArtifactSource, ModelArtifact, UpdateExtension};
 pub use cluster::{Clustering, MergeRecord};
-pub use components::{neighbor_components, DisjointSet};
+pub use components::neighbor_components;
 pub use dendrogram::Dendrogram;
 pub use engine::model::RockModel;
 pub use engine::{
-    shard_ranges, ClusterModel, ModelFit, NoFaults, Pipeline, ShardConfig, ShardFaultPlan,
+    shard_ranges, ClusterModel, ModelFit, Pipeline, ShardConfig, ShardFaultPlan,
     ShardRun, ShardSupervisor, ShardedRun,
 };
 pub use error::RockError;
@@ -160,6 +160,6 @@ pub use serve::{
 };
 pub use wal::{parse_update_wal, parse_wal, MergeWal, UpdateReplay, UpdateWal, WalReplay};
 pub use similarity::{
-    CategoricalJaccard, CheckedSimilarity, Hamming, Jaccard, MissingPolicy,
-    NormalizedLp, PairwiseSimilarity, PointsWith, Similarity, SimilarityMatrix,
+    CategoricalJaccard, CheckedSimilarity, Jaccard, MissingPolicy, PairwiseSimilarity,
+    PointsWith, Similarity, SimilarityMatrix,
 };

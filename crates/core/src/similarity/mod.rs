@@ -5,7 +5,7 @@
 //! domain expert (§1.2). Two traits capture this:
 //!
 //! * [`Similarity<P>`] — a function over a pair of *point values* (Jaccard
-//!   over transactions, Lp over numeric vectors, …).
+//!   over transactions, categorical Jaccard over records, …).
 //! * [`PairwiseSimilarity`] — a function over a pair of *point indices*.
 //!   This is what the neighbor-computation stage consumes; it admits both
 //!   "points + measure" ([`PointsWith`]) and fully materialised expert
@@ -18,13 +18,11 @@
 mod categorical;
 mod checked;
 mod jaccard;
-mod lp;
 mod table;
 
 pub use categorical::{CategoricalJaccard, MissingPolicy};
 pub use checked::CheckedSimilarity;
 pub use jaccard::Jaccard;
-pub use lp::{Hamming, NormalizedLp};
 pub use table::SimilarityMatrix;
 
 /// A normalized similarity measure between two points of type `P`.

@@ -46,12 +46,13 @@ pub(crate) fn balanced_ranges(
 
 /// Runs `work` once per shard and returns its outputs in shard order.
 ///
-/// One shard runs on the calling thread; more run on one scoped rayon
-/// worker each, and a panicking worker propagates out of the scope. This
-/// is the only fan-out of the sharded kernels: the neighbor scan, both
-/// link kernels and the §4.6 batch pass each supply their shards and
-/// their per-shard body, which owns its scratch. Each worker's `perf`
-/// counts are added to the caller's, so its reading is thread-count invariant.
+/// One shard runs on the calling thread; more run on one scoped thread
+/// each (`std::thread::scope`), and a panicking worker propagates out of
+/// the scope. This is the only fan-out of the sharded kernels: the
+/// neighbor scan, both link kernels and the §4.6 batch pass each supply
+/// their shards and their per-shard body, which owns its scratch. Each
+/// worker's `perf` counts are added to the caller's, so its reading is
+/// thread-count invariant.
 pub(crate) fn run_shards<I: Send, T: Send>(
     shards: impl IntoIterator<Item = I>,
     work: impl Fn(I) -> T + Sync,
@@ -63,9 +64,9 @@ pub(crate) fn run_shards<I: Send, T: Send>(
     let mut outs: Vec<Option<(T, PerfCounters)>> = Vec::with_capacity(shards.len());
     outs.resize_with(shards.len(), || None);
     let work = &work;
-    rayon::scope(|scope| {
+    std::thread::scope(|scope| {
         for (shard, out) in shards.into_iter().zip(outs.iter_mut()) {
-            scope.spawn(move |_| *out = Some(perf::measured(|| work(shard))));
+            scope.spawn(move || *out = Some(perf::measured(|| work(shard))));
         }
     });
     // Every slot is filled: the scope returns only after all workers
@@ -126,6 +127,22 @@ mod tests {
             assert_eq!(out, &rows.clone().collect::<Vec<_>>());
         }
         assert_eq!(outs.concat(), (0..101).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn several_shards_run_off_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let outs = run_shards(vec![0..2, 2..4, 4..6], |_| std::thread::current().id());
+        assert_eq!(outs.len(), 3);
+        assert!(outs.iter().all(|&id| id != caller));
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_panicking_shard_panics_out_of_run_shards() {
+        run_shards(vec![0..1, 1..2], |rows| {
+            assert!(rows.start == 0, "shard {rows:?} failed");
+        });
     }
 
     #[test]

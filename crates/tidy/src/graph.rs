@@ -22,11 +22,11 @@ use crate::items::{extract, CallSite, FnItem};
 use crate::rules::{FileKind, SourceFile};
 
 /// Compile-time dependency closure, by classifier crate name
-/// (`core`, `data`, …, `shims/rayon`). Mirrors the crate manifests;
+/// (`core`, `data`, …, `shims/rand`). Mirrors the crate manifests;
 /// entries list *direct* dependencies — [`WorkspaceModel::build`]
 /// computes the transitive closure.
 const CRATE_DEPS: &[(&str, &[&str])] = &[
-    ("core", &["shims/rand", "shims/rayon"]),
+    ("core", &["shims/rand"]),
     ("data", &["core", "shims/rand"]),
     ("baselines", &["core", "shims/rand"]),
     ("eval", &["core"]),
@@ -34,7 +34,6 @@ const CRATE_DEPS: &[(&str, &[&str])] = &[
     ("rock", &["core", "baselines", "data", "eval", "shims/rand"]),
     ("tidy", &[]),
     ("shims/rand", &[]),
-    ("shims/rayon", &[]),
     ("shims/proptest", &[]),
     ("shims/criterion", &[]),
 ];
@@ -47,7 +46,6 @@ const CRATE_ALIASES: &[(&str, &str)] = &[
     ("rock_baselines", "baselines"),
     ("rock_eval", "eval"),
     ("rock_tidy", "tidy"),
-    ("rayon", "shims/rayon"),
     ("rand", "shims/rand"),
     ("proptest", "shims/proptest"),
     ("criterion", "shims/criterion"),
@@ -276,8 +274,8 @@ mod tests {
             FileKind::Shim,
             "pub struct C;\nimpl C { pub fn run(&self) { panic!(\"x\") } }\n",
         ), (
-            "shims/rayon/src/lib.rs",
-            "shims/rayon",
+            "shims/rand/src/lib.rs",
+            "shims/rand",
             FileKind::Shim,
             "pub struct S;\nimpl S { pub fn run(&self) {} }\n",
         )]);
@@ -287,7 +285,7 @@ mod tests {
             .iter()
             .map(|&i| m.fns[i].crate_name.as_str())
             .collect();
-        assert_eq!(crates, vec!["shims/rayon"]);
+        assert_eq!(crates, vec!["shims/rand"]);
     }
 
     #[test]

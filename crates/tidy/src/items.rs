@@ -84,7 +84,7 @@ pub struct FnItem {
     pub file: String,
     /// File classification (the deep rules only model `Lib` and `Shim`).
     pub kind: FileKind,
-    /// Owning crate (classifier name: `core`, `data`, `shims/rayon`…).
+    /// Owning crate (classifier name: `core`, `data`, `shims/rand`…).
     pub crate_name: String,
     /// Module path within the crate (file path segments + nested `mod`s).
     pub module: Vec<String>,

@@ -303,8 +303,8 @@ mod tests {
             Some((FileKind::Bin, "bench".to_string()))
         );
         assert_eq!(
-            classify("shims/rayon/src/lib.rs"),
-            Some((FileKind::Shim, "shims/rayon".to_string()))
+            classify("shims/rand/src/lib.rs"),
+            Some((FileKind::Shim, "shims/rand".to_string()))
         );
         assert_eq!(
             classify("src/lib.rs"),

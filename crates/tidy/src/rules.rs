@@ -40,7 +40,7 @@ pub struct SourceFile {
     /// File classification.
     pub kind: FileKind,
     /// Owning crate: `core`, `data`, … for `crates/*`; `rock` for the
-    /// facade; `shims/rayon` etc. for shims.
+    /// facade; `shims/rand` etc. for shims.
     pub crate_name: String,
     /// Code/comment split per line.
     pub lines: Vec<SourceLine>,
@@ -656,12 +656,12 @@ const CONFINED_ROOTS: &[&str] = &[
     // Workspace crates (lib names as written in `use` paths).
     "rock", "rock_core", "rock_data", "rock_baselines", "rock_eval", "rock_tidy",
     // Vendored shims (shims/<name> in-tree).
-    "rayon", "rand", "proptest", "criterion",
+    "rand", "proptest", "criterion",
 ];
 
 /// **shims-confined** — the workspace builds fully offline: library and
 /// shim code may only import std, workspace crates and the vendored
-/// shims (`rayon`/`rand`/`proptest`/`criterion`). A `use serde::…`
+/// shims (`rand`/`proptest`/`criterion`). A `use serde::…`
 /// compiles locally only if someone added a registry dependency, which
 /// breaks the no-network build invariant — flag it at the import, before
 /// the manifest diff is even read.

@@ -3,8 +3,8 @@
 //! Implements the subset the workspace's property tests use: the
 //! [`proptest!`] macro with `proptest_config`, [`Strategy`] with
 //! `prop_map`/`prop_flat_map`, range and tuple strategies,
-//! [`collection::vec`], [`option::of`], [`any`], a minimal `.{m,n}`
-//! string pattern, and the `prop_assert!`/`prop_assert_eq!` macros.
+//! [`collection::vec`], [`option::of`], [`any`] for `u8`, `u64` and
+//! `bool`, and the `prop_assert!`/`prop_assert_eq!` macros.
 //!
 //! Differences from real proptest: cases are generated from a
 //! deterministic per-test RNG (seeded from the test name, overridable
@@ -243,40 +243,6 @@ macro_rules! impl_tuple_strategy {
 
 impl_tuple_strategy!((A, B), (A, B, C), (A, B, C, D));
 
-/// Minimal `.{m,n}` pattern strategy for `&'static str` patterns: a
-/// random-length string of printable characters (newline excluded, like
-/// regex `.`). Any other pattern is produced literally.
-impl Strategy for &str {
-    type Value = String;
-    fn generate(&self, rng: &mut TestRng) -> String {
-        if let Some((min, max)) = parse_dot_repeat(self) {
-            let len = min + rng.below((max - min + 1) as u64) as usize;
-            let mut s = String::with_capacity(len);
-            for _ in 0..len {
-                let c = match rng.below(20) {
-                    // Mostly printable ASCII, occasionally wider unicode.
-                    0 => char::from_u32(0xA0 + rng.below(0x2000) as u32).unwrap_or('¤'),
-                    1 => '\t',
-                    _ => (0x20u8 + rng.below(0x5f) as u8) as char,
-                };
-                s.push(c);
-            }
-            s
-        } else {
-            (*self).to_string()
-        }
-    }
-}
-
-/// Parses a pattern of the exact form `.{m,n}`.
-fn parse_dot_repeat(pat: &str) -> Option<(usize, usize)> {
-    let body = pat.strip_prefix(".{")?.strip_suffix('}')?;
-    let (lo, hi) = body.split_once(',')?;
-    let lo: usize = lo.trim().parse().ok()?;
-    let hi: usize = hi.trim().parse().ok()?;
-    (lo <= hi).then_some((lo, hi))
-}
-
 /// Types with a canonical "any value" strategy.
 pub trait Arbitrary: Sized {
     /// Draws an arbitrary value.
@@ -293,7 +259,7 @@ macro_rules! impl_arbitrary_uint {
     )*};
 }
 
-impl_arbitrary_uint!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_arbitrary_uint!(u8, u64);
 
 impl Arbitrary for bool {
     fn arbitrary(rng: &mut TestRng) -> bool {
@@ -538,16 +504,6 @@ mod tests {
             assert!((2..5).contains(&v.len()));
             let exact = vec(any::<u64>(), 7usize).generate(&mut rng);
             assert_eq!(exact.len(), 7);
-        }
-    }
-
-    #[test]
-    fn dot_repeat_pattern() {
-        let mut rng = TestRng::deterministic("pattern");
-        for _ in 0..100 {
-            let s = ".{0,300}".generate(&mut rng);
-            assert!(s.chars().count() <= 300);
-            assert!(!s.contains('\n'));
         }
     }
 

@@ -2,8 +2,9 @@
 //!
 //! The build environment has no network access and an empty registry, so
 //! the workspace vendors the small slice of `rand` it actually uses:
-//! [`Rng::random`] / [`Rng::random_range`], [`SeedableRng::seed_from_u64`],
-//! [`SeedableRng::from_os_rng`], and [`rngs::StdRng`].
+//! [`Rng::random`] (for `f64` and `u64`), [`Rng::random_range`],
+//! [`SeedableRng::seed_from_u64`], [`SeedableRng::from_os_rng`], and
+//! [`rngs::StdRng`].
 //!
 //! `StdRng` here is xoshiro256++ (Blackman & Vigna) seeded through
 //! splitmix64 — the standard seeding recipe for the xoshiro family. It is
@@ -21,35 +22,11 @@ use core::ops::{Range, RangeInclusive};
 pub trait RngCore {
     /// Returns the next 64 random bits.
     fn next_u64(&mut self) -> u64;
-
-    /// Returns the next 32 random bits (upper half of [`Self::next_u64`]).
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    /// Fills `dest` with random bytes.
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_u64().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next_u64().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
 }
 
 impl<R: RngCore + ?Sized> RngCore for &mut R {
     fn next_u64(&mut self) -> u64 {
         (**self).next_u64()
-    }
-    fn next_u32(&mut self) -> u32 {
-        (**self).next_u32()
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        (**self).fill_bytes(dest)
     }
 }
 
@@ -66,34 +43,9 @@ impl Standard for f64 {
     }
 }
 
-impl Standard for f32 {
-    /// Uniform in `[0, 1)` with 24 bits of precision.
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u32() >> 8) as f32 * (1.0 / (1u32 << 24) as f32)
-    }
-}
-
 impl Standard for u64 {
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         rng.next_u64()
-    }
-}
-
-impl Standard for u32 {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u32()
-    }
-}
-
-impl Standard for u8 {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 56) as u8
-    }
-}
-
-impl Standard for bool {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64() & 1 == 1
     }
 }
 
@@ -165,11 +117,6 @@ pub trait Rng: RngCore {
     /// Samples uniformly from `range`. Panics if the range is empty.
     fn random_range<T, S: SampleRange<T>>(&mut self, range: S) -> T {
         range.sample_single(self)
-    }
-
-    /// Returns `true` with probability `p` (clamped to `[0, 1]`).
-    fn random_bool(&mut self, p: f64) -> bool {
-        f64::sample(self) < p
     }
 }
 
@@ -265,9 +212,6 @@ pub mod rngs {
             StdRng { s }
         }
     }
-
-    /// Alias kept for API parity with upstream `rand`.
-    pub type SmallRng = StdRng;
 }
 
 #[cfg(test)]
