@@ -22,13 +22,14 @@
 //! Every id declares its worker-thread count, so the harness can mark
 //! records measured with more threads than host CPUs as oversubscribed
 //! (see the criterion shim's thread-count honesty notes). The process
-//! also runs under a counting allocator that feeds
-//! [`rock_core::perf::count_allocs`]; the `perf_footer` pseudo-target
-//! prints the accumulated work counters after the last group so a
-//! snapshot records how much the kernels allocated.
+//! also runs under a counting allocator with its own two process-wide
+//! totals; the `perf_footer` pseudo-target prints them and the work
+//! counters after the last group so a snapshot records how much the
+//! kernels allocated.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
 use rand::{rngs::StdRng, SeedableRng};
 use rock_core::governor::RunGovernor;
 use rock_core::labeling::Labeler;
@@ -42,12 +43,17 @@ use std::hint::black_box;
 const THETA: f64 = 0.5;
 const THREAD_COUNTS: [usize; 3] = [2, 4, 8];
 
-/// System-allocator wrapper that counts every heap allocation into the
-/// rock-core perf counters, so bench snapshots can report how much the
-/// kernels allocate (the hot loops are expected to allocate nothing —
-/// rock-tidy's `kernel-alloc` rule enforces it statically, this
-/// measures it dynamically).
+/// System-allocator wrapper that counts every heap allocation, on any
+/// thread, into [`ALLOCS`] and [`ALLOC_BYTES`], so bench snapshots can
+/// report how much the kernels allocate (the hot loops are expected to
+/// allocate nothing — rock-tidy's `kernel-alloc` rule enforces it
+/// statically, this measures it dynamically).
 struct CountingAlloc;
+
+/// Heap allocations made by this bench process.
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes requested by those allocations.
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: a pass-through to the system allocator. The bookkeeping is
 // two relaxed atomic adds, which never allocate or unwind, so the
@@ -56,7 +62,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: counts, then forwards the caller's layout to `System`
     // unchanged; the atomic add cannot allocate or unwind.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        rock_core::perf::count_allocs(1, layout.size() as u64);
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -157,9 +164,16 @@ fn bench_labeling(c: &mut Criterion) {
 
 /// Not a benchmark: prints the perf counters the preceding groups
 /// accumulated (pairs emitted, bytes touched, similarity evaluations,
-/// scratch reuse, and the counting allocator's totals).
+/// scratch reuse) with the counting allocator's totals.
 fn perf_footer(_c: &mut Criterion) {
-    println!("perf totals: {}", rock_core::perf::snapshot());
+    println!(
+        "perf totals: {}",
+        rock_core::perf::PerfCounters {
+            allocs: ALLOCS.load(Ordering::Relaxed),
+            alloc_bytes: ALLOC_BYTES.load(Ordering::Relaxed),
+            ..rock_core::perf::snapshot()
+        }
+    );
 }
 
 criterion_group! {

@@ -25,10 +25,10 @@ use crate::cluster::{Clustering, MergeRecord};
 use crate::error::RockError;
 use crate::goodness::{Goodness, GoodnessKind};
 use crate::governor::{Phase, RunGovernor};
-use crate::incremental::{IncrementalState, Link};
+use crate::incremental::{IncrementalState, Link, MergeBound};
 use crate::links_matrix::LinkMatrix;
 use crate::neighbors::NeighborGraph;
-use crate::wal::{parse_wal, MergeWal, WalBegin, WalReplay, WalSnapshot};
+use crate::wal::{parse_wal, MergeWal, WalBegin, WalConfig, WalReplay, WalSnapshot};
 use std::borrow::Cow;
 
 /// §4.6 outlier handling knobs.
@@ -384,14 +384,16 @@ impl RockAlgorithm {
                 return Step::Weeded;
             }
         }
-        let Some((u, best)) = engine.state.global.peek() else {
-            return Step::Done;
+        let towards_k = MergeBound {
+            min_goodness: f64::NEG_INFINITY,
+            min_clusters: self.k,
+            max_merges: usize::MAX,
+            max_cluster_size: usize::MAX,
         };
-        if best.is_infinite() && best < 0.0 {
-            // No cluster has any linked partner left (§4.3's early stop).
-            return Step::Done;
-        }
-        Step::Merged(engine.state.merge(u))
+        engine
+            .state
+            .next_merge(&towards_k)
+            .map_or(Step::Done, Step::Merged)
     }
 
     /// Runs the merge loop to completion (or a governor trip), logging
@@ -481,6 +483,15 @@ impl RockAlgorithm {
     fn wal_begin(&self, n_points: usize, engine: &Engine) -> WalBegin {
         WalBegin {
             n_points: n_points as u32,
+            config: self.wal_config(),
+            initial_points: engine.initial_points.clone(),
+            pruned_outliers: engine.outliers.clone(),
+        }
+    }
+
+    /// The configuration fingerprint a WAL of this engine carries.
+    fn wal_config(&self) -> WalConfig {
+        WalConfig {
             k: self.k as u32,
             exponent_bits: self.goodness.exponent().to_bits(),
             kind: kind_code(self.goodness.kind()),
@@ -489,8 +500,6 @@ impl RockAlgorithm {
                 .outliers
                 .weed
                 .map(|w| (w.stop_multiple.to_bits(), w.min_cluster_size as u32)),
-            initial_points: engine.initial_points.clone(),
-            pruned_outliers: engine.outliers.clone(),
         }
     }
 
@@ -502,24 +511,12 @@ impl RockAlgorithm {
         graph: Option<&NeighborGraph>,
     ) -> Result<(), RockError> {
         let mismatch = |detail: String| Err(RockError::WalMismatch { detail });
-        if begin.k as usize != self.k {
-            return mismatch(format!("target k differs: log {}, engine {}", begin.k, self.k));
-        }
-        if begin.exponent_bits != self.goodness.exponent().to_bits() {
-            return mismatch("goodness exponent differs from the logged run".into());
-        }
-        if begin.kind != kind_code(self.goodness.kind()) {
-            return mismatch("goodness kind differs from the logged run".into());
-        }
-        if begin.min_neighbors as usize != self.outliers.min_neighbors {
-            return mismatch("outlier pruning threshold differs from the logged run".into());
-        }
-        let weed = self
-            .outliers
-            .weed
-            .map(|w| (w.stop_multiple.to_bits(), w.min_cluster_size as u32));
-        if begin.weed != weed {
-            return mismatch("weed policy differs from the logged run".into());
+        let config = self.wal_config();
+        if begin.config != config {
+            return mismatch(format!(
+                "configuration differs from the logged run: log {:?}, engine {config:?}",
+                begin.config
+            ));
         }
         if let Some(g) = graph {
             if g.len() != begin.n_points as usize {

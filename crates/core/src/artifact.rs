@@ -197,7 +197,8 @@ pub struct ModelArtifact {
     hash_seed: Option<u64>,
     clustering: Clustering,
     representatives: Option<Representatives>,
-    dendrogram: Option<ArtifactDendrogram>,
+    /// Validated on load: its merge trace replays.
+    dendrogram: Option<Dendrogram>,
     report: RunReport,
     update: Option<UpdateExtension>,
 }
@@ -220,14 +221,9 @@ pub struct UpdateExtension {
     pub next_point: u32,
 }
 
-/// The persisted dendrogram parts (kept pre-validated: construction
-/// goes through [`Dendrogram::from_parts`]).
-#[derive(Clone, Debug, PartialEq)]
-struct ArtifactDendrogram {
-    initial_points: Vec<u32>,
-    merges: Vec<MergeRecord>,
-    outliers: Vec<u32>,
-}
+/// The decoded DENDRO section: initial points, merges and outliers,
+/// not yet replayed.
+type DendrogramParts = (Vec<u32>, Vec<MergeRecord>, Vec<u32>);
 
 impl ModelArtifact {
     /// An artifact of `fit` under model name `model`: clustering,
@@ -247,11 +243,7 @@ impl ModelArtifact {
             hash_seed: None,
             clustering: fit.clustering.clone(),
             representatives: None,
-            dendrogram: fit.dendrogram.as_ref().map(|d| ArtifactDendrogram {
-                initial_points: d.initial_points().to_vec(),
-                merges: d.merges().to_vec(),
-                outliers: d.outliers().to_vec(),
-            }),
+            dendrogram: fit.dendrogram.clone(),
             report: fit.report.clone(),
             update: None,
         }
@@ -345,15 +337,9 @@ impl ModelArtifact {
         self.update = ext;
     }
 
-    /// Rebuilds the persisted dendrogram, if the fit had one.
+    /// The persisted dendrogram, if the fit had one.
     pub fn dendrogram(&self) -> Option<Dendrogram> {
-        self.dendrogram.as_ref().and_then(|d| {
-            Dendrogram::from_parts(
-                d.initial_points.clone(),
-                d.merges.clone(),
-                d.outliers.clone(),
-            )
-        })
+        self.dendrogram.clone()
     }
 
     /// Rebuilds the [`Labeler`] from the representative section —
@@ -399,7 +385,7 @@ impl ModelArtifact {
     pub(crate) fn to_fit(&self) -> ModelFit {
         ModelFit {
             clustering: self.clustering.clone(),
-            dendrogram: self.dendrogram(),
+            dendrogram: self.dendrogram.clone(),
             report: self.report.clone(),
         }
     }
@@ -447,12 +433,12 @@ impl ModelArtifact {
             None => p.push(0),
             Some(d) => {
                 p.push(1);
-                put_u32_slice(&mut p, &d.initial_points);
-                put_u64(&mut p, d.merges.len() as u64);
-                for m in &d.merges {
+                put_u32_slice(&mut p, d.initial_points());
+                put_u64(&mut p, d.merges().len() as u64);
+                for m in d.merges() {
                     m.encode(&mut p);
                 }
-                put_u32_slice(&mut p, &d.outliers);
+                put_u32_slice(&mut p, d.outliers());
             }
         }
         append_frame(&mut buf, SEC_DENDRO, &p);
@@ -608,7 +594,7 @@ impl ModelArtifact {
         let report = parse_report(&payloads[3].0, version)
             .ok_or_else(|| corrupt(&payloads[3], "report"))?;
 
-        let artifact = ModelArtifact {
+        let mut artifact = ModelArtifact {
             model,
             theta,
             ftheta,
@@ -616,16 +602,17 @@ impl ModelArtifact {
             hash_seed,
             clustering,
             representatives,
-            dendrogram: dendro_parts,
+            dendrogram: None,
             report,
             update,
         };
-        artifact.validate()?;
+        artifact.validate(dendro_parts)?;
         Ok(artifact)
     }
 
-    /// Cross-section consistency checks on a decoded artifact.
-    fn validate(&self) -> Result<(), RockError> {
+    /// Cross-section consistency checks on a decoded artifact; the
+    /// dendrogram is stored once its merge trace replays.
+    fn validate(&mut self, dendrogram: Option<DendrogramParts>) -> Result<(), RockError> {
         let mismatch = |detail: String| Err(RockError::ArtifactMismatch { detail });
         if !(0.0..=1.0).contains(&self.theta) {
             return mismatch(format!("theta {} outside [0, 1]", self.theta));
@@ -658,16 +645,11 @@ impl ModelArtifact {
                 }
             }
         }
-        if let Some(d) = &self.dendrogram {
-            if Dendrogram::from_parts(
-                d.initial_points.clone(),
-                d.merges.clone(),
-                d.outliers.clone(),
-            )
-            .is_none()
-            {
+        if let Some((initial_points, merges, outliers)) = dendrogram {
+            let Some(d) = Dendrogram::from_parts(initial_points, merges, outliers) else {
                 return mismatch("dendrogram merge trace does not replay".into());
-            }
+            };
+            self.dendrogram = Some(d);
         }
         if let Some(ext) = &self.update {
             if let Err(detail) = ext.policy.check() {
@@ -785,7 +767,7 @@ fn parse_representatives(payload: &[u8]) -> Option<Option<Representatives>> {
     }
 }
 
-fn parse_dendrogram(payload: &[u8]) -> Option<Option<ArtifactDendrogram>> {
+fn parse_dendrogram(payload: &[u8]) -> Option<Option<DendrogramParts>> {
     let mut c = Cursor::new(payload);
     match c.u8()? {
         0 => c.done().then_some(None),
@@ -794,11 +776,7 @@ fn parse_dendrogram(payload: &[u8]) -> Option<Option<ArtifactDendrogram>> {
             let n = c.u64()? as usize;
             let merges = c.list(n, MergeRecord::ENCODED_LEN, MergeRecord::decode)?;
             let outliers = c.u32_vec()?;
-            c.done().then_some(Some(ArtifactDendrogram {
-                initial_points,
-                merges,
-                outliers,
-            }))
+            c.done().then_some(Some((initial_points, merges, outliers)))
         }
         _ => None,
     }
@@ -1199,6 +1177,41 @@ mod tests {
             ModelArtifact::from_bytes(&artifact.to_bytes()),
             Err(RockError::ArtifactMismatch { detail })
                 if detail.contains("cluster count mismatch")
+        ));
+    }
+
+    /// CRC catches every bit flip before the loader reaches the replay
+    /// check, so the image is re-framed around a forged DENDRO payload:
+    /// its one merge consumes cluster 0 twice.
+    #[test]
+    fn unreplayable_merge_trace_is_typed_at_load() {
+        let mut forged = vec![1];
+        put_u32_slice(&mut forged, &[0, 1]);
+        put_u64(&mut forged, 1);
+        MergeRecord {
+            left: 0,
+            right: 0,
+            merged: 2,
+            sizes: (1, 1),
+            cross_links: 1,
+            goodness: 1.0,
+        }
+        .encode(&mut forged);
+        put_u32_slice(&mut forged, &[]);
+
+        let image = sample_artifact().to_bytes();
+        let mut out = ARTIFACT_MAGIC.to_vec();
+        let mut at = ARTIFACT_MAGIC.len();
+        while let Some((kind, payload, end)) = read_frame(&image, at) {
+            let payload = if kind == SEC_DENDRO { &forged } else { payload };
+            append_frame(&mut out, kind, payload);
+            at = end;
+        }
+        assert_eq!(at, image.len());
+        assert!(matches!(
+            ModelArtifact::from_bytes(&out),
+            Err(RockError::ArtifactMismatch { detail })
+                if detail.contains("does not replay")
         ));
     }
 

@@ -11,7 +11,7 @@
 use crate::cluster::{Clustering, MergeRecord};
 
 /// The merge tree of one clustering run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Dendrogram {
     /// Point id of each leaf (initial post-pruning singleton cluster).
     initial_points: Vec<u32>,

@@ -43,19 +43,19 @@ pub struct Pipeline<'w> {
     /// governor is `Arc`-backed, so the subsample restart can swap in a
     /// retry governor while clones elsewhere keep sharing the original
     /// token, clock and memory meter.
-    pub governor: RunGovernor,
+    pub(crate) governor: RunGovernor,
     /// Merge write-ahead log, when the run journals its merge decisions
     /// (merge stage) or writes a continuation log (resume); `None`
     /// otherwise.
-    pub wal: Option<&'w mut MergeWal>,
+    pub(crate) wal: Option<&'w mut MergeWal>,
     /// The run's RNG stream. Sampling and labeling draw from this one
     /// stream in stage order, which is what makes a seeded governed run
     /// reproduce the plain driver's draws exactly.
-    pub rng: StdRng,
+    pub(crate) rng: StdRng,
     /// The report accumulated across stages: phase timings from the
     /// compositions, the degradation note from the links stage and the
     /// fallbacks.
-    pub report: RunReport,
+    pub(crate) report: RunReport,
 }
 
 impl Pipeline<'static> {

@@ -83,10 +83,10 @@ pub struct IncrementalState {
     /// Local heaps `q[i]`: candidates ordered by goodness, with stale
     /// entries for dead partners. The top of a live cluster's heap is
     /// always live (every partner death refreshes it).
-    pub(crate) local: Vec<BinaryHeap<Cand>>,
+    local: Vec<BinaryHeap<Cand>>,
     /// Global heap `Q`: cluster → goodness of its best candidate
     /// (−∞ for clusters with no linked partner).
-    pub(crate) global: AddressableHeap,
+    global: AddressableHeap,
     /// Number of live clusters.
     pub(crate) live: usize,
     goodness: PairGoodness,
@@ -553,30 +553,37 @@ impl IncrementalState {
     /// whose merged size would exceed `max_cluster_size`; skipping past
     /// it would reorder the agglomeration, so the pass ends instead.
     pub fn bounded_merge(&mut self, bound: &MergeBound) -> Vec<MergeRecord> {
-        let mut out = Vec::new();
-        while self.live > bound.min_clusters && out.len() < bound.max_merges {
-            let Some((u, best)) = self.global.peek() else {
-                break;
-            };
-            // −∞ (no linked partner anywhere) always fails this test;
-            // goodness is never NaN (similarities are finite-checked
-            // upstream), so the total order agrees with the partial one.
-            if best.total_cmp(&bound.min_goodness).is_lt() {
-                break;
-            }
-            // tidy-allow(panic-reach): u came off the global heap, so it is a live arena id with a local heap
-            let Some(&Cand { key: v, .. }) = self.local[u as usize].peek() else {
-                break;
-            };
-            if self.size(u) + self.size(v) > bound.max_cluster_size {
-                break;
-            }
-            out.push(self.merge(u));
-        }
-        out
+        std::iter::from_fn(|| self.next_merge(bound))
+            .take(bound.max_merges)
+            .collect()
     }
 
-    pub(crate) fn size(&self, id: u32) -> usize {
+    /// Fig. 3's one stopping rule, behind the batch loop and
+    /// [`bounded_merge`](Self::bounded_merge): merges the globally best
+    /// pair unless `bound.min_clusters` or fewer clusters are live, `Q`
+    /// is empty, no pair has links left (−∞, §4.3's early stop), the best
+    /// goodness is below `bound.min_goodness`, or the merged cluster
+    /// would exceed `bound.max_cluster_size`. `bound.max_merges` is the
+    /// caller's to count.
+    pub(crate) fn next_merge(&mut self, bound: &MergeBound) -> Option<MergeRecord> {
+        if self.live <= bound.min_clusters {
+            return None;
+        }
+        let (u, best) = self.global.peek()?;
+        // Goodness is never NaN (similarities are finite-checked
+        // upstream), so the total order agrees with the partial one.
+        if best == f64::NEG_INFINITY || best.total_cmp(&bound.min_goodness).is_lt() {
+            return None;
+        }
+        // tidy-allow(panic-reach): u came off the global heap, so it is a live arena id with a local heap
+        let &Cand { key: v, .. } = self.local[u as usize].peek()?;
+        if self.size(u) + self.size(v) > bound.max_cluster_size {
+            return None;
+        }
+        Some(self.merge(u))
+    }
+
+    fn size(&self, id: u32) -> usize {
         // tidy-allow(panic-reach): size() is only called on live cluster ids, which index the arena in range with occupied slots
         self.members[id as usize]
             .as_ref()
@@ -588,7 +595,7 @@ impl IncrementalState {
     /// Re-derives cluster `id`'s entry in the global heap from its local
     /// heap (Fig. 3 steps 14 and 16), first popping entries for dead
     /// partners off the top of `q[id]`.
-    pub(crate) fn refresh_global(&mut self, id: u32) {
+    fn refresh_global(&mut self, id: u32) {
         // tidy-allow(panic-reach): refresh_global is only called with arena ids minted in range
         let q = &mut self.local[id as usize];
         let mut best = f64::NEG_INFINITY;
@@ -625,11 +632,11 @@ impl IncrementalState {
 
     /// Merges the globally best cluster `u` with its best partner
     /// (Fig. 3 steps 6–17); returns the merge record.
-    pub(crate) fn merge(&mut self, u: u32) -> MergeRecord {
+    fn merge(&mut self, u: u32) -> MergeRecord {
         // tidy-allow(panic-reach): u is a live arena id from the global heap, in range by construction
         let &Cand { g: guv, key: v } = self.local[u as usize]
             .peek()
-            // tidy-allow(panic): drive() only merges ids whose global goodness is finite, which requires a non-empty local heap
+            // tidy-allow(panic): next_merge() peeked this local heap before calling merge
             .expect("merge called on cluster with candidates");
         let sizes = (self.size(u), self.size(v));
 
@@ -985,8 +992,7 @@ impl<P: ArtifactPoint + Clone> IncrementalRockState<P> {
         // Phase 1: pure scoring against the pre-batch pools, through the
         // batch labeler's pass on this thread, stopping at the first
         // non-finite similarity; the pass counts its own evaluations. The
-        // other perf counters are tallied locally, into the provenance,
-        // and bumped once at the end by the same amounts.
+        // update's own counts go into the provenance only.
         let mut scored = Vec::with_capacity(arrivals.len());
         LabelPass::new(&self.labeler, measure).score_chunk(
             arrivals,
@@ -1048,10 +1054,7 @@ impl<P: ArtifactPoint + Clone> IncrementalRockState<P> {
         if did_remerge {
             self.provenance.remerges += 1;
             self.provenance.remerge_merges += remerged.len() as u64;
-            crate::perf::count_remerges(1);
         }
-        crate::perf::count_relabels(arrivals.len() as u64);
-        crate::perf::count_dirty_links(new_dirty);
         crate::perf::count_sim_evals(merge_sims);
         let record = UpdateRecord {
             seq: self.provenance.updates_applied - 1,

@@ -61,7 +61,7 @@
 //! | [`sampling`] | §4.6 | Vitter reservoir sampling (Algorithms R and X), Chernoff sample size |
 //! | [`labeling`] | §4.6 | assigning disk-resident points to sample clusters |
 //! | [`rock`] | Fig. 2 | builder-configured end-to-end driver |
-//! | [`perf`] | — | phase-scoped kernel counters (pairs, bytes, sims, allocations) |
+//! | [`perf`] | — | phase-scoped kernel counters (pairs, bytes, sims, scratch reuse) |
 //! | [`report`] | — | structured [`RunReport`] for graceful-degradation visibility |
 //! | [`governor`] | — | cancellation tokens, deadlines, memory budgets, degradation policies |
 //! | [`wal`] | — | crash-safe merge write-ahead log with bit-identical resume |

@@ -12,21 +12,21 @@
 //! it, and `util::ranges::run_shards`, the one fan-out of the sharded
 //! kernels, adds its workers' counts to the caller, so work on other
 //! threads never shows. [`crate::report::PhaseTimer`] scopes a phase by
-//! differencing two [`snapshot`]s on one thread. Only the allocation
-//! counts, fed by the bench harness's counting allocator from every
-//! thread, are process-global; library builds leave them at zero.
+//! differencing two [`snapshot`]s on one thread. Nothing here is
+//! process-global. No kernel counts allocations, so `allocs` and
+//! `alloc_bytes` read zero in every snapshot; they stay in
+//! [`PerfCounters`] because persisted reports carry them. The online
+//! update's relabels, dirty links and re-merges are counted once, in its
+//! [`UpdateProvenance`](crate::incremental::UpdateProvenance), and
+//! reach a report only through the artifact's `update` entry.
 //!
 //! This module never reads the wall clock ([`crate::report::PhaseTimer`]
 //! owns timing) and never panics; counts made during thread teardown are dropped.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
-    /// This thread's kernel counters; its `allocs`/`alloc_bytes` stay zero.
+    /// This thread's kernel counters.
     static LOCAL: Cell<PerfCounters> = Cell::new(PerfCounters::default());
 }
 
@@ -90,34 +90,9 @@ pub(crate) fn count_scratch_reused(n: u64) {
     bump(|c| c.scratch_reused = c.scratch_reused.wrapping_add(n));
 }
 
-/// Records `count` heap allocations totalling `bytes` — called by the
-/// counting allocator in the bench harness, on any thread.
-#[inline]
-pub fn count_allocs(count: u64, bytes: u64) {
-    ALLOCS.fetch_add(count, Ordering::Relaxed);
-    ALLOC_BYTES.fetch_add(bytes, Ordering::Relaxed);
-}
-
-/// Records `n` §4.6 labeling decisions taken by the online update path.
-#[inline]
-pub(crate) fn count_relabels(n: u64) {
-    bump(|c| c.relabels = c.relabels.wrapping_add(n));
-}
-
-/// Records `n` dirty links accumulated by the online update path.
-#[inline]
-pub(crate) fn count_dirty_links(n: u64) {
-    bump(|c| c.dirty_links = c.dirty_links.wrapping_add(n));
-}
-
-/// Records `n` bounded re-merge passes triggered by staleness.
-#[inline]
-pub(crate) fn count_remerges(n: u64) {
-    bump(|c| c.remerges = c.remerges.wrapping_add(n));
-}
-
 /// A point-in-time reading of all counters; subtract two to scope a
-/// phase. Kernel counters are this thread's, allocation counters global.
+/// phase. Kernel counters are this thread's; the allocation and
+/// update-path fields are never counted here (see the module docs).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PerfCounters {
     /// Link-pairs emitted by link kernels.
@@ -128,15 +103,17 @@ pub struct PerfCounters {
     pub sim_evals: u64,
     /// Scratch structures recycled instead of reallocated.
     pub scratch_reused: u64,
-    /// Heap allocations observed by the bench counting allocator.
+    /// Heap allocations: zero in every snapshot, kept for the persisted
+    /// report layout.
     pub allocs: u64,
-    /// Bytes requested by those allocations.
+    /// Bytes requested by those allocations: zero in every snapshot.
     pub alloc_bytes: u64,
-    /// §4.6 labeling decisions taken by the online update path.
+    /// §4.6 labeling decisions taken by the online update path (an
+    /// artifact's `update` entry, from its provenance).
     pub relabels: u64,
-    /// Dirty links accumulated by the online update path.
+    /// Dirty links accumulated by the online update path (likewise).
     pub dirty_links: u64,
-    /// Bounded re-merge passes triggered by staleness.
+    /// Bounded re-merge passes triggered by staleness (likewise).
     pub remerges: u64,
 }
 
@@ -193,13 +170,9 @@ impl std::fmt::Display for PerfCounters {
     }
 }
 
-/// Reads all counters: this thread's kernel counters, the process's allocations.
+/// Reads this thread's counters.
 pub fn snapshot() -> PerfCounters {
-    PerfCounters {
-        allocs: ALLOCS.load(Ordering::Relaxed),
-        alloc_bytes: ALLOC_BYTES.load(Ordering::Relaxed),
-        ..LOCAL.try_with(Cell::get).unwrap_or_default()
-    }
+    LOCAL.try_with(Cell::get).unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -213,11 +186,8 @@ mod tests {
         count_bytes_touched(100);
         count_sim_evals(7);
         count_scratch_reused(2);
-        count_allocs(3, 48);
         let delta = snapshot().since(&before);
-        // The kernel counters are this thread's, and nothing else in
-        // this binary feeds the allocation counters, so every value is
-        // exact.
+        // The counters are this thread's, so every value is exact.
         assert_eq!(
             delta,
             PerfCounters {
@@ -225,8 +195,6 @@ mod tests {
                 bytes_touched: 100,
                 sim_evals: 7,
                 scratch_reused: 2,
-                allocs: 3,
-                alloc_bytes: 48,
                 ..PerfCounters::default()
             }
         );
@@ -267,12 +235,5 @@ mod tests {
             c.to_string(),
             "pairs=0 bytes=0 sims=0 reused=0 allocs=0/0B relabels=7 dirty=8 remerges=9"
         );
-        let before = snapshot();
-        count_relabels(2);
-        count_dirty_links(3);
-        count_remerges(1);
-        let delta = snapshot().since(&before);
-        let update = (delta.relabels, delta.dirty_links, delta.remerges);
-        assert_eq!(update, (2, 3, 1));
     }
 }

@@ -59,17 +59,9 @@ pub struct RockConfig {
 /// fraction 0.25, one thread.
 #[derive(Debug)]
 pub struct RockBuilder {
-    theta: f64,
-    k: usize,
+    /// Every setting but `f(θ)`, which `build` resolves from `ftheta`.
+    config: RockConfig,
     ftheta: Box<dyn FThetaDyn>,
-    goodness_kind: GoodnessKind,
-    outliers: OutlierPolicy,
-    sample_size: Option<usize>,
-    labeling_fraction: f64,
-    seed: Option<u64>,
-    hash_seed: Option<u64>,
-    threads: usize,
-    degradation: DegradationPolicy,
     governor: RunGovernor,
 }
 
@@ -87,17 +79,20 @@ impl<T: FTheta + std::fmt::Debug> FThetaDyn for T {
 impl Default for RockBuilder {
     fn default() -> Self {
         RockBuilder {
-            theta: 0.5,
-            k: 2,
+            config: RockConfig {
+                theta: 0.5,
+                k: 2,
+                ftheta: f64::NAN,
+                goodness_kind: GoodnessKind::Normalized,
+                outliers: OutlierPolicy::default(),
+                sample_size: None,
+                labeling_fraction: 0.25,
+                seed: None,
+                hash_seed: None,
+                threads: 1,
+                degradation: DegradationPolicy::Fail,
+            },
             ftheta: Box::new(BasketF),
-            goodness_kind: GoodnessKind::Normalized,
-            outliers: OutlierPolicy::default(),
-            sample_size: None,
-            labeling_fraction: 0.25,
-            seed: None,
-            hash_seed: None,
-            threads: 1,
-            degradation: DegradationPolicy::Fail,
             governor: RunGovernor::unlimited(),
         }
     }
@@ -106,13 +101,13 @@ impl Default for RockBuilder {
 impl RockBuilder {
     /// Sets the similarity threshold θ.
     pub fn theta(mut self, theta: f64) -> Self {
-        self.theta = theta;
+        self.config.theta = theta;
         self
     }
 
     /// Sets the desired number of clusters.
     pub fn clusters(mut self, k: usize) -> Self {
-        self.k = k;
+        self.config.k = k;
         self
     }
 
@@ -124,14 +119,14 @@ impl RockBuilder {
 
     /// Selects the merge-goodness variant (default normalized).
     pub fn goodness_kind(mut self, kind: GoodnessKind) -> Self {
-        self.goodness_kind = kind;
+        self.config.goodness_kind = kind;
         self
     }
 
     /// Enables mid-flight weeding: stop at `stop_multiple · k` clusters and
     /// discard those smaller than `min_cluster_size` (§4.6).
     pub fn weed_outliers(mut self, stop_multiple: f64, min_cluster_size: usize) -> Self {
-        self.outliers.weed = Some(WeedPolicy {
+        self.config.outliers.weed = Some(WeedPolicy {
             stop_multiple,
             min_cluster_size,
         });
@@ -141,19 +136,19 @@ impl RockBuilder {
     /// Clusters a random sample of this size instead of the full data
     /// (Fig. 2); remaining points are assigned in the labeling phase.
     pub fn sample_size(mut self, size: usize) -> Self {
-        self.sample_size = Some(size);
+        self.config.sample_size = Some(size);
         self
     }
 
     /// Sets the fraction of each cluster used for labeling (§4.6).
     pub fn labeling_fraction(mut self, fraction: f64) -> Self {
-        self.labeling_fraction = fraction;
+        self.config.labeling_fraction = fraction;
         self
     }
 
     /// Fixes the RNG seed for reproducible sampling and labeling.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = Some(seed);
+        self.config.seed = Some(seed);
         self
     }
 
@@ -162,14 +157,14 @@ impl RockBuilder {
     /// kept only because model artifacts and update-log fingerprints
     /// persist it.
     pub fn hash_seed(mut self, seed: u64) -> Self {
-        self.hash_seed = Some(seed);
+        self.config.hash_seed = Some(seed);
         self
     }
 
     /// Sets the number of worker threads used by the neighbor, link and
     /// labeling kernels. The clustering result does not depend on it.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+        self.config.threads = threads;
         self
     }
 
@@ -187,60 +182,49 @@ impl RockBuilder {
     /// (default: fail with [`RockError::Interrupted`]). See
     /// [`DegradationPolicy`] and `DESIGN.md` §"Failure model".
     pub fn degradation(mut self, policy: DegradationPolicy) -> Self {
-        self.degradation = policy;
+        self.config.degradation = policy;
         self
     }
 
     /// Validates the configuration and produces the driver.
     pub fn build(self) -> Result<Rock, RockError> {
-        if !(0.0..=1.0).contains(&self.theta) {
-            return Err(RockError::InvalidTheta(self.theta));
+        let mut config = self.config;
+        if !(0.0..=1.0).contains(&config.theta) {
+            return Err(RockError::InvalidTheta(config.theta));
         }
-        if self.k == 0 {
-            return Err(RockError::InvalidK(self.k));
+        if config.k == 0 {
+            return Err(RockError::InvalidK(config.k));
         }
-        let ftheta = self.ftheta.f_dyn(self.theta);
-        if !ftheta.is_finite() || ftheta < 0.0 {
-            return Err(RockError::InvalidFTheta(ftheta));
+        config.ftheta = self.ftheta.f_dyn(config.theta);
+        if !config.ftheta.is_finite() || config.ftheta < 0.0 {
+            return Err(RockError::InvalidFTheta(config.ftheta));
         }
-        if !(self.labeling_fraction > 0.0 && self.labeling_fraction <= 1.0) {
-            return Err(RockError::InvalidLabelingFraction(self.labeling_fraction));
+        if !(config.labeling_fraction > 0.0 && config.labeling_fraction <= 1.0) {
+            return Err(RockError::InvalidLabelingFraction(config.labeling_fraction));
         }
-        if let Some(s) = self.sample_size {
-            if s < self.k {
+        if let Some(s) = config.sample_size {
+            if s < config.k {
                 return Err(RockError::InvalidSampleSize {
                     sample_size: s,
-                    k: self.k,
+                    k: config.k,
                 });
             }
         }
-        if let Some(w) = &self.outliers.weed {
+        if let Some(w) = &config.outliers.weed {
             if w.stop_multiple < 1.0 {
                 return Err(RockError::InvalidWeedMultiple(w.stop_multiple));
             }
         }
-        if self.threads == 0 {
-            return Err(RockError::InvalidThreads(self.threads));
+        if config.threads == 0 {
+            return Err(RockError::InvalidThreads(config.threads));
         }
-        if let DegradationPolicy::Subsample { fraction } = self.degradation {
+        if let DegradationPolicy::Subsample { fraction } = config.degradation {
             if !(fraction > 0.0 && fraction < 1.0) {
                 return Err(RockError::InvalidSubsampleFraction(fraction));
             }
         }
         Ok(Rock {
-            config: RockConfig {
-                theta: self.theta,
-                k: self.k,
-                ftheta,
-                goodness_kind: self.goodness_kind,
-                outliers: self.outliers,
-                sample_size: self.sample_size,
-                labeling_fraction: self.labeling_fraction,
-                seed: self.seed,
-                hash_seed: self.hash_seed,
-                threads: self.threads,
-                degradation: self.degradation,
-            },
+            config,
             governor: self.governor,
         })
     }
@@ -321,8 +305,7 @@ impl Rock {
     /// A staged [`Pipeline`] over this driver's configuration and
     /// governor — the engine behind every entry point, exposed for
     /// custom stage compositions ([`Pipeline::stage`] over the five
-    /// stage structs, [`Pipeline::fit_with_labeler`]) that inspect the
-    /// run's report between stages.
+    /// stage structs, [`Pipeline::fit_with_labeler`]).
     ///
     /// A pairwise similarity source without points clusters through
     /// [`NeighborGraph::build`](crate::neighbors::NeighborGraph::build)

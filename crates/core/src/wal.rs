@@ -119,6 +119,18 @@ const REC_UPDATE: u8 = 6;
 pub(crate) struct WalBegin {
     /// Number of input points the run was started on.
     pub n_points: u32,
+    /// The merge engine's configuration.
+    pub config: WalConfig,
+    /// Point id of each initial (post-pruning) singleton cluster.
+    pub initial_points: Vec<u32>,
+    /// Points pruned up front as neighbor-less outliers.
+    pub pruned_outliers: Vec<u32>,
+}
+
+/// What a merge WAL must agree on with the engine that resumes it,
+/// built by `RockAlgorithm::wal_config`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct WalConfig {
     /// Target cluster count `k`.
     pub k: u32,
     /// Bits of the goodness exponent `1 + 2·f(θ)`.
@@ -129,10 +141,40 @@ pub(crate) struct WalBegin {
     pub min_neighbors: u32,
     /// Weed policy, if any: `(stop_multiple bits, min_cluster_size)`.
     pub weed: Option<(u64, u32)>,
-    /// Point id of each initial (post-pruning) singleton cluster.
-    pub initial_points: Vec<u32>,
-    /// Points pruned up front as neighbor-less outliers.
-    pub pruned_outliers: Vec<u32>,
+}
+
+impl WalConfig {
+    /// Appends the five fields in declaration order, the weed policy as
+    /// a presence byte and its two fields.
+    fn encode(&self, buf: &mut Vec<u8>) {
+        put_u32(buf, self.k);
+        put_u64(buf, self.exponent_bits);
+        buf.push(self.kind);
+        put_u32(buf, self.min_neighbors);
+        match self.weed {
+            Some((mult_bits, min_size)) => {
+                buf.push(1);
+                put_u64(buf, mult_bits);
+                put_u32(buf, min_size);
+            }
+            None => buf.push(0),
+        }
+    }
+
+    /// Decodes [`encode`](Self::encode)'s layout.
+    fn decode(c: &mut Cursor<'_>) -> Option<WalConfig> {
+        Some(WalConfig {
+            k: c.u32()?,
+            exponent_bits: c.u64()?,
+            kind: c.u8()?,
+            min_neighbors: c.u32()?,
+            weed: match c.u8()? {
+                0 => None,
+                1 => Some((c.u64()?, c.u32()?)),
+                _ => return None,
+            },
+        })
+    }
 }
 
 /// A full image of the merge-loop state at `merges_done` merges.
@@ -275,18 +317,7 @@ impl MergeWal {
     pub(crate) fn append_begin(&mut self, b: &WalBegin) {
         let mut p = Vec::new();
         put_u32(&mut p, b.n_points);
-        put_u32(&mut p, b.k);
-        put_u64(&mut p, b.exponent_bits);
-        p.push(b.kind);
-        put_u32(&mut p, b.min_neighbors);
-        match b.weed {
-            Some((mult_bits, min_size)) => {
-                p.push(1);
-                put_u64(&mut p, mult_bits);
-                put_u32(&mut p, min_size);
-            }
-            None => p.push(0),
-        }
+        b.config.encode(&mut p);
         put_u32_slice(&mut p, &b.initial_points);
         put_u32_slice(&mut p, &b.pruned_outliers);
         self.log.frame(REC_BEGIN, &p);
@@ -430,24 +461,12 @@ impl WalReplay {
 fn parse_begin(payload: &[u8]) -> Option<WalBegin> {
     let mut c = Cursor::new(payload);
     let n_points = c.u32()?;
-    let k = c.u32()?;
-    let exponent_bits = c.u64()?;
-    let kind = c.u8()?;
-    let min_neighbors = c.u32()?;
-    let weed = match c.u8()? {
-        0 => None,
-        1 => Some((c.u64()?, c.u32()?)),
-        _ => return None,
-    };
+    let config = WalConfig::decode(&mut c)?;
     let initial_points = c.u32_vec()?;
     let pruned_outliers = c.u32_vec()?;
     c.done().then_some(WalBegin {
         n_points,
-        k,
-        exponent_bits,
-        kind,
-        min_neighbors,
-        weed,
+        config,
         initial_points,
         pruned_outliers,
     })
@@ -655,11 +674,13 @@ mod tests {
     fn sample_begin() -> WalBegin {
         WalBegin {
             n_points: 6,
-            k: 2,
-            exponent_bits: 1.5f64.to_bits(),
-            kind: 0,
-            min_neighbors: 1,
-            weed: Some((2.0f64.to_bits(), 3)),
+            config: WalConfig {
+                k: 2,
+                exponent_bits: 1.5f64.to_bits(),
+                kind: 0,
+                min_neighbors: 1,
+                weed: Some((2.0f64.to_bits(), 3)),
+            },
             initial_points: vec![0, 1, 2, 4, 5],
             pruned_outliers: vec![3],
         }

@@ -105,7 +105,10 @@ impl FaultSpec {
 /// the resilient drivers classify as transient. (`Interrupted` is
 /// deliberately not injected: `BufRead::read_line` retries it internally,
 /// which would hide the fault from the layer under test.)
-#[derive(Debug)]
+///
+/// Over a fixed image (`Vec<u8>`) it is [`FaultyArtifactSource`]: the
+/// same schedule, with fetch calls in place of read calls.
+#[derive(Clone, Debug)]
 pub struct FaultyReader<R> {
     inner: R,
     spec: FaultSpec,
@@ -114,7 +117,7 @@ pub struct FaultyReader<R> {
     injected: u64,
 }
 
-impl<R: Read> FaultyReader<R> {
+impl<R> FaultyReader<R> {
     /// Wraps `inner` under `spec`.
     pub fn new(inner: R, spec: FaultSpec) -> Self {
         FaultyReader {
@@ -126,34 +129,36 @@ impl<R: Read> FaultyReader<R> {
         }
     }
 
-    fn transient_error(&self) -> io::Error {
+    /// Takes one call off the schedule: `Err` with the next injected
+    /// error when the call falls in a burst, `Ok` when it may reach the
+    /// inner source.
+    fn schedule(&mut self) -> io::Result<()> {
+        if self.pending_burst > 0 {
+            self.pending_burst -= 1;
+        } else {
+            let i = self.calls;
+            self.calls += 1;
+            if !(self.spec.transient_rate > 0.0
+                && seeded_hit(self.spec.seed, STREAM_TRANSIENT, i, self.spec.transient_rate))
+            {
+                return Ok(());
+            }
+            self.pending_burst = self.spec.transient_burst.saturating_sub(1);
+        }
         let kind = if self.injected.is_multiple_of(2) {
             io::ErrorKind::WouldBlock
         } else {
             io::ErrorKind::TimedOut
         };
-        io::Error::new(kind, format!("injected transient fault #{}", self.injected))
+        let e = io::Error::new(kind, format!("injected transient fault #{}", self.injected));
+        self.injected += 1;
+        Err(e)
     }
 }
 
 impl<R: Read> Read for FaultyReader<R> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if self.pending_burst > 0 {
-            self.pending_burst -= 1;
-            let e = self.transient_error();
-            self.injected += 1;
-            return Err(e);
-        }
-        let i = self.calls;
-        self.calls += 1;
-        if self.spec.transient_rate > 0.0
-            && seeded_hit(self.spec.seed, STREAM_TRANSIENT, i, self.spec.transient_rate)
-        {
-            self.pending_burst = self.spec.transient_burst.saturating_sub(1);
-            let e = self.transient_error();
-            self.injected += 1;
-            return Err(e);
-        }
+        self.schedule()?;
         let cap = match self.spec.chunk {
             0 => buf.len(),
             c => buf.len().min(c),
@@ -239,56 +244,12 @@ pub fn truncate_artifact(bytes: &[u8], seed: u64) -> Vec<u8> {
 /// indices play for [`FaultyReader`]; a scheduled index starts a burst
 /// of [`FaultSpec::transient_burst`] consecutive failures, so a retry
 /// budget ≥ burst always recovers the exact image.
-#[derive(Clone, Debug)]
-pub struct FaultyArtifactSource {
-    bytes: Vec<u8>,
-    spec: FaultSpec,
-    calls: u64,
-    pending_burst: u32,
-    injected: u64,
-}
-
-impl FaultyArtifactSource {
-    /// Serves `bytes` under `spec`'s transient schedule.
-    pub fn new(bytes: Vec<u8>, spec: FaultSpec) -> Self {
-        FaultyArtifactSource {
-            bytes,
-            spec,
-            calls: 0,
-            pending_burst: 0,
-            injected: 0,
-        }
-    }
-
-    fn transient_error(&self) -> io::Error {
-        let kind = if self.injected.is_multiple_of(2) {
-            io::ErrorKind::WouldBlock
-        } else {
-            io::ErrorKind::TimedOut
-        };
-        io::Error::new(kind, format!("injected transient fault #{}", self.injected))
-    }
-}
+pub type FaultyArtifactSource = FaultyReader<Vec<u8>>;
 
 impl rock_core::artifact::ArtifactSource for FaultyArtifactSource {
     fn fetch(&mut self) -> io::Result<Vec<u8>> {
-        if self.pending_burst > 0 {
-            self.pending_burst -= 1;
-            let e = self.transient_error();
-            self.injected += 1;
-            return Err(e);
-        }
-        let i = self.calls;
-        self.calls += 1;
-        if self.spec.transient_rate > 0.0
-            && seeded_hit(self.spec.seed, STREAM_TRANSIENT, i, self.spec.transient_rate)
-        {
-            self.pending_burst = self.spec.transient_burst.saturating_sub(1);
-            let e = self.transient_error();
-            self.injected += 1;
-            return Err(e);
-        }
-        Ok(self.bytes.clone())
+        self.schedule()?;
+        Ok(self.inner.clone())
     }
 }
 
